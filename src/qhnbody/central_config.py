@@ -27,7 +27,6 @@ from .errors import (
     BracketError,
     CollisionError,
     DegenerateTermError,
-    ManevOnlyError,
     NoConvergenceError,
     NotOnSphereError,
     ToleranceError,
@@ -37,13 +36,11 @@ from .model import (
     MassSystem,
     PotentialParams,
     centered,
-    grad_U,
-    grad_V,
-    grad_W,
     hess_U_matrix,
     mass_inner,
     moment_of_inertia,
-    potential_terms,
+    pair_terms,
+    potential_U,
 )
 
 _SPHERE_TOL = 1e-9
@@ -175,11 +172,11 @@ class FRootResult:
 def cc_residual(config, ms: MassSystem, pp: PotentialParams) -> tuple[float, float]:
     """Multiplier sigma and sup-norm residual of dU = sigma dI at config."""
     r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
-    w, v = potential_terms(r, ms, pp)
+    w, v, gw, gv, _ = pair_terms(r, ms, pp)
     inertia = moment_of_inertia(r, ms)
     sigma = -(pp.a * w + pp.b * v) / (2.0 * inertia)
     grad_i = 2.0 * ms.masses[:, None] * r
-    res = float(np.abs(grad_U(r, ms, pp) - sigma * grad_i).max())
+    res = float(np.abs(gw + gv - sigma * grad_i).max())
     return sigma, res
 
 
@@ -190,13 +187,13 @@ def simultaneous_residual(
     if pp.alpha == 0.0 or pp.beta == 0.0:
         raise DegenerateTermError("simultaneous test needs alpha > 0 and beta > 0")
     r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
-    w, v = potential_terms(r, ms, pp)
+    w, v, gw, gv, _ = pair_terms(r, ms, pp)
     inertia = moment_of_inertia(r, ms)
     sigma1 = -pp.a * w / (2.0 * inertia)
     sigma2 = -pp.b * v / (2.0 * inertia)
     grad_i = 2.0 * ms.masses[:, None] * r
-    res_w = float(np.abs(grad_W(r, ms, pp) - sigma1 * grad_i).max())
-    res_v = float(np.abs(grad_V(r, ms, pp) - sigma2 * grad_i).max())
+    res_w = float(np.abs(gw - sigma1 * grad_i).max())
+    res_v = float(np.abs(gv - sigma2 * grad_i).max())
     return SimultaneousReport(sigma1, sigma2, res_w, res_v)
 
 
@@ -235,7 +232,7 @@ def tangent_basis(positions: np.ndarray, ms: MassSystem, inertia_I0: float) -> n
 def _restricted_hessian_matrix(
     r: np.ndarray, ms: MassSystem, pp: PotentialParams, basis: np.ndarray, inertia_I0: float
 ) -> np.ndarray:
-    w, v = potential_terms(r, ms, pp)
+    w, v = pair_terms(r, ms, pp)[:2]
     correction = (pp.a * w + pp.b * v) / inertia_I0
     hm = hess_U_matrix(r, ms, pp)
     k = basis.shape[1]
@@ -321,8 +318,9 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
     fallback; the ordering is preserved by rejecting trial steps whose
     gaps are not strictly positive.  Convergence is declared on the
     sup-norm residual of the CC equation; since that residual cannot
-    drop below rounding in the gradient itself, the goal widens to a few
-    ulps of the gradient scale when grad_tol is tighter than that.
+    drop below the rounding in the sums that form it, the goal widens to
+    a few ulps of max_i (sum_j |f_ij| + |sigma dI/dx_i|) when grad_tol is
+    tighter than that.
     """
     ms, pp = q.ms, q.pp
     n = ms.n
@@ -330,21 +328,16 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
         raise ValueError("ordering length does not match the mass system")
     x = _project_line(_positions_from_gaps(ordering, np.ones(n - 1), n), ms, q.inertia_I0)
 
-    def line_potential(xs: np.ndarray) -> float:
-        w, v = potential_terms(xs[:, None], ms, pp)
-        return w + v
-
     res = np.inf
     sigma = 0.0
     tol_now = q.grad_tol
     for _ in range(q.max_iter):
         r1 = x[:, None]
         sigma, res = cc_residual(r1, ms, pp)
-        grad_flat = grad_U(r1, ms, pp).ravel()
-        tol_now = max(
-            q.grad_tol,
-            8.0 * np.finfo(float).eps * float(np.abs(grad_flat).max()),
-        )
+        _, _, gw, gv, force_sum = pair_terms(r1, ms, pp)
+        grad_flat = (gw + gv).ravel()
+        scale = float(np.max(force_sum + np.abs(2.0 * sigma * ms.masses * x)))
+        tol_now = max(q.grad_tol, 8.0 * np.finfo(float).eps * scale)
         if res <= tol_now:
             break
         basis = tangent_basis(r1, ms, q.inertia_I0)
@@ -358,7 +351,7 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
         if slope >= 0.0:
             step = -g
             slope = -float(g @ g)
-        u0 = line_potential(x)
+        u0 = potential_U(x[:, None], ms, pp)
         direction = basis @ step
         t = 1.0
         accepted = False
@@ -366,9 +359,10 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
             trial = _project_line(x + t * direction, ms, q.inertia_I0)
             if np.all(_gaps_of(trial, ordering) > 0.0):
                 try:
+                    u1 = potential_U(trial[:, None], ms, pp)
                     # slack of a few ulps of U so rounding cannot veto the
                     # final Newton steps inside the quadratic basin
-                    if line_potential(trial) <= u0 + 1e-4 * t * slope + 1e-14 * abs(u0):
+                    if u1 <= u0 + 1e-4 * t * slope + 1e-14 * abs(u0):
                         x = trial
                         accepted = True
                         break

@@ -41,10 +41,9 @@ from .model import (
     Configuration,
     MassSystem,
     PotentialParams,
-    grad_V,
-    mass_inner,
+    _pair_index,
     moment_of_inertia,
-    potential_V,
+    pair_terms,
 )
 
 _ZERO_TOL_FACTOR = 1e-8
@@ -263,8 +262,8 @@ def find_equilibria(
             [s0.positions[:, 0], np.zeros(ms.n)]
         )
         s0 = Configuration(r)
-        v_pot = potential_V(s0, ms, ppb)
-        defect_vec = pp.b * v_pot * ms.masses[:, None] * r + grad_V(s0, ms, ppb)
+        _, v_pot, _, grad_v, _ = pair_terms(s0, ms, ppb)
+        defect_vec = pp.b * v_pot * ms.masses[:, None] * r + grad_v
         defect = float(np.abs(defect_vec).max())
         scale = max(1.0, pp.b * v_pot)
         if defect > tol * scale:
@@ -328,8 +327,7 @@ def transversality_necessary(
 
 
 def min_separation(s: np.ndarray) -> float:
-    n = s.shape[0]
-    i, j = np.triu_indices(n, 1)
+    i, j, _ = _pair_index(s.shape[0])
     return float(np.sqrt(((s[i] - s[j]) ** 2).sum(axis=1)).min())
 
 

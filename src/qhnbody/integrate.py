@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateStateError, FieldError, StiffnessError
+from .errors import DegenerateStateError, FieldError, QHError, StiffnessError
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
@@ -133,7 +133,7 @@ def _initial_step(field_fn, t0, y0, f0, t1, rel_tol, abs_tol, max_step):
     try:
         f1 = np.asarray(field_fn(t0 + h0, y1), dtype=float)
         d2 = _rms_norm((f1 - f0) / scale) / h0
-    except Exception:
+    except (QHError, ArithmeticError):
         d2 = np.inf
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -212,7 +212,8 @@ def integrate(
     step.  monitors is a dict of named scalar functions of (t, y) sampled
     at every accepted point.  Raises FieldError if the field cannot be
     evaluated at the initial state and StiffnessError if the step size
-    underflows.
+    underflows.  Later field errors other than QHError and
+    ArithmeticError propagate unchanged.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -276,7 +277,7 @@ def integrate(
             k[6] = f_new
             if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(f_new))):
                 failed = "non-finite step"
-        except Exception as exc:
+        except (QHError, ArithmeticError) as exc:
             failed = str(exc)
 
         if failed is not None:

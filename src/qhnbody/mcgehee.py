@@ -29,9 +29,9 @@ from .model import (
     MassSystem,
     PhaseState,
     PotentialParams,
-    grad_V,
-    grad_W,
+    grad_V,  # noqa: F401  (re-exported: callers import it from this module)
     mass_inner,
+    pair_terms,
     potential_terms,
 )
 
@@ -133,9 +133,7 @@ def _field_arrays(rho, v, s, u, ms: MassSystem, pp: PotentialParams):
     """
     b = pp.b
     m = ms.masses[:, None]
-    w_s, v_s = potential_terms(s, ms, pp)
-    gw = grad_W(s, ms, pp)
-    gv = grad_V(s, ms, pp)
+    w_s, v_s, gw, gv, _ = pair_terms(s, ms, pp)
     u_m_u = float(np.sum(u * u / m))
     rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
     rho_dot = rho * v

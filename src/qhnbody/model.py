@@ -18,7 +18,9 @@ Hamiltonian reads H = p^T M^{-1} p / 2 - U(r).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,14 +162,27 @@ def centered(positions, ms: MassSystem) -> np.ndarray:
     return r - center_of_mass(r, ms)[None, :]
 
 
+@functools.cache
+def _pair_index(n: int, cols: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (i, j, keys) for the pairs i < j of n bodies.
+
+    np.bincount(keys, rows.ravel()) adds the first P rows (width cols) of
+    a (2P, cols) array to bodies i and the last P rows to bodies j.
+    """
+    i, j = np.triu_indices(n, 1)
+    keys = (np.concatenate([i, j])[:, None] * cols + np.arange(cols)).ravel()
+    for a in (i, j, keys):
+        a.flags.writeable = False
+    return i, j, keys
+
+
 def _pair_data(r: np.ndarray, ms: MassSystem):
     """Distances and separations of all pairs, with the collision guard.
 
     Returns (i, j, diff, dist, mm) for pairs i < j, where diff = r_i - r_j
     and mm = m_i * m_j.
     """
-    n = r.shape[0]
-    i, j = np.triu_indices(n, 1)
+    i, j, _ = _pair_index(r.shape[0])
     diff = r[i] - r[j]
     dist = np.sqrt(np.sum(diff * diff, axis=1))
     inertia = float(np.sum(ms.masses[:, None] * r * r))
@@ -180,56 +195,68 @@ def _pair_data(r: np.ndarray, ms: MassSystem):
     return i, j, diff, dist, ms.masses[i] * ms.masses[j]
 
 
+class PairTerms(NamedTuple):
+    """W, V and their (n, d) gradients, coefficients included, with
+    force_sum[i] = sum_j |f_ij| over the total pair forces on body i: the
+    scale of the rounding error in either gradient."""
+
+    W: float
+    V: float
+    grad_W: np.ndarray
+    grad_V: np.ndarray
+    force_sum: np.ndarray
+
+
+def pair_terms(config, ms: MassSystem, pp: PotentialParams) -> PairTerms:
+    """W, V, their gradients and the per-body force sums in one pass."""
+    r = _positions(config)
+    n, d = r.shape
+    _, _, diff, dist, mm = _pair_data(r, ms)
+    w = pp.alpha * mm * dist ** (-pp.a)
+    v = pp.beta * mm * dist ** (-pp.b)
+    # d/dr_i [coef * mm * d^-c] = -c * (coef * mm * d^-c) / d^2 * (r_i - r_j);
+    # body j picks up the opposite sign, the force magnitude the same one.
+    cw = -pp.a * w / (dist * dist)
+    cv = -pp.b * v / (dist * dist)
+    cols = 2 * d + 1
+    rows = np.empty((2, dist.size, cols))
+    rows[0, :, :d] = cw[:, None] * diff
+    rows[0, :, d:-1] = cv[:, None] * diff
+    rows[0, :, -1] = np.abs(cw + cv) * dist
+    rows[1, :, :-1] = -rows[0, :, :-1]
+    rows[1, :, -1] = rows[0, :, -1]
+    keys = _pair_index(n, cols)[2]
+    sums = np.bincount(keys, rows.ravel(), minlength=n * cols).reshape(n, cols)
+    return PairTerms(
+        float(w.sum()), float(v.sum()), sums[:, :d], sums[:, d:-1], sums[:, -1]
+    )
+
+
 def potential_terms(config, ms: MassSystem, pp: PotentialParams) -> tuple[float, float]:
     """Evaluate (W, V), the a-term and b-term of U, coefficients included."""
-    r = _positions(config)
-    _, _, _, dist, mm = _pair_data(r, ms)
-    w = pp.alpha * float(np.sum(mm * dist ** (-pp.a)))
-    v = pp.beta * float(np.sum(mm * dist ** (-pp.b)))
-    return w, v
-
-
-def potential_W(config, ms: MassSystem, pp: PotentialParams) -> float:
-    return potential_terms(config, ms, pp)[0]
+    return pair_terms(config, ms, pp)[:2]
 
 
 def potential_V(config, ms: MassSystem, pp: PotentialParams) -> float:
-    return potential_terms(config, ms, pp)[1]
+    return pair_terms(config, ms, pp).V
 
 
 def potential_U(config, ms: MassSystem, pp: PotentialParams) -> float:
-    w, v = potential_terms(config, ms, pp)
-    return w + v
-
-
-def _grad_terms(r: np.ndarray, ms: MassSystem, pp: PotentialParams):
-    """Euclidean gradients (dW/dr_i, dV/dr_i) as two (n, d) arrays."""
-    i, j, diff, dist, mm = _pair_data(r, ms)
-    grad_w = np.zeros_like(r)
-    grad_v = np.zeros_like(r)
-    # d/dr_i [mm * d^-c] = -c * mm * d^(-c-2) * (r_i - r_j); the j entry
-    # picks up the opposite sign.
-    cw = (-pp.a * pp.alpha * mm * dist ** (-pp.a - 2.0))[:, None] * diff
-    cv = (-pp.b * pp.beta * mm * dist ** (-pp.b - 2.0))[:, None] * diff
-    np.add.at(grad_w, i, cw)
-    np.add.at(grad_w, j, -cw)
-    np.add.at(grad_v, i, cv)
-    np.add.at(grad_v, j, -cv)
-    return grad_w, grad_v
+    return sum(pair_terms(config, ms, pp)[:2])
 
 
 def grad_W(config, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
-    return _grad_terms(_positions(config), ms, pp)[0]
+    return pair_terms(config, ms, pp).grad_W
 
 
 def grad_V(config, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
-    return _grad_terms(_positions(config), ms, pp)[1]
+    return pair_terms(config, ms, pp).grad_V
 
 
 def grad_U(config, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
     """Euclidean gradient dU/dr_i as an (n, d) array."""
-    gw, gv = _grad_terms(_positions(config), ms, pp)
-    return gw + gv
+    t = pair_terms(config, ms, pp)
+    return t.grad_W + t.grad_V
 
 
 def d_U(config, ms: MassSystem, pp: PotentialParams, v) -> float:
@@ -238,52 +265,33 @@ def d_U(config, ms: MassSystem, pp: PotentialParams, v) -> float:
 
 
 def hess_U(config, ms: MassSystem, pp: PotentialParams, v, w) -> float:
-    """Second derivative D^2 U(r)(v, w) as a bilinear form.
-
-    v and w are (n, d) displacement fields.  Each pair i < j contributes
-
-        c * [ (c_exp + 2) / d^2 * (diff . dv)(diff . dw) - dv . dw ]
-
-    with c = exp * coef * m_i m_j * d^(-exp-2), dv = v_i - v_j, for both
-    potential terms.
-    """
-    r = _positions(config)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    i, j, diff, dist, mm = _pair_data(r, ms)
-    dv = v[i] - v[j]
-    dw = w[i] - w[j]
-    ddv = np.sum(diff * dv, axis=1)
-    ddw = np.sum(diff * dw, axis=1)
-    dvdw = np.sum(dv * dw, axis=1)
-    total = 0.0
-    for exp, coef in ((pp.a, pp.alpha), (pp.b, pp.beta)):
-        if coef == 0.0:
-            continue
-        c = exp * coef * mm * dist ** (-exp - 2.0)
-        total += float(np.sum(c * ((exp + 2.0) / dist**2 * ddv * ddw - dvdw)))
-    return total
+    """Second derivative D^2 U(r)(v, w) for (n, d) displacement fields v, w."""
+    v = np.asarray(v, dtype=float).ravel()
+    return float(v @ hess_U_matrix(config, ms, pp) @ np.asarray(w, dtype=float).ravel())
 
 
 def hess_U_matrix(config, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
-    """Dense (n*d, n*d) Hessian of U in row-major body-then-axis layout."""
+    """Dense (n*d, n*d) Hessian of U in row-major body-then-axis layout.
+
+    Pair i < j adds B = sum over both terms of
+    c * ((exp + 2) / d^2 * diff diff^T - 1), c = exp * coef * m_i m_j * d^(-exp-2),
+    to the (i, i) and (j, j) blocks and -B to the (i, j) and (j, i) blocks.
+    """
     r = _positions(config)
     n, d = r.shape
     i, j, diff, dist, mm = _pair_data(r, ms)
-    h = np.zeros((n * d, n * d))
-    for exp, coef in ((pp.a, pp.alpha), (pp.b, pp.beta)):
-        if coef == 0.0:
-            continue
-        c = exp * coef * mm * dist ** (-exp - 2.0)
-        for p in range(len(dist)):
-            u = diff[p]
-            block = c[p] * ((exp + 2.0) / dist[p] ** 2 * np.outer(u, u) - np.eye(d))
-            bi, bj = i[p] * d, j[p] * d
-            h[bi : bi + d, bi : bi + d] += block
-            h[bj : bj + d, bj : bj + d] += block
-            h[bi : bi + d, bj : bj + d] -= block
-            h[bj : bj + d, bi : bi + d] -= block
-    return h
+    ca = pp.a * pp.alpha * mm * dist ** (-pp.a - 2.0)
+    cb = pp.b * pp.beta * mm * dist ** (-pp.b - 2.0)
+    outer = ((pp.a + 2.0) * ca + (pp.b + 2.0) * cb) / (dist * dist)
+    blocks = outer[:, None, None] * diff[:, :, None] * diff[:, None, :]
+    blocks -= (ca + cb)[:, None, None] * np.eye(d)
+    h = np.zeros((n, d, n, d))
+    h[i, :, j, :] = -blocks
+    h[j, :, i, :] = -blocks
+    # translation invariance: each block row of the Hessian sums to zero
+    body = np.arange(n)
+    h[body, :, body, :] = -h.sum(axis=2)
+    return h.reshape(n * d, n * d)
 
 
 def hess_U_restricted(
@@ -366,7 +374,8 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
         r = y[:sz].reshape(n, dim)
         p = y[sz:].reshape(n, dim)
         rdot = p / ms.masses[:, None]
-        pdot = grad_U(r, ms, pp)
+        t = pair_terms(r, ms, pp)
+        pdot = t.grad_W + t.grad_V
         return np.concatenate([rdot.ravel(), pdot.ravel()])
 
     return field

@@ -30,6 +30,7 @@ from qhnbody.central_config import (
 from qhnbody.errors import (
     BracketError,
     DegenerateTermError,
+    NoConvergenceError,
     NotOnSphereError,
     ToleranceError,
 )
@@ -41,6 +42,7 @@ from qhnbody.model import (
     grad_U,
     mass_inner,
     moment_of_inertia,
+    pair_terms,
     potential_U,
     potential_terms,
 )
@@ -114,6 +116,24 @@ def test_collinear_enumeration_caps_at_six_bodies():
     ms = MassSystem(np.ones(7))
     with pytest.raises(ValueError):
         solve_collinear_all(CCQuery(ms=ms, pp=PP12))
+
+
+def test_six_body_ordering_converges_at_its_rounding_floor():
+    # This ordering used to stall a few ulps above a floor taken from the
+    # net gradient, well below what rounding in the pair sums allows.
+    ms = MassSystem(np.linspace(1.0, 2.0, 6))
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    res = solve_collinear_ordering(Ordering((1, 2, 6, 4, 5, 3)), CCQuery(ms=ms, pp=pp))
+    force_sum = pair_terms(res.config.positions[:, :1], ms, pp).force_sum
+    assert res.index == 0
+    assert res.residual < max(1e-10, 32.0 * np.finfo(float).eps * force_sum.max())
+
+
+def test_solver_reports_an_exhausted_iteration_budget():
+    q = CCQuery(ms=MassSystem(np.linspace(1.0, 2.0, 4)), pp=PP13, max_iter=1)
+    with pytest.raises(NoConvergenceError) as err:
+        solve_collinear_ordering(Ordering.identity(4), q)
+    assert err.value.residual > q.grad_tol
 
 
 def test_solver_respects_requested_ordering():

@@ -23,7 +23,7 @@ from qhnbody.collision_flow import (
     min_separation,
     transversality_necessary,
 )
-from qhnbody.errors import ManevOnlyError, MismatchError, OffManifoldError
+from qhnbody.errors import DegenerateError, ManevOnlyError, MismatchError, OffManifoldError
 from qhnbody.mcgehee import (
     McGeheeState,
     collision_manifold_residual,
@@ -300,6 +300,16 @@ def test_transversality_condition_by_shape():
     assert transversality_necessary(config, MS, PP) is True
     cc = euler_collinear_homogeneous(MS, PP.b, Ordering.identity(3))
     assert transversality_necessary(cc.config, MS, PP) is False
+
+
+def test_transversality_rejects_a_shape_that_is_not_central():
+    # away from a central configuration the rotation is not the only
+    # near-zero mode of the shape matrix
+    r = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9]])
+    r -= MS.masses @ r / MS.total_mass
+    s0 = Configuration(r / np.sqrt(mass_inner(r, r, MS)))
+    with pytest.raises(DegenerateError):
+        transversality_necessary(s0, MS, PP)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import circular_two_body
-from qhnbody.errors import FieldError, StiffnessError
+from qhnbody.errors import DegenerateStateError, FieldError, StiffnessError
 from qhnbody.integrate import Event, Trajectory, integrate, renormalize_mcgehee
 from qhnbody.model import (
     MassSystem,
@@ -154,6 +154,20 @@ def test_field_error_at_start():
         integrate(lambda t, y: np.array([np.nan]), np.array([1.0]), (0.0, 1.0))
 
 
+def test_programming_errors_in_the_field_propagate():
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        if len(calls) > 1:
+            return y.reshape(1, 1) + None  # TypeError, not a numerical failure
+        return -y
+
+    with pytest.raises(TypeError):
+        integrate(field, np.array([1.0]), (0.0, 1.0))
+    assert len(calls) == 2
+
+
 def test_stiffness_error_on_blowup():
     # y' = y^2 from 1 blows up at t = 1; the step size must underflow.
     with pytest.raises(StiffnessError):
@@ -218,6 +232,12 @@ def test_renormalize_mcgehee_projects_and_is_idempotent(seed, m1, m2, m3):
     s2, u2 = renormalize_mcgehee(s1, u1, masses)
     assert np.abs(s2 - s1).max() < 1e-13
     assert np.abs(u2 - u1).max() < 1e-12
+
+
+def test_renormalize_mcgehee_rejects_a_collapsed_shape():
+    masses = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(DegenerateStateError):
+        renormalize_mcgehee(np.zeros((3, 2)), np.ones((3, 2)), masses)
 
 
 def test_trajectory_sample_between_segments():

@@ -40,8 +40,7 @@ from qhnbody.model import (
     moment_of_inertia,
     pack_phase,
     potential_U,
-    potential_V,
-    potential_W,
+    pair_terms,
     potential_terms,
     total_momentum,
     unpack_phase,
@@ -122,14 +121,13 @@ def test_gradient_matches_finite_differences(pp, rng):
         n = int(rng.integers(2, 5))
         ms = random_masses(rng, n)
         r = random_config(rng, n)
-        config = Configuration(r)
-        for grad, value in (
-            (grad_W, potential_W),
-            (grad_V, potential_V),
-            (grad_U, potential_U),
+        terms = pair_terms(Configuration(r), ms, pp)
+        for g, value in (
+            (terms.grad_W, lambda x: pair_terms(x, ms, pp).W),
+            (terms.grad_V, lambda x: pair_terms(x, ms, pp).V),
+            (grad_U(Configuration(r), ms, pp), lambda x: potential_U(x, ms, pp)),
         ):
-            g = grad(config, ms, pp)
-            fd = fd_gradient(lambda x: value(Configuration(x), ms, pp), r)
+            fd = fd_gradient(value, r)
             scale = max(1.0, np.abs(g).max())
             assert np.abs(g - fd).max() < 1e-6 * scale
 
@@ -250,6 +248,10 @@ def test_collision_guard():
         potential_U(config, ms, pp)
     with pytest.raises(CollisionError):
         grad_U(config, ms, pp)
+    with pytest.raises(CollisionError):
+        pair_terms(config, ms, pp)
+    with pytest.raises(CollisionError):
+        hess_U_matrix(config, ms, pp)
     # a lone pair at the same absolute distance defines its own scale
     lone = Configuration(np.array([[0.0, 0.0], [1e-13, 0.0]]))
     assert potential_U(lone, MassSystem(np.array([1.0, 1.0])), pp) > 0.0
@@ -356,3 +358,74 @@ def test_d_U_pairs_gradient_with_direction(rng):
     v = rng.standard_normal(r.shape)
     expected = float(np.sum(grad_U(Configuration(r), ms, pp) * v))
     assert np.isclose(d_U(Configuration(r), ms, pp, v), expected, rtol=1e-14)
+
+
+def _pair_loop(r, masses, pp):
+    """Reference for pair_terms: one plain Python pass per pair i < j."""
+    n, d = r.shape
+    w = v = 0.0
+    gw, gv, force_sum = np.zeros((n, d)), np.zeros((n, d)), np.zeros(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = r[i] - r[j]
+            dist = float(np.sqrt(diff @ diff))
+            mm = masses[i] * masses[j]
+            w += pp.alpha * mm * dist ** (-pp.a)
+            v += pp.beta * mm * dist ** (-pp.b)
+            fw = -pp.a * pp.alpha * mm * dist ** (-pp.a - 2.0) * diff
+            fv = -pp.b * pp.beta * mm * dist ** (-pp.b - 2.0) * diff
+            gw[i] += fw
+            gw[j] -= fw
+            gv[i] += fv
+            gv[j] -= fv
+            force_sum[[i, j]] += float(np.linalg.norm(fw + fv))
+    return w, v, gw, gv, force_sum
+
+
+def _hess_loop(r, masses, pp):
+    """Reference for hess_U_matrix: the d x d block of each pair, added in place."""
+    n, d = r.shape
+    h = np.zeros((n * d, n * d))
+    for i in range(n):
+        for j in range(i + 1, n):
+            u = r[i] - r[j]
+            dist = float(np.sqrt(u @ u))
+            for exp, coef in ((pp.a, pp.alpha), (pp.b, pp.beta)):
+                c = exp * coef * masses[i] * masses[j] * dist ** (-exp - 2.0)
+                block = c * ((exp + 2.0) / dist**2 * np.outer(u, u) - np.eye(d))
+                bi, bj = i * d, j * d
+                h[bi : bi + d, bi : bi + d] += block
+                h[bj : bj + d, bj : bj + d] += block
+                h[bi : bi + d, bj : bj + d] -= block
+                h[bj : bj + d, bi : bi + d] -= block
+    return h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 7),
+    d=st.sampled_from([1, 2]),
+    a=st.floats(0.0, 2.0),
+    gap=st.floats(0.1, 3.0),
+    alpha=st.floats(0.0, 2.0),
+    beta=st.floats(0.1, 2.0),
+)
+def test_pair_kernel_matches_the_per_pair_loop(seed, n, d, a, gap, alpha, beta):
+    rng = np.random.default_rng(seed)
+    ms = random_masses(rng, n)
+    r = random_config(rng, n, dim=d, min_sep=0.3 / n, scale=float(n))
+    pp = PotentialParams(a=a, b=a + gap, alpha=alpha, beta=beta)
+    terms = pair_terms(Configuration(r), ms, pp)
+    w, v, gw, gv, force_sum = _pair_loop(r, ms.masses, pp)
+    # gradients cancel between pairs, so compare them against the size of
+    # the pair forces summed into them
+    scale = float(force_sum.max())
+    assert terms.W == pytest.approx(w, rel=1e-12, abs=0.0)
+    assert terms.V == pytest.approx(v, rel=1e-12, abs=0.0)
+    assert np.abs(terms.grad_W - gw).max() <= 1e-12 * scale
+    assert np.abs(terms.grad_V - gv).max() <= 1e-12 * scale
+    assert np.abs(terms.force_sum - force_sum).max() <= 1e-12 * scale
+    h = hess_U_matrix(Configuration(r), ms, pp)
+    ref = _hess_loop(r, ms.masses, pp)
+    assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
