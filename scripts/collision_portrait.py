@@ -1,10 +1,11 @@
 """Portrait of the flow on the total-collision manifold.
 
-Starts a batch of perturbed shapes on the manifold and follows each
-orbit of the rescaled flow, recording how far the Lyapunov-like
-coordinate v drops and which rest point (if any) the orbit settles
-toward.  On the way it cross-checks the advertised monotonicity: v
-never increases along any orbit.
+Starts a batch of perturbed equilateral shapes on the manifold and
+follows each orbit of the rescaled flow, recording how far the
+Lyapunov-like coordinate v drops and which rest point of the pure-b
+catalog, aligned over rotations, the orbit ends nearest.  On the way it
+cross-checks the advertised monotonicity: v never increases along any
+orbit.
 
 Example:
     python scripts/collision_portrait.py --trials 12 --tau-max 40 --out portrait
@@ -15,68 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from qhnbody.central_config import (
-    CCResult,
-    Ordering,
-    cc_index,
-    cc_residual,
-    equilateral_configuration,
-    euler_collinear_homogeneous,
+from qhnbody.collision_flow import (
+    integrate_on_C,
+    manifold_start,
+    nearest_equilibrium,
+    pure_b_catalog,
 )
-from qhnbody.collision_flow import find_equilibria, integrate_on_C
-from qhnbody.mcgehee import McGeheeState, unpack_mcgehee
-from qhnbody.model import Configuration, MassSystem, PotentialParams, potential_V
-
-
-def pure_b_catalog(ms, b):
-    """Equilateral and collinear CCs of the strong-force term alone."""
-    ppb = PotentialParams(a=0.0, b=b, alpha=0.0, beta=1.0)
-    config = equilateral_configuration(ms)[0]
-    sigma, res = cc_residual(config, ms, ppb)
-    report = cc_index(config, ms, ppb, ambient="planar")
-    out = [
-        CCResult(
-            config=config,
-            kind="equilateral",
-            sigma=sigma,
-            residual=res,
-            index=report.index,
-            hess_eigs=report.eigenvalues,
-            inertia_I0=1.0,
-        )
-    ]
-    for ordering in Ordering.all_canonical(ms.n):
-        out.append(euler_collinear_homogeneous(ms, b, ordering))
-    return out
-
-
-def manifold_start(shape, ms, ppb, rng, scale, v_sign):
-    """Perturb a shape tangentially and complete v from the constraint."""
-    s = shape.positions
-    u = rng.standard_normal(s.shape) * scale
-    u -= ms.masses[:, None] * (u.sum(axis=0) / ms.total_mass)
-    u -= float(np.sum(u * s)) * (ms.masses[:, None] * s)
-    v2 = 2.0 * potential_V(Configuration(s), ms, ppb) - float(
-        np.sum(u * u / ms.masses[:, None])
-    )
-    if v2 < 0.0:
-        raise SystemExit(f"--scale {scale} too large: no real v on the manifold")
-    return McGeheeState(rho=0.0, v=v_sign * float(np.sqrt(v2)), s=s, u=u)
-
-
-def nearest_rest_point(st, reports, ms):
-    """Label of the catalog entry closest to st in the mass metric."""
-    best, label = np.inf, "none"
-    for rep in reports:
-        diff = st.s - rep.s0.positions
-        dist = float(np.sqrt(np.sum(ms.masses[:, None] * diff * diff)))
-        dist += abs(st.v - rep.v_value)
-        if dist < best:
-            tag = rep.kind
-            if rep.ordering is not None:
-                tag += "".join(map(str, rep.ordering.perm))
-            best, label = dist, f"{tag}:{'+' if rep.v_sign > 0 else '-'}"
-    return label, best
+from qhnbody.mcgehee import unpack_mcgehee
+from qhnbody.model import MassSystem, PotentialParams
 
 
 def main():
@@ -84,7 +31,8 @@ def main():
         description="Batch portrait of orbits on the total-collision manifold"
     )
     p.add_argument("--trials", type=int, default=12)
-    p.add_argument("--seed", type=int, default=3)
+    p.add_argument("--seed", type=int, default=3,
+                   help="trial k perturbs with seed + k")
     p.add_argument("--masses", type=float, nargs=3, default=[1.0, 2.0, 3.0])
     p.add_argument("--b", type=float, default=3.0)
     p.add_argument("--scale", type=float, default=0.08,
@@ -92,26 +40,29 @@ def main():
     p.add_argument("--tau-max", type=float, default=40.0)
     p.add_argument("--out", type=str, default="portrait")
     args = p.parse_args()
+    if args.trials < 1:
+        p.error("--trials must be at least 1")
 
     ms = MassSystem(args.masses)
     pp = PotentialParams(a=1.0, b=args.b, alpha=1.0, beta=1.0)
-    ppb = PotentialParams(a=0.0, b=args.b, alpha=0.0, beta=1.0)
-    catalog = find_equilibria(ms, pp, pure_b_catalog(ms, args.b))
-    shape = equilateral_configuration(ms)[0]
-    rng = np.random.default_rng(args.seed)
+    catalog = pure_b_catalog(ms, args.b)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for trial in range(args.trials):
         v_sign = +1 if trial % 2 == 0 else -1
-        st0 = manifold_start(shape, ms, ppb, rng, args.scale, v_sign)
+        try:
+            st0 = manifold_start(catalog[0].config, ms, pp, args.scale, args.seed + trial, v_sign)
+        except ValueError as exc:
+            p.error(str(exc))
         tr = integrate_on_C(st0, ms, pp, tau_max=args.tau_max)
         vs = tr.states[:, 1]
         if np.any(np.diff(vs) > 1e-9 * max(1.0, float(np.abs(vs).max()))):
             raise SystemExit(f"trial {trial}: v increased along the orbit")
         st1 = unpack_mcgehee(tr.states[-1], ms.n, 2)
-        label, dist = nearest_rest_point(st1, catalog, ms)
+        near = nearest_equilibrium(st1.s, st1.v, catalog, ms, pp)
+        label = near.cc.kind
+        if near.cc.ordering is not None:
+            label += "".join(map(str, near.cc.ordering.perm))
         rows.append(
             {
                 "trial": trial,
@@ -121,11 +72,13 @@ def main():
                 "v_drop": float(vs[0] - vs[-1]),
                 "tau_end": float(tr.times[-1]),
                 "termination": tr.termination,
-                "nearest": label,
-                "distance": dist,
+                "nearest": f"{label}:{'+' if near.v_sign > 0 else '-'}",
+                "distance": float(np.hypot(near.shape_distance, near.v_distance)),
             }
         )
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "portrait.csv"
     with path.open("w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(rows[0]))

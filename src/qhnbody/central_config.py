@@ -37,6 +37,7 @@ from .model import (
     PotentialParams,
     centered,
     hess_U_matrix,
+    lift_to_plane,
     mass_inner,
     moment_of_inertia,
     pair_terms,
@@ -239,6 +240,19 @@ def _restricted_hessian_matrix(
     return basis.T @ hm @ basis + correction * np.eye(k)
 
 
+def count_modes(eigs: np.ndarray) -> tuple[int, int, float]:
+    """(index, zero_modes, zero_tol) of a real spectrum.
+
+    Eigenvalues within zero_tol = 1e-8 * max |eig| of zero are zero
+    modes; the index counts those below -zero_tol.  An empty spectrum
+    gives (0, 0, 0.0).
+    """
+    if eigs.size == 0:
+        return 0, 0, 0.0
+    zero_tol = _ZERO_TOL_FACTOR * float(np.abs(eigs).max())
+    return int(np.sum(eigs < -zero_tol)), int(np.sum(np.abs(eigs) < zero_tol)), zero_tol
+
+
 def _as_line(r: np.ndarray) -> np.ndarray:
     """x-coordinates of a configuration lying on the x-axis."""
     if r.shape[1] == 1:
@@ -271,10 +285,7 @@ def cc_index(
     if ambient == "collinear":
         x = _as_line(r)[:, None]
     elif ambient == "planar":
-        if r.shape[1] != 2:
-            x = np.column_stack([_as_line(r), np.zeros(r.shape[0])])
-        else:
-            x = r
+        x = lift_to_plane(r if r.shape[1] == 2 else _as_line(r)[:, None])
     else:
         raise ValueError(f"unknown ambient {ambient!r}")
     basis = tangent_basis(x, ms, inertia_I0)
@@ -282,9 +293,7 @@ def cc_index(
         return IndexReport(index=0, eigenvalues=np.zeros(0), zero_modes=0, ambient=ambient)
     a_mat = _restricted_hessian_matrix(x, ms, pp, basis, inertia_I0)
     eigs = np.linalg.eigvalsh(a_mat)
-    zero_tol = _ZERO_TOL_FACTOR * float(np.abs(eigs).max())
-    zeros = int(np.sum(np.abs(eigs) < zero_tol))
-    index = int(np.sum(eigs < -zero_tol))
+    index, zeros, _ = count_modes(eigs)
     expected_zeros = 1 if ambient == "planar" else 0
     if zeros != expected_zeros:
         raise ToleranceError(
@@ -385,7 +394,7 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
                 residual=res,
             )
     report = cc_index(x[:, None], ms, pp, ambient="collinear", inertia_I0=q.inertia_I0)
-    config = Configuration(np.column_stack([x, np.zeros(n)]))
+    config = Configuration(lift_to_plane(x[:, None]))
     return CCResult(
         config=config,
         kind="collinear",
@@ -423,9 +432,7 @@ def equilateral_configuration(
     """
     if ms.n != 3:
         raise ValueError("equilateral configurations need exactly three bodies")
-    m = ms.masses
-    pair_sum = m[0] * m[1] + m[0] * m[2] + m[1] * m[2]
-    side = np.sqrt(inertia_I0 * ms.total_mass / pair_sum)
+    side = equilateral_side(ms, inertia_I0)
     raw = side * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
     plus = centered(raw, ms)
     minus = plus * np.array([1.0, -1.0])
@@ -475,6 +482,30 @@ def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
     return out[0], out[1]
 
 
+def bisect_sign_change(f, rel_tol: float) -> tuple[float, float] | None:
+    """Bracket (lo, hi) around the point where f, positive near 0, turns negative.
+
+    hi doubles from 1 until f(hi) < 0, at most 400 times (None if f
+    never turns negative); bisection from lo = 0 then shrinks the
+    bracket until hi - lo <= rel_tol * hi.
+    """
+    hi = 1.0
+    for _ in range(400):
+        if f(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        return None
+    lo = 0.0
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def f_root(sigma: float, b: float, mtotal: float) -> FRootResult:
     """Unique positive root of f(r) = 2 sigma r^(b+2) + m r^(b-1) + m b.
 
@@ -493,20 +524,10 @@ def f_root(sigma: float, b: float, mtotal: float) -> FRootResult:
 
     if not (np.isfinite(sigma) and sigma < 0.0):
         raise BracketError(f"no sign change: sigma = {sigma!r} must be negative")
-    hi = 1.0
-    for _ in range(400):
-        if f(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
+    bracket = bisect_sign_change(f, 1e-14)
+    if bracket is None:
         raise BracketError("no sign change found during bracket expansion")
-    lo = 0.0
-    while hi - lo > 1e-14 * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bracket
     root = 0.5 * (lo + hi)
 
     grid_lo, grid_hi, points = root * 1e-6, root * 1e6, 241

@@ -10,8 +10,7 @@ printed to 17 significant digits, so identical configs produce
 byte-identical files; time series are CSV with the same float format.
 
 Exit codes: 0 success, 2 config validation, 3 numerical failure (the
-stderr line names the failing error class).  ``QH_THREADS`` caps the
-worker threads used for per-ordering and mass-grid fan-out.
+stderr line names the failing error class).
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,20 +29,29 @@ from .central_config import (
     CCQuery,
     CCResult,
     Ordering,
-    cc_index,
     cc_residual,
     equilateral_cc,
     equilateral_configuration,
     equilateral_side,
-    euler_collinear_homogeneous,
     f_root,
     simultaneous_gap,
+    solve_collinear_all,
     solve_collinear_ordering,
 )
-from .collision_flow import find_equilibria, integrate_on_C, min_separation, transversality_necessary
+from .collision_flow import (
+    RestPointMatch,
+    find_equilibria,
+    integrate_on_C,
+    manifold_start,
+    min_separation,
+    nearest_equilibrium,
+    pure_b_catalog,
+    pure_b_cc,
+    transversality_necessary,
+)
 from .errors import DegenerateError, ManevOnlyError, QHError
 from .homothetic import heteroclinic_orbit
-from .mcgehee import McGeheeState, collision_manifold_residual, from_mcgehee, pack_mcgehee, unpack_mcgehee
+from .mcgehee import McGeheeState, from_mcgehee, unpack_mcgehee
 from .model import (
     Configuration,
     MassSystem,
@@ -55,10 +61,9 @@ from .model import (
     cartesian_field,
     centered,
     hamiltonian,
+    lift_to_plane,
     mass_inner,
-    moment_of_inertia,
     pack_phase,
-    potential_V,
     unpack_phase,
 )
 from .integrate import integrate
@@ -80,7 +85,7 @@ _TOP_KEYS = frozenset(
 
 
 class ConfigError(ValueError):
-    """A config file (or QH_THREADS) violates a documented precondition."""
+    """A config file violates a documented precondition."""
 
 
 # ---------------------------------------------------------------------------
@@ -142,32 +147,6 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
         for row in rows:
             writer.writerow([_csv_cell(v) for v in row])
     return path
-
-
-# ---------------------------------------------------------------------------
-# fan-out
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("QH_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ConfigError(f"QH_THREADS must be an integer, got {raw!r}") from None
-    if k < 1:
-        raise ConfigError(f"QH_THREADS must be >= 1, got {k}")
-    return k
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = min(_thread_count(), len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +241,15 @@ class RunConfig:
 # payload builders
 
 
-def _potential_payload(pp: PotentialParams) -> dict:
-    return {"a": pp.a, "b": pp.b, "alpha": pp.alpha, "beta": pp.beta}
+def _header(cfg: RunConfig, command: str) -> dict:
+    """The keys every summary starts with."""
+    pp = cfg.pp
+    return {
+        "command": command,
+        "schema": SCHEMA,
+        "masses": cfg.ms.masses,
+        "potential": {"a": pp.a, "b": pp.b, "alpha": pp.alpha, "beta": pp.beta},
+    }
 
 
 def _ordering_payload(ordering: Ordering | None):
@@ -296,22 +282,10 @@ def _complex_pairs(z: np.ndarray) -> list:
 # initial states
 
 
-def _state_columns(n: int, dim: int) -> list[str]:
-    if dim == 2:
-        names = [f"r{i}{ax}" for i in range(n) for ax in ("x", "y")]
-        names += [f"p{i}{ax}" for i in range(n) for ax in ("x", "y")]
-    else:
-        names = [f"r{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
-    return names
-
-
-def _mcgehee_columns(n: int, dim: int) -> list[str]:
-    if dim == 2:
-        names = [f"s{i}{ax}" for i in range(n) for ax in ("x", "y")]
-        names += [f"u{i}{ax}" for i in range(n) for ax in ("x", "y")]
-    else:
-        names = [f"s{i}" for i in range(n)] + [f"u{i}" for i in range(n)]
-    return names
+def _state_columns(n: int, dim: int, symbols: str = "rp") -> list[str]:
+    """CSV columns r0x, r0y, ..., p0x, ... (r0, ..., p0, ... on a line)."""
+    axes = ("x", "y") if dim == 2 else ("",)
+    return [f"{c}{i}{ax}" for c in symbols for i in range(n) for ax in axes]
 
 
 def _as_state_array(value, n: int, what: str) -> np.ndarray:
@@ -362,6 +336,15 @@ def _read_csv_row(cfg: RunConfig, spec: dict) -> tuple[float, PhaseState]:
     )
 
 
+def _blow_up_state(cfg: RunConfig, st: dict) -> McGeheeState:
+    s = _as_state_array(st.get("s"), cfg.ms.n, "initial s")
+    u = _as_state_array(st.get("u"), cfg.ms.n, "initial u")
+    try:
+        return McGeheeState(rho=float(st.get("rho", 0.0)), v=float(st.get("v", 0.0)), s=s, u=u)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid blow-up state: {exc}") from None
+
+
 def _initial_cartesian(cfg: RunConfig) -> tuple[float, PhaseState]:
     """Starting time and phase state for the Cartesian integrator."""
     st = cfg.initial_state
@@ -376,13 +359,8 @@ def _initial_cartesian(cfg: RunConfig) -> tuple[float, PhaseState]:
             raise ConfigError("positions and momenta must have matching shape")
         return 0.0, PhaseState(config=Configuration(r), momenta=p)
     if kind == "mcgehee":
-        n = cfg.ms.n
-        s = _as_state_array(st.get("s"), n, "initial s")
-        u = _as_state_array(st.get("u"), n, "initial u")
+        mst = _blow_up_state(cfg, st)
         try:
-            mst = McGeheeState(
-                rho=float(st.get("rho", 0.0)), v=float(st.get("v", 0.0)), s=s, u=u
-            )
             return 0.0, from_mcgehee(mst, cfg.ms, cfg.pp)
         except (ValueError, QHError) as exc:
             raise ConfigError(f"invalid blow-up state: {exc}") from None
@@ -393,89 +371,47 @@ def _initial_cartesian(cfg: RunConfig) -> tuple[float, PhaseState]:
     )
 
 
-def _pure_b_cc(cfg: RunConfig, case: dict) -> CCResult:
+def _query(cfg: RunConfig) -> CCQuery:
+    grad_tol = cfg.tol("grad_tol", 1e-12)
+    return CCQuery(ms=cfg.ms, pp=cfg.pp, inertia_I0=cfg.inertia_I0, grad_tol=grad_tol)
+
+
+def _ordering_arg(perm, n: int) -> Ordering:
+    try:
+        ordering = Ordering(tuple(int(k) for k in perm))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid ordering {perm!r}: {exc}") from None
+    if ordering.n != n:
+        raise ConfigError("ordering length must match the mass count")
+    return ordering
+
+
+def _pure_b_cc(cfg: RunConfig, case) -> CCResult:
     """A CC of the b-term alone on the unit sphere, from a case spec."""
-    ms, pp = cfg.ms, cfg.pp
-    ppb = PotentialParams(a=0.0, b=pp.b, alpha=0.0, beta=1.0)
-    kind = case.get("kind")
+    if not isinstance(case, dict):
+        raise ConfigError(f"a case must be an object, got {case!r}")
+    kind, ordering = case.get("kind"), None
     if kind == "equilateral":
-        if ms.n != 3:
+        if cfg.ms.n != 3:
             raise ConfigError("equilateral case needs exactly 3 masses")
-        config = equilateral_configuration(ms, 1.0)[0]
-        sigma, res = cc_residual(config, ms, ppb)
-        report = cc_index(config, ms, ppb, ambient="planar", inertia_I0=1.0)
-        return CCResult(
-            config=config,
-            kind="equilateral",
-            sigma=sigma,
-            residual=res,
-            index=report.index,
-            hess_eigs=report.eigenvalues,
-            inertia_I0=1.0,
-        )
-    if kind == "collinear":
-        perm = case.get("ordering")
-        if perm is None:
+    elif kind == "collinear":
+        if case.get("ordering") is None:
             raise ConfigError("collinear case needs an ordering")
-        try:
-            ordering = Ordering(tuple(int(k) for k in perm))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid ordering {perm!r}: {exc}") from None
-        if ordering.n != ms.n:
-            raise ConfigError("ordering length must match the mass count")
-        return euler_collinear_homogeneous(
-            ms, pp.b, ordering, 1.0, cfg.tol("grad_tol", 1e-12)
-        )
-    raise ConfigError(f"case kind must be equilateral or collinear, got {kind!r}")
-
-
-def _default_cases(cfg: RunConfig) -> list[dict]:
-    cases: list[dict] = []
-    if cfg.ms.n == 3:
-        cases.append({"kind": "equilateral"})
-    cases += [
-        {"kind": "collinear", "ordering": list(o.perm)}
-        for o in Ordering.all_canonical(cfg.ms.n)
-    ]
-    return cases
-
-
-def _tangent_perturbation(s: np.ndarray, scale: float, seed: int) -> np.ndarray:
-    """Seeded random u with zero total momentum and s . u = 0."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(s.shape)
-    flat = g.ravel()
-    n, dim = s.shape
-    constraints = []
-    for ax in range(dim):  # total momentum rows
-        e = np.zeros_like(s)
-        e[:, ax] = 1.0
-        constraints.append(e.ravel())
-    constraints.append(s.ravel())
-    cmat = np.array(constraints)
-    coeffs = np.linalg.solve(cmat @ cmat.T, cmat @ flat)
-    flat = flat - cmat.T @ coeffs
-    norm = np.linalg.norm(flat)
-    if norm == 0.0:
-        return np.zeros_like(s)
-    return scale * (flat / norm).reshape(n, dim)
+        ordering = _ordering_arg(case["ordering"], cfg.ms.n)
+    else:
+        raise ConfigError(f"case kind must be equilateral or collinear, got {kind!r}")
+    return pure_b_cc(cfg.ms, cfg.pp.b, kind, ordering, cfg.tol("grad_tol", 1e-12))
 
 
 def _initial_on_C(cfg: RunConfig) -> McGeheeState:
     st = cfg.initial_state
-    ms, pp = cfg.ms, cfg.pp
     if st is not None:
         if st.get("kind") != "mcgehee":
             raise ConfigError("collision-flow initial_state must have kind mcgehee")
-        s = _as_state_array(st.get("s"), ms.n, "initial s")
-        u = _as_state_array(st.get("u"), ms.n, "initial u")
-        rho = float(st.get("rho", 0.0))
-        if rho != 0.0:
-            raise ConfigError(f"collision-flow needs rho = 0, got {rho!r}")
-        try:
-            return McGeheeState(rho=0.0, v=float(st.get("v", 0.0)), s=s, u=u)
-        except ValueError as exc:
-            raise ConfigError(f"invalid blow-up state: {exc}") from None
+        st0 = _blow_up_state(cfg, st)
+        if st0.rho != 0.0:
+            raise ConfigError(f"collision-flow needs rho = 0, got {st0.rho!r}")
+        return st0
 
     start = cfg.opt("start")
     if not isinstance(start, dict):
@@ -485,23 +421,17 @@ def _initial_on_C(cfg: RunConfig) -> McGeheeState:
         case = {"kind": "equilateral"}
     elif isinstance(case, dict) and "ordering" in case and "kind" not in case:
         case = {"kind": "collinear", "ordering": case["ordering"]}
-    cc = _pure_b_cc(cfg, case)
-    r = cc.config.positions
-    if r.shape[1] == 1:
-        r = np.column_stack([r[:, 0], np.zeros(ms.n)])
-    s = r / np.sqrt(mass_inner(r, r, ms))
-    u = _tangent_perturbation(
-        s, float(start.get("perturbation_scale", 0.0)), int(start.get("seed", 0))
-    )
     v_sign = int(start.get("v_sign", -1))
     if v_sign not in (-1, 1):
         raise ConfigError(f"v_sign must be +1 or -1, got {v_sign!r}")
-    v2 = 2.0 * potential_V(Configuration(s), ms, pp) - float(
-        np.sum(u * u / ms.masses[:, None])
+    return manifold_start(
+        _pure_b_cc(cfg, case).config,
+        cfg.ms,
+        cfg.pp,
+        float(start.get("perturbation_scale", 0.0)),
+        int(start.get("seed", 0)),
+        v_sign,
     )
-    if v2 < 0.0:
-        raise ConfigError("perturbation_scale too large: no real v on the manifold")
-    return McGeheeState(rho=0.0, v=v_sign * float(np.sqrt(v2)), s=s, u=u)
 
 
 def _unit_shape(cfg: RunConfig) -> Configuration:
@@ -514,63 +444,48 @@ def _unit_shape(cfg: RunConfig) -> Configuration:
         return equilateral_configuration(ms, 1.0)[0]
     if isinstance(case, dict) and "positions" in case:
         r = _as_state_array(case["positions"], ms.n, "shape positions")
-        if r.shape[1] == 1:
-            r = np.column_stack([r[:, 0], np.zeros(ms.n)])
-        r = centered(r, ms)
+        r = centered(lift_to_plane(r), ms)
         inertia = mass_inner(r, r, ms)
         if inertia <= 0.0:
             raise ConfigError("shape has zero size")
         return Configuration(r / np.sqrt(inertia))
     if isinstance(case, dict) and "ordering" in case:
-        try:
-            ordering = Ordering(tuple(int(k) for k in case["ordering"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid ordering: {exc}") from None
+        ordering = _ordering_arg(case["ordering"], ms.n)
         q = CCQuery(ms=ms, pp=pp, inertia_I0=1.0, grad_tol=cfg.tol("grad_tol", 1e-12))
         return solve_collinear_ordering(ordering, q).config
     raise ConfigError(f"unrecognized shape spec {case!r}")
 
 
-# ---------------------------------------------------------------------------
-# equilibrium matching
+def _match_payload(m: RestPointMatch) -> dict:
+    return {
+        "kind": m.cc.kind,
+        "ordering": _ordering_payload(m.cc.ordering),
+        "v_sign": m.v_sign,
+        "v_value": m.v_value,
+        "shape_distance": m.shape_distance,
+        "v_distance": m.v_distance,
+    }
 
 
-def _rotation_aligned_distance(
-    s: np.ndarray, target: np.ndarray, masses: np.ndarray
-) -> float:
-    """Mass-metric distance min over rotations of the target shape."""
-    w = masses[:, None]
-    dots = float(np.sum(w * s * target))
-    cross = float(
-        np.sum(masses * (target[:, 0] * s[:, 1] - target[:, 1] * s[:, 0]))
-    )
-    overlap = float(np.hypot(dots, cross))
-    return float(np.sqrt(max(2.0 - 2.0 * overlap, 0.0)))
-
-
-def _nearest_equilibrium(cfg: RunConfig, s: np.ndarray, v: float) -> dict:
-    best = None
-    for case in _default_cases(cfg):
-        cc = _pure_b_cc(cfg, case)
-        r = cc.config.positions
-        if r.shape[1] == 1:
-            r = np.column_stack([r[:, 0], np.zeros(cfg.ms.n)])
-        target = r / np.sqrt(mass_inner(r, r, cfg.ms))
-        v_star = float(np.sqrt(2.0 * potential_V(Configuration(target), cfg.ms, cfg.pp)))
-        dist = _rotation_aligned_distance(s, target, cfg.ms.masses)
-        for sign in (1, -1):
-            score = float(np.hypot(dist, v - sign * v_star))
-            entry = {
-                "kind": cc.kind,
-                "ordering": _ordering_payload(cc.ordering),
-                "v_sign": sign,
-                "v_value": sign * v_star,
-                "shape_distance": dist,
-                "v_distance": abs(v - sign * v_star),
-            }
-            if best is None or score < best[0]:
-                best = (score, entry)
-    return best[1]
+def _mass_grid(cfg: RunConfig):
+    """(m1 values, m2 values, m3, ordering) of options.mass_grid, or None."""
+    grid = cfg.opt("mass_grid")
+    if grid is None:
+        return None
+    if cfg.ms.n != 3:
+        raise ConfigError("mass_grid sweeps need exactly 3 masses")
+    try:
+        lo1, hi1 = (float(x) for x in grid["m1"])
+        lo2, hi2 = (float(x) for x in grid["m2"])
+        m3 = float(grid.get("m3", 1.0))
+        points = int(grid.get("points", 11))
+        perm = grid.get("ordering", (1, 2, 3))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid mass_grid: {exc}") from None
+    if points < 2 or min(lo1, hi1, lo2, hi2, m3) <= 0.0:
+        raise ConfigError("mass_grid needs points >= 2 and positive masses")
+    ordering = _ordering_arg(perm, 3)
+    return np.linspace(lo1, hi1, points), np.linspace(lo2, hi2, points), m3, ordering
 
 
 # ---------------------------------------------------------------------------
@@ -580,22 +495,9 @@ def _nearest_equilibrium(cfg: RunConfig, s: np.ndarray, v: float) -> dict:
 def cmd_cc_collinear(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.ms.n > 6:
         raise ConfigError(f"cc-collinear supports at most 6 bodies, got {cfg.ms.n}")
-    q = CCQuery(
-        ms=cfg.ms,
-        pp=cfg.pp,
-        inertia_I0=cfg.inertia_I0,
-        grad_tol=cfg.tol("grad_tol", 1e-12),
-    )
-    orderings = Ordering.all_canonical(cfg.ms.n)
-    results = _pmap(lambda o: solve_collinear_ordering(o, q), orderings)
-    expected = math.factorial(cfg.ms.n) // 2
-    if len(results) != expected:
-        raise QHError(f"found {len(results)} classes, expected {expected}")
+    results = solve_collinear_all(_query(cfg))
     payload = {
-        "command": "cc-collinear",
-        "schema": SCHEMA,
-        "masses": cfg.ms.masses,
-        "potential": _potential_payload(cfg.pp),
+        **_header(cfg, "cc-collinear"),
         "inertia_I0": cfg.inertia_I0,
         "count": len(results),
         "max_residual": max(r.residual for r in results),
@@ -612,23 +514,14 @@ def cmd_cc_planar3(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError(f"cc-planar3 needs a = 1, got a = {cfg.pp.a!r}")
     if cfg.pp.beta <= 0.0 or cfg.pp.alpha <= 0.0:
         raise ConfigError("cc-planar3 needs alpha > 0 and beta > 0")
-    q = CCQuery(
-        ms=cfg.ms,
-        pp=cfg.pp,
-        inertia_I0=cfg.inertia_I0,
-        grad_tol=cfg.tol("grad_tol", 1e-12),
-    )
-    plus, minus = equilateral_cc(q)
+    plus, minus = equilateral_cc(_query(cfg))
     # The side certificate: with unit coefficients the side solves the
     # scalar equation behind f_root, so recompute sigma in that gauge.
     unit_pp = PotentialParams(a=1.0, b=cfg.pp.b, alpha=1.0, beta=1.0)
     unit_sigma, _ = cc_residual(plus.config, cfg.ms, unit_pp)
     fr = f_root(unit_sigma, cfg.pp.b, cfg.ms.total_mass)
     payload = {
-        "command": "cc-planar3",
-        "schema": SCHEMA,
-        "masses": cfg.ms.masses,
-        "potential": _potential_payload(cfg.pp),
+        **_header(cfg, "cc-planar3"),
         "inertia_I0": cfg.inertia_I0,
         "side": equilateral_side(cfg.ms, cfg.inertia_I0),
         "side_certificate": {
@@ -651,62 +544,38 @@ def cmd_simultaneous(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("simultaneous needs a > 0: a = 0 has no shape equation")
     if cfg.ms.n > 6:
         raise ConfigError(f"simultaneous supports at most 6 bodies, got {cfg.ms.n}")
+    grid = _mass_grid(cfg)
     gap_tol = cfg.tol("gap_tol", 1e-10)
     grad_tol = cfg.tol("grad_tol", 1e-13)
     orderings = Ordering.all_canonical(cfg.ms.n)
-
-    def one(o: Ordering) -> dict:
-        gap = simultaneous_gap(cfg.ms, cfg.pp, o, cfg.inertia_I0, grad_tol)
-        return {
-            "ordering": _ordering_payload(o),
-            "gap": gap,
-            "simultaneous": bool(gap <= gap_tol),
-        }
-
-    records = _pmap(one, orderings)
+    gaps = [simultaneous_gap(cfg.ms, cfg.pp, o, cfg.inertia_I0, grad_tol) for o in orderings]
+    records = [
+        {"ordering": _ordering_payload(o), "gap": g, "simultaneous": bool(g <= gap_tol)}
+        for o, g in zip(orderings, gaps)
+    ]
     payload = {
-        "command": "simultaneous",
-        "schema": SCHEMA,
-        "masses": cfg.ms.masses,
-        "potential": _potential_payload(cfg.pp),
+        **_header(cfg, "simultaneous"),
         "inertia_I0": cfg.inertia_I0,
         "gap_tol": gap_tol,
         "results": records,
     }
 
-    grid = cfg.opt("mass_grid")
     if grid is not None:
-        if cfg.ms.n != 3:
-            raise ConfigError("mass_grid sweeps need exactly 3 masses")
-        try:
-            lo1, hi1 = (float(x) for x in grid["m1"])
-            lo2, hi2 = (float(x) for x in grid["m2"])
-            m3 = float(grid.get("m3", 1.0))
-            points = int(grid.get("points", 11))
-            perm = tuple(int(k) for k in grid.get("ordering", (1, 2, 3)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid mass_grid: {exc}") from None
-        if points < 2 or min(lo1, lo2, m3) <= 0.0:
-            raise ConfigError("mass_grid needs points >= 2 and positive masses")
-        ordering = Ordering(perm)
-        m1_vals = np.linspace(lo1, hi1, points)
-        m2_vals = np.linspace(lo2, hi2, points)
-        cells = [(m1, m2) for m1 in m1_vals for m2 in m2_vals]
-
-        def cell(args) -> tuple:
-            m1, m2 = args
-            ms = MassSystem(np.array([m1, m2, m3]))
-            gap = simultaneous_gap(ms, cfg.pp, ordering, cfg.inertia_I0, grad_tol)
-            return m1, m2, m3, gap
-
-        rows = _pmap(cell, cells)
+        m1_vals, m2_vals, m3, ordering = grid
+        rows = [
+            (m1, m2, m3, simultaneous_gap(
+                MassSystem(np.array([m1, m2, m3])), cfg.pp, ordering, cfg.inertia_I0, grad_tol
+            ))
+            for m1 in m1_vals
+            for m2 in m2_vals
+        ]
         csv_path = _write_csv(
             out_dir / "simultaneous_grid.csv", ["m1", "m2", "m3", "gap"], rows
         )
         payload["mass_grid"] = {
-            "points": points,
+            "points": len(m1_vals),
             "rows": len(rows),
-            "ordering": list(perm),
+            "ordering": list(ordering.perm),
             "csv": csv_path.name,
         }
         print(f"wrote {csv_path}")
@@ -764,10 +633,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     csv_path = _write_csv(out_dir / "simulate.csv", header, rows)
     final = unpack_phase(tr.final_state, n, dim)
     payload = {
-        "command": "simulate",
-        "schema": SCHEMA,
-        "masses": ms.masses,
-        "potential": _potential_payload(pp),
+        **_header(cfg, "simulate"),
         "t_span": [t0, t1],
         "steps": len(tr.times) - 1,
         "termination": tr.termination,
@@ -803,8 +669,8 @@ def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
         separation_floor=cfg.tol("separation_floor", 0.05),
     )
     sz = n * dim
-    header = ["tau", "v", "manifold_residual", "min_separation"] + _mcgehee_columns(
-        n, dim
+    header = ["tau", "v", "manifold_residual", "min_separation"] + _state_columns(
+        n, dim, "su"
     )
     rows = []
     for k in range(len(tr.times)):
@@ -826,10 +692,7 @@ def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
     diffs = np.diff(v_series)
     final = unpack_mcgehee(tr.final_state, n, dim)
     payload = {
-        "command": "collision-flow",
-        "schema": SCHEMA,
-        "masses": ms.masses,
-        "potential": _potential_payload(pp),
+        **_header(cfg, "collision-flow"),
         "termination": tr.termination,
         "tau_final": tr.times[-1],
         "v_start": v_series[0],
@@ -840,7 +703,11 @@ def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
         "manifold_residual_max": float(
             np.abs(tr.conserved_residuals["manifold"]).max()
         ),
-        "nearest_equilibrium": _nearest_equilibrium(cfg, final.s, final.v),
+        "nearest_equilibrium": _match_payload(
+            nearest_equilibrium(
+                final.s, final.v, pure_b_catalog(ms, pp.b, cfg.tol("grad_tol", 1e-12)), ms, pp
+            )
+        ),
         "csv": csv_path.name,
     }
     print(f"wrote {csv_path}")
@@ -855,10 +722,11 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError(f"equilibrium spectra need b > 2, got b = {cfg.pp.b!r}")
     cases = cfg.opt("cases")
     if cases is None:
-        cases = _default_cases(cfg)
-    if not isinstance(cases, list) or not cases:
+        ccs = pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol("grad_tol", 1e-12))
+    elif isinstance(cases, list) and cases:
+        ccs = [_pure_b_cc(cfg, case) for case in cases]
+    else:
         raise ConfigError("options.cases must be a non-empty array")
-    ccs = [_pure_b_cc(cfg, case) for case in cases]
     reports = find_equilibria(cfg.ms, cfg.pp, ccs, tol=cfg.tol("cc_tol", 1e-9))
     records = []
     for rep in reports:
@@ -888,10 +756,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path) -> int:
                 rec["transversality_necessary"] = None
         records.append(rec)
     payload = {
-        "command": "eigen",
-        "schema": SCHEMA,
-        "masses": cfg.ms.masses,
-        "potential": _potential_payload(cfg.pp),
+        **_header(cfg, "eigen"),
         "equilibria": records,
     }
     print(f"wrote {_write_json(out_dir / 'eigen.json', payload)}")
@@ -920,10 +785,7 @@ def cmd_homothetic(cfg: RunConfig, out_dir: Path) -> int:
         out_dir / "homothetic.csv", ["tau", "rho", "v", "k_defect"], rows
     )
     payload = {
-        "command": "homothetic",
-        "schema": SCHEMA,
-        "masses": cfg.ms.masses,
-        "potential": _potential_payload(cfg.pp),
+        **_header(cfg, "homothetic"),
         "energy_h": orbit.h,
         "shape": s0.positions,
         "K": orbit.K,
@@ -973,14 +835,9 @@ def main(argv=None) -> int:
         out_dir = Path(args.out) if args.out else Path.cwd()
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ManevOnlyError as exc:
-        # a != 1 (or beta = 0) is a config problem, not a numerical one
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, ManevOnlyError) as exc:
+        # ConfigError is a ValueError; a != 1 (or beta = 0) is a config
+        # problem, not a numerical one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QHError as exc:

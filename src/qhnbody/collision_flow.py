@@ -18,9 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .central_config import (
+    _ZERO_TOL_FACTOR,
     CCResult,
     Ordering,
+    _as_line,
     _restricted_hessian_matrix,
+    cc_index,
+    cc_residual,
+    count_modes,
+    equilateral_configuration,
+    euler_collinear_homogeneous,
     tangent_basis,
 )
 from .errors import (
@@ -42,11 +49,12 @@ from .model import (
     MassSystem,
     PotentialParams,
     _pair_index,
+    lift_to_plane,
+    mass_inner,
     moment_of_inertia,
     pair_terms,
+    potential_V,
 )
-
-_ZERO_TOL_FACTOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +90,14 @@ def _pure_b(pp: PotentialParams) -> PotentialParams:
     return PotentialParams(a=pp.a, b=pp.b, alpha=0.0, beta=pp.beta)
 
 
+def _require_on_C(st: McGeheeState, ms: MassSystem, pp: PotentialParams, tol: float):
+    defect = collision_manifold_residual(st, ms, pp)
+    if abs(defect) > tol:
+        raise OffManifoldError(
+            f"state is off the collision manifold by {defect:.3e} (tol {tol:.1e})"
+        )
+
+
 def field_on_C(s, v, u, ms: MassSystem, pp: PotentialParams, tol: float = 1e-9):
     """Restriction of the blown-up field to the collision manifold.
 
@@ -92,11 +108,7 @@ def field_on_C(s, v, u, ms: MassSystem, pp: PotentialParams, tol: float = 1e-9):
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
     st = McGeheeState(rho=0.0, v=float(v), s=s, u=u)
-    defect = collision_manifold_residual(st, ms, pp)
-    if abs(defect) > tol:
-        raise OffManifoldError(
-            f"state is off the collision manifold by {defect:.3e} (tol {tol:.1e})"
-        )
+    _require_on_C(st, ms, pp, tol)
     from .mcgehee import _field_arrays
 
     _, v_dot, s_dot, u_dot = _field_arrays(0.0, float(v), s, u, ms, pp)
@@ -110,11 +122,7 @@ def gradient_like_rate(st: McGeheeState, ms: MassSystem, pp: PotentialParams,
     Nonpositive for b >= 2 and identically zero at b = 2.  The state
     must be on the collision manifold within tol.
     """
-    defect = collision_manifold_residual(st, ms, pp)
-    if abs(defect) > tol:
-        raise OffManifoldError(
-            f"state is off the collision manifold by {defect:.3e} (tol {tol:.1e})"
-        )
+    _require_on_C(st, ms, pp, tol)
     u_m_u = float(np.sum(st.u * st.u / ms.masses[:, None]))
     return (1.0 - pp.b / 2.0) * u_m_u
 
@@ -131,26 +139,35 @@ def eigen_closed_form(lam, v: float, b: float) -> np.ndarray:
     return np.column_stack([(base + disc) / 4.0, (base - disc) / 4.0])
 
 
-def _shape_matrix(s0: Configuration, ms: MassSystem, pp: PotentialParams,
-                  ambient: str) -> tuple[np.ndarray, np.ndarray]:
-    """Restricted Hessian of the b-term on the shape sphere, with basis."""
+def _shape_spectrum(s0: Configuration, ms: MassSystem, pp: PotentialParams,
+                    ambient: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Restricted Hessian A of the b-term on the shape sphere.
+
+    Returns (A, its eigenvalues, their zero tolerance).  Raises
+    DegenerateError unless A has exactly the expected zero modes: one
+    rotation in the planar ambient, none in the collinear one.
+    """
     r = s0.positions
     inertia = moment_of_inertia(r, ms)
     if abs(inertia - 1.0) > 1e-9:
         raise ValueError(f"shape must be on the unit sphere, <s,s> = {inertia!r}")
     if ambient == "collinear":
-        scale = max(float(np.abs(r).max()), 1e-300)
-        if r.shape[1] == 2 and float(np.abs(r[:, 1]).max()) > 1e-9 * scale:
-            raise ValueError("collinear ambient needs a configuration on the x-axis")
-        x = r[:, :1]
+        x = _as_line(r)[:, None]
     elif ambient == "planar":
-        x = r if r.shape[1] == 2 else np.column_stack([r[:, 0], np.zeros(r.shape[0])])
+        x = lift_to_plane(r)
     else:
         raise ValueError(f"unknown ambient {ambient!r}")
     ppb = _pure_b(pp)
     basis = tangent_basis(x, ms, 1.0)
     a_mat = _restricted_hessian_matrix(x, ms, ppb, basis, 1.0)
-    return a_mat, basis
+    lam = np.linalg.eigvalsh(a_mat)
+    _, zeros, zero_tol = count_modes(lam)
+    expected = 1 if ambient == "planar" else 0
+    if zeros != expected:
+        raise DegenerateError(
+            f"{ambient} shape Hessian has {zeros} zero modes, expected {expected}"
+        )
+    return a_mat, lam, zero_tol
 
 
 def linearize_at_equilibrium(
@@ -176,17 +193,8 @@ def linearize_at_equilibrium(
     pp.require_manev()
     if pp.b <= 2.0:
         raise ValueError("linearization at equilibria needs b > 2")
-    a_mat, _ = _shape_matrix(s0, ms, pp, ambient)
+    a_mat, lam, _ = _shape_spectrum(s0, ms, pp, ambient)
     k = a_mat.shape[0]
-    lam = np.linalg.eigvalsh(a_mat)
-    if k:
-        zero_tol = _ZERO_TOL_FACTOR * float(np.abs(lam).max())
-        zeros = int(np.sum(np.abs(lam) < zero_tol))
-        expected = 1 if ambient == "planar" else 0
-        if zeros != expected:
-            raise DegenerateError(
-                f"{ambient} shape Hessian has {zeros} zero modes, expected {expected}"
-            )
     mat = np.zeros((2 + 2 * k, 2 + 2 * k))
     mat[0, 0] = v0
     mat[2 : 2 + k, 2 + k :] = np.eye(k)
@@ -257,10 +265,7 @@ def find_equilibria(
     ppb = _pure_b(pp)
     out = []
     for cc in ccs_of_V:
-        s0 = cc.config
-        r = s0.positions if s0.positions.shape[1] == 2 else np.column_stack(
-            [s0.positions[:, 0], np.zeros(ms.n)]
-        )
+        r = lift_to_plane(cc.config)
         s0 = Configuration(r)
         _, v_pot, _, grad_v, _ = pair_terms(s0, ms, ppb)
         defect_vec = pp.b * v_pot * ms.masses[:, None] * r + grad_v
@@ -275,13 +280,7 @@ def find_equilibria(
         for sign in (+1, -1):
             v0 = sign * v_star
             _, spectrum, lam = linearize_at_equilibrium(s0, v0, ms, pp, ambient)
-            if lam.size:
-                zero_tol = _ZERO_TOL_FACTOR * float(np.abs(lam).max())
-                index = int(np.sum(lam < -zero_tol))
-                zero_modes = int(np.sum(np.abs(lam) < zero_tol))
-            else:
-                index = 0
-                zero_modes = 0
+            index, zero_modes, _ = count_modes(lam)
             mu = eigen_closed_form(lam, v0, pp.b)
             dim_u, dim_s, dim_eh = manifold_dimensions(
                 ms.n, ambient, index, v0, spectrum
@@ -317,12 +316,7 @@ def transversality_necessary(
     planar shape sphere: index zero and every non-rotational eigenvalue
     strictly positive.
     """
-    a_mat, _ = _shape_matrix(s0, ms, pp, "planar")
-    lam = np.linalg.eigvalsh(a_mat)
-    zero_tol = _ZERO_TOL_FACTOR * float(np.abs(lam).max())
-    zeros = int(np.sum(np.abs(lam) < zero_tol))
-    if zeros != 1:
-        raise DegenerateError(f"expected one rotational zero mode, found {zeros}")
+    _, lam, zero_tol = _shape_spectrum(s0, ms, pp, "planar")
     return bool(np.all(np.sort(lam)[1:] > zero_tol))
 
 
@@ -352,9 +346,7 @@ def integrate_on_C(
     pp.require_manev()
     if st0.rho != 0.0:
         raise OffManifoldError(f"rho = {st0.rho!r}, expected exactly 0 on C")
-    defect = collision_manifold_residual(st0, ms, pp)
-    if abs(defect) > 1e-9:
-        raise OffManifoldError(f"initial state off the manifold by {defect:.3e}")
+    _require_on_C(st0, ms, pp, 1e-9)
     # the manifold theory lives in the centered reduction; states with a
     # net s or u component are silently reshaped by the renormalizer, so
     # reject them up front instead
@@ -398,3 +390,130 @@ def integrate_on_C(
         renormalizer=mcgehee_renormalizer(ms, dim),
         monitors=monitors,
     )
+
+
+def pure_b_cc(
+    ms: MassSystem,
+    b: float,
+    kind: str,
+    ordering: Ordering | None = None,
+    grad_tol: float = 1e-12,
+) -> CCResult:
+    """A central configuration of the b-term alone on the unit sphere.
+
+    kind "equilateral" is the positively oriented triangle of three
+    bodies, certified by its residual and planar index; kind "collinear"
+    is the class of the given ordering, solved to grad_tol.  Over each
+    such shape s0 the collision-manifold flow has the two rest points
+    u = 0, v = +/- sqrt(2 V(s0)).
+    """
+    if kind == "equilateral":
+        ppb = PotentialParams(a=0.0, b=b, alpha=0.0, beta=1.0)
+        config = equilateral_configuration(ms, 1.0)[0]
+        sigma, res = cc_residual(config, ms, ppb)
+        report = cc_index(config, ms, ppb, ambient="planar", inertia_I0=1.0)
+        return CCResult(
+            config=config,
+            kind="equilateral",
+            sigma=sigma,
+            residual=res,
+            index=report.index,
+            hess_eigs=report.eigenvalues,
+            inertia_I0=1.0,
+        )
+    if kind == "collinear":
+        if ordering is None:
+            raise ValueError("a collinear case needs an ordering")
+        return euler_collinear_homogeneous(ms, b, ordering, 1.0, grad_tol)
+    raise ValueError(f"case kind must be equilateral or collinear, got {kind!r}")
+
+
+def pure_b_catalog(ms: MassSystem, b: float, grad_tol: float = 1e-12) -> list[CCResult]:
+    """The pure-b shapes whose rest points the flow on C is known to have.
+
+    The equilateral triangle when there are three bodies, then one
+    collinear configuration per canonical ordering: n!/2 of them, one
+    per class by the Moulton-type theorem.
+    """
+    catalog = [pure_b_cc(ms, b, "equilateral")] if ms.n == 3 else []
+    return catalog + [
+        pure_b_cc(ms, b, "collinear", o, grad_tol) for o in Ordering.all_canonical(ms.n)
+    ]
+
+
+def manifold_start(
+    shape,
+    ms: MassSystem,
+    pp: PotentialParams,
+    scale: float,
+    seed: int,
+    v_sign: int = -1,
+) -> McGeheeState:
+    """A planar state on the collision manifold near a rest point.
+
+    s is the shape lifted into the plane and scaled onto the unit
+    sphere; u is a seeded random direction with zero total momentum and
+    s . u = 0, of Euclidean norm scale; v = v_sign sqrt(2 V(s) - u M^-1 u)
+    completes the manifold relation.  Raises ValueError when scale is
+    too large for v to be real.
+    """
+    r = lift_to_plane(shape)
+    s = r / np.sqrt(mass_inner(r, r, ms))
+    n, dim = s.shape
+    flat = np.random.default_rng(seed).standard_normal(s.shape).ravel()
+    # rows: the total momentum along each axis, then s . u
+    cmat = np.vstack([np.tile(np.eye(dim), n), s.ravel()])
+    flat = flat - cmat.T @ np.linalg.solve(cmat @ cmat.T, cmat @ flat)
+    norm = np.linalg.norm(flat)
+    u = np.zeros_like(s) if norm == 0.0 else scale * (flat / norm).reshape(n, dim)
+    v2 = 2.0 * potential_V(Configuration(s), ms, pp) - float(
+        np.sum(u * u / ms.masses[:, None])
+    )
+    if v2 < 0.0:
+        raise ValueError(f"perturbation scale {scale!r} too large: no real v on the manifold")
+    return McGeheeState(rho=0.0, v=v_sign * float(np.sqrt(v2)), s=s, u=u)
+
+
+@dataclass(frozen=True, eq=False)
+class RestPointMatch:
+    """The catalog rest point nearest a state on the collision manifold.
+
+    shape_distance is the mass-metric distance between the unit shapes,
+    minimized over rotations of the catalog shape; v_distance is
+    |v - v_value|.
+    """
+
+    cc: CCResult
+    v_sign: int
+    v_value: float
+    shape_distance: float
+    v_distance: float
+
+
+def nearest_equilibrium(
+    s, v: float, catalog: list[CCResult], ms: MassSystem, pp: PotentialParams
+) -> RestPointMatch:
+    """The rest point (s0, +/- sqrt(2 V(s0))) nearest (s, v) over the catalog.
+
+    Nearest means the smallest hypot(shape_distance, v_distance); s may
+    be collinear (n x 1) or planar (n x 2) and lies on the unit sphere.
+    """
+    s = lift_to_plane(s)
+    w = ms.masses[:, None]
+    best = None
+    for cc in catalog:
+        r = lift_to_plane(cc.config)
+        target = r / np.sqrt(mass_inner(r, r, ms))
+        v_star = float(np.sqrt(2.0 * potential_V(Configuration(target), ms, pp)))
+        # the rotation by theta turns the overlap <s, R target> into
+        # dots cos(theta) + cross sin(theta), at most hypot(dots, cross)
+        dots = float(np.sum(w * s * target))
+        cross = float(np.sum(ms.masses * (target[:, 0] * s[:, 1] - target[:, 1] * s[:, 0])))
+        overlap = float(np.hypot(dots, cross))
+        dist = float(np.sqrt(max(2.0 - 2.0 * overlap, 0.0)))
+        for sign in (1, -1):
+            score = float(np.hypot(dist, v - sign * v_star))
+            if best is None or score < best[0]:
+                match = RestPointMatch(cc, sign, sign * v_star, dist, abs(v - sign * v_star))
+                best = (score, match)
+    return best[1]

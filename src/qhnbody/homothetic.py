@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central_config import simultaneous_residual
+from .central_config import bisect_sign_change, simultaneous_residual
 from .errors import (
     AdmissibilityError,
     EnergySignError,
@@ -136,20 +136,10 @@ def rho_max_bisection(
     def v2(rho: float) -> float:
         return 2.0 * (rho ** (b - 1.0) * w0 + rho**b * h + v0)
 
-    hi = 1.0
-    for _ in range(400):
-        if v2(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
+    bracket = bisect_sign_change(v2, 1e-12)
+    if bracket is None:
         raise NoConvergenceError("energy curve never became negative")
-    lo = 0.0
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if v2(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bracket
     return 0.5 * (lo + hi)
 
 

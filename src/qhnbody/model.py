@@ -162,6 +162,14 @@ def centered(positions, ms: MassSystem) -> np.ndarray:
     return r - center_of_mass(r, ms)[None, :]
 
 
+def lift_to_plane(config) -> np.ndarray:
+    """(n, 2) positions of a configuration; an (n, 1) shape goes onto the x-axis."""
+    r = _positions(config)
+    if r.shape[1] == 2:
+        return r
+    return np.column_stack([r[:, 0], np.zeros(r.shape[0])])
+
+
 @functools.cache
 def _pair_index(n: int, cols: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (i, j, keys) for the pairs i < j of n bodies.

@@ -5,6 +5,8 @@ grid search over the gap ratio, so the Newton implementation is never
 its own referee.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,23 @@ def test_six_body_ordering_converges_at_its_rounding_floor():
     force_sum = pair_terms(res.config.positions[:, :1], ms, pp).force_sum
     assert res.index == 0
     assert res.residual < max(1e-10, 32.0 * np.finfo(float).eps * force_sum.max())
+
+
+def test_seeded_census_at_five_and_six_bodies():
+    # every class converges, to its own ordering and a minimum, on random
+    # masses at the sizes the acceptance suite does not reach
+    rng = np.random.default_rng(5)
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    started = time.monotonic()
+    for n in (5, 5, 6):
+        ms = random_masses(rng, n)
+        for res in solve_collinear_all(CCQuery(ms=ms, pp=pp)):
+            x = res.config.positions[:, 0]
+            assert np.all(np.diff(x[list(res.ordering.zero_based)]) > 0.0)
+            assert res.index == 0
+            force_sum = pair_terms(res.config.positions[:, :1], ms, pp).force_sum
+            assert res.residual < max(1e-10, 32.0 * np.finfo(float).eps * force_sum.max())
+    assert time.monotonic() - started < 30.0
 
 
 def test_solver_reports_an_exhausted_iteration_budget():

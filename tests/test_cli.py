@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from qhnbody import cli
-from qhnbody.central_config import equilateral_configuration, equilateral_side
+from qhnbody.central_config import Ordering, equilateral_configuration, equilateral_side
+from qhnbody.collision_flow import pure_b_cc
 from qhnbody.model import (
     Configuration,
     MassSystem,
@@ -177,14 +178,25 @@ def test_simultaneous_mass_grid_sweep(tmp_path):
             assert gap > 1e-8
 
 
-def test_simultaneous_mass_grid_rejects_bad_requests(tmp_path, capsys):
-    bad_grid = base_config(
-        masses=[1.0, 1.0, 1.0],
-        options={"mass_grid": {"m1": [0.5, 1.5], "m2": [0.5, 1.5], "points": 1}},
-    )
-    code, _ = run(tmp_path, "simultaneous", bad_grid)
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+def test_simultaneous_mass_grid_rejects_bad_requests(tmp_path, capsys, monkeypatch):
+    # every grid check runs before the first solve
+    calls = []
+    monkeypatch.setattr(cli, "simultaneous_gap", lambda *args: calls.append(args) or 1.0)
+    grid = {"m1": [0.5, 1.5], "m2": [0.5, 1.5]}
+    for sub, masses, bad in (
+        ("points", [1.0] * 3, {**grid, "points": 1}),
+        ("six", [1.0] * 6, grid),
+        ("negative", [1.0] * 3, {**grid, "m2": [0.5, -1.5]}),
+        ("zero_m3", [1.0] * 3, {**grid, "m3": 0.0}),
+        ("short", [1.0] * 3, {**grid, "ordering": [2, 1]}),
+        ("perm", [1.0] * 3, {**grid, "ordering": [1, 1, 3]}),
+        ("missing", [1.0] * 3, {"m1": [0.5, 1.5]}),
+    ):
+        data = base_config(masses=masses, options={"mass_grid": bad})
+        code, _ = run(tmp_path, "simultaneous", data, subdir=sub)
+        assert code == 2, sub
+        assert capsys.readouterr().err.startswith("error:")
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +305,34 @@ def test_collision_flow_runs_down_the_gradient(tmp_path):
     assert all(float(row[3]) > 0.0 for row in rows)
 
 
-def test_collision_flow_output_is_deterministic(tmp_path, monkeypatch):
+def test_collision_flow_output_is_deterministic(tmp_path):
     data = base_config(options=CF_START)
     _, first = run(tmp_path, "collision-flow", data, subdir="one")
     _, second = run(tmp_path, "collision-flow", data, subdir="two")
-    monkeypatch.setenv("QH_THREADS", "3")
-    _, third = run(tmp_path, "collision-flow", data, subdir="three")
     for name in ("collision_flow.json", "collision_flow.csv"):
-        ref = (first / name).read_bytes()
-        assert (second / name).read_bytes() == ref
-        assert (third / name).read_bytes() == ref
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_collision_flow_runs_from_a_collinear_blow_up_state(tmp_path):
+    # an n x 1 state flows on the line; its nearest rest point is found
+    # after lifting the shape into the plane
+    ms = MassSystem(np.array([1.0, 2.0, 3.0]))
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    s = pure_b_cc(ms, pp.b, "collinear", Ordering((1, 2, 3))).config.positions[:, :1]
+    u = 0.01 * np.cross(np.ones(3), s[:, 0])[:, None]  # sum u = 0 and s . u = 0
+    v = -np.sqrt(2.0 * potential_V(s, ms, pp) - float(np.sum(u * u / ms.masses[:, None])))
+    data = base_config(
+        initial_state={"kind": "mcgehee", "rho": 0.0, "v": v, "s": s.tolist(), "u": u.tolist()},
+        options={"tau_max": 0.5},
+    )
+    code, out = run(tmp_path, "collision-flow", data)
+    assert code == 0
+    doc = load_json(out, "collision_flow.json")
+    near = doc["nearest_equilibrium"]
+    assert near["kind"] == "collinear"
+    assert near["v_sign"] == -1
+    header, _ = load_csv(out, "collision_flow.csv")
+    assert header[4:] == ["s0", "s1", "s2", "u0", "u1", "u2"]
 
 
 def test_collision_flow_rejects_states_off_the_manifold(tmp_path, capsys):
@@ -487,15 +517,9 @@ def test_missing_and_malformed_config_files(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_thread_cap_is_validated_and_result_invariant(tmp_path, monkeypatch):
+def test_cc_collinear_output_is_deterministic(tmp_path):
     data = base_config()
-    _, serial = run(tmp_path, "cc-collinear", data, subdir="serial")
-    monkeypatch.setenv("QH_THREADS", "4")
-    _, pooled = run(tmp_path, "cc-collinear", data, subdir="pooled")
-    ref = (serial / "cc_collinear.json").read_bytes()
-    assert (pooled / "cc_collinear.json").read_bytes() == ref
-
-    for bad in ("zero", "0", "-3", "2.5"):
-        monkeypatch.setenv("QH_THREADS", bad)
-        code, _ = run(tmp_path, "cc-collinear", data, subdir=f"t{bad}")
-        assert code == 2
+    _, first = run(tmp_path, "cc-collinear", data, subdir="one")
+    _, second = run(tmp_path, "cc-collinear", data, subdir="two")
+    ref = (first / "cc_collinear.json").read_bytes()
+    assert (second / "cc_collinear.json").read_bytes() == ref

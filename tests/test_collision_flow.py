@@ -20,7 +20,10 @@ from qhnbody.collision_flow import (
     integrate_on_C,
     linearize_at_equilibrium,
     manifold_dimensions,
+    manifold_start,
     min_separation,
+    nearest_equilibrium,
+    pure_b_catalog,
     transversality_necessary,
 )
 from qhnbody.errors import DegenerateError, ManevOnlyError, MismatchError, OffManifoldError
@@ -117,10 +120,59 @@ def test_rate_vanishes_identically_at_the_threshold_exponent():
 
 
 def all_pure_b_ccs(ms, b):
-    ccs = [equilateral_cc_of_b_term(ms, b)]
+    ccs = [equilateral_cc_of_b_term(ms, b)] if ms.n == 3 else []
     for o in Ordering.all_canonical(ms.n):
         ccs.append(euler_collinear_homogeneous(ms, b, o))
     return ccs
+
+
+@pytest.mark.parametrize("masses", [(1.0, 2.0, 3.0), (0.7, 1.0, 2.5, 1.6)])
+def test_pure_b_catalog_matches_the_reference(masses):
+    ms = MassSystem(np.array(masses))
+    catalog = pure_b_catalog(ms, PP.b)
+    reference = all_pure_b_ccs(ms, PP.b)
+    assert len(catalog) == len(reference) == (4 if ms.n == 3 else 12)
+    for cc, ref in zip(catalog, reference):
+        assert cc.kind == ref.kind
+        assert cc.ordering == ref.ordering
+        assert cc.index == ref.index
+        assert np.abs(cc.config.positions - ref.config.positions).max() < 1e-12
+        assert cc.residual < 1e-10
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_nearest_equilibrium_ignores_rotations(which):
+    # rest shapes come in rotation orbits, so turning the plane may change
+    # neither the label nor the distance of a state near one of them
+    catalog = pure_b_catalog(MS, PP.b)
+    sign = 1 if which % 2 == 0 else -1
+    st0 = manifold_start(catalog[which].config, MS, PP, 0.05, seed=which, v_sign=sign)
+    st = unpack_mcgehee(integrate_on_C(st0, MS, PP, tau_max=0.05).final_state, 3, 2)
+    ref = nearest_equilibrium(st.s, st.v, catalog, MS, PP)
+    assert ref.cc is catalog[which] and ref.v_sign == sign
+    assert 0.0 < ref.shape_distance < 0.01
+    rng = np.random.default_rng(19)
+    for theta in rng.uniform(0.0, 2.0 * np.pi, size=4):
+        c, s = np.cos(theta), np.sin(theta)
+        got = nearest_equilibrium(st.s @ np.array([[c, s], [-s, c]]), st.v, catalog, MS, PP)
+        assert got.cc is ref.cc and got.v_sign == ref.v_sign
+        assert abs(got.shape_distance - ref.shape_distance) < 1e-10
+        assert got.v_distance == ref.v_distance
+
+
+def test_manifold_start_lies_on_the_manifold_in_the_centered_reduction():
+    catalog = pure_b_catalog(MS, PP.b)
+    for cc in catalog:
+        st = manifold_start(cc.config, MS, PP, 0.05, seed=3)
+        assert st.s.shape == (3, 2)
+        assert abs(mass_inner(st.s, st.s, MS) - 1.0) < 1e-12
+        assert abs(collision_manifold_residual(st, MS, PP)) < 1e-12
+        assert np.abs(st.u.sum(axis=0)).max() < 1e-14
+        assert abs(float(np.sum(st.s * st.u))) < 1e-14
+        assert abs(np.linalg.norm(st.u) - 0.05) < 1e-14
+        assert st.v < 0.0
+    with pytest.raises(ValueError):
+        manifold_start(catalog[0].config, MS, PP, 50.0, seed=3)
 
 
 def test_find_equilibria_two_per_shape():
