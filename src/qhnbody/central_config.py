@@ -18,6 +18,7 @@ constraint alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -25,7 +26,6 @@ import numpy as np
 
 from .errors import (
     BracketError,
-    CollisionError,
     DegenerateTermError,
     NoConvergenceError,
     NotOnSphereError,
@@ -34,14 +34,15 @@ from .errors import (
 from .model import (
     Configuration,
     MassSystem,
+    PairTerms,
     PotentialParams,
+    _mass_array,
     centered,
     hess_U_matrix,
     lift_to_plane,
-    mass_inner,
     moment_of_inertia,
     pair_terms,
-    potential_U,
+    pair_terms_masked,
 )
 
 _SPHERE_TOL = 1e-9
@@ -106,10 +107,14 @@ class CCQuery:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (np.isfinite(self.inertia_I0) and self.inertia_I0 > 0.0):
-            raise ValueError("inertia_I0 must be positive")
-        if not (np.isfinite(self.grad_tol) and self.grad_tol > 0.0):
-            raise ValueError("grad_tol must be positive")
+        _check_knobs(self.inertia_I0, self.grad_tol)
+
+
+def _check_knobs(inertia_I0: float, grad_tol: float) -> None:
+    if not (np.isfinite(inertia_I0) and inertia_I0 > 0.0):
+        raise ValueError("inertia_I0 must be positive")
+    if not (np.isfinite(grad_tol) and grad_tol > 0.0):
+        raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +129,13 @@ class IndexReport:
 
 @dataclass(frozen=True, eq=False)
 class CCResult:
-    """A central configuration together with its certificates."""
+    """A central configuration together with its certificates.
+
+    A Newton solve also records its work: the steps taken, the trial
+    steps rejected by the line search, the gradient steps taken in place
+    of Newton steps, and the residual goal it stopped at (grad_tol or
+    the rounding floor above it).
+    """
 
     config: Configuration
     kind: str  # "collinear" | "equilateral"
@@ -136,6 +147,10 @@ class CCResult:
     ordering: Ordering | None = None
     sigma1: float | None = None
     sigma2: float | None = None
+    newton_iters: int = 0
+    backtracks: int = 0
+    fallbacks: int = 0
+    residual_floor: float | None = None
 
 
 @dataclass(frozen=True)
@@ -170,15 +185,22 @@ class FRootResult:
     grid_points: int
 
 
-def cc_residual(config, ms: MassSystem, pp: PotentialParams) -> tuple[float, float]:
-    """Multiplier sigma and sup-norm residual of dU = sigma dI at config."""
+def cc_residual(config, ms, pp: PotentialParams, terms: PairTerms | None = None):
+    """Multiplier sigma and sup-norm residual of dU = sigma dI at config.
+
+    A (B, n, d) batch, with masses as in pair_terms, gives two (B,)
+    arrays.  terms, the pair kernel's values at config when the caller
+    already has them, spare a second pass.
+    """
     r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
-    w, v, gw, gv, _ = pair_terms(r, ms, pp)
-    inertia = moment_of_inertia(r, ms)
+    m = _mass_array(ms)
+    w, v, gw, gv, _ = pair_terms(r, ms, pp) if terms is None else terms
+    inertia = (m[..., None] * r * r).sum(axis=(-2, -1))
     sigma = -(pp.a * w + pp.b * v) / (2.0 * inertia)
-    grad_i = 2.0 * ms.masses[:, None] * r
-    res = float(np.abs(gw + gv - sigma * grad_i).max())
-    return sigma, res
+    grad_i = 2.0 * m[..., None] * r
+    if r.ndim == 2:
+        return float(sigma), float(np.abs(gw + gv - sigma * grad_i).max())
+    return sigma, np.abs(gw + gv - sigma[:, None, None] * grad_i).max(axis=(-2, -1))
 
 
 def simultaneous_residual(
@@ -199,45 +221,71 @@ def simultaneous_residual(
 
 
 def _metric_null_basis(constraints: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, in the diag(weights) metric, of ker(constraints)."""
+    """Orthonormal basis, in the diag(weights) metric, of ker(constraints).
+
+    A stack of constraint matrices gives a stack of bases; every member
+    must have the same rank.
+    """
     _, svals, vt = np.linalg.svd(constraints)
-    tol = max(constraints.shape) * np.finfo(float).eps * svals[0]
-    rank = int(np.sum(svals > tol))
-    q = vt[rank:].T
-    if q.shape[1] == 0:
-        return q
-    gram = q.T @ (weights[:, None] * q)
+    tol = max(constraints.shape[-2:]) * np.finfo(float).eps * svals[..., :1]
+    ranks = (svals > tol).sum(axis=-1)
+    rank = int(ranks.max())
+    if ranks.min() != rank:
+        raise ValueError("constraint rank differs across the batch")
+    q = vt[..., rank:, :].mT
+    gram = q.mT @ (weights[..., :, None] * q)
     chol = np.linalg.cholesky(gram)
-    return q @ np.linalg.inv(chol).T
+    return q @ np.linalg.inv(chol).mT
 
 
-def tangent_basis(positions: np.ndarray, ms: MassSystem, inertia_I0: float) -> np.ndarray:
+def tangent_basis(positions: np.ndarray, ms, inertia_I0: float) -> np.ndarray:
     """Mass-orthonormal basis of the tangent space to the constraint set.
 
     The constraint set is {center of mass at origin, <r, r> = I0}; the
     basis is returned as a (n*d, K) matrix of flattened displacement
-    fields with K = n*d - d - 1.
+    fields with K = n*d - d - 1.  A (B, n, d) batch, with masses as in
+    pair_terms, gives a (B, n*d, K) stack.
     """
     r = np.asarray(positions, dtype=float)
-    n, d = r.shape
-    rows = []
+    n, d = r.shape[-2:]
+    lead = r.shape[:-2]
+    m = _mass_array(ms)
+    if m.shape != lead + (n,):
+        m = np.broadcast_to(m, lead + (n,))
+    rows = np.zeros(lead + (d + 1, n * d))
     for ax in range(d):
-        row = np.zeros(n * d)
-        row[ax::d] = ms.masses
-        rows.append(row)
-    rows.append((ms.masses[:, None] * r).ravel())
-    weights = np.repeat(ms.masses, d)
-    return _metric_null_basis(np.array(rows), weights)
+        rows[..., ax, ax::d] = m
+    rows[..., d, :] = (m[..., None] * r).reshape(lead + (n * d,))
+    return _metric_null_basis(rows, np.repeat(m, d, axis=-1))
 
 
 def _restricted_hessian_matrix(
-    r: np.ndarray, ms: MassSystem, pp: PotentialParams, basis: np.ndarray, inertia_I0: float
+    r: np.ndarray,
+    ms,
+    pp: PotentialParams,
+    basis: np.ndarray,
+    inertia_I0: float,
+    wv: tuple | None = None,
 ) -> np.ndarray:
-    w, v = pair_terms(r, ms, pp)[:2]
+    """basis^T (Hess U + (a W + b V) / I0) basis, member by member for a batch.
+
+    wv, the values (W, V) at r when the caller has them, spare a pass of
+    the pair kernel.
+    """
+    w, v = pair_terms(r, ms, pp)[:2] if wv is None else wv
     correction = (pp.a * w + pp.b * v) / inertia_I0
     hm = hess_U_matrix(r, ms, pp)
-    k = basis.shape[1]
-    return basis.T @ hm @ basis + correction * np.eye(k)
+    k = basis.shape[-1]
+    return basis.mT @ hm @ basis + np.multiply.outer(correction, np.eye(k))
+
+
+def _restricted_spectra(
+    x: np.ndarray, ms, pp: PotentialParams, inertia_I0: float, wv: tuple | None = None
+) -> np.ndarray:
+    """Eigenvalues of the restricted Hessian at x: (K,), or (B, K) for a batch."""
+    basis = tangent_basis(x, ms, inertia_I0)
+    a_mat = _restricted_hessian_matrix(x, ms, pp, basis, inertia_I0, wv)
+    return np.linalg.eigvalsh(a_mat)
 
 
 def count_modes(eigs: np.ndarray) -> tuple[int, int, float]:
@@ -288,11 +336,11 @@ def cc_index(
         x = lift_to_plane(r if r.shape[1] == 2 else _as_line(r)[:, None])
     else:
         raise ValueError(f"unknown ambient {ambient!r}")
-    basis = tangent_basis(x, ms, inertia_I0)
-    if basis.shape[1] == 0:
-        return IndexReport(index=0, eigenvalues=np.zeros(0), zero_modes=0, ambient=ambient)
-    a_mat = _restricted_hessian_matrix(x, ms, pp, basis, inertia_I0)
-    eigs = np.linalg.eigvalsh(a_mat)
+    return _index_report(_restricted_spectra(x, ms, pp, inertia_I0), ambient)
+
+
+def _index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
+    """IndexReport of a restricted spectrum; ToleranceError on a degenerate one."""
     index, zeros, _ = count_modes(eigs)
     expected_zeros = 1 if ambient == "planar" else 0
     if zeros != expected_zeros:
@@ -303,20 +351,193 @@ def cc_index(
     return IndexReport(index=index, eigenvalues=eigs, zero_modes=zeros, ambient=ambient)
 
 
-def _positions_from_gaps(ordering: Ordering, gaps: np.ndarray, n: int) -> np.ndarray:
-    x = np.zeros(n)
-    coords = np.concatenate([[0.0], np.cumsum(gaps)])
-    x[list(ordering.zero_based)] = coords
-    return x
+def _project_line(x: np.ndarray, m: np.ndarray, inertia_I0: float) -> np.ndarray:
+    """Each row of x moved to its center of mass and scaled onto <x, x> = I0."""
+    x = x - ((m * x).sum(axis=-1) / m.sum(axis=-1))[..., None]
+    return x * np.sqrt(inertia_I0 / (m * x * x).sum(axis=-1))[..., None]
 
 
-def _gaps_of(x: np.ndarray, ordering: Ordering) -> np.ndarray:
-    return np.diff(x[list(ordering.zero_based)])
+def _stalled(ordering: Ordering, res: float) -> NoConvergenceError:
+    return NoConvergenceError(
+        f"collinear solve for ordering {ordering.perm} stalled at residual {res:.3e}",
+        residual=res,
+    )
 
 
-def _project_line(x: np.ndarray, ms: MassSystem, inertia_I0: float) -> np.ndarray:
-    x = x - (ms.masses @ x) / ms.total_mass
-    return x * np.sqrt(inertia_I0 / float(np.sum(ms.masses * x * x)))
+def _solve_each(a_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions of a stack of systems, with rhs itself where a member is singular."""
+    out = rhs.copy()
+    singular = np.zeros(len(rhs), dtype=bool)
+    for k in range(len(rhs)):
+        try:
+            out[k] = np.linalg.solve(a_mat[k], rhs[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return out, singular
+
+
+def _newton_directions(
+    x: np.ndarray, m: np.ndarray, pp: PotentialParams, terms: PairTerms, inertia_I0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton directions of a batch of iterates on the line.
+
+    Each member solves its restricted-Hessian system in the tangent
+    space; where that system is singular or its step does not descend,
+    the member takes the gradient step instead.  Returns the (B, n)
+    directions, the slope of U along each, and the mask of members that
+    fell back to the gradient.
+    """
+    r1 = x[..., None]
+    basis = tangent_basis(r1, m, inertia_I0)
+    g = (basis.mT @ (terms.grad_W + terms.grad_V))[..., 0]
+    a_mat = _restricted_hessian_matrix(r1, m, pp, basis, inertia_I0, terms[:2])
+    try:
+        step = np.linalg.solve(a_mat, -g[..., None])[..., 0]
+        singular = np.zeros(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        step, singular = _solve_each(a_mat, -g)
+    slope = (g * step).sum(axis=-1)
+    uphill = slope >= 0.0
+    if uphill.any():
+        step[uphill] = -g[uphill]
+        slope[uphill] = -(g[uphill] * g[uphill]).sum(axis=-1)
+    return (basis @ step[..., None])[..., 0], slope, uphill | singular
+
+
+def solve_collinear_batch(
+    members: Sequence[tuple[Ordering, MassSystem]],
+    pp: PotentialParams,
+    inertia_I0: float = 1.0,
+    grad_tol: float = 1e-12,
+    max_iter: int = 200,
+) -> list[CCResult]:
+    """Collinear central configurations of (ordering, masses) members, in lockstep.
+
+    Every member runs the iteration described in solve_collinear_ordering
+    step for step, and all of them advance together: members that have
+    converged drop out, a trial step that collides or breaks its
+    ordering is rejected for its own member only, and one pass of the
+    pair kernel over the members still searching evaluates each round of
+    trial steps, so an accepted trial already carries W, V, the
+    gradients and the force sums of the next iterate.  The members must
+    have the same number of bodies.  When members fail, the error of the
+    first of them in input order is raised.
+    """
+    _check_knobs(inertia_I0, grad_tol)
+    if not members:
+        return []
+    n = members[0][1].n
+    for ordering, ms in members:
+        if ms.n != n:
+            raise ValueError("batch members must have the same number of bodies")
+        if ordering.n != n:
+            raise ValueError("ordering length does not match the mass system")
+    size = len(members)
+    masses = np.array([ms.masses for _, ms in members])
+    # the members still iterating: ids, masses, orderings, iterates, kernel values
+    ids = np.arange(size)
+    m = masses
+    perm = np.array([o.zero_based for o, _ in members])
+    x = np.empty((size, n))
+    x[ids[:, None], perm] = np.arange(n, dtype=float)  # unit gaps in each ordering
+    x = _project_line(x, m, inertia_I0)
+    terms = pair_terms(x[..., None], m, pp)
+
+    sigma, res = np.zeros(size), np.full(size, np.inf)
+    floor = np.full(size, float(grad_tol))
+    iters, backtracks, fallbacks = (np.zeros(size, dtype=int) for _ in range(3))
+    final_x, final_w, final_v = np.zeros((size, n)), np.zeros(size), np.zeros(size)
+    converged = np.zeros(size, dtype=bool)
+    errors: list[Exception | None] = [None] * size
+
+    def drop(leaving: np.ndarray) -> None:
+        nonlocal ids, m, perm, x, terms
+        stay = ~leaving
+        ids, m, perm, x = ids[stay], m[stay], perm[stay], x[stay]
+        terms = PairTerms(*(a[stay] for a in terms))
+
+    floor_factor = 8.0 * np.finfo(float).eps
+    for _ in range(max_iter):
+        sig, rs = cc_residual(x[..., None], m, pp, terms)
+        scale = np.max(terms.force_sum + np.abs(2.0 * sig[:, None] * m * x), axis=-1)
+        tol = np.maximum(grad_tol, floor_factor * scale)
+        sigma[ids], res[ids], floor[ids] = sig, rs, tol
+        done = rs <= tol
+        if done.any():
+            gone = ids[done]
+            converged[gone] = True
+            final_x[gone], final_w[gone], final_v[gone] = x[done], terms.W[done], terms.V[done]
+            drop(done)
+            if not ids.size:
+                break
+
+        direction, slope, fallback = _newton_directions(x, m, pp, terms, inertia_I0)
+        fallbacks[ids[fallback]] += 1
+        u0 = terms.W + terms.V
+        armijo = 1e-4 * slope
+        slack = 1e-14 * np.abs(u0)
+
+        searching = np.ones(ids.size, dtype=bool)
+        t = 1.0
+        while t >= 1e-14:
+            k = np.flatnonzero(searching)
+            trial = _project_line(x[k] + t * direction[k], m[k], inertia_I0)
+            gaps = np.diff(trial[np.arange(k.size)[:, None], perm[k]], axis=-1)
+            ordered = (gaps > 0.0).all(axis=-1)
+            k, trial = k[ordered], trial[ordered]
+            trial_terms, collided = pair_terms_masked(trial[..., None], m[k], pp)
+            # slack of a few ulps of U so rounding cannot veto the
+            # final Newton steps inside the quadratic basin
+            u1 = trial_terms.W + trial_terms.V
+            ok = ~collided & (u1 <= u0[k] + t * armijo[k] + slack[k])
+            k = k[ok]
+            x[k] = trial[ok]
+            for a, new in zip(terms, trial_terms):
+                a[k] = new[ok]
+            iters[ids[k]] += 1
+            searching[k] = False
+            if not searching.any():
+                break
+            t *= 0.5
+            backtracks[ids[searching]] += 1
+        if searching.any():
+            for b in ids[searching]:
+                errors[b] = _stalled(members[b][0], float(res[b]))
+            drop(searching)
+    for b in ids:
+        # the iteration budget ran out
+        errors[b] = _stalled(members[b][0], float(res[b]))
+
+    results: list[CCResult | None] = [None] * size
+    done = np.flatnonzero(converged)
+    if done.size:
+        final = final_x[done][..., None]
+        wv = (final_w[done], final_v[done])
+        eigs = _restricted_spectra(final, masses[done], pp, inertia_I0, wv)
+    for k, b in enumerate(done):
+        try:
+            report = _index_report(eigs[k], "collinear")
+        except ToleranceError as exc:
+            errors[b] = exc
+            continue
+        results[b] = CCResult(
+            config=Configuration(lift_to_plane(final_x[b][:, None])),
+            kind="collinear",
+            sigma=float(sigma[b]),
+            residual=float(res[b]),
+            index=report.index,
+            hess_eigs=report.eigenvalues,
+            inertia_I0=inertia_I0,
+            ordering=members[b][0],
+            newton_iters=int(iters[b]),
+            backtracks=int(backtracks[b]),
+            fallbacks=int(fallbacks[b]),
+            residual_floor=float(floor[b]),
+        )
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
@@ -329,90 +550,18 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
     sup-norm residual of the CC equation; since that residual cannot
     drop below the rounding in the sums that form it, the goal widens to
     a few ulps of max_i (sum_j |f_ij| + |sigma dI/dx_i|) when grad_tol is
-    tighter than that.
+    tighter than that.  This is the one-member solve_collinear_batch.
     """
-    ms, pp = q.ms, q.pp
-    n = ms.n
-    if ordering.n != n:
-        raise ValueError("ordering length does not match the mass system")
-    x = _project_line(_positions_from_gaps(ordering, np.ones(n - 1), n), ms, q.inertia_I0)
-
-    res = np.inf
-    sigma = 0.0
-    tol_now = q.grad_tol
-    for _ in range(q.max_iter):
-        r1 = x[:, None]
-        sigma, res = cc_residual(r1, ms, pp)
-        _, _, gw, gv, force_sum = pair_terms(r1, ms, pp)
-        grad_flat = (gw + gv).ravel()
-        scale = float(np.max(force_sum + np.abs(2.0 * sigma * ms.masses * x)))
-        tol_now = max(q.grad_tol, 8.0 * np.finfo(float).eps * scale)
-        if res <= tol_now:
-            break
-        basis = tangent_basis(r1, ms, q.inertia_I0)
-        g = basis.T @ grad_flat
-        a_mat = _restricted_hessian_matrix(r1, ms, pp, basis, q.inertia_I0)
-        try:
-            step = np.linalg.solve(a_mat, -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        slope = float(g @ step)
-        if slope >= 0.0:
-            step = -g
-            slope = -float(g @ g)
-        u0 = potential_U(x[:, None], ms, pp)
-        direction = basis @ step
-        t = 1.0
-        accepted = False
-        while t >= 1e-14:
-            trial = _project_line(x + t * direction, ms, q.inertia_I0)
-            if np.all(_gaps_of(trial, ordering) > 0.0):
-                try:
-                    u1 = potential_U(trial[:, None], ms, pp)
-                    # slack of a few ulps of U so rounding cannot veto the
-                    # final Newton steps inside the quadratic basin
-                    if u1 <= u0 + 1e-4 * t * slope + 1e-14 * abs(u0):
-                        x = trial
-                        accepted = True
-                        break
-                except CollisionError:
-                    pass
-            t *= 0.5
-        if not accepted:
-            break
-    else:
-        raise NoConvergenceError(
-            f"collinear solve for ordering {ordering.perm} stalled at residual {res:.3e}",
-            residual=res,
-        )
-    if res > tol_now:
-        # one last residual check after a failed line search
-        sigma, res = cc_residual(x[:, None], ms, pp)
-        if res > tol_now:
-            raise NoConvergenceError(
-                f"collinear solve for ordering {ordering.perm} stalled at residual {res:.3e}",
-                residual=res,
-            )
-    report = cc_index(x[:, None], ms, pp, ambient="collinear", inertia_I0=q.inertia_I0)
-    config = Configuration(lift_to_plane(x[:, None]))
-    return CCResult(
-        config=config,
-        kind="collinear",
-        sigma=sigma,
-        residual=res,
-        index=report.index,
-        hess_eigs=report.eigenvalues,
-        inertia_I0=q.inertia_I0,
-        ordering=ordering,
-    )
+    return solve_collinear_batch([(ordering, q.ms)], q.pp, q.inertia_I0, q.grad_tol, q.max_iter)[0]
 
 
 def solve_collinear_all(q: CCQuery) -> list[CCResult]:
-    """All n!/2 collinear classes, one result per canonical ordering."""
+    """All n!/2 collinear classes, one result per canonical ordering, in lockstep."""
     n = q.ms.n
     if n > _MAX_BODIES:
         raise ValueError(f"collinear enumeration supports n <= {_MAX_BODIES}")
-    results = [solve_collinear_ordering(o, q) for o in Ordering.all_canonical(n)]
+    members = [(o, q.ms) for o in Ordering.all_canonical(n)]
+    results = solve_collinear_batch(members, q.pp, q.inertia_I0, q.grad_tol, q.max_iter)
     expected = math.factorial(n) // 2
     if len(results) != expected:
         raise NoConvergenceError(
@@ -554,11 +703,44 @@ def euler_collinear_homogeneous(
     grad_tol: float = 1e-12,
 ) -> CCResult:
     """Collinear CC of the single-term potential sum m_i m_j / r^exponent."""
+    return euler_collinear_batch([(ordering, ms)], exponent, inertia_I0, grad_tol)[0]
+
+
+def euler_collinear_batch(
+    members: Sequence[tuple[Ordering, MassSystem]],
+    exponent: float,
+    inertia_I0: float = 1.0,
+    grad_tol: float = 1e-12,
+) -> list[CCResult]:
+    """euler_collinear_homogeneous of many (ordering, masses) members in lockstep."""
     if not (np.isfinite(exponent) and exponent > 0.0):
         raise ValueError("exponent must be positive")
     pure = PotentialParams(a=0.0, b=exponent, alpha=0.0, beta=1.0)
-    q = CCQuery(ms=ms, pp=pure, inertia_I0=inertia_I0, grad_tol=grad_tol)
-    return solve_collinear_ordering(ordering, q)
+    return solve_collinear_batch(members, pure, inertia_I0, grad_tol)
+
+
+def simultaneous_gaps(
+    members: Sequence[tuple[Ordering, MassSystem]],
+    pp: PotentialParams,
+    inertia_I0: float = 1.0,
+    grad_tol: float = 1e-13,
+) -> np.ndarray:
+    """Mass-metric distances between the pure-a and pure-b collinear CCs.
+
+    One gap per (ordering, masses) member; it vanishes exactly when the
+    ordering admits a simultaneous collinear central configuration of
+    U = W + V.  Both exponents must be active and positive.  The pure-a
+    and the pure-b configurations are each solved as one lockstep batch.
+    """
+    if pp.alpha == 0.0 or pp.beta == 0.0:
+        raise DegenerateTermError("simultaneous gap needs alpha > 0 and beta > 0")
+    if pp.a == 0.0:
+        raise DegenerateTermError("simultaneous gap needs a > 0; a = 0 has no shape")
+    s_w = euler_collinear_batch(members, pp.a, inertia_I0, grad_tol)
+    s_v = euler_collinear_batch(members, pp.b, inertia_I0, grad_tol)
+    m = np.array([ms.masses for _, ms in members])
+    diff = np.array([v.config.positions - w.config.positions for w, v in zip(s_w, s_v)])
+    return np.sqrt(np.sum(m[:, :, None] * diff * diff, axis=(-2, -1)))
 
 
 def simultaneous_gap(
@@ -568,17 +750,5 @@ def simultaneous_gap(
     inertia_I0: float = 1.0,
     grad_tol: float = 1e-13,
 ) -> float:
-    """Mass-metric distance between the pure-a and pure-b collinear CCs.
-
-    The gap vanishes exactly when the ordering admits a simultaneous
-    collinear central configuration of U = W + V.  Both exponents must
-    be active and positive.
-    """
-    if pp.alpha == 0.0 or pp.beta == 0.0:
-        raise DegenerateTermError("simultaneous gap needs alpha > 0 and beta > 0")
-    if pp.a == 0.0:
-        raise DegenerateTermError("simultaneous gap needs a > 0; a = 0 has no shape")
-    s_w = euler_collinear_homogeneous(ms, pp.a, ordering, inertia_I0, grad_tol)
-    s_v = euler_collinear_homogeneous(ms, pp.b, ordering, inertia_I0, grad_tol)
-    diff = s_v.config.positions - s_w.config.positions
-    return float(np.sqrt(mass_inner(diff, diff, ms)))
+    """The simultaneous_gaps of one ordering and mass system."""
+    return float(simultaneous_gaps([(ordering, ms)], pp, inertia_I0, grad_tol)[0])

@@ -34,7 +34,7 @@ from .central_config import (
     equilateral_configuration,
     equilateral_side,
     f_root,
-    simultaneous_gap,
+    simultaneous_gaps,
     solve_collinear_all,
     solve_collinear_ordering,
 )
@@ -86,6 +86,14 @@ _TOP_KEYS = frozenset(
 
 class ConfigError(ValueError):
     """A config file violates a documented precondition."""
+
+
+def _number(value, what: str, kind=float):
+    """value as a float (or int), or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +216,7 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid potential: {exc}") from None
 
-        inertia = float(raw.get("inertia_I0", 1.0))
+        inertia = _number(raw.get("inertia_I0", 1.0), "inertia_I0")
         if not (np.isfinite(inertia) and inertia > 0.0):
             raise ConfigError(f"inertia_I0 must be positive, got {inertia!r}")
         energy_h = raw.get("energy_h")
@@ -231,7 +239,7 @@ class RunConfig:
             inertia_I0=inertia,
             energy_h=energy_h,
             initial_state=initial_state,
-            tolerances={k: float(v) for k, v in tolerances.items()},
+            tolerances={k: _number(v, f"tolerances.{k}") for k, v in tolerances.items()},
             options=options,
             base_dir=p.resolve().parent,
         )
@@ -312,7 +320,7 @@ def _read_csv_row(cfg: RunConfig, spec: dict) -> tuple[float, PhaseState]:
         raise ConfigError(f"cannot read state csv {path}: {exc}") from None
     if not rows:
         raise ConfigError(f"state csv {path} has no data rows")
-    idx = int(spec.get("row", -1))
+    idx = _number(spec.get("row", -1), "initial_state.row", int)
     try:
         row = rows[idx]
     except IndexError:
@@ -421,15 +429,15 @@ def _initial_on_C(cfg: RunConfig) -> McGeheeState:
         case = {"kind": "equilateral"}
     elif isinstance(case, dict) and "ordering" in case and "kind" not in case:
         case = {"kind": "collinear", "ordering": case["ordering"]}
-    v_sign = int(start.get("v_sign", -1))
+    v_sign = _number(start.get("v_sign", -1), "options.start.v_sign", int)
     if v_sign not in (-1, 1):
         raise ConfigError(f"v_sign must be +1 or -1, got {v_sign!r}")
     return manifold_start(
         _pure_b_cc(cfg, case).config,
         cfg.ms,
         cfg.pp,
-        float(start.get("perturbation_scale", 0.0)),
-        int(start.get("seed", 0)),
+        _number(start.get("perturbation_scale", 0.0), "options.start.perturbation_scale"),
+        _number(start.get("seed", 0), "options.start.seed", int),
         v_sign,
     )
 
@@ -548,7 +556,13 @@ def cmd_simultaneous(cfg: RunConfig, out_dir: Path) -> int:
     gap_tol = cfg.tol("gap_tol", 1e-10)
     grad_tol = cfg.tol("grad_tol", 1e-13)
     orderings = Ordering.all_canonical(cfg.ms.n)
-    gaps = [simultaneous_gap(cfg.ms, cfg.pp, o, cfg.inertia_I0, grad_tol) for o in orderings]
+    members = [(o, cfg.ms) for o in orderings]
+    if grid is not None:
+        m1_vals, m2_vals, m3, ordering = grid
+        cells = [(m1, m2, m3) for m1 in m1_vals for m2 in m2_vals]
+        members += [(ordering, MassSystem(np.array(cell))) for cell in cells]
+    # the per-ordering gaps and every grid cell in one lockstep batch
+    gaps = simultaneous_gaps(members, cfg.pp, cfg.inertia_I0, grad_tol)
     records = [
         {"ordering": _ordering_payload(o), "gap": g, "simultaneous": bool(g <= gap_tol)}
         for o, g in zip(orderings, gaps)
@@ -561,14 +575,7 @@ def cmd_simultaneous(cfg: RunConfig, out_dir: Path) -> int:
     }
 
     if grid is not None:
-        m1_vals, m2_vals, m3, ordering = grid
-        rows = [
-            (m1, m2, m3, simultaneous_gap(
-                MassSystem(np.array([m1, m2, m3])), cfg.pp, ordering, cfg.inertia_I0, grad_tol
-            ))
-            for m1 in m1_vals
-            for m2 in m2_vals
-        ]
+        rows = [(*cell, gap) for cell, gap in zip(cells, gaps[len(orderings):])]
         csv_path = _write_csv(
             out_dir / "simultaneous_grid.csv", ["m1", "m2", "m3", "gap"], rows
         )
@@ -622,7 +629,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
         rel_tol=cfg.tol("rel_tol", 1e-10),
         abs_tol=cfg.tol("abs_tol", 1e-12),
         monitors={"energy": energy_res, "angular_momentum": angmom_res},
-        max_step=float(cfg.opt("max_step", np.inf)),
+        max_step=_number(cfg.opt("max_step", np.inf), "options.max_step"),
     )
     header = ["t"] + _state_columns(n, dim) + ["energy_residual", "angmom_residual"]
     rows = [
@@ -662,7 +669,7 @@ def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
         st0,
         ms,
         pp,
-        tau_max=float(cfg.opt("tau_max", 50.0)),
+        tau_max=_number(cfg.opt("tau_max", 50.0), "options.tau_max"),
         rel_tol=cfg.tol("rel_tol", 1e-10),
         abs_tol=cfg.tol("abs_tol", 1e-12),
         equilibrium_tol=cfg.tol("equilibrium_tol", 1e-9),

@@ -27,6 +27,7 @@ from .central_config import (
     cc_residual,
     count_modes,
     equilateral_configuration,
+    euler_collinear_batch,
     euler_collinear_homogeneous,
     tangent_basis,
 )
@@ -436,9 +437,8 @@ def pure_b_catalog(ms: MassSystem, b: float, grad_tol: float = 1e-12) -> list[CC
     per class by the Moulton-type theorem.
     """
     catalog = [pure_b_cc(ms, b, "equilateral")] if ms.n == 3 else []
-    return catalog + [
-        pure_b_cc(ms, b, "collinear", o, grad_tol) for o in Ordering.all_canonical(ms.n)
-    ]
+    members = [(o, ms) for o in Ordering.all_canonical(ms.n)]
+    return catalog + euler_collinear_batch(members, b, 1.0, grad_tol)
 
 
 def manifold_start(

@@ -19,6 +19,7 @@ Hamiltonian reads H = p^T M^{-1} p / 2 - U(r).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -184,29 +185,45 @@ def _pair_index(n: int, cols: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return i, j, keys
 
 
-def _pair_data(r: np.ndarray, ms: MassSystem):
+def _mass_array(ms) -> np.ndarray:
+    """Masses of a MassSystem, or an array of per-member masses as given."""
+    return ms.masses if isinstance(ms, MassSystem) else np.asarray(ms, dtype=float)
+
+
+def _pair_data(r: np.ndarray, m: np.ndarray, strict: bool = True):
     """Distances and separations of all pairs, with the collision guard.
 
-    Returns (i, j, diff, dist, mm) for pairs i < j, where diff = r_i - r_j
-    and mm = m_i * m_j.
+    r is (n, d) or a (B, n, d) batch and m the matching (n,) or (B, n)
+    masses.  Returns (i, j, diff, dist, mm, collided) for pairs i < j,
+    where diff = r_i - r_j, mm = m_i * m_j and collided flags the
+    members with a pair at or below the guard.  strict raises
+    CollisionError for any such member; otherwise its distances read 1
+    so the arithmetic stays finite, and its values mean nothing.
     """
-    i, j, _ = _pair_index(r.shape[0])
-    diff = r[i] - r[j]
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
-    inertia = float(np.sum(ms.masses[:, None] * r * r))
-    guard = GUARD_FACTOR * np.sqrt(inertia / ms.total_mass)
-    dmin = float(dist.min())
-    if dmin <= guard:
-        raise CollisionError(
-            f"minimum pairwise distance {dmin:.3e} at or below guard {guard:.3e}"
-        )
-    return i, j, diff, dist, ms.masses[i] * ms.masses[j]
+    i, j, _ = _pair_index(r.shape[-2])
+    diff = r.take(i, axis=-2) - r.take(j, axis=-2)
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    inertia = (m[..., None] * r * r).sum(axis=(-2, -1))
+    guard = GUARD_FACTOR * np.sqrt(inertia / m.sum(axis=-1))
+    dmin = dist.min(axis=-1)
+    collided = dmin <= guard
+    if collided.any() if r.ndim == 3 else collided:
+        if strict:
+            k = np.flatnonzero(collided)[0]
+            where = f" in batch member {k}" if r.ndim == 3 else ""
+            raise CollisionError(
+                f"minimum pairwise distance {float(dmin.flat[k]):.3e} at or below "
+                f"guard {float(guard.flat[k]):.3e}{where}"
+            )
+        dist = np.where(collided[..., None], 1.0, dist)
+    return i, j, diff, dist, m.take(i, axis=-1) * m.take(j, axis=-1), collided
 
 
 class PairTerms(NamedTuple):
     """W, V and their (n, d) gradients, coefficients included, with
     force_sum[i] = sum_j |f_ij| over the total pair forces on body i: the
-    scale of the rounding error in either gradient."""
+    scale of the rounding error in either gradient.  A batch carries a
+    leading member axis on every field."""
 
     W: float
     V: float
@@ -215,11 +232,30 @@ class PairTerms(NamedTuple):
     force_sum: np.ndarray
 
 
-def pair_terms(config, ms: MassSystem, pp: PotentialParams) -> PairTerms:
-    """W, V, their gradients and the per-body force sums in one pass."""
-    r = _positions(config)
-    n, d = r.shape
-    _, _, diff, dist, mm = _pair_data(r, ms)
+def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
+    """W, V, their gradients and the per-body force sums in one pass.
+
+    config is one (n, d) configuration, or a (B, n, d) batch with ms a
+    MassSystem shared by the batch or a (B, n) array of per-member
+    masses; a batch gives (B,) arrays for W and V.  Raises
+    CollisionError if any member collides.
+    """
+    return _pair_terms(_positions(config), _mass_array(ms), pp, strict=True)[0]
+
+
+def pair_terms_masked(r: np.ndarray, m: np.ndarray, pp: PotentialParams):
+    """(pair_terms, collided) of a (B, n, d) batch with (B, n) masses.
+
+    A member that collides is flagged in the (B,) mask instead of
+    raising; its terms mean nothing.
+    """
+    return _pair_terms(r, m, pp, strict=False)
+
+
+def _pair_terms(r: np.ndarray, m: np.ndarray, pp: PotentialParams, strict: bool):
+    n, d = r.shape[-2:]
+    lead = r.shape[:-2]
+    _, _, diff, dist, mm, collided = _pair_data(r, m, strict)
     w = pp.alpha * mm * dist ** (-pp.a)
     v = pp.beta * mm * dist ** (-pp.b)
     # d/dr_i [coef * mm * d^-c] = -c * (coef * mm * d^-c) / d^2 * (r_i - r_j);
@@ -227,17 +263,23 @@ def pair_terms(config, ms: MassSystem, pp: PotentialParams) -> PairTerms:
     cw = -pp.a * w / (dist * dist)
     cv = -pp.b * v / (dist * dist)
     cols = 2 * d + 1
-    rows = np.empty((2, dist.size, cols))
-    rows[0, :, :d] = cw[:, None] * diff
-    rows[0, :, d:-1] = cv[:, None] * diff
-    rows[0, :, -1] = np.abs(cw + cv) * dist
-    rows[1, :, :-1] = -rows[0, :, :-1]
-    rows[1, :, -1] = rows[0, :, -1]
+    rows = np.empty(lead + (2, dist.shape[-1], cols))
+    rows[..., 0, :, :d] = cw[..., None] * diff
+    rows[..., 0, :, d:-1] = cv[..., None] * diff
+    rows[..., 0, :, -1] = np.abs(cw + cv) * dist
+    rows[..., 1, :, :-1] = -rows[..., 0, :, :-1]
+    rows[..., 1, :, -1] = rows[..., 0, :, -1]
     keys = _pair_index(n, cols)[2]
-    sums = np.bincount(keys, rows.ravel(), minlength=n * cols).reshape(n, cols)
-    return PairTerms(
-        float(w.sum()), float(v.sum()), sums[:, :d], sums[:, d:-1], sums[:, -1]
-    )
+    if lead:
+        # member b scatters into its own block of n * cols sums
+        keys = (np.arange(lead[0])[:, None] * (n * cols) + keys).ravel()
+    size = math.prod(lead) * n * cols
+    sums = np.bincount(keys, rows.ravel(), minlength=size).reshape(lead + (n, cols))
+    w_sum, v_sum = w.sum(axis=-1), v.sum(axis=-1)
+    if not lead:
+        w_sum, v_sum = float(w_sum), float(v_sum)
+    terms = PairTerms(w_sum, v_sum, sums[..., :d], sums[..., d:-1], sums[..., -1])
+    return terms, collided
 
 
 def potential_terms(config, ms: MassSystem, pp: PotentialParams) -> tuple[float, float]:
@@ -278,28 +320,31 @@ def hess_U(config, ms: MassSystem, pp: PotentialParams, v, w) -> float:
     return float(v @ hess_U_matrix(config, ms, pp) @ np.asarray(w, dtype=float).ravel())
 
 
-def hess_U_matrix(config, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
+def hess_U_matrix(config, ms, pp: PotentialParams) -> np.ndarray:
     """Dense (n*d, n*d) Hessian of U in row-major body-then-axis layout.
 
     Pair i < j adds B = sum over both terms of
     c * ((exp + 2) / d^2 * diff diff^T - 1), c = exp * coef * m_i m_j * d^(-exp-2),
     to the (i, i) and (j, j) blocks and -B to the (i, j) and (j, i) blocks.
+    A (B, n, d) batch, with masses as in pair_terms, gives (B, n*d, n*d).
     """
     r = _positions(config)
-    n, d = r.shape
-    i, j, diff, dist, mm = _pair_data(r, ms)
+    n, d = r.shape[-2:]
+    lead = r.shape[:-2]
+    i, j, diff, dist, mm, _ = _pair_data(r, _mass_array(ms))
     ca = pp.a * pp.alpha * mm * dist ** (-pp.a - 2.0)
     cb = pp.b * pp.beta * mm * dist ** (-pp.b - 2.0)
     outer = ((pp.a + 2.0) * ca + (pp.b + 2.0) * cb) / (dist * dist)
-    blocks = outer[:, None, None] * diff[:, :, None] * diff[:, None, :]
-    blocks -= (ca + cb)[:, None, None] * np.eye(d)
-    h = np.zeros((n, d, n, d))
-    h[i, :, j, :] = -blocks
-    h[j, :, i, :] = -blocks
+    blocks = outer[..., None, None] * diff[..., :, None] * diff[..., None, :]
+    blocks -= (ca + cb)[..., None, None] * np.eye(d)
+    # body-body-axis-axis layout, so the pair indices stay adjacent
+    h = np.zeros(lead + (n, n, d, d))
+    h[..., i, j, :, :] = -blocks
+    h[..., j, i, :, :] = -blocks
     # translation invariance: each block row of the Hessian sums to zero
     body = np.arange(n)
-    h[body, :, body, :] = -h.sum(axis=2)
-    return h.reshape(n * d, n * d)
+    h[..., body, body, :, :] = -h.sum(axis=-3)
+    return h.swapaxes(-3, -2).reshape(lead + (n * d, n * d))
 
 
 def hess_U_restricted(

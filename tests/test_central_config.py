@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_masses
+from qhnbody import central_config
 from qhnbody.central_config import (
     CCQuery,
     Ordering,
@@ -24,8 +25,10 @@ from qhnbody.central_config import (
     euler_collinear_homogeneous,
     f_root,
     simultaneous_gap,
+    simultaneous_gaps,
     simultaneous_residual,
     solve_collinear_all,
+    solve_collinear_batch,
     solve_collinear_ordering,
     tangent_basis,
 )
@@ -153,6 +156,81 @@ def test_solver_reports_an_exhausted_iteration_budget():
     with pytest.raises(NoConvergenceError) as err:
         solve_collinear_ordering(Ordering.identity(4), q)
     assert err.value.residual > q.grad_tol
+
+
+def _counters(res):
+    return res.newton_iters, res.backtracks, res.fallbacks, res.residual_floor
+
+
+def test_lockstep_batch_equals_one_member_solves():
+    # each class of a batched census is the B = 1 solve of its ordering,
+    # work counters included
+    rng = np.random.default_rng(17)
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    for n in (3, 4, 5, 6):
+        ms = random_masses(rng, n)
+        q = CCQuery(ms=ms, pp=pp)
+        batch = solve_collinear_all(q)
+        assert [r.ordering for r in batch] == Ordering.all_canonical(n)
+        for res in batch:
+            one = solve_collinear_ordering(res.ordering, q)
+            assert res.index == one.index
+            assert _counters(res) == _counters(one)
+            assert np.abs(res.config.positions - one.config.positions).max() <= 1e-12
+
+
+def test_solver_counts_its_work():
+    q = CCQuery(ms=MassSystem(np.linspace(1.0, 2.0, 6)), pp=PotentialParams(1.0, 3.0, 1.0, 0.5))
+    res = solve_collinear_ordering(Ordering((1, 2, 6, 4, 5, 3)), q)
+    assert 0 < res.newton_iters < q.max_iter
+    assert res.backtracks >= 0 and res.fallbacks >= 0
+    # the goal is grad_tol or the rounding floor above it, and was met
+    assert q.grad_tol <= res.residual_floor and res.residual <= res.residual_floor
+    forced = solve_collinear_ordering(Ordering((1, 2, 3)), CCQuery(ms=MS123, pp=PP13, grad_tol=1e-300))
+    assert forced.residual_floor > 1e-300
+
+
+def test_each_newton_iterate_costs_one_kernel_pass(monkeypatch):
+    # the pass that accepts a trial step also evaluates the next iterate;
+    # only rejected trials cost extra passes
+    passes = []
+    for name in ("pair_terms", "pair_terms_masked"):
+        kernel = getattr(central_config, name)
+        monkeypatch.setattr(central_config, name, lambda *a, _k=kernel: passes.append(1) or _k(*a))
+    ms = MassSystem(np.linspace(1.0, 2.0, 6))
+    res = solve_collinear_ordering(Ordering((1, 2, 6, 4, 5, 3)), CCQuery(ms=ms, pp=PP13))
+    assert res.newton_iters > 0
+    assert 1 + res.newton_iters <= len(passes) <= 1 + res.newton_iters + res.backtracks
+
+
+def test_mass_grid_batch_equals_per_cell_gaps():
+    m1s, m2s = np.linspace(0.5, 1.5, 4), np.linspace(0.7, 1.9, 4)
+    ordering = Ordering((2, 1, 3))
+    cells = [MassSystem(np.array([m1, m2, 1.2])) for m1 in m1s for m2 in m2s]
+    gaps = simultaneous_gaps([(ordering, ms) for ms in cells], PP13)
+    for ms, gap in zip(cells, gaps):
+        assert gap == pytest.approx(simultaneous_gap(ms, PP13, ordering), abs=1e-12)
+
+
+def test_batch_raises_the_first_failure_in_input_order():
+    ms = MassSystem(np.linspace(1.0, 2.0, 4))
+    orderings = Ordering.all_canonical(4)[::-1]
+    with pytest.raises(NoConvergenceError) as batch_err:
+        solve_collinear_batch([(o, ms) for o in orderings], PP13, max_iter=1)
+    with pytest.raises(NoConvergenceError) as one_err:
+        solve_collinear_ordering(orderings[0], CCQuery(ms=ms, pp=PP13, max_iter=1))
+    assert str(orderings[0].perm) in str(batch_err.value)
+    assert str(batch_err.value) == str(one_err.value)
+    assert batch_err.value.residual == one_err.value.residual
+
+
+def test_batch_members_must_share_the_body_count():
+    members = [(Ordering.identity(3), MS123), (Ordering.identity(4), MassSystem(np.ones(4)))]
+    with pytest.raises(ValueError):
+        solve_collinear_batch(members, PP13)
+    with pytest.raises(ValueError):
+        solve_collinear_batch([(Ordering.identity(4), MS123)], PP13)
+    assert solve_collinear_batch([], PP13) == []
 
 
 def test_solver_respects_requested_ordering():

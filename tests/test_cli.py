@@ -179,9 +179,14 @@ def test_simultaneous_mass_grid_sweep(tmp_path):
 
 
 def test_simultaneous_mass_grid_rejects_bad_requests(tmp_path, capsys, monkeypatch):
-    # every grid check runs before the first solve
+    # every grid check runs before the batch that solves the grid
     calls = []
-    monkeypatch.setattr(cli, "simultaneous_gap", lambda *args: calls.append(args) or 1.0)
+
+    def counting_gaps(members, *args):
+        calls.append(members)
+        return np.ones(len(members))
+
+    monkeypatch.setattr(cli, "simultaneous_gaps", counting_gaps)
     grid = {"m1": [0.5, 1.5], "m2": [0.5, 1.5]}
     for sub, masses, bad in (
         ("points", [1.0] * 3, {**grid, "points": 1}),
@@ -197,6 +202,10 @@ def test_simultaneous_mass_grid_rejects_bad_requests(tmp_path, capsys, monkeypat
         assert code == 2, sub
         assert capsys.readouterr().err.startswith("error:")
     assert calls == []
+    # a good grid reaches the patched entry point: one batch, every cell
+    code, _ = run(tmp_path, "simultaneous", base_config(options={"mass_grid": grid}), "good")
+    assert code == 0
+    assert [len(members) for members in calls] == [3 + 11 * 11]
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +510,39 @@ def test_config_schema_and_key_validation(tmp_path, capsys):
         code, _ = run(tmp_path, "cc-collinear", data, subdir=sub)
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _with_null(data, path):
+    """data with the field at the dotted path set to JSON null."""
+    *parents, leaf = path.split(".")
+    node = data
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = None
+    return data
+
+
+@pytest.mark.parametrize(
+    "command, field, data",
+    [
+        ("cc-collinear", "tolerances.grad_tol", base_config()),
+        ("simulate", "tolerances.rel_tol", base_config(masses=[1.0, 1.0], initial_state=TWO_BODY)),
+        ("collision-flow", "tolerances.equilibrium_tol", base_config(options=CF_START)),
+        ("collision-flow", "options.tau_max", base_config(options=CF_START)),
+        ("simulate", "options.max_step", base_config(masses=[1.0, 1.0], initial_state=TWO_BODY)),
+        ("collision-flow", "options.start.v_sign", base_config(options=CF_START)),
+        ("collision-flow", "options.start.seed", base_config(options=CF_START)),
+        ("collision-flow", "options.start.perturbation_scale", base_config(options=CF_START)),
+    ],
+)
+def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, field, data):
+    data = _with_null(json.loads(json.dumps(data)), field)
+    code, _ = run(tmp_path, command, data)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert field.rsplit(".", 1)[-1] in err
+    assert "Traceback" not in err
 
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):

@@ -41,6 +41,7 @@ from qhnbody.model import (
     pack_phase,
     potential_U,
     pair_terms,
+    pair_terms_masked,
     potential_terms,
     total_momentum,
     unpack_phase,
@@ -429,3 +430,33 @@ def test_pair_kernel_matches_the_per_pair_loop(seed, n, d, a, gap, alpha, beta):
     h = hess_U_matrix(Configuration(r), ms, pp)
     ref = _hess_loop(r, ms.masses, pp)
     assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_batched_kernel_is_the_per_member_kernel(rng, d):
+    # per-member masses and positions: each member of the batch gets the
+    # values a single-configuration call gives it
+    n, size = 4, 5
+    masses = np.array([random_masses(rng, n).masses for _ in range(size)])
+    r = np.array([random_config(rng, n, dim=d) for _ in range(size)])
+    pp = PotentialParams(a=1.0, b=2.5, alpha=0.7, beta=1.3)
+    batch = pair_terms(r, masses, pp)
+    hess = hess_U_matrix(r, masses, pp)
+    assert batch.W.shape == (size,) and hess.shape == (size, n * d, n * d)
+    for k in range(size):
+        one = pair_terms(r[k], MassSystem(masses[k]), pp)
+        for got, want in zip(batch, one):
+            assert np.array_equal(got[k], want)
+        assert np.array_equal(hess[k], hess_U_matrix(r[k], MassSystem(masses[k]), pp))
+
+
+def test_masked_kernel_flags_a_colliding_member_only(rng):
+    masses = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
+    r = np.array([[[0.0], [1e-13], [1.0]], [[-1.0], [0.0], [1.0]]])
+    pp = PotentialParams(a=1.0, b=2.0)
+    with pytest.raises(CollisionError, match="batch member 0"):
+        pair_terms(r, masses, pp)
+    terms, collided = pair_terms_masked(r, masses, pp)
+    assert collided.tolist() == [True, False]
+    alone = pair_terms(r[1], MassSystem(masses[1]), pp)
+    assert terms.W[1] == alone.W and np.array_equal(terms.grad_V[1], alone.grad_V)
