@@ -188,7 +188,7 @@ class FRootResult:
 def cc_residual(config, ms, pp: PotentialParams, terms: PairTerms | None = None):
     """Multiplier sigma and sup-norm residual of dU = sigma dI at config.
 
-    A (B, n, d) batch, with masses as in pair_terms, gives two (B,)
+    A (B, n, d) batch with (B, n) masses gives two (B,)
     arrays.  terms, the pair kernel's values at config when the caller
     already has them, spare a second pass.
     """
@@ -232,10 +232,10 @@ def _metric_null_basis(constraints: np.ndarray, weights: np.ndarray) -> np.ndarr
     rank = int(ranks.max())
     if ranks.min() != rank:
         raise ValueError("constraint rank differs across the batch")
-    q = vt[..., rank:, :].mT
-    gram = q.mT @ (weights[..., :, None] * q)
+    q = vt[..., rank:, :].swapaxes(-1, -2)
+    gram = q.swapaxes(-1, -2) @ (weights[..., :, None] * q)
     chol = np.linalg.cholesky(gram)
-    return q @ np.linalg.inv(chol).mT
+    return q @ np.linalg.inv(chol).swapaxes(-1, -2)
 
 
 def tangent_basis(positions: np.ndarray, ms, inertia_I0: float) -> np.ndarray:
@@ -243,15 +243,13 @@ def tangent_basis(positions: np.ndarray, ms, inertia_I0: float) -> np.ndarray:
 
     The constraint set is {center of mass at origin, <r, r> = I0}; the
     basis is returned as a (n*d, K) matrix of flattened displacement
-    fields with K = n*d - d - 1.  A (B, n, d) batch, with masses as in
-    pair_terms, gives a (B, n*d, K) stack.
+    fields with K = n*d - d - 1.  A (B, n, d) batch with (B, n) masses
+    gives a (B, n*d, K) stack.
     """
     r = np.asarray(positions, dtype=float)
     n, d = r.shape[-2:]
     lead = r.shape[:-2]
     m = _mass_array(ms)
-    if m.shape != lead + (n,):
-        m = np.broadcast_to(m, lead + (n,))
     rows = np.zeros(lead + (d + 1, n * d))
     for ax in range(d):
         rows[..., ax, ax::d] = m
@@ -276,7 +274,7 @@ def _restricted_hessian_matrix(
     correction = (pp.a * w + pp.b * v) / inertia_I0
     hm = hess_U_matrix(r, ms, pp)
     k = basis.shape[-1]
-    return basis.mT @ hm @ basis + np.multiply.outer(correction, np.eye(k))
+    return basis.swapaxes(-1, -2) @ hm @ basis + np.multiply.outer(correction, np.eye(k))
 
 
 def _restricted_spectra(
@@ -389,7 +387,7 @@ def _newton_directions(
     """
     r1 = x[..., None]
     basis = tangent_basis(r1, m, inertia_I0)
-    g = (basis.mT @ (terms.grad_W + terms.grad_V))[..., 0]
+    g = (basis.swapaxes(-1, -2) @ (terms.grad_W + terms.grad_V))[..., 0]
     a_mat = _restricted_hessian_matrix(r1, m, pp, basis, inertia_I0, terms[:2])
     try:
         step = np.linalg.solve(a_mat, -g[..., None])[..., 0]
@@ -468,8 +466,8 @@ def solve_collinear_batch(
             converged[gone] = True
             final_x[gone], final_w[gone], final_v[gone] = x[done], terms.W[done], terms.V[done]
             drop(done)
-            if not ids.size:
-                break
+        if not ids.size:
+            break
 
         direction, slope, fallback = _newton_directions(x, m, pp, terms, inertia_I0)
         fallbacks[ids[fallback]] += 1
@@ -504,6 +502,8 @@ def solve_collinear_batch(
             for b in ids[searching]:
                 errors[b] = _stalled(members[b][0], float(res[b]))
             drop(searching)
+            if not ids.size:
+                break
     for b in ids:
         # the iteration budget ran out
         errors[b] = _stalled(members[b][0], float(res[b]))

@@ -235,10 +235,10 @@ class PairTerms(NamedTuple):
 def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
     """W, V, their gradients and the per-body force sums in one pass.
 
-    config is one (n, d) configuration, or a (B, n, d) batch with ms a
-    MassSystem shared by the batch or a (B, n) array of per-member
-    masses; a batch gives (B,) arrays for W and V.  Raises
-    CollisionError if any member collides.
+    config is one (n, d) configuration with ms a MassSystem, or a
+    (B, n, d) batch with ms a (B, n) array of per-member masses; a batch
+    gives (B,) arrays for W and V.  Raises CollisionError if any member
+    collides.
     """
     return _pair_terms(_positions(config), _mass_array(ms), pp, strict=True)[0]
 
@@ -326,7 +326,7 @@ def hess_U_matrix(config, ms, pp: PotentialParams) -> np.ndarray:
     Pair i < j adds B = sum over both terms of
     c * ((exp + 2) / d^2 * diff diff^T - 1), c = exp * coef * m_i m_j * d^(-exp-2),
     to the (i, i) and (j, j) blocks and -B to the (i, j) and (j, i) blocks.
-    A (B, n, d) batch, with masses as in pair_terms, gives (B, n*d, n*d).
+    A (B, n, d) batch with (B, n) masses gives (B, n*d, n*d).
     """
     r = _positions(config)
     n, d = r.shape[-2:]

@@ -224,6 +224,44 @@ def test_batch_raises_the_first_failure_in_input_order():
     assert batch_err.value.residual == one_err.value.residual
 
 
+def _poison_kernel(monkeypatch, bad_masses):
+    # trial steps of the members with these masses read as collisions
+    kernel = central_config.pair_terms_masked
+
+    def masked(r, m, pp):
+        terms, collided = kernel(r, m, pp)
+        return terms, collided | (m == bad_masses).all(axis=-1)
+
+    monkeypatch.setattr(central_config, "pair_terms_masked", masked)
+
+
+def test_a_line_search_that_rejects_every_trial_stalls(monkeypatch):
+    ms = MassSystem(np.linspace(1.0, 2.0, 4))
+    _poison_kernel(monkeypatch, ms.masses)
+    orderings = Ordering.all_canonical(4)
+    with pytest.raises(NoConvergenceError, match="stalled at residual") as one_err:
+        solve_collinear_ordering(orderings[0], CCQuery(ms=ms, pp=PP13))
+    with pytest.raises(NoConvergenceError, match="stalled at residual") as batch_err:
+        solve_collinear_batch([(o, ms) for o in orderings], PP13)
+    assert str(batch_err.value) == str(one_err.value)
+    assert batch_err.value.residual == one_err.value.residual
+
+
+def test_a_collision_rejects_the_colliding_member_only(monkeypatch):
+    good, bad = MassSystem(np.linspace(1.0, 2.0, 4)), MassSystem(np.linspace(2.0, 3.0, 4))
+    ordering = Ordering.identity(4)
+    clean = solve_collinear_ordering(ordering, CCQuery(ms=good, pp=PP13))
+    _poison_kernel(monkeypatch, bad.masses)
+    res = solve_collinear_ordering(ordering, CCQuery(ms=good, pp=PP13))
+    assert _counters(res) == _counters(clean)
+    with pytest.raises(NoConvergenceError) as one_err:
+        solve_collinear_ordering(ordering, CCQuery(ms=bad, pp=PP13))
+    with pytest.raises(NoConvergenceError) as batch_err:
+        solve_collinear_batch([(ordering, good), (ordering, bad)], PP13)
+    assert str(batch_err.value) == str(one_err.value)
+    assert batch_err.value.residual == one_err.value.residual
+
+
 def test_batch_members_must_share_the_body_count():
     members = [(Ordering.identity(3), MS123), (Ordering.identity(4), MassSystem(np.ones(4)))]
     with pytest.raises(ValueError):
