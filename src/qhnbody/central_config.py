@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -277,15 +277,6 @@ def _restricted_hessian_matrix(
     return basis.swapaxes(-1, -2) @ hm @ basis + np.multiply.outer(correction, np.eye(k))
 
 
-def _restricted_spectra(
-    x: np.ndarray, ms, pp: PotentialParams, inertia_I0: float, wv: tuple | None = None
-) -> np.ndarray:
-    """Eigenvalues of the restricted Hessian at x: (K,), or (B, K) for a batch."""
-    basis = tangent_basis(x, ms, inertia_I0)
-    a_mat = _restricted_hessian_matrix(x, ms, pp, basis, inertia_I0, wv)
-    return np.linalg.eigvalsh(a_mat)
-
-
 def count_modes(eigs: np.ndarray) -> tuple[int, int, float]:
     """(index, zero_modes, zero_tol) of a real spectrum.
 
@@ -309,32 +300,53 @@ def _as_line(r: np.ndarray) -> np.ndarray:
     return r[:, 0]
 
 
+def _restricted_spectrum(
+    x: np.ndarray, ms, pp: PotentialParams, inertia_I0: float, wv: tuple | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The restricted Hessian at x in its tangent basis and its eigenvalues.
+
+    (K, K) and (K,), or (B, K, K) and (B, K) for a batch.
+    """
+    basis = tangent_basis(x, ms, inertia_I0)
+    a_mat = _restricted_hessian_matrix(x, ms, pp, basis, inertia_I0, wv)
+    return a_mat, np.linalg.eigvalsh(a_mat)
+
+
+def restricted_hessian(
+    config, ms: MassSystem, pp: PotentialParams, ambient: str = "planar", inertia_I0: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hessian of U restricted to the sphere <r, r> = I0, and its eigenvalues.
+
+    The matrix is basis^T (Hess U + (a W + b V) / I0 * M) basis over the
+    mass-orthonormal tangent_basis of the centered sphere.  The ambient
+    "collinear" works on the line (the configuration must lie on the
+    x-axis), "planar" in the plane (an n x 1 shape goes onto the
+    x-axis).  Raises NotOnSphereError when <r, r> misses I0 by more
+    than 1e-9 * I0, and ValueError for any other ambient.
+    """
+    inertia = moment_of_inertia(config, ms)
+    if abs(inertia - inertia_I0) > _SPHERE_TOL * inertia_I0:
+        raise NotOnSphereError(f"<r, r> = {inertia!r}, expected {inertia_I0!r}")
+    r = lift_to_plane(config)
+    if ambient == "collinear":
+        r = _as_line(r)[:, None]
+    elif ambient != "planar":
+        raise ValueError(f"unknown ambient {ambient!r}")
+    return _restricted_spectrum(r, ms, pp, inertia_I0)
+
+
 def cc_index(
-    config,
-    ms: MassSystem,
-    pp: PotentialParams,
-    ambient: str = "planar",
-    inertia_I0: float = 1.0,
+    config, ms: MassSystem, pp: PotentialParams, ambient: str = "planar", inertia_I0: float = 1.0
 ) -> IndexReport:
     """Morse data of U restricted to the sphere at a central configuration.
 
-    The index counts strictly negative eigenvalues of the restricted
-    Hessian, with eigenvalues below zero_tol = 1e-8 * max |eig| in
-    magnitude classified as zero modes.  The planar ambient must show
-    exactly the one rotational zero mode; the collinear ambient none.
-    Anything else raises ToleranceError (a degenerate CC).
+    The index counts strictly negative eigenvalues of restricted_hessian,
+    with eigenvalues below zero_tol = 1e-8 * max |eig| in magnitude
+    classified as zero modes.  The planar ambient must show exactly the
+    one rotational zero mode; the collinear ambient none.  Anything else
+    raises ToleranceError (a degenerate CC).
     """
-    r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
-    inertia = moment_of_inertia(r, ms)
-    if abs(inertia - inertia_I0) > _SPHERE_TOL * inertia_I0:
-        raise NotOnSphereError(f"<r, r> = {inertia!r}, expected {inertia_I0!r}")
-    if ambient == "collinear":
-        x = _as_line(r)[:, None]
-    elif ambient == "planar":
-        x = lift_to_plane(r if r.shape[1] == 2 else _as_line(r)[:, None])
-    else:
-        raise ValueError(f"unknown ambient {ambient!r}")
-    return _index_report(_restricted_spectra(x, ms, pp, inertia_I0), ambient)
+    return _index_report(restricted_hessian(config, ms, pp, ambient, inertia_I0)[1], ambient)
 
 
 def _index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
@@ -513,7 +525,7 @@ def solve_collinear_batch(
     if done.size:
         final = final_x[done][..., None]
         wv = (final_w[done], final_v[done])
-        eigs = _restricted_spectra(final, masses[done], pp, inertia_I0, wv)
+        eigs = _restricted_spectrum(final, masses[done], pp, inertia_I0, wv)[1]
     for k, b in enumerate(done):
         try:
             report = _index_report(eigs[k], "collinear")
@@ -594,6 +606,23 @@ def equilateral_side(ms: MassSystem, inertia_I0: float = 1.0) -> float:
     return float(np.sqrt(inertia_I0 * ms.total_mass / pair_sum))
 
 
+def equilateral_result(
+    config: Configuration, ms: MassSystem, pp: PotentialParams, inertia_I0: float = 1.0
+) -> CCResult:
+    """An equilateral triangle as a CCResult: its CC residual and planar index."""
+    sigma, res = cc_residual(config, ms, pp)
+    report = cc_index(config, ms, pp, ambient="planar", inertia_I0=inertia_I0)
+    return CCResult(
+        config=config,
+        kind="equilateral",
+        sigma=sigma,
+        residual=res,
+        index=report.index,
+        hess_eigs=report.eigenvalues,
+        inertia_I0=inertia_I0,
+    )
+
+
 def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
     """The two equilateral central configurations for three bodies, a = 1.
 
@@ -608,26 +637,13 @@ def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
         raise DegenerateTermError("equilateral_cc needs alpha > 0")
     out = []
     for config in equilateral_configuration(q.ms, q.inertia_I0):
-        sigma, res = cc_residual(config, q.ms, q.pp)
-        if res > max(q.grad_tol, 1e-12) * max(1.0, abs(sigma)):
+        cc = equilateral_result(config, q.ms, q.pp, q.inertia_I0)
+        if cc.residual > max(q.grad_tol, 1e-12) * max(1.0, abs(cc.sigma)):
             raise NoConvergenceError(
-                f"equilateral construction has residual {res:.3e}", residual=res
+                f"equilateral construction has residual {cc.residual:.3e}", residual=cc.residual
             )
         sim = simultaneous_residual(config, q.ms, q.pp)
-        report = cc_index(config, q.ms, q.pp, ambient="planar", inertia_I0=q.inertia_I0)
-        out.append(
-            CCResult(
-                config=config,
-                kind="equilateral",
-                sigma=sigma,
-                residual=res,
-                index=report.index,
-                hess_eigs=report.eigenvalues,
-                inertia_I0=q.inertia_I0,
-                sigma1=sim.sigma1,
-                sigma2=sim.sigma2,
-            )
-        )
+        out.append(replace(cc, sigma1=sim.sigma1, sigma2=sim.sigma2))
     return out[0], out[1]
 
 

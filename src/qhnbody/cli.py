@@ -89,11 +89,19 @@ class ConfigError(ValueError):
 
 
 def _number(value, what: str, kind=float):
-    """value as a float (or int), or a ConfigError naming the field."""
+    """value as a float, or as an int when kind is int; else a ConfigError naming the field.
+
+    An int field takes integral values only: 3.0 reads as 3, 2.9 is rejected.
+    """
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what} must be a number, got {value!r}") from None
+    if kind is float:
+        return x
+    if not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value) if isinstance(value, int) else int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +229,7 @@ class RunConfig:
             raise ConfigError(f"inertia_I0 must be positive, got {inertia!r}")
         energy_h = raw.get("energy_h")
         if energy_h is not None:
-            energy_h = float(energy_h)
+            energy_h = _number(energy_h, "energy_h")
             if not np.isfinite(energy_h):
                 raise ConfigError("energy_h must be finite")
         initial_state = raw.get("initial_state")
@@ -306,8 +314,8 @@ def _as_state_array(value, n: int, what: str) -> np.ndarray:
 
 
 def _read_csv_row(cfg: RunConfig, spec: dict) -> tuple[float, PhaseState]:
-    if "path" not in spec:
-        raise ConfigError("csv initial_state needs a path")
+    if not isinstance(spec.get("path"), str):
+        raise ConfigError(f"csv initial_state.path must be a string, got {spec.get('path')!r}")
     path = Path(spec["path"])
     if not path.is_absolute():
         path = cfg.base_dir / path
@@ -483,13 +491,14 @@ def _mass_grid(cfg: RunConfig):
     if cfg.ms.n != 3:
         raise ConfigError("mass_grid sweeps need exactly 3 masses")
     try:
-        lo1, hi1 = (float(x) for x in grid["m1"])
-        lo2, hi2 = (float(x) for x in grid["m2"])
-        m3 = float(grid.get("m3", 1.0))
-        points = int(grid.get("points", 11))
+        (lo1, hi1), (lo2, hi2) = grid["m1"], grid["m2"]
         perm = grid.get("ordering", (1, 2, 3))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid mass_grid: {exc}") from None
+    lo1, hi1 = (_number(x, "options.mass_grid.m1") for x in (lo1, hi1))
+    lo2, hi2 = (_number(x, "options.mass_grid.m2") for x in (lo2, hi2))
+    m3 = _number(grid.get("m3", 1.0), "options.mass_grid.m3")
+    points = _number(grid.get("points", 11), "options.mass_grid.points", int)
     if points < 2 or min(lo1, hi1, lo2, hi2, m3) <= 0.0:
         raise ConfigError("mass_grid needs points >= 2 and positive masses")
     ordering = _ordering_arg(perm, 3)

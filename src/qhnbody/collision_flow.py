@@ -21,15 +21,13 @@ from .central_config import (
     _ZERO_TOL_FACTOR,
     CCResult,
     Ordering,
-    _as_line,
-    _restricted_hessian_matrix,
-    cc_index,
     cc_residual,
     count_modes,
     equilateral_configuration,
+    equilateral_result,
     euler_collinear_batch,
     euler_collinear_homogeneous,
-    tangent_basis,
+    restricted_hessian,
 )
 from .errors import (
     DegenerateError,
@@ -52,7 +50,6 @@ from .model import (
     _pair_index,
     lift_to_plane,
     mass_inner,
-    moment_of_inertia,
     pair_terms,
     potential_V,
 )
@@ -142,26 +139,14 @@ def eigen_closed_form(lam, v: float, b: float) -> np.ndarray:
 
 def _shape_spectrum(s0: Configuration, ms: MassSystem, pp: PotentialParams,
                     ambient: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Restricted Hessian A of the b-term on the shape sphere.
+    """Restricted Hessian A of the b-term on the unit shape sphere.
 
     Returns (A, its eigenvalues, their zero tolerance).  Raises
-    DegenerateError unless A has exactly the expected zero modes: one
-    rotation in the planar ambient, none in the collinear one.
+    NotOnSphereError unless <s0, s0> = 1, and DegenerateError unless A
+    has exactly the expected zero modes: one rotation in the planar
+    ambient, none in the collinear one.
     """
-    r = s0.positions
-    inertia = moment_of_inertia(r, ms)
-    if abs(inertia - 1.0) > 1e-9:
-        raise ValueError(f"shape must be on the unit sphere, <s,s> = {inertia!r}")
-    if ambient == "collinear":
-        x = _as_line(r)[:, None]
-    elif ambient == "planar":
-        x = lift_to_plane(r)
-    else:
-        raise ValueError(f"unknown ambient {ambient!r}")
-    ppb = _pure_b(pp)
-    basis = tangent_basis(x, ms, 1.0)
-    a_mat = _restricted_hessian_matrix(x, ms, ppb, basis, 1.0)
-    lam = np.linalg.eigvalsh(a_mat)
+    a_mat, lam = restricted_hessian(s0, ms, _pure_b(pp), ambient, 1.0)
     _, zeros, zero_tol = count_modes(lam)
     expected = 1 if ambient == "planar" else 0
     if zeros != expected:
@@ -257,8 +242,8 @@ def find_equilibria(
 
     ccs_of_V must be central configurations of the b-term alone on the
     unit sphere (alpha = 0 solves).  Each shape is verified against the
-    equilibrium condition b V(s0) M s0 + grad V(s0) = 0 before its
-    reports are built.
+    equilibrium condition b V(s0) M s0 + grad V(s0) = 0, the cc_residual
+    of the b-term on the unit sphere, before its reports are built.
     """
     pp.require_manev()
     if pp.b <= 2.0:
@@ -266,18 +251,16 @@ def find_equilibria(
     ppb = _pure_b(pp)
     out = []
     for cc in ccs_of_V:
-        r = lift_to_plane(cc.config)
-        s0 = Configuration(r)
-        _, v_pot, _, grad_v, _ = pair_terms(s0, ms, ppb)
-        defect_vec = pp.b * v_pot * ms.masses[:, None] * r + grad_v
-        defect = float(np.abs(defect_vec).max())
-        scale = max(1.0, pp.b * v_pot)
+        s0 = Configuration(lift_to_plane(cc.config))
+        terms = pair_terms(s0, ms, ppb)
+        _, defect = cc_residual(s0, ms, ppb, terms)
+        scale = max(1.0, pp.b * terms.V)
         if defect > tol * scale:
             raise OffManifoldError(
                 f"shape is not a CC of the b-term: defect {defect:.3e}"
             )
         ambient = "collinear" if cc.kind == "collinear" else "planar"
-        v_star = float(np.sqrt(2.0 * v_pot))
+        v_star = float(np.sqrt(2.0 * terms.V))
         for sign in (+1, -1):
             v0 = sign * v_star
             _, spectrum, lam = linearize_at_equilibrium(s0, v0, ms, pp, ambient)
@@ -410,18 +393,7 @@ def pure_b_cc(
     """
     if kind == "equilateral":
         ppb = PotentialParams(a=0.0, b=b, alpha=0.0, beta=1.0)
-        config = equilateral_configuration(ms, 1.0)[0]
-        sigma, res = cc_residual(config, ms, ppb)
-        report = cc_index(config, ms, ppb, ambient="planar", inertia_I0=1.0)
-        return CCResult(
-            config=config,
-            kind="equilateral",
-            sigma=sigma,
-            residual=res,
-            index=report.index,
-            hess_eigs=report.eigenvalues,
-            inertia_I0=1.0,
-        )
+        return equilateral_result(equilateral_configuration(ms, 1.0)[0], ms, ppb, 1.0)
     if kind == "collinear":
         if ordering is None:
             raise ValueError("a collinear case needs an ordering")

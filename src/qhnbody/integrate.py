@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateStateError, FieldError, QHError, StiffnessError
+from .errors import FieldError, QHError, StiffnessError
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
@@ -142,33 +142,6 @@ def _initial_step(field_fn, t0, y0, f0, t1, rel_tol, abs_tol, max_step):
     return min(100 * h0, h1, abs(t1 - t0), max_step)
 
 
-def renormalize_mcgehee(s: np.ndarray, u: np.ndarray, masses: np.ndarray):
-    """Project (s, u) back onto the unit mass sphere and its tangent space.
-
-    s is recentered (mass-weighted mean removed) and rescaled so
-    s^T M s = 1; u has its net sum removed in mass proportion and its
-    M s component removed so sum u = 0 and u . s = 0.  The centering
-    matters: the zero-momentum submanifold is invariant under the
-    blown-up flow but exponentially unstable near its equilibria, so
-    rounding errors in the translation modes grow until they swamp long
-    integrations unless they are projected away each step.  Idempotent
-    up to rounding.  Raises DegenerateStateError when s^T M s is not
-    strictly positive and finite.
-    """
-    s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
-    m = np.asarray(masses, dtype=float)[:, None]
-    mtot = float(m.sum())
-    s = s - (m * s).sum(axis=0) / mtot
-    c2 = float(np.sum(m * s * s))
-    if not np.isfinite(c2) or c2 <= 0.0:
-        raise DegenerateStateError(f"s^T M s = {c2!r}, cannot renormalize")
-    s_out = s / np.sqrt(c2)
-    u = u - m * (u.sum(axis=0) / mtot)
-    u_out = u - float(np.sum(u * s_out)) * (m * s_out)
-    return s_out, u_out
-
-
 def _locate_event(ev: Event, seg: _Segment, ta, ga, tb, gb):
     """Bisect the dense output for the crossing time of one event."""
     lo, glo, hi = ta, ga, tb
@@ -203,7 +176,6 @@ def integrate(
     renormalizer=None,
     monitors=None,
     max_step: float = np.inf,
-    first_step: float | None = None,
 ) -> Trajectory:
     """Integrate y' = field_fn(t, y) over span = (t0, t1), t1 > t0.
 
@@ -235,10 +207,7 @@ def integrate(
     except Exception as exc:
         raise FieldError(f"field evaluation failed at t = {t0!r}: {exc}") from exc
 
-    h = first_step if first_step is not None else _initial_step(
-        field_fn, t0, y, f, t1, rel_tol, abs_tol, max_step
-    )
-    h = min(h, t1 - t0, max_step)
+    h = _initial_step(field_fn, t0, y, f, t1, rel_tol, abs_tol, max_step)
 
     t = t0
     times = [t]

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import integrate as _integrate
-from .errors import ZeroSizeError
+from .errors import DegenerateStateError, ZeroSizeError
 from .model import (
     Configuration,
     MassSystem,
@@ -229,6 +228,33 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     return field
 
 
+def renormalize_mcgehee(s: np.ndarray, u: np.ndarray, masses: np.ndarray):
+    """Project (s, u) back onto the unit mass sphere and its tangent space.
+
+    s is recentered (mass-weighted mean removed) and rescaled so
+    s^T M s = 1; u has its net sum removed in mass proportion and its
+    M s component removed so sum u = 0 and u . s = 0.  The centering
+    matters: the zero-momentum submanifold is invariant under the
+    blown-up flow but exponentially unstable near its equilibria, so
+    rounding errors in the translation modes grow until they swamp long
+    integrations unless they are projected away each step.  Idempotent
+    up to rounding.  Raises DegenerateStateError when s^T M s is not
+    strictly positive and finite.
+    """
+    s = np.asarray(s, dtype=float)
+    u = np.asarray(u, dtype=float)
+    m = np.asarray(masses, dtype=float)[:, None]
+    mtot = float(m.sum())
+    s = s - (m * s).sum(axis=0) / mtot
+    c2 = float(np.sum(m * s * s))
+    if not np.isfinite(c2) or c2 <= 0.0:
+        raise DegenerateStateError(f"s^T M s = {c2!r}, cannot renormalize")
+    s_out = s / np.sqrt(c2)
+    u = u - m * (u.sum(axis=0) / mtot)
+    u_out = u - float(np.sum(u * s_out)) * (m * s_out)
+    return s_out, u_out
+
+
 def mcgehee_renormalizer(ms: MassSystem, dim: int = 2):
     """Per-step projection keeping s centered on the sphere, u tangent."""
     n = ms.n
@@ -237,7 +263,7 @@ def mcgehee_renormalizer(ms: MassSystem, dim: int = 2):
     def renorm(y):
         s = y[2 : 2 + sz].reshape(n, dim)
         u = y[2 + sz : 2 + 2 * sz].reshape(n, dim)
-        s2, u2 = _integrate.renormalize_mcgehee(s, u, ms.masses)
+        s2, u2 = renormalize_mcgehee(s, u, ms.masses)
         out = y.copy()
         out[2 : 2 + sz] = s2.ravel()
         out[2 + sz : 2 + 2 * sz] = u2.ravel()

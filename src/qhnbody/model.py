@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CollisionError, ManevOnlyError, NotOnSphereError
+from .errors import CollisionError, ManevOnlyError
 
 # Pairwise distances below GUARD_FACTOR * sqrt(I / total_mass) count as a
 # collision; evaluating any potential quantity there raises CollisionError.
@@ -309,17 +309,6 @@ def grad_U(config, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
     return t.grad_W + t.grad_V
 
 
-def d_U(config, ms: MassSystem, pp: PotentialParams, v) -> float:
-    """Directional derivative DU(r)(v) for a displacement field v."""
-    return float(np.sum(grad_U(config, ms, pp) * np.asarray(v, dtype=float)))
-
-
-def hess_U(config, ms: MassSystem, pp: PotentialParams, v, w) -> float:
-    """Second derivative D^2 U(r)(v, w) for (n, d) displacement fields v, w."""
-    v = np.asarray(v, dtype=float).ravel()
-    return float(v @ hess_U_matrix(config, ms, pp) @ np.asarray(w, dtype=float).ravel())
-
-
 def hess_U_matrix(config, ms, pp: PotentialParams) -> np.ndarray:
     """Dense (n*d, n*d) Hessian of U in row-major body-then-axis layout.
 
@@ -345,32 +334,6 @@ def hess_U_matrix(config, ms, pp: PotentialParams) -> np.ndarray:
     body = np.arange(n)
     h[..., body, body, :, :] = -h.sum(axis=-3)
     return h.swapaxes(-3, -2).reshape(lead + (n * d, n * d))
-
-
-def hess_U_restricted(
-    config,
-    ms: MassSystem,
-    pp: PotentialParams,
-    v,
-    w,
-    inertia_I0: float = 1.0,
-    tol: float = 1e-9,
-) -> float:
-    """Hessian of U restricted to the sphere <r, r> = I0, as a bilinear form.
-
-    The restriction adds (a W + b V) / I0 times the mass inner product to
-    the ambient Hessian.  The configuration must lie on the sphere within
-    tol * I0, otherwise NotOnSphereError is raised.
-    """
-    r = _positions(config)
-    inertia = moment_of_inertia(r, ms)
-    if abs(inertia - inertia_I0) > tol * inertia_I0:
-        raise NotOnSphereError(
-            f"<r, r> = {inertia!r} but sphere has I0 = {inertia_I0!r}"
-        )
-    w_val, v_val = potential_terms(r, ms, pp)
-    correction = (pp.a * w_val + pp.b * v_val) / inertia_I0
-    return hess_U(r, ms, pp, v, w) + correction * mass_inner(v, w, ms)
 
 
 def kinetic_energy(state: PhaseState, ms: MassSystem) -> float:

@@ -512,31 +512,46 @@ def test_config_schema_and_key_validation(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
-def _with_null(data, path):
-    """data with the field at the dotted path set to JSON null."""
+def _case(command, path, data, value=None):
+    """(command, path, a copy of data with the field at the dotted path set to value)."""
+    data = json.loads(json.dumps(data))
     *parents, leaf = path.split(".")
     node = data
     for key in parents:
         node = node.setdefault(key, {})
-    node[leaf] = None
-    return data
+    node[leaf] = value
+    return command, path, data
 
 
+SIM = base_config(masses=[1.0, 1.0], initial_state=TWO_BODY)
+FLOW = base_config(options=CF_START)
+GRID = base_config(options={"mass_grid": {"m1": [0.5, 1.5], "m2": [0.5, 1.5]}})
+CSV_STATE = base_config(masses=[1.0, 1.0], initial_state={"kind": "csv", "path": "state.csv"})
+
+
+# a JSON null, then a non-integral value in an integer field, then a value
+# of the wrong type: each exits 2 with a message naming the field
 @pytest.mark.parametrize(
     "command, field, data",
     [
-        ("cc-collinear", "tolerances.grad_tol", base_config()),
-        ("simulate", "tolerances.rel_tol", base_config(masses=[1.0, 1.0], initial_state=TWO_BODY)),
-        ("collision-flow", "tolerances.equilibrium_tol", base_config(options=CF_START)),
-        ("collision-flow", "options.tau_max", base_config(options=CF_START)),
-        ("simulate", "options.max_step", base_config(masses=[1.0, 1.0], initial_state=TWO_BODY)),
-        ("collision-flow", "options.start.v_sign", base_config(options=CF_START)),
-        ("collision-flow", "options.start.seed", base_config(options=CF_START)),
-        ("collision-flow", "options.start.perturbation_scale", base_config(options=CF_START)),
+        _case("cc-collinear", "tolerances.grad_tol", base_config()),
+        _case("simulate", "tolerances.rel_tol", SIM),
+        _case("collision-flow", "tolerances.equilibrium_tol", FLOW),
+        _case("collision-flow", "options.tau_max", FLOW),
+        _case("simulate", "options.max_step", SIM),
+        _case("collision-flow", "options.start.v_sign", FLOW),
+        _case("collision-flow", "options.start.seed", FLOW),
+        _case("collision-flow", "options.start.perturbation_scale", FLOW),
+        _case("collision-flow", "options.start.v_sign", FLOW, -1.7),
+        _case("collision-flow", "options.start.seed", FLOW, 2.9),
+        _case("simultaneous", "options.mass_grid.points", GRID, 2.9),
+        _case("simultaneous", "options.mass_grid.m1", GRID, [None, 1.5]),
+        _case("simultaneous", "options.mass_grid.m3", GRID, [1.0]),
+        _case("cc-collinear", "energy_h", base_config(), [1.0]),
+        _case("simulate", "initial_state.path", CSV_STATE, 123),
     ],
 )
 def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, field, data):
-    data = _with_null(json.loads(json.dumps(data)), field)
     code, _ = run(tmp_path, command, data)
     assert code == 2
     err = capsys.readouterr().err

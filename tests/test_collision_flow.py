@@ -26,7 +26,13 @@ from qhnbody.collision_flow import (
     pure_b_catalog,
     transversality_necessary,
 )
-from qhnbody.errors import DegenerateError, ManevOnlyError, MismatchError, OffManifoldError
+from qhnbody.errors import (
+    DegenerateError,
+    ManevOnlyError,
+    MismatchError,
+    NotOnSphereError,
+    OffManifoldError,
+)
 from qhnbody.mcgehee import (
     McGeheeState,
     collision_manifold_residual,
@@ -362,6 +368,15 @@ def test_transversality_rejects_a_shape_that_is_not_central():
     s0 = Configuration(r / np.sqrt(mass_inner(r, r, MS)))
     with pytest.raises(DegenerateError):
         transversality_necessary(s0, MS, PP)
+
+
+def test_spectra_reject_a_shape_off_the_unit_sphere():
+    config, _ = equilateral_configuration(MS)
+    off = Configuration(1.1 * config.positions)
+    with pytest.raises(NotOnSphereError):
+        linearize_at_equilibrium(off, -1.0, MS, PP)
+    with pytest.raises(NotOnSphereError):
+        transversality_necessary(off, MS, PP)
 
 
 # ---------------------------------------------------------------------------

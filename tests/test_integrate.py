@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import circular_two_body
 from qhnbody.errors import DegenerateStateError, FieldError, StiffnessError
-from qhnbody.integrate import Event, Trajectory, integrate, renormalize_mcgehee
+from qhnbody.integrate import Event, Trajectory, integrate
+from qhnbody.mcgehee import renormalize_mcgehee
 from qhnbody.model import (
     MassSystem,
     PotentialParams,

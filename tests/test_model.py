@@ -17,6 +17,7 @@ from conftest import (
     random_config,
     random_masses,
 )
+from qhnbody.central_config import restricted_hessian, tangent_basis
 from qhnbody.errors import CollisionError, NotOnSphereError
 from qhnbody.model import (
     Configuration,
@@ -27,14 +28,11 @@ from qhnbody.model import (
     cartesian_field,
     center_of_mass,
     centered,
-    d_U,
     grad_U,
     grad_V,
     grad_W,
     hamiltonian,
-    hess_U,
     hess_U_matrix,
-    hess_U_restricted,
     kinetic_energy,
     mass_inner,
     moment_of_inertia,
@@ -184,27 +182,15 @@ def test_hessian_matches_finite_differences(pp, rng):
         config = Configuration(r)
         vdir = rng.standard_normal(r.shape)
         wdir = rng.standard_normal(r.shape)
-        h_vw = hess_U(config, ms, pp, vdir, wdir)
+        hm = hess_U_matrix(config, ms, pp)
+        assert np.allclose(hm, hm.T, atol=1e-12)
+        h_vw = float(vdir.ravel() @ hm @ wdir.ravel())
         # directional derivative of the gradient along wdir
         eps = 1e-6
         gp = grad_U(Configuration(r + eps * wdir), ms, pp)
         gm = grad_U(Configuration(r - eps * wdir), ms, pp)
         fd = float(np.sum(vdir * (gp - gm) / (2.0 * eps)))
         assert abs(h_vw - fd) < 1e-5 * max(1.0, abs(h_vw))
-
-
-def test_hessian_matrix_agrees_with_bilinear_form(rng):
-    ms = random_masses(rng, 3)
-    pp = PotentialParams(a=1.0, b=3.0)
-    r = random_config(rng, 3)
-    config = Configuration(r)
-    hm = hess_U_matrix(config, ms, pp)
-    assert np.allclose(hm, hm.T, atol=1e-12)
-    for _ in range(4):
-        vdir = rng.standard_normal(r.shape)
-        wdir = rng.standard_normal(r.shape)
-        quad = float(vdir.ravel() @ hm @ wdir.ravel())
-        assert np.isclose(quad, hess_U(config, ms, pp, vdir, wdir), rtol=1e-11)
 
 
 def test_restricted_hessian_is_the_geodesic_second_derivative(rng):
@@ -216,7 +202,8 @@ def test_restricted_hessian_is_the_geodesic_second_derivative(rng):
     inertia = mass_inner(r, r, ms)
     config = Configuration(r)
     v = rng.standard_normal(r.shape)
-    v -= (mass_inner(v, r, ms) / inertia) * r  # tangent to the sphere
+    v -= center_of_mass(v, ms)  # tangent to the centered sphere
+    v -= (mass_inner(v, r, ms) / inertia) * r
 
     def on_sphere(t):
         x = r + t * v
@@ -224,7 +211,10 @@ def test_restricted_hessian_is_the_geodesic_second_derivative(rng):
         return potential_U(Configuration(x), ms, pp)
 
     second = fd_directional_second(lambda x: on_sphere(x), 0.0, 1.0, h=1e-4)
-    restricted = hess_U_restricted(config, ms, pp, v, v, inertia_I0=inertia)
+    a_mat, _ = restricted_hessian(config, ms, pp, inertia_I0=inertia)
+    # coordinates of v in the mass-orthonormal tangent basis
+    coords = tangent_basis(r, ms, inertia).T @ (np.repeat(ms.masses, 2) * v.ravel())
+    restricted = float(coords @ a_mat @ coords)
     assert abs(second - restricted) < 1e-5 * max(1.0, abs(restricted))
 
 
@@ -232,9 +222,8 @@ def test_restricted_hessian_rejects_off_sphere_points(rng):
     ms = random_masses(rng, 3)
     pp = PotentialParams(a=1.0, b=2.0)
     r = centered(random_config(rng, 3), ms)
-    v = rng.standard_normal(r.shape)
     with pytest.raises(NotOnSphereError):
-        hess_U_restricted(Configuration(r), ms, pp, v, v, inertia_I0=123.0)
+        restricted_hessian(Configuration(r), ms, pp, inertia_I0=123.0)
 
 
 def test_collision_guard():
@@ -350,15 +339,6 @@ def test_two_body_potential_properties(m1, m2, d, a, gap):
     u_near = potential_U(near, ms, pp)
     u_far = potential_U(far, ms, pp)
     assert u_near > u_far > 0.0
-
-
-def test_d_U_pairs_gradient_with_direction(rng):
-    ms = random_masses(rng, 3)
-    pp = PotentialParams(a=1.0, b=2.0)
-    r = random_config(rng, 3)
-    v = rng.standard_normal(r.shape)
-    expected = float(np.sum(grad_U(Configuration(r), ms, pp) * v))
-    assert np.isclose(d_U(Configuration(r), ms, pp, v), expected, rtol=1e-14)
 
 
 def _pair_loop(r, masses, pp):
