@@ -312,6 +312,13 @@ def _restricted_spectrum(
     return a_mat, np.linalg.eigvalsh(a_mat)
 
 
+def require_on_sphere(config, ms: MassSystem, inertia_I0: float = 1.0) -> None:
+    """Raise NotOnSphereError unless <r, r> is within 1e-9 * I0 of I0."""
+    inertia = moment_of_inertia(config, ms)
+    if abs(inertia - inertia_I0) > _SPHERE_TOL * inertia_I0:
+        raise NotOnSphereError(f"<r, r> = {inertia!r}, expected {inertia_I0!r}")
+
+
 def restricted_hessian(
     config, ms: MassSystem, pp: PotentialParams, ambient: str = "planar", inertia_I0: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -321,12 +328,10 @@ def restricted_hessian(
     mass-orthonormal tangent_basis of the centered sphere.  The ambient
     "collinear" works on the line (the configuration must lie on the
     x-axis), "planar" in the plane (an n x 1 shape goes onto the
-    x-axis).  Raises NotOnSphereError when <r, r> misses I0 by more
-    than 1e-9 * I0, and ValueError for any other ambient.
+    x-axis).  Raises NotOnSphereError off the sphere (require_on_sphere)
+    and ValueError for any other ambient.
     """
-    inertia = moment_of_inertia(config, ms)
-    if abs(inertia - inertia_I0) > _SPHERE_TOL * inertia_I0:
-        raise NotOnSphereError(f"<r, r> = {inertia!r}, expected {inertia_I0!r}")
+    require_on_sphere(config, ms, inertia_I0)
     r = lift_to_plane(config)
     if ambient == "collinear":
         r = _as_line(r)[:, None]

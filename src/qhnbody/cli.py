@@ -49,7 +49,7 @@ from .collision_flow import (
     pure_b_cc,
     transversality_necessary,
 )
-from .errors import DegenerateError, ManevOnlyError, QHError
+from .errors import DegenerateError, ManevOnlyError, QHError, StiffnessError
 from .homothetic import heteroclinic_orbit
 from .mcgehee import McGeheeState, from_mcgehee, unpack_mcgehee
 from .model import (
@@ -58,8 +58,10 @@ from .model import (
     PhaseState,
     PotentialParams,
     angular_momentum,
+    angular_momentum_series,
     cartesian_field,
     centered,
+    energy_series,
     hamiltonian,
     lift_to_plane,
     mass_inner,
@@ -625,21 +627,32 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     l0 = angular_momentum(state, ms)
     field_fn = cartesian_field(ms, pp, dim)
 
-    def energy_res(t, y):
-        return abs(hamiltonian(unpack_phase(y, n, dim), ms, pp) - h0)
+    # each monitor runs once on the whole accepted grid: (N, n, d) arrays
+    def energy_res(times, states):
+        r, p = states.reshape(-1, 2, n, dim).swapaxes(0, 1)
+        return np.abs(energy_series(r, p, ms, pp) - h0)
 
-    def angmom_res(t, y):
-        return abs(angular_momentum(unpack_phase(y, n, dim), ms) - l0)
+    def angmom_res(times, states):
+        r, p = states.reshape(-1, 2, n, dim).swapaxes(0, 1)
+        return np.abs(angular_momentum_series(r, p) - l0)
 
-    tr = integrate(
-        field_fn,
-        pack_phase(state),
-        (t0, t1),
-        rel_tol=cfg.tol("rel_tol", 1e-10),
-        abs_tol=cfg.tol("abs_tol", 1e-12),
-        monitors={"energy": energy_res, "angular_momentum": angmom_res},
-        max_step=_number(cfg.opt("max_step", np.inf), "options.max_step"),
-    )
+    try:
+        tr = integrate(
+            field_fn,
+            pack_phase(state),
+            (t0, t1),
+            rel_tol=cfg.tol("rel_tol", 1e-10),
+            abs_tol=cfg.tol("abs_tol", 1e-12),
+            monitors={"energy": energy_res, "angular_momentum": angmom_res},
+            max_step=_number(cfg.opt("max_step", np.inf), "options.max_step"),
+        )
+    except StiffnessError as exc:
+        sep = min_separation(exc.state[: n * dim].reshape(n, dim))
+        raise StiffnessError(
+            f"{exc}; minimum pairwise separation {sep:.3e} at the last accepted state",
+            exc.t,
+            exc.state,
+        ) from exc
     header = ["t"] + _state_columns(n, dim) + ["energy_residual", "angmom_residual"]
     rows = [
         [tr.times[k], *tr.states[k], tr.conserved_residuals["energy"][k],

@@ -38,10 +38,10 @@ from .integrate import Event, Trajectory, integrate
 from .mcgehee import (
     McGeheeState,
     collision_manifold_residual,
+    manifold_residual_series,
     mcgehee_field,
     mcgehee_renormalizer,
     pack_mcgehee,
-    unpack_mcgehee,
 )
 from .model import (
     Configuration,
@@ -347,7 +347,11 @@ def integrate_on_C(
     sz = n * dim
 
     def settle(t, y):
+        # integrate reads only the sign of g, which is the sign of
+        # u_norm - tol while u_norm > tol: the field is needed only below
         u_norm = float(np.abs(y[2 + sz :]).max())
+        if u_norm > equilibrium_tol:
+            return u_norm - equilibrium_tol
         f_norm = float(np.abs(field(t, y)).max())
         return max(u_norm, f_norm) - equilibrium_tol
 
@@ -358,12 +362,13 @@ def integrate_on_C(
         Event("equilibrium", settle, direction=-1, terminal=True),
         Event("separation", separation, direction=-1, terminal=True),
     ]
-    monitors = {
-        "manifold": lambda t, y: collision_manifold_residual(
-            unpack_mcgehee(y, n, dim), ms, pp
-        ),
-        "v": lambda t, y: float(y[1]),
-    }
+
+    def manifold(times, states):
+        shape = (len(states), n, dim)
+        s, u = states[:, 2 : 2 + sz].reshape(shape), states[:, 2 + sz :].reshape(shape)
+        return manifold_residual_series(states[:, 1], s, u, ms, pp)
+
+    monitors = {"manifold": manifold, "v": lambda times, states: states[:, 1]}
     return integrate(
         field,
         pack_mcgehee(st0),

@@ -66,7 +66,15 @@ class EnergySignError(QHError):
 
 
 class StiffnessError(QHError):
-    """The step size underflowed; the problem is stiff or singular here."""
+    """The step size underflowed; the problem is stiff or singular here.
+
+    t and state, when known, are the last accepted time and state.
+    """
+
+    def __init__(self, message, t=None, state=None):
+        super().__init__(message)
+        self.t = t
+        self.state = state
 
 
 class FieldError(QHError):

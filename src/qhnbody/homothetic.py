@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central_config import bisect_sign_change, simultaneous_residual
+from .central_config import bisect_sign_change, require_on_sphere, simultaneous_residual
 from .errors import (
     AdmissibilityError,
     EnergySignError,
@@ -33,7 +33,6 @@ from .model import (
     Configuration,
     MassSystem,
     PotentialParams,
-    moment_of_inertia,
     potential_terms,
 )
 
@@ -63,12 +62,6 @@ class PlaneOrbit:
     trajectory: Trajectory
 
 
-def _check_shape(s0: Configuration, ms: MassSystem) -> None:
-    inertia = moment_of_inertia(s0, ms)
-    if abs(inertia - 1.0) > 1e-9:
-        raise ValueError(f"shape must be on the unit sphere, <s,s> = {inertia!r}")
-
-
 def is_homothetic_admissible(
     s0: Configuration,
     ms: MassSystem,
@@ -80,7 +73,7 @@ def is_homothetic_admissible(
     The invariant-plane reduction is exact precisely when s0 is a
     simultaneous central configuration of both terms.
     """
-    _check_shape(s0, ms)
+    require_on_sphere(s0, ms)
     report = simultaneous_residual(s0, ms, pp)
     scale = max(1.0, abs(report.sigma1), abs(report.sigma2))
     return report.max_residual <= tol * scale
@@ -116,7 +109,7 @@ def energy_curve_v2(rho, s0: Configuration, ms: MassSystem, pp: PotentialParams,
     h >= 0 the curve is nondecreasing in rho, for h < 0 it has a unique
     positive zero.
     """
-    _check_shape(s0, ms)
+    require_on_sphere(s0, ms)
     w0, v0 = potential_terms(s0, ms, pp)
     rho_arr = np.asarray(rho, dtype=float)
     val = 2.0 * (rho_arr ** (pp.b - 1.0) * w0 + rho_arr**pp.b * h + v0)
@@ -129,7 +122,7 @@ def rho_max_bisection(
     """Unique positive zero of the energy curve, h < 0 required."""
     if h >= 0.0:
         raise EnergySignError("rho_max exists only for negative energy")
-    _check_shape(s0, ms)
+    require_on_sphere(s0, ms)
     w0, v0 = potential_terms(s0, ms, pp)
     b = pp.b
 
@@ -178,10 +171,14 @@ def heteroclinic_orbit(
     v_start = np.sqrt(energy_curve_v2(rho_floor, s0, ms, pp, h))
     y0 = np.array([rho_floor, v_start])
 
-    def k_defect(t, y):
-        rho, v = y
-        rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
-        return 0.5 * v * v - rho_pow * w0 - rho**b * h - v0_pot
+    def k_defect(taus, states):
+        # scalar pow row by row: numpy's array pow rounds differently in
+        # the last bit for some rows, which would change the written series
+        def defect(rho, v):
+            rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
+            return 0.5 * v * v - rho_pow * w0 - rho**b * h - v0_pot
+
+        return [defect(rho, v) for rho, v in states]
 
     # The run spends ~ln(rho_max/rho_floor)/|v| on each leg; budget that
     # generously against the asymptotic speed sqrt(2 V(s0)).

@@ -88,11 +88,12 @@ class _Segment:
 class Trajectory:
     """Accepted steps of one integration run.
 
-    times/states hold the accepted grid (renormalized when a renormalizer
-    is active), conserved_residuals any monitor series sampled on that
-    grid, events the located crossings, and termination either
-    "time-budget" or "event:<name>".  sample() evaluates the dense output
-    at arbitrary interior times.
+    times (N,) and states (N, dim) hold the accepted grid from t0 through
+    the last step or the terminal event point (renormalized when a
+    renormalizer is active), conserved_residuals the (N,) series each
+    monitor returned on that grid, events the located crossings, and
+    termination either "time-budget" or "event:<name>".  sample()
+    evaluates the dense output at arbitrary interior times.
     """
 
     times: np.ndarray
@@ -181,11 +182,14 @@ def integrate(
 
     The renormalizer, when given, maps each accepted state back onto its
     constraint manifold before the state is stored and used for the next
-    step.  monitors is a dict of named scalar functions of (t, y) sampled
-    at every accepted point.  Raises FieldError if the field cannot be
-    evaluated at the initial state and StiffnessError if the step size
-    underflows.  Later field errors other than QHError and
-    ArithmeticError propagate unchanged.
+    step.  monitors is a dict of named functions called once, after the
+    last step, as fn(times, states) on the accepted grid ((N,) and
+    (N, dim), t0 and any terminal event point included; the trajectory's
+    own arrays, not to be modified); each returns an (N,) series, else
+    ValueError.  Raises FieldError if the field cannot
+    be evaluated at the initial state and StiffnessError, carrying the
+    last accepted t and state, if the step size underflows.  Later field
+    errors other than QHError and ArithmeticError propagate unchanged.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -215,25 +219,27 @@ def integrate(
     segments: list[_Segment] = []
     ev_values = [float(ev.fn(t, y)) for ev in events]
     ev_hits: dict[str, list] = {ev.name: [] for ev in events}
-    mon_values = {name: [float(fn(t, y))] for name, fn in monitors.items()}
     termination = "time-budget"
     fac_old = 1e-4
     just_rejected = False
     k = np.empty((7, y.size))
+    floor_unit = 16.0 * np.finfo(float).eps
 
     def h_floor(at):
-        return 16.0 * np.finfo(float).eps * max(abs(at), abs(t1), 1.0)
+        return floor_unit * max(abs(at), abs(t1), 1.0)
 
     steps = 0
     while t < t1:
         steps += 1
         if steps > _MAX_STEPS:
-            raise StiffnessError(f"step budget exhausted at t = {t!r}")
+            raise StiffnessError(f"step budget exhausted at t = {t!r}", t, y.copy())
         if t1 - t <= h_floor(t):
             break
         h = min(h, t1 - t)
         if h < h_floor(t):
-            raise StiffnessError(f"step size underflow at t = {t!r} (h = {h:.3e})")
+            raise StiffnessError(
+                f"step size underflow at t = {t!r} (h = {h:.3e})", t, y.copy()
+            )
 
         failed = None
         k[0] = f
@@ -254,7 +260,7 @@ def integrate(
             just_rejected = True
             if h < h_floor(t):
                 raise StiffnessError(
-                    f"field failed at t = {t!r} with h underflow: {failed}"
+                    f"field failed at t = {t!r} with h underflow: {failed}", t, y.copy()
                 )
             continue
 
@@ -302,8 +308,6 @@ def integrate(
             te, ye, name = stop_at
             times.append(te)
             states.append(ye)
-            for mname, fn in monitors.items():
-                mon_values[mname].append(float(fn(te, ye)))
             termination = f"event:{name}"
             break
 
@@ -314,15 +318,22 @@ def integrate(
         t, y, f = t_new, y_new, f_new
         times.append(t)
         states.append(y.copy())
-        for name, fn in monitors.items():
-            mon_values[name].append(float(fn(t, y)))
         h = min(h * fac, max_step)
 
+    times, states = np.array(times), np.array(states)
+    residuals = {}
+    for name, fn in monitors.items():
+        series = np.array(fn(times, states), dtype=float)
+        if series.shape != times.shape:
+            raise ValueError(
+                f"monitor {name!r} returned shape {series.shape}, expected {times.shape}"
+            )
+        residuals[name] = series
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
+        times=times,
+        states=states,
         termination=termination,
         events=ev_hits,
-        conserved_residuals={k_: np.array(v) for k_, v in mon_values.items()},
+        conserved_residuals=residuals,
         segments=segments,
     )

@@ -171,9 +171,20 @@ def energy_residual(st: McGeheeState, h, ms: MassSystem, pp: PotentialParams) ->
 
 def collision_manifold_residual(st: McGeheeState, ms: MassSystem, pp: PotentialParams) -> float:
     """u^T M^{-1} u + v^2 - 2 V(s); zero on the collision manifold."""
-    _, v_s = potential_terms(st.s, ms, pp)
-    u_m_u = float(np.sum(st.u * st.u / ms.masses[:, None]))
-    return u_m_u + st.v**2 - 2.0 * v_s
+    return float(manifold_residual_series(np.array([st.v]), st.s[None], st.u[None], ms, pp)[0])
+
+
+def manifold_residual_series(v, s, u, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
+    """collision_manifold_residual of a batch: (B,) v with (B, n, d) s and u.
+
+    One kernel pass over all B states.  v^2 is Python's float pow (libm
+    pow) value by value, the arithmetic this residual has always used:
+    numpy's array square is x * x, which differs from pow(x, 2) in the
+    last bit for about one x in a thousand.
+    """
+    v_s = pair_terms(s, np.broadcast_to(ms.masses, s.shape[:-1]), pp).V
+    u_m_u = np.sum(u * u / ms.masses[:, None], axis=(-2, -1))
+    return u_m_u + np.array([x**2 for x in v.tolist()]) - 2.0 * v_s
 
 
 def on_collision_manifold(

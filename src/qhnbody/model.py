@@ -342,18 +342,34 @@ def kinetic_energy(state: PhaseState, ms: MassSystem) -> float:
     return float(0.5 * np.sum(p * p / ms.masses[:, None]))
 
 
+def energy_series(r: np.ndarray, p: np.ndarray, ms: MassSystem, pp: PotentialParams):
+    """H = T - U of (n, d) positions and momenta, or (B,) values of a (B, n, d) batch.
+
+    A batch is one kernel pass over all of its states.
+    """
+    kinetic = 0.5 * np.sum(p * p / ms.masses[:, None], axis=(-2, -1))
+    t = pair_terms(r, np.broadcast_to(ms.masses, r.shape[:-1]), pp)
+    return kinetic - (t.W + t.V)
+
+
 def hamiltonian(state: PhaseState, ms: MassSystem, pp: PotentialParams) -> float:
     """H = T - U; constant along solutions of the equations of motion."""
-    return kinetic_energy(state, ms) - potential_U(state.config, ms, pp)
+    return float(energy_series(state.config.positions, state.momenta, ms, pp))
+
+
+def angular_momentum_series(r: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Scalar angular momentum sum_i r_i x p_i of (..., n, d) positions and momenta.
+
+    Zero for collinear states (d = 1).
+    """
+    if r.shape[-1] == 1:
+        return np.zeros(r.shape[:-2])
+    return np.sum(r[..., 0] * p[..., 1] - r[..., 1] * p[..., 0], axis=-1)
 
 
 def angular_momentum(state: PhaseState, ms: MassSystem) -> float:
     """Scalar angular momentum sum_i r_i x p_i; zero for collinear states."""
-    r = state.config.positions
-    p = state.momenta
-    if r.shape[1] == 1:
-        return 0.0
-    return float(np.sum(r[:, 0] * p[:, 1] - r[:, 1] * p[:, 0]))
+    return float(angular_momentum_series(state.config.positions, state.momenta))
 
 
 def total_momentum(state: PhaseState) -> np.ndarray:

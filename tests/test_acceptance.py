@@ -323,10 +323,9 @@ def test_criterion_5_energy_relation_on_and_off_manifold():
         pack_mcgehee(z0),
         (0.0, 20.0),
         renormalizer=mcgehee_renormalizer(ms, dim=dim),
-        monitors={"energy": res},
     )
     assert tr.termination == "time-budget"
-    assert np.abs(tr.conserved_residuals["energy"]).max() < 1e-8
+    assert max(res(tau, y) for tau, y in zip(tr.times, tr.states)) < 1e-8
 
     rng = np.random.default_rng(505)
     st0 = manifold_state(two_body_shape(ms), ms, pp, rng, scale=0.3)

@@ -20,6 +20,7 @@ from qhnbody.model import (
     MassSystem,
     PhaseState,
     PotentialParams,
+    angular_momentum,
     hamiltonian,
     potential_V,
 )
@@ -277,6 +278,52 @@ def test_simulate_checks_a_declared_energy_level(tmp_path, capsys):
     code, _ = run(tmp_path, "simulate", bad, subdir="mismatch")
     assert code == 2
     assert "energy_h" in capsys.readouterr().err
+
+
+def test_simulate_residual_series_match_each_state(tmp_path):
+    # a near-circular inner binary with a third body on a wide orbit
+    triple = {
+        "kind": "cartesian",
+        "positions": [[-1.5, 0.0], [-2.5, 0.0], [4.0, 0.0]],
+        "momenta": [[0.0, 0.47], [0.0, -0.94], [0.0, 0.47]],
+    }
+    masses = [1.0, 1.0, 1.0]
+    data = base_config(
+        masses=masses, b=1.5, initial_state=triple, options={"t_span": [0.0, 2.0]}
+    )
+    code, out = run(tmp_path, "simulate", data)
+    assert code == 0
+    header, rows = load_csv(out, "simulate.csv")
+    ms = MassSystem(np.array(masses))
+    pp = PotentialParams(a=1.0, b=1.5, alpha=1.0, beta=0.5)
+
+    def observables(y):
+        state = PhaseState(Configuration(y[:6].reshape(3, 2)), y[6:12].reshape(3, 2))
+        return hamiltonian(state, ms, pp), angular_momentum(state, ms)
+
+    values = np.array([[float(x) for x in row] for row in rows])
+    h0, l0 = observables(values[0, 1:13])
+    assert len(rows) > 10 and abs(l0) > 0.1
+    for row in values:
+        h, ell = observables(row[1:13])
+        assert abs(row[-2] - abs(h - h0)) <= 1e-15 * abs(h0)
+        assert abs(row[-1] - abs(ell - l0)) <= 1e-15 * abs(l0)
+
+
+def test_simulate_plunging_orbit_names_its_separation(tmp_path, capsys):
+    start = {
+        "kind": "cartesian",
+        "positions": [[1.0, 0.0], [-0.5, 0.3], [-0.5, -0.3]],
+        "momenta": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    }
+    data = base_config(
+        masses=[1.0, 1.0, 1.0], initial_state=start, options={"t_span": [0.0, 10.0]}
+    )
+    code, _ = run(tmp_path, "simulate", data)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: StiffnessError: step size underflow")
+    assert "separation" in err
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,13 @@ from qhnbody.errors import (
     NotOnSphereError,
     OffManifoldError,
 )
+from qhnbody.integrate import Event, integrate
 from qhnbody.mcgehee import (
     McGeheeState,
     collision_manifold_residual,
+    mcgehee_field,
+    mcgehee_renormalizer,
+    pack_mcgehee,
     unpack_mcgehee,
     vector_field,
 )
@@ -403,6 +407,56 @@ def test_two_body_flow_follows_the_closed_form():
     assert np.abs(vs - pred).max() < 1e-9
     assert abs(tr.final_state[1] + w) < 1e-10
     assert max(abs(x) for x in tr.conserved_residuals["manifold"]) < 1e-9
+
+
+def test_settle_gives_the_same_equilibrium_stop_as_the_full_field_check():
+    # the settle event skips the field while |u| > tol; its sign, and so
+    # the located stop, must match the event that always takes the field.
+    # A mass below 1 makes |s'| = |u| / m exceed |u|, so the field, not u,
+    # decides when the orbit has settled.
+    ms2 = MassSystem(np.array([0.5, 1.0]))
+    x1 = np.sqrt(1.0 / (ms2.masses[0] * (1.0 + ms2.masses[0] / ms2.masses[1])))
+    r = np.array([[x1, 0.0], [-ms2.masses[0] * x1 / ms2.masses[1], 0.0]])
+    _, v0_pot = potential_terms(r, ms2, PP)
+    w = np.sqrt(2.0 * v0_pot)
+    u = 0.8 * w * ms2.masses[:, None] * (r @ np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    v = -np.sqrt(2.0 * v0_pot - float(np.sum(u * u / ms2.masses[:, None])))
+    st0 = McGeheeState(rho=0.0, v=v, s=r, u=u)
+    tr = integrate_on_C(st0, ms2, PP, tau_max=200.0)
+    assert tr.termination == "event:equilibrium"
+    assert np.abs(tr.final_state[6:]).max() < 0.6e-9  # |u| < tol: the field decided
+
+    field = mcgehee_field(ms2, PP, dim=2)
+
+    def settle(t, y):
+        u_norm = float(np.abs(y[6:]).max())
+        return max(u_norm, float(np.abs(field(t, y)).max())) - 1e-9
+
+    def separation(t, y):
+        return min_separation(y[2:6].reshape(2, 2)) - 0.05
+
+    ref = integrate(
+        field,
+        pack_mcgehee(st0),
+        (0.0, 200.0),
+        events=[
+            Event("equilibrium", settle, direction=-1, terminal=True),
+            Event("separation", separation, direction=-1, terminal=True),
+        ],
+        renormalizer=mcgehee_renormalizer(ms2, 2),
+    )
+    assert ref.termination == "event:equilibrium"
+    assert tr.times[-1] == ref.times[-1]
+    assert np.array_equal(tr.final_state, ref.final_state)
+    assert np.array_equal(tr.states, ref.states)
+
+
+def test_flow_monitors_equal_the_per_state_residuals():
+    st0 = perturbed_manifold_state(MS, PP)
+    tr = integrate_on_C(st0, MS, PP, tau_max=1.0)
+    per_state = [collision_manifold_residual(unpack_mcgehee(y, 3, 2), MS, PP) for y in tr.states]
+    assert np.array_equal(tr.conserved_residuals["manifold"], per_state)
+    assert np.array_equal(tr.conserved_residuals["v"], tr.states[:, 1])
 
 
 def test_manifold_residual_stays_small_along_the_flow():

@@ -10,7 +10,7 @@ from qhnbody.central_config import (
     equilateral_configuration,
     solve_collinear_ordering,
 )
-from qhnbody.errors import AdmissibilityError, EnergySignError
+from qhnbody.errors import AdmissibilityError, EnergySignError, NotOnSphereError
 from qhnbody.homothetic import (
     energy_curve_v2,
     heteroclinic_orbit,
@@ -67,7 +67,7 @@ def test_generic_collinear_is_not_admissible():
 
 def test_admissibility_requires_unit_sphere_shape():
     config, _ = equilateral_configuration(MS)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotOnSphereError):
         is_homothetic_admissible(Configuration(2.0 * config.positions), MS, PP)
 
 
@@ -171,6 +171,12 @@ def test_heteroclinic_orbit_guard_rails():
         heteroclinic_orbit(config, MS, PP, h=-1.0, rho_floor=0.0)
     with pytest.raises(ValueError):
         heteroclinic_orbit(config, MS, PP, h=-1.0, rho_floor=1.5)
+
+
+def test_an_off_sphere_shape_raises_the_sphere_error():
+    config, _ = equilateral_configuration(MS)
+    with pytest.raises(NotOnSphereError, match="1.21"):
+        heteroclinic_orbit(Configuration(1.1 * config.positions), MS, PP, h=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,9 @@ def test_energy_conservation_two_body():
         pack_phase(state),
         (0.0, 6.0 * np.pi / omega),
         monitors={
-            "energy": lambda t, y: abs(hamiltonian(unpack_phase(y, 2, 2), ms, pp) - h0)
+            "energy": lambda ts, ys: [
+                abs(hamiltonian(unpack_phase(y, 2, 2), ms, pp) - h0) for y in ys
+            ]
         },
     )
     assert len(tr.conserved_residuals["energy"]) == len(tr.times)
@@ -134,10 +136,45 @@ def test_monitors_include_initial_point():
         harmonic,
         np.array([1.0, 0.0]),
         (0.0, 1.0),
-        monitors={"y0": lambda t, y: y[0]},
+        monitors={"y0": lambda ts, ys: ys[:, 0]},
     )
     assert tr.conserved_residuals["y0"][0] == 1.0
     assert len(tr.conserved_residuals["y0"]) == len(tr.times)
+
+
+def test_each_monitor_runs_once_on_the_whole_grid():
+    calls = []
+
+    def monitor(ts, ys):
+        calls.append((ts.copy(), ys.copy()))
+        return np.hypot(ys[:, 0], ys[:, 1])
+
+    tr = integrate(
+        harmonic,
+        np.array([1.0, 0.0]),
+        (0.0, 10.0),
+        events=[Event("down", lambda t, y: y[0] + 0.5, direction=-1, terminal=True)],
+        monitors={"radius": monitor},
+    )
+    assert tr.termination == "event:down"
+    assert len(calls) == 1
+    ts, ys = calls[0]
+    n = len(tr.times)
+    assert ts.shape == (n,) and ys.shape == (n, 2)
+    assert np.array_equal(ts, tr.times) and np.array_equal(ys, tr.states)
+    # the grid runs from t0 to the located terminal event point
+    assert ts[0] == 0.0
+    t_hit, y_hit = tr.events["down"][0]
+    assert ts[-1] == t_hit and np.array_equal(ys[-1], y_hit)
+    assert abs(t_hit - 2.0 * np.pi / 3.0) < 1e-8
+    assert tr.conserved_residuals["radius"].shape == (n,)
+    assert np.abs(tr.conserved_residuals["radius"] - 1.0).max() < 1e-8
+
+
+@pytest.mark.parametrize("bad", [lambda ts, ys: ys[1:, 0], lambda ts, ys: ys, lambda ts, ys: 1.0])
+def test_a_monitor_of_the_wrong_shape_is_rejected(bad):
+    with pytest.raises(ValueError, match="monitor 'bad'"):
+        integrate(harmonic, np.array([1.0, 0.0]), (0.0, 1.0), monitors={"bad": bad})
 
 
 def test_max_step_is_honored():
@@ -171,8 +208,12 @@ def test_programming_errors_in_the_field_propagate():
 
 def test_stiffness_error_on_blowup():
     # y' = y^2 from 1 blows up at t = 1; the step size must underflow.
-    with pytest.raises(StiffnessError):
+    with pytest.raises(StiffnessError) as info:
         integrate(lambda t, y: y * y, np.array([1.0]), (0.0, 2.0))
+    # the error carries the last accepted point, just short of the blow-up
+    t, y = info.value.t, info.value.state
+    assert 1.0 - 1e-6 < t < 1.0 and y.shape == (1,)
+    assert y[0] > 1e6
 
 
 def test_span_validation():

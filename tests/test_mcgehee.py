@@ -251,7 +251,7 @@ def test_rho_zero_is_exactly_invariant():
         pack_mcgehee(st0),
         (0.0, 0.4),
         renormalizer=mcgehee_renormalizer(MS),
-        monitors={"rho": lambda t, y: y[0]},
+        monitors={"rho": lambda ts, ys: ys[:, 0]},
     )
     rhos = tr.conserved_residuals["rho"]
     assert len(rhos) > 5
@@ -281,7 +281,10 @@ def test_renormalizer_bounds_constraint_drift():
         pack_mcgehee(st0),
         (0.0, 2.0),
         renormalizer=mcgehee_renormalizer(ms2),
-        monitors={"sphere": sphere_defect, "ortho": ortho_defect},
+        monitors={
+            "sphere": lambda ts, ys: [sphere_defect(t, y) for t, y in zip(ts, ys)],
+            "ortho": lambda ts, ys: [ortho_defect(t, y) for t, y in zip(ts, ys)],
+        },
     )
     assert tr.termination == "time-budget"
     assert max(tr.conserved_residuals["sphere"]) < 1e-12

@@ -25,9 +25,11 @@ from qhnbody.model import (
     PhaseState,
     PotentialParams,
     angular_momentum,
+    angular_momentum_series,
     cartesian_field,
     center_of_mass,
     centered,
+    energy_series,
     grad_U,
     grad_V,
     grad_W,
@@ -245,6 +247,26 @@ def test_collision_guard():
     # a lone pair at the same absolute distance defines its own scale
     lone = Configuration(np.array([[0.0, 0.0], [1e-13, 0.0]]))
     assert potential_U(lone, MassSystem(np.array([1.0, 1.0])), pp) > 0.0
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 2), (9, 2)])
+def test_batched_energy_and_angular_momentum_match_each_state(rng, n, d):
+    ms = random_masses(rng, n)
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    r = np.stack([random_config(rng, n, d) for _ in range(6)])
+    p = rng.standard_normal(r.shape)
+    h = energy_series(r, p, ms, pp)
+    ell = angular_momentum_series(r, p)
+    assert h.shape == ell.shape == (6,)
+    for k in range(6):
+        state = PhaseState(Configuration(r[k]), p[k])
+        kinetic, pot = kinetic_energy(state, ms), potential_U(state.config, ms, pp)
+        assert abs(h[k] - (kinetic - pot)) <= 1e-15 * max(kinetic, pot)
+        assert h[k] == hamiltonian(state, ms, pp)
+        ref = sum(r[k, i, 0] * p[k, i, 1] - r[k, i, 1] * p[k, i, 0] for i in range(n)) if d == 2 else 0.0
+        scale = float(np.abs(r[k]).max() * np.abs(p[k]).max() * n)
+        assert abs(ell[k] - ref) <= 1e-15 * scale
+        assert ell[k] == angular_momentum(state, ms)
 
 
 def test_phase_state_energy_and_momentum(rng):
