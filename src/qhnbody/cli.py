@@ -150,20 +150,12 @@ def _write_json(path: Path, payload: dict) -> Path:
     return path
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> Path:
+def _write_csv(path: Path, header: list[str], body: np.ndarray) -> Path:
+    """Write an (N, C) array of numbers under a header, each cell as %.17g."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+        writer.writerows([format(v, ".17g") for v in row] for row in body.tolist())
     return path
 
 
@@ -586,7 +578,7 @@ def cmd_simultaneous(cfg: RunConfig, out_dir: Path) -> int:
     }
 
     if grid is not None:
-        rows = [(*cell, gap) for cell, gap in zip(cells, gaps[len(orderings):])]
+        rows = np.column_stack([cells, gaps[len(orderings):]])
         csv_path = _write_csv(
             out_dir / "simultaneous_grid.csv", ["m1", "m2", "m3", "gap"], rows
         )
@@ -654,12 +646,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
             exc.state,
         ) from exc
     header = ["t"] + _state_columns(n, dim) + ["energy_residual", "angmom_residual"]
-    rows = [
-        [tr.times[k], *tr.states[k], tr.conserved_residuals["energy"][k],
-         tr.conserved_residuals["angular_momentum"][k]]
-        for k in range(len(tr.times))
-    ]
-    csv_path = _write_csv(out_dir / "simulate.csv", header, rows)
+    res = tr.conserved_residuals
+    body = np.column_stack([tr.times, tr.states, res["energy"], res["angular_momentum"]])
+    csv_path = _write_csv(out_dir / "simulate.csv", header, body)
     final = unpack_phase(tr.final_state, n, dim)
     payload = {
         **_header(cfg, "simulate"),
@@ -701,19 +690,11 @@ def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
     header = ["tau", "v", "manifold_residual", "min_separation"] + _state_columns(
         n, dim, "su"
     )
-    rows = []
-    for k in range(len(tr.times)):
-        y = tr.states[k]
-        rows.append(
-            [
-                tr.times[k],
-                y[1],
-                tr.conserved_residuals["manifold"][k],
-                min_separation(y[2 : 2 + sz].reshape(n, dim)),
-                *y[2:],
-            ]
-        )
-    csv_path = _write_csv(out_dir / "collision_flow.csv", header, rows)
+    seps = [min_separation(y[2 : 2 + sz].reshape(n, dim)) for y in tr.states]
+    body = np.column_stack(
+        [tr.times, tr.states[:, 1], tr.conserved_residuals["manifold"], seps, tr.states[:, 2:]]
+    )
+    csv_path = _write_csv(out_dir / "collision_flow.csv", header, body)
 
     v_series = np.asarray(tr.conserved_residuals["v"])
     # v is monotone except for roundoff: allow slack at integrator scale.
@@ -806,12 +787,9 @@ def cmd_homothetic(cfg: RunConfig, out_dir: Path) -> int:
         abs_tol=cfg.tol("abs_tol", 1e-13),
     )
     k_series = orbit.trajectory.conserved_residuals["K"]
-    rows = [
-        [orbit.taus[k], orbit.rhos[k], orbit.vs[k], k_series[k]]
-        for k in range(len(orbit.taus))
-    ]
+    body = np.column_stack([orbit.taus, orbit.rhos, orbit.vs, k_series])
     csv_path = _write_csv(
-        out_dir / "homothetic.csv", ["tau", "rho", "v", "k_defect"], rows
+        out_dir / "homothetic.csv", ["tau", "rho", "v", "k_defect"], body
     )
     payload = {
         **_header(cfg, "homothetic"),

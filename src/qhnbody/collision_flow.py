@@ -42,6 +42,7 @@ from .mcgehee import (
     mcgehee_field,
     mcgehee_renormalizer,
     pack_mcgehee,
+    vector_field,
 )
 from .model import (
     Configuration,
@@ -107,9 +108,7 @@ def field_on_C(s, v, u, ms: MassSystem, pp: PotentialParams, tol: float = 1e-9):
     u = np.asarray(u, dtype=float)
     st = McGeheeState(rho=0.0, v=float(v), s=s, u=u)
     _require_on_C(st, ms, pp, tol)
-    from .mcgehee import _field_arrays
-
-    _, v_dot, s_dot, u_dot = _field_arrays(0.0, float(v), s, u, ms, pp)
+    _, v_dot, s_dot, u_dot = vector_field(st, ms, pp)
     return v_dot, s_dot, u_dot
 
 

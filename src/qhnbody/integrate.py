@@ -10,6 +10,7 @@ variable.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -121,7 +122,7 @@ class Trajectory:
 
 
 def _rms_norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(x * x)))
+    return math.sqrt((x * x).sum() / x.size)
 
 
 def _initial_step(field_fn, t0, y0, f0, t1, rel_tol, abs_tol, max_step):
@@ -204,7 +205,7 @@ def integrate(
 
     try:
         f = np.asarray(field_fn(t0, y), dtype=float)
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise FieldError(f"field not finite at t = {t0!r}")
     except FieldError:
         raise
@@ -250,7 +251,7 @@ def integrate(
             y_new = y + h * (k[:6].T @ _B)
             f_new = np.asarray(field_fn(t + h, y_new), dtype=float)
             k[6] = f_new
-            if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(f_new))):
+            if not (np.isfinite(y_new).all() and np.isfinite(f_new).all()):
                 failed = "non-finite step"
         except (QHError, ArithmeticError) as exc:
             failed = str(exc)

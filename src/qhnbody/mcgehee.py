@@ -28,6 +28,7 @@ from .model import (
     MassSystem,
     PhaseState,
     PotentialParams,
+    _PairKernel,
     grad_V,  # noqa: F401  (re-exported: callers import it from this module)
     mass_inner,
     pair_terms,
@@ -123,27 +124,30 @@ def from_mcgehee(st: McGeheeState, ms: MassSystem, pp: PotentialParams) -> Phase
     return PhaseState(config=Configuration(r), momenta=p)
 
 
-def _field_arrays(rho, v, s, u, ms: MassSystem, pp: PotentialParams):
+def _field_arrays(rho, v, s, u, kernel: _PairKernel, s_out=None, u_out=None):
     """The blown-up equations of motion on raw arrays.
 
-    Valid for rho >= 0; at rho = 0 it restricts to the collision
-    manifold flow.  Raises CollisionError through the potential guard
-    when s approaches a partial collision.
+    kernel is the system's bound pair kernel; s_dot and u_dot go into
+    s_out and u_out when given.  Valid for rho >= 0; at rho = 0 it
+    restricts to the collision manifold flow.  Raises CollisionError
+    through the potential guard when s approaches a partial collision.
     """
-    b = pp.b
-    m = ms.masses[:, None]
-    w_s, v_s, gw, gv, _ = pair_terms(s, ms, pp)
-    u_m_u = float(np.sum(u * u / m))
+    b = kernel.pp.b
+    m = kernel.m_col
+    w_s, v_s, gw, gv, _ = kernel.terms(s, force=False)[0]
+    u_m_u = float((u * u / m).sum())
     rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
     rho_dot = rho * v
     v_dot = 0.5 * b * v * v + u_m_u - rho_pow * w_s - b * v_s
-    s_dot = u / m
-    u_dot = (
+    s_dot = np.divide(u, m, out=s_out)
+    m_s = m * s
+    u_dot = np.add(
         (0.5 * b - 1.0) * v * u
-        - u_m_u * (m * s)
-        + rho_pow * (w_s * (m * s) + gw)
-        + b * v_s * (m * s)
-        + gv
+        - u_m_u * m_s
+        + rho_pow * (w_s * m_s + gw)
+        + b * v_s * m_s,
+        gv,
+        out=u_out,
     )
     return rho_dot, v_dot, s_dot, u_dot
 
@@ -151,7 +155,7 @@ def _field_arrays(rho, v, s, u, ms: MassSystem, pp: PotentialParams):
 def vector_field(st: McGeheeState, ms: MassSystem, pp: PotentialParams):
     """Derivative (rho', v', s', u') of a state in the rescaled time tau."""
     pp.require_manev()
-    return _field_arrays(st.rho, st.v, st.s, st.u, ms, pp)
+    return _field_arrays(st.rho, st.v, st.s, st.u, _PairKernel(ms.masses, pp))
 
 
 def energy_residual(st: McGeheeState, h, ms: MassSystem, pp: PotentialParams) -> float:
@@ -224,17 +228,19 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     pp.require_manev()
     n = ms.n
     sz = n * dim
+    kernel = _PairKernel(ms.masses, pp)
+    size = 2 + 2 * sz + with_time
+    t_exp = 1.0 + pp.b / 2.0
 
     def field(tau, y):
         rho = y[0]
-        v = y[1]
-        s = y[2 : 2 + sz].reshape(n, dim)
-        u = y[2 + sz : 2 + 2 * sz].reshape(n, dim)
-        rho_dot, v_dot, s_dot, u_dot = _field_arrays(rho, v, s, u, ms, pp)
-        parts = [np.array([rho_dot, v_dot]), s_dot.ravel(), u_dot.ravel()]
+        s, u = y[2 : 2 + 2 * sz].reshape(2, n, dim)
+        out = np.empty(size)
+        s_out, u_out = out[2 : 2 + 2 * sz].reshape(2, n, dim)
+        out[0], out[1], _, _ = _field_arrays(rho, y[1], s, u, kernel, s_out, u_out)
         if with_time:
-            parts.append(np.array([rho ** (1.0 + pp.b / 2.0) if rho > 0.0 else 0.0]))
-        return np.concatenate(parts)
+            out[-1] = rho**t_exp if rho > 0.0 else 0.0
+        return out
 
     return field
 

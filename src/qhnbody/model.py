@@ -190,35 +190,6 @@ def _mass_array(ms) -> np.ndarray:
     return ms.masses if isinstance(ms, MassSystem) else np.asarray(ms, dtype=float)
 
 
-def _pair_data(r: np.ndarray, m: np.ndarray, strict: bool = True):
-    """Distances and separations of all pairs, with the collision guard.
-
-    r is (n, d) or a (B, n, d) batch and m the matching (n,) or (B, n)
-    masses.  Returns (i, j, diff, dist, mm, collided) for pairs i < j,
-    where diff = r_i - r_j, mm = m_i * m_j and collided flags the
-    members with a pair at or below the guard.  strict raises
-    CollisionError for any such member; otherwise its distances read 1
-    so the arithmetic stays finite, and its values mean nothing.
-    """
-    i, j, _ = _pair_index(r.shape[-2])
-    diff = r.take(i, axis=-2) - r.take(j, axis=-2)
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    inertia = (m[..., None] * r * r).sum(axis=(-2, -1))
-    guard = GUARD_FACTOR * np.sqrt(inertia / m.sum(axis=-1))
-    dmin = dist.min(axis=-1)
-    collided = dmin <= guard
-    if collided.any() if r.ndim == 3 else collided:
-        if strict:
-            k = np.flatnonzero(collided)[0]
-            where = f" in batch member {k}" if r.ndim == 3 else ""
-            raise CollisionError(
-                f"minimum pairwise distance {float(dmin.flat[k]):.3e} at or below "
-                f"guard {float(guard.flat[k]):.3e}{where}"
-            )
-        dist = np.where(collided[..., None], 1.0, dist)
-    return i, j, diff, dist, m.take(i, axis=-1) * m.take(j, axis=-1), collided
-
-
 class PairTerms(NamedTuple):
     """W, V and their (n, d) gradients, coefficients included, with
     force_sum[i] = sum_j |f_ij| over the total pair forces on body i: the
@@ -232,6 +203,97 @@ class PairTerms(NamedTuple):
     force_sum: np.ndarray
 
 
+class _PairKernel:
+    """The pair kernel of one mass system, bound once from (masses, pp).
+
+    m is (n,) masses, or (B, n) per-member masses for (B, n, d) batches.
+    Everything that does not depend on the positions is computed here
+    once: pair indices, m_i m_j with both coefficients, the mass column
+    and the total mass.  pairs() holds the collision guard and terms()
+    the W, V, grad W and grad V formulas; a vector field binds one kernel
+    per closure, the other callers one per call.
+    """
+
+    __slots__ = ("pp", "i", "j", "m_col", "m_total", "mm", "alpha_mm", "beta_mm")
+
+    def __init__(self, m: np.ndarray, pp: PotentialParams):
+        self.pp = pp
+        self.i, self.j, _ = _pair_index(m.shape[-1])
+        self.m_col = m[..., None]
+        self.m_total = m.sum(axis=-1)
+        self.mm = m.take(self.i, axis=-1) * m.take(self.j, axis=-1)
+        self.alpha_mm = pp.alpha * self.mm
+        self.beta_mm = pp.beta * self.mm
+
+    def pairs(self, r: np.ndarray, strict: bool = True):
+        """(diff, dist, collided) of all pairs i < j, with the collision guard.
+
+        r is (n, d) or a (B, n, d) batch; diff = r_i - r_j and collided
+        flags the members with a pair at or below the guard.  strict
+        raises CollisionError for any such member; otherwise its
+        distances read 1 so the arithmetic stays finite, and its values
+        mean nothing.
+        """
+        diff = r.take(self.i, axis=-2) - r.take(self.j, axis=-2)
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        inertia = (self.m_col * r * r).sum(axis=(-2, -1))
+        guard = GUARD_FACTOR * np.sqrt(inertia / self.m_total)
+        dmin = dist.min(axis=-1)
+        collided = dmin <= guard
+        if collided.any() if r.ndim == 3 else collided:
+            if strict:
+                k = np.flatnonzero(collided)[0]
+                where = f" in batch member {k}" if r.ndim == 3 else ""
+                raise CollisionError(
+                    f"minimum pairwise distance {float(dmin.flat[k]):.3e} at or below "
+                    f"guard {float(guard.flat[k]):.3e}{where}"
+                )
+            dist = np.where(collided[..., None], 1.0, dist)
+        return diff, dist, collided
+
+    def terms(self, r: np.ndarray, energy: bool = True, force: bool = True,
+              strict: bool = True):
+        """(PairTerms, collided) of r, scattering only what the caller reads.
+
+        The gradients are always summed; W and V only with energy, the
+        force sums only with force.  Terms left out read None.
+        """
+        pp = self.pp
+        n, d = r.shape[-2:]
+        lead = r.shape[:-2]
+        diff, dist, collided = self.pairs(r, strict)
+        w = self.alpha_mm * dist ** (-pp.a)
+        v = self.beta_mm * dist ** (-pp.b)
+        # d/dr_i [coef * mm * d^-c] = -c * (coef * mm * d^-c) / d^2 * (r_i - r_j);
+        # body j picks up the opposite sign, the force magnitude the same one.
+        d2 = dist * dist
+        cw = -pp.a * w / d2
+        cv = -pp.b * v / d2
+        grad = 2 * d
+        cols = grad + 1 if force else grad
+        rows = np.empty(lead + (2, dist.shape[-1], cols))
+        np.multiply(cw[..., None], diff, out=rows[..., 0, :, :d])
+        np.multiply(cv[..., None], diff, out=rows[..., 0, :, d:grad])
+        np.negative(rows[..., 0, :, :grad], out=rows[..., 1, :, :grad])
+        if force:
+            rows[..., 0, :, -1] = np.abs(cw + cv) * dist
+            rows[..., 1, :, -1] = rows[..., 0, :, -1]
+        keys = _pair_index(n, cols)[2]
+        if lead:
+            # member b scatters into its own block of n * cols sums
+            keys = (np.arange(lead[0])[:, None] * (n * cols) + keys).ravel()
+        size = math.prod(lead) * n * cols
+        sums = np.bincount(keys, rows.ravel(), minlength=size).reshape(lead + (n, cols))
+        w_sum = v_sum = None
+        if energy:
+            w_sum, v_sum = w.sum(axis=-1), v.sum(axis=-1)
+            if not lead:
+                w_sum, v_sum = float(w_sum), float(v_sum)
+        force_sum = sums[..., -1] if force else None
+        terms = PairTerms(w_sum, v_sum, sums[..., :d], sums[..., d:grad], force_sum)
+        return terms, collided
+
+
 def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
     """W, V, their gradients and the per-body force sums in one pass.
 
@@ -240,7 +302,7 @@ def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
     gives (B,) arrays for W and V.  Raises CollisionError if any member
     collides.
     """
-    return _pair_terms(_positions(config), _mass_array(ms), pp, strict=True)[0]
+    return _PairKernel(_mass_array(ms), pp).terms(_positions(config))[0]
 
 
 def pair_terms_masked(r: np.ndarray, m: np.ndarray, pp: PotentialParams):
@@ -249,37 +311,7 @@ def pair_terms_masked(r: np.ndarray, m: np.ndarray, pp: PotentialParams):
     A member that collides is flagged in the (B,) mask instead of
     raising; its terms mean nothing.
     """
-    return _pair_terms(r, m, pp, strict=False)
-
-
-def _pair_terms(r: np.ndarray, m: np.ndarray, pp: PotentialParams, strict: bool):
-    n, d = r.shape[-2:]
-    lead = r.shape[:-2]
-    _, _, diff, dist, mm, collided = _pair_data(r, m, strict)
-    w = pp.alpha * mm * dist ** (-pp.a)
-    v = pp.beta * mm * dist ** (-pp.b)
-    # d/dr_i [coef * mm * d^-c] = -c * (coef * mm * d^-c) / d^2 * (r_i - r_j);
-    # body j picks up the opposite sign, the force magnitude the same one.
-    cw = -pp.a * w / (dist * dist)
-    cv = -pp.b * v / (dist * dist)
-    cols = 2 * d + 1
-    rows = np.empty(lead + (2, dist.shape[-1], cols))
-    rows[..., 0, :, :d] = cw[..., None] * diff
-    rows[..., 0, :, d:-1] = cv[..., None] * diff
-    rows[..., 0, :, -1] = np.abs(cw + cv) * dist
-    rows[..., 1, :, :-1] = -rows[..., 0, :, :-1]
-    rows[..., 1, :, -1] = rows[..., 0, :, -1]
-    keys = _pair_index(n, cols)[2]
-    if lead:
-        # member b scatters into its own block of n * cols sums
-        keys = (np.arange(lead[0])[:, None] * (n * cols) + keys).ravel()
-    size = math.prod(lead) * n * cols
-    sums = np.bincount(keys, rows.ravel(), minlength=size).reshape(lead + (n, cols))
-    w_sum, v_sum = w.sum(axis=-1), v.sum(axis=-1)
-    if not lead:
-        w_sum, v_sum = float(w_sum), float(v_sum)
-    terms = PairTerms(w_sum, v_sum, sums[..., :d], sums[..., d:-1], sums[..., -1])
-    return terms, collided
+    return _PairKernel(m, pp).terms(r, strict=False)
 
 
 def potential_terms(config, ms: MassSystem, pp: PotentialParams) -> tuple[float, float]:
@@ -320,7 +352,9 @@ def hess_U_matrix(config, ms, pp: PotentialParams) -> np.ndarray:
     r = _positions(config)
     n, d = r.shape[-2:]
     lead = r.shape[:-2]
-    i, j, diff, dist, mm, _ = _pair_data(r, _mass_array(ms))
+    kernel = _PairKernel(_mass_array(ms), pp)
+    i, j, mm = kernel.i, kernel.j, kernel.mm
+    diff, dist, _ = kernel.pairs(r)
     ca = pp.a * pp.alpha * mm * dist ** (-pp.a - 2.0)
     cb = pp.b * pp.beta * mm * dist ** (-pp.b - 2.0)
     outer = ((pp.a + 2.0) * ca + (pp.b + 2.0) * cb) / (dist * dist)
@@ -399,16 +433,17 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
     Returns f(t, y) for the flat state y = [r.ravel(), p.ravel()] with
     rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).
     """
-    n = ms.n
-    sz = n * dim
+    shape = (2, ms.n, dim)
+    kernel = _PairKernel(ms.masses, pp)
 
     def field(t, y):
-        r = y[:sz].reshape(n, dim)
-        p = y[sz:].reshape(n, dim)
-        rdot = p / ms.masses[:, None]
-        t = pair_terms(r, ms, pp)
-        pdot = t.grad_W + t.grad_V
-        return np.concatenate([rdot.ravel(), pdot.ravel()])
+        r, p = y.reshape(shape)
+        out = np.empty(y.size)
+        rdot, pdot = out.reshape(shape)
+        np.divide(p, kernel.m_col, out=rdot)
+        g = kernel.terms(r, energy=False, force=False)[0]
+        np.add(g.grad_W, g.grad_V, out=pdot)
+        return out
 
     return field
 

@@ -19,7 +19,9 @@ from conftest import (
 )
 from qhnbody.central_config import restricted_hessian, tangent_basis
 from qhnbody.errors import CollisionError, NotOnSphereError
+from qhnbody.mcgehee import mcgehee_field
 from qhnbody.model import (
+    GUARD_FACTOR,
     Configuration,
     MassSystem,
     PhaseState,
@@ -228,6 +230,19 @@ def test_restricted_hessian_rejects_off_sphere_points(rng):
         restricted_hessian(Configuration(r), ms, pp, inertia_I0=123.0)
 
 
+def _field_inputs(config, ms, pp):
+    """The pair_terms call and both vector-field closures at one configuration."""
+    r = np.asarray(config.positions)
+    zeros = np.zeros(r.size)
+    cart = cartesian_field(ms, pp, r.shape[1])
+    blown_up = mcgehee_field(ms, pp, r.shape[1])
+    return [
+        lambda: pair_terms(config, ms, pp),
+        lambda: cart(0.0, np.concatenate([r.ravel(), zeros])),
+        lambda: blown_up(0.0, np.concatenate([[0.5, 0.1], r.ravel(), zeros])),
+    ]
+
+
 def test_collision_guard():
     # The guard is relative to the system size, so a wide third body
     # sets the scale that the close pair violates.
@@ -241,12 +256,91 @@ def test_collision_guard():
     with pytest.raises(CollisionError):
         grad_U(config, ms, pp)
     with pytest.raises(CollisionError):
-        pair_terms(config, ms, pp)
-    with pytest.raises(CollisionError):
         hess_U_matrix(config, ms, pp)
+    # pair_terms and the two vector fields that bind the kernel
+    for evaluate in _field_inputs(config, ms, pp):
+        with pytest.raises(CollisionError):
+            evaluate()
     # a lone pair at the same absolute distance defines its own scale
     lone = Configuration(np.array([[0.0, 0.0], [1e-13, 0.0]]))
     assert potential_U(lone, MassSystem(np.array([1.0, 1.0])), pp) > 0.0
+
+
+@pytest.mark.parametrize("side", ["at", "below", "above"])
+def test_guard_edge_is_the_same_for_pair_terms_and_both_fields(side):
+    ms = MassSystem(np.array([1.0, 2.0, 1.5]))
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    r = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5]])
+    # the close pair sits at the guard, or one ulp either side of it
+    guard = GUARD_FACTOR * np.sqrt((ms.masses[:, None] * r * r).sum() / ms.total_mass)
+    sep = {"at": guard, "below": np.nextafter(guard, 0.0), "above": np.nextafter(guard, 1.0)}
+    r[1, 0] = sep[side]
+    # the close pair is too small to move the system's inertia
+    assert GUARD_FACTOR * np.sqrt((ms.masses[:, None] * r * r).sum() / ms.total_mass) == guard
+    raised = []
+    for evaluate in _field_inputs(Configuration(r), ms, pp):
+        try:
+            evaluate()
+            raised.append(False)
+        except CollisionError:
+            raised.append(True)
+    assert raised == [side != "above"] * 3
+
+
+def _bound_kernel_cases():
+    rng = np.random.default_rng(77)
+    for n in range(2, 8):
+        for d in (1, 2):
+            for b in (1.5, 2.0, 3.0):
+                ms = random_masses(rng, n)
+                pp = PotentialParams(a=1.0, b=b, alpha=rng.uniform(0.5, 2.0), beta=0.5)
+                r = random_config(rng, n, d, scale=float(n))
+                yield ms, pp, r, rng.standard_normal((n, d)), rng
+
+
+def test_cartesian_field_is_pair_terms_bit_for_bit():
+    for ms, pp, r, p, _ in _bound_kernel_cases():
+        field = cartesian_field(ms, pp, r.shape[1])
+        y = np.concatenate([r.ravel(), p.ravel()])
+        t = pair_terms(r, ms, pp)
+        rdot, pdot = p / ms.masses[:, None], t.grad_W + t.grad_V
+        expected = np.concatenate([rdot.ravel(), pdot.ravel()])
+        assert field(0.0, y).tobytes() == expected.tobytes()
+
+
+def _blown_up_reference(y, ms, pp, n, d, with_time):
+    """The blown-up field composed from pair_terms, one array per part."""
+    b, m, sz = pp.b, ms.masses[:, None], n * d
+    rho, v = y[0], y[1]
+    s, u = y[2 : 2 + sz].reshape(n, d), y[2 + sz : 2 + 2 * sz].reshape(n, d)
+    w_s, v_s, gw, gv, _ = pair_terms(s, ms, pp)
+    u_m_u = float(np.sum(u * u / m))
+    rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
+    v_dot = 0.5 * b * v * v + u_m_u - rho_pow * w_s - b * v_s
+    u_dot = (
+        (0.5 * b - 1.0) * v * u
+        - u_m_u * (m * s)
+        + rho_pow * (w_s * (m * s) + gw)
+        + b * v_s * (m * s)
+        + gv
+    )
+    parts = [np.array([rho * v, v_dot]), (u / m).ravel(), u_dot.ravel()]
+    if with_time:
+        parts.append(np.array([rho ** (1.0 + b / 2.0) if rho > 0.0 else 0.0]))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("with_time", [False, True])
+def test_mcgehee_field_is_its_pair_terms_composition_bit_for_bit(with_time):
+    for ms, pp, s, u, rng in _bound_kernel_cases():
+        n, d = s.shape
+        field = mcgehee_field(ms, pp, d, with_time=with_time)
+        for rho in (0.0, rng.uniform(0.1, 2.0)):
+            y = np.concatenate([[rho, rng.standard_normal()], s.ravel(), u.ravel()])
+            if with_time:
+                y = np.append(y, 0.7)
+            expected = _blown_up_reference(y, ms, pp, n, d, with_time)
+            assert field(0.0, y).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 2), (9, 2)])

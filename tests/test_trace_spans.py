@@ -10,15 +10,23 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from qhnbody import cli, mcgehee
+from qhnbody.model import MassSystem, PotentialParams
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def test_every_traced_name_is_a_library_attribute():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_is_a_library_attribute():
+    tracer = _load_tracer()
     names = [(mod, fn) for mod, fns in tracer.LIBRARY_SPANS.items() for fn in fns]
     names += list(tracer.CLOSURE_SPANS)
     assert len(names) > 20
@@ -37,3 +45,29 @@ def test_the_other_names_the_benchmark_binds_still_exist():
     assert callable(getattr(cli, "integrate", None))
     params = inspect.signature(cli.integrate).parameters
     assert {"field_fn", "events", "monitors"} <= set(params)
+
+
+def test_the_closures_the_tracer_wraps_return_fresh_arrays():
+    # integrate keeps f0 and the last stage value across later field
+    # calls, so a closure that reused one output buffer would silently
+    # change them; the renormalizer's result is stored as the state
+    ms = MassSystem(np.array([1.0, 2.0, 3.0]))
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    s = np.array([[0.3, 0.1], [-0.2, 0.25], [0.05, -0.2]])
+    y_cart = np.concatenate([s.ravel(), s[::-1].ravel()])
+    y_blown_up = np.concatenate([[0.5, -0.1], s.ravel(), 0.1 * s[::-1].ravel()])
+    # factory name -> (its arguments, one call of the closure)
+    calls = {
+        "cartesian_field": ((ms, pp, 2), lambda f: f(0.0, y_cart)),
+        "mcgehee_field": ((ms, pp, 2), lambda f: f(0.0, y_blown_up)),
+        "mcgehee_renormalizer": ((ms, 2), lambda f: f(y_blown_up)),
+    }
+    factories = _load_tracer().CLOSURE_SPANS
+    assert sorted(fn for _, fn in factories) == sorted(calls)
+    for mod, fn in factories:
+        args, call = calls[fn]
+        closure = getattr(importlib.import_module(mod), fn)(*args)
+        first, second = call(closure), call(closure)
+        assert isinstance(first, np.ndarray) and first.shape == second.shape
+        assert not np.shares_memory(first, second), fn
+        assert np.array_equal(first, second), fn
