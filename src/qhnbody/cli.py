@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import difflib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,19 +72,6 @@ from .model import (
 from .integrate import integrate
 
 SCHEMA = 1
-
-_TOP_KEYS = frozenset(
-    {
-        "schema",
-        "masses",
-        "potential",
-        "inertia_I0",
-        "energy_h",
-        "initial_state",
-        "tolerances",
-        "options",
-    }
-)
 
 
 class ConfigError(ValueError):
@@ -160,30 +148,105 @@ def _write_csv(path: Path, header: list[str], body: np.ndarray) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# config
+# config: each object is read against a table {key: (default, kind, range)},
+# given below the parsers.  A missing key (or a null one whose default is null)
+# takes its default; a _REQUIRED key has none.  kind(value, path, range, n)
+# parses the value or the default, where range is an interval such as "(0, inf]",
+# a set such as "{-1, 1}" or a nested table, and n is the mass count.
+
+_REQUIRED = object()
+
+
+def _read(obj, path: str, table: dict, n=None) -> dict:
+    """{key: parsed value} for each key of table; a key not in table is a ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'config'} must be an object, got {obj!r}")
+    at = f"{path}." if path else ""
+    for key in obj:
+        if key not in table:
+            near = difflib.get_close_matches(key, table, n=1)
+            hint = f" (did you mean {at}{near[0]}?)" if near else ""
+            raise ConfigError(f"unknown config key {at}{key}{hint}")
+    out = {}
+    for key, (default, kind, rng) in table.items():
+        value = obj[key] if key in obj else default
+        if value is _REQUIRED:
+            raise ConfigError(f"config needs {at}{key}")
+        out[key] = None if value is None and default is None else kind(value, at + key, rng, n)
+    return out
+
+
+def _float(value, path, rng, n, kind=float):
+    """value as a number in rng, an interval such as "(0, inf]" or a set such as "{-1, 1}"."""
+    x = _number(value, path, kind)
+    ends = [float(t) for t in rng[1:-1].split(",")]
+    if rng[0] == "{":
+        ok = x in ends
+    else:
+        lo, hi = ends
+        ok = (lo < x or rng[0] == "[" and x == lo) and (x < hi or rng[-1] == "]" and x == hi)
+    if not ok:
+        raise ConfigError(f"{path} must lie in {rng}, got {value!r}")
+    return x
+
+
+def _int(value, path, rng, n):
+    return _float(value, path, rng, n, int)
+
+
+def _pair(value, path, rng, n):
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{path} must be a pair of numbers, got {value!r}")
+    return [_float(x, path, rng, n) for x in value]
+
+
+def _span(value, path, rng, n):
+    t0, t1 = _pair(value, path, rng, n)
+    if not t1 > t0:
+        raise ConfigError(f"{path} must satisfy t1 > t0, got {value!r}")
+    return t0, t1
+
+
+def _text(value, path, rng, n):
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
+
+
+def _later(value, path, rng, n):
+    return value  # read by RunConfig.from_file once the mass count is known
+
+
+def _masses(value, path, rng, n):
+    try:
+        return MassSystem(np.asarray(value, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {path}: {exc}") from None
+
+
+def _potential(value, path, rng, n):
+    params = _read(value, path, {f.name: (f.default, _float, rng) for f in fields(PotentialParams)})
+    try:
+        return PotentialParams(**params)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {path}: {exc}") from None
 
 
 @dataclass
 class RunConfig:
-    """Validated run description shared by every subcommand."""
+    """A config file read against the tables of one subcommand."""
 
     ms: MassSystem
     pp: PotentialParams
-    inertia_I0: float = 1.0
-    energy_h: float | None = None
-    initial_state: dict | None = None
-    tolerances: dict = field(default_factory=dict)
-    options: dict = field(default_factory=dict)
-    base_dir: Path = field(default_factory=Path.cwd)
-
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
-
-    def opt(self, name: str, default=None):
-        return self.options.get(name, default)
+    inertia_I0: float
+    energy_h: float | None
+    initial_state: dict | None
+    tol: dict
+    opt: dict
+    base_dir: Path
 
     @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
+    def from_file(cls, path: str, command: str) -> "RunConfig":
         p = Path(path)
         try:
             raw = json.loads(p.read_text())
@@ -191,58 +254,14 @@ class RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        unknown = sorted(set(raw) - _TOP_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
-        if raw.get("schema") != SCHEMA:
-            raise ConfigError(
-                f"config schema must be {SCHEMA}, got {raw.get('schema')!r}"
-            )
-        if "masses" not in raw:
-            raise ConfigError("config needs a masses array")
-        try:
-            ms = MassSystem(np.asarray(raw["masses"], dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid masses: {exc}") from None
-
-        pot = raw.get("potential", {})
-        if not isinstance(pot, dict):
-            raise ConfigError("potential must be an object")
-        bad = sorted(set(pot) - {"a", "b", "alpha", "beta"})
-        if bad:
-            raise ConfigError(f"unknown potential keys: {bad}")
-        try:
-            pp = PotentialParams(**{k: float(v) for k, v in pot.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid potential: {exc}") from None
-
-        inertia = _number(raw.get("inertia_I0", 1.0), "inertia_I0")
-        if not (np.isfinite(inertia) and inertia > 0.0):
-            raise ConfigError(f"inertia_I0 must be positive, got {inertia!r}")
-        energy_h = raw.get("energy_h")
-        if energy_h is not None:
-            energy_h = _number(energy_h, "energy_h")
-            if not np.isfinite(energy_h):
-                raise ConfigError("energy_h must be finite")
-        initial_state = raw.get("initial_state")
-        if initial_state is not None and not isinstance(initial_state, dict):
-            raise ConfigError("initial_state must be an object")
-        tolerances = raw.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError("tolerances must be an object")
-        options = raw.get("options", {})
-        if not isinstance(options, dict):
-            raise ConfigError("options must be an object")
+        top = _read(raw, "", _TOP)
+        n, state = top["masses"].n, top["initial_state"]
         return cls(
-            ms=ms,
-            pp=pp,
-            inertia_I0=inertia,
-            energy_h=energy_h,
-            initial_state=initial_state,
-            tolerances={k: _number(v, f"tolerances.{k}") for k, v in tolerances.items()},
-            options=options,
+            ms=top["masses"], pp=top["potential"],
+            inertia_I0=top["inertia_I0"], energy_h=top["energy_h"],
+            initial_state=None if state is None else _state(state, "initial_state", _STATES, n),
+            tol=_read(top["tolerances"], "tolerances", _TOLERANCES[command], n),
+            opt=_read(top["options"], "options", _OPTIONS[command], n),
             base_dir=p.resolve().parent,
         )
 
@@ -298,18 +317,24 @@ def _state_columns(n: int, dim: int, symbols: str = "rp") -> list[str]:
     return [f"{c}{i}{ax}" for c in symbols for i in range(n) for ax in axes]
 
 
-def _as_state_array(value, n: int, what: str) -> np.ndarray:
+def _as_state_array(value, path, rng, n) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != n or arr.shape[1] not in (1, 2):
-        raise ConfigError(f"{what} must be an {n} x 1 or {n} x 2 array")
+        raise ConfigError(f"{path} must be an {n} x 1 or {n} x 2 array")
     if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{what} must be finite")
+        raise ConfigError(f"{path} must be finite")
     return arr
 
 
+def _state(value, path, kinds, n):
+    """initial_state read against the table of its kind."""
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{path}.kind must be cartesian, mcgehee or csv, got {kind!r}")
+    return _read(value, path, kinds[kind], n)
+
+
 def _read_csv_row(cfg: RunConfig, spec: dict) -> tuple[float, PhaseState]:
-    if not isinstance(spec.get("path"), str):
-        raise ConfigError(f"csv initial_state.path must be a string, got {spec.get('path')!r}")
     path = Path(spec["path"])
     if not path.is_absolute():
         path = cfg.base_dir / path
@@ -322,13 +347,11 @@ def _read_csv_row(cfg: RunConfig, spec: dict) -> tuple[float, PhaseState]:
         raise ConfigError(f"cannot read state csv {path}: {exc}") from None
     if not rows:
         raise ConfigError(f"state csv {path} has no data rows")
-    idx = _number(spec.get("row", -1), "initial_state.row", int)
+    idx = spec["row"]
     try:
         row = rows[idx]
     except IndexError:
-        raise ConfigError(
-            f"row {idx} out of range for {len(rows)} csv rows"
-        ) from None
+        raise ConfigError(f"row {idx} out of range for {len(rows)} csv rows") from None
     cols = {name: k for k, name in enumerate(header)}
     n = cfg.ms.n
     for dim in (2, 1):
@@ -341,17 +364,13 @@ def _read_csv_row(cfg: RunConfig, spec: dict) -> tuple[float, PhaseState]:
                 momenta=vals[sz:].reshape(n, dim),
             )
             return float(row[cols["t"]]), state
-    raise ConfigError(
-        f"state csv {path} lacks the r/p columns for {n} bodies"
-    )
+    raise ConfigError(f"state csv {path} lacks the r/p columns for {n} bodies")
 
 
-def _blow_up_state(cfg: RunConfig, st: dict) -> McGeheeState:
-    s = _as_state_array(st.get("s"), cfg.ms.n, "initial s")
-    u = _as_state_array(st.get("u"), cfg.ms.n, "initial u")
+def _blow_up_state(st: dict) -> McGeheeState:
     try:
-        return McGeheeState(rho=float(st.get("rho", 0.0)), v=float(st.get("v", 0.0)), s=s, u=u)
-    except (TypeError, ValueError) as exc:
+        return McGeheeState(rho=st["rho"], v=st["v"], s=st["s"], u=st["u"])
+    except ValueError as exc:
         raise ConfigError(f"invalid blow-up state: {exc}") from None
 
 
@@ -360,110 +379,92 @@ def _initial_cartesian(cfg: RunConfig) -> tuple[float, PhaseState]:
     st = cfg.initial_state
     if st is None:
         raise ConfigError("simulate needs an initial_state")
-    kind = st.get("kind")
-    if kind == "cartesian":
-        n = cfg.ms.n
-        r = _as_state_array(st.get("positions"), n, "initial positions")
-        p = _as_state_array(st.get("momenta"), n, "initial momenta")
-        if r.shape != p.shape:
-            raise ConfigError("positions and momenta must have matching shape")
-        return 0.0, PhaseState(config=Configuration(r), momenta=p)
-    if kind == "mcgehee":
-        mst = _blow_up_state(cfg, st)
+    if st["kind"] == "csv":
+        return _read_csv_row(cfg, st)
+    if st["kind"] == "mcgehee":
+        mst = _blow_up_state(st)
         try:
             return 0.0, from_mcgehee(mst, cfg.ms, cfg.pp)
         except (ValueError, QHError) as exc:
             raise ConfigError(f"invalid blow-up state: {exc}") from None
-    if kind == "csv":
-        return _read_csv_row(cfg, st)
-    raise ConfigError(
-        f"initial_state kind must be cartesian, mcgehee or csv, got {kind!r}"
-    )
+    r, p = st["positions"], st["momenta"]
+    if r.shape != p.shape:
+        raise ConfigError("positions and momenta must have matching shape")
+    return 0.0, PhaseState(config=Configuration(r), momenta=p)
 
 
 def _query(cfg: RunConfig) -> CCQuery:
-    grad_tol = cfg.tol("grad_tol", 1e-12)
-    return CCQuery(ms=cfg.ms, pp=cfg.pp, inertia_I0=cfg.inertia_I0, grad_tol=grad_tol)
+    return CCQuery(ms=cfg.ms, pp=cfg.pp, inertia_I0=cfg.inertia_I0, grad_tol=cfg.tol["grad_tol"])
 
 
-def _ordering_arg(perm, n: int) -> Ordering:
+def _ordering_arg(perm, path, rng, n) -> Ordering:
     try:
-        ordering = Ordering(tuple(int(k) for k in perm))
+        ordering = Ordering(tuple(_number(k, path, int) for k in perm))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid ordering {perm!r}: {exc}") from None
+        raise ConfigError(f"invalid {path} {perm!r}: {exc}") from None
     if ordering.n != n:
-        raise ConfigError("ordering length must match the mass count")
+        raise ConfigError(f"{path} must have one entry per mass, got {perm!r}")
     return ordering
 
 
-def _pure_b_cc(cfg: RunConfig, case) -> CCResult:
-    """A CC of the b-term alone on the unit sphere, from a case spec."""
-    if not isinstance(case, dict):
-        raise ConfigError(f"a case must be an object, got {case!r}")
-    kind, ordering = case.get("kind"), None
-    if kind == "equilateral":
-        if cfg.ms.n != 3:
-            raise ConfigError("equilateral case needs exactly 3 masses")
-    elif kind == "collinear":
-        if case.get("ordering") is None:
-            raise ConfigError("collinear case needs an ordering")
-        ordering = _ordering_arg(case["ordering"], cfg.ms.n)
-    else:
-        raise ConfigError(f"case kind must be equilateral or collinear, got {kind!r}")
-    return pure_b_cc(cfg.ms, cfg.pp.b, kind, ordering, cfg.tol("grad_tol", 1e-12))
+def _shape(value, path, kinds, n):
+    """(kind, ordering or positions) of a shape spec whose kind is one of kinds: "equilateral",
+    {"kind": "equilateral"}, {"kind": "collinear", "ordering": [...]}, {"ordering": [...]}
+    or {"positions": [...]}."""
+    spec = _read({"kind": value} if value == "equilateral" else value, path, _SHAPE, n)
+    kind = spec["kind"] or ("positions" if spec["positions"] is not None else "collinear")
+    arg = {"collinear": spec["ordering"], "positions": spec["positions"]}.get(kind)
+    if kind not in kinds[1:-1].split(", ") or (kind != "equilateral" and arg is None):
+        raise ConfigError(f"{path} must be a shape of kind {kinds}, got {value!r}")
+    if kind == "equilateral" and n != 3:
+        raise ConfigError(f"{path}: an equilateral shape needs exactly 3 masses")
+    return kind, arg
+
+
+def _cases(value, path, kinds, n):
+    if not (isinstance(value, list) and value):
+        raise ConfigError(f"{path} must be a non-empty array")
+    return [_shape(case, f"{path}[{k}]", kinds, n) for k, case in enumerate(value)]
+
+
+def _grid(value, path, table, n):
+    if n != 3:
+        raise ConfigError(f"{path} sweeps need exactly 3 masses")
+    return _read(value, path, table, n)
 
 
 def _initial_on_C(cfg: RunConfig) -> McGeheeState:
     st = cfg.initial_state
     if st is not None:
-        if st.get("kind") != "mcgehee":
+        if st["kind"] != "mcgehee":
             raise ConfigError("collision-flow initial_state must have kind mcgehee")
-        st0 = _blow_up_state(cfg, st)
+        st0 = _blow_up_state(st)
         if st0.rho != 0.0:
             raise ConfigError(f"collision-flow needs rho = 0, got {st0.rho!r}")
         return st0
 
-    start = cfg.opt("start")
-    if not isinstance(start, dict):
+    start = cfg.opt["start"]
+    if start is None:
         raise ConfigError("collision-flow needs initial_state or options.start")
-    case = start.get("shape", "equilateral")
-    if case == "equilateral":
-        case = {"kind": "equilateral"}
-    elif isinstance(case, dict) and "ordering" in case and "kind" not in case:
-        case = {"kind": "collinear", "ordering": case["ordering"]}
-    v_sign = _number(start.get("v_sign", -1), "options.start.v_sign", int)
-    if v_sign not in (-1, 1):
-        raise ConfigError(f"v_sign must be +1 or -1, got {v_sign!r}")
-    return manifold_start(
-        _pure_b_cc(cfg, case).config,
-        cfg.ms,
-        cfg.pp,
-        _number(start.get("perturbation_scale", 0.0), "options.start.perturbation_scale"),
-        _number(start.get("seed", 0), "options.start.seed", int),
-        v_sign,
-    )
+    shape = pure_b_cc(cfg.ms, cfg.pp.b, *start["shape"], cfg.tol["grad_tol"]).config
+    scale, seed, v_sign = start["perturbation_scale"], start["seed"], start["v_sign"]
+    return manifold_start(shape, cfg.ms, cfg.pp, scale, seed, v_sign)
 
 
 def _unit_shape(cfg: RunConfig) -> Configuration:
     """Shape on the unit inertia sphere selected by options.shape."""
     ms, pp = cfg.ms, cfg.pp
-    case = cfg.opt("shape", "equilateral")
-    if case == "equilateral":
-        if ms.n != 3:
-            raise ConfigError("equilateral shape needs exactly 3 masses")
+    kind, arg = cfg.opt["shape"]
+    if kind == "equilateral":
         return equilateral_configuration(ms, 1.0)[0]
-    if isinstance(case, dict) and "positions" in case:
-        r = _as_state_array(case["positions"], ms.n, "shape positions")
-        r = centered(lift_to_plane(r), ms)
+    if kind == "positions":
+        r = centered(lift_to_plane(arg), ms)
         inertia = mass_inner(r, r, ms)
         if inertia <= 0.0:
             raise ConfigError("shape has zero size")
         return Configuration(r / np.sqrt(inertia))
-    if isinstance(case, dict) and "ordering" in case:
-        ordering = _ordering_arg(case["ordering"], ms.n)
-        q = CCQuery(ms=ms, pp=pp, inertia_I0=1.0, grad_tol=cfg.tol("grad_tol", 1e-12))
-        return solve_collinear_ordering(ordering, q).config
-    raise ConfigError(f"unrecognized shape spec {case!r}")
+    q = CCQuery(ms=ms, pp=pp, inertia_I0=1.0, grad_tol=cfg.tol["grad_tol"])
+    return solve_collinear_ordering(arg, q).config
 
 
 def _match_payload(m: RestPointMatch) -> dict:
@@ -477,26 +478,61 @@ def _match_payload(m: RestPointMatch) -> dict:
     }
 
 
-def _mass_grid(cfg: RunConfig):
-    """(m1 values, m2 values, m3, ordering) of options.mass_grid, or None."""
-    grid = cfg.opt("mass_grid")
-    if grid is None:
-        return None
-    if cfg.ms.n != 3:
-        raise ConfigError("mass_grid sweeps need exactly 3 masses")
-    try:
-        (lo1, hi1), (lo2, hi2) = grid["m1"], grid["m2"]
-        perm = grid.get("ordering", (1, 2, 3))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid mass_grid: {exc}") from None
-    lo1, hi1 = (_number(x, "options.mass_grid.m1") for x in (lo1, hi1))
-    lo2, hi2 = (_number(x, "options.mass_grid.m2") for x in (lo2, hi2))
-    m3 = _number(grid.get("m3", 1.0), "options.mass_grid.m3")
-    points = _number(grid.get("points", 11), "options.mass_grid.points", int)
-    if points < 2 or min(lo1, hi1, lo2, hi2, m3) <= 0.0:
-        raise ConfigError("mass_grid needs points >= 2 and positive masses")
-    ordering = _ordering_arg(perm, 3)
-    return np.linspace(lo1, hi1, points), np.linspace(lo2, hi2, points), m3, ordering
+# ---------------------------------------------------------------------------
+# config tables: the keys each config object may hold
+
+_TOP = {
+    "schema": (_REQUIRED, _int, f"{{{SCHEMA}}}"),
+    "masses": (_REQUIRED, _masses, None),
+    "potential": ({}, _potential, "(-inf, inf)"),  # one range for a, b, alpha and beta
+    "inertia_I0": (1.0, _float, "(0, inf)"),
+    "energy_h": (None, _float, "(-inf, inf)"),
+    "initial_state": (None, _later, None),
+    "tolerances": ({}, _later, None),
+    "options": ({}, _later, None),
+}
+_KIND, _ARRAY = (_REQUIRED, _text, None), (_REQUIRED, _as_state_array, None)
+_STATES = {
+    "cartesian": {"kind": _KIND, "positions": _ARRAY, "momenta": _ARRAY},
+    "mcgehee": {"kind": _KIND, "rho": (0.0, _float, "[0, inf)"),
+                "v": (0.0, _float, "(-inf, inf)"), "s": _ARRAY, "u": _ARRAY},
+    "csv": {"kind": _KIND, "path": (_REQUIRED, _text, None), "row": (-1, _int, "(-inf, inf)")},
+}
+_SHAPE = {"kind": (None, _text, None), "ordering": (None, _ordering_arg, None),
+          "positions": (None, _as_state_array, None)}
+_REST_POINT = "{equilateral, collinear}"  # the shapes that name a pure-b rest point
+_START = {"shape": ("equilateral", _shape, _REST_POINT), "v_sign": (-1, _int, "{-1, 1}"),
+          "perturbation_scale": (0.0, _float, "[0, inf)"), "seed": (0, _int, "[0, inf)")}
+_MASS_GRID = {"m1": (_REQUIRED, _pair, "(0, inf)"), "m2": (_REQUIRED, _pair, "(0, inf)"),
+              "m3": (1.0, _float, "(0, inf)"), "points": (11, _int, "[2, inf)"),
+              "ordering": ([1, 2, 3], _ordering_arg, None)}
+_GRAD_TOL = (1e-12, _float, "(0, inf)")
+_REL_TOL, _ABS_TOL = (1e-10, _float, "[0, inf)"), (1e-12, _float, "(0, inf)")
+_TOLERANCES = {
+    "cc-collinear": {"grad_tol": _GRAD_TOL},
+    "cc-planar3": {"grad_tol": _GRAD_TOL},
+    "simultaneous": {"gap_tol": (1e-10, _float, "[0, inf)"),
+                     "grad_tol": (1e-13, _float, "(0, inf)")},
+    "simulate": {"rel_tol": _REL_TOL, "abs_tol": _ABS_TOL,
+                 "energy_match_tol": (1e-8, _float, "[0, inf)")},
+    "collision-flow": {"rel_tol": _REL_TOL, "abs_tol": _ABS_TOL, "grad_tol": _GRAD_TOL,
+                       "equilibrium_tol": (1e-9, _float, "[0, inf)"),
+                       "separation_floor": (0.05, _float, "[0, inf)")},
+    "eigen": {"grad_tol": _GRAD_TOL, "cc_tol": (1e-9, _float, "[0, inf)")},
+    "homothetic": {"rho_floor": (1e-8, _float, "(0, 1)"), "rel_tol": (1e-11, _float, "[0, inf)"),
+                   "abs_tol": (1e-13, _float, "(0, inf)"), "grad_tol": _GRAD_TOL},
+}
+# a null t_span runs from the initial state's time t to t + 10
+_OPTIONS = {
+    "cc-collinear": {},
+    "cc-planar3": {},
+    "simultaneous": {"mass_grid": (None, _grid, _MASS_GRID)},
+    "simulate": {"t_span": (None, _span, "(-inf, inf)"),
+                 "max_step": (math.inf, _float, "(0, inf]")},
+    "collision-flow": {"start": (None, _read, _START), "tau_max": (50.0, _float, "(0, inf)")},
+    "eigen": {"cases": (None, _cases, _REST_POINT)},
+    "homothetic": {"shape": ("equilateral", _shape, "{equilateral, collinear, positions}")},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +591,15 @@ def cmd_simultaneous(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("simultaneous needs a > 0: a = 0 has no shape equation")
     if cfg.ms.n > 6:
         raise ConfigError(f"simultaneous supports at most 6 bodies, got {cfg.ms.n}")
-    grid = _mass_grid(cfg)
-    gap_tol = cfg.tol("gap_tol", 1e-10)
-    grad_tol = cfg.tol("grad_tol", 1e-13)
+    grid, gap_tol = cfg.opt["mass_grid"], cfg.tol["gap_tol"]
     orderings = Ordering.all_canonical(cfg.ms.n)
     members = [(o, cfg.ms) for o in orderings]
     if grid is not None:
-        m1_vals, m2_vals, m3, ordering = grid
-        cells = [(m1, m2, m3) for m1 in m1_vals for m2 in m2_vals]
-        members += [(ordering, MassSystem(np.array(cell))) for cell in cells]
+        m1_vals, m2_vals = (np.linspace(*grid[m], grid["points"]) for m in ("m1", "m2"))
+        cells = [(m1, m2, grid["m3"]) for m1 in m1_vals for m2 in m2_vals]
+        members += [(grid["ordering"], MassSystem(np.array(cell))) for cell in cells]
     # the per-ordering gaps and every grid cell in one lockstep batch
-    gaps = simultaneous_gaps(members, cfg.pp, cfg.inertia_I0, grad_tol)
+    gaps = simultaneous_gaps(members, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"])
     records = [
         {"ordering": _ordering_payload(o), "gap": g, "simultaneous": bool(g <= gap_tol)}
         for o, g in zip(orderings, gaps)
@@ -585,7 +619,7 @@ def cmd_simultaneous(cfg: RunConfig, out_dir: Path) -> int:
         payload["mass_grid"] = {
             "points": len(m1_vals),
             "rows": len(rows),
-            "ordering": list(ordering.perm),
+            "ordering": list(grid["ordering"].perm),
             "csv": csv_path.name,
         }
         print(f"wrote {csv_path}")
@@ -600,21 +634,13 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     n, dim = state.config.positions.shape
     h0 = hamiltonian(state, ms, pp)
     if cfg.energy_h is not None:
-        slack = cfg.tol("energy_match_tol", 1e-8) * max(1.0, abs(cfg.energy_h))
+        slack = cfg.tol["energy_match_tol"] * max(1.0, abs(cfg.energy_h))
         if abs(h0 - cfg.energy_h) > slack:
             raise ConfigError(
                 f"energy_h = {cfg.energy_h!r} does not match the initial state "
                 f"(H = {h0!r})"
             )
-    span = cfg.opt("t_span")
-    if span is None:
-        span = [t_start, t_start + 10.0]
-    try:
-        t0, t1 = (float(x) for x in span)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid t_span: {exc}") from None
-    if not t1 > t0:
-        raise ConfigError(f"t_span must satisfy t1 > t0, got {span!r}")
+    t0, t1 = cfg.opt["t_span"] or (t_start, t_start + 10.0)
 
     l0 = angular_momentum(state, ms)
     field_fn = cartesian_field(ms, pp, dim)
@@ -633,10 +659,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
             field_fn,
             pack_phase(state),
             (t0, t1),
-            rel_tol=cfg.tol("rel_tol", 1e-10),
-            abs_tol=cfg.tol("abs_tol", 1e-12),
+            rel_tol=cfg.tol["rel_tol"],
+            abs_tol=cfg.tol["abs_tol"],
             monitors={"energy": energy_res, "angular_momentum": angmom_res},
-            max_step=_number(cfg.opt("max_step", np.inf), "options.max_step"),
+            max_step=cfg.opt["max_step"],
         )
     except StiffnessError as exc:
         sep = min_separation(exc.state[: n * dim].reshape(n, dim))
@@ -680,11 +706,11 @@ def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
         st0,
         ms,
         pp,
-        tau_max=_number(cfg.opt("tau_max", 50.0), "options.tau_max"),
-        rel_tol=cfg.tol("rel_tol", 1e-10),
-        abs_tol=cfg.tol("abs_tol", 1e-12),
-        equilibrium_tol=cfg.tol("equilibrium_tol", 1e-9),
-        separation_floor=cfg.tol("separation_floor", 0.05),
+        tau_max=cfg.opt["tau_max"],
+        rel_tol=cfg.tol["rel_tol"],
+        abs_tol=cfg.tol["abs_tol"],
+        equilibrium_tol=cfg.tol["equilibrium_tol"],
+        separation_floor=cfg.tol["separation_floor"],
     )
     sz = n * dim
     header = ["tau", "v", "manifold_residual", "min_separation"] + _state_columns(
@@ -715,7 +741,7 @@ def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
         ),
         "nearest_equilibrium": _match_payload(
             nearest_equilibrium(
-                final.s, final.v, pure_b_catalog(ms, pp.b, cfg.tol("grad_tol", 1e-12)), ms, pp
+                final.s, final.v, pure_b_catalog(ms, pp.b, cfg.tol["grad_tol"]), ms, pp
             )
         ),
         "csv": csv_path.name,
@@ -730,14 +756,12 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("eigen needs a = 1 with beta > 0")
     if cfg.pp.b <= 2.0:
         raise ConfigError(f"equilibrium spectra need b > 2, got b = {cfg.pp.b!r}")
-    cases = cfg.opt("cases")
+    cases = cfg.opt["cases"]
     if cases is None:
-        ccs = pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol("grad_tol", 1e-12))
-    elif isinstance(cases, list) and cases:
-        ccs = [_pure_b_cc(cfg, case) for case in cases]
+        ccs = pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol["grad_tol"])
     else:
-        raise ConfigError("options.cases must be a non-empty array")
-    reports = find_equilibria(cfg.ms, cfg.pp, ccs, tol=cfg.tol("cc_tol", 1e-9))
+        ccs = [pure_b_cc(cfg.ms, cfg.pp.b, *case, cfg.tol["grad_tol"]) for case in cases]
+    reports = find_equilibria(cfg.ms, cfg.pp, ccs, tol=cfg.tol["cc_tol"])
     records = []
     for rep in reports:
         rec = {
@@ -782,9 +806,9 @@ def cmd_homothetic(cfg: RunConfig, out_dir: Path) -> int:
         cfg.ms,
         cfg.pp,
         cfg.energy_h,
-        rho_floor=cfg.tol("rho_floor", 1e-8),
-        rel_tol=cfg.tol("rel_tol", 1e-11),
-        abs_tol=cfg.tol("abs_tol", 1e-13),
+        rho_floor=cfg.tol["rho_floor"],
+        rel_tol=cfg.tol["rel_tol"],
+        abs_tol=cfg.tol["abs_tol"],
     )
     k_series = orbit.trajectory.conserved_residuals["K"]
     body = np.column_stack([orbit.taus, orbit.rhos, orbit.vs, k_series])
@@ -838,7 +862,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_file(args.config)
+        cfg = RunConfig.from_file(args.config, args.command)
         out_dir = Path(args.out) if args.out else Path.cwd()
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)

@@ -181,9 +181,12 @@ def integrate(
 ) -> Trajectory:
     """Integrate y' = field_fn(t, y) over span = (t0, t1), t1 > t0.
 
-    The renormalizer, when given, maps each accepted state back onto its
-    constraint manifold before the state is stored and used for the next
-    step.  monitors is a dict of named functions called once, after the
+    Before the first field call, raises ValueError for a span without
+    finite ends, an abs_tol that is not positive and finite, a negative
+    or non-finite rel_tol (0 is allowed) or a max_step that is not
+    positive.  The renormalizer, when given, maps each accepted state
+    back onto its constraint manifold before the state is stored and used
+    for the next step.  monitors is a dict of named functions called once, after the
     last step, as fn(times, states) on the accepted grid ((N,) and
     (N, dim), t0 and any terminal event point included; the trajectory's
     own arrays, not to be modified); each returns an (N,) series, else
@@ -195,6 +198,14 @@ def integrate(
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
         raise ValueError("span must satisfy t1 > t0")
+    if not np.isfinite(t1 - t0):
+        raise ValueError(f"span must have finite ends, got {span!r}")
+    if not (np.isfinite(abs_tol) and abs_tol > 0.0):
+        raise ValueError(f"abs_tol must be positive and finite, got {abs_tol!r}")
+    if not (np.isfinite(rel_tol) and rel_tol >= 0.0):
+        raise ValueError(f"rel_tol must be nonnegative and finite, got {rel_tol!r}")
+    if not max_step > 0.0:
+        raise ValueError(f"max_step must be positive, got {max_step!r}")
     y = np.array(y0, dtype=float)
     if y.ndim != 1:
         raise ValueError("state must be a flat vector")

@@ -8,6 +8,8 @@ exit 3 for runtime failures (which name the error class).
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,8 +578,18 @@ GRID = base_config(options={"mass_grid": {"m1": [0.5, 1.5], "m2": [0.5, 1.5]}})
 CSV_STATE = base_config(masses=[1.0, 1.0], initial_state={"kind": "csv", "path": "state.csv"})
 
 
-# a JSON null, then a non-integral value in an integer field, then a value
-# of the wrong type: each exits 2 with a message naming the field
+# the close match that the message of each misspelt key below names
+CLOSE_MATCH = {
+    "options.span": "options.t_span",
+    "tolerances.grad_tool": "tolerances.grad_tol",
+    "options.start.sead": "options.start.seed",
+    "options.mass_grid.point": "options.mass_grid.points",
+}
+
+
+# a JSON null, then a non-integral value in an integer field, a value of the
+# wrong type, a misspelt key and a value out of range: each exits 2 with a
+# message naming the field
 @pytest.mark.parametrize(
     "command, field, data",
     [
@@ -596,6 +608,20 @@ CSV_STATE = base_config(masses=[1.0, 1.0], initial_state={"kind": "csv", "path":
         _case("simultaneous", "options.mass_grid.m3", GRID, [1.0]),
         _case("cc-collinear", "energy_h", base_config(), [1.0]),
         _case("simulate", "initial_state.path", CSV_STATE, 123),
+        _case("simulate", "options.span", SIM, [0, 20]),
+        _case("cc-collinear", "tolerances.grad_tool", base_config(), 1e-12),
+        _case("collision-flow", "options.start.sead", FLOW, 3),
+        _case("simultaneous", "options.mass_grid.point", GRID, 5),
+        _case("simulate", "options.t_span", SIM, [0, float("inf")]),
+        _case("simulate", "tolerances.abs_tol", SIM, 0),
+        _case("simulate", "tolerances.rel_tol", _case("simulate", "tolerances.abs_tol", SIM, -1)[2],
+              -1),
+        _case("simulate", "options.max_step", SIM, 0),
+        _case("simulate", "options.max_step", SIM, -1),
+        _case("collision-flow", "options.tau_max", FLOW, -1),
+        _case("collision-flow", "options.start.perturbation_scale", FLOW, -0.05),
+        _case("collision-flow", "options.start.seed", FLOW, -3),
+        _case("simultaneous", "options.mass_grid.ordering", GRID, [1.7, 2, 3]),
     ],
 )
 def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, field, data):
@@ -604,7 +630,80 @@ def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, fi
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert field.rsplit(".", 1)[-1] in err
+    assert CLOSE_MATCH.get(field, "") in err
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# shape specs: one grammar wherever a shape is read
+
+EIGEN = base_config()
+HOMOTHETIC = base_config(masses=[1.0, 1.0, 1.0], beta=1.0, energy_h=-1.0)
+
+
+@pytest.mark.parametrize(
+    "command, data, key, spec, same",
+    [
+        ("eigen", EIGEN, "cases", [{"ordering": [1, 3, 2]}],
+         [{"kind": "collinear", "ordering": [1, 3, 2]}]),
+        ("eigen", EIGEN, "cases", ["equilateral"], [{"kind": "equilateral"}]),
+        ("homothetic", HOMOTHETIC, "shape", {"kind": "equilateral"}, "equilateral"),
+    ],
+)
+def test_each_form_of_a_shape_spec_gives_the_same_output(tmp_path, command, data, key, spec, same):
+    outs = []
+    for sub, value in (("one", spec), ("other", same)):
+        code, out = run(tmp_path, command, {**data, "options": {key: value}}, subdir=sub)
+        assert code == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_positions_give_a_shape_but_not_a_rest_point(tmp_path, capsys):
+    triangle = equilateral_configuration(MassSystem(np.ones(3)))[0].positions.tolist()
+    shape = {"positions": triangle}
+    for sub, command, data, path in (
+        ("cases", "eigen", base_config(options={"cases": [shape]}), "options.cases[0]"),
+        ("start", "collision-flow", base_config(options={"start": {"shape": shape}}),
+         "options.start.shape"),
+    ):
+        code, _ = run(tmp_path, command, data, subdir=sub)
+        assert code == 2
+        assert path in capsys.readouterr().err
+    code, _ = run(tmp_path, "homothetic", {**HOMOTHETIC, "options": {"shape": shape}}, "orbit")
+    assert code == 0
+
+
+def test_readme_config_tables_match_the_code():
+    # every `tolerances.*` and `options.*` row under a "#### `qh <command>`"
+    # heading, against the command's tables with nested tables flattened
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented, command = {}, None
+    for line in readme.splitlines():
+        heading = re.match(r"#### `qh ([\w-]+)`", line)
+        command = heading.group(1) if heading else command
+        row = re.match(r"\| `((?:tolerances|options)\.[\w.]+)` \| ([^|]+) \| ([^|]+) \|", line)
+        if row:
+            key, default, rng = (cell.strip() for cell in row.groups())
+            default = default if default == "required" else json.loads(default.strip("`"))
+            documented.setdefault(command, {})[key] = (default, rng.strip("`"))
+
+    def flatten(prefix, table):
+        for key, (default, _, rng) in table.items():
+            default = "required" if default is cli._REQUIRED else default
+            yield prefix + key, (default, "—" if isinstance(rng, dict) or rng is None else rng)
+            if isinstance(rng, dict):
+                yield from flatten(f"{prefix}{key}.", rng)
+
+    expected = {
+        command: dict(flatten("tolerances.", cli._TOLERANCES[command]))
+        | dict(flatten("options.", cli._OPTIONS[command]))
+        for command in cli._COMMANDS
+    }
+    assert expected == documented
 
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):

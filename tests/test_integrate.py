@@ -223,6 +223,39 @@ def test_span_validation():
         integrate(harmonic, np.array([[1.0], [0.0]]), (0.0, 1.0))
 
 
+# each bad argument raises before the first field call; rel_tol = 0 is legal
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"span": (0.0, np.inf)}, "span"),
+        ({"span": (-np.inf, 0.0)}, "span"),
+        ({"abs_tol": 0.0}, "abs_tol"),
+        ({"abs_tol": -1e-12}, "abs_tol"),
+        ({"abs_tol": np.inf}, "abs_tol"),
+        ({"rel_tol": -1.0}, "rel_tol"),
+        ({"rel_tol": np.nan}, "rel_tol"),
+        ({"max_step": 0.0}, "max_step"),
+        ({"max_step": -1.0}, "max_step"),
+        ({"rel_tol": 0.0}, None),
+    ],
+)
+def test_arguments_it_cannot_honour_are_rejected_up_front(kwargs, name):
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return harmonic(t, y)
+
+    args = {"span": (0.0, 1.0), "abs_tol": 1e-10, **kwargs}
+    if name is None:
+        tr = integrate(field, np.array([1.0, 0.0]), **args)
+        assert abs(tr.final_state[0] - np.cos(1.0)) < 1e-8
+        return
+    with pytest.raises(ValueError, match=name):
+        integrate(field, np.array([1.0, 0.0]), **args)
+    assert calls == []
+
+
 def test_exact_span_end_is_reached():
     tr = integrate(lambda t, y: np.array([1.0]), np.array([0.0]), (0.0, 0.7))
     assert abs(tr.times[-1] - 0.7) < 1e-12
