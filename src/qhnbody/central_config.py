@@ -9,7 +9,7 @@ once, dW/dr = sigma_1 dI/dr and dV/dr = sigma_2 dI/dr.
 Collinear classes are labelled by orderings of the bodies on the line
 modulo reflection; every class contains exactly one central
 configuration (the restricted Hessian is positive definite on the whole
-component), found here by a tangent-space Newton iteration.  For three
+component), found here by a constrained Newton iteration.  For three
 bodies in the plane with a = 1 the only non-collinear classes are the
 two equilateral orientations, whose side length is fixed by the inertia
 constraint alone.
@@ -257,26 +257,6 @@ def tangent_basis(positions: np.ndarray, ms, inertia_I0: float) -> np.ndarray:
     return _metric_null_basis(rows, np.repeat(m, d, axis=-1))
 
 
-def _restricted_hessian_matrix(
-    r: np.ndarray,
-    ms,
-    pp: PotentialParams,
-    basis: np.ndarray,
-    inertia_I0: float,
-    wv: tuple | None = None,
-) -> np.ndarray:
-    """basis^T (Hess U + (a W + b V) / I0) basis, member by member for a batch.
-
-    wv, the values (W, V) at r when the caller has them, spare a pass of
-    the pair kernel.
-    """
-    w, v = pair_terms(r, ms, pp)[:2] if wv is None else wv
-    correction = (pp.a * w + pp.b * v) / inertia_I0
-    hm = hess_U_matrix(r, ms, pp)
-    k = basis.shape[-1]
-    return basis.swapaxes(-1, -2) @ hm @ basis + np.multiply.outer(correction, np.eye(k))
-
-
 def count_modes(eigs: np.ndarray) -> tuple[int, int, float]:
     """(index, zero_modes, zero_tol) of a real spectrum.
 
@@ -305,10 +285,16 @@ def _restricted_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The restricted Hessian at x in its tangent basis and its eigenvalues.
 
-    (K, K) and (K,), or (B, K, K) and (B, K) for a batch.
+    The matrix is basis^T (Hess U + (a W + b V) / I0) basis, (K, K) with
+    (K,) eigenvalues, or (B, K, K) and (B, K) for a batch.  wv, the
+    values (W, V) at x when the caller has them, spare a pass of the
+    pair kernel.
     """
     basis = tangent_basis(x, ms, inertia_I0)
-    a_mat = _restricted_hessian_matrix(x, ms, pp, basis, inertia_I0, wv)
+    w, v = pair_terms(x, ms, pp)[:2] if wv is None else wv
+    correction = (pp.a * w + pp.b * v) / inertia_I0
+    a_mat = basis.swapaxes(-1, -2) @ hess_U_matrix(x, ms, pp) @ basis
+    a_mat = a_mat + np.multiply.outer(correction, np.eye(basis.shape[-1]))
     return a_mat, np.linalg.eigvalsh(a_mat)
 
 
@@ -380,8 +366,12 @@ def _stalled(ordering: Ordering, res: float) -> NoConvergenceError:
 
 
 def _solve_each(a_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions of a stack of systems, with rhs itself where a member is singular."""
-    out = rhs.copy()
+    """Solutions of a stack of systems, and the mask of singular members (left at zero)."""
+    try:
+        return np.linalg.solve(a_mat, rhs[..., None])[..., 0], np.zeros(len(rhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(rhs)
     singular = np.zeros(len(rhs), dtype=bool)
     for k in range(len(rhs)):
         try:
@@ -392,31 +382,40 @@ def _solve_each(a_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _newton_directions(
-    x: np.ndarray, m: np.ndarray, pp: PotentialParams, terms: PairTerms, inertia_I0: float
+    x: np.ndarray, m: np.ndarray, pp: PotentialParams, terms: PairTerms, sigma, inertia_I0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton directions of a batch of iterates on the line.
 
-    Each member solves its restricted-Hessian system in the tangent
-    space; where that system is singular or its step does not descend,
-    the member takes the gradient step instead.  Returns the (B, n)
-    directions, the slope of U along each, and the mask of members that
-    fell back to the gradient.
+    Each member solves [[H + c M, C^T], [C, 0]] [xi; lambda] = [-r; 0]
+    with H = Hess U, c = (a W + b V) / I0, M = diag(m), C the rows m and
+    m x of the center-of-mass and inertia constraints, and r = grad U -
+    2 sigma M x the CC residual: xi is the restricted-Hessian Newton step
+    of the tangent space, taken without a tangent basis.  Where the
+    system is singular or xi does not descend, M in place of H + c M
+    gives the gradient step in the tangent space instead.  Returns the
+    (B, n) directions, the slope r . xi of U along each, and the mask of
+    members that fell back to the gradient.
     """
-    r1 = x[..., None]
-    basis = tangent_basis(r1, m, inertia_I0)
-    g = (basis.swapaxes(-1, -2) @ (terms.grad_W + terms.grad_V))[..., 0]
-    a_mat = _restricted_hessian_matrix(r1, m, pp, basis, inertia_I0, terms[:2])
-    try:
-        step = np.linalg.solve(a_mat, -g[..., None])[..., 0]
-        singular = np.zeros(len(g), dtype=bool)
-    except np.linalg.LinAlgError:
-        step, singular = _solve_each(a_mat, -g)
-    slope = (g * step).sum(axis=-1)
-    uphill = slope >= 0.0
-    if uphill.any():
-        step[uphill] = -g[uphill]
-        slope[uphill] = -(g[uphill] * g[uphill]).sum(axis=-1)
-    return (basis @ step[..., None])[..., 0], slope, uphill | singular
+    size, n = x.shape
+    body = np.arange(n)
+    kkt = np.zeros((size, n + 2, n + 2))
+    kkt[:, n, :n] = kkt[:, :n, n] = m
+    kkt[:, n + 1, :n] = kkt[:, :n, n + 1] = m * x
+    kkt[:, :n, :n] = hess_U_matrix(x[..., None], m, pp)
+    kkt[:, body, body] += ((pp.a * terms.W + pp.b * terms.V) / inertia_I0)[:, None] * m
+    rhs = np.zeros((size, n + 2))
+    rhs[:, :n] = 2.0 * sigma[:, None] * m * x - (terms.grad_W + terms.grad_V)[..., 0]
+    step, singular = _solve_each(kkt, rhs)
+    # r . xi; the border rows of the right-hand side are zero
+    slope = -(rhs * step).sum(axis=-1)
+    fallback = singular | (slope >= 0.0)
+    if fallback.any():
+        k = np.flatnonzero(fallback)
+        kkt[k, :n, :n] = 0.0
+        kkt[k[:, None], body, body] = m[k]
+        step[k] = np.linalg.solve(kkt[k], rhs[k][..., None])[..., 0]
+        slope[k] = -(rhs[k] * step[k]).sum(axis=-1)
+    return step[:, :n], slope, fallback
 
 
 def solve_collinear_batch(
@@ -483,10 +482,11 @@ def solve_collinear_batch(
             converged[gone] = True
             final_x[gone], final_w[gone], final_v[gone] = x[done], terms.W[done], terms.V[done]
             drop(done)
+            sig = sig[~done]
         if not ids.size:
             break
 
-        direction, slope, fallback = _newton_directions(x, m, pp, terms, inertia_I0)
+        direction, slope, fallback = _newton_directions(x, m, pp, terms, sig, inertia_I0)
         fallbacks[ids[fallback]] += 1
         u0 = terms.W + terms.V
         armijo = 1e-4 * slope
@@ -560,9 +560,12 @@ def solve_collinear_batch(
 def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
     """The unique collinear central configuration with the given ordering.
 
-    Works on the line through a tangent-space Newton iteration with the
-    restricted Hessian, Armijo backtracking on U, and a gradient-descent
-    fallback; the ordering is preserved by rejecting trial steps whose
+    Works on the line through a constrained Newton iteration: each step
+    solves one bordered (Lagrange) system in the Hessian of U and the
+    center-of-mass and inertia constraints, whose step is the
+    restricted-Hessian Newton step of the tangent space.  Armijo
+    backtracking on U and a projected-gradient fallback keep it
+    descending; the ordering is preserved by rejecting trial steps whose
     gaps are not strictly positive.  Convergence is declared on the
     sup-norm residual of the CC equation; since that residual cannot
     drop below the rounding in the sums that form it, the goal widens to

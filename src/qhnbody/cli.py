@@ -162,11 +162,13 @@ def _read(obj, path: str, table: dict, n=None) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got {obj!r}")
     at = f"{path}." if path else ""
+    unknown = []
     for key in obj:
         if key not in table:
             near = difflib.get_close_matches(key, table, n=1)
-            hint = f" (did you mean {at}{near[0]}?)" if near else ""
-            raise ConfigError(f"unknown config key {at}{key}{hint}")
+            unknown.append(f"{at}{key}" + (f" (did you mean {at}{near[0]}?)" if near else ""))
+    if unknown:
+        raise ConfigError(f"unknown config key {'; '.join(unknown)}")
     out = {}
     for key, (default, kind, rng) in table.items():
         value = obj[key] if key in obj else default
@@ -254,7 +256,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        top = _read(raw, "", _TOP)
+        allowed = {key: _TOP[key] for key in _TOP_KEYS[command]}
+        top = {key: default for key, (default, _, _) in _TOP.items()} | _read(raw, "", allowed)
         n, state = top["masses"].n, top["initial_state"]
         return cls(
             ms=top["masses"], pp=top["potential"],
@@ -413,12 +416,15 @@ def _shape(value, path, kinds, n):
     or {"positions": [...]}."""
     spec = _read({"kind": value} if value == "equilateral" else value, path, _SHAPE, n)
     kind = spec["kind"] or ("positions" if spec["positions"] is not None else "collinear")
-    arg = {"collinear": spec["ordering"], "positions": spec["positions"]}.get(kind)
-    if kind not in kinds[1:-1].split(", ") or (kind != "equilateral" and arg is None):
+    key = {"collinear": "ordering", "positions": "positions"}.get(kind)
+    if kind not in kinds[1:-1].split(", ") or (key is not None and spec[key] is None):
         raise ConfigError(f"{path} must be a shape of kind {kinds}, got {value!r}")
+    for other in ("ordering", "positions"):
+        if other != key and spec[other] is not None:
+            raise ConfigError(f"{path}.{other} does not go with a shape of kind {kind}")
     if kind == "equilateral" and n != 3:
         raise ConfigError(f"{path}: an equilateral shape needs exactly 3 masses")
-    return kind, arg
+    return kind, spec.get(key)
 
 
 def _cases(value, path, kinds, n):
@@ -490,6 +496,17 @@ _TOP = {
     "initial_state": (None, _later, None),
     "tolerances": ({}, _later, None),
     "options": ({}, _later, None),
+}
+# the top-level keys each subcommand reads; the others keep their defaults
+_COMMON = ("schema", "masses", "potential", "tolerances")
+_TOP_KEYS = {
+    "cc-collinear": _COMMON + ("inertia_I0",),
+    "cc-planar3": _COMMON + ("inertia_I0",),
+    "simultaneous": _COMMON + ("inertia_I0", "options"),
+    "simulate": _COMMON + ("initial_state", "energy_h", "options"),
+    "collision-flow": _COMMON + ("initial_state", "options"),
+    "eigen": _COMMON + ("options",),
+    "homothetic": _COMMON + ("energy_h", "options"),
 }
 _KIND, _ARRAY = (_REQUIRED, _text, None), (_REQUIRED, _as_state_array, None)
 _STATES = {

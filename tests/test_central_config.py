@@ -24,6 +24,7 @@ from qhnbody.central_config import (
     equilateral_side,
     euler_collinear_homogeneous,
     f_root,
+    restricted_hessian,
     simultaneous_gap,
     simultaneous_gaps,
     simultaneous_residual,
@@ -148,6 +149,8 @@ def test_seeded_census_at_five_and_six_bodies():
             assert res.index == 0
             force_sum = pair_terms(res.config.positions[:, :1], ms, pp).force_sum
             assert res.residual < max(1e-10, 32.0 * np.finfo(float).eps * force_sum.max())
+            assert res.fallbacks == 0
+            assert res.backtracks <= 1
     assert time.monotonic() - started < 30.0
 
 
@@ -201,6 +204,75 @@ def test_each_newton_iterate_costs_one_kernel_pass(monkeypatch):
     res = solve_collinear_ordering(Ordering((1, 2, 6, 4, 5, 3)), CCQuery(ms=ms, pp=PP13))
     assert res.newton_iters > 0
     assert 1 + res.newton_iters <= len(passes) <= 1 + res.newton_iters + res.backtracks
+
+
+def _reference_directions(x, masses, pp, terms, sigma):
+    """Newton directions built member by member in the tangent basis."""
+    out, slopes, uphill = [], [], []
+    for b in range(len(x)):
+        ms, r1 = MassSystem(masses[b]), x[b][:, None]
+        basis = tangent_basis(r1, ms, 1.0)
+        a_mat = restricted_hessian(r1, ms, pp, "collinear")[0]
+        # basis^T grad U in exact arithmetic; projecting the residual
+        # instead keeps the normal part of grad U, of order 1e5 at n = 6,
+        # from eating the digits of a step taken near a CC
+        residual = (terms.grad_W[b] + terms.grad_V[b])[:, 0] - 2.0 * sigma[b] * masses[b] * x[b]
+        g = basis.T @ residual
+        step = np.linalg.solve(a_mat, -g)
+        uphill.append(g @ step >= 0.0)
+        if uphill[-1]:
+            step = -g
+        out.append(basis @ step)
+        slopes.append(g @ step)
+    return np.array(out), np.array(slopes), np.array(uphill)
+
+
+def _iterates_near_ccs(rng, pp, n, size=8):
+    """Random (x, masses) batch: CCs of random orderings, kicked by 1e-9 to 5e-2."""
+    masses = rng.uniform(0.2, 5.0, (size, n))
+    members = [(Ordering(tuple(rng.permutation(n) + 1)), MassSystem(m)) for m in masses]
+    x = np.array([cc.config.positions[:, 0] for cc in solve_collinear_batch(members, pp)])
+    kick = np.geomspace(1e-9, 5e-2, size)[rng.permutation(size)][:, None]
+    return central_config._project_line(x + kick * rng.standard_normal((size, n)), masses, 1.0), masses
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_bordered_newton_step_is_the_tangent_basis_step(monkeypatch, flip):
+    # the bordered solve gives the restricted-Hessian step of the tangent
+    # basis; with the Hessian's sign flipped for members whose first body
+    # is heavy, those go uphill and must fall back to the projected gradient
+    rng = np.random.default_rng(29)
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    batches = [_iterates_near_ccs(rng, pp, n) for n in (3, 4, 5, 6)]
+    if flip:
+        hess = central_config.hess_U_matrix
+
+        def flipped(r, ms, pp):
+            m = ms.masses if isinstance(ms, MassSystem) else ms
+            return hess(r, ms, pp) * np.where(m[..., :1, None] > 2.6, -1.0, 1.0)
+
+        monkeypatch.setattr(central_config, "hess_U_matrix", flipped)
+    fell = []
+    for x, masses in batches:
+        terms = pair_terms(x[..., None], masses, pp)
+        sigma = cc_residual(x[..., None], masses, pp, terms)[0]
+        direction, slope, fallback = central_config._newton_directions(x, masses, pp, terms, sigma, 1.0)
+        want_direction, want_slope, want_fallback = _reference_directions(x, masses, pp, terms, sigma)
+        error = np.abs(direction - want_direction).max(axis=-1)
+        assert (error <= 1e-10 * np.abs(want_direction).max(axis=-1)).all()
+        np.testing.assert_allclose(slope, want_slope, rtol=1e-10, atol=0.0)
+        assert (slope < 0.0).all()
+        np.testing.assert_array_equal(fallback, want_fallback)
+        fell.extend(fallback)
+    assert any(fell) == flip and not all(fell)
+
+
+def test_a_singular_newton_system_is_flagged_per_member():
+    a_mat = np.array([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+    rhs = np.ones((3, 3))
+    out, singular = central_config._solve_each(a_mat, rhs)
+    assert singular.tolist() == [False, True, False]
+    np.testing.assert_array_equal(out, [[1.0] * 3, [0.0] * 3, [0.5] * 3])
 
 
 def test_mass_grid_batch_equals_per_cell_gaps():

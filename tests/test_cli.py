@@ -622,6 +622,7 @@ CLOSE_MATCH = {
         _case("collision-flow", "options.start.perturbation_scale", FLOW, -0.05),
         _case("collision-flow", "options.start.seed", FLOW, -3),
         _case("simultaneous", "options.mass_grid.ordering", GRID, [1.7, 2, 3]),
+        _case("eigen", "energy_h", base_config(initial_state=TWO_BODY), -1.0),
     ],
 )
 def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, field, data):
@@ -660,6 +661,23 @@ def test_each_form_of_a_shape_spec_gives_the_same_output(tmp_path, command, data
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"kind": "equilateral", "ordering": [3, 2, 1], "positions": [[0, 0], [1, 0], [5, 5]]},
+         "ordering"),
+        ({"kind": "equilateral", "positions": [[0, 0], [1, 0], [5, 5]]}, "positions"),
+        ({"ordering": [3, 2, 1], "positions": [[0, 0], [1, 0], [5, 5]]}, "ordering"),
+        ({"kind": "collinear", "ordering": [3, 2, 1], "positions": [[0, 0], [1, 0], [5, 5]]},
+         "positions"),
+    ],
+)
+def test_a_shape_key_its_kind_does_not_use_is_a_config_error(tmp_path, capsys, spec, key):
+    code, _ = run(tmp_path, "homothetic", {**HOMOTHETIC, "options": {"shape": spec}})
+    assert code == 2
+    assert f"options.shape.{key}" in capsys.readouterr().err
 
 
 def test_positions_give_a_shape_but_not_a_rest_point(tmp_path, capsys):
