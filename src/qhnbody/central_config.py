@@ -37,8 +37,8 @@ from .model import (
     PairTerms,
     PotentialParams,
     _mass_array,
+    _PairKernel,
     centered,
-    hess_U_matrix,
     lift_to_plane,
     moment_of_inertia,
     pair_terms,
@@ -194,7 +194,7 @@ def cc_residual(config, ms, pp: PotentialParams, terms: PairTerms | None = None)
     """
     r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
     m = _mass_array(ms)
-    w, v, gw, gv, _ = pair_terms(r, ms, pp) if terms is None else terms
+    w, v, gw, gv = (pair_terms(r, ms, pp) if terms is None else terms)[:4]
     inertia = (m[..., None] * r * r).sum(axis=(-2, -1))
     sigma = -(pp.a * w + pp.b * v) / (2.0 * inertia)
     grad_i = 2.0 * m[..., None] * r
@@ -210,7 +210,7 @@ def simultaneous_residual(
     if pp.alpha == 0.0 or pp.beta == 0.0:
         raise DegenerateTermError("simultaneous test needs alpha > 0 and beta > 0")
     r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
-    w, v, gw, gv, _ = pair_terms(r, ms, pp)
+    w, v, gw, gv = pair_terms(r, ms, pp)[:4]
     inertia = moment_of_inertia(r, ms)
     sigma1 = -pp.a * w / (2.0 * inertia)
     sigma2 = -pp.b * v / (2.0 * inertia)
@@ -238,13 +238,13 @@ def _metric_null_basis(constraints: np.ndarray, weights: np.ndarray) -> np.ndarr
     return q @ np.linalg.inv(chol).swapaxes(-1, -2)
 
 
-def tangent_basis(positions: np.ndarray, ms, inertia_I0: float) -> np.ndarray:
+def tangent_basis(positions: np.ndarray, ms) -> np.ndarray:
     """Mass-orthonormal basis of the tangent space to the constraint set.
 
-    The constraint set is {center of mass at origin, <r, r> = I0}; the
-    basis is returned as a (n*d, K) matrix of flattened displacement
-    fields with K = n*d - d - 1.  A (B, n, d) batch with (B, n) masses
-    gives a (B, n*d, K) stack.
+    The constraint set is {center of mass at origin, <r, r> = I0}, whose
+    tangent space at r does not depend on I0; the basis is returned as a
+    (n*d, K) matrix of flattened displacement fields with K = n*d - d - 1.
+    A (B, n, d) batch with (B, n) masses gives a (B, n*d, K) stack.
     """
     r = np.asarray(positions, dtype=float)
     n, d = r.shape[-2:]
@@ -281,19 +281,18 @@ def _as_line(r: np.ndarray) -> np.ndarray:
 
 
 def _restricted_spectrum(
-    x: np.ndarray, ms, pp: PotentialParams, inertia_I0: float, wv: tuple | None = None
+    x: np.ndarray, ms, pp: PotentialParams, inertia_I0: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """The restricted Hessian at x in its tangent basis and its eigenvalues.
 
     The matrix is basis^T (Hess U + (a W + b V) / I0) basis, (K, K) with
-    (K,) eigenvalues, or (B, K, K) and (B, K) for a batch.  wv, the
-    values (W, V) at x when the caller has them, spare a pass of the
-    pair kernel.
+    (K,) eigenvalues, or (B, K, K) and (B, K) for a batch.  W, V and the
+    Hessian come from one pass of the pair kernel.
     """
-    basis = tangent_basis(x, ms, inertia_I0)
-    w, v = pair_terms(x, ms, pp)[:2] if wv is None else wv
-    correction = (pp.a * w + pp.b * v) / inertia_I0
-    a_mat = basis.swapaxes(-1, -2) @ hess_U_matrix(x, ms, pp) @ basis
+    basis = tangent_basis(x, ms)
+    terms = _PairKernel(_mass_array(ms), pp).terms(x, force=False, hess=True)[0]
+    correction = (pp.a * terms.W + pp.b * terms.V) / inertia_I0
+    a_mat = basis.swapaxes(-1, -2) @ terms.hess @ basis
     a_mat = a_mat + np.multiply.outer(correction, np.eye(basis.shape[-1]))
     return a_mat, np.linalg.eigvalsh(a_mat)
 
@@ -387,21 +386,21 @@ def _newton_directions(
     """Newton directions of a batch of iterates on the line.
 
     Each member solves [[H + c M, C^T], [C, 0]] [xi; lambda] = [-r; 0]
-    with H = Hess U, c = (a W + b V) / I0, M = diag(m), C the rows m and
-    m x of the center-of-mass and inertia constraints, and r = grad U -
-    2 sigma M x the CC residual: xi is the restricted-Hessian Newton step
-    of the tangent space, taken without a tangent basis.  Where the
-    system is singular or xi does not descend, M in place of H + c M
-    gives the gradient step in the tangent space instead.  Returns the
-    (B, n) directions, the slope r . xi of U along each, and the mask of
-    members that fell back to the gradient.
+    with H = terms.hess, c = (a W + b V) / I0, M = diag(m), C the rows m
+    and m x of the center-of-mass and inertia constraints, and r =
+    grad U - 2 sigma M x the CC residual: xi is the restricted-Hessian
+    Newton step of the tangent space, taken without a tangent basis.
+    Where the system is singular or xi does not descend, M in place of
+    H + c M gives the gradient step in the tangent space instead.
+    Returns the (B, n) directions, the slope r . xi of U along each, and
+    the mask of members that fell back to the gradient.
     """
     size, n = x.shape
     body = np.arange(n)
     kkt = np.zeros((size, n + 2, n + 2))
     kkt[:, n, :n] = kkt[:, :n, n] = m
     kkt[:, n + 1, :n] = kkt[:, :n, n + 1] = m * x
-    kkt[:, :n, :n] = hess_U_matrix(x[..., None], m, pp)
+    kkt[:, :n, :n] = terms.hess
     kkt[:, body, body] += ((pp.a * terms.W + pp.b * terms.V) / inertia_I0)[:, None] * m
     rhs = np.zeros((size, n + 2))
     rhs[:, :n] = 2.0 * sigma[:, None] * m * x - (terms.grad_W + terms.grad_V)[..., 0]
@@ -433,9 +432,10 @@ def solve_collinear_batch(
     ordering is rejected for its own member only, and one pass of the
     pair kernel over the members still searching evaluates each round of
     trial steps, so an accepted trial already carries W, V, the
-    gradients and the force sums of the next iterate.  The members must
-    have the same number of bodies.  When members fail, the error of the
-    first of them in input order is raised.
+    gradients, the force sums and the Hessian of the next iterate.  The
+    spectra of the converged members are one more pass at the end.  The
+    members must have the same number of bodies.  When members fail, the
+    error of the first of them in input order is raised.
     """
     _check_knobs(inertia_I0, grad_tol)
     if not members:
@@ -455,12 +455,12 @@ def solve_collinear_batch(
     x = np.empty((size, n))
     x[ids[:, None], perm] = np.arange(n, dtype=float)  # unit gaps in each ordering
     x = _project_line(x, m, inertia_I0)
-    terms = pair_terms(x[..., None], m, pp)
+    terms = _PairKernel(m, pp).terms(x[..., None], hess=True)[0]
 
     sigma, res = np.zeros(size), np.full(size, np.inf)
     floor = np.full(size, float(grad_tol))
     iters, backtracks, fallbacks = (np.zeros(size, dtype=int) for _ in range(3))
-    final_x, final_w, final_v = np.zeros((size, n)), np.zeros(size), np.zeros(size)
+    final_x = np.zeros((size, n))
     converged = np.zeros(size, dtype=bool)
     errors: list[Exception | None] = [None] * size
 
@@ -480,7 +480,7 @@ def solve_collinear_batch(
         if done.any():
             gone = ids[done]
             converged[gone] = True
-            final_x[gone], final_w[gone], final_v[gone] = x[done], terms.W[done], terms.V[done]
+            final_x[gone] = x[done]
             drop(done)
             sig = sig[~done]
         if not ids.size:
@@ -528,9 +528,7 @@ def solve_collinear_batch(
     results: list[CCResult | None] = [None] * size
     done = np.flatnonzero(converged)
     if done.size:
-        final = final_x[done][..., None]
-        wv = (final_w[done], final_v[done])
-        eigs = _restricted_spectrum(final, masses[done], pp, inertia_I0, wv)[1]
+        eigs = _restricted_spectrum(final_x[done][..., None], masses[done], pp, inertia_I0)[1]
     for k, b in enumerate(done):
         try:
             report = _index_report(eigs[k], "collinear")

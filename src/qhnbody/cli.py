@@ -50,7 +50,7 @@ from .collision_flow import (
     pure_b_cc,
     transversality_necessary,
 )
-from .errors import DegenerateError, ManevOnlyError, QHError, StiffnessError
+from .errors import ManevOnlyError, QHError, StiffnessError
 from .homothetic import heteroclinic_orbit
 from .mcgehee import McGeheeState, from_mcgehee, unpack_mcgehee
 from .model import (
@@ -799,12 +799,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path) -> int:
             "dim_energy_surface": rep.dim_energy_surface,
         }
         if rep.ambient == "planar":
-            try:
-                rec["transversality_necessary"] = transversality_necessary(
-                    rep.s0, cfg.ms, cfg.pp
-                )
-            except DegenerateError:
-                rec["transversality_necessary"] = None
+            rec["transversality_necessary"] = transversality_necessary(rep.s0, cfg.ms, cfg.pp)
         records.append(rec)
     payload = {
         **_header(cfg, "eigen"),

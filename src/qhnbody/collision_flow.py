@@ -179,14 +179,18 @@ def linearize_at_equilibrium(
     if pp.b <= 2.0:
         raise ValueError("linearization at equilibria needs b > 2")
     a_mat, lam, _ = _shape_spectrum(s0, ms, pp, ambient)
+    return (*_linearization(a_mat, v0, pp.b), lam)
+
+
+def _linearization(a_mat: np.ndarray, v0: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The block matrix of linearize_at_equilibrium from A, and its eigenvalues."""
     k = a_mat.shape[0]
     mat = np.zeros((2 + 2 * k, 2 + 2 * k))
     mat[0, 0] = v0
     mat[2 : 2 + k, 2 + k :] = np.eye(k)
     mat[2 + k :, 2 : 2 + k] = a_mat
-    mat[2 + k :, 2 + k :] = (pp.b / 2.0 - 1.0) * v0 * np.eye(k)
-    spectrum = np.linalg.eigvals(mat)
-    return mat, spectrum, lam
+    mat[2 + k :, 2 + k :] = (b / 2.0 - 1.0) * v0 * np.eye(k)
+    return mat, np.linalg.eigvals(mat)
 
 
 def manifold_dimensions(
@@ -242,7 +246,8 @@ def find_equilibria(
     ccs_of_V must be central configurations of the b-term alone on the
     unit sphere (alpha = 0 solves).  Each shape is verified against the
     equilibrium condition b V(s0) M s0 + grad V(s0) = 0, the cc_residual
-    of the b-term on the unit sphere, before its reports are built.
+    of the b-term on the unit sphere, before its reports are built; the
+    shape's restricted Hessian then serves both of its linearizations.
     """
     pp.require_manev()
     if pp.b <= 2.0:
@@ -260,10 +265,11 @@ def find_equilibria(
             )
         ambient = "collinear" if cc.kind == "collinear" else "planar"
         v_star = float(np.sqrt(2.0 * terms.V))
+        a_mat, lam, _ = _shape_spectrum(s0, ms, pp, ambient)
+        index, zero_modes, _ = count_modes(lam)
         for sign in (+1, -1):
             v0 = sign * v_star
-            _, spectrum, lam = linearize_at_equilibrium(s0, v0, ms, pp, ambient)
-            index, zero_modes, _ = count_modes(lam)
+            spectrum = _linearization(a_mat, v0, pp.b)[1]
             mu = eigen_closed_form(lam, v0, pp.b)
             dim_u, dim_s, dim_eh = manifold_dimensions(
                 ms.n, ambient, index, v0, spectrum

@@ -134,7 +134,7 @@ def _field_arrays(rho, v, s, u, kernel: _PairKernel, s_out=None, u_out=None):
     """
     b = kernel.pp.b
     m = kernel.m_col
-    w_s, v_s, gw, gv, _ = kernel.terms(s, force=False)[0]
+    w_s, v_s, gw, gv = kernel.terms(s, force=False)[0][:4]
     u_m_u = float((u * u / m).sum())
     rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
     rho_dot = rho * v

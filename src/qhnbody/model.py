@@ -192,15 +192,16 @@ def _mass_array(ms) -> np.ndarray:
 
 class PairTerms(NamedTuple):
     """W, V and their (n, d) gradients, coefficients included, with
-    force_sum[i] = sum_j |f_ij| over the total pair forces on body i: the
-    scale of the rounding error in either gradient.  A batch carries a
-    leading member axis on every field."""
+    force_sum[i] = sum_j |f_ij| over the total pair forces on body i (the
+    scale of the rounding error in either gradient) and hess, the dense
+    Hessian of U.  A batch carries a leading member axis on every field."""
 
     W: float
     V: float
     grad_W: np.ndarray
     grad_V: np.ndarray
     force_sum: np.ndarray
+    hess: np.ndarray | None = None
 
 
 class _PairKernel:
@@ -210,8 +211,9 @@ class _PairKernel:
     Everything that does not depend on the positions is computed here
     once: pair indices, m_i m_j with both coefficients, the mass column
     and the total mass.  pairs() holds the collision guard and terms()
-    the W, V, grad W and grad V formulas; a vector field binds one kernel
-    per closure, the other callers one per call.
+    the W, V, grad W, grad V and Hessian formulas, so one pass at a point
+    yields all of them; a vector field binds one kernel per closure, the
+    other callers one per call.
     """
 
     __slots__ = ("pp", "i", "j", "m_col", "m_total", "mm", "alpha_mm", "beta_mm")
@@ -252,11 +254,12 @@ class _PairKernel:
         return diff, dist, collided
 
     def terms(self, r: np.ndarray, energy: bool = True, force: bool = True,
-              strict: bool = True):
+              strict: bool = True, hess: bool = False):
         """(PairTerms, collided) of r, scattering only what the caller reads.
 
         The gradients are always summed; W and V only with energy, the
-        force sums only with force.  Terms left out read None.
+        force sums only with force, the Hessian only with hess.  Terms
+        left out read None.
         """
         pp = self.pp
         n, d = r.shape[-2:]
@@ -290,7 +293,25 @@ class _PairKernel:
             if not lead:
                 w_sum, v_sum = float(w_sum), float(v_sum)
         force_sum = sums[..., -1] if force else None
-        terms = PairTerms(w_sum, v_sum, sums[..., :d], sums[..., d:grad], force_sum)
+        h = None
+        if hess:
+            # pair i < j adds B = sum over both terms of c * ((exp + 2) / d^2 *
+            # diff diff^T - 1), c = exp * coef * m_i m_j * d^(-exp-2), to the
+            # (i, i) and (j, j) blocks and -B to the (i, j) and (j, i) blocks
+            ca = pp.a * pp.alpha * self.mm * dist ** (-pp.a - 2.0)
+            cb = pp.b * pp.beta * self.mm * dist ** (-pp.b - 2.0)
+            outer = ((pp.a + 2.0) * ca + (pp.b + 2.0) * cb) / d2
+            blocks = outer[..., None, None] * diff[..., :, None] * diff[..., None, :]
+            blocks -= (ca + cb)[..., None, None] * np.eye(d)
+            # body-body-axis-axis layout, so the pair indices stay adjacent
+            h = np.zeros(lead + (n, n, d, d))
+            h[..., self.i, self.j, :, :] = -blocks
+            h[..., self.j, self.i, :, :] = -blocks
+            # translation invariance: each block row of the Hessian sums to zero
+            body = np.arange(n)
+            h[..., body, body, :, :] = -h.sum(axis=-3)
+            h = h.swapaxes(-3, -2).reshape(lead + (n * d, n * d))
+        terms = PairTerms(w_sum, v_sum, sums[..., :d], sums[..., d:grad], force_sum, h)
         return terms, collided
 
 
@@ -306,12 +327,12 @@ def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
 
 
 def pair_terms_masked(r: np.ndarray, m: np.ndarray, pp: PotentialParams):
-    """(pair_terms, collided) of a (B, n, d) batch with (B, n) masses.
+    """(pair_terms with the Hessian, collided) of a (B, n, d) batch with (B, n) masses.
 
     A member that collides is flagged in the (B,) mask instead of
     raising; its terms mean nothing.
     """
-    return _PairKernel(m, pp).terms(r, strict=False)
+    return _PairKernel(m, pp).terms(r, strict=False, hess=True)
 
 
 def potential_terms(config, ms: MassSystem, pp: PotentialParams) -> tuple[float, float]:
@@ -344,30 +365,10 @@ def grad_U(config, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
 def hess_U_matrix(config, ms, pp: PotentialParams) -> np.ndarray:
     """Dense (n*d, n*d) Hessian of U in row-major body-then-axis layout.
 
-    Pair i < j adds B = sum over both terms of
-    c * ((exp + 2) / d^2 * diff diff^T - 1), c = exp * coef * m_i m_j * d^(-exp-2),
-    to the (i, i) and (j, j) blocks and -B to the (i, j) and (j, i) blocks.
     A (B, n, d) batch with (B, n) masses gives (B, n*d, n*d).
     """
-    r = _positions(config)
-    n, d = r.shape[-2:]
-    lead = r.shape[:-2]
     kernel = _PairKernel(_mass_array(ms), pp)
-    i, j, mm = kernel.i, kernel.j, kernel.mm
-    diff, dist, _ = kernel.pairs(r)
-    ca = pp.a * pp.alpha * mm * dist ** (-pp.a - 2.0)
-    cb = pp.b * pp.beta * mm * dist ** (-pp.b - 2.0)
-    outer = ((pp.a + 2.0) * ca + (pp.b + 2.0) * cb) / (dist * dist)
-    blocks = outer[..., None, None] * diff[..., :, None] * diff[..., None, :]
-    blocks -= (ca + cb)[..., None, None] * np.eye(d)
-    # body-body-axis-axis layout, so the pair indices stay adjacent
-    h = np.zeros(lead + (n, n, d, d))
-    h[..., i, j, :, :] = -blocks
-    h[..., j, i, :, :] = -blocks
-    # translation invariance: each block row of the Hessian sums to zero
-    body = np.arange(n)
-    h[..., body, body, :, :] = -h.sum(axis=-3)
-    return h.swapaxes(-3, -2).reshape(lead + (n * d, n * d))
+    return kernel.terms(_positions(config), energy=False, force=False, hess=True)[0].hess
 
 
 def kinetic_energy(state: PhaseState, ms: MassSystem) -> float:

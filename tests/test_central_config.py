@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_masses
-from qhnbody import central_config
+from qhnbody import central_config, model
 from qhnbody.central_config import (
     CCQuery,
     Ordering,
@@ -193,17 +193,35 @@ def test_solver_counts_its_work():
     assert forced.residual_floor > 1e-300
 
 
-def test_each_newton_iterate_costs_one_kernel_pass(monkeypatch):
-    # the pass that accepts a trial step also evaluates the next iterate;
-    # only rejected trials cost extra passes
+def _count_kernel_bindings(monkeypatch):
+    """A list that grows by one entry per binding of the pair kernel."""
     passes = []
-    for name in ("pair_terms", "pair_terms_masked"):
-        kernel = getattr(central_config, name)
-        monkeypatch.setattr(central_config, name, lambda *a, _k=kernel: passes.append(1) or _k(*a))
+    bind = model._PairKernel.__init__
+
+    def counted(self, *args):
+        passes.append(1)
+        bind(self, *args)
+
+    monkeypatch.setattr(model._PairKernel, "__init__", counted)
+    return passes
+
+
+def test_each_newton_iterate_costs_one_kernel_pass(monkeypatch):
+    # the pass that accepts a trial step also evaluates the next iterate,
+    # Hessian included; besides the first iterate and the final spectrum,
+    # only rejected trials cost extra passes
+    passes = _count_kernel_bindings(monkeypatch)
     ms = MassSystem(np.linspace(1.0, 2.0, 6))
     res = solve_collinear_ordering(Ordering((1, 2, 6, 4, 5, 3)), CCQuery(ms=ms, pp=PP13))
     assert res.newton_iters > 0
-    assert 1 + res.newton_iters <= len(passes) <= 1 + res.newton_iters + res.backtracks
+    assert 2 + res.newton_iters <= len(passes) <= 2 + res.newton_iters + res.backtracks
+
+
+def test_restricted_hessian_costs_one_kernel_pass(monkeypatch):
+    res = solve_collinear_ordering(Ordering((1, 3, 2)), CCQuery(ms=MS123, pp=PP13))
+    passes = _count_kernel_bindings(monkeypatch)
+    restricted_hessian(res.config, MS123, PP13, "planar")
+    assert len(passes) == 1
 
 
 def _reference_directions(x, masses, pp, terms, sigma):
@@ -211,7 +229,7 @@ def _reference_directions(x, masses, pp, terms, sigma):
     out, slopes, uphill = [], [], []
     for b in range(len(x)):
         ms, r1 = MassSystem(masses[b]), x[b][:, None]
-        basis = tangent_basis(r1, ms, 1.0)
+        basis = tangent_basis(r1, ms)
         a_mat = restricted_hessian(r1, ms, pp, "collinear")[0]
         # basis^T grad U in exact arithmetic; projecting the residual
         # instead keeps the normal part of grad U, of order 1e5 at n = 6,
@@ -245,16 +263,17 @@ def test_bordered_newton_step_is_the_tangent_basis_step(monkeypatch, flip):
     pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
     batches = [_iterates_near_ccs(rng, pp, n) for n in (3, 4, 5, 6)]
     if flip:
-        hess = central_config.hess_U_matrix
+        kernel_terms = model._PairKernel.terms
 
-        def flipped(r, ms, pp):
-            m = ms.masses if isinstance(ms, MassSystem) else ms
-            return hess(r, ms, pp) * np.where(m[..., :1, None] > 2.6, -1.0, 1.0)
+        def flipped(self, r, *args, **kwargs):
+            terms, collided = kernel_terms(self, r, *args, **kwargs)
+            sign = np.where(self.m_col[..., :1, :] > 2.6, -1.0, 1.0)
+            return terms._replace(hess=terms.hess * sign), collided
 
-        monkeypatch.setattr(central_config, "hess_U_matrix", flipped)
+        monkeypatch.setattr(model._PairKernel, "terms", flipped)
     fell = []
     for x, masses in batches:
-        terms = pair_terms(x[..., None], masses, pp)
+        terms = model._PairKernel(masses, pp).terms(x[..., None], hess=True)[0]
         sigma = cc_residual(x[..., None], masses, pp, terms)[0]
         direction, slope, fallback = central_config._newton_directions(x, masses, pp, terms, sigma, 1.0)
         want_direction, want_slope, want_fallback = _reference_directions(x, masses, pp, terms, sigma)
@@ -430,7 +449,7 @@ def test_tangent_basis_orthonormal_and_tangent(rng):
     ms = random_masses(rng, 4)
     r = centered(rng.standard_normal((4, 2)), ms)
     r = r / np.sqrt(mass_inner(r, r, ms))
-    basis = tangent_basis(r, ms, 1.0)
+    basis = tangent_basis(r, ms)
     k = basis.shape[1]
     assert k == 2 * 4 - 3  # CoM (2) and radial (1) removed
     for i in range(k):

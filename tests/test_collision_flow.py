@@ -299,7 +299,7 @@ def test_find_equilibria_rejects_non_cc_shapes():
 
 def _planar_chart(ms, pp, s0, sign):
     """On-manifold flow in tangent coordinates (xi, eta) around s0."""
-    basis = tangent_basis(s0, ms, 1.0)
+    basis = tangent_basis(s0, ms)
     k = basis.shape[1]
     m = ms.masses[:, None]
 

@@ -217,7 +217,7 @@ def test_restricted_hessian_is_the_geodesic_second_derivative(rng):
     second = fd_directional_second(lambda x: on_sphere(x), 0.0, 1.0, h=1e-4)
     a_mat, _ = restricted_hessian(config, ms, pp, inertia_I0=inertia)
     # coordinates of v in the mass-orthonormal tangent basis
-    coords = tangent_basis(r, ms, inertia).T @ (np.repeat(ms.masses, 2) * v.ravel())
+    coords = tangent_basis(r, ms).T @ (np.repeat(ms.masses, 2) * v.ravel())
     restricted = float(coords @ a_mat @ coords)
     assert abs(second - restricted) < 1e-5 * max(1.0, abs(restricted))
 
@@ -313,7 +313,7 @@ def _blown_up_reference(y, ms, pp, n, d, with_time):
     b, m, sz = pp.b, ms.masses[:, None], n * d
     rho, v = y[0], y[1]
     s, u = y[2 : 2 + sz].reshape(n, d), y[2 + sz : 2 + 2 * sz].reshape(n, d)
-    w_s, v_s, gw, gv, _ = pair_terms(s, ms, pp)
+    w_s, v_s, gw, gv = pair_terms(s, ms, pp)[:4]
     u_m_u = float(np.sum(u * u / m))
     rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
     v_dot = 0.5 * b * v * v + u_m_u - rho_pow * w_s - b * v_s
@@ -541,7 +541,7 @@ def test_batched_kernel_is_the_per_member_kernel(rng, d):
     assert batch.W.shape == (size,) and hess.shape == (size, n * d, n * d)
     for k in range(size):
         one = pair_terms(r[k], MassSystem(masses[k]), pp)
-        for got, want in zip(batch, one):
+        for got, want in zip(batch[:5], one[:5]):
             assert np.array_equal(got[k], want)
         assert np.array_equal(hess[k], hess_U_matrix(r[k], MassSystem(masses[k]), pp))
 
