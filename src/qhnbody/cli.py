@@ -48,7 +48,6 @@ from .collision_flow import (
     nearest_equilibrium,
     pure_b_catalog,
     pure_b_cc,
-    transversality_necessary,
 )
 from .errors import ManevOnlyError, QHError, StiffnessError
 from .homothetic import heteroclinic_orbit
@@ -799,7 +798,7 @@ def cmd_eigen(cfg: RunConfig, out_dir: Path) -> int:
             "dim_energy_surface": rep.dim_energy_surface,
         }
         if rep.ambient == "planar":
-            rec["transversality_necessary"] = transversality_necessary(rep.s0, cfg.ms, cfg.pp)
+            rec["transversality_necessary"] = rep.transversality_necessary
         records.append(rec)
     payload = {
         **_header(cfg, "eigen"),

@@ -64,6 +64,8 @@ class EquilibriumReport:
     the shape sphere (the ambient decides which sphere), mu the exponent
     pairs from the closed form, spectrum the eigenvalues of the
     assembled linearization including the radial and v directions.
+    transversality_necessary is the verdict of the function of that
+    name in the planar ambient, None in the collinear one.
     """
 
     s0: Configuration
@@ -81,6 +83,7 @@ class EquilibriumReport:
     dim_energy_surface: int
     kind: str = ""
     ordering: Ordering | None = None
+    transversality_necessary: bool | None = None
 
 
 def _pure_b(pp: PotentialParams) -> PotentialParams:
@@ -265,8 +268,9 @@ def find_equilibria(
             )
         ambient = "collinear" if cc.kind == "collinear" else "planar"
         v_star = float(np.sqrt(2.0 * terms.V))
-        a_mat, lam, _ = _shape_spectrum(s0, ms, pp, ambient)
+        a_mat, lam, zero_tol = _shape_spectrum(s0, ms, pp, ambient)
         index, zero_modes, _ = count_modes(lam)
+        transversal = _planar_minimum(lam, zero_tol) if ambient == "planar" else None
         for sign in (+1, -1):
             v0 = sign * v_star
             spectrum = _linearization(a_mat, v0, pp.b)[1]
@@ -291,6 +295,7 @@ def find_equilibria(
                     dim_energy_surface=dim_eh,
                     kind=cc.kind,
                     ordering=cc.ordering,
+                    transversality_necessary=transversal,
                 )
             )
     return out
@@ -306,6 +311,11 @@ def transversality_necessary(
     strictly positive.
     """
     _, lam, zero_tol = _shape_spectrum(s0, ms, pp, "planar")
+    return _planar_minimum(lam, zero_tol)
+
+
+def _planar_minimum(lam: np.ndarray, zero_tol: float) -> bool:
+    """Every eigenvalue but the lowest (the rotation) strictly positive."""
     return bool(np.all(np.sort(lam)[1:] > zero_tol))
 
 

@@ -1,11 +1,16 @@
 """Adaptive Runge-Kutta integration with dense output and event location.
 
-The stepper is the Dormand-Prince 5(4) embedded pair with the standard
-quartic interpolant for dense output, proportional-integral step-size
-control, and an optional per-step renormalizer hook used to hold states
-on a constraint manifold (for example the unit shape sphere).  Events are
-located by bisection on the dense output to 1e-10 in the independent
-variable.
+The stepper is DOP853, the Dormand-Prince 8(5,3) pair of Hairer, Norsett
+and Wanner: 12 stages with the last field value reused as the next
+step's first (12 field calls per step), their combined 5th/3rd-order
+error estimate and proportional-integral step-size control.  Its
+seventh-order dense output needs 3 more field calls, made lazily: only
+for a step that event location or Trajectory.sample interpolates.  An
+optional per-step renormalizer hook holds states on a constraint
+manifold (for example the unit shape sphere).  Events are located by
+bisection on the dense output to 1e-10 in the independent variable; the
+state stored for an event is then one real step from the start of its
+step to the located time, not an interpolated value.
 """
 
 from __future__ import annotations
@@ -18,41 +23,143 @@ import numpy as np
 
 from .errors import FieldError, QHError, StiffnessError
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
-_A = np.array(
-    [
-        [0, 0, 0, 0, 0],
-        [1 / 5, 0, 0, 0, 0],
-        [3 / 40, 9 / 40, 0, 0, 0],
-        [44 / 45, -56 / 15, 32 / 9, 0, 0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    ]
-)
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-# Difference between the 5th and 4th order weights; k7 = f(t1, y1) included.
-_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-# Quartic dense-output coefficients: y(t0 + x h) = y0 + h K^T P [x, x^2, x^3, x^4].
-_P = np.array(
-    [
-        [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0, 0, 0, 0],
-        [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
+# Dormand-Prince 8(5,3) tableau (DOP853): Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, 2nd ed. (Springer 1993), sections II.5
+# and II.10, as published with their code.  Rows 0-11 are the stages of a
+# step, row 12 gives y(t + h) (so k12 = f(t + h, y1) is the next step's k0),
+# and rows 13-15 are the extra stages of the seventh-order dense output.
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778,
+])
+_A = np.zeros((16, 16))
+_A[1, :1] = [5.26001519587677318785587544488e-2]
+_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_A[3, :3] = [2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2]
+_A[4, :4] = [
+    2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1,
+]
+_A[5, :5] = [
+    3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1,
+]
+_A[6, :6] = [
+    3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+    6.02165389804559606850219397283e-2, -1.7578125e-2,
+]
+_A[7, :7] = [
+    3.70920001185047927108779319836e-2, 0, 0, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3,
+]
+_A[8, :8] = [
+    6.24110958716075717114429577812e-1, 0, 0, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1,
+]
+_A[9, :9] = [
+    4.77662536438264365890433908527e-1, 0, 0, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2,
+]
+_A[10, :10] = [
+    -9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022,
+]
+_A[11, :11] = [
+    2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1,
+]
+_A[12, :12] = [
+    5.42937341165687622380535766363e-2, 0, 0, 0, 0, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2,
+]
+_A[13, :13] = [
+    5.61675022830479523392909219681e-2, 0, 0, 0, 0, 0,
+    2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+    -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+    8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3, -8.298e-3,
+]
+_A[14, :14] = [
+    3.18346481635021405060768473261e-2, 0, 0, 0, 0, 2.83009096723667755288322961402e-2,
+    5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2, 0, 0,
+    -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+    -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1,
+]
+_A[15, :15] = [
+    -4.28896301583791923408573538692e-1, 0, 0, 0, 0, -4.69762141536116384314449447206,
+    7.68342119606259904184240953878, 4.06898981839711007970213554331,
+    3.56727187455281109270669543021e-1, 0, 0, 0, -1.39902416515901462129418009734e-3,
+    2.9475147891527723389556272149, -9.15095847217987001081870187138,
+]
+_B = _A[12, :12]
+# Error weights: _B minus the embedded fifth- and third-order weights.
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0, 0, 0, 0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+])
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= [
+    0.244094488188976377952755905512, 0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1,
+]
+_ERR = np.column_stack([_E5, _E3])
+# Dense output: y(t0 + x h) = y0 + x (F0 + (1-x) (F1 + x (F2 + ... x F6))),
+# F0..F2 from y0, y1, f0 and f1, and F3..F6 = h _D @ k over all 16 stages.
+_D = np.zeros((4, 16))
+_D[0] = [
+    -0.84289382761090128651353491142e+1, 0, 0, 0, 0, 0.56671495351937776962531783590,
+    -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+    0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+    0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+    -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+    -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1,
+]
+_D[1] = [
+    0.10427508642579134603413151009e+2, 0, 0, 0, 0, 0.24228349177525818288430175319e+3,
+    0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+    -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+    -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+    0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+    -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2,
+]
+_D[2] = [
+    0.19985053242002433820987653617e+2, 0, 0, 0, 0, -0.38703730874935176555105901742e+3,
+    -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+    -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+    -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+    -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+    0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2,
+]
+_D[3] = [
+    -0.25693933462703749003312586129e+2, 0, 0, 0, 0,
+    -0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+    0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+    -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+    0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+    0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+    -0.14972683625798562581422125276e+3,
+]
 
 _SAFETY = 0.9
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
 _BETA = 0.04  # integral gain of the PI controller
-_EXPO = 0.2 - 0.75 * _BETA
+_EXPO = 1 / 8 - 0.75 * _BETA
 _EVENT_TOL = 1e-10
 _MAX_STEPS = 10_000_000
 
@@ -74,15 +181,40 @@ class Event:
 
 @dataclass
 class _Segment:
+    """One accepted step, with its dense output built on first use.
+
+    k holds the 13 stage rows of the step (k[12] = f(t0 + h, y1)).  The
+    first eval makes the 3 extra stages of the seventh-order interpolant,
+    stores its coefficients in coef and drops k and the field.
+    """
+
     t0: float
     h: float
     y0: np.ndarray
-    q: np.ndarray  # (dim, 4)
+    y1: np.ndarray
+    k: np.ndarray | None
+    field_fn: object
+    coef: np.ndarray | None = None
+
+    def _build(self):
+        h, dy = self.h, self.y1 - self.y0
+        k = np.empty((16, dy.size))
+        k[:13] = self.k
+        for s in range(13, 16):
+            k[s] = self.field_fn(self.t0 + _C[s] * h, self.y0 + h * (k[:s].T @ _A[s, :s]))
+        coef = np.empty((7, dy.size))
+        coef[0] = dy
+        coef[1] = h * k[0] - dy
+        coef[2] = 2.0 * dy - h * (k[0] + k[12])
+        coef[3:] = h * (_D @ k)
+        self.coef, self.k, self.field_fn = coef, None, None
 
     def eval(self, t: float) -> np.ndarray:
+        if self.coef is None:
+            self._build()
         x = (t - self.t0) / self.h
-        powers = np.array([x, x * x, x**3, x**4])
-        return self.y0 + self.h * (self.q @ powers)
+        weights = np.cumprod([x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x])
+        return self.y0 + weights @ self.coef
 
 
 @dataclass
@@ -121,6 +253,31 @@ class Trajectory:
         return self.segments[k].eval(t)
 
 
+def _step(field_fn, t, y, h, k) -> np.ndarray:
+    """Stages k[1:12] of one step of size h from (t, y), given k[0] = f(t, y).
+
+    Returns the eighth-order y(t + h).
+    """
+    for s in range(1, 12):
+        k[s] = field_fn(t + _C[s] * h, y + h * (k[:s].T @ _A[s, :s]))
+    return y + h * (k[:12].T @ _B)
+
+
+def _error_norm(h, k, scale) -> float:
+    """HNW's combined error estimate of a step, in units of scale.
+
+    |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) N) with e5, e3 the scaled 2-norms of
+    the fifth- and third-order error vectors: it behaves like h^8, and the
+    third-order term guards against a fifth-order estimate that is too
+    small by accident.
+    """
+    err = (k[:12].T @ _ERR) / scale[:, None]
+    e5, e3 = (err * err).sum(axis=0)
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
+
+
 def _rms_norm(x: np.ndarray) -> float:
     return math.sqrt((x * x).sum() / x.size)
 
@@ -140,7 +297,7 @@ def _initial_step(field_fn, t0, y0, f0, t1, rel_tol, abs_tol, max_step):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
     return min(100 * h0, h1, abs(t1 - t0), max_step)
 
 
@@ -186,14 +343,18 @@ def integrate(
     or non-finite rel_tol (0 is allowed) or a max_step that is not
     positive.  The renormalizer, when given, maps each accepted state
     back onto its constraint manifold before the state is stored and used
-    for the next step.  monitors is a dict of named functions called once, after the
+    for the next step.  The state stored for an event, and as the grid
+    point of a terminal one, is one step from the start of the accepted
+    step to the located time.  monitors is a dict of named functions called once, after the
     last step, as fn(times, states) on the accepted grid ((N,) and
     (N, dim), t0 and any terminal event point included; the trajectory's
     own arrays, not to be modified); each returns an (N,) series, else
     ValueError.  Raises FieldError if the field cannot
     be evaluated at the initial state and StiffnessError, carrying the
     last accepted t and state, if the step size underflows.  Later field
-    errors other than QHError and ArithmeticError propagate unchanged.
+    errors other than QHError and ArithmeticError propagate unchanged, and
+    so does any error of the field calls made for the dense output or for
+    an event's step, which lie outside the step-size control.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -234,7 +395,8 @@ def integrate(
     termination = "time-budget"
     fac_old = 1e-4
     just_rejected = False
-    k = np.empty((7, y.size))
+    k = np.empty((13, y.size))
+    k_event = np.empty((12, y.size))
     floor_unit = 16.0 * np.finfo(float).eps
 
     def h_floor(at):
@@ -256,12 +418,9 @@ def integrate(
         failed = None
         k[0] = f
         try:
-            for s in range(1, 6):
-                ys = y + h * (k[:s].T @ _A[s, :s])
-                k[s] = field_fn(t + _C[s] * h, ys)
-            y_new = y + h * (k[:6].T @ _B)
+            y_new = _step(field_fn, t, y, h, k)
             f_new = np.asarray(field_fn(t + h, y_new), dtype=float)
-            k[6] = f_new
+            k[12] = f_new
             if not (np.isfinite(y_new).all() and np.isfinite(f_new).all()):
                 failed = "non-finite step"
         except (QHError, ArithmeticError) as exc:
@@ -277,7 +436,7 @@ def integrate(
             continue
 
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms_norm(h * (k.T @ _E) / scale)
+        err = _error_norm(h, k, scale)
 
         if err > 1.0:
             fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err**-_EXPO))
@@ -292,7 +451,7 @@ def integrate(
         fac_old = max(err, 1e-4)
         just_rejected = False
 
-        seg = _Segment(t0=t, h=h, y0=y.copy(), q=k.T @ _P)
+        seg = _Segment(t0=t, h=h, y0=y.copy(), y1=y_new.copy(), k=k.copy(), field_fn=field_fn)
         segments.append(seg)
         t_new = t + h
 
@@ -309,7 +468,9 @@ def integrate(
             for te, ev in hits:
                 if stop_at is not None and te > stop_at[0]:
                     break
-                ye = seg.eval(te)
+                # the stored state is a real step to te, not the interpolant
+                k_event[0] = f
+                ye = _step(field_fn, t, y, te - t, k_event)
                 if renormalizer is not None:
                     ye = renormalizer(ye)
                 ev_hits[ev.name].append((te, ye))

@@ -8,7 +8,10 @@ exit 3 for runtime failures (which name the error class).
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -744,3 +747,12 @@ def test_cc_collinear_output_is_deterministic(tmp_path):
     _, second = run(tmp_path, "cc-collinear", data, subdir="two")
     ref = (first / "cc_collinear.json").read_bytes()
     assert (second / "cc_collinear.json").read_bytes() == ref
+
+
+def test_importing_the_command_line_loads_neither_scipy_nor_mpmath():
+    # both are test-only oracles; a runtime import would cost every qh run
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, qhnbody.cli; print(sorted({'scipy', 'mpmath'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"

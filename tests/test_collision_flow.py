@@ -364,6 +364,16 @@ def test_transversality_condition_by_shape():
     assert transversality_necessary(cc.config, MS, PP) is False
 
 
+def test_equilibrium_reports_carry_the_transversality_verdict():
+    reports = find_equilibria(MS, PP, all_pure_b_ccs(MS, PP.b))
+    assert {rep.ambient for rep in reports} == {"planar", "collinear"}
+    for rep in reports:
+        if rep.ambient == "planar":
+            assert rep.transversality_necessary is transversality_necessary(rep.s0, MS, PP)
+        else:
+            assert rep.transversality_necessary is None
+
+
 def test_transversality_rejects_a_shape_that_is_not_central():
     # away from a central configuration the rotation is not the only
     # near-zero mode of the shape matrix

@@ -5,15 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circular_two_body
+from conftest import circular_two_body, random_masses
+from qhnbody.central_config import CCQuery, equilateral_cc, solve_collinear_all
 from qhnbody.errors import DegenerateStateError, FieldError, StiffnessError
-from qhnbody.integrate import Event, Trajectory, integrate
+from qhnbody.integrate import (
+    _A,
+    _B,
+    _C,
+    _D,
+    _E3,
+    _E5,
+    Event,
+    Trajectory,
+    _Segment,
+    _step,
+    integrate,
+)
 from qhnbody.mcgehee import renormalize_mcgehee
 from qhnbody.model import (
     MassSystem,
     PotentialParams,
     cartesian_field,
     hamiltonian,
+    lift_to_plane,
     pack_phase,
     unpack_phase,
 )
@@ -38,7 +52,10 @@ def test_tolerance_controls_error():
         )
         errs.append(abs(tr.final_state[0] - np.cos(10.0)))
     assert errs[0] > errs[1] > errs[2]
-    assert errs[1] < 1e-3 * max(errs[0], 1e-30) or errs[0] < 1e-9
+    # each error is below its tolerance, and each 1000x tighter tolerance
+    # cuts the error at least 100x
+    assert all(err < rtol for err, rtol in zip(errs, (1e-5, 1e-8, 1e-11)))
+    assert errs[1] < 1e-2 * errs[0] and errs[2] < 1e-2 * errs[1]
 
 
 def test_dense_output_matches_analytic_solution():
@@ -66,6 +83,26 @@ def test_exponential_decay_event_location():
     assert abs(t_hit - np.log(2.0)) < 1e-9
     assert abs(y_hit[0] - 0.5) < 1e-9
     assert abs(tr.times[-1] - t_hit) < 1e-15
+
+
+def test_an_event_state_is_a_real_step_to_the_event_time():
+    # not the interpolant: one step of size te - t from the last grid point
+    def field(t, y):
+        return np.array([y[1], -y[0] - 0.1 * y[1] ** 3])
+
+    tr = integrate(
+        field,
+        np.array([1.0, 0.0]),
+        (0.0, 10.0),
+        events=[Event("turn", lambda t, y: y[1], direction=1, terminal=True)],
+    )
+    t_hit, y_hit = tr.events["turn"][0]
+    t_prev, y_prev = tr.times[-2], tr.states[-2]
+    k = np.empty((12, 2))
+    k[0] = field(t_prev, y_prev)
+    assert np.array_equal(y_hit, _step(field, t_prev, y_prev, t_hit - t_prev, k))
+    assert np.array_equal(tr.states[-1], y_hit)
+    assert abs(y_hit[1]) < 1e-9
 
 
 def test_event_direction_filtering():
@@ -212,7 +249,7 @@ def test_stiffness_error_on_blowup():
         integrate(lambda t, y: y * y, np.array([1.0]), (0.0, 2.0))
     # the error carries the last accepted point, just short of the blow-up
     t, y = info.value.t, info.value.state
-    assert 1.0 - 1e-6 < t < 1.0 and y.shape == (1,)
+    assert abs(t - 1.0) < 1e-9 and y.shape == (1,)
     assert y[0] > 1e6
 
 
@@ -321,3 +358,126 @@ def test_trajectory_sample_between_segments():
     for k in range(1, len(tr.times) - 1):
         y = tr.sample(tr.times[k])
         assert np.abs(y - tr.states[k]).max() < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# relative equilibria: a central configuration with multiplier sigma rotates
+# rigidly at omega = sqrt(-2 sigma) with momenta p = omega M J q
+
+
+def rotation_defect(q, sigma, ms, pp):
+    """Relative mismatch, after an eighth of a turn, between the orbit of the
+    rigid-rotation initial state built from (q, sigma) and R(pi/4) q."""
+    omega = np.sqrt(-2.0 * sigma)
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])  # J, rotation by +pi/2
+    p = omega * ms.masses[:, None] * (q @ turn.T)
+    t8 = 0.25 * np.pi / omega
+    tr = integrate(cartesian_field(ms, pp, 2), np.concatenate([q.ravel(), p.ravel()]), (0.0, t8))
+    rot = np.cos(np.pi / 4) * np.eye(2) + np.sin(np.pi / 4) * turn
+    end = unpack_phase(tr.final_state, ms.n, 2)
+    return max(
+        np.abs(end.config.positions - q @ rot.T).max() / np.abs(q).max(),
+        np.abs(end.momenta - p @ rot.T).max() / np.abs(p).max(),
+    )
+
+
+def relative_equilibria():
+    """(label, q, sigma, ms): every collinear class of one seeded mass draw
+    at n = 3, 4 and 5, 24 seeded classes at n = 6, and the equilateral."""
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    rng = np.random.default_rng(8)
+    out = []
+    for n in (3, 4, 5, 6):
+        ms = random_masses(rng, n)
+        results = solve_collinear_all(CCQuery(ms, pp))
+        if n == 6:
+            results = [results[i] for i in rng.choice(len(results), 24, replace=False)]
+        out += [(f"n={n} {cc.ordering.perm}", lift_to_plane(cc.config), cc.sigma, ms) for cc in results]
+    ms = MassSystem(np.array([1.0, 2.0, 3.0]))
+    for cc in equilateral_cc(CCQuery(ms, pp)):
+        out.append(("equilateral", cc.config.positions, cc.sigma, ms))
+    return pp, out
+
+
+def test_central_configurations_rotate_rigidly_for_an_eighth_turn():
+    pp, cases = relative_equilibria()
+    assert len(cases) == 3 + 12 + 60 + 24 + 2
+    worst, label = max((rotation_defect(q, sigma, ms, pp), label) for label, q, sigma, ms in cases)
+    assert worst < 1e-8, label
+    # a multiplier off by 1% is not a relative equilibrium, and the check sees it
+    for label, q, sigma, ms in cases[:1] + cases[3:4] + cases[15:16] + cases[75:76] + cases[-1:]:
+        assert rotation_defect(q, 1.01 * sigma, ms, pp) > 1e-6, label
+
+
+# ---------------------------------------------------------------------------
+# the DOP853 tableau
+
+
+def test_tableau_rows_sum_to_their_nodes():
+    assert np.abs(_A.sum(axis=1) - _C).max() < 1e-14
+    # row 12 is the step's result at t + h, so its stage is the next step's first
+    assert _C[12] == 1.0
+
+
+def test_tableau_order_conditions():
+    a, b, c = _A[:12, :12], _B, _C[:12]
+    # quadrature conditions through order 8
+    for k in range(1, 9):
+        assert abs(b @ c ** (k - 1) - 1.0 / k) < 1e-15, k
+    # the remaining trees through order 4
+    assert abs(b @ (a @ c) - 1.0 / 6.0) < 1e-15
+    assert abs(b @ (c * (a @ c)) - 1.0 / 8.0) < 1e-15
+    assert abs(b @ (a @ c**2) - 1.0 / 12.0) < 1e-15
+    assert abs(b @ (a @ (a @ c)) - 1.0 / 24.0) < 1e-15
+    # both error weights annihilate constants: they are differences of
+    # consistent weight vectors
+    assert abs(_E5.sum()) < 1e-14 and abs(_E3.sum()) < 1e-14
+
+
+def test_a_degree_six_integrand_is_integrated_exactly():
+    # y' = p(t) with deg p = 6: the step (order 8) and the dense output
+    # (order 7) both reproduce the degree-7 solution to rounding
+    coeffs = np.array([0.3, -1.2, 0.7, 2.0, -0.4, 1.1, -0.9])
+    poly = np.polynomial.Polynomial(coeffs)
+    exact = poly.integ()
+
+    def field(t, y):
+        return np.array([poly(t)])
+
+    t0, h, y0 = 0.3, 0.7, np.array([exact(0.3)])
+    k = np.empty((13, 1))
+    k[0] = field(t0, y0)
+    y1 = _step(field, t0, y0, h, k)
+    assert abs(y1[0] - exact(t0 + h)) < 1e-14
+    k[12] = field(t0 + h, y1)
+    seg = _Segment(t0=t0, h=h, y0=y0, y1=y1, k=k.copy(), field_fn=field)
+    for x in (0.1, 0.37, 0.5, 0.81, 1.0):
+        assert abs(seg.eval(t0 + x * h)[0] - exact(t0 + x * h)) < 1e-14, x
+
+
+def test_tableau_literals_match_the_scipy_copy():
+    ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    assert np.array_equal(_C, ref.C) and np.array_equal(_A, ref.A)
+    assert np.array_equal(_B, ref.B) and np.array_equal(_D, ref.D)
+    assert np.array_equal(_E5, ref.E5[:12]) and ref.E5[12] == 0.0
+    assert np.array_equal(_E3, ref.E3[:12]) and ref.E3[12] == 0.0
+
+
+def test_dense_output_is_built_once_and_only_when_asked():
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        return harmonic(t, y)
+
+    tr = integrate(field, np.array([1.0, 0.0]), (0.0, 3.0))
+    # f at t0, one probe for the first step size, 12 per attempted step
+    assert len(calls) % 12 == 2
+    assert all(seg.coef is None for seg in tr.segments)
+    before = len(calls)
+    t = 0.5 * (tr.times[1] + tr.times[2])
+    y = tr.sample(t)
+    assert len(calls) == before + 3
+    assert abs(y[0] - np.cos(t)) < 1e-9
+    tr.sample(t + 1e-6 * (tr.times[2] - tr.times[1]))
+    assert len(calls) == before + 3
