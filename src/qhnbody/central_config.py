@@ -281,16 +281,17 @@ def _as_line(r: np.ndarray) -> np.ndarray:
 
 
 def _restricted_spectrum(
-    x: np.ndarray, ms, pp: PotentialParams, inertia_I0: float
+    x: np.ndarray, ms, pp: PotentialParams, inertia_I0: float, terms: PairTerms | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The restricted Hessian at x in its tangent basis and its eigenvalues.
 
     The matrix is basis^T (Hess U + (a W + b V) / I0) basis, (K, K) with
     (K,) eigenvalues, or (B, K, K) and (B, K) for a batch.  W, V and the
-    Hessian come from one pass of the pair kernel.
+    Hessian come from terms, the kernel's values at x, or one pass.
     """
     basis = tangent_basis(x, ms)
-    terms = _PairKernel(_mass_array(ms), pp).terms(x, force=False, hess=True)[0]
+    if terms is None:
+        terms = _PairKernel(_mass_array(ms), pp).terms(x, force=False, hess=True)[0]
     correction = (pp.a * terms.W + pp.b * terms.V) / inertia_I0
     a_mat = basis.swapaxes(-1, -2) @ terms.hess @ basis
     a_mat = a_mat + np.multiply.outer(correction, np.eye(basis.shape[-1]))
@@ -305,7 +306,8 @@ def require_on_sphere(config, ms: MassSystem, inertia_I0: float = 1.0) -> None:
 
 
 def restricted_hessian(
-    config, ms: MassSystem, pp: PotentialParams, ambient: str = "planar", inertia_I0: float = 1.0
+    config, ms: MassSystem, pp: PotentialParams, ambient: str = "planar", inertia_I0: float = 1.0,
+    terms: PairTerms | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hessian of U restricted to the sphere <r, r> = I0, and its eigenvalues.
 
@@ -313,8 +315,10 @@ def restricted_hessian(
     mass-orthonormal tangent_basis of the centered sphere.  The ambient
     "collinear" works on the line (the configuration must lie on the
     x-axis), "planar" in the plane (an n x 1 shape goes onto the
-    x-axis).  Raises NotOnSphereError off the sphere (require_on_sphere)
-    and ValueError for any other ambient.
+    x-axis).  terms, the kernel's values with the Hessian at the n x 1 or
+    n x 2 configuration of the ambient, spare a pass when given.  Raises
+    NotOnSphereError off the sphere (require_on_sphere) and ValueError for
+    any other ambient.
     """
     require_on_sphere(config, ms, inertia_I0)
     r = lift_to_plane(config)
@@ -322,7 +326,7 @@ def restricted_hessian(
         r = _as_line(r)[:, None]
     elif ambient != "planar":
         raise ValueError(f"unknown ambient {ambient!r}")
-    return _restricted_spectrum(r, ms, pp, inertia_I0)
+    return _restricted_spectrum(r, ms, pp, inertia_I0, terms)
 
 
 def cc_index(
@@ -433,9 +437,9 @@ def solve_collinear_batch(
     pair kernel over the members still searching evaluates each round of
     trial steps, so an accepted trial already carries W, V, the
     gradients, the force sums and the Hessian of the next iterate.  The
-    spectra of the converged members are one more pass at the end.  The
-    members must have the same number of bodies.  When members fail, the
-    error of the first of them in input order is raised.
+    spectra of the converged members read that pass at their last
+    iterate.  The members must have the same number of bodies.  When
+    members fail, the error of the first of them in input order is raised.
     """
     _check_knobs(inertia_I0, grad_tol)
     if not members:
@@ -461,6 +465,7 @@ def solve_collinear_batch(
     floor = np.full(size, float(grad_tol))
     iters, backtracks, fallbacks = (np.zeros(size, dtype=int) for _ in range(3))
     final_x = np.zeros((size, n))
+    final = PairTerms(*(np.zeros((size,) + a.shape[1:]) for a in terms))  # at final_x
     converged = np.zeros(size, dtype=bool)
     errors: list[Exception | None] = [None] * size
 
@@ -481,6 +486,8 @@ def solve_collinear_batch(
             gone = ids[done]
             converged[gone] = True
             final_x[gone] = x[done]
+            for a, new in zip(final, terms):
+                a[gone] = new[done]
             drop(done)
             sig = sig[~done]
         if not ids.size:
@@ -528,7 +535,8 @@ def solve_collinear_batch(
     results: list[CCResult | None] = [None] * size
     done = np.flatnonzero(converged)
     if done.size:
-        eigs = _restricted_spectrum(final_x[done][..., None], masses[done], pp, inertia_I0)[1]
+        x_done, terms_done = final_x[done][..., None], PairTerms(*(a[done] for a in final))
+        eigs = _restricted_spectrum(x_done, masses[done], pp, inertia_I0, terms_done)[1]
     for k, b in enumerate(done):
         try:
             report = _index_report(eigs[k], "collinear")

@@ -29,11 +29,7 @@ from .central_config import (
     euler_collinear_homogeneous,
     restricted_hessian,
 )
-from .errors import (
-    DegenerateError,
-    MismatchError,
-    OffManifoldError,
-)
+from .errors import DegenerateError, MismatchError, OffManifoldError
 from .integrate import Event, Trajectory, integrate
 from .mcgehee import (
     McGeheeState,
@@ -47,11 +43,12 @@ from .mcgehee import (
 from .model import (
     Configuration,
     MassSystem,
+    PairTerms,
     PotentialParams,
-    _pair_index,
+    _incidence,
+    _PairKernel,
     lift_to_plane,
     mass_inner,
-    pair_terms,
     potential_V,
 )
 
@@ -140,15 +137,16 @@ def eigen_closed_form(lam, v: float, b: float) -> np.ndarray:
 
 
 def _shape_spectrum(s0: Configuration, ms: MassSystem, pp: PotentialParams,
-                    ambient: str) -> tuple[np.ndarray, np.ndarray, float]:
+                    ambient: str, terms: PairTerms | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, float]:
     """Restricted Hessian A of the b-term on the unit shape sphere.
 
-    Returns (A, its eigenvalues, their zero tolerance).  Raises
-    NotOnSphereError unless <s0, s0> = 1, and DegenerateError unless A
-    has exactly the expected zero modes: one rotation in the planar
-    ambient, none in the collinear one.
+    Returns (A, its eigenvalues, their zero tolerance); terms as in
+    restricted_hessian.  Raises NotOnSphereError unless <s0, s0> = 1, and
+    DegenerateError unless A has exactly the expected zero modes: one
+    rotation in the planar ambient, none in the collinear one.
     """
-    a_mat, lam = restricted_hessian(s0, ms, _pure_b(pp), ambient, 1.0)
+    a_mat, lam = restricted_hessian(s0, ms, _pure_b(pp), ambient, 1.0, terms)
     _, zeros, zero_tol = count_modes(lam)
     expected = 1 if ambient == "planar" else 0
     if zeros != expected:
@@ -251,6 +249,7 @@ def find_equilibria(
     equilibrium condition b V(s0) M s0 + grad V(s0) = 0, the cc_residual
     of the b-term on the unit sphere, before its reports are built; the
     shape's restricted Hessian then serves both of its linearizations.
+    One pair-kernel pass per shape yields the defect, V and that Hessian.
     """
     pp.require_manev()
     if pp.b <= 2.0:
@@ -259,25 +258,22 @@ def find_equilibria(
     out = []
     for cc in ccs_of_V:
         s0 = Configuration(lift_to_plane(cc.config))
-        terms = pair_terms(s0, ms, ppb)
-        _, defect = cc_residual(s0, ms, ppb, terms)
+        ambient = "collinear" if cc.kind == "collinear" else "planar"
+        r = s0.positions[:, :1] if ambient == "collinear" else s0.positions
+        terms = _PairKernel(ms.masses, ppb).terms(r, hess=True)[0]
+        _, defect = cc_residual(r, ms, ppb, terms)
         scale = max(1.0, pp.b * terms.V)
         if defect > tol * scale:
-            raise OffManifoldError(
-                f"shape is not a CC of the b-term: defect {defect:.3e}"
-            )
-        ambient = "collinear" if cc.kind == "collinear" else "planar"
+            raise OffManifoldError(f"shape is not a CC of the b-term: defect {defect:.3e}")
         v_star = float(np.sqrt(2.0 * terms.V))
-        a_mat, lam, zero_tol = _shape_spectrum(s0, ms, pp, ambient)
+        a_mat, lam, zero_tol = _shape_spectrum(s0, ms, pp, ambient, terms)
         index, zero_modes, _ = count_modes(lam)
         transversal = _planar_minimum(lam, zero_tol) if ambient == "planar" else None
         for sign in (+1, -1):
             v0 = sign * v_star
             spectrum = _linearization(a_mat, v0, pp.b)[1]
             mu = eigen_closed_form(lam, v0, pp.b)
-            dim_u, dim_s, dim_eh = manifold_dimensions(
-                ms.n, ambient, index, v0, spectrum
-            )
+            dim_u, dim_s, dim_eh = manifold_dimensions(ms.n, ambient, index, v0, spectrum)
             out.append(
                 EquilibriumReport(
                     s0=s0,
@@ -320,8 +316,8 @@ def _planar_minimum(lam: np.ndarray, zero_tol: float) -> bool:
 
 
 def min_separation(s: np.ndarray) -> float:
-    i, j, _ = _pair_index(s.shape[0])
-    return float(np.sqrt(((s[i] - s[j]) ** 2).sum(axis=1)).min())
+    diff = _incidence(s.shape[0])[2].T @ s
+    return float(np.sqrt((diff**2).sum(axis=1)).min())
 
 
 def integrate_on_C(

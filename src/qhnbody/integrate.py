@@ -15,6 +15,7 @@ step to the located time, not an interpolated value.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -248,9 +249,12 @@ class Trajectory:
         t1 = self.segments[-1].t0 + self.segments[-1].h
         if not min(t0, t1) - 1e-12 <= t <= max(t0, t1) + 1e-12:
             raise ValueError(f"time {t!r} outside integrated span [{t0!r}, {t1!r}]")
-        starts = [s.t0 for s in self.segments]
-        k = max(bisect_right(starts, t) - 1, 0)
+        k = max(bisect_right(self._starts, t) - 1, 0)
         return self.segments[k].eval(t)
+
+    @functools.cached_property
+    def _starts(self) -> list[float]:
+        return [s.t0 for s in self.segments]
 
 
 def _step(field_fn, t, y, h, k) -> np.ndarray:
@@ -411,18 +415,23 @@ def integrate(
             break
         h = min(h, t1 - t)
         if h < h_floor(t):
-            raise StiffnessError(
-                f"step size underflow at t = {t!r} (h = {h:.3e})", t, y.copy()
-            )
+            raise StiffnessError(f"step size underflow at t = {t!r} (h = {h:.3e})", t, y.copy())
 
-        failed = None
+        # a failed stage, a non-finite y1 (its error norm could be NaN) and a failed
+        # f(t + h, y1), made only once the error test passes, each reject with h / 4
+        failed = err = None
         k[0] = f
         try:
             y_new = _step(field_fn, t, y, h, k)
-            f_new = np.asarray(field_fn(t + h, y_new), dtype=float)
-            k[12] = f_new
-            if not (np.isfinite(y_new).all() and np.isfinite(f_new).all()):
+            if not np.isfinite(y_new).all():
                 failed = "non-finite step"
+            else:
+                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+                err = _error_norm(h, k, scale)
+                if err <= 1.0:
+                    k[12] = f_new = np.asarray(field_fn(t + h, y_new), dtype=float)
+                    if not np.isfinite(f_new).all():
+                        failed = "non-finite step"
         except (QHError, ArithmeticError) as exc:
             failed = str(exc)
 
@@ -435,10 +444,7 @@ def integrate(
                 )
             continue
 
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _error_norm(h, k, scale)
-
-        if err > 1.0:
+        if not err <= 1.0:
             fac = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err**-_EXPO))
             h *= min(fac, 1.0)
             just_rejected = True

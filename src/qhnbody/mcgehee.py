@@ -234,10 +234,10 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
 
     def field(tau, y):
         rho = y[0]
-        s, u = y[2 : 2 + 2 * sz].reshape(2, n, dim)
+        su = y[2 : 2 + 2 * sz].reshape(2, n, dim)
         out = np.empty(size)
-        s_out, u_out = out[2 : 2 + 2 * sz].reshape(2, n, dim)
-        out[0], out[1], _, _ = _field_arrays(rho, y[1], s, u, kernel, s_out, u_out)
+        su_out = out[2 : 2 + 2 * sz].reshape(2, n, dim)
+        out[0], out[1], _, _ = _field_arrays(rho, y[1], su[0], su[1], kernel, su_out[0], su_out[1])
         if with_time:
             out[-1] = rho**t_exp if rho > 0.0 else 0.0
         return out

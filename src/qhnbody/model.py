@@ -19,7 +19,6 @@ Hamiltonian reads H = p^T M^{-1} p / 2 - U(r).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -172,17 +171,22 @@ def lift_to_plane(config) -> np.ndarray:
 
 
 @functools.cache
-def _pair_index(n: int, cols: int = 1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (i, j, keys) for the pairs i < j of n bodies.
+def _incidence(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (i, j, E, |E|) for the P pairs i < j of n bodies.
 
-    np.bincount(keys, rows.ravel()) adds the first P rows (width cols) of
-    a (2P, cols) array to bodies i and the last P rows to bodies j.
+    E is the (n, P) signed incidence matrix: column p is +1 at body i and
+    -1 at body j of pair p.  E^T r is the pair differences r_i - r_j,
+    exactly (one +1 and one -1 per column); E @ x adds the pair value
+    x_p to body i and subtracts it from body j, |E| @ x adds it to both.
     """
     i, j = np.triu_indices(n, 1)
-    keys = (np.concatenate([i, j])[:, None] * cols + np.arange(cols)).ravel()
-    for a in (i, j, keys):
+    e = np.zeros((n, i.size))
+    e[i, np.arange(i.size)] = 1.0
+    e[j, np.arange(i.size)] = -1.0
+    out = (i, j, e, np.abs(e))
+    for a in out:
         a.flags.writeable = False
-    return i, j, keys
+    return out
 
 
 def _mass_array(ms) -> np.ndarray:
@@ -209,23 +213,25 @@ class _PairKernel:
 
     m is (n,) masses, or (B, n) per-member masses for (B, n, d) batches.
     Everything that does not depend on the positions is computed here
-    once: pair indices, m_i m_j with both coefficients, the mass column
-    and the total mass.  pairs() holds the collision guard and terms()
-    the W, V, grad W, grad V and Hessian formulas, so one pass at a point
-    yields all of them; a vector field binds one kernel per closure, the
-    other callers one per call.
+    once: the signed incidence matrix E of the pairs (see _incidence),
+    the (..., 2, P) coefficients alpha m_i m_j and beta m_i m_j, the mass
+    column and the total mass.  pairs() holds the collision guard and
+    terms() the W, V, grad W, grad V and Hessian formulas, each sum over
+    pairs a small matmul with E, so one pass at a point yields all of
+    them; a vector field binds one kernel per closure, the other callers
+    one per call.
     """
 
-    __slots__ = ("pp", "i", "j", "m_col", "m_total", "mm", "alpha_mm", "beta_mm")
+    __slots__ = ("pp", "e", "e_abs", "m_col", "m_total", "mm", "coef", "neg_exps")
 
     def __init__(self, m: np.ndarray, pp: PotentialParams):
         self.pp = pp
-        self.i, self.j, _ = _pair_index(m.shape[-1])
+        i, j, self.e, self.e_abs = _incidence(m.shape[-1])
         self.m_col = m[..., None]
         self.m_total = m.sum(axis=-1)
-        self.mm = m.take(self.i, axis=-1) * m.take(self.j, axis=-1)
-        self.alpha_mm = pp.alpha * self.mm
-        self.beta_mm = pp.beta * self.mm
+        self.mm = m.take(i, axis=-1) * m.take(j, axis=-1)
+        self.coef = np.stack([pp.alpha * self.mm, pp.beta * self.mm], axis=-2)
+        self.neg_exps = np.array([[-pp.a], [-pp.b]])
 
     def pairs(self, r: np.ndarray, strict: bool = True):
         """(diff, dist, collided) of all pairs i < j, with the collision guard.
@@ -236,11 +242,11 @@ class _PairKernel:
         distances read 1 so the arithmetic stays finite, and its values
         mean nothing.
         """
-        diff = r.take(self.i, axis=-2) - r.take(self.j, axis=-2)
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        inertia = (self.m_col * r * r).sum(axis=(-2, -1))
+        diff = self.e.T @ r
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        inertia = np.add.reduce(self.m_col * r * r, axis=(-2, -1))
         guard = GUARD_FACTOR * np.sqrt(inertia / self.m_total)
-        dmin = dist.min(axis=-1)
+        dmin = np.minimum.reduce(dist, axis=-1)
         collided = dmin <= guard
         if collided.any() if r.ndim == 3 else collided:
             if strict:
@@ -255,7 +261,7 @@ class _PairKernel:
 
     def terms(self, r: np.ndarray, energy: bool = True, force: bool = True,
               strict: bool = True, hess: bool = False):
-        """(PairTerms, collided) of r, scattering only what the caller reads.
+        """(PairTerms, collided) of r, summing only what the caller reads.
 
         The gradients are always summed; W and V only with energy, the
         force sums only with force, the Hessian only with hess.  Terms
@@ -263,55 +269,41 @@ class _PairKernel:
         """
         pp = self.pp
         n, d = r.shape[-2:]
-        lead = r.shape[:-2]
         diff, dist, collided = self.pairs(r, strict)
-        w = self.alpha_mm * dist ** (-pp.a)
-        v = self.beta_mm * dist ** (-pp.b)
-        # d/dr_i [coef * mm * d^-c] = -c * (coef * mm * d^-c) / d^2 * (r_i - r_j);
+        # rows w and v of coef * d^-exp, (..., 2, P); ** with a scalar
+        # exponent, whose -1 is a reciprocal, unlike an array exponent's pow
+        col = dist[..., None, :]
+        wv = np.concatenate((col ** -pp.a, col ** -pp.b), axis=-2)
+        wv *= self.coef
+        # d/dr_i [coef * d^-exp] = -exp * (coef * d^-exp) / d^2 * (r_i - r_j);
         # body j picks up the opposite sign, the force magnitude the same one.
-        d2 = dist * dist
-        cw = -pp.a * w / d2
-        cv = -pp.b * v / d2
-        grad = 2 * d
-        cols = grad + 1 if force else grad
-        rows = np.empty(lead + (2, dist.shape[-1], cols))
-        np.multiply(cw[..., None], diff, out=rows[..., 0, :, :d])
-        np.multiply(cv[..., None], diff, out=rows[..., 0, :, d:grad])
-        np.negative(rows[..., 0, :, :grad], out=rows[..., 1, :, :grad])
-        if force:
-            rows[..., 0, :, -1] = np.abs(cw + cv) * dist
-            rows[..., 1, :, -1] = rows[..., 0, :, -1]
-        keys = _pair_index(n, cols)[2]
-        if lead:
-            # member b scatters into its own block of n * cols sums
-            keys = (np.arange(lead[0])[:, None] * (n * cols) + keys).ravel()
-        size = math.prod(lead) * n * cols
-        sums = np.bincount(keys, rows.ravel(), minlength=size).reshape(lead + (n, cols))
-        w_sum = v_sum = None
+        d2 = col * col
+        c = self.neg_exps * wv
+        c /= d2
+        # E sums c_w diff and c_v diff onto the bodies: (..., 2, n, d)
+        grads = self.e @ (c[..., None] * diff[..., None, :, :])
+        w_sum = v_sum = force_sum = h = None
         if energy:
-            w_sum, v_sum = w.sum(axis=-1), v.sum(axis=-1)
-            if not lead:
-                w_sum, v_sum = float(w_sum), float(v_sum)
-        force_sum = sums[..., -1] if force else None
-        h = None
+            sums = np.add.reduce(wv, axis=-1)
+            w_sum, v_sum = sums.tolist() if r.ndim == 2 else (sums[..., 0], sums[..., 1])
+        if force:
+            pair_force = np.abs(np.add.reduce(c, axis=-2))
+            pair_force *= dist
+            force_sum = (self.e_abs @ pair_force[..., None])[..., 0]
         if hess:
-            # pair i < j adds B = sum over both terms of c * ((exp + 2) / d^2 *
-            # diff diff^T - 1), c = exp * coef * m_i m_j * d^(-exp-2), to the
-            # (i, i) and (j, j) blocks and -B to the (i, j) and (j, i) blocks
+            # pair p adds e_p e_p^T (x) B_p, B = sum over both terms of
+            # k ((exp + 2) / d^2 diff diff^T - 1), k = exp coef m_i m_j d^(-exp-2),
+            # so block entry (a, b) of the Hessian is E diag(B[a, b]) E^T
             ca = pp.a * pp.alpha * self.mm * dist ** (-pp.a - 2.0)
             cb = pp.b * pp.beta * self.mm * dist ** (-pp.b - 2.0)
-            outer = ((pp.a + 2.0) * ca + (pp.b + 2.0) * cb) / d2
-            blocks = outer[..., None, None] * diff[..., :, None] * diff[..., None, :]
-            blocks -= (ca + cb)[..., None, None] * np.eye(d)
-            # body-body-axis-axis layout, so the pair indices stay adjacent
-            h = np.zeros(lead + (n, n, d, d))
-            h[..., self.i, self.j, :, :] = -blocks
-            h[..., self.j, self.i, :, :] = -blocks
-            # translation invariance: each block row of the Hessian sums to zero
-            body = np.arange(n)
-            h[..., body, body, :, :] = -h.sum(axis=-3)
-            h = h.swapaxes(-3, -2).reshape(lead + (n * d, n * d))
-        terms = PairTerms(w_sum, v_sum, sums[..., :d], sums[..., d:grad], force_sum, h)
+            outer = ((pp.a + 2.0) * ca + (pp.b + 2.0) * cb) / d2[..., 0, :]
+            diff_t = diff.swapaxes(-1, -2)
+            blocks = outer[..., None, None, :] * diff_t[..., :, None, :] * diff_t[..., None, :, :]
+            blocks -= (ca + cb)[..., None, None, :] * np.eye(d)[..., None]
+            h = (blocks[..., None, :] * self.e) @ self.e.T  # (..., a, b, i, j)
+            h = h.swapaxes(-3, -2).swapaxes(-4, -3).swapaxes(-2, -1)  # (..., i, a, j, b)
+            h = h.reshape(r.shape[:-2] + (n * d, n * d))
+        terms = PairTerms(w_sum, v_sum, grads[..., 0, :, :], grads[..., 1, :, :], force_sum, h)
         return terms, collided
 
 
@@ -438,22 +430,19 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
     kernel = _PairKernel(ms.masses, pp)
 
     def field(t, y):
-        r, p = y.reshape(shape)
-        out = np.empty(y.size)
-        rdot, pdot = out.reshape(shape)
-        np.divide(p, kernel.m_col, out=rdot)
-        g = kernel.terms(r, energy=False, force=False)[0]
-        np.add(g.grad_W, g.grad_V, out=pdot)
-        return out
+        rp = y.reshape(shape)
+        out = np.empty(shape)
+        np.divide(rp[1], kernel.m_col, out=out[0])
+        g = kernel.terms(rp[0], energy=False, force=False)[0]
+        np.add(g.grad_W, g.grad_V, out=out[1])
+        return out.reshape(y.size)
 
     return field
 
 
 def pack_phase(state: PhaseState) -> np.ndarray:
     """Flatten a phase state to the layout used by cartesian_field."""
-    return np.concatenate(
-        [state.config.positions.ravel(), state.momenta.ravel()]
-    )
+    return np.concatenate([state.config.positions.ravel(), state.momenta.ravel()])
 
 
 def unpack_phase(y: np.ndarray, n: int, dim: int) -> PhaseState:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qhnbody import model
 from qhnbody.model import (
     Configuration,
     MassSystem,
@@ -78,3 +79,16 @@ def fd_gradient(f, x, h=1e-6):
 def fd_directional_second(f, x, v, h=1e-4):
     """Central second difference of t -> f(x + t v) at t = 0."""
     return (f(x + h * v) - 2.0 * f(x) + f(x - h * v)) / (h * h)
+
+
+def count_kernel_bindings(monkeypatch):
+    """A list that grows by one entry per binding of the pair kernel."""
+    passes = []
+    bind = model._PairKernel.__init__
+
+    def counted(self, *args):
+        passes.append(1)
+        bind(self, *args)
+
+    monkeypatch.setattr(model._PairKernel, "__init__", counted)
+    return passes

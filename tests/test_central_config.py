@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_masses
+from conftest import count_kernel_bindings, random_masses
 from qhnbody import central_config, model
 from qhnbody.central_config import (
     CCQuery,
@@ -193,35 +193,28 @@ def test_solver_counts_its_work():
     assert forced.residual_floor > 1e-300
 
 
-def _count_kernel_bindings(monkeypatch):
-    """A list that grows by one entry per binding of the pair kernel."""
-    passes = []
-    bind = model._PairKernel.__init__
-
-    def counted(self, *args):
-        passes.append(1)
-        bind(self, *args)
-
-    monkeypatch.setattr(model._PairKernel, "__init__", counted)
-    return passes
-
-
 def test_each_newton_iterate_costs_one_kernel_pass(monkeypatch):
     # the pass that accepts a trial step also evaluates the next iterate,
-    # Hessian included; besides the first iterate and the final spectrum,
-    # only rejected trials cost extra passes
-    passes = _count_kernel_bindings(monkeypatch)
+    # Hessian included, and the final spectrum reads the pass at the last
+    # iterate; besides the first iterate, only rejected trials cost passes
+    passes = count_kernel_bindings(monkeypatch)
     ms = MassSystem(np.linspace(1.0, 2.0, 6))
     res = solve_collinear_ordering(Ordering((1, 2, 6, 4, 5, 3)), CCQuery(ms=ms, pp=PP13))
     assert res.newton_iters > 0
-    assert 2 + res.newton_iters <= len(passes) <= 2 + res.newton_iters + res.backtracks
+    assert 1 + res.newton_iters <= len(passes) <= 1 + res.newton_iters + res.backtracks
 
 
 def test_restricted_hessian_costs_one_kernel_pass(monkeypatch):
     res = solve_collinear_ordering(Ordering((1, 3, 2)), CCQuery(ms=MS123, pp=PP13))
-    passes = _count_kernel_bindings(monkeypatch)
-    restricted_hessian(res.config, MS123, PP13, "planar")
+    passes = count_kernel_bindings(monkeypatch)
+    a_mat, lam = restricted_hessian(res.config, MS123, PP13, "planar")
     assert len(passes) == 1
+    # the caller's terms spare the pass and give the same matrix
+    terms = model._PairKernel(MS123.masses, PP13).terms(res.config.positions, hess=True)[0]
+    passes.clear()
+    again = restricted_hessian(res.config, MS123, PP13, "planar", terms=terms)
+    assert not passes
+    assert np.array_equal(again[0], a_mat) and np.array_equal(again[1], lam)
 
 
 def _reference_directions(x, masses, pp, terms, sigma):

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import count_kernel_bindings
 from qhnbody import cli
 from qhnbody.central_config import Ordering, equilateral_configuration, equilateral_side
 from qhnbody.collision_flow import pure_b_cc
@@ -436,6 +437,17 @@ def test_collision_flow_needs_manev_attraction(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # eigen
+
+
+def test_a_default_eigen_run_binds_the_pair_kernel_eleven_times(tmp_path, monkeypatch):
+    # the pure-b census: its first iterate and four rounds of trial steps,
+    # no pass for its spectra; the equilateral residual and index; one
+    # pass per rest-point shape (4).  16 when each shape took two passes
+    # and the census one more for its spectra.
+    passes = count_kernel_bindings(monkeypatch)
+    code, _ = run(tmp_path, "eigen", base_config())
+    assert code == 0
+    assert len(passes) == 11
 
 
 def test_eigen_reports_the_default_equilibrium_catalog(tmp_path):

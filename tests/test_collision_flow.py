@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import count_kernel_bindings
 from qhnbody.central_config import (
     CCResult,
     Ordering,
@@ -10,6 +11,7 @@ from qhnbody.central_config import (
     cc_residual,
     equilateral_configuration,
     euler_collinear_homogeneous,
+    restricted_hessian,
     tangent_basis,
 )
 from qhnbody.collision_flow import (
@@ -183,6 +185,17 @@ def test_manifold_start_lies_on_the_manifold_in_the_centered_reduction():
         assert st.v < 0.0
     with pytest.raises(ValueError):
         manifold_start(catalog[0].config, MS, PP, 50.0, seed=3)
+
+
+def test_find_equilibria_makes_one_kernel_pass_per_shape(monkeypatch):
+    ccs = all_pure_b_ccs(MS, PP.b)
+    passes = count_kernel_bindings(monkeypatch)
+    reports = find_equilibria(MS, PP, ccs)
+    assert len(passes) == len(ccs)
+    # the shared pass gives the spectrum that a pass of its own gives
+    ppb = PotentialParams(a=PP.a, b=PP.b, alpha=0.0, beta=PP.beta)
+    for rep in reports:
+        assert np.array_equal(rep.lam, restricted_hessian(rep.s0, MS, ppb, rep.ambient)[1])
 
 
 def test_find_equilibria_two_per_shape():

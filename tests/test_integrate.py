@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import circular_two_body, random_masses
+from qhnbody import integrate as integrate_module
 from qhnbody.central_config import CCQuery, equilateral_cc, solve_collinear_all
-from qhnbody.errors import DegenerateStateError, FieldError, StiffnessError
+from qhnbody.errors import CollisionError, DegenerateStateError, FieldError, StiffnessError
 from qhnbody.integrate import (
     _A,
     _B,
@@ -360,6 +361,13 @@ def test_trajectory_sample_between_segments():
         assert np.abs(y - tr.states[k]).max() < 1e-9
 
 
+def test_sampling_at_a_segment_start_reads_that_segment():
+    tr = integrate(harmonic, np.array([1.0, 0.0]), (0.0, 3.0))
+    assert len(tr.segments) > 2
+    for seg in tr.segments:
+        assert np.array_equal(tr.sample(seg.t0), seg.eval(seg.t0))
+
+
 # ---------------------------------------------------------------------------
 # relative equilibria: a central configuration with multiplier sigma rotates
 # rigidly at omega = sqrt(-2 sigma) with momenta p = omega M J q
@@ -463,16 +471,29 @@ def test_tableau_literals_match_the_scipy_copy():
     assert np.array_equal(_E3, ref.E3[:12]) and ref.E3[12] == 0.0
 
 
-def test_dense_output_is_built_once_and_only_when_asked():
-    calls = []
+def _counted_run(monkeypatch, fn, y0, span):
+    """(trajectory, field calls, attempted steps) of one run; every attempt
+    whose stages succeed reaches the error test once."""
+    calls, attempts = [], []
+    error_norm = integrate_module._error_norm
+
+    def counted_norm(*args):
+        attempts.append(1)
+        return error_norm(*args)
 
     def field(t, y):
         calls.append(t)
-        return harmonic(t, y)
+        return fn(t, y)
 
-    tr = integrate(field, np.array([1.0, 0.0]), (0.0, 3.0))
-    # f at t0, one probe for the first step size, 12 per attempted step
-    assert len(calls) % 12 == 2
+    monkeypatch.setattr(integrate_module, "_error_norm", counted_norm)
+    return integrate(field, y0, span), calls, len(attempts)
+
+
+def test_dense_output_is_built_once_and_only_when_asked(monkeypatch):
+    tr, calls, attempts = _counted_run(monkeypatch, harmonic, np.array([1.0, 0.0]), (0.0, 3.0))
+    # f at t0, one probe for the first step size, 11 stages per attempted
+    # step and f(t + h, y1) per accepted one
+    assert len(calls) == 2 + 11 * attempts + (len(tr.times) - 1)
     assert all(seg.coef is None for seg in tr.segments)
     before = len(calls)
     t = 0.5 * (tr.times[1] + tr.times[2])
@@ -481,3 +502,54 @@ def test_dense_output_is_built_once_and_only_when_asked():
     assert abs(y[0] - np.cos(t)) < 1e-9
     tr.sample(t + 1e-6 * (tr.times[2] - tr.times[1]))
     assert len(calls) == before + 3
+
+
+def test_a_rejected_step_skips_the_field_call_at_its_end(monkeypatch):
+    # an eccentric two-body orbit, whose pericentre passages reject steps
+    ms = MassSystem(np.array([1.0, 1.0]))
+    field = cartesian_field(ms, PotentialParams(a=1.0, b=2.0, alpha=1.0, beta=0.01), 2)
+    y0 = np.array([0.5, 0.0, -0.5, 0.0, 0.0, 0.3, 0.0, -0.3])
+    tr, calls, attempts = _counted_run(monkeypatch, field, y0, (0.0, 3.0))
+    accepted = len(tr.times) - 1
+    assert attempts > accepted + 10
+    assert len(calls) == 2 + 11 * attempts + accepted
+
+
+@pytest.mark.parametrize("failure", ["stage", "nan y1", "end raises", "nan end"])
+def test_each_failed_attempt_quarters_the_step(monkeypatch, failure):
+    # the third attempt fails one way; the fourth is a quarter as long
+    attempts, norms = [], []
+    step, error_norm = integrate_module._step, integrate_module._error_norm
+
+    def recorded_step(fn, t, y, h, k):
+        attempts.append([h, None])
+        y1 = step(fn, t, y, h, k)
+        if len(attempts) == 3 and failure == "nan y1":
+            y1 = np.full_like(y1, np.nan)
+        attempts[-1][1] = y1
+        return y1
+
+    def counted_norm(*args):
+        norms.append(len(attempts))
+        return error_norm(*args)
+
+    def field(t, y):
+        if len(attempts) != 3:
+            return harmonic(t, y)
+        y1 = attempts[2][1]
+        if failure == "stage" and y1 is None:
+            raise CollisionError("stage")
+        if y1 is not None and np.array_equal(y, y1):
+            if failure == "end raises":
+                raise CollisionError("end point")
+            if failure == "nan end":
+                return np.full_like(y, np.nan)
+        return harmonic(t, y)
+
+    monkeypatch.setattr(integrate_module, "_step", recorded_step)
+    monkeypatch.setattr(integrate_module, "_error_norm", counted_norm)
+    tr = integrate(field, np.array([1.0, 0.0]), (0.0, 3.0))
+    assert attempts[3][0] == 0.25 * attempts[2][0]
+    # a non-finite y1 never reaches the error test; a failed end point does
+    assert (3 in norms) == (failure in ("end raises", "nan end"))
+    assert tr.times[-1] == 3.0

@@ -26,6 +26,7 @@ from qhnbody.model import (
     MassSystem,
     PhaseState,
     PotentialParams,
+    _incidence,
     angular_momentum,
     angular_momentum_series,
     cartesian_field,
@@ -526,6 +527,17 @@ def test_pair_kernel_matches_the_per_pair_loop(seed, n, d, a, gap, alpha, beta):
     h = hess_U_matrix(Configuration(r), ms, pp)
     ref = _hess_loop(r, ms.masses, pp)
     assert np.abs(h - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_incidence_matrix_gives_exact_pair_differences(rng):
+    # one +1 and one -1 per column: E^T r is r_i - r_j to the last bit,
+    # whatever the scales of the positions
+    for n in range(2, 8):
+        i, j, e, e_abs = _incidence(n)
+        r = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-8, 9, (n, 1))
+        assert np.array_equal(e.T @ r, r[i] - r[j])
+        assert np.array_equal(e_abs, np.abs(e)) and (e.sum(axis=0) == 0.0).all()
+        assert not any(a.flags.writeable for a in (i, j, e, e_abs))
 
 
 @pytest.mark.parametrize("d", [1, 2])
