@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -42,7 +42,6 @@ from .model import (
     lift_to_plane,
     moment_of_inertia,
     pair_terms,
-    pair_terms_masked,
 )
 
 _SPHERE_TOL = 1e-9
@@ -204,13 +203,13 @@ def cc_residual(config, ms, pp: PotentialParams, terms: PairTerms | None = None)
 
 
 def simultaneous_residual(
-    config, ms: MassSystem, pp: PotentialParams
+    config, ms: MassSystem, pp: PotentialParams, terms: PairTerms | None = None
 ) -> SimultaneousReport:
-    """Residuals of the term-by-term CC equations; needs both terms active."""
+    """Residuals of the term-by-term CC equations (both terms active); terms as in cc_residual."""
     if pp.alpha == 0.0 or pp.beta == 0.0:
         raise DegenerateTermError("simultaneous test needs alpha > 0 and beta > 0")
     r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
-    w, v, gw, gv = pair_terms(r, ms, pp)[:4]
+    w, v, gw, gv = (pair_terms(r, ms, pp) if terms is None else terms)[:4]
     inertia = moment_of_inertia(r, ms)
     sigma1 = -pp.a * w / (2.0 * inertia)
     sigma2 = -pp.b * v / (2.0 * inertia)
@@ -330,7 +329,8 @@ def restricted_hessian(
 
 
 def cc_index(
-    config, ms: MassSystem, pp: PotentialParams, ambient: str = "planar", inertia_I0: float = 1.0
+    config, ms: MassSystem, pp: PotentialParams, ambient: str = "planar", inertia_I0: float = 1.0,
+    terms: PairTerms | None = None,
 ) -> IndexReport:
     """Morse data of U restricted to the sphere at a central configuration.
 
@@ -338,9 +338,10 @@ def cc_index(
     with eigenvalues below zero_tol = 1e-8 * max |eig| in magnitude
     classified as zero modes.  The planar ambient must show exactly the
     one rotational zero mode; the collinear ambient none.  Anything else
-    raises ToleranceError (a degenerate CC).
+    raises ToleranceError (a degenerate CC).  terms, as in
+    restricted_hessian, spare a pass.
     """
-    return _index_report(restricted_hessian(config, ms, pp, ambient, inertia_I0)[1], ambient)
+    return _index_report(restricted_hessian(config, ms, pp, ambient, inertia_I0, terms)[1], ambient)
 
 
 def _index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
@@ -421,6 +422,16 @@ def _newton_directions(
     return step[:, :n], slope, fallback
 
 
+def _in_order(x: np.ndarray, e: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Rows of x whose pair differences x @ e (x_i - x_j, exact) have the given signs."""
+    return ((x @ e) * sign > 0.0).all(axis=-1)
+
+
+def _trial_pass(kernel: _PairKernel, r: np.ndarray) -> tuple[PairTerms, np.ndarray]:
+    """(terms with the Hessian, collided) of trial steps; a collision is flagged, not raised."""
+    return kernel.terms(r, strict=False, hess=True)
+
+
 def solve_collinear_batch(
     members: Sequence[tuple[Ordering, MassSystem]],
     pp: PotentialParams,
@@ -437,9 +448,12 @@ def solve_collinear_batch(
     pair kernel over the members still searching evaluates each round of
     trial steps, so an accepted trial already carries W, V, the
     gradients, the force sums and the Hessian of the next iterate.  The
-    spectra of the converged members read that pass at their last
-    iterate.  The members must have the same number of bodies.  When
-    members fail, the error of the first of them in input order is raised.
+    kernel is bound once and sliced only when members leave or some
+    accept before others; a trial keeps its ordering when its pair
+    differences keep their signs.  The spectra of the converged members
+    read that pass at their last iterate.  The members must have the
+    same number of bodies.  When members fail, the error of the first of
+    them in input order is raised.
     """
     _check_knobs(inertia_I0, grad_tol)
     if not members:
@@ -452,111 +466,101 @@ def solve_collinear_batch(
             raise ValueError("ordering length does not match the mass system")
     size = len(members)
     masses = np.array([ms.masses for _, ms in members])
-    # the members still iterating: ids, masses, orderings, iterates, kernel values
-    ids = np.arange(size)
-    m = masses
-    perm = np.array([o.zero_based for o, _ in members])
+    kernel = _PairKernel(masses, pp)
+    # the members still iterating: ids, masses, ordered signs of x_i - x_j, iterates, terms
+    ids, m = np.arange(size), masses
     x = np.empty((size, n))
-    x[ids[:, None], perm] = np.arange(n, dtype=float)  # unit gaps in each ordering
-    x = _project_line(x, m, inertia_I0)
-    terms = _PairKernel(m, pp).terms(x[..., None], hess=True)[0]
+    x[ids[:, None], np.array([o.zero_based for o, _ in members])] = np.arange(n, dtype=float)
+    sign = np.sign(x @ kernel.e)
+    x = _project_line(x, m, inertia_I0)  # unit gaps in each ordering
+    terms = kernel.terms(x[..., None], hess=True)[0]
 
-    sigma, res = np.zeros(size), np.full(size, np.inf)
-    floor = np.full(size, float(grad_tol))
+    sigma, res, floor, rs = np.zeros(size), np.zeros(size), np.zeros(size), np.full(size, np.inf)
     iters, backtracks, fallbacks = (np.zeros(size, dtype=int) for _ in range(3))
-    final_x = np.zeros((size, n))
-    final = PairTerms(*(np.zeros((size,) + a.shape[1:]) for a in terms))  # at final_x
-    converged = np.zeros(size, dtype=bool)
+    finished = []  # (ids, x, *terms) of the members converged in one round
     errors: list[Exception | None] = [None] * size
 
-    def drop(leaving: np.ndarray) -> None:
-        nonlocal ids, m, perm, x, terms
-        stay = ~leaving
-        ids, m, perm, x = ids[stay], m[stay], perm[stay], x[stay]
+    def keep(stay: np.ndarray) -> None:
+        nonlocal ids, m, sign, x, terms, kernel, sig, rs
+        ids, m, sign, x, sig, rs = (a[stay] for a in (ids, m, sign, x, sig, rs))
         terms = PairTerms(*(a[stay] for a in terms))
+        kernel = kernel.take(stay)
 
     floor_factor = 8.0 * np.finfo(float).eps
-    for _ in range(max_iter):
+    for it in range(max_iter):
         sig, rs = cc_residual(x[..., None], m, pp, terms)
         scale = np.max(terms.force_sum + np.abs(2.0 * sig[:, None] * m * x), axis=-1)
         tol = np.maximum(grad_tol, floor_factor * scale)
-        sigma[ids], res[ids], floor[ids] = sig, rs, tol
         done = rs <= tol
         if done.any():
+            # each member still here has accepted a step in every round
             gone = ids[done]
-            converged[gone] = True
-            final_x[gone] = x[done]
-            for a, new in zip(final, terms):
-                a[gone] = new[done]
-            drop(done)
-            sig = sig[~done]
-        if not ids.size:
-            break
+            sigma[gone], res[gone], floor[gone], iters[gone] = sig[done], rs[done], tol[done], it
+            if done.all():
+                finished.append((ids, x, *terms))
+                break
+            finished.append((gone, x[done], *(a[done] for a in terms)))
+            keep(~done)
 
         direction, slope, fallback = _newton_directions(x, m, pp, terms, sig, inertia_I0)
         fallbacks[ids[fallback]] += 1
         u0 = terms.W + terms.V
-        armijo = 1e-4 * slope
-        slack = 1e-14 * np.abs(u0)
-
-        searching = np.ones(ids.size, dtype=bool)
-        t = 1.0
-        while t >= 1e-14:
-            k = np.flatnonzero(searching)
-            trial = _project_line(x[k] + t * direction[k], m[k], inertia_I0)
-            gaps = np.diff(trial[np.arange(k.size)[:, None], perm[k]], axis=-1)
-            ordered = (gaps > 0.0).all(axis=-1)
-            k, trial = k[ordered], trial[ordered]
-            trial_terms, collided = pair_terms_masked(trial[..., None], m[k], pp)
-            # slack of a few ulps of U so rounding cannot veto the
-            # final Newton steps inside the quadratic basin
-            u1 = trial_terms.W + trial_terms.V
-            ok = ~collided & (u1 <= u0[k] + t * armijo[k] + slack[k])
-            k = k[ok]
-            x[k] = trial[ok]
-            for a, new in zip(terms, trial_terms):
-                a[k] = new[ok]
-            iters[ids[k]] += 1
-            searching[k] = False
-            if not searching.any():
+        # k: the members still searching, whose rows search and kern hold; a slack
+        # of a few ulps of U keeps rounding from vetoing the final Newton steps
+        k, kern = np.arange(ids.size), kernel
+        search = (x, direction, m, sign, u0, 1e-4 * slope, 1e-14 * np.abs(u0))
+        for t in 0.5 ** np.arange(47):  # step sizes 1 down to 2^-46, the last above 1e-14
+            xs, ds, ms_, sg, u0s, armijo, slack = search
+            trial = _project_line(xs + t * ds, ms_, inertia_I0)
+            trial_terms, collided = _trial_pass(kern, trial[..., None])
+            ok = _in_order(trial, kern.e, sg) & ~collided
+            ok &= trial_terms.W + trial_terms.V <= u0s + t * armijo + slack
+            if k.size == ids.size and ok.all():
+                x, terms = trial, trial_terms
                 break
-            t *= 0.5
-            backtracks[ids[searching]] += 1
-        if searching.any():
-            for b in ids[searching]:
-                errors[b] = _stalled(members[b][0], float(res[b]))
-            drop(searching)
+            if ok.any():
+                x[k[ok]] = trial[ok]
+                for a, new in zip(terms, trial_terms):
+                    a[k[ok]] = new[ok]
+                k, search, kern = k[~ok], tuple(a[~ok] for a in search), kern.take(~ok)
+                if not k.size:
+                    break
+            backtracks[ids[k]] += 1
+        else:
+            for b, r in zip(ids[k], rs[k]):
+                errors[b] = _stalled(members[b][0], float(r))
+            keep(~np.isin(np.arange(ids.size), k))
             if not ids.size:
                 break
-    for b in ids:
-        # the iteration budget ran out
-        errors[b] = _stalled(members[b][0], float(res[b]))
+    else:  # the iteration budget ran out
+        for b, r in zip(ids, rs):
+            errors[b] = _stalled(members[b][0], float(r))
 
+    if len(finished) > 1:
+        finished = [tuple(map(np.concatenate, zip(*finished)))]
     results: list[CCResult | None] = [None] * size
-    done = np.flatnonzero(converged)
-    if done.size:
-        x_done, terms_done = final_x[done][..., None], PairTerms(*(a[done] for a in final))
-        eigs = _restricted_spectrum(x_done, masses[done], pp, inertia_I0, terms_done)[1]
-    for k, b in enumerate(done):
-        try:
-            report = _index_report(eigs[k], "collinear")
-        except ToleranceError as exc:
-            errors[b] = exc
-            continue
-        results[b] = CCResult(
-            config=Configuration(lift_to_plane(final_x[b][:, None])),
-            kind="collinear",
-            sigma=float(sigma[b]),
-            residual=float(res[b]),
-            index=report.index,
-            hess_eigs=report.eigenvalues,
-            inertia_I0=inertia_I0,
-            ordering=members[b][0],
-            newton_iters=int(iters[b]),
-            backtracks=int(backtracks[b]),
-            fallbacks=int(fallbacks[b]),
-            residual_floor=float(floor[b]),
-        )
+    for ids, x, *terms in finished:
+        eigs = _restricted_spectrum(x[..., None], masses[ids], pp, inertia_I0, PairTerms(*terms))[1]
+        for k, b in enumerate(ids):
+            try:
+                report = _index_report(eigs[k], "collinear")
+            except ToleranceError as exc:
+                errors[b] = exc
+                continue
+            results[b] = CCResult(
+                config=Configuration(lift_to_plane(x[k][:, None])),
+                kind="collinear",
+                sigma=float(sigma[b]),
+                residual=float(res[b]),
+                index=report.index,
+                hess_eigs=report.eigenvalues,
+                inertia_I0=inertia_I0,
+                ordering=members[b][0],
+                newton_iters=int(iters[b]),
+                backtracks=int(backtracks[b]),
+                fallbacks=int(fallbacks[b]),
+                residual_floor=float(floor[b]),
+            )
     for exc in errors:
         if exc is not None:
             raise exc
@@ -623,9 +627,13 @@ def equilateral_side(ms: MassSystem, inertia_I0: float = 1.0) -> float:
 def equilateral_result(
     config: Configuration, ms: MassSystem, pp: PotentialParams, inertia_I0: float = 1.0
 ) -> CCResult:
-    """An equilateral triangle as a CCResult: its CC residual and planar index."""
-    sigma, res = cc_residual(config, ms, pp)
-    report = cc_index(config, ms, pp, ambient="planar", inertia_I0=inertia_I0)
+    """An equilateral triangle as a CCResult: its CC residual, its planar
+    index and, when both terms are active, the multipliers of the
+    simultaneous test, all read from one pass of the pair kernel."""
+    terms = _PairKernel(ms.masses, pp).terms(config.positions, hess=True)[0]
+    sigma, res = cc_residual(config, ms, pp, terms)
+    report = cc_index(config, ms, pp, "planar", inertia_I0, terms)
+    sim = simultaneous_residual(config, ms, pp, terms) if pp.alpha and pp.beta else None
     return CCResult(
         config=config,
         kind="equilateral",
@@ -634,6 +642,8 @@ def equilateral_result(
         index=report.index,
         hess_eigs=report.eigenvalues,
         inertia_I0=inertia_I0,
+        sigma1=None if sim is None else sim.sigma1,
+        sigma2=None if sim is None else sim.sigma2,
     )
 
 
@@ -656,8 +666,7 @@ def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
             raise NoConvergenceError(
                 f"equilateral construction has residual {cc.residual:.3e}", residual=cc.residual
             )
-        sim = simultaneous_residual(config, q.ms, q.pp)
-        out.append(replace(cc, sigma1=sim.sigma1, sigma2=sim.sigma2))
+        out.append(cc)
     return out[0], out[1]
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import difflib
+import functools
 import json
 import math
 import sys
@@ -856,6 +857,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: parse_args keeps no state in it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qh",

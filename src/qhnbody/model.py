@@ -218,8 +218,8 @@ class _PairKernel:
     column and the total mass.  pairs() holds the collision guard and
     terms() the W, V, grad W, grad V and Hessian formulas, each sum over
     pairs a small matmul with E, so one pass at a point yields all of
-    them; a vector field binds one kernel per closure, the other callers
-    one per call.
+    them; a vector field binds one per closure, the collinear solver one
+    per batch (take() slices it to some members), the rest one per call.
     """
 
     __slots__ = ("pp", "e", "e_abs", "m_col", "m_total", "mm", "coef", "neg_exps")
@@ -232,6 +232,14 @@ class _PairKernel:
         self.mm = m.take(i, axis=-1) * m.take(j, axis=-1)
         self.coef = np.stack([pp.alpha * self.mm, pp.beta * self.mm], axis=-2)
         self.neg_exps = np.array([[-pp.a], [-pp.b]])
+
+    def take(self, rows) -> "_PairKernel":
+        """The kernel of the batch members in rows, sliced from this one, not rebound."""
+        out = _PairKernel.__new__(_PairKernel)
+        out.pp, out.e, out.e_abs, out.neg_exps = self.pp, self.e, self.e_abs, self.neg_exps
+        out.m_col, out.m_total = self.m_col[rows], self.m_total[rows]
+        out.mm, out.coef = self.mm[rows], self.coef[rows]
+        return out
 
     def pairs(self, r: np.ndarray, strict: bool = True):
         """(diff, dist, collided) of all pairs i < j, with the collision guard.

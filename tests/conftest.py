@@ -81,14 +81,23 @@ def fd_directional_second(f, x, v, h=1e-4):
     return (f(x + h * v) - 2.0 * f(x) + f(x - h * v)) / (h * h)
 
 
+def _count_kernel_calls(monkeypatch, name):
+    calls = []
+    method = getattr(model._PairKernel, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(model._PairKernel, name, counted)
+    return calls
+
+
 def count_kernel_bindings(monkeypatch):
     """A list that grows by one entry per binding of the pair kernel."""
-    passes = []
-    bind = model._PairKernel.__init__
+    return _count_kernel_calls(monkeypatch, "__init__")
 
-    def counted(self, *args):
-        passes.append(1)
-        bind(self, *args)
 
-    monkeypatch.setattr(model._PairKernel, "__init__", counted)
-    return passes
+def count_kernel_passes(monkeypatch):
+    """A list that grows by one entry per pass (terms call) of the pair kernel."""
+    return _count_kernel_calls(monkeypatch, "terms")

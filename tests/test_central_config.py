@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_kernel_bindings, random_masses
+from conftest import count_kernel_bindings, count_kernel_passes, random_masses
 from qhnbody import central_config, model
 from qhnbody.central_config import (
     CCQuery,
@@ -196,17 +196,25 @@ def test_solver_counts_its_work():
 def test_each_newton_iterate_costs_one_kernel_pass(monkeypatch):
     # the pass that accepts a trial step also evaluates the next iterate,
     # Hessian included, and the final spectrum reads the pass at the last
-    # iterate; besides the first iterate, only rejected trials cost passes
-    passes = count_kernel_bindings(monkeypatch)
+    # iterate; besides the first iterate, only rejected trials cost
+    # passes.  The kernel is bound once per solve, and once per batch.
+    bindings, passes = count_kernel_bindings(monkeypatch), count_kernel_passes(monkeypatch)
     ms = MassSystem(np.linspace(1.0, 2.0, 6))
     res = solve_collinear_ordering(Ordering((1, 2, 6, 4, 5, 3)), CCQuery(ms=ms, pp=PP13))
     assert res.newton_iters > 0
     assert 1 + res.newton_iters <= len(passes) <= 1 + res.newton_iters + res.backtracks
+    assert len(bindings) == 1
+    bindings.clear()
+    passes.clear()
+    batch = solve_collinear_all(CCQuery(ms=ms, pp=PP13))
+    assert len(bindings) == 1
+    rounds = max(r.newton_iters for r in batch)
+    assert 1 + rounds <= len(passes) <= 1 + rounds + sum(r.backtracks for r in batch)
 
 
 def test_restricted_hessian_costs_one_kernel_pass(monkeypatch):
     res = solve_collinear_ordering(Ordering((1, 3, 2)), CCQuery(ms=MS123, pp=PP13))
-    passes = count_kernel_bindings(monkeypatch)
+    passes = count_kernel_passes(monkeypatch)
     a_mat, lam = restricted_hessian(res.config, MS123, PP13, "planar")
     assert len(passes) == 1
     # the caller's terms spare the pass and give the same matrix
@@ -306,17 +314,19 @@ def test_batch_raises_the_first_failure_in_input_order():
     assert str(orderings[0].perm) in str(batch_err.value)
     assert str(batch_err.value) == str(one_err.value)
     assert batch_err.value.residual == one_err.value.residual
+    with pytest.raises(NoConvergenceError, match="stalled at residual inf"):
+        solve_collinear_batch([(o, ms) for o in orderings], PP13, max_iter=0)
 
 
 def _poison_kernel(monkeypatch, bad_masses):
     # trial steps of the members with these masses read as collisions
-    kernel = central_config.pair_terms_masked
+    trial_pass = central_config._trial_pass
 
-    def masked(r, m, pp):
-        terms, collided = kernel(r, m, pp)
-        return terms, collided | (m == bad_masses).all(axis=-1)
+    def masked(kernel, r):
+        terms, collided = trial_pass(kernel, r)
+        return terms, collided | (kernel.m_col[..., 0] == bad_masses).all(axis=-1)
 
-    monkeypatch.setattr(central_config, "pair_terms_masked", masked)
+    monkeypatch.setattr(central_config, "_trial_pass", masked)
 
 
 def test_a_line_search_that_rejects_every_trial_stalls(monkeypatch):
@@ -344,6 +354,68 @@ def test_a_collision_rejects_the_colliding_member_only(monkeypatch):
         solve_collinear_batch([(ordering, good), (ordering, bad)], PP13)
     assert str(batch_err.value) == str(one_err.value)
     assert batch_err.value.residual == one_err.value.residual
+
+
+def test_a_step_that_swaps_two_bodies_is_rejected_for_its_member_only(monkeypatch):
+    # the first direction of the second member carries its leftmost body
+    # half a gap past its right neighbour, with a slope so steep that the
+    # Armijo test passes any trial: only the ordering test can turn the
+    # full step down, and the half step, back in order, is then taken
+    ordering = Ordering((2, 4, 1, 3))
+    left, right = ordering.zero_based[:2]
+    members = [(ordering, MassSystem(np.linspace(lo, lo + 1.0, 4))) for lo in (1.0, 2.0)]
+    clean = [solve_collinear_ordering(o, CCQuery(ms=ms, pp=PP13)) for o, ms in members]
+    directions, trial_pass, trials = central_config._newton_directions, central_config._trial_pass, []
+
+    def swapping(x, *args):
+        direction, slope, fallback = directions(x, *args)
+        if not trials:
+            direction[1] = 0.0
+            direction[1, left] = 1.5 * (x[1, right] - x[1, left])
+            slope[1] = 1e12
+        return direction, slope, fallback
+
+    def recording(kernel, r):
+        trials.append(r[..., 0])
+        return trial_pass(kernel, r)
+
+    monkeypatch.setattr(central_config, "_newton_directions", swapping)
+    monkeypatch.setattr(central_config, "_trial_pass", recording)
+    res = solve_collinear_batch(members, PP13)
+    full, half = trials[:2]
+    assert full[0, left] < full[0, right] and full[1, left] > full[1, right]
+    assert half.shape[0] == 1 and half[0, left] < half[0, right]
+    assert _counters(res[0]) == _counters(clean[0])
+    assert res[1].backtracks >= 1 and res[1].index == 0
+    assert np.abs(res[1].config.positions - clean[1].config.positions).max() <= 1e-10
+
+
+def test_the_pair_difference_order_test_matches_the_adjacent_gaps():
+    # finite trials in order, out of order, with ties and with neighbours
+    # one ulp apart either way: the signs of E^T x decide as the gaps do
+    rng = np.random.default_rng(41)
+    size = 400
+    at = np.arange(size)
+    for n in range(2, 7):
+        e = model._incidence(n)[2]
+        perms = np.array([rng.permutation(n) for _ in range(size)])
+        ranks = np.empty((size, n))
+        ranks[at[:, None], perms] = np.arange(n)
+        values = np.sort(rng.uniform(-2.0, 2.0, (size, n)), axis=1)
+        k, kind = rng.integers(0, n - 1, size), rng.integers(0, 4, size)
+        v = values[at, k]
+        nudged = [values[at, k + 1], v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)]
+        values[at, k + 1] = np.choose(kind, nudged)
+        shuffled = rng.random(size) < 0.3
+        values[shuffled] = rng.permuted(values[shuffled], axis=1)
+        trial = np.empty((size, n))
+        trial[at[:, None], perms] = values
+        gaps = (np.diff(trial[at[:, None], perms], axis=-1) > 0.0).all(axis=-1)
+        ordered = central_config._in_order(trial, e, np.sign(ranks @ e))
+        np.testing.assert_array_equal(ordered, gaps)
+        assert ordered.any() and not ordered.all()
+        assert not ordered[(kind % 2 == 1) & ~shuffled].any()
+        assert ordered[(kind % 2 == 0) & ~shuffled].all()
 
 
 def test_batch_members_must_share_the_body_count():

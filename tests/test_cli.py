@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_kernel_bindings
+from conftest import count_kernel_bindings, count_kernel_passes
 from qhnbody import cli
 from qhnbody.central_config import Ordering, equilateral_configuration, equilateral_side
 from qhnbody.collision_flow import pure_b_cc
@@ -439,15 +439,17 @@ def test_collision_flow_needs_manev_attraction(tmp_path, capsys):
 # eigen
 
 
-def test_a_default_eigen_run_binds_the_pair_kernel_eleven_times(tmp_path, monkeypatch):
-    # the pure-b census: its first iterate and four rounds of trial steps,
-    # no pass for its spectra; the equilateral residual and index; one
-    # pass per rest-point shape (4).  16 when each shape took two passes
-    # and the census one more for its spectra.
-    passes = count_kernel_bindings(monkeypatch)
+def test_a_default_eigen_run_makes_ten_kernel_passes(tmp_path, monkeypatch):
+    # the pure-b census: its first iterate and four rounds of trial steps
+    # on one binding, no pass for its spectra; one pass for the
+    # equilateral residual and index together; one pass per rest-point
+    # shape (4).  16 when each shape took two passes, the census one
+    # more for its spectra and the equilateral one more for its index.
+    bindings, passes = count_kernel_bindings(monkeypatch), count_kernel_passes(monkeypatch)
     code, _ = run(tmp_path, "eigen", base_config())
     assert code == 0
-    assert len(passes) == 11
+    assert len(passes) == 10
+    assert len(bindings) == 6
 
 
 def test_eigen_reports_the_default_equilibrium_catalog(tmp_path):
@@ -768,3 +770,42 @@ def test_importing_the_command_line_loads_neither_scipy_nor_mpmath():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_every_main_call_of_one_process_behaves_as_in_a_fresh_one(tmp_path, capsys):
+    # the parser is built once per process; runs after other runs,
+    # failed ones included, must give the exit code, the messages and
+    # the files that a fresh process gives for the same arguments
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    good = str(write_config(tmp_path, base_config(), "good.json"))
+    bad = str(write_config(tmp_path, base_config(options={"cases": 3}), "bad.json"))
+    calls = [
+        ["cc-collinear", "--config", good],
+        ["eigen"],  # no --config: argparse exits
+        ["cc-collinear", "--config", bad],
+        ["eigen", "--config", good],
+    ]
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-m", "qhnbody.cli", *argv, "--out", str(tmp_path / f"fresh{k}")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for k, argv in enumerate(calls)
+    ]
+    for k, (argv, proc) in enumerate(zip(calls, fresh)):
+        here, there = tmp_path / f"here{k}", tmp_path / f"fresh{k}"
+        try:
+            code = cli.main([*argv, "--out", str(here)])
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        want_out, want_err = proc.communicate(timeout=120)
+        assert (code, err) == (proc.returncode, want_err)
+        assert out.replace(str(here), str(there)) == want_out
+        files = sorted(p.name for p in here.glob("*"))
+        assert bool(files) == (code == 0)
+        assert files == sorted(p.name for p in there.glob("*"))
+        for name in files:
+            assert (here / name).read_bytes() == (there / name).read_bytes()
+    assert [proc.returncode for proc in fresh] == [0, 2, 2, 0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_kernel_bindings
+from conftest import count_kernel_bindings, count_kernel_passes
 from qhnbody.central_config import (
     CCResult,
     Ordering,
@@ -189,9 +189,9 @@ def test_manifold_start_lies_on_the_manifold_in_the_centered_reduction():
 
 def test_find_equilibria_makes_one_kernel_pass_per_shape(monkeypatch):
     ccs = all_pure_b_ccs(MS, PP.b)
-    passes = count_kernel_bindings(monkeypatch)
+    bindings, passes = count_kernel_bindings(monkeypatch), count_kernel_passes(monkeypatch)
     reports = find_equilibria(MS, PP, ccs)
-    assert len(passes) == len(ccs)
+    assert len(passes) == len(bindings) == len(ccs)
     # the shared pass gives the spectrum that a pass of its own gives
     ppb = PotentialParams(a=PP.a, b=PP.b, alpha=0.0, beta=PP.beta)
     for rep in reports:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     circular_two_body,
+    count_kernel_bindings,
     fd_directional_second,
     fd_gradient,
     random_config,
@@ -26,6 +27,7 @@ from qhnbody.model import (
     MassSystem,
     PhaseState,
     PotentialParams,
+    _PairKernel,
     _incidence,
     angular_momentum,
     angular_momentum_series,
@@ -556,6 +558,24 @@ def test_batched_kernel_is_the_per_member_kernel(rng, d):
         for got, want in zip(batch[:5], one[:5]):
             assert np.array_equal(got[k], want)
         assert np.array_equal(hess[k], hess_U_matrix(r[k], MassSystem(masses[k]), pp))
+
+
+def test_a_taken_kernel_equals_a_fresh_binding_of_its_members(rng, monkeypatch):
+    # take() slices the bound arrays of some batch members without
+    # binding again, and its pass equals that of a fresh binding
+    masses = rng.uniform(0.2, 5.0, (6, 4))
+    r = np.cumsum(rng.uniform(0.3, 1.0, (6, 4, 2)), axis=1)
+    pp = PotentialParams(a=1.0, b=2.5, alpha=0.7, beta=1.3)
+    kernel = _PairKernel(masses, pp)
+    bindings = count_kernel_bindings(monkeypatch)
+    for rows in (np.array([4, 1, 2]), masses[:, 0] > 1.0):
+        taken = kernel.take(rows)
+        assert not bindings
+        got = taken.terms(r[rows], hess=True)[0]
+        want = _PairKernel(masses[rows], pp).terms(r[rows], hess=True)[0]
+        bindings.clear()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_masked_kernel_flags_a_colliding_member_only(rng):
