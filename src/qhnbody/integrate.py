@@ -106,6 +106,8 @@ _A[15, :15] = [
     2.9475147891527723389556272149, -9.15095847217987001081870187138,
 ]
 _B = _A[12, :12]
+_ROWS = tuple(_A[s, :s].copy() for s in range(16))  # stage rows, sliced once
+_NODES = _C.tolist()  # stage nodes as Python floats
 # Error weights: _B minus the embedded fifth- and third-order weights.
 _E5 = np.array([
     0.1312004499419488073250102996e-1, 0, 0, 0, 0, -0.1225156446376204440720569753e+1,
@@ -202,7 +204,7 @@ class _Segment:
         k = np.empty((16, dy.size))
         k[:13] = self.k
         for s in range(13, 16):
-            k[s] = self.field_fn(self.t0 + _C[s] * h, self.y0 + h * (k[:s].T @ _A[s, :s]))
+            k[s] = self.field_fn(self.t0 + _NODES[s] * h, _stage_state(s, self.y0, h, k))
         coef = np.empty((7, dy.size))
         coef[0] = dy
         coef[1] = h * k[0] - dy
@@ -257,14 +259,19 @@ class Trajectory:
         return [s.t0 for s in self.segments]
 
 
-def _step(field_fn, t, y, h, k) -> np.ndarray:
-    """Stages k[1:12] of one step of size h from (t, y), given k[0] = f(t, y).
+def _stage_state(s, y, h, k) -> np.ndarray:
+    """y + h * (_A[s, :s] @ k[:s]), a fresh array that a field may keep."""
+    z = np.dot(_ROWS[s], k[:s])
+    z *= h
+    z += y
+    return z
 
-    Returns the eighth-order y(t + h).
-    """
+
+def _step(field_fn, t, y, h, k) -> np.ndarray:
+    """Stages k[1:12] of a step of size h from (t, y) given k[0] = f(t, y); returns y(t + h)."""
     for s in range(1, 12):
-        k[s] = field_fn(t + _C[s] * h, y + h * (k[:s].T @ _A[s, :s]))
-    return y + h * (k[:12].T @ _B)
+        k[s] = field_fn(t + _NODES[s] * h, _stage_state(s, y, h, k))
+    return _stage_state(12, y, h, k)
 
 
 def _error_norm(h, k, scale) -> float:
@@ -276,7 +283,7 @@ def _error_norm(h, k, scale) -> float:
     small by accident.
     """
     err = (k[:12].T @ _ERR) / scale[:, None]
-    e5, e3 = (err * err).sum(axis=0)
+    e5, e3 = (err * err).sum(axis=0).tolist()
     if e5 == 0.0 and e3 == 0.0:
         return 0.0
     return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)

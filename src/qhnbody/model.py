@@ -212,99 +212,92 @@ class _PairKernel:
     """The pair kernel of one mass system, bound once from (masses, pp).
 
     m is (n,) masses, or (B, n) per-member masses for (B, n, d) batches.
-    Everything that does not depend on the positions is computed here
-    once: the signed incidence matrix E of the pairs (see _incidence),
-    the (..., 2, P) coefficients alpha m_i m_j and beta m_i m_j, the mass
-    column and the total mass.  pairs() holds the collision guard and
-    terms() the W, V, grad W, grad V and Hessian formulas, each sum over
-    pairs a small matmul with E, so one pass at a point yields all of
-    them; a vector field binds one per closure, the collinear solver one
-    per batch (take() slices it to some members), the rest one per call.
+    Bound once: the signed incidence matrix E of the pairs (see
+    _incidence), the (..., 2, P) coefficients coef = alpha m_i m_j, beta
+    m_i m_j and kc = -exp * coef, the half exponents -(exp + 2) / 2, the
+    mass column and the total mass.  pairs() guards squared distances d^2;
+    terms() makes one power call, d^(-exp-2) for both terms, and reads W,
+    V, both gradients and the Hessian from it, each sum over pairs a small
+    matmul with E.  A vector field binds one per closure, the collinear
+    solver one per batch (take() slices it to some members), the rest
+    one per call.
     """
 
-    __slots__ = ("pp", "e", "e_abs", "m_col", "m_total", "mm", "coef", "neg_exps")
+    __slots__ = ("pp", "e", "e_abs", "m_col", "m_total", "coef", "kc", "half_exps")
 
     def __init__(self, m: np.ndarray, pp: PotentialParams):
         self.pp = pp
         i, j, self.e, self.e_abs = _incidence(m.shape[-1])
         self.m_col = m[..., None]
         self.m_total = m.sum(axis=-1)
-        self.mm = m.take(i, axis=-1) * m.take(j, axis=-1)
-        self.coef = np.stack([pp.alpha * self.mm, pp.beta * self.mm], axis=-2)
-        self.neg_exps = np.array([[-pp.a], [-pp.b]])
+        mm = m.take(i, axis=-1) * m.take(j, axis=-1)
+        self.coef = np.stack([pp.alpha * mm, pp.beta * mm], axis=-2)
+        self.kc = np.array([[-pp.a], [-pp.b]]) * self.coef
+        self.half_exps = np.array([[-0.5 * (pp.a + 2.0)], [-0.5 * (pp.b + 2.0)]])
 
     def take(self, rows) -> "_PairKernel":
         """The kernel of the batch members in rows, sliced from this one, not rebound."""
         out = _PairKernel.__new__(_PairKernel)
-        out.pp, out.e, out.e_abs, out.neg_exps = self.pp, self.e, self.e_abs, self.neg_exps
+        out.pp, out.e, out.e_abs, out.half_exps = self.pp, self.e, self.e_abs, self.half_exps
         out.m_col, out.m_total = self.m_col[rows], self.m_total[rows]
-        out.mm, out.coef = self.mm[rows], self.coef[rows]
+        out.coef, out.kc = self.coef[rows], self.kc[rows]
         return out
 
     def pairs(self, r: np.ndarray, strict: bool = True):
-        """(diff, dist, collided) of all pairs i < j, with the collision guard.
+        """(diff, d2, collided) of all pairs i < j, with the collision guard.
 
-        r is (n, d) or a (B, n, d) batch; diff = r_i - r_j and collided
-        flags the members with a pair at or below the guard.  strict
-        raises CollisionError for any such member; otherwise its
-        distances read 1 so the arithmetic stays finite, and its values
-        mean nothing.
+        r is (n, d) or a (B, n, d) batch; diff = r_i - r_j, d2 = |diff|^2,
+        and collided flags the members with min d2 <= GUARD_FACTOR^2 I / M.
+        strict raises CollisionError for any such member; otherwise its d2
+        read 1 so the arithmetic stays finite, and its values mean nothing.
         """
         diff = self.e.T @ r
-        dist = np.sqrt(np.add.reduce(diff * diff, axis=-1))
+        d2 = np.add.reduce(diff * diff, axis=-1)
         inertia = np.add.reduce(self.m_col * r * r, axis=(-2, -1))
-        guard = GUARD_FACTOR * np.sqrt(inertia / self.m_total)
-        dmin = np.minimum.reduce(dist, axis=-1)
-        collided = dmin <= guard
+        guard2 = GUARD_FACTOR * GUARD_FACTOR * inertia / self.m_total
+        d2min = np.minimum.reduce(d2, axis=-1)
+        collided = d2min <= guard2
         if collided.any() if r.ndim == 3 else collided:
             if strict:
                 k = np.flatnonzero(collided)[0]
                 where = f" in batch member {k}" if r.ndim == 3 else ""
                 raise CollisionError(
-                    f"minimum pairwise distance {float(dmin.flat[k]):.3e} at or below "
-                    f"guard {float(guard.flat[k]):.3e}{where}"
+                    f"minimum pairwise distance {np.sqrt(d2min.flat[k]):.3e} at or below "
+                    f"guard {np.sqrt(guard2.flat[k]):.3e}{where}"
                 )
-            dist = np.where(collided[..., None], 1.0, dist)
-        return diff, dist, collided
+            d2 = np.where(collided[..., None], 1.0, d2)
+        return diff, d2, collided
 
     def terms(self, r: np.ndarray, energy: bool = True, force: bool = True,
               strict: bool = True, hess: bool = False):
         """(PairTerms, collided) of r, summing only what the caller reads.
 
         The gradients are always summed; W and V only with energy, the
-        force sums only with force, the Hessian only with hess.  Terms
-        left out read None.
+        force sums (the only sqrt) only with force, the Hessian (from the
+        gradient coefficients) only with hess.  Terms left out read None.
         """
-        pp = self.pp
         n, d = r.shape[-2:]
-        diff, dist, collided = self.pairs(r, strict)
-        # rows w and v of coef * d^-exp, (..., 2, P); ** with a scalar
-        # exponent, whose -1 is a reciprocal, unlike an array exponent's pow
-        col = dist[..., None, :]
-        wv = np.concatenate((col ** -pp.a, col ** -pp.b), axis=-2)
-        wv *= self.coef
-        # d/dr_i [coef * d^-exp] = -exp * (coef * d^-exp) / d^2 * (r_i - r_j);
+        diff, d2, collided = self.pairs(r, strict)
+        pw = d2[..., None, :] ** self.half_exps  # d^(-exp-2), rows w and v: (..., 2, P)
+        # d/dr_i [coef * d^-exp] = -exp * coef * d^(-exp-2) * (r_i - r_j);
         # body j picks up the opposite sign, the force magnitude the same one.
-        d2 = col * col
-        c = self.neg_exps * wv
-        c /= d2
+        c = self.kc * pw
         # E sums c_w diff and c_v diff onto the bodies: (..., 2, n, d)
         grads = self.e @ (c[..., None] * diff[..., None, :, :])
         w_sum = v_sum = force_sum = h = None
         if energy:
-            sums = np.add.reduce(wv, axis=-1)
+            # coef last: a subnormal coef then rounds once, at the size of W or V
+            sums = np.add.reduce(self.coef * (pw * d2[..., None, :]), axis=-1)
             w_sum, v_sum = sums.tolist() if r.ndim == 2 else (sums[..., 0], sums[..., 1])
         if force:
-            pair_force = np.abs(np.add.reduce(c, axis=-2))
-            pair_force *= dist
+            pair_force = np.abs(np.add.reduce(c, axis=-2)) * np.sqrt(d2)
             force_sum = (self.e_abs @ pair_force[..., None])[..., 0]
         if hess:
             # pair p adds e_p e_p^T (x) B_p, B = sum over both terms of
-            # k ((exp + 2) / d^2 diff diff^T - 1), k = exp coef m_i m_j d^(-exp-2),
+            # k ((exp + 2) / d^2 diff diff^T - 1), k = exp coef d^(-exp-2) = -c,
             # so block entry (a, b) of the Hessian is E diag(B[a, b]) E^T
-            ca = pp.a * pp.alpha * self.mm * dist ** (-pp.a - 2.0)
-            cb = pp.b * pp.beta * self.mm * dist ** (-pp.b - 2.0)
-            outer = ((pp.a + 2.0) * ca + (pp.b + 2.0) * cb) / d2[..., 0, :]
+            ca, cb = -c[..., 0, :], -c[..., 1, :]
+            outer = ((self.pp.a + 2.0) * ca + (self.pp.b + 2.0) * cb) / d2
             diff_t = diff.swapaxes(-1, -2)
             blocks = outer[..., None, None, :] * diff_t[..., :, None, :] * diff_t[..., None, :, :]
             blocks -= (ca + cb)[..., None, None, :] * np.eye(d)[..., None]

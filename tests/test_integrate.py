@@ -471,6 +471,58 @@ def test_tableau_literals_match_the_scipy_copy():
     assert np.array_equal(_E3, ref.E3[:12]) and ref.E3[12] == 0.0
 
 
+def _literal_stages(field, t, y, h, k, stages):
+    """k[s] for s in stages, from the tableau formula as written."""
+    for s in stages:
+        k[s] = field(t + _C[s] * h, y + h * (k[:s].T @ _A[s, :s]))
+
+
+def _linear_fields(sizes, per_size=4):
+    rng = np.random.default_rng(4242)
+    for size in sizes:
+        for _ in range(per_size):
+            m = rng.standard_normal((size, size)) / np.sqrt(size)
+            yield (lambda t, y, m=m: m @ y), rng.standard_normal(size), rng.uniform(1e-3, 0.5)
+
+
+def test_the_stage_loop_is_the_tableau_formula_bit_for_bit():
+    for field, y, h in _linear_fields(range(2, 31)):
+        k, ref = np.empty((13, y.size)), np.empty((16, y.size))
+        k[0] = ref[0] = field(0.3, y)
+        y1 = _step(field, 0.3, y, h, k)
+        _literal_stages(field, 0.3, y, h, ref, range(1, 12))
+        assert k[:12].tobytes() == ref[:12].tobytes()
+        assert y1.tobytes() == (y + h * (ref[:12].T @ _B)).tobytes()
+        # the dense output's three extra stages use the same loop
+        k[12] = ref[12] = field(0.3 + h, y1)
+        seg = _Segment(t0=0.3, h=h, y0=y, y1=y1, k=k.copy(), field_fn=field)
+        seg._build()
+        _literal_stages(field, 0.3, y, h, ref, range(13, 16))
+        assert seg.coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
+
+
+def test_a_field_may_keep_every_state_it_is_given():
+    # no stage state is a buffer that a later stage overwrites
+    for field, y, h in _linear_fields((2, 12, 29), per_size=2):
+        seen = []
+
+        def keeping(t, z, field=field):
+            seen.append(z)
+            return field(t, z)
+
+        k = np.empty((16, y.size))
+        k[0] = field(0.0, y)
+        y1 = _step(keeping, 0.0, y, h, k[:13])
+        k[12] = field(h, y1)
+        seg = _Segment(t0=0.0, h=h, y0=y, y1=y1, k=k[:13].copy(), field_fn=keeping)
+        seg._build()
+        # the dense stages' rows, recovered from the states the field kept
+        k[13:] = [field(0.0, z) for z in seen[11:]]
+        assert len(seen) == 14
+        for s, z in zip([*range(1, 12), *range(13, 16)], seen):
+            assert np.array_equal(z, y + h * (k[:s].T @ _A[s, :s])), s
+
+
 def _counted_run(monkeypatch, fn, y0, span):
     """(trajectory, field calls, attempted steps) of one run; every attempt
     whose stages succeed reaches the error test once."""

@@ -568,14 +568,36 @@ def test_a_taken_kernel_equals_a_fresh_binding_of_its_members(rng, monkeypatch):
     pp = PotentialParams(a=1.0, b=2.5, alpha=0.7, beta=1.3)
     kernel = _PairKernel(masses, pp)
     bindings = count_kernel_bindings(monkeypatch)
-    for rows in (np.array([4, 1, 2]), masses[:, 0] > 1.0):
+    for rows in (np.array([4, 1, 2]), masses[:, 0] > 1.0, np.array([5])):
         taken = kernel.take(rows)
         assert not bindings
-        got = taken.terms(r[rows], hess=True)[0]
-        want = _PairKernel(masses[rows], pp).terms(r[rows], hess=True)[0]
+        fresh = _PairKernel(masses[rows], pp)
         bindings.clear()
+        # every bound array, kc included, is sliced to the bit
+        for name in set(_PairKernel.__slots__) - {"pp"}:
+            assert getattr(taken, name).tobytes() == getattr(fresh, name).tobytes(), name
+        got = taken.terms(r[rows], hess=True)[0]
+        want = fresh.terms(r[rows], hess=True)[0]
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_an_a_term_of_exponent_zero_is_a_constant(rng, d):
+    # at a = 0 the a-term is alpha * sum m_i m_j whatever the positions:
+    # no gradient and no Hessian, though W passes through d^-2 * d^2
+    n = 5
+    ms = random_masses(rng, n)
+    r = random_config(rng, n, dim=d, scale=3.0)
+    pp = PotentialParams(a=0.0, b=2.0, alpha=1.3, beta=0.7)
+    terms = pair_terms(r, ms, pp)
+    i, j = np.triu_indices(n, 1)
+    constant = pp.alpha * float(np.sum(ms.masses[i] * ms.masses[j]))
+    assert np.array_equal(terms.grad_W, np.zeros((n, d)))
+    assert terms.W == pytest.approx(constant, rel=1e-15, abs=0.0)
+    b_only = PotentialParams(a=0.0, b=2.0, alpha=0.0, beta=0.7)
+    assert np.array_equal(hess_U_matrix(r, ms, pp), hess_U_matrix(r, ms, b_only))
+    assert np.array_equal(terms.grad_V, pair_terms(r, ms, b_only).grad_V)
 
 
 def test_masked_kernel_flags_a_colliding_member_only(rng):
