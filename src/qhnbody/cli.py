@@ -37,7 +37,7 @@ from .central_config import (
     equilateral_side,
     f_root,
     simultaneous_gaps,
-    solve_collinear_all,
+    solve_collinear_batch,
     solve_collinear_ordering,
 )
 from .collision_flow import (
@@ -157,6 +157,10 @@ def _write_csv(path: Path, header: list[str], body: np.ndarray) -> Path:
 _REQUIRED = object()
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
+
+
 def _read(obj, path: str, table: dict, n=None) -> dict:
     """{key: parsed value} for each key of table; a key not in table is a ConfigError."""
     if not isinstance(obj, dict):
@@ -174,6 +178,8 @@ def _read(obj, path: str, table: dict, n=None) -> dict:
         value = obj[key] if key in obj else default
         if value is _REQUIRED:
             raise ConfigError(f"config needs {at}{key}")
+        if _has_bool(value):  # no key takes a boolean, and numpy would read one as 0 or 1
+            raise ConfigError(f"{at}{key} must not be or hold true or false, got {value!r}")
         out[key] = None if value is None and default is None else kind(value, at + key, rng, n)
     return out
 
@@ -396,10 +402,6 @@ def _initial_cartesian(cfg: RunConfig) -> tuple[float, PhaseState]:
     return 0.0, PhaseState(config=Configuration(r), momenta=p)
 
 
-def _query(cfg: RunConfig) -> CCQuery:
-    return CCQuery(ms=cfg.ms, pp=cfg.pp, inertia_I0=cfg.inertia_I0, grad_tol=cfg.tol["grad_tol"])
-
-
 def _ordering_arg(perm, path, rng, n) -> Ordering:
     try:
         ordering = Ordering(tuple(_number(k, path, int) for k in perm))
@@ -427,10 +429,24 @@ def _shape(value, path, kinds, n):
     return kind, spec.get(key)
 
 
-def _cases(value, path, kinds, n):
+def _cases(value, path, rng, n, kind=_shape):
     if not (isinstance(value, list) and value):
         raise ConfigError(f"{path} must be a non-empty array")
-    return [_shape(case, f"{path}[{k}]", kinds, n) for k, case in enumerate(value)]
+    return [kind(case, f"{path}[{k}]", rng, n) for k, case in enumerate(value)]
+
+
+def _starts(value, path, table, n):
+    """One start object, or a non-empty array of them."""
+    if isinstance(value, list):
+        return _cases(value, path, table, n, _read)
+    return _read(value, path, table, n)
+
+
+def _draws(value, path, table, n):
+    draws = _read(value, path, table, n)
+    if not draws["lo"] < draws["hi"]:
+        raise ConfigError(f"{path}.hi must exceed lo = {draws['lo']!r}, got {draws['hi']!r}")
+    return draws
 
 
 def _grid(value, path, table, n):
@@ -439,7 +455,8 @@ def _grid(value, path, table, n):
     return _read(value, path, table, n)
 
 
-def _initial_on_C(cfg: RunConfig) -> McGeheeState:
+def _initial_on_C(cfg: RunConfig) -> list[McGeheeState]:
+    """The first state of each orbit: initial_state, options.start or each start of its list."""
     st = cfg.initial_state
     if st is not None:
         if st["kind"] != "mcgehee":
@@ -447,14 +464,17 @@ def _initial_on_C(cfg: RunConfig) -> McGeheeState:
         st0 = _blow_up_state(st)
         if st0.rho != 0.0:
             raise ConfigError(f"collision-flow needs rho = 0, got {st0.rho!r}")
-        return st0
+        return [st0]
 
-    start = cfg.opt["start"]
-    if start is None:
+    starts = cfg.opt["start"]
+    if starts is None:
         raise ConfigError("collision-flow needs initial_state or options.start")
-    shape = pure_b_cc(cfg.ms, cfg.pp.b, *start["shape"], cfg.tol["grad_tol"]).config
-    scale, seed, v_sign = start["perturbation_scale"], start["seed"], start["v_sign"]
-    return manifold_start(shape, cfg.ms, cfg.pp, scale, seed, v_sign)
+    out = []
+    for start in starts if isinstance(starts, list) else [starts]:
+        shape = pure_b_cc(cfg.ms, cfg.pp.b, *start["shape"], cfg.tol["grad_tol"]).config
+        out.append(manifold_start(shape, cfg.ms, cfg.pp, start["perturbation_scale"], start["seed"],
+                                  start["v_sign"]))
+    return out
 
 
 def _unit_shape(cfg: RunConfig) -> Configuration:
@@ -500,7 +520,7 @@ _TOP = {
 # the top-level keys each subcommand reads; the others keep their defaults
 _COMMON = ("schema", "masses", "potential", "tolerances")
 _TOP_KEYS = {
-    "cc-collinear": _COMMON + ("inertia_I0",),
+    "cc-collinear": _COMMON + ("inertia_I0", "options"),
     "cc-planar3": _COMMON + ("inertia_I0",),
     "simultaneous": _COMMON + ("inertia_I0", "options"),
     "simulate": _COMMON + ("initial_state", "energy_h", "options"),
@@ -523,6 +543,8 @@ _START = {"shape": ("equilateral", _shape, _REST_POINT), "v_sign": (-1, _int, "{
 _MASS_GRID = {"m1": (_REQUIRED, _pair, "(0, inf)"), "m2": (_REQUIRED, _pair, "(0, inf)"),
               "m3": (1.0, _float, "(0, inf)"), "points": (11, _int, "[2, inf)"),
               "ordering": ([1, 2, 3], _ordering_arg, None)}
+_MASS_DRAWS = {"trials": (20, _int, "[1, inf)"), "seed": (7, _int, "[0, inf)"),
+               "lo": (0.2, _float, "(0, inf)"), "hi": (5.0, _float, "(0, inf)")}
 _GRAD_TOL = (1e-12, _float, "(0, inf)")
 _REL_TOL, _ABS_TOL = (1e-10, _float, "[0, inf)"), (1e-12, _float, "(0, inf)")
 _TOLERANCES = {
@@ -541,12 +563,12 @@ _TOLERANCES = {
 }
 # a null t_span runs from the initial state's time t to t + 10
 _OPTIONS = {
-    "cc-collinear": {},
+    "cc-collinear": {"mass_draws": (None, _draws, _MASS_DRAWS)},
     "cc-planar3": {},
     "simultaneous": {"mass_grid": (None, _grid, _MASS_GRID)},
     "simulate": {"t_span": (None, _span, "(-inf, inf)"),
                  "max_step": (math.inf, _float, "(0, inf]")},
-    "collision-flow": {"start": (None, _read, _START), "tau_max": (50.0, _float, "(0, inf)")},
+    "collision-flow": {"start": (None, _starts, _START), "tau_max": (50.0, _float, "(0, inf)")},
     "eigen": {"cases": (None, _cases, _REST_POINT)},
     "homothetic": {"shape": ("equilateral", _shape, "{equilateral, collinear, positions}")},
 }
@@ -557,16 +579,38 @@ _OPTIONS = {
 
 
 def cmd_cc_collinear(cfg: RunConfig, out_dir: Path) -> int:
-    if cfg.ms.n > 6:
-        raise ConfigError(f"cc-collinear supports at most 6 bodies, got {cfg.ms.n}")
-    results = solve_collinear_all(_query(cfg))
+    n, draws = cfg.ms.n, cfg.opt["mass_draws"]
+    if n > 6:
+        raise ConfigError(f"cc-collinear supports at most 6 bodies, got {n}")
+    systems = [cfg.ms]
+    if draws is not None:
+        rng = np.random.default_rng(draws["seed"])
+        systems += [MassSystem(rng.uniform(draws["lo"], draws["hi"], size=n))
+                    for _ in range(draws["trials"])]
+    orderings = Ordering.all_canonical(n)
+    # the classes of the masses and of every draw in one lockstep batch
+    members = [(o, ms) for ms in systems for o in orderings]
+    results = solve_collinear_batch(members, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"])
+    count = len(orderings)
     payload = {
         **_header(cfg, "cc-collinear"),
         "inertia_I0": cfg.inertia_I0,
-        "count": len(results),
-        "max_residual": max(r.residual for r in results),
-        "results": [_cc_payload(r) for r in results],
+        "count": count,
+        "max_residual": max(r.residual for r in results[:count]),
+        "results": [_cc_payload(r) for r in results[:count]],
     }
+    if draws is not None:
+        rows = np.array([
+            [k // count, int("".join(map(str, r.ordering.perm))), r.sigma, r.residual,
+             min(r.hess_eigs, default=0.0), r.index, *systems[1 + k // count].masses]
+            for k, r in enumerate(results[count:])
+        ])
+        header = ["trial", "ordering", "sigma", "residual", "min_hess_eig", "index"]
+        header += [f"m{k}" for k in range(1, n + 1)]
+        csv_path = _write_csv(out_dir / "census.csv", header, rows)
+        payload["mass_draws"] = {**draws, "rows": len(rows), "max_residual": rows[:, 3].max(),
+                                 "minima": int(np.sum(rows[:, 4] > 0.0)), "csv": csv_path.name}
+        print(f"wrote {csv_path}")
     print(f"wrote {_write_json(out_dir / 'cc_collinear.json', payload)}")
     return 0
 
@@ -578,7 +622,7 @@ def cmd_cc_planar3(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError(f"cc-planar3 needs a = 1, got a = {cfg.pp.a!r}")
     if cfg.pp.beta <= 0.0 or cfg.pp.alpha <= 0.0:
         raise ConfigError("cc-planar3 needs alpha > 0 and beta > 0")
-    plus, minus = equilateral_cc(_query(cfg))
+    plus, minus = equilateral_cc(CCQuery(cfg.ms, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"]))
     # The side certificate: with unit coefficients the side solves the
     # scalar equation behind f_root, so recompute sigma in that gauge.
     unit_pp = PotentialParams(a=1.0, b=cfg.pp.b, alpha=1.0, beta=1.0)
@@ -716,36 +760,38 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.pp.a != 1.0 or cfg.pp.beta <= 0.0:
         raise ConfigError("collision-flow needs a = 1 with beta > 0")
-    st0 = _initial_on_C(cfg)
-    ms, pp = cfg.ms, cfg.pp
+    starts = _initial_on_C(cfg)
+    catalog = pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol["grad_tol"])
+    listed = cfg.initial_state is None and isinstance(cfg.opt["start"], list)
+    stems = [f"_{k}" for k in range(len(starts))] if listed else [""]
+    orbits = [_orbit_on_C(cfg, st0, catalog, out_dir / f"collision_flow{stem}.csv")
+              for st0, stem in zip(starts, stems)]
+    payload = {**_header(cfg, "collision-flow"), **({"orbits": orbits} if listed else orbits[0])}
+    print(f"wrote {_write_json(out_dir / 'collision_flow.json', payload)}")
+    return 0
+
+
+def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult], path: Path) -> dict:
+    """Run one orbit on the collision manifold, write its series to path, return its summary."""
+    ms, pp, tol = cfg.ms, cfg.pp, cfg.tol
     n, dim = st0.n, st0.dim
-    tr = integrate_on_C(
-        st0,
-        ms,
-        pp,
-        tau_max=cfg.opt["tau_max"],
-        rel_tol=cfg.tol["rel_tol"],
-        abs_tol=cfg.tol["abs_tol"],
-        equilibrium_tol=cfg.tol["equilibrium_tol"],
-        separation_floor=cfg.tol["separation_floor"],
-    )
+    tr = integrate_on_C(st0, ms, pp, tau_max=cfg.opt["tau_max"], rel_tol=tol["rel_tol"],
+                        abs_tol=tol["abs_tol"], equilibrium_tol=tol["equilibrium_tol"],
+                        separation_floor=tol["separation_floor"])
     sz = n * dim
-    header = ["tau", "v", "manifold_residual", "min_separation"] + _state_columns(
-        n, dim, "su"
-    )
+    header = ["tau", "v", "manifold_residual", "min_separation"] + _state_columns(n, dim, "su")
     seps = [min_separation(y[2 : 2 + sz].reshape(n, dim)) for y in tr.states]
     body = np.column_stack(
         [tr.times, tr.states[:, 1], tr.conserved_residuals["manifold"], seps, tr.states[:, 2:]]
     )
-    csv_path = _write_csv(out_dir / "collision_flow.csv", header, body)
+    print(f"wrote {_write_csv(path, header, body)}")
 
     v_series = np.asarray(tr.conserved_residuals["v"])
     # v is monotone except for roundoff: allow slack at integrator scale.
     slack = 1e-9 * max(1.0, float(np.abs(v_series).max()))
     diffs = np.diff(v_series)
-    final = unpack_mcgehee(tr.final_state, n, dim)
-    payload = {
-        **_header(cfg, "collision-flow"),
+    end = unpack_mcgehee(tr.final_state, n, dim)
+    return {
         "termination": tr.termination,
         "tau_final": tr.times[-1],
         "v_start": v_series[0],
@@ -753,19 +799,10 @@ def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
         "v_decrease_total": v_series[0] - v_series[-1],
         "v_monotone_nonincreasing": bool(np.all(diffs <= slack)),
         "v_monotone_nondecreasing": bool(np.all(diffs >= -slack)),
-        "manifold_residual_max": float(
-            np.abs(tr.conserved_residuals["manifold"]).max()
-        ),
-        "nearest_equilibrium": _match_payload(
-            nearest_equilibrium(
-                final.s, final.v, pure_b_catalog(ms, pp.b, cfg.tol["grad_tol"]), ms, pp
-            )
-        ),
-        "csv": csv_path.name,
+        "manifold_residual_max": float(np.abs(tr.conserved_residuals["manifold"]).max()),
+        "nearest_equilibrium": _match_payload(nearest_equilibrium(end.s, end.v, catalog, ms, pp)),
+        "csv": path.name,
     }
-    print(f"wrote {csv_path}")
-    print(f"wrote {_write_json(out_dir / 'collision_flow.json', payload)}")
-    return 0
 
 
 def cmd_eigen(cfg: RunConfig, out_dir: Path) -> int:

@@ -138,22 +138,22 @@ def eigen_closed_form(lam, v: float, b: float) -> np.ndarray:
 
 def _shape_spectrum(s0: Configuration, ms: MassSystem, pp: PotentialParams,
                     ambient: str, terms: PairTerms | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, float]:
+                    ) -> tuple[np.ndarray, np.ndarray, tuple[int, int, float]]:
     """Restricted Hessian A of the b-term on the unit shape sphere.
 
-    Returns (A, its eigenvalues, their zero tolerance); terms as in
-    restricted_hessian.  Raises NotOnSphereError unless <s0, s0> = 1, and
-    DegenerateError unless A has exactly the expected zero modes: one
-    rotation in the planar ambient, none in the collinear one.
+    Returns (A, its eigenvalues, their count_modes (index, zeros, zero_tol));
+    terms as in restricted_hessian.  Raises NotOnSphereError unless
+    <s0, s0> = 1, and DegenerateError unless A has exactly the expected
+    zero modes: one rotation in the planar ambient, none in the collinear one.
     """
     a_mat, lam = restricted_hessian(s0, ms, _pure_b(pp), ambient, 1.0, terms)
-    _, zeros, zero_tol = count_modes(lam)
+    index, zeros, zero_tol = count_modes(lam)
     expected = 1 if ambient == "planar" else 0
     if zeros != expected:
         raise DegenerateError(
             f"{ambient} shape Hessian has {zeros} zero modes, expected {expected}"
         )
-    return a_mat, lam, zero_tol
+    return a_mat, lam, (index, zeros, zero_tol)
 
 
 def linearize_at_equilibrium(
@@ -266,8 +266,7 @@ def find_equilibria(
         if defect > tol * scale:
             raise OffManifoldError(f"shape is not a CC of the b-term: defect {defect:.3e}")
         v_star = float(np.sqrt(2.0 * terms.V))
-        a_mat, lam, zero_tol = _shape_spectrum(s0, ms, pp, ambient, terms)
-        index, zero_modes, _ = count_modes(lam)
+        a_mat, lam, (index, zero_modes, zero_tol) = _shape_spectrum(s0, ms, pp, ambient, terms)
         transversal = _planar_minimum(lam, zero_tol) if ambient == "planar" else None
         for sign in (+1, -1):
             v0 = sign * v_star
@@ -306,7 +305,7 @@ def transversality_necessary(
     planar shape sphere: index zero and every non-rotational eigenvalue
     strictly positive.
     """
-    _, lam, zero_tol = _shape_spectrum(s0, ms, pp, "planar")
+    _, lam, (_, _, zero_tol) = _shape_spectrum(s0, ms, pp, "planar")
     return _planar_minimum(lam, zero_tol)
 
 

@@ -33,6 +33,7 @@ from .model import (
     Configuration,
     MassSystem,
     PotentialParams,
+    pair_terms,
     potential_terms,
 )
 
@@ -74,7 +75,10 @@ def is_homothetic_admissible(
     simultaneous central configuration of both terms.
     """
     require_on_sphere(s0, ms)
-    report = simultaneous_residual(s0, ms, pp)
+    return _admissible(simultaneous_residual(s0, ms, pp), tol)
+
+
+def _admissible(report, tol: float = _ADMISSIBLE_TOL) -> bool:
     scale = max(1.0, abs(report.sigma1), abs(report.sigma2))
     return report.max_residual <= tol * scale
 
@@ -110,9 +114,13 @@ def energy_curve_v2(rho, s0: Configuration, ms: MassSystem, pp: PotentialParams,
     positive zero.
     """
     require_on_sphere(s0, ms)
-    w0, v0 = potential_terms(s0, ms, pp)
+    return _v2(rho, *potential_terms(s0, ms, pp), pp.b, h)
+
+
+def _v2(rho, w0: float, v0: float, b: float, h: float) -> np.ndarray | float:
+    """energy_curve_v2 from W(s0) and V(s0)."""
     rho_arr = np.asarray(rho, dtype=float)
-    val = 2.0 * (rho_arr ** (pp.b - 1.0) * w0 + rho_arr**pp.b * h + v0)
+    val = 2.0 * (rho_arr ** (b - 1.0) * w0 + rho_arr**b * h + v0)
     return float(val) if np.isscalar(rho) else val
 
 
@@ -123,8 +131,11 @@ def rho_max_bisection(
     if h >= 0.0:
         raise EnergySignError("rho_max exists only for negative energy")
     require_on_sphere(s0, ms)
-    w0, v0 = potential_terms(s0, ms, pp)
-    b = pp.b
+    return _rho_max(*potential_terms(s0, ms, pp), pp.b, h)
+
+
+def _rho_max(w0: float, v0: float, b: float, h: float) -> float:
+    """rho_max_bisection from W(s0) and V(s0)."""
 
     def v2(rho: float) -> float:
         return 2.0 * (rho ** (b - 1.0) * w0 + rho**b * h + v0)
@@ -152,7 +163,10 @@ def heteroclinic_orbit(
     turning size is recorded by a v = 0 event and cross-checked against
     bisection on the energy curve.
     """
-    if not is_homothetic_admissible(s0, ms, pp):
+    # one sphere check and one pair-kernel pass at s0 serve every quantity below
+    require_on_sphere(s0, ms)
+    terms = pair_terms(s0, ms, pp)
+    if not _admissible(simultaneous_residual(s0, ms, pp, terms)):
         raise AdmissibilityError("shape is not a simultaneous central configuration")
     if h >= 0.0:
         raise EnergySignError(
@@ -160,7 +174,7 @@ def heteroclinic_orbit(
         )
     if not (0.0 < rho_floor < 1.0):
         raise ValueError("rho_floor must lie in (0, 1)")
-    w0, v0_pot = potential_terms(s0, ms, pp)
+    w0, v0_pot = terms[:2]
     b = pp.b
 
     def field(t, y):
@@ -168,7 +182,7 @@ def heteroclinic_orbit(
         rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
         return np.array([rho * v, (b - 1.0) * rho_pow * w0 + b * rho**b * h])
 
-    v_start = np.sqrt(energy_curve_v2(rho_floor, s0, ms, pp, h))
+    v_start = np.sqrt(_v2(rho_floor, w0, v0_pot, b, h))
     y0 = np.array([rho_floor, v_start])
 
     def k_defect(taus, states):
@@ -213,7 +227,7 @@ def heteroclinic_orbit(
         K=v0_pot,
         k_drift=float(np.abs(tr.conserved_residuals["K"]).max()),
         rho_max_orbit=rho_turn,
-        rho_max_bisect=rho_max_bisection(s0, ms, pp, h),
+        rho_max_bisect=_rho_max(w0, v0_pot, b, h),
         termination=tr.termination,
         trajectory=tr,
     )

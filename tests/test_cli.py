@@ -18,8 +18,14 @@ import numpy as np
 import pytest
 
 from conftest import count_kernel_bindings, count_kernel_passes
-from qhnbody import cli
-from qhnbody.central_config import Ordering, equilateral_configuration, equilateral_side
+from qhnbody import cli, homothetic
+from qhnbody.central_config import (
+    CCQuery,
+    Ordering,
+    equilateral_configuration,
+    equilateral_side,
+    solve_collinear_all,
+)
 from qhnbody.collision_flow import pure_b_cc
 from qhnbody.model import (
     Configuration,
@@ -97,6 +103,55 @@ def test_cc_collinear_rejects_more_than_six_bodies(tmp_path, capsys):
     code, _ = run(tmp_path, "cc-collinear", base_config(masses=[1.0] * 7))
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_mass_draw_census_matches_one_solve_per_draw(tmp_path):
+    # draw k is the k-th uniform(lo, hi, n) of one seeded generator; its
+    # n!/2 classes, solved in the batch of the config's own masses, match
+    # a separate solve_collinear_all of that draw bit for bit
+    draws = {"trials": 3, "seed": 7, "lo": 0.2, "hi": 5.0}
+    data = base_config(masses=[1.0, 2.0, 3.0, 4.0])
+    code, plain = run(tmp_path, "cc-collinear", data, subdir="plain")
+    assert code == 0
+    code, out = run(tmp_path, "cc-collinear", {**data, "options": {"mass_draws": draws}})
+    assert code == 0
+    header, rows = load_csv(out, "census.csv")
+    assert header == ["trial", "ordering", "sigma", "residual", "min_hess_eig", "index",
+                      "m1", "m2", "m3", "m4"]
+    assert len(rows) == 3 * 12
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    rng = np.random.default_rng(7)
+    expected = []
+    for trial in range(3):
+        masses = rng.uniform(0.2, 5.0, size=4)
+        for ref in solve_collinear_all(CCQuery(ms=MassSystem(masses), pp=pp)):
+            x = ref.config.positions[:, 0]
+            assert np.all(np.diff(x[list(ref.ordering.zero_based)]) > 0.0)
+            assert ref.index == 0
+            order = int("".join(map(str, ref.ordering.perm)))
+            expected.append([trial, order, ref.sigma, ref.residual, ref.hess_eigs.min(),
+                             ref.index, *masses])
+    assert [[float(v) for v in row] for row in rows] == expected
+    doc = load_json(out, "cc_collinear.json")
+    census = doc.pop("mass_draws")
+    assert census == {**draws, "rows": 36, "max_residual": max(r[3] for r in expected),
+                      "minima": 36, "csv": "census.csv"}
+    assert doc == load_json(plain, "cc_collinear.json")
+
+
+@pytest.mark.parametrize(
+    "draws, path",
+    [
+        ({"lo": 2.0, "hi": 2.0}, "options.mass_draws.hi"),
+        ({"trials": 0}, "options.mass_draws.trials"),
+        ({"seeds": 3}, "options.mass_draws.seeds (did you mean options.mass_draws.seed?)"),
+    ],
+)
+def test_a_bad_mass_draw_request_names_its_key(tmp_path, capsys, draws, path):
+    code, out = run(tmp_path, "cc-collinear", base_config(options={"mass_draws": draws}))
+    assert code == 2
+    assert path in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +482,38 @@ def test_collision_flow_rejects_states_off_the_manifold(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_a_list_of_starts_runs_each_orbit_as_a_single_start_would(tmp_path):
+    # two orbits from the perturbed equilateral rest points, one per sign of v
+    starts = [{"v_sign": 1, "perturbation_scale": 0.08, "seed": 3},
+              {"v_sign": -1, "perturbation_scale": 0.08, "seed": 4}]
+    data = base_config(beta=1.0, options={"start": starts, "tau_max": 1.0})
+    code, out = run(tmp_path, "collision-flow", data)
+    assert code == 0
+    doc = load_json(out, "collision_flow.json")
+    orbits = doc.pop("orbits")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "collision_flow.json", "collision_flow_0.csv", "collision_flow_1.csv"]
+    assert [o["csv"] for o in orbits] == ["collision_flow_0.csv", "collision_flow_1.csv"]
+    for k, start in enumerate(starts):
+        alone = {**data, "options": {**data["options"], "start": start}}
+        code, one = run(tmp_path, "collision-flow", alone, f"one{k}")
+        assert code == 0
+        single = load_json(one, "collision_flow.json")
+        assert {**single, "csv": None} == {**doc, **orbits[k], "csv": None}
+        assert (one / "collision_flow.csv").read_bytes() == (out / orbits[k]["csv"]).read_bytes()
+        assert orbits[k]["v_monotone_nonincreasing"] is True
+
+
+@pytest.mark.parametrize(
+    "starts, path",
+    [([], "options.start must be a non-empty array"), ([{}, {"sead": 4}], "options.start[1].sead")],
+)
+def test_a_bad_list_of_starts_names_its_element(tmp_path, capsys, starts, path):
+    code, _ = run(tmp_path, "collision-flow", base_config(options={"start": starts}))
+    assert code == 2
+    assert path in capsys.readouterr().err
+
+
 def test_collision_flow_needs_manev_attraction(tmp_path, capsys):
     code, _ = run(
         tmp_path, "collision-flow", base_config(a=0.5, b=2.5, options=CF_START)
@@ -531,6 +618,24 @@ def test_homothetic_builds_the_ejection_collision_orbit(tmp_path):
     assert header == ["tau", "rho", "v", "k_defect"]
     rhos = [float(r[1]) for r in rows]
     assert max(rhos) == pytest.approx(doc["rho_max_orbit"], rel=1e-3)
+
+
+def test_a_default_homothetic_run_reads_its_shape_once(tmp_path, monkeypatch):
+    # one sphere check and one kernel pass at s0 serve the admissibility
+    # test, W and V, the starting speed and the bisected turning size
+    # (three checks and four passes when each of them read s0 afresh)
+    passes = count_kernel_passes(monkeypatch)
+    checks = []
+
+    def counted(*args, **kwargs):
+        checks.append(1)
+        return require(*args, **kwargs)
+
+    require = homothetic.require_on_sphere
+    monkeypatch.setattr(homothetic, "require_on_sphere", counted)
+    code, _ = run(tmp_path, "homothetic", HOMOTHETIC)
+    assert code == 0
+    assert (len(passes), len(checks)) == (1, 1)
 
 
 def test_homothetic_requires_a_negative_energy_level(tmp_path, capsys):
@@ -640,6 +745,12 @@ CLOSE_MATCH = {
         _case("collision-flow", "options.start.seed", FLOW, -3),
         _case("simultaneous", "options.mass_grid.ordering", GRID, [1.7, 2, 3]),
         _case("eigen", "energy_h", base_config(initial_state=TWO_BODY), -1.0),
+        _case("cc-collinear", "schema", base_config(), True),
+        _case("cc-collinear", "masses", base_config(), [1, 2, True]),
+        _case("cc-collinear", "inertia_I0", base_config(), True),
+        _case("collision-flow", "options.start.v_sign", FLOW, True),
+        _case("simulate", "options.t_span", SIM, [0, True]),
+        _case("simulate", "initial_state.positions", SIM, [[0.5, 0.0], [-0.5, False]]),
     ],
 )
 def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, field, data):
