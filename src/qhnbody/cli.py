@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .central_config import (
+    _MAX_BODIES,
     CCQuery,
     CCResult,
     Ordering,
@@ -455,8 +456,9 @@ def _grid(value, path, table, n):
     return _read(value, path, table, n)
 
 
-def _initial_on_C(cfg: RunConfig) -> list[McGeheeState]:
-    """The first state of each orbit: initial_state, options.start or each start of its list."""
+def _initial_on_C(cfg: RunConfig) -> tuple[list[McGeheeState], list[CCResult]]:
+    """The first state of each orbit (initial_state, options.start or each start of its list)
+    and the pure-b catalog, whose one batch of shape solves also gives every start its shape."""
     st = cfg.initial_state
     if st is not None:
         if st["kind"] != "mcgehee":
@@ -464,17 +466,22 @@ def _initial_on_C(cfg: RunConfig) -> list[McGeheeState]:
         st0 = _blow_up_state(st)
         if st0.rho != 0.0:
             raise ConfigError(f"collision-flow needs rho = 0, got {st0.rho!r}")
-        return [st0]
+        return [st0], pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol["grad_tol"])
 
     starts = cfg.opt["start"]
     if starts is None:
         raise ConfigError("collision-flow needs initial_state or options.start")
-    out = []
-    for start in starts if isinstance(starts, list) else [starts]:
-        shape = pure_b_cc(cfg.ms, cfg.pp.b, *start["shape"], cfg.tol["grad_tol"]).config
-        out.append(manifold_start(shape, cfg.ms, cfg.pp, start["perturbation_scale"], start["seed"],
-                                  start["v_sign"]))
-    return out
+    starts = starts if isinstance(starts, list) else [starts]
+    # A reversed ordering is solved in the catalog's batch: its canonical shape
+    # negated differs in the last bit and would pair with the same seeded u,
+    # which starts another orbit.
+    reversed_ = list(dict.fromkeys(o for kind, o in (start["shape"] for start in starts)
+                                   if kind == "collinear" and not o.is_canonical))
+    shapes = pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol["grad_tol"], reversed_)
+    by_name = {(cc.kind, cc.ordering): cc.config for cc in shapes}
+    states = [manifold_start(by_name[start["shape"]], cfg.ms, cfg.pp, start["perturbation_scale"],
+                             start["seed"], start["v_sign"]) for start in starts]
+    return states, shapes[: len(shapes) - len(reversed_)]
 
 
 def _unit_shape(cfg: RunConfig) -> Configuration:
@@ -580,8 +587,8 @@ _OPTIONS = {
 
 def cmd_cc_collinear(cfg: RunConfig, out_dir: Path) -> int:
     n, draws = cfg.ms.n, cfg.opt["mass_draws"]
-    if n > 6:
-        raise ConfigError(f"cc-collinear supports at most 6 bodies, got {n}")
+    if n > _MAX_BODIES:
+        raise ConfigError(f"cc-collinear supports at most {_MAX_BODIES} bodies, got {n}")
     systems = [cfg.ms]
     if draws is not None:
         rng = np.random.default_rng(draws["seed"])
@@ -650,8 +657,8 @@ def cmd_simultaneous(cfg: RunConfig, out_dir: Path) -> int:
         raise ConfigError("simultaneous needs alpha > 0 and beta > 0")
     if cfg.pp.a == 0.0:
         raise ConfigError("simultaneous needs a > 0: a = 0 has no shape equation")
-    if cfg.ms.n > 6:
-        raise ConfigError(f"simultaneous supports at most 6 bodies, got {cfg.ms.n}")
+    if cfg.ms.n > _MAX_BODIES:
+        raise ConfigError(f"simultaneous supports at most {_MAX_BODIES} bodies, got {cfg.ms.n}")
     grid, gap_tol = cfg.opt["mass_grid"], cfg.tol["gap_tol"]
     orderings = Ordering.all_canonical(cfg.ms.n)
     members = [(o, cfg.ms) for o in orderings]
@@ -760,8 +767,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.pp.a != 1.0 or cfg.pp.beta <= 0.0:
         raise ConfigError("collision-flow needs a = 1 with beta > 0")
-    starts = _initial_on_C(cfg)
-    catalog = pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol["grad_tol"])
+    starts, catalog = _initial_on_C(cfg)
     listed = cfg.initial_state is None and isinstance(cfg.opt["start"], list)
     stems = [f"_{k}" for k in range(len(starts))] if listed else [""]
     orbits = [_orbit_on_C(cfg, st0, catalog, out_dir / f"collision_flow{stem}.csv")

@@ -13,6 +13,7 @@ eigenvalue lambda to a pair of exponents mu.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,6 @@ from .mcgehee import (
     mcgehee_field,
     mcgehee_renormalizer,
     pack_mcgehee,
-    vector_field,
 )
 from .model import (
     Configuration,
@@ -95,21 +95,6 @@ def _require_on_C(st: McGeheeState, ms: MassSystem, pp: PotentialParams, tol: fl
         raise OffManifoldError(
             f"state is off the collision manifold by {defect:.3e} (tol {tol:.1e})"
         )
-
-
-def field_on_C(s, v, u, ms: MassSystem, pp: PotentialParams, tol: float = 1e-9):
-    """Restriction of the blown-up field to the collision manifold.
-
-    Returns (v', s', u').  The state must satisfy the manifold relation
-    within tol, else OffManifoldError.
-    """
-    pp.require_manev()
-    s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
-    st = McGeheeState(rho=0.0, v=float(v), s=s, u=u)
-    _require_on_C(st, ms, pp, tol)
-    _, v_dot, s_dot, u_dot = vector_field(st, ms, pp)
-    return v_dot, s_dot, u_dot
 
 
 def gradient_like_rate(st: McGeheeState, ms: MassSystem, pp: PotentialParams,
@@ -416,15 +401,17 @@ def pure_b_cc(
     raise ValueError(f"case kind must be equilateral or collinear, got {kind!r}")
 
 
-def pure_b_catalog(ms: MassSystem, b: float, grad_tol: float = 1e-12) -> list[CCResult]:
+def pure_b_catalog(ms: MassSystem, b: float, grad_tol: float = 1e-12,
+                   extra: Sequence[Ordering] = ()) -> list[CCResult]:
     """The pure-b shapes whose rest points the flow on C is known to have.
 
     The equilateral triangle when there are three bodies, then one
     collinear configuration per canonical ordering: n!/2 of them, one
-    per class by the Moulton-type theorem.
+    per class by the Moulton-type theorem.  The shapes of the orderings
+    in extra follow them, solved in the same lockstep batch.
     """
     catalog = [pure_b_cc(ms, b, "equilateral")] if ms.n == 3 else []
-    members = [(o, ms) for o in Ordering.all_canonical(ms.n)]
+    members = [(o, ms) for o in [*Ordering.all_canonical(ms.n), *extra]]
     return catalog + euler_collinear_batch(members, b, 1.0, grad_tol)
 
 

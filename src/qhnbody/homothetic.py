@@ -83,28 +83,6 @@ def _admissible(report, tol: float = _ADMISSIBLE_TOL) -> bool:
     return report.max_residual <= tol * scale
 
 
-def plane_field(
-    rho: float,
-    v: float,
-    s0: Configuration,
-    ms: MassSystem,
-    pp: PotentialParams,
-    h: float,
-) -> tuple[float, float]:
-    """(rho', v') of the reduced system at (rho, v) over the shape s0.
-
-    Raises AdmissibilityError when s0 is not a simultaneous CC (the
-    plane would not be invariant and the reduction meaningless).
-    """
-    if not is_homothetic_admissible(s0, ms, pp):
-        raise AdmissibilityError("shape is not a simultaneous central configuration")
-    w0, _ = potential_terms(s0, ms, pp)
-    b = pp.b
-    rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
-    rho_b = rho**b if rho > 0.0 else 0.0
-    return rho * v, (b - 1.0) * rho_pow * w0 + b * rho_b * h
-
-
 def energy_curve_v2(rho, s0: Configuration, ms: MassSystem, pp: PotentialParams,
                     h: float) -> np.ndarray | float:
     """v^2 along the reduced energy level: 2 (rho^(b-1) W + rho^b h + V).

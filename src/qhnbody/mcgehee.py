@@ -36,21 +36,6 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    """A fixed value of the Hamiltonian."""
-
-    h: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.h):
-            raise ValueError("energy must be finite")
-
-
-def _energy_value(h) -> float:
-    return float(h.h) if isinstance(h, EnergyLevel) else float(h)
-
-
 @dataclass(frozen=True, eq=False)
 class McGeheeState:
     """A point (rho, v, s, u) of the blown-up phase space."""
@@ -85,16 +70,6 @@ class McGeheeState:
     @property
     def dim(self) -> int:
         return self.s.shape[1]
-
-
-def validate_mcgehee(st: McGeheeState, ms: MassSystem, tol: float = 1e-12) -> None:
-    """Check the sphere and orthogonality constraints of a state."""
-    sphere = abs(mass_inner(st.s, st.s, ms) - 1.0)
-    if sphere > tol:
-        raise ValueError(f"s^T M s deviates from 1 by {sphere:.3e} (tol {tol:.1e})")
-    ortho = abs(float(np.sum(st.u * st.s)))
-    if ortho > tol:
-        raise ValueError(f"u . s = {ortho:.3e} exceeds tol {tol:.1e}")
 
 
 def to_mcgehee(state: PhaseState, ms: MassSystem, pp: PotentialParams) -> McGeheeState:
@@ -158,7 +133,7 @@ def vector_field(st: McGeheeState, ms: MassSystem, pp: PotentialParams):
     return _field_arrays(st.rho, st.v, st.s, st.u, _PairKernel(ms.masses, pp))
 
 
-def energy_residual(st: McGeheeState, h, ms: MassSystem, pp: PotentialParams) -> float:
+def energy_residual(st: McGeheeState, h: float, ms: MassSystem, pp: PotentialParams) -> float:
     """Defect of the blown-up energy relation at the state."""
     pp.require_manev()
     b = pp.b
@@ -169,7 +144,7 @@ def energy_residual(st: McGeheeState, h, ms: MassSystem, pp: PotentialParams) ->
         0.5 * (u_m_u + st.v**2)
         - rho_pow * w_s
         - v_s
-        - _energy_value(h) * st.rho**b
+        - h * st.rho**b
     )
 
 
@@ -189,13 +164,6 @@ def manifold_residual_series(v, s, u, ms: MassSystem, pp: PotentialParams) -> np
     v_s = pair_terms(s, np.broadcast_to(ms.masses, s.shape[:-1]), pp).V
     u_m_u = np.sum(u * u / ms.masses[:, None], axis=(-2, -1))
     return u_m_u + np.array([x**2 for x in v.tolist()]) - 2.0 * v_s
-
-
-def on_collision_manifold(
-    st: McGeheeState, ms: MassSystem, pp: PotentialParams, tol: float = 1e-9
-) -> bool:
-    """Whether the state lies on {rho = 0, u^T M^{-1} u + v^2 = 2 V(s)}."""
-    return st.rho <= tol and abs(collision_manifold_residual(st, ms, pp)) <= tol
 
 
 # Flat vector layout [rho, v, s.ravel(), u.ravel()] (+ [t] when tracking

@@ -319,15 +319,6 @@ def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
     return _PairKernel(_mass_array(ms), pp).terms(_positions(config))[0]
 
 
-def pair_terms_masked(r: np.ndarray, m: np.ndarray, pp: PotentialParams):
-    """(pair_terms with the Hessian, collided) of a (B, n, d) batch with (B, n) masses.
-
-    A member that collides is flagged in the (B,) mask instead of
-    raising; its terms mean nothing.
-    """
-    return _PairKernel(m, pp).terms(r, strict=False, hess=True)
-
-
 def potential_terms(config, ms: MassSystem, pp: PotentialParams) -> tuple[float, float]:
     """Evaluate (W, V), the a-term and b-term of U, coefficients included."""
     return pair_terms(config, ms, pp)[:2]
@@ -364,12 +355,6 @@ def hess_U_matrix(config, ms, pp: PotentialParams) -> np.ndarray:
     return kernel.terms(_positions(config), energy=False, force=False, hess=True)[0].hess
 
 
-def kinetic_energy(state: PhaseState, ms: MassSystem) -> float:
-    """T = p^T M^{-1} p / 2."""
-    p = state.momenta
-    return float(0.5 * np.sum(p * p / ms.masses[:, None]))
-
-
 def energy_series(r: np.ndarray, p: np.ndarray, ms: MassSystem, pp: PotentialParams):
     """H = T - U of (n, d) positions and momenta, or (B,) values of a (B, n, d) batch.
 
@@ -398,27 +383,6 @@ def angular_momentum_series(r: np.ndarray, p: np.ndarray) -> np.ndarray:
 def angular_momentum(state: PhaseState, ms: MassSystem) -> float:
     """Scalar angular momentum sum_i r_i x p_i; zero for collinear states."""
     return float(angular_momentum_series(state.config.positions, state.momenta))
-
-
-def total_momentum(state: PhaseState) -> np.ndarray:
-    return state.momenta.sum(axis=0)
-
-
-def validate_state(state: PhaseState, ms: MassSystem, tol: float = 1e-9) -> None:
-    """Check the center-of-mass frame invariants of a phase state.
-
-    Raises ValueError if the weighted position mean or the total momentum
-    exceeds tol relative to the state's own scale.
-    """
-    r = state.config.positions
-    scale = max(np.sqrt(moment_of_inertia(r, ms) / ms.total_mass), 1e-300)
-    com = np.linalg.norm(center_of_mass(r, ms))
-    if com > tol * scale:
-        raise ValueError(f"center of mass {com:.3e} off origin beyond {tol:.1e}")
-    pscale = max(float(np.abs(state.momenta).max()), 1.0)
-    ptot = float(np.linalg.norm(total_momentum(state)))
-    if ptot > tol * pscale:
-        raise ValueError(f"total momentum {ptot:.3e} nonzero beyond {tol:.1e}")
 
 
 def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):

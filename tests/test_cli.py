@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import count_kernel_bindings, count_kernel_passes
-from qhnbody import cli, homothetic
+from qhnbody import central_config, cli, homothetic
 from qhnbody.central_config import (
     CCQuery,
     Ordering,
@@ -26,7 +26,8 @@ from qhnbody.central_config import (
     equilateral_side,
     solve_collinear_all,
 )
-from qhnbody.collision_flow import pure_b_cc
+from qhnbody.collision_flow import manifold_start, pure_b_cc
+from qhnbody.mcgehee import mcgehee_renormalizer, pack_mcgehee
 from qhnbody.model import (
     Configuration,
     MassSystem,
@@ -99,10 +100,11 @@ def test_cc_collinear_reports_every_ordering_class(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-def test_cc_collinear_rejects_more_than_six_bodies(tmp_path, capsys):
-    code, _ = run(tmp_path, "cc-collinear", base_config(masses=[1.0] * 7))
+@pytest.mark.parametrize("command", ["cc-collinear", "simultaneous"])
+def test_more_than_six_bodies_are_rejected(tmp_path, capsys, command):
+    code, _ = run(tmp_path, command, base_config(masses=[1.0] * 7))
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == f"error: {command} supports at most 6 bodies, got 7\n"
 
 
 def test_a_mass_draw_census_matches_one_solve_per_draw(tmp_path):
@@ -502,6 +504,34 @@ def test_a_list_of_starts_runs_each_orbit_as_a_single_start_would(tmp_path):
         assert {**single, "csv": None} == {**doc, **orbits[k], "csv": None}
         assert (one / "collision_flow.csv").read_bytes() == (out / orbits[k]["csv"]).read_bytes()
         assert orbits[k]["v_monotone_nonincreasing"] is True
+
+
+def test_a_list_of_starts_solves_its_shapes_in_the_catalog_batch(tmp_path, monkeypatch):
+    # the catalog holds the equilateral and the canonical shapes; the reversed
+    # ordering [2, 3, 1] is solved in the catalog's batch, and every start
+    # is the one a fresh solve of its shape gives, bit for bit
+    batches = []
+    solve = central_config.solve_collinear_batch
+
+    def counted(members, *args):
+        batches.append(len(members))
+        return solve(members, *args)
+
+    monkeypatch.setattr(central_config, "solve_collinear_batch", counted)
+    shapes = [{"ordering": [1, 3, 2]}] * 3 + [{"ordering": [2, 3, 1]}] + ["equilateral"] * 2
+    starts = [{"shape": shape, "perturbation_scale": 0.05, "seed": k}
+              for k, shape in enumerate(shapes)]
+    data = base_config(masses=[1.0, 2.0, 3.0], options={"start": starts, "tau_max": 0.1})
+    code, out = run(tmp_path, "collision-flow", data)
+    assert code == 0
+    assert batches == [4]  # the n!/2 = 3 classes and [2, 3, 1]
+    ms, pp = MassSystem(np.array([1.0, 2.0, 3.0])), PotentialParams(a=1.0, b=3.0, beta=0.5)
+    for k, shape in enumerate(shapes):
+        kind = ("equilateral", None) if shape == "equilateral" else ("collinear", Ordering(shape["ordering"]))
+        st0 = manifold_start(pure_b_cc(ms, pp.b, *kind).config, ms, pp, 0.05, k)
+        y0 = mcgehee_renormalizer(ms)(pack_mcgehee(st0))  # the first state integrate keeps
+        _, rows = load_csv(out, f"collision_flow_{k}.csv")
+        assert [rows[0][1], *rows[0][4:]] == [format(x, ".17g") for x in y0[1:]]
 
 
 @pytest.mark.parametrize(

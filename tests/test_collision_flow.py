@@ -16,7 +16,6 @@ from qhnbody.central_config import (
 )
 from qhnbody.collision_flow import (
     eigen_closed_form,
-    field_on_C,
     find_equilibria,
     gradient_like_rate,
     integrate_on_C,
@@ -92,25 +91,10 @@ def perturbed_manifold_state(ms, pp, scale=0.05, seed=7):
 # the restricted field
 
 
-def test_field_on_C_matches_full_field_at_rho_zero():
-    st = perturbed_manifold_state(MS, PP)
-    v_d, s_d, u_d = field_on_C(st.s, st.v, st.u, MS, PP)
-    _, v_full, s_full, u_full = vector_field(st, MS, PP)
-    assert abs(v_d - v_full) < 1e-15
-    assert np.abs(s_d - s_full).max() < 1e-15
-    assert np.abs(u_d - u_full).max() < 1e-15
-
-
-def test_field_on_C_rejects_off_manifold_states():
-    st = perturbed_manifold_state(MS, PP)
-    with pytest.raises(OffManifoldError):
-        field_on_C(st.s, st.v + 0.1, st.u, MS, PP)
-
-
 def test_gradient_like_rate_matches_radial_field():
     st = perturbed_manifold_state(MS, PP)
     rate = gradient_like_rate(st, MS, PP)
-    v_d, _, _ = field_on_C(st.s, st.v, st.u, MS, PP)
+    v_d = vector_field(st, MS, PP)[1]
     assert abs(rate - v_d) < 1e-12
     assert rate < 0.0
     with pytest.raises(OffManifoldError):
@@ -123,7 +107,7 @@ def test_rate_vanishes_identically_at_the_threshold_exponent():
     pp2 = PotentialParams(a=1.0, b=2.0, alpha=1.0, beta=0.5)
     st = perturbed_manifold_state(MS, pp2)
     assert gradient_like_rate(st, MS, pp2) == 0.0
-    v_d, _, _ = field_on_C(st.s, st.v, st.u, MS, pp2)
+    v_d = vector_field(st, MS, pp2)[1]
     assert abs(v_d) < 1e-14
 
 
@@ -325,7 +309,7 @@ def _planar_chart(ms, pp, s0, sign):
         _, v_pot = potential_terms(s, ms, pp)
         u_m_u = float(np.sum(u * u / m))
         v = sign * np.sqrt(2.0 * v_pot - u_m_u)
-        _, s_d, u_d = field_on_C(s, v, u, ms, pp, tol=1e-6)
+        _, _, s_d, u_d = vector_field(McGeheeState(rho=0.0, v=v, s=s, u=u), ms, pp)
         xi_d = basis.T @ (m * s_d).ravel()
         eta_d = basis.T @ u_d.ravel()
         return np.concatenate([xi_d, eta_d])

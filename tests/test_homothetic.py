@@ -15,7 +15,6 @@ from qhnbody.homothetic import (
     energy_curve_v2,
     heteroclinic_orbit,
     is_homothetic_admissible,
-    plane_field,
     rho_max_bisection,
 )
 from qhnbody.integrate import integrate
@@ -77,25 +76,20 @@ def test_admissibility_requires_unit_sphere_shape():
 
 def test_plane_is_invariant_under_the_full_field():
     config, _ = equilateral_configuration(MS)
-    s0 = config.positions
+    s0, b = config.positions, PP.b
+    w0, _ = potential_terms(config, MS, PP)
     for rho, v in [(0.3, 0.7), (1.5, -0.2), (0.05, 0.0)]:
         st = McGeheeState(rho=rho, v=v, s=s0, u=np.zeros_like(s0))
         rho_d, v_d, s_d, u_d = vector_field(st, MS, PP)
         assert np.abs(s_d).max() == 0.0
         assert np.abs(u_d).max() < 1e-12
-        # the reduced field reproduces the radial components exactly
+        # the reduced field rho' = rho v, v' = (b - 1) rho^(b-1) W(s0) + b rho^b h
+        # reproduces the radial components
         h = (energy_curve_v2(rho, config, MS, PP, 0.0) / 2.0 - v * v / 2.0) / (
-            -(rho**PP.b)
+            -(rho**b)
         )
-        pr, pv = plane_field(rho, v, config, MS, PP, h)
-        assert abs(pr - rho_d) < 1e-12
-        assert abs(pv - v_d) < 1e-10
-
-
-def test_plane_field_rejects_inadmissible_shapes():
-    cc = collinear_cc_of_full_potential(MS, PP)
-    with pytest.raises(AdmissibilityError):
-        plane_field(0.5, 0.1, cc.config, MS, PP, -1.0)
+        assert abs(rho * v - rho_d) < 1e-12
+        assert abs((b - 1.0) * rho ** (b - 1.0) * w0 + b * rho**b * h - v_d) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,37 @@
-"""The names the benchmark tracer binds still name library functions.
+"""The benchmark still runs against the library.
 
-bench/tracer.py wraps library functions by module and name; a rename in
-the library would only break traced benchmark runs, which this suite
-does not run.  The tracer is loaded from its file as it stands.
+bench/tracer.py wraps library functions by module and name, and
+bench/workloads.py calls the library and the command line; a rename or
+deletion in the library would only break benchmark runs, which this
+suite does not otherwise make.  Both are loaded from their files as they
+stand.
 """
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from qhnbody import cli, mcgehee
 from qhnbody.model import MassSystem, PotentialParams
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_name_is_a_library_attribute():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     names = [(mod, fn) for mod, fns in tracer.LIBRARY_SPANS.items() for fn in fns]
     names += list(tracer.CLOSURE_SPANS)
     assert len(names) > 20
@@ -62,7 +67,7 @@ def test_the_closures_the_tracer_wraps_return_fresh_arrays():
         "mcgehee_field": ((ms, pp, 2), lambda f: f(0.0, y_blown_up)),
         "mcgehee_renormalizer": ((ms, 2), lambda f: f(y_blown_up)),
     }
-    factories = _load_tracer().CLOSURE_SPANS
+    factories = _load("tracer").CLOSURE_SPANS
     assert sorted(fn for _, fn in factories) == sorted(calls)
     for mod, fn in factories:
         args, call = calls[fn]
@@ -71,3 +76,11 @@ def test_the_closures_the_tracer_wraps_return_fresh_arrays():
         assert isinstance(first, np.ndarray) and first.shape == second.shape
         assert not np.shares_memory(first, second), fn
         assert np.array_equal(first, second), fn
+
+
+@pytest.mark.parametrize("name", ["census", "sweep", "flow", "simulate"])
+def test_the_first_operation_of_each_workload_passes_its_check(tmp_path, name):
+    workloads = _load("workloads")
+    assert name in workloads.WORKLOADS
+    op = workloads.build(name, 11, 0.0, tmp_path)[0]
+    assert op.check(op.run()) is None
