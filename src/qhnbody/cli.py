@@ -48,8 +48,8 @@ from .collision_flow import (
     manifold_start,
     min_separation,
     nearest_equilibrium,
-    pure_b_catalog,
-    pure_b_cc,
+    pure_b_cases,
+    pure_b_shapes,
 )
 from .errors import ManevOnlyError, QHError, StiffnessError
 from .homothetic import heteroclinic_orbit
@@ -355,25 +355,33 @@ def _read_csv_row(cfg: RunConfig, spec: dict) -> tuple[float, PhaseState]:
             rows = list(reader)
     except (OSError, StopIteration) as exc:
         raise ConfigError(f"cannot read state csv {path}: {exc}") from None
-    if not rows:
-        raise ConfigError(f"state csv {path} has no data rows")
     idx = spec["row"]
     try:
         row = rows[idx]
     except IndexError:
-        raise ConfigError(f"row {idx} out of range for {len(rows)} csv rows") from None
+        raise ConfigError(f"state csv {path} row {idx} is out of range for its "
+                          f"{len(rows)} data rows") from None
     cols = {name: k for k, name in enumerate(header)}
     n = cfg.ms.n
+
+    def cell(name):
+        text = row[cols[name]] if cols[name] < len(row) else ""  # a short row's cells are empty
+        try:
+            return float(text)
+        except ValueError:
+            raise ConfigError(f"state csv {path} row {idx} column {name} must be a number, "
+                              f"got {text!r}") from None
+
     for dim in (2, 1):
         names = _state_columns(n, dim)
         if all(name in cols for name in names) and "t" in cols:
-            vals = np.array([float(row[cols[name]]) for name in names])
+            vals = np.array([cell(name) for name in names])
             sz = n * dim
             state = PhaseState(
                 config=Configuration(vals[:sz].reshape(n, dim)),
                 momenta=vals[sz:].reshape(n, dim),
             )
-            return float(row[cols["t"]]), state
+            return cell("t"), state
     raise ConfigError(f"state csv {path} lacks the r/p columns for {n} bodies")
 
 
@@ -458,30 +466,27 @@ def _grid(value, path, table, n):
 
 def _initial_on_C(cfg: RunConfig) -> tuple[list[McGeheeState], list[CCResult]]:
     """The first state of each orbit (initial_state, options.start or each start of its list)
-    and the pure-b catalog, whose one batch of shape solves also gives every start its shape."""
-    st = cfg.initial_state
+    and the pure-b catalog, solved in one call with the shape of every start."""
+    st, starts = cfg.initial_state, cfg.opt["start"]
+    if (st is None) == (starts is None):
+        raise ConfigError("collision-flow needs exactly one of initial_state and options.start")
+    catalog = pure_b_cases(cfg.ms.n)
     if st is not None:
         if st["kind"] != "mcgehee":
             raise ConfigError("collision-flow initial_state must have kind mcgehee")
         st0 = _blow_up_state(st)
         if st0.rho != 0.0:
             raise ConfigError(f"collision-flow needs rho = 0, got {st0.rho!r}")
-        return [st0], pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol["grad_tol"])
-
-    starts = cfg.opt["start"]
-    if starts is None:
-        raise ConfigError("collision-flow needs initial_state or options.start")
+        return [st0], pure_b_shapes(cfg.ms, cfg.pp.b, catalog, cfg.tol["grad_tol"])
     starts = starts if isinstance(starts, list) else [starts]
-    # A reversed ordering is solved in the catalog's batch: its canonical shape
-    # negated differs in the last bit and would pair with the same seeded u,
-    # which starts another orbit.
-    reversed_ = list(dict.fromkeys(o for kind, o in (start["shape"] for start in starts)
-                                   if kind == "collinear" and not o.is_canonical))
-    shapes = pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol["grad_tol"], reversed_)
-    by_name = {(cc.kind, cc.ordering): cc.config for cc in shapes}
-    states = [manifold_start(by_name[start["shape"]], cfg.ms, cfg.pp, start["perturbation_scale"],
-                             start["seed"], start["v_sign"]) for start in starts]
-    return states, shapes[: len(shapes) - len(reversed_)]
+    # A reversed ordering is a case of its own: the canonical shape negated
+    # differs in the last bit and would pair with the same seeded u, which
+    # starts another orbit.
+    shapes = pure_b_shapes(cfg.ms, cfg.pp.b, catalog + [start["shape"] for start in starts],
+                           cfg.tol["grad_tol"])
+    states = [manifold_start(cc.config, cfg.ms, cfg.pp, start["perturbation_scale"], start["seed"],
+                             start["v_sign"]) for cc, start in zip(shapes[len(catalog):], starts)]
+    return states, shapes[: len(catalog)]
 
 
 def _unit_shape(cfg: RunConfig) -> Configuration:
@@ -582,13 +587,19 @@ _OPTIONS = {
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, tables), the summary without its _header
+# and the CSV tables (file name, header, body) that main writes before it
 
 
-def cmd_cc_collinear(cfg: RunConfig, out_dir: Path) -> int:
-    n, draws = cfg.ms.n, cfg.opt["mass_draws"]
+def _require_enumerable(command: str, n: int) -> None:
+    """Reject a run over the n!/2 collinear classes past the body cap."""
     if n > _MAX_BODIES:
-        raise ConfigError(f"cc-collinear supports at most {_MAX_BODIES} bodies, got {n}")
+        raise ConfigError(f"{command} supports at most {_MAX_BODIES} bodies, got {n}")
+
+
+def cmd_cc_collinear(cfg: RunConfig) -> tuple[dict, list]:
+    n, draws = cfg.ms.n, cfg.opt["mass_draws"]
+    _require_enumerable("cc-collinear", n)
     systems = [cfg.ms]
     if draws is not None:
         rng = np.random.default_rng(draws["seed"])
@@ -600,29 +611,26 @@ def cmd_cc_collinear(cfg: RunConfig, out_dir: Path) -> int:
     results = solve_collinear_batch(members, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"])
     count = len(orderings)
     payload = {
-        **_header(cfg, "cc-collinear"),
         "inertia_I0": cfg.inertia_I0,
         "count": count,
         "max_residual": max(r.residual for r in results[:count]),
         "results": [_cc_payload(r) for r in results[:count]],
     }
-    if draws is not None:
-        rows = np.array([
-            [k // count, int("".join(map(str, r.ordering.perm))), r.sigma, r.residual,
-             min(r.hess_eigs, default=0.0), r.index, *systems[1 + k // count].masses]
-            for k, r in enumerate(results[count:])
-        ])
-        header = ["trial", "ordering", "sigma", "residual", "min_hess_eig", "index"]
-        header += [f"m{k}" for k in range(1, n + 1)]
-        csv_path = _write_csv(out_dir / "census.csv", header, rows)
-        payload["mass_draws"] = {**draws, "rows": len(rows), "max_residual": rows[:, 3].max(),
-                                 "minima": int(np.sum(rows[:, 4] > 0.0)), "csv": csv_path.name}
-        print(f"wrote {csv_path}")
-    print(f"wrote {_write_json(out_dir / 'cc_collinear.json', payload)}")
-    return 0
+    if draws is None:
+        return payload, []
+    rows = np.array([
+        [k // count, int("".join(map(str, r.ordering.perm))), r.sigma, r.residual,
+         min(r.hess_eigs, default=0.0), r.index, *systems[1 + k // count].masses]
+        for k, r in enumerate(results[count:])
+    ])
+    header = ["trial", "ordering", "sigma", "residual", "min_hess_eig", "index"]
+    header += [f"m{k}" for k in range(1, n + 1)]
+    payload["mass_draws"] = {**draws, "rows": len(rows), "max_residual": rows[:, 3].max(),
+                             "minima": int(np.sum(rows[:, 4] > 0.0)), "csv": "census.csv"}
+    return payload, [("census.csv", header, rows)]
 
 
-def cmd_cc_planar3(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_cc_planar3(cfg: RunConfig) -> tuple[dict, list]:
     if cfg.ms.n != 3:
         raise ConfigError(f"cc-planar3 needs exactly 3 masses, got {cfg.ms.n}")
     if cfg.pp.a != 1.0:
@@ -636,7 +644,6 @@ def cmd_cc_planar3(cfg: RunConfig, out_dir: Path) -> int:
     unit_sigma, _ = cc_residual(plus.config, cfg.ms, unit_pp)
     fr = f_root(unit_sigma, cfg.pp.b, cfg.ms.total_mass)
     payload = {
-        **_header(cfg, "cc-planar3"),
         "inertia_I0": cfg.inertia_I0,
         "side": equilateral_side(cfg.ms, cfg.inertia_I0),
         "side_certificate": {
@@ -648,17 +655,15 @@ def cmd_cc_planar3(cfg: RunConfig, out_dir: Path) -> int:
         },
         "results": [_cc_payload(plus), _cc_payload(minus)],
     }
-    print(f"wrote {_write_json(out_dir / 'cc_planar3.json', payload)}")
-    return 0
+    return payload, []
 
 
-def cmd_simultaneous(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_simultaneous(cfg: RunConfig) -> tuple[dict, list]:
     if cfg.pp.alpha <= 0.0 or cfg.pp.beta <= 0.0:
         raise ConfigError("simultaneous needs alpha > 0 and beta > 0")
     if cfg.pp.a == 0.0:
         raise ConfigError("simultaneous needs a > 0: a = 0 has no shape equation")
-    if cfg.ms.n > _MAX_BODIES:
-        raise ConfigError(f"simultaneous supports at most {_MAX_BODIES} bodies, got {cfg.ms.n}")
+    _require_enumerable("simultaneous", cfg.ms.n)
     grid, gap_tol = cfg.opt["mass_grid"], cfg.tol["gap_tol"]
     orderings = Ordering.all_canonical(cfg.ms.n)
     members = [(o, cfg.ms) for o in orderings]
@@ -673,30 +678,23 @@ def cmd_simultaneous(cfg: RunConfig, out_dir: Path) -> int:
         for o, g in zip(orderings, gaps)
     ]
     payload = {
-        **_header(cfg, "simultaneous"),
         "inertia_I0": cfg.inertia_I0,
         "gap_tol": gap_tol,
         "results": records,
     }
-
-    if grid is not None:
-        rows = np.column_stack([cells, gaps[len(orderings):]])
-        csv_path = _write_csv(
-            out_dir / "simultaneous_grid.csv", ["m1", "m2", "m3", "gap"], rows
-        )
-        payload["mass_grid"] = {
-            "points": len(m1_vals),
-            "rows": len(rows),
-            "ordering": list(grid["ordering"].perm),
-            "csv": csv_path.name,
-        }
-        print(f"wrote {csv_path}")
-
-    print(f"wrote {_write_json(out_dir / 'simultaneous.json', payload)}")
-    return 0
+    if grid is None:
+        return payload, []
+    rows = np.column_stack([cells, gaps[len(orderings):]])
+    payload["mass_grid"] = {
+        "points": len(m1_vals),
+        "rows": len(rows),
+        "ordering": list(grid["ordering"].perm),
+        "csv": "simultaneous_grid.csv",
+    }
+    return payload, [("simultaneous_grid.csv", ["m1", "m2", "m3", "gap"], rows)]
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
     t_start, state = _initial_cartesian(cfg)
     ms, pp = cfg.ms, cfg.pp
     n, dim = state.config.positions.shape
@@ -742,43 +740,37 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> int:
     header = ["t"] + _state_columns(n, dim) + ["energy_residual", "angmom_residual"]
     res = tr.conserved_residuals
     body = np.column_stack([tr.times, tr.states, res["energy"], res["angular_momentum"]])
-    csv_path = _write_csv(out_dir / "simulate.csv", header, body)
     final = unpack_phase(tr.final_state, n, dim)
     payload = {
-        **_header(cfg, "simulate"),
         "t_span": [t0, t1],
         "steps": len(tr.times) - 1,
         "termination": tr.termination,
         "t_final": tr.times[-1],
         "energy_initial": h0,
-        "energy_residual_max": float(np.max(tr.conserved_residuals["energy"])),
-        "angmom_residual_max": float(
-            np.max(tr.conserved_residuals["angular_momentum"])
-        ),
+        "energy_residual_max": float(np.max(res["energy"])),
+        "angmom_residual_max": float(np.max(res["angular_momentum"])),
         "final_positions": final.config.positions,
         "final_momenta": final.momenta,
-        "csv": csv_path.name,
+        "csv": "simulate.csv",
     }
-    print(f"wrote {csv_path}")
-    print(f"wrote {_write_json(out_dir / 'simulate.json', payload)}")
-    return 0
+    return payload, [("simulate.csv", header, body)]
 
 
-def cmd_collision_flow(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_collision_flow(cfg: RunConfig) -> tuple[dict, list]:
     if cfg.pp.a != 1.0 or cfg.pp.beta <= 0.0:
         raise ConfigError("collision-flow needs a = 1 with beta > 0")
+    _require_enumerable("collision-flow", cfg.ms.n)
     starts, catalog = _initial_on_C(cfg)
-    listed = cfg.initial_state is None and isinstance(cfg.opt["start"], list)
+    listed = isinstance(cfg.opt["start"], list)
     stems = [f"_{k}" for k in range(len(starts))] if listed else [""]
-    orbits = [_orbit_on_C(cfg, st0, catalog, out_dir / f"collision_flow{stem}.csv")
-              for st0, stem in zip(starts, stems)]
-    payload = {**_header(cfg, "collision-flow"), **({"orbits": orbits} if listed else orbits[0])}
-    print(f"wrote {_write_json(out_dir / 'collision_flow.json', payload)}")
-    return 0
+    orbits, tables = zip(*(_orbit_on_C(cfg, st0, catalog, f"collision_flow{stem}.csv")
+                           for st0, stem in zip(starts, stems)))
+    return ({"orbits": list(orbits)} if listed else orbits[0]), list(tables)
 
 
-def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult], path: Path) -> dict:
-    """Run one orbit on the collision manifold, write its series to path, return its summary."""
+def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult],
+                name: str) -> tuple[dict, tuple]:
+    """Run one orbit on the collision manifold; return its summary and its table, named name."""
     ms, pp, tol = cfg.ms, cfg.pp, cfg.tol
     n, dim = st0.n, st0.dim
     tr = integrate_on_C(st0, ms, pp, tau_max=cfg.opt["tau_max"], rel_tol=tol["rel_tol"],
@@ -790,14 +782,13 @@ def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult], path
     body = np.column_stack(
         [tr.times, tr.states[:, 1], tr.conserved_residuals["manifold"], seps, tr.states[:, 2:]]
     )
-    print(f"wrote {_write_csv(path, header, body)}")
 
     v_series = np.asarray(tr.conserved_residuals["v"])
     # v is monotone except for roundoff: allow slack at integrator scale.
     slack = 1e-9 * max(1.0, float(np.abs(v_series).max()))
     diffs = np.diff(v_series)
     end = unpack_mcgehee(tr.final_state, n, dim)
-    return {
+    summary = {
         "termination": tr.termination,
         "tau_final": tr.times[-1],
         "v_start": v_series[0],
@@ -807,52 +798,37 @@ def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult], path
         "v_monotone_nondecreasing": bool(np.all(diffs >= -slack)),
         "manifold_residual_max": float(np.abs(tr.conserved_residuals["manifold"]).max()),
         "nearest_equilibrium": _match_payload(nearest_equilibrium(end.s, end.v, catalog, ms, pp)),
-        "csv": path.name,
+        "csv": name,
     }
+    return summary, (name, header, body)
 
 
-def cmd_eigen(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_eigen(cfg: RunConfig) -> tuple[dict, list]:
     if cfg.pp.a != 1.0 or cfg.pp.beta <= 0.0:
         raise ConfigError("eigen needs a = 1 with beta > 0")
     if cfg.pp.b <= 2.0:
         raise ConfigError(f"equilibrium spectra need b > 2, got b = {cfg.pp.b!r}")
     cases = cfg.opt["cases"]
     if cases is None:
-        ccs = pure_b_catalog(cfg.ms, cfg.pp.b, cfg.tol["grad_tol"])
-    else:
-        ccs = [pure_b_cc(cfg.ms, cfg.pp.b, *case, cfg.tol["grad_tol"]) for case in cases]
+        _require_enumerable("eigen", cfg.ms.n)
+        cases = pure_b_cases(cfg.ms.n)
+    ccs = pure_b_shapes(cfg.ms, cfg.pp.b, cases, cfg.tol["grad_tol"])
     reports = find_equilibria(cfg.ms, cfg.pp, ccs, tol=cfg.tol["cc_tol"])
     records = []
     for rep in reports:
-        rec = {
-            "kind": rep.kind,
-            "ordering": _ordering_payload(rep.ordering),
-            "ambient": rep.ambient,
-            "v_sign": rep.v_sign,
-            "v_value": rep.v_value,
-            "cc_defect": rep.cc_defect,
-            "shape": rep.s0.positions,
-            "restricted_eigenvalues": rep.lam,
-            "exponents": _complex_pairs(rep.mu),
-            "spectrum": _complex_pairs(rep.spectrum),
-            "index": rep.index,
-            "zero_modes": rep.zero_modes,
-            "dim_unstable": rep.dim_unstable,
-            "dim_stable": rep.dim_stable,
-            "dim_energy_surface": rep.dim_energy_surface,
-        }
+        rec = {key: getattr(rep, key) for key in (
+            "kind", "ambient", "v_sign", "v_value", "cc_defect", "index", "zero_modes",
+            "dim_unstable", "dim_stable", "dim_energy_surface")}
+        rec.update(ordering=_ordering_payload(rep.ordering), shape=rep.s0.positions,
+                   restricted_eigenvalues=rep.lam, exponents=_complex_pairs(rep.mu),
+                   spectrum=_complex_pairs(rep.spectrum))
         if rep.ambient == "planar":
             rec["transversality_necessary"] = rep.transversality_necessary
         records.append(rec)
-    payload = {
-        **_header(cfg, "eigen"),
-        "equilibria": records,
-    }
-    print(f"wrote {_write_json(out_dir / 'eigen.json', payload)}")
-    return 0
+    return {"equilibria": records}, []
 
 
-def cmd_homothetic(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_homothetic(cfg: RunConfig) -> tuple[dict, list]:
     if cfg.energy_h is None:
         raise ConfigError("homothetic needs energy_h")
     s0 = _unit_shape(cfg)
@@ -867,11 +843,7 @@ def cmd_homothetic(cfg: RunConfig, out_dir: Path) -> int:
     )
     k_series = orbit.trajectory.conserved_residuals["K"]
     body = np.column_stack([orbit.taus, orbit.rhos, orbit.vs, k_series])
-    csv_path = _write_csv(
-        out_dir / "homothetic.csv", ["tau", "rho", "v", "k_defect"], body
-    )
     payload = {
-        **_header(cfg, "homothetic"),
         "energy_h": orbit.h,
         "shape": s0.positions,
         "K": orbit.K,
@@ -882,11 +854,9 @@ def cmd_homothetic(cfg: RunConfig, out_dir: Path) -> int:
         "v_start": orbit.vs[0],
         "v_end": orbit.vs[-1],
         "termination": orbit.termination,
-        "csv": csv_path.name,
+        "csv": "homothetic.csv",
     }
-    print(f"wrote {csv_path}")
-    print(f"wrote {_write_json(out_dir / 'homothetic.json', payload)}")
-    return 0
+    return payload, [("homothetic.csv", ["tau", "rho", "v", "k_defect"], body)]
 
 
 _COMMANDS = {
@@ -916,12 +886,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its CSV tables and then <command>.json are written only on success."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config, args.command)
         out_dir = Path(args.out) if args.out else Path.cwd()
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir)
+        payload, tables = _COMMANDS[args.command](cfg)
     except (ValueError, ManevOnlyError) as exc:
         # ConfigError is a ValueError; a != 1 (or beta = 0) is a config
         # problem, not a numerical one
@@ -930,6 +901,11 @@ def main(argv=None) -> int:
     except QHError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    for name, header, body in tables:
+        print(f"wrote {_write_csv(out_dir / name, header, body)}")
+    name = args.command.replace("-", "_") + ".json"
+    print(f"wrote {_write_json(out_dir / name, {**_header(cfg, args.command), **payload})}")
+    return 0
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .central_config import (
     equilateral_configuration,
     equilateral_result,
     euler_collinear_batch,
-    euler_collinear_homogeneous,
     restricted_hessian,
 )
 from .errors import DegenerateError, MismatchError, OffManifoldError
@@ -376,43 +375,37 @@ def integrate_on_C(
     )
 
 
-def pure_b_cc(
-    ms: MassSystem,
-    b: float,
-    kind: str,
-    ordering: Ordering | None = None,
-    grad_tol: float = 1e-12,
-) -> CCResult:
-    """A central configuration of the b-term alone on the unit sphere.
-
-    kind "equilateral" is the positively oriented triangle of three
-    bodies, certified by its residual and planar index; kind "collinear"
-    is the class of the given ordering, solved to grad_tol.  Over each
-    such shape s0 the collision-manifold flow has the two rest points
-    u = 0, v = +/- sqrt(2 V(s0)).
-    """
-    if kind == "equilateral":
-        ppb = PotentialParams(a=0.0, b=b, alpha=0.0, beta=1.0)
-        return equilateral_result(equilateral_configuration(ms, 1.0)[0], ms, ppb, 1.0)
-    if kind == "collinear":
-        if ordering is None:
-            raise ValueError("a collinear case needs an ordering")
-        return euler_collinear_homogeneous(ms, b, ordering, 1.0, grad_tol)
-    raise ValueError(f"case kind must be equilateral or collinear, got {kind!r}")
-
-
-def pure_b_catalog(ms: MassSystem, b: float, grad_tol: float = 1e-12,
-                   extra: Sequence[Ordering] = ()) -> list[CCResult]:
+def pure_b_cases(n: int) -> list[tuple[str, Ordering | None]]:
     """The pure-b shapes whose rest points the flow on C is known to have.
 
     The equilateral triangle when there are three bodies, then one
-    collinear configuration per canonical ordering: n!/2 of them, one
-    per class by the Moulton-type theorem.  The shapes of the orderings
-    in extra follow them, solved in the same lockstep batch.
+    collinear case per canonical ordering: n!/2 of them, one per class
+    by the Moulton-type theorem.  A case is ("equilateral", None) or
+    ("collinear", ordering), as pure_b_shapes takes it.
     """
-    catalog = [pure_b_cc(ms, b, "equilateral")] if ms.n == 3 else []
-    members = [(o, ms) for o in [*Ordering.all_canonical(ms.n), *extra]]
-    return catalog + euler_collinear_batch(members, b, 1.0, grad_tol)
+    triangle = [("equilateral", None)] if n == 3 else []
+    return triangle + [("collinear", o) for o in Ordering.all_canonical(n)]
+
+
+def pure_b_shapes(ms: MassSystem, b: float, cases: Sequence[tuple[str, Ordering | None]],
+                  grad_tol: float = 1e-12) -> list[CCResult]:
+    """A central configuration of the b-term alone on the unit sphere per case, in order.
+
+    Case ("equilateral", None) is the positively oriented triangle of
+    three bodies, certified by its residual and planar index; case
+    ("collinear", ordering) is the class of the ordering, solved to
+    grad_tol.  Every collinear case is solved in one lockstep batch, and
+    a repeated case once.  Over each such shape s0 the collision-manifold
+    flow has the two rest points u = 0, v = +/- sqrt(2 V(s0)).
+    """
+    orderings = list(dict.fromkeys(o for kind, o in cases if kind == "collinear"))
+    batch = euler_collinear_batch([(o, ms) for o in orderings], b, 1.0, grad_tol)
+    solved = {("collinear", o): cc for o, cc in zip(orderings, batch)}
+    if ("equilateral", None) in cases:
+        ppb = PotentialParams(a=0.0, b=b, alpha=0.0, beta=1.0)
+        solved["equilateral", None] = equilateral_result(
+            equilateral_configuration(ms, 1.0)[0], ms, ppb, 1.0)
+    return [solved[case] for case in cases]
 
 
 def manifold_start(

@@ -26,7 +26,8 @@ from qhnbody.central_config import (
     equilateral_side,
     solve_collinear_all,
 )
-from qhnbody.collision_flow import manifold_start, pure_b_cc
+from qhnbody.collision_flow import manifold_start, pure_b_shapes
+from qhnbody.errors import StiffnessError
 from qhnbody.mcgehee import mcgehee_renormalizer, pack_mcgehee
 from qhnbody.model import (
     Configuration,
@@ -72,6 +73,19 @@ def load_csv(out_dir, name):
     return rows[0], rows[1:]
 
 
+def count_batches(monkeypatch):
+    """The member count of each solve_collinear_batch call, in call order."""
+    batches = []
+    solve = central_config.solve_collinear_batch
+
+    def counted(members, *args):
+        batches.append(len(members))
+        return solve(members, *args)
+
+    monkeypatch.setattr(central_config, "solve_collinear_batch", counted)
+    return batches
+
+
 TWO_BODY = {
     "kind": "cartesian",
     "positions": [[0.5, 0.0], [-0.5, 0.0]],
@@ -100,11 +114,19 @@ def test_cc_collinear_reports_every_ordering_class(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", ["cc-collinear", "simultaneous"])
+@pytest.mark.parametrize("command", ["cc-collinear", "simultaneous", "eigen", "collision-flow"])
 def test_more_than_six_bodies_are_rejected(tmp_path, capsys, command):
+    # every run over the n!/2 collinear classes; collision-flow's catalog is one
     code, _ = run(tmp_path, command, base_config(masses=[1.0] * 7))
     assert code == 2
     assert capsys.readouterr().err == f"error: {command} supports at most 6 bodies, got 7\n"
+
+
+def test_eigen_with_its_own_cases_enumerates_nothing_and_takes_seven_bodies(tmp_path):
+    data = base_config(masses=[1.0] * 7, options={"cases": [{"ordering": list(range(1, 8))}]})
+    code, out = run(tmp_path, "eigen", data)
+    assert code == 0
+    assert len(load_json(out, "eigen.json")["equilibria"]) == 2
 
 
 def test_a_mass_draw_census_matches_one_solve_per_draw(tmp_path):
@@ -321,6 +343,20 @@ def test_simulate_continues_from_its_own_csv(tmp_path):
     assert gap < 1e-9
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("0.0,0.5,0.0,-0.5,0.0,0.0,1.2,0.0", "row -1 column p1y must be a number, got ''"),
+     ("0.0,0.5,0.0,-0.5,0.0,0.0,1.2,0.0,abc", "row -1 column p1y must be a number, got 'abc'")],
+)
+def test_a_bad_state_csv_row_names_its_file_row_and_column(tmp_path, capsys, row, message):
+    # a row shorter than its header, then a cell that is not a number
+    (tmp_path / "state.csv").write_text("t,r0x,r0y,r1x,r1y,p0x,p0y,p1x,p1y\n" + row + "\n")
+    code, out = run(tmp_path, "simulate", CSV_STATE)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: state csv {tmp_path / 'state.csv'} {message}\n"
+    assert not any(out.iterdir())
+
+
 def test_simulate_checks_a_declared_energy_level(tmp_path, capsys):
     state = PhaseState(
         Configuration(np.asarray(TWO_BODY["positions"])),
@@ -437,7 +473,8 @@ def test_collision_flow_runs_from_a_collinear_blow_up_state(tmp_path):
     # after lifting the shape into the plane
     ms = MassSystem(np.array([1.0, 2.0, 3.0]))
     pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
-    s = pure_b_cc(ms, pp.b, "collinear", Ordering((1, 2, 3))).config.positions[:, :1]
+    case = ("collinear", Ordering((1, 2, 3)))
+    s = pure_b_shapes(ms, pp.b, [case])[0].config.positions[:, :1]
     u = 0.01 * np.cross(np.ones(3), s[:, 0])[:, None]  # sum u = 0 and s . u = 0
     v = -np.sqrt(2.0 * potential_V(s, ms, pp) - float(np.sum(u * u / ms.masses[:, None])))
     data = base_config(
@@ -483,6 +520,15 @@ def test_collision_flow_rejects_states_off_the_manifold(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
 
+    # a state and a start list together: neither is silently dropped
+    both = {**inflated, "initial_state": {**inflated["initial_state"], "rho": 0.0},
+            "options": {"start": [CF_START["start"]]}}
+    code, out = run(tmp_path, "collision-flow", both, subdir="both")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "initial_state" in err and "options.start" in err
+    assert not any(out.iterdir())
+
 
 def test_a_list_of_starts_runs_each_orbit_as_a_single_start_would(tmp_path):
     # two orbits from the perturbed equilateral rest points, one per sign of v
@@ -510,14 +556,7 @@ def test_a_list_of_starts_solves_its_shapes_in_the_catalog_batch(tmp_path, monke
     # the catalog holds the equilateral and the canonical shapes; the reversed
     # ordering [2, 3, 1] is solved in the catalog's batch, and every start
     # is the one a fresh solve of its shape gives, bit for bit
-    batches = []
-    solve = central_config.solve_collinear_batch
-
-    def counted(members, *args):
-        batches.append(len(members))
-        return solve(members, *args)
-
-    monkeypatch.setattr(central_config, "solve_collinear_batch", counted)
+    batches = count_batches(monkeypatch)
     shapes = [{"ordering": [1, 3, 2]}] * 3 + [{"ordering": [2, 3, 1]}] + ["equilateral"] * 2
     starts = [{"shape": shape, "perturbation_scale": 0.05, "seed": k}
               for k, shape in enumerate(shapes)]
@@ -528,10 +567,32 @@ def test_a_list_of_starts_solves_its_shapes_in_the_catalog_batch(tmp_path, monke
     ms, pp = MassSystem(np.array([1.0, 2.0, 3.0])), PotentialParams(a=1.0, b=3.0, beta=0.5)
     for k, shape in enumerate(shapes):
         kind = ("equilateral", None) if shape == "equilateral" else ("collinear", Ordering(shape["ordering"]))
-        st0 = manifold_start(pure_b_cc(ms, pp.b, *kind).config, ms, pp, 0.05, k)
+        st0 = manifold_start(pure_b_shapes(ms, pp.b, [kind])[0].config, ms, pp, 0.05, k)
         y0 = mcgehee_renormalizer(ms)(pack_mcgehee(st0))  # the first state integrate keeps
         _, rows = load_csv(out, f"collision_flow_{k}.csv")
         assert [rows[0][1], *rows[0][4:]] == [format(x, ".17g") for x in y0[1:]]
+
+
+def test_a_failing_orbit_of_a_list_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # every orbit is computed before main writes a file, so the first
+    # orbit's table does not outlive a failure of the second
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise StiffnessError("step size underflow", 0.0, np.zeros(1))
+        return integrate_on_C(*args, **kwargs)
+
+    integrate_on_C = cli.integrate_on_C
+    monkeypatch.setattr(cli, "integrate_on_C", second_fails)
+    starts = [{"perturbation_scale": 0.05, "seed": k} for k in range(3)]
+    code, out = run(tmp_path, "collision-flow", base_config(options={"start": starts,
+                                                                     "tau_max": 0.1}))
+    assert code == 3
+    assert capsys.readouterr() == ("", "error: StiffnessError: step size underflow\n")
+    assert len(calls) == 2
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -607,6 +668,30 @@ def test_eigen_reports_the_default_equilibrium_catalog(tmp_path):
     # reversing the flow direction swaps the stable/unstable splitting
     assert dims("equilateral", 1) == dims("equilateral", -1)[::-1]
     assert dims("collinear", 1) == dims("collinear", -1)[::-1]
+
+
+def test_eigen_solves_its_collinear_cases_in_one_batch(tmp_path, monkeypatch):
+    # two canonical orderings, one that is not, and the reversal of the identity
+    orders = [[1, 2, 3, 4], [1, 3, 2, 4], [2, 1, 3, 4], [4, 3, 2, 1]]
+    batches = count_batches(monkeypatch)
+    data = base_config(masses=[1.0, 2.0, 3.0, 4.0],
+                       options={"cases": [{"ordering": o} for o in orders]})
+    code, out = run(tmp_path, "eigen", data)
+    assert code == 0
+    assert batches == [4]
+    recs = load_json(out, "eigen.json")["equilibria"]
+    assert [r["ordering"] for r in recs] == [o for o in orders for _ in (1, -1)]
+
+
+def test_eigen_solves_a_repeated_case_once(tmp_path, monkeypatch):
+    batches = count_batches(monkeypatch)
+    cases = [{"ordering": [1, 3, 2]}, "equilateral", {"ordering": [1, 3, 2]}, "equilateral"]
+    code, out = run(tmp_path, "eigen", base_config(options={"cases": cases}))
+    assert code == 0
+    assert batches == [1]
+    recs = load_json(out, "eigen.json")["equilibria"]
+    assert [r["kind"] for r in recs[::2]] == ["collinear", "equilateral"] * 2
+    assert recs[:4] == recs[4:]
 
 
 def test_eigen_guards_its_preconditions(tmp_path, capsys):

@@ -24,7 +24,8 @@ from qhnbody.collision_flow import (
     manifold_start,
     min_separation,
     nearest_equilibrium,
-    pure_b_catalog,
+    pure_b_cases,
+    pure_b_shapes,
     transversality_necessary,
 )
 from qhnbody.errors import (
@@ -125,7 +126,7 @@ def all_pure_b_ccs(ms, b):
 @pytest.mark.parametrize("masses", [(1.0, 2.0, 3.0), (0.7, 1.0, 2.5, 1.6)])
 def test_pure_b_catalog_matches_the_reference(masses):
     ms = MassSystem(np.array(masses))
-    catalog = pure_b_catalog(ms, PP.b)
+    catalog = pure_b_shapes(ms, PP.b, pure_b_cases(ms.n))
     reference = all_pure_b_ccs(ms, PP.b)
     assert len(catalog) == len(reference) == (4 if ms.n == 3 else 12)
     for cc, ref in zip(catalog, reference):
@@ -136,11 +137,21 @@ def test_pure_b_catalog_matches_the_reference(masses):
         assert cc.residual < 1e-10
 
 
+def test_pure_b_shapes_keeps_the_order_of_its_cases_and_solves_a_repeat_once():
+    cases = [("collinear", Ordering((2, 1, 3))), ("equilateral", None),
+             ("collinear", Ordering((2, 1, 3)))]
+    shapes = pure_b_shapes(MS, PP.b, cases)
+    assert [(cc.kind, cc.ordering) for cc in shapes] == cases
+    assert shapes[0] is shapes[2]
+    x = shapes[0].config.positions[:, 0]
+    assert x[1] < x[0] < x[2]  # the reversed class keeps its own ordering
+
+
 @pytest.mark.parametrize("which", range(4))
 def test_nearest_equilibrium_ignores_rotations(which):
     # rest shapes come in rotation orbits, so turning the plane may change
     # neither the label nor the distance of a state near one of them
-    catalog = pure_b_catalog(MS, PP.b)
+    catalog = pure_b_shapes(MS, PP.b, pure_b_cases(MS.n))
     sign = 1 if which % 2 == 0 else -1
     st0 = manifold_start(catalog[which].config, MS, PP, 0.05, seed=which, v_sign=sign)
     st = unpack_mcgehee(integrate_on_C(st0, MS, PP, tau_max=0.05).final_state, 3, 2)
@@ -157,7 +168,7 @@ def test_nearest_equilibrium_ignores_rotations(which):
 
 
 def test_manifold_start_lies_on_the_manifold_in_the_centered_reduction():
-    catalog = pure_b_catalog(MS, PP.b)
+    catalog = pure_b_shapes(MS, PP.b, pure_b_cases(MS.n))
     for cc in catalog:
         st = manifold_start(cc.config, MS, PP, 0.05, seed=3)
         assert st.s.shape == (3, 2)
