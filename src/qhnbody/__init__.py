@@ -28,7 +28,6 @@ from .errors import (
     OffManifoldError,
     QHError,
     StiffnessError,
-    ToleranceError,
     ZeroSizeError,
 )
 from .model import Configuration, MassSystem, PhaseState, PotentialParams
@@ -53,7 +52,6 @@ __all__ = [
     "PotentialParams",
     "QHError",
     "StiffnessError",
-    "ToleranceError",
     "ZeroSizeError",
 ]
 

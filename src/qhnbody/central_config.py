@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import (
     BracketError,
+    DegenerateError,
     DegenerateTermError,
     NoConvergenceError,
     NotOnSphereError,
-    ToleranceError,
 )
 from .model import (
     Configuration,
@@ -257,16 +257,17 @@ def tangent_basis(positions: np.ndarray, ms) -> np.ndarray:
 
 
 def count_modes(eigs: np.ndarray) -> tuple[int, int, float]:
-    """(index, zero_modes, zero_tol) of a real spectrum.
+    """(index, zero_modes, zero_tol) of a spectrum, read by its real parts.
 
-    Eigenvalues within zero_tol = 1e-8 * max |eig| of zero are zero
-    modes; the index counts those below -zero_tol.  An empty spectrum
-    gives (0, 0, 0.0).
+    Eigenvalues whose real part lies within zero_tol = 1e-8 * max |eig|
+    of zero are zero modes; the index counts those with real part below
+    -zero_tol.  An empty spectrum gives (0, 0, 0.0).
     """
     if eigs.size == 0:
         return 0, 0, 0.0
     zero_tol = _ZERO_TOL_FACTOR * float(np.abs(eigs).max())
-    return int(np.sum(eigs < -zero_tol)), int(np.sum(np.abs(eigs) < zero_tol)), zero_tol
+    re = np.real(eigs)
+    return int(np.sum(re < -zero_tol)), int(np.sum(np.abs(re) < zero_tol)), zero_tol
 
 
 def _as_line(r: np.ndarray) -> np.ndarray:
@@ -334,22 +335,23 @@ def cc_index(
 ) -> IndexReport:
     """Morse data of U restricted to the sphere at a central configuration.
 
-    The index counts strictly negative eigenvalues of restricted_hessian,
-    with eigenvalues below zero_tol = 1e-8 * max |eig| in magnitude
-    classified as zero modes.  The planar ambient must show exactly the
-    one rotational zero mode; the collinear ambient none.  Anything else
-    raises ToleranceError (a degenerate CC).  terms, as in
+    The index_report of the restricted_hessian eigenvalues; terms, as in
     restricted_hessian, spare a pass.
     """
-    return _index_report(restricted_hessian(config, ms, pp, ambient, inertia_I0, terms)[1], ambient)
+    return index_report(restricted_hessian(config, ms, pp, ambient, inertia_I0, terms)[1], ambient)
 
 
-def _index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
-    """IndexReport of a restricted spectrum; ToleranceError on a degenerate one."""
+def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
+    """IndexReport of a restricted spectrum, by the signs count_modes reads.
+
+    The planar ambient must show exactly the one rotational zero mode,
+    the collinear ambient none; anything else raises DegenerateError (a
+    degenerate CC, or a shape that is not central).
+    """
     index, zeros, _ = count_modes(eigs)
     expected_zeros = 1 if ambient == "planar" else 0
     if zeros != expected_zeros:
-        raise ToleranceError(
+        raise DegenerateError(
             f"{ambient} restricted Hessian has {zeros} near-zero eigenvalues, "
             f"expected {expected_zeros}; CC looks degenerate"
         )
@@ -543,8 +545,8 @@ def solve_collinear_batch(
         eigs = _restricted_spectrum(x[..., None], masses[ids], pp, inertia_I0, PairTerms(*terms))[1]
         for k, b in enumerate(ids):
             try:
-                report = _index_report(eigs[k], "collinear")
-            except ToleranceError as exc:
+                report = index_report(eigs[k], "collinear")
+            except DegenerateError as exc:
                 errors[b] = exc
                 continue
             results[b] = CCResult(

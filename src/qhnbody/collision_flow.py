@@ -19,17 +19,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .central_config import (
-    _ZERO_TOL_FACTOR,
     CCResult,
     Ordering,
+    cc_index,
     cc_residual,
     count_modes,
     equilateral_configuration,
     equilateral_result,
     euler_collinear_batch,
+    index_report,
     restricted_hessian,
 )
-from .errors import DegenerateError, MismatchError, OffManifoldError
+from .errors import MismatchError, OffManifoldError
 from .integrate import Event, Trajectory, integrate
 from .mcgehee import (
     McGeheeState,
@@ -42,7 +43,6 @@ from .mcgehee import (
 from .model import (
     Configuration,
     MassSystem,
-    PairTerms,
     PotentialParams,
     _incidence,
     _PairKernel,
@@ -61,7 +61,7 @@ class EquilibriumReport:
     pairs from the closed form, spectrum the eigenvalues of the
     assembled linearization including the radial and v directions.
     transversality_necessary is the verdict of the function of that
-    name in the planar ambient, None in the collinear one.
+    name (planar index 0) in the planar ambient, None in the collinear one.
     """
 
     s0: Configuration
@@ -120,26 +120,6 @@ def eigen_closed_form(lam, v: float, b: float) -> np.ndarray:
     return np.column_stack([(base + disc) / 4.0, (base - disc) / 4.0])
 
 
-def _shape_spectrum(s0: Configuration, ms: MassSystem, pp: PotentialParams,
-                    ambient: str, terms: PairTerms | None = None
-                    ) -> tuple[np.ndarray, np.ndarray, tuple[int, int, float]]:
-    """Restricted Hessian A of the b-term on the unit shape sphere.
-
-    Returns (A, its eigenvalues, their count_modes (index, zeros, zero_tol));
-    terms as in restricted_hessian.  Raises NotOnSphereError unless
-    <s0, s0> = 1, and DegenerateError unless A has exactly the expected
-    zero modes: one rotation in the planar ambient, none in the collinear one.
-    """
-    a_mat, lam = restricted_hessian(s0, ms, _pure_b(pp), ambient, 1.0, terms)
-    index, zeros, zero_tol = count_modes(lam)
-    expected = 1 if ambient == "planar" else 0
-    if zeros != expected:
-        raise DegenerateError(
-            f"{ambient} shape Hessian has {zeros} zero modes, expected {expected}"
-        )
-    return a_mat, lam, (index, zeros, zero_tol)
-
-
 def linearize_at_equilibrium(
     s0: Configuration,
     v0: float,
@@ -156,14 +136,16 @@ def linearize_at_equilibrium(
         drho' = v0 drho,  dv' = 0,  xi' = eta,
         eta'  = A xi + (b/2 - 1) v0 eta,
 
-    so the spectrum is {v0, 0} plus the exponent pairs.  Raises
-    DegenerateError when A shows unexpected zero modes (one rotational
-    zero is expected in the planar ambient, none in the collinear one).
+    so the spectrum is {v0, 0} plus the exponent pairs.  A is the
+    restricted Hessian of the b-term on the unit shape sphere.  Raises
+    NotOnSphereError unless <s0, s0> = 1, and DegenerateError when A
+    shows other zero modes than its ambient's (index_report).
     """
     pp.require_manev()
     if pp.b <= 2.0:
         raise ValueError("linearization at equilibria needs b > 2")
-    a_mat, lam, _ = _shape_spectrum(s0, ms, pp, ambient)
+    a_mat, lam = restricted_hessian(s0, ms, _pure_b(pp), ambient)
+    index_report(lam, ambient)
     return (*_linearization(a_mat, v0, pp.b), lam)
 
 
@@ -191,8 +173,8 @@ def manifold_dimensions(
     counts are (2n - 2 - index, 2n - 4 + index) for v > 0, swapped for
     v < 0.  Collinear ambient: surface dimension 2n - 3 with counts
     (n - 1, n - 2) for v > 0, swapped for v < 0.  The closed form must
-    agree with the sign counts of the assembled spectrum; disagreement
-    raises MismatchError.
+    agree with the sign counts of the assembled spectrum (count_modes);
+    disagreement raises MismatchError.
     """
     if ambient == "planar":
         dim_eh = 4 * n - 5
@@ -206,11 +188,8 @@ def manifold_dimensions(
         raise ValueError(f"unknown ambient {ambient!r}")
     if v_value < 0.0:
         up, down = down, up
-    zero_tol = _ZERO_TOL_FACTOR * float(np.abs(spectrum).max())
-    re = spectrum.real
-    n_pos = int(np.sum(re > zero_tol))
-    n_neg = int(np.sum(re < -zero_tol))
-    n_zero = int(np.sum(np.abs(re) <= zero_tol))
+    n_neg, n_zero, _ = count_modes(spectrum)
+    n_pos = spectrum.size - n_neg - n_zero
     if (n_pos, n_neg, n_zero) != (up, down, expected_zeros):
         raise MismatchError(
             f"closed-form dimensions ({up}, {down}, {expected_zeros} zeros) "
@@ -233,14 +212,17 @@ def find_equilibria(
     equilibrium condition b V(s0) M s0 + grad V(s0) = 0, the cc_residual
     of the b-term on the unit sphere, before its reports are built; the
     shape's restricted Hessian then serves both of its linearizations.
-    One pair-kernel pass per shape yields the defect, V and that Hessian.
+    One pair-kernel pass per distinct shape (CCResult object) yields the
+    defect, V and that Hessian; the reports come in the order of the shapes.
     """
     pp.require_manev()
     if pp.b <= 2.0:
         raise ValueError("equilibrium spectra need b > 2")
     ppb = _pure_b(pp)
-    out = []
+    built: dict[CCResult, list[EquilibriumReport]] = {}
     for cc in ccs_of_V:
+        if cc in built:
+            continue
         s0 = Configuration(lift_to_plane(cc.config))
         ambient = "collinear" if cc.kind == "collinear" else "planar"
         r = s0.positions[:, :1] if ambient == "collinear" else s0.positions
@@ -250,14 +232,16 @@ def find_equilibria(
         if defect > tol * scale:
             raise OffManifoldError(f"shape is not a CC of the b-term: defect {defect:.3e}")
         v_star = float(np.sqrt(2.0 * terms.V))
-        a_mat, lam, (index, zero_modes, zero_tol) = _shape_spectrum(s0, ms, pp, ambient, terms)
-        transversal = _planar_minimum(lam, zero_tol) if ambient == "planar" else None
+        a_mat, lam = restricted_hessian(s0, ms, ppb, ambient, 1.0, terms)
+        report = index_report(lam, ambient)
+        transversal = report.index == 0 if ambient == "planar" else None
+        built[cc] = []
         for sign in (+1, -1):
             v0 = sign * v_star
             spectrum = _linearization(a_mat, v0, pp.b)[1]
             mu = eigen_closed_form(lam, v0, pp.b)
-            dim_u, dim_s, dim_eh = manifold_dimensions(ms.n, ambient, index, v0, spectrum)
-            out.append(
+            dim_u, dim_s, dim_eh = manifold_dimensions(ms.n, ambient, report.index, v0, spectrum)
+            built[cc].append(
                 EquilibriumReport(
                     s0=s0,
                     ambient=ambient,
@@ -267,8 +251,8 @@ def find_equilibria(
                     lam=lam,
                     mu=mu,
                     spectrum=spectrum,
-                    index=index,
-                    zero_modes=zero_modes,
+                    index=report.index,
+                    zero_modes=report.zero_modes,
                     dim_unstable=dim_u,
                     dim_stable=dim_s,
                     dim_energy_surface=dim_eh,
@@ -277,7 +261,7 @@ def find_equilibria(
                     transversality_necessary=transversal,
                 )
             )
-    return out
+    return [rep for cc in ccs_of_V for rep in built[cc]]
 
 
 def transversality_necessary(
@@ -286,16 +270,10 @@ def transversality_necessary(
     """Necessary spectral condition for transverse connections at s0.
 
     True when the shape is a nondegenerate minimum of the b-term on the
-    planar shape sphere: index zero and every non-rotational eigenvalue
-    strictly positive.
+    planar shape sphere: planar index 0, with the rotation its one zero
+    mode (cc_index raises DegenerateError otherwise).
     """
-    _, lam, (_, _, zero_tol) = _shape_spectrum(s0, ms, pp, "planar")
-    return _planar_minimum(lam, zero_tol)
-
-
-def _planar_minimum(lam: np.ndarray, zero_tol: float) -> bool:
-    """Every eigenvalue but the lowest (the rotation) strictly positive."""
-    return bool(np.all(np.sort(lam)[1:] > zero_tol))
+    return cc_index(s0, ms, _pure_b(pp), "planar").index == 0
 
 
 def min_separation(s: np.ndarray) -> float:

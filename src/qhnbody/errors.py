@@ -33,10 +33,6 @@ class DegenerateTermError(QHError):
     """An operation requires both potential terms to be active."""
 
 
-class ToleranceError(QHError):
-    """An eigenvalue classification was ambiguous at the working tolerance."""
-
-
 class ManevOnlyError(QHError):
     """The operation is only defined for a = 1 with an active b-term."""
 

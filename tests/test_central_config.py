@@ -33,12 +33,13 @@ from qhnbody.central_config import (
     solve_collinear_ordering,
     tangent_basis,
 )
+from qhnbody.collision_flow import linearize_at_equilibrium, transversality_necessary
 from qhnbody.errors import (
     BracketError,
+    DegenerateError,
     DegenerateTermError,
     NoConvergenceError,
     NotOnSphereError,
-    ToleranceError,
 )
 from qhnbody.model import (
     Configuration,
@@ -696,9 +697,22 @@ def test_cc_index_flags_degenerate_input():
     # ambient, but a segment with an exact mirror symmetry can be tuned
     # badly; instead check the planar ambient on a non-CC shape, where
     # the rotational zero mode is absent (the gradient is not radial).
+    # The collision-flow spectra read it through the same index_report.
     r = np.array([[0.4, 0.1], [-0.2, -0.3], [0.05, 0.25]])
     ms = MassSystem(np.array([1.0, 1.0, 1.0]))
     r = centered(r, ms)
-    r /= np.sqrt(mass_inner(r, r, ms))
-    with pytest.raises(ToleranceError):
-        cc_index(Configuration(r), ms, PP12, ambient="planar")
+    s0 = Configuration(r / np.sqrt(mass_inner(r, r, ms)))
+    pp3 = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    callers = [
+        lambda: cc_index(s0, ms, PP12, ambient="planar"),
+        lambda: linearize_at_equilibrium(s0, -1.0, ms, pp3, "planar"),
+        lambda: transversality_necessary(s0, ms, pp3),
+    ]
+    messages = set()
+    for call in callers:
+        with pytest.raises(DegenerateError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {
+        "planar restricted Hessian has 0 near-zero eigenvalues, expected 1; CC looks degenerate"
+    }
