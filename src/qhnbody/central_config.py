@@ -256,18 +256,20 @@ def tangent_basis(positions: np.ndarray, ms) -> np.ndarray:
     return _metric_null_basis(rows, np.repeat(m, d, axis=-1))
 
 
-def count_modes(eigs: np.ndarray) -> tuple[int, int, float]:
-    """(index, zero_modes, zero_tol) of a spectrum, read by its real parts.
+def count_modes(eigs: np.ndarray) -> tuple[int, int, int]:
+    """(index, zero_modes, positive) of a spectrum, read by its real parts.
 
     Eigenvalues whose real part lies within zero_tol = 1e-8 * max |eig|
     of zero are zero modes; the index counts those with real part below
-    -zero_tol.  An empty spectrum gives (0, 0, 0.0).
+    -zero_tol, positive those above +zero_tol.  An empty spectrum gives
+    (0, 0, 0).
     """
     if eigs.size == 0:
-        return 0, 0, 0.0
+        return 0, 0, 0
     zero_tol = _ZERO_TOL_FACTOR * float(np.abs(eigs).max())
     re = np.real(eigs)
-    return int(np.sum(re < -zero_tol)), int(np.sum(np.abs(re) < zero_tol)), zero_tol
+    return (int(np.sum(re < -zero_tol)), int(np.sum(np.abs(re) < zero_tol)),
+            int(np.sum(re > zero_tol)))
 
 
 def _as_line(r: np.ndarray) -> np.ndarray:

@@ -823,7 +823,8 @@ def cmd_eigen(cfg: RunConfig) -> tuple[dict, list]:
                    restricted_eigenvalues=rep.lam, exponents=_complex_pairs(rep.mu),
                    spectrum=_complex_pairs(rep.spectrum))
         if rep.ambient == "planar":
-            rec["transversality_necessary"] = rep.transversality_necessary
+            # the verdict of collision_flow.transversality_necessary
+            rec["transversality_necessary"] = rep.index == 0
         records.append(rec)
     return {"equilibria": records}, []
 

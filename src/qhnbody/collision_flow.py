@@ -60,8 +60,6 @@ class EquilibriumReport:
     the shape sphere (the ambient decides which sphere), mu the exponent
     pairs from the closed form, spectrum the eigenvalues of the
     assembled linearization including the radial and v directions.
-    transversality_necessary is the verdict of the function of that
-    name (planar index 0) in the planar ambient, None in the collinear one.
     """
 
     s0: Configuration
@@ -79,7 +77,6 @@ class EquilibriumReport:
     dim_energy_surface: int
     kind: str = ""
     ordering: Ordering | None = None
-    transversality_necessary: bool | None = None
 
 
 def _pure_b(pp: PotentialParams) -> PotentialParams:
@@ -188,8 +185,7 @@ def manifold_dimensions(
         raise ValueError(f"unknown ambient {ambient!r}")
     if v_value < 0.0:
         up, down = down, up
-    n_neg, n_zero, _ = count_modes(spectrum)
-    n_pos = spectrum.size - n_neg - n_zero
+    n_neg, n_zero, n_pos = count_modes(spectrum)
     if (n_pos, n_neg, n_zero) != (up, down, expected_zeros):
         raise MismatchError(
             f"closed-form dimensions ({up}, {down}, {expected_zeros} zeros) "
@@ -212,17 +208,14 @@ def find_equilibria(
     equilibrium condition b V(s0) M s0 + grad V(s0) = 0, the cc_residual
     of the b-term on the unit sphere, before its reports are built; the
     shape's restricted Hessian then serves both of its linearizations.
-    One pair-kernel pass per distinct shape (CCResult object) yields the
-    defect, V and that Hessian; the reports come in the order of the shapes.
+    One pair-kernel pass per shape yields the defect, V and that Hessian.
     """
     pp.require_manev()
     if pp.b <= 2.0:
         raise ValueError("equilibrium spectra need b > 2")
     ppb = _pure_b(pp)
-    built: dict[CCResult, list[EquilibriumReport]] = {}
+    out = []
     for cc in ccs_of_V:
-        if cc in built:
-            continue
         s0 = Configuration(lift_to_plane(cc.config))
         ambient = "collinear" if cc.kind == "collinear" else "planar"
         r = s0.positions[:, :1] if ambient == "collinear" else s0.positions
@@ -234,14 +227,12 @@ def find_equilibria(
         v_star = float(np.sqrt(2.0 * terms.V))
         a_mat, lam = restricted_hessian(s0, ms, ppb, ambient, 1.0, terms)
         report = index_report(lam, ambient)
-        transversal = report.index == 0 if ambient == "planar" else None
-        built[cc] = []
         for sign in (+1, -1):
             v0 = sign * v_star
             spectrum = _linearization(a_mat, v0, pp.b)[1]
             mu = eigen_closed_form(lam, v0, pp.b)
             dim_u, dim_s, dim_eh = manifold_dimensions(ms.n, ambient, report.index, v0, spectrum)
-            built[cc].append(
+            out.append(
                 EquilibriumReport(
                     s0=s0,
                     ambient=ambient,
@@ -258,10 +249,9 @@ def find_equilibria(
                     dim_energy_surface=dim_eh,
                     kind=cc.kind,
                     ordering=cc.ordering,
-                    transversality_necessary=transversal,
                 )
             )
-    return [rep for cc in ccs_of_V for rep in built[cc]]
+    return out
 
 
 def transversality_necessary(
@@ -271,7 +261,8 @@ def transversality_necessary(
 
     True when the shape is a nondegenerate minimum of the b-term on the
     planar shape sphere: planar index 0, with the rotation its one zero
-    mode (cc_index raises DegenerateError otherwise).
+    mode (cc_index raises DegenerateError otherwise).  Each planar
+    EquilibriumReport of find_equilibria carries that index.
     """
     return cc_index(s0, ms, _pure_b(pp), "planar").index == 0
 
