@@ -17,7 +17,6 @@ constraint alone.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import permutations
@@ -46,7 +45,6 @@ from .model import (
 
 _SPHERE_TOL = 1e-9
 _ZERO_TOL_FACTOR = 1e-8
-_MAX_BODIES = 6
 
 
 @dataclass(frozen=True)
@@ -587,21 +585,6 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
     tighter than that.  This is the one-member solve_collinear_batch.
     """
     return solve_collinear_batch([(ordering, q.ms)], q.pp, q.inertia_I0, q.grad_tol, q.max_iter)[0]
-
-
-def solve_collinear_all(q: CCQuery) -> list[CCResult]:
-    """All n!/2 collinear classes, one result per canonical ordering, in lockstep."""
-    n = q.ms.n
-    if n > _MAX_BODIES:
-        raise ValueError(f"collinear enumeration supports n <= {_MAX_BODIES}")
-    members = [(o, q.ms) for o in Ordering.all_canonical(n)]
-    results = solve_collinear_batch(members, q.pp, q.inertia_I0, q.grad_tol, q.max_iter)
-    expected = math.factorial(n) // 2
-    if len(results) != expected:
-        raise NoConvergenceError(
-            f"found {len(results)} collinear classes, expected {expected}"
-        )
-    return results
 
 
 def equilateral_configuration(

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .central_config import (
-    _MAX_BODIES,
     CCQuery,
     CCResult,
     Ordering,
@@ -233,8 +232,11 @@ def _masses(value, path, rng, n):
         raise ConfigError(f"invalid {path}: {exc}") from None
 
 
-def _potential(value, path, rng, n):
-    params = _read(value, path, {f.name: (f.default, _float, rng) for f in fields(PotentialParams)})
+def _potential(value, path, domain):
+    """PotentialParams with each key in its range in domain, or else in (-inf, inf)."""
+    table = {f.name: (f.default, _float, domain.get(f.name, "(-inf, inf)"))
+             for f in fields(PotentialParams)}
+    params = _read(value, path, table)
     try:
         return PotentialParams(**params)
     except ValueError as exc:
@@ -267,7 +269,8 @@ class RunConfig:
         top = {key: default for key, (default, _, _) in _TOP.items()} | _read(raw, "", allowed)
         n, state = top["masses"].n, top["initial_state"]
         return cls(
-            ms=top["masses"], pp=top["potential"],
+            ms=top["masses"],
+            pp=_potential(top["potential"], "potential", _POTENTIALS[command]),
             inertia_I0=top["inertia_I0"], energy_h=top["energy_h"],
             initial_state=None if state is None else _state(state, "initial_state", _STATES, n),
             tol=_read(top["tolerances"], "tolerances", _TOLERANCES[command], n),
@@ -522,7 +525,7 @@ def _match_payload(m: RestPointMatch) -> dict:
 _TOP = {
     "schema": (_REQUIRED, _int, f"{{{SCHEMA}}}"),
     "masses": (_REQUIRED, _masses, None),
-    "potential": ({}, _potential, "(-inf, inf)"),  # one range for a, b, alpha and beta
+    "potential": ({}, _later, None),
     "inertia_I0": (1.0, _float, "(0, inf)"),
     "energy_h": (None, _float, "(-inf, inf)"),
     "initial_state": (None, _later, None),
@@ -573,6 +576,16 @@ _TOLERANCES = {
     "homothetic": {"rho_floor": (1e-8, _float, "(0, 1)"), "rel_tol": (1e-11, _float, "[0, inf)"),
                    "abs_tol": (1e-13, _float, "(0, inf)"), "grad_tol": _GRAD_TOL},
 }
+# the range of each potential key a subcommand restricts; the others keep (-inf, inf)
+_POTENTIALS = {
+    "cc-collinear": {},
+    "cc-planar3": {"a": "{1}", "alpha": "(0, inf)", "beta": "(0, inf)"},
+    "simultaneous": {"a": "(0, inf)", "alpha": "(0, inf)", "beta": "(0, inf)"},
+    "simulate": {},
+    "collision-flow": {"a": "{1}", "beta": "(0, inf)"},
+    "eigen": {"a": "{1}", "b": "(2, inf)", "beta": "(0, inf)"},
+    "homothetic": {"a": "{1}", "alpha": "(0, inf)", "beta": "(0, inf)"},
+}
 # a null t_span runs from the initial state's time t to t + 10
 _OPTIONS = {
     "cc-collinear": {"mass_draws": (None, _draws, _MASS_DRAWS)},
@@ -589,6 +602,9 @@ _OPTIONS = {
 # ---------------------------------------------------------------------------
 # subcommands: each returns (payload, tables), the summary without its _header
 # and the CSV tables (file name, header, body) that main writes before it
+
+
+_MAX_BODIES = 6
 
 
 def _require_enumerable(command: str, n: int) -> None:
@@ -633,10 +649,6 @@ def cmd_cc_collinear(cfg: RunConfig) -> tuple[dict, list]:
 def cmd_cc_planar3(cfg: RunConfig) -> tuple[dict, list]:
     if cfg.ms.n != 3:
         raise ConfigError(f"cc-planar3 needs exactly 3 masses, got {cfg.ms.n}")
-    if cfg.pp.a != 1.0:
-        raise ConfigError(f"cc-planar3 needs a = 1, got a = {cfg.pp.a!r}")
-    if cfg.pp.beta <= 0.0 or cfg.pp.alpha <= 0.0:
-        raise ConfigError("cc-planar3 needs alpha > 0 and beta > 0")
     plus, minus = equilateral_cc(CCQuery(cfg.ms, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"]))
     # The side certificate: with unit coefficients the side solves the
     # scalar equation behind f_root, so recompute sigma in that gauge.
@@ -659,10 +671,6 @@ def cmd_cc_planar3(cfg: RunConfig) -> tuple[dict, list]:
 
 
 def cmd_simultaneous(cfg: RunConfig) -> tuple[dict, list]:
-    if cfg.pp.alpha <= 0.0 or cfg.pp.beta <= 0.0:
-        raise ConfigError("simultaneous needs alpha > 0 and beta > 0")
-    if cfg.pp.a == 0.0:
-        raise ConfigError("simultaneous needs a > 0: a = 0 has no shape equation")
     _require_enumerable("simultaneous", cfg.ms.n)
     grid, gap_tol = cfg.opt["mass_grid"], cfg.tol["gap_tol"]
     orderings = Ordering.all_canonical(cfg.ms.n)
@@ -757,8 +765,6 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
 
 
 def cmd_collision_flow(cfg: RunConfig) -> tuple[dict, list]:
-    if cfg.pp.a != 1.0 or cfg.pp.beta <= 0.0:
-        raise ConfigError("collision-flow needs a = 1 with beta > 0")
     _require_enumerable("collision-flow", cfg.ms.n)
     starts, catalog = _initial_on_C(cfg)
     listed = isinstance(cfg.opt["start"], list)
@@ -804,10 +810,6 @@ def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult],
 
 
 def cmd_eigen(cfg: RunConfig) -> tuple[dict, list]:
-    if cfg.pp.a != 1.0 or cfg.pp.beta <= 0.0:
-        raise ConfigError("eigen needs a = 1 with beta > 0")
-    if cfg.pp.b <= 2.0:
-        raise ConfigError(f"equilibrium spectra need b > 2, got b = {cfg.pp.b!r}")
     cases = cfg.opt["cases"]
     if cases is None:
         _require_enumerable("eigen", cfg.ms.n)

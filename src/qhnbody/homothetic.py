@@ -1,8 +1,8 @@
 """Homothetic orbits over simultaneous central configurations.
 
 When s0 is a simultaneous central configuration of both terms, the
-plane {s = s0, u = 0} is invariant under the blown-up flow and the
-dynamics reduce to
+plane {s = s0, u = 0} is invariant under the blown-up flow of a = 1 and
+the dynamics reduce to
 
     rho' = rho v
     v'   = (b - 1) rho^(b-1) W(s0) + b rho^b h,
@@ -89,8 +89,10 @@ def energy_curve_v2(rho, s0: Configuration, ms: MassSystem, pp: PotentialParams,
 
     Vectorized over rho.  At rho = 0 the value is 2 V(s0) > 0; for
     h >= 0 the curve is nondecreasing in rho, for h < 0 it has a unique
-    positive zero.
+    positive zero.  The reduction holds for a = 1 with beta > 0 only;
+    other parameters raise ManevOnlyError.
     """
+    pp.require_manev()
     require_on_sphere(s0, ms)
     return _v2(rho, *potential_terms(s0, ms, pp), pp.b, h)
 
@@ -105,7 +107,8 @@ def _v2(rho, w0: float, v0: float, b: float, h: float) -> np.ndarray | float:
 def rho_max_bisection(
     s0: Configuration, ms: MassSystem, pp: PotentialParams, h: float
 ) -> float:
-    """Unique positive zero of the energy curve, h < 0 required."""
+    """Unique positive zero of the energy curve, h < 0 and a = 1 with beta > 0 required."""
+    pp.require_manev()
     if h >= 0.0:
         raise EnergySignError("rho_max exists only for negative energy")
     require_on_sphere(s0, ms)
@@ -139,8 +142,10 @@ def heteroclinic_orbit(
     Starts at rho = rho_floor on the ejection branch and integrates the
     reduced system until the orbit falls back through rho_floor.  The
     turning size is recorded by a v = 0 event and cross-checked against
-    bisection on the energy curve.
+    bisection on the energy curve.  The reduction holds for a = 1 with
+    beta > 0 only; other parameters raise ManevOnlyError.
     """
+    pp.require_manev()
     # one sphere check and one pair-kernel pass at s0 serve every quantity below
     require_on_sphere(s0, ms)
     terms = pair_terms(s0, ms, pp)

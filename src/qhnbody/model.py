@@ -105,14 +105,6 @@ class Configuration:
         r.flags.writeable = False
         object.__setattr__(self, "positions", r)
 
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseState:

@@ -28,7 +28,6 @@ from qhnbody.central_config import (
     simultaneous_gap,
     simultaneous_gaps,
     simultaneous_residual,
-    solve_collinear_all,
     solve_collinear_batch,
     solve_collinear_ordering,
     tangent_basis,
@@ -109,7 +108,7 @@ def test_two_body_closed_form_positions():
 def test_collinear_counts_and_residuals():
     for n, count in ((2, 1), (3, 3), (4, 12)):
         ms = MassSystem(np.linspace(1.0, 2.0, n))
-        results = solve_collinear_all(CCQuery(ms=ms, pp=PP13))
+        results = solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(n)], PP13)
         assert len(results) == count
         for res in results:
             assert res.residual < 1e-10
@@ -117,12 +116,6 @@ def test_collinear_counts_and_residuals():
             assert res.config.positions.shape == (n, 2)
             gaps = np.diff(np.sort(res.config.positions[:, 0]))
             assert np.all(gaps > 0.0)
-
-
-def test_collinear_enumeration_caps_at_six_bodies():
-    ms = MassSystem(np.ones(7))
-    with pytest.raises(ValueError):
-        solve_collinear_all(CCQuery(ms=ms, pp=PP12))
 
 
 def test_six_body_ordering_converges_at_its_rounding_floor():
@@ -144,7 +137,7 @@ def test_seeded_census_at_five_and_six_bodies():
     started = time.monotonic()
     for n in (5, 5, 6):
         ms = random_masses(rng, n)
-        for res in solve_collinear_all(CCQuery(ms=ms, pp=pp)):
+        for res in solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(n)], pp):
             x = res.config.positions[:, 0]
             assert np.all(np.diff(x[list(res.ordering.zero_based)]) > 0.0)
             assert res.index == 0
@@ -174,7 +167,7 @@ def test_lockstep_batch_equals_one_member_solves():
     for n in (3, 4, 5, 6):
         ms = random_masses(rng, n)
         q = CCQuery(ms=ms, pp=pp)
-        batch = solve_collinear_all(q)
+        batch = solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(n)], pp)
         assert [r.ordering for r in batch] == Ordering.all_canonical(n)
         for res in batch:
             one = solve_collinear_ordering(res.ordering, q)
@@ -207,7 +200,7 @@ def test_each_newton_iterate_costs_one_kernel_pass(monkeypatch):
     assert len(bindings) == 1
     bindings.clear()
     passes.clear()
-    batch = solve_collinear_all(CCQuery(ms=ms, pp=PP13))
+    batch = solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(6)], PP13)
     assert len(bindings) == 1
     rounds = max(r.newton_iters for r in batch)
     assert 1 + rounds <= len(passes) <= 1 + rounds + sum(r.backtracks for r in batch)

@@ -20,15 +20,14 @@ import pytest
 from conftest import count_kernel_bindings, count_kernel_passes
 from qhnbody import central_config, cli, homothetic
 from qhnbody.central_config import (
-    CCQuery,
     Ordering,
     equilateral_configuration,
     equilateral_side,
-    solve_collinear_all,
+    solve_collinear_batch,
 )
 from qhnbody.collision_flow import manifold_start, pure_b_shapes
 from qhnbody.errors import StiffnessError
-from qhnbody.mcgehee import mcgehee_renormalizer, pack_mcgehee
+from qhnbody.mcgehee import McGeheeState, from_mcgehee, mcgehee_renormalizer, pack_mcgehee
 from qhnbody.model import (
     Configuration,
     MassSystem,
@@ -36,6 +35,7 @@ from qhnbody.model import (
     PotentialParams,
     angular_momentum,
     hamiltonian,
+    pack_phase,
     potential_V,
 )
 
@@ -132,7 +132,7 @@ def test_eigen_with_its_own_cases_enumerates_nothing_and_takes_seven_bodies(tmp_
 def test_a_mass_draw_census_matches_one_solve_per_draw(tmp_path):
     # draw k is the k-th uniform(lo, hi, n) of one seeded generator; its
     # n!/2 classes, solved in the batch of the config's own masses, match
-    # a separate solve_collinear_all of that draw bit for bit
+    # a separate batch of that draw's classes bit for bit
     draws = {"trials": 3, "seed": 7, "lo": 0.2, "hi": 5.0}
     data = base_config(masses=[1.0, 2.0, 3.0, 4.0])
     code, plain = run(tmp_path, "cc-collinear", data, subdir="plain")
@@ -148,7 +148,8 @@ def test_a_mass_draw_census_matches_one_solve_per_draw(tmp_path):
     expected = []
     for trial in range(3):
         masses = rng.uniform(0.2, 5.0, size=4)
-        for ref in solve_collinear_all(CCQuery(ms=MassSystem(masses), pp=pp)):
+        members = [(o, MassSystem(masses)) for o in Ordering.all_canonical(4)]
+        for ref in solve_collinear_batch(members, pp):
             x = ref.config.positions[:, 0]
             assert np.all(np.diff(x[list(ref.ordering.zero_based)]) > 0.0)
             assert ref.index == 0
@@ -355,6 +356,24 @@ def test_a_bad_state_csv_row_names_its_file_row_and_column(tmp_path, capsys, row
     assert code == 2
     assert capsys.readouterr().err == f"error: state csv {tmp_path / 'state.csv'} {message}\n"
     assert not any(out.iterdir())
+
+
+def test_simulate_starts_from_a_blow_up_state(tmp_path, capsys):
+    # a blow-up state with rho > 0 maps back to the Cartesian state of its first row
+    s = np.array([[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]])  # on the unit mass sphere
+    u = np.array([[0.0, 0.3], [0.0, -0.3]])  # mass-orthogonal to s
+    state = {"kind": "mcgehee", "rho": 1.2, "v": 0.1, "s": s.tolist(), "u": u.tolist()}
+    data = base_config(masses=[1.0, 1.0], initial_state=state, options={"t_span": [0.0, 0.5]})
+    code, out = run(tmp_path, "simulate", data)
+    assert code == 0
+    _, rows = load_csv(out, "simulate.csv")
+    ms, pp = MassSystem(np.ones(2)), PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    start = pack_phase(from_mcgehee(McGeheeState(rho=1.2, v=0.1, s=s, u=u), ms, pp))
+    assert [float(x) for x in rows[0][:9]] == [0.0, *start]
+    capsys.readouterr()
+    code, _ = run(tmp_path, "simulate", {**data, "initial_state": {**state, "rho": 0.0}}, "rho0")
+    assert code == 2
+    assert "invalid blow-up state" in capsys.readouterr().err
 
 
 def test_simulate_checks_a_declared_energy_level(tmp_path, capsys):
@@ -813,6 +832,8 @@ SIM = base_config(masses=[1.0, 1.0], initial_state=TWO_BODY)
 FLOW = base_config(options=CF_START)
 GRID = base_config(options={"mass_grid": {"m1": [0.5, 1.5], "m2": [0.5, 1.5]}})
 CSV_STATE = base_config(masses=[1.0, 1.0], initial_state={"kind": "csv", "path": "state.csv"})
+EIGEN = base_config()
+HOMOTHETIC = base_config(masses=[1.0, 1.0, 1.0], beta=1.0, energy_h=-1.0)
 
 
 # the close match that the message of each misspelt key below names
@@ -866,6 +887,12 @@ CLOSE_MATCH = {
         _case("collision-flow", "options.start.v_sign", FLOW, True),
         _case("simulate", "options.t_span", SIM, [0, True]),
         _case("simulate", "initial_state.positions", SIM, [[0.5, 0.0], [-0.5, False]]),
+        _case("simulate", "initial_state", SIM),
+        _case("collision-flow", "initial_state", base_config(),
+              {"kind": "cartesian", "positions": [[1, 0], [0, 1], [-1, -1]],
+               "momenta": [[0, 0]] * 3}),
+        _case("homothetic", "options.shape", HOMOTHETIC, {"positions": [[1, 1]] * 3}),
+        _case("homothetic", "options.shape", {**HOMOTHETIC, "masses": [1.0] * 4}, "equilateral"),
     ],
 )
 def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, field, data):
@@ -878,11 +905,38 @@ def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, fi
     assert "Traceback" not in err
 
 
+# each potential key a subcommand restricts, at the bound of its range or past it
+@pytest.mark.parametrize(
+    "command, data, key, value, rng",
+    [
+        ("cc-planar3", base_config(), "a", 0.5, "{1}"),
+        ("cc-planar3", base_config(), "alpha", 0.0, "(0, inf)"),
+        ("cc-planar3", base_config(), "beta", 0.0, "(0, inf)"),
+        ("simultaneous", base_config(), "a", 0.0, "(0, inf)"),
+        ("simultaneous", base_config(), "alpha", 0.0, "(0, inf)"),
+        ("simultaneous", base_config(), "beta", 0.0, "(0, inf)"),
+        ("collision-flow", FLOW, "a", 0.5, "{1}"),
+        ("collision-flow", FLOW, "beta", 0.0, "(0, inf)"),
+        ("eigen", EIGEN, "a", 0.5, "{1}"),
+        ("eigen", EIGEN, "b", 2.0, "(2, inf)"),
+        ("eigen", EIGEN, "b", 1.5, "(2, inf)"),
+        ("eigen", EIGEN, "beta", 0.0, "(0, inf)"),
+        ("homothetic", HOMOTHETIC, "a", 0.5, "{1}"),
+        ("homothetic", HOMOTHETIC, "alpha", 0.0, "(0, inf)"),
+        ("homothetic", HOMOTHETIC, "beta", 0.0, "(0, inf)"),
+    ],
+)
+def test_a_potential_outside_its_subcommands_domain_is_a_config_error(
+    tmp_path, capsys, command, data, key, value, rng
+):
+    code, out = run(tmp_path, command, _case(command, f"potential.{key}", data, value)[2])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: potential.{key} must lie in {rng}, got {value!r}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # shape specs: one grammar wherever a shape is read
-
-EIGEN = base_config()
-HOMOTHETIC = base_config(masses=[1.0, 1.0, 1.0], beta=1.0, energy_h=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -939,14 +993,16 @@ def test_positions_give_a_shape_but_not_a_rest_point(tmp_path, capsys):
 
 
 def test_readme_config_tables_match_the_code():
-    # every `tolerances.*` and `options.*` row under a "#### `qh <command>`"
-    # heading, against the command's tables with nested tables flattened
+    # every `potential.*`, `tolerances.*` and `options.*` row under a
+    # "#### `qh <command>`" heading, against the command's tables with nested
+    # tables flattened
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented, command = {}, None
     for line in readme.splitlines():
         heading = re.match(r"#### `qh ([\w-]+)`", line)
         command = heading.group(1) if heading else command
-        row = re.match(r"\| `((?:tolerances|options)\.[\w.]+)` \| ([^|]+) \| ([^|]+) \|", line)
+        row = re.match(r"\| `((?:potential|tolerances|options)\.[\w.]+)` \| ([^|]+) \| ([^|]+) \|",
+                       line)
         if row:
             key, default, rng = (cell.strip() for cell in row.groups())
             default = default if default == "required" else json.loads(default.strip("`"))
@@ -959,8 +1015,11 @@ def test_readme_config_tables_match_the_code():
             if isinstance(rng, dict):
                 yield from flatten(f"{prefix}{key}.", rng)
 
+    defaults = PotentialParams()
     expected = {
-        command: dict(flatten("tolerances.", cli._TOLERANCES[command]))
+        command: {f"potential.{key}": (getattr(defaults, key), rng)
+                  for key, rng in cli._POTENTIALS[command].items()}
+        | dict(flatten("tolerances.", cli._TOLERANCES[command]))
         | dict(flatten("options.", cli._OPTIONS[command]))
         for command in cli._COMMANDS
     }

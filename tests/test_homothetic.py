@@ -10,7 +10,7 @@ from qhnbody.central_config import (
     equilateral_configuration,
     solve_collinear_ordering,
 )
-from qhnbody.errors import AdmissibilityError, EnergySignError, NotOnSphereError
+from qhnbody.errors import AdmissibilityError, EnergySignError, ManevOnlyError, NotOnSphereError
 from qhnbody.homothetic import (
     energy_curve_v2,
     heteroclinic_orbit,
@@ -165,6 +165,19 @@ def test_heteroclinic_orbit_guard_rails():
         heteroclinic_orbit(config, MS, PP, h=-1.0, rho_floor=0.0)
     with pytest.raises(ValueError):
         heteroclinic_orbit(config, MS, PP, h=-1.0, rho_floor=1.5)
+
+
+def test_the_reduction_refuses_a_other_than_one():
+    # the reduced field and energy curve are those of a = 1; at a = 0.5 they
+    # would trace the a = 1 orbit, with a turning size the energy relation denies
+    config, _ = equilateral_configuration(MS)
+    pp = PotentialParams(a=0.5, b=3.0, alpha=1.0, beta=1.0)
+    with pytest.raises(ManevOnlyError):
+        heteroclinic_orbit(config, MS, pp, h=-1.0)
+    with pytest.raises(ManevOnlyError):
+        energy_curve_v2(0.5, config, MS, pp, h=-1.0)
+    with pytest.raises(ManevOnlyError):
+        rho_max_bisection(config, MS, pp, h=-1.0)
 
 
 def test_an_off_sphere_shape_raises_the_sphere_error():

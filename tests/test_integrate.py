@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import circular_two_body, random_masses
 from qhnbody import integrate as integrate_module
-from qhnbody.central_config import CCQuery, equilateral_cc, solve_collinear_all
+from qhnbody.central_config import CCQuery, Ordering, equilateral_cc, solve_collinear_batch
 from qhnbody.errors import CollisionError, DegenerateStateError, FieldError, StiffnessError
 from qhnbody.integrate import (
     _A,
@@ -397,7 +397,7 @@ def relative_equilibria():
     out = []
     for n in (3, 4, 5, 6):
         ms = random_masses(rng, n)
-        results = solve_collinear_all(CCQuery(ms, pp))
+        results = solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(n)], pp)
         if n == 6:
             results = [results[i] for i in rng.choice(len(results), 24, replace=False)]
         out += [(f"n={n} {cc.ordering.perm}", lift_to_plane(cc.config), cc.sigma, ms) for cc in results]
