@@ -889,12 +889,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; its CSV tables and then <command>.json are written only on success."""
+    """Run one subcommand; only on success make --out, its CSV tables, then <command>.json."""
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config, args.command)
-        out_dir = Path(args.out) if args.out else Path.cwd()
-        out_dir.mkdir(parents=True, exist_ok=True)
         payload, tables = _COMMANDS[args.command](cfg)
     except (ValueError, ManevOnlyError) as exc:
         # ConfigError is a ValueError; a != 1 (or beta = 0) is a config
@@ -904,10 +902,17 @@ def main(argv=None) -> int:
     except QHError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    for name, header, body in tables:
-        print(f"wrote {_write_csv(out_dir / name, header, body)}")
-    name = args.command.replace("-", "_") + ".json"
-    print(f"wrote {_write_json(out_dir / name, {**_header(cfg, args.command), **payload})}")
+    out_dir = Path(args.out) if args.out else Path.cwd()
+    summary = args.command.replace("-", "_") + ".json"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written = [_write_csv(out_dir / name, header, body) for name, header, body in tables]
+        written.append(_write_json(out_dir / summary, {**_header(cfg, args.command), **payload}))
+    except OSError as exc:
+        print(f"error: cannot write --out {out_dir}: {exc}", file=sys.stderr)
+        return 2
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

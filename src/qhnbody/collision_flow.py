@@ -322,8 +322,8 @@ def integrate_on_C(
         return min_separation(y[2 : 2 + sz].reshape(n, dim)) - separation_floor
 
     events = [
-        Event("equilibrium", settle, direction=-1, terminal=True),
-        Event("separation", separation, direction=-1, terminal=True),
+        Event("equilibrium", settle, terminal=True),
+        Event("separation", separation, terminal=True),
     ]
 
     def manifold(times, states):

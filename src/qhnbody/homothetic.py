@@ -181,8 +181,8 @@ def heteroclinic_orbit(
     # generously against the asymptotic speed sqrt(2 V(s0)).
     tau_max = 400.0 * max(1.0, -np.log(rho_floor)) / np.sqrt(2.0 * v0_pot)
     events = [
-        Event("turn", lambda t, y: y[1], direction=-1, terminal=False),
-        Event("floor", lambda t, y: y[0] - rho_floor, direction=-1, terminal=True),
+        Event("turn", lambda t, y: y[1], terminal=False),
+        Event("floor", lambda t, y: y[0] - rho_floor, terminal=True),
     ]
     tr = integrate(
         field,

@@ -3,21 +3,20 @@
 The stepper is DOP853, the Dormand-Prince 8(5,3) pair of Hairer, Norsett
 and Wanner: 12 stages with the last field value reused as the next
 step's first (12 field calls per step), their combined 5th/3rd-order
-error estimate and proportional-integral step-size control.  Its
-seventh-order dense output needs 3 more field calls, made lazily: only
-for a step that event location or Trajectory.sample interpolates.  An
-optional per-step renormalizer hook holds states on a constraint
-manifold (for example the unit shape sphere).  Events are located by
-bisection on the dense output to 1e-10 in the independent variable; the
-state stored for an event is then one real step from the start of its
-step to the located time, not an interpolated value.
+error estimate and proportional-integral step-size control.  An optional
+per-step renormalizer holds states on a constraint manifold (for example
+the unit shape sphere); it projects each accepted end point before that
+point's one field call.  Events fire when their function falls from
+above 0 to 0 or below.  Only a step in which an event falls builds the
+seventh-order dense output (3 more field calls), and it is dropped once
+the event is located by bisection to 1e-10 in the independent variable;
+the state stored for an event is then one real step from the start of
+its step to the located time, not an interpolated value.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,16 +168,14 @@ _MAX_STEPS = 10_000_000
 
 @dataclass(frozen=True)
 class Event:
-    """Scalar event function g(t, y); a sign change triggers the event.
+    """Scalar event function g(t, y), triggered when g falls from above 0 to 0 or below.
 
-    direction +1 reacts to g passing from negative to positive, -1 to the
-    opposite crossing, 0 to both.  A terminal event stops the integration
-    at the located crossing.
+    A rising crossing is not an event.  A terminal event stops the
+    integration at the located crossing.
     """
 
     name: str
     fn: object
-    direction: int = 0
     terminal: bool = False
 
 
@@ -186,9 +183,10 @@ class Event:
 class _Segment:
     """One accepted step, with its dense output built on first use.
 
-    k holds the 13 stage rows of the step (k[12] = f(t0 + h, y1)).  The
-    first eval makes the 3 extra stages of the seventh-order interpolant,
-    stores its coefficients in coef and drops k and the field.
+    k holds the 13 stage rows of the step; k[12] is the field at the
+    stored end state, which a renormalizer may have moved off y1.  The
+    first eval copies k, makes the 3 extra stages of the seventh-order
+    interpolant, stores its coefficients in coef and drops k and the field.
     """
 
     t0: float
@@ -228,8 +226,7 @@ class Trajectory:
     the last step or the terminal event point (renormalized when a
     renormalizer is active), conserved_residuals the (N,) series each
     monitor returned on that grid, events the located crossings, and
-    termination either "time-budget" or "event:<name>".  sample()
-    evaluates the dense output at arbitrary interior times.
+    termination either "time-budget" or "event:<name>".
     """
 
     times: np.ndarray
@@ -237,26 +234,10 @@ class Trajectory:
     termination: str
     events: dict = field(default_factory=dict)
     conserved_residuals: dict = field(default_factory=dict)
-    segments: list = field(default_factory=list)
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def sample(self, t: float) -> np.ndarray:
-        """Dense-output state at time t inside the integrated span."""
-        if not self.segments:
-            raise ValueError("trajectory has no dense segments")
-        t0 = self.segments[0].t0
-        t1 = self.segments[-1].t0 + self.segments[-1].h
-        if not min(t0, t1) - 1e-12 <= t <= max(t0, t1) + 1e-12:
-            raise ValueError(f"time {t!r} outside integrated span [{t0!r}, {t1!r}]")
-        k = max(bisect_right(self._starts, t) - 1, 0)
-        return self.segments[k].eval(t)
-
-    @functools.cached_property
-    def _starts(self) -> list[float]:
-        return [s.t0 for s in self.segments]
 
 
 def _stage_state(s, y, h, k) -> np.ndarray:
@@ -312,28 +293,16 @@ def _initial_step(field_fn, t0, y0, f0, t1, rel_tol, abs_tol, max_step):
     return min(100 * h0, h1, abs(t1 - t0), max_step)
 
 
-def _locate_event(ev: Event, seg: _Segment, ta, ga, tb, gb):
-    """Bisect the dense output for the crossing time of one event."""
-    lo, glo, hi = ta, ga, tb
-    tol = max(_EVENT_TOL, 64.0 * np.finfo(float).eps * abs(tb))
+def _locate_event(ev: Event, seg: _Segment, lo, hi):
+    """Bisect the dense output for the time at which g, above 0 at lo, falls to 0."""
+    tol = max(_EVENT_TOL, 64.0 * np.finfo(float).eps * abs(hi))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        gmid = float(ev.fn(mid, seg.eval(mid)))
-        if (glo <= 0.0 < gmid) or (glo > 0.0 >= gmid):
+        if float(ev.fn(mid, seg.eval(mid))) <= 0.0:
             hi = mid
         else:
-            lo, glo = mid, gmid
+            lo = mid
     return 0.5 * (lo + hi)
-
-
-def _triggered(ev: Event, g0: float, g1: float) -> bool:
-    rising = g0 < 0.0 <= g1
-    falling = g0 > 0.0 >= g1
-    if ev.direction > 0:
-        return rising
-    if ev.direction < 0:
-        return falling
-    return rising or falling
 
 
 def integrate(
@@ -352,20 +321,23 @@ def integrate(
     Before the first field call, raises ValueError for a span without
     finite ends, an abs_tol that is not positive and finite, a negative
     or non-finite rel_tol (0 is allowed) or a max_step that is not
-    positive.  The renormalizer, when given, maps each accepted state
-    back onto its constraint manifold before the state is stored and used
-    for the next step.  The state stored for an event, and as the grid
-    point of a terminal one, is one step from the start of the accepted
-    step to the located time.  monitors is a dict of named functions called once, after the
-    last step, as fn(times, states) on the accepted grid ((N,) and
-    (N, dim), t0 and any terminal event point included; the trajectory's
-    own arrays, not to be modified); each returns an (N,) series, else
-    ValueError.  Raises FieldError if the field cannot
-    be evaluated at the initial state and StiffnessError, carrying the
-    last accepted t and state, if the step size underflows.  Later field
-    errors other than QHError and ArithmeticError propagate unchanged, and
-    so does any error of the field calls made for the dense output or for
-    an event's step, which lie outside the step-size control.
+    positive.  The renormalizer, when given, projects the end point of
+    each step that passes the error test onto its constraint manifold
+    before the field call there; the projected state is stored, starts
+    the next step and is what events read.  A renormalizer that raises
+    QHError or ArithmeticError rejects the attempt with h / 4, as a failed
+    field call at the end point does.  The state stored for an event, and
+    as the grid point of a terminal one, is one step from the start of
+    the accepted step to the located time.  monitors is a dict of named
+    functions called once, after the last step, as fn(times, states) on
+    the accepted grid ((N,) and (N, dim), t0 and any terminal event point
+    included; the trajectory's own arrays, not to be modified); each
+    returns an (N,) series, else ValueError.  Raises FieldError if the
+    field cannot be evaluated at the initial state and StiffnessError,
+    carrying the last accepted t and state, if the step size underflows.
+    Later field errors other than QHError and ArithmeticError propagate
+    unchanged, and so does any error of the field calls made for the
+    dense output or for an event's step, outside the step-size control.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -399,8 +371,7 @@ def integrate(
 
     t = t0
     times = [t]
-    states = [y.copy()]
-    segments: list[_Segment] = []
+    states = [y]
     ev_values = [float(ev.fn(t, y)) for ev in events]
     ev_hits: dict[str, list] = {ev.name: [] for ev in events}
     termination = "time-budget"
@@ -424,18 +395,20 @@ def integrate(
         if h < h_floor(t):
             raise StiffnessError(f"step size underflow at t = {t!r} (h = {h:.3e})", t, y.copy())
 
-        # a failed stage, a non-finite y1 (its error norm could be NaN) and a failed
-        # f(t + h, y1), made only once the error test passes, each reject with h / 4
+        # a failed stage, a non-finite y1 (its error norm could be NaN), and a failed
+        # projection or f(t + h, y_new), made only once the error test passes,
+        # each reject with h / 4
         failed = err = None
         k[0] = f
         try:
-            y_new = _step(field_fn, t, y, h, k)
-            if not np.isfinite(y_new).all():
+            y1 = _step(field_fn, t, y, h, k)
+            if not np.isfinite(y1).all():
                 failed = "non-finite step"
             else:
-                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y1))
                 err = _error_norm(h, k, scale)
                 if err <= 1.0:
+                    y_new = y1 if renormalizer is None else renormalizer(y1)
                     k[12] = f_new = np.asarray(field_fn(t + h, y_new), dtype=float)
                     if not np.isfinite(f_new).all():
                         failed = "non-finite step"
@@ -457,38 +430,37 @@ def integrate(
             just_rejected = True
             continue
 
-        # Accepted: PI update, dense segment, events, renormalize, store.
+        # Accepted: PI update, events, store.
         fac11 = err**_EXPO if err > 0.0 else 0.0
         fac = _SAFETY * (fac_old**_BETA / fac11) if fac11 > 0.0 else _FAC_MAX
         fac = min(1.0 if just_rejected else _FAC_MAX, max(_FAC_MIN, fac))
         fac_old = max(err, 1e-4)
         just_rejected = False
 
-        seg = _Segment(t0=t, h=h, y0=y.copy(), y1=y_new.copy(), k=k.copy(), field_fn=field_fn)
-        segments.append(seg)
         t_new = t + h
 
+        # the dense output, from the raw y1, only for a step in which an event falls
+        seg = None
         stop_at = None
         hits = []
         for idx, ev in enumerate(events):
             g1 = float(ev.fn(t_new, y_new))
-            if _triggered(ev, ev_values[idx], g1):
-                te = _locate_event(ev, seg, t, ev_values[idx], t_new, g1)
-                hits.append((te, ev))
+            if ev_values[idx] > 0.0 >= g1:
+                if seg is None:
+                    seg = _Segment(t0=t, h=h, y0=y, y1=y1, k=k, field_fn=field_fn)
+                hits.append((_locate_event(ev, seg, t, t_new), ev))
             ev_values[idx] = g1
-        if hits:
-            hits.sort(key=lambda pair: pair[0])
-            for te, ev in hits:
-                if stop_at is not None and te > stop_at[0]:
-                    break
-                # the stored state is a real step to te, not the interpolant
-                k_event[0] = f
-                ye = _step(field_fn, t, y, te - t, k_event)
-                if renormalizer is not None:
-                    ye = renormalizer(ye)
-                ev_hits[ev.name].append((te, ye))
-                if ev.terminal and stop_at is None:
-                    stop_at = (te, ye, ev.name)
+        for te, ev in sorted(hits, key=lambda pair: pair[0]):
+            if stop_at is not None and te > stop_at[0]:
+                break
+            # the stored state is a real step to te, not the interpolant
+            k_event[0] = f
+            ye = _step(field_fn, t, y, te - t, k_event)
+            if renormalizer is not None:
+                ye = renormalizer(ye)
+            ev_hits[ev.name].append((te, ye))
+            if ev.terminal and stop_at is None:
+                stop_at = (te, ye, ev.name)
 
         if stop_at is not None:
             te, ye, name = stop_at
@@ -497,13 +469,9 @@ def integrate(
             termination = f"event:{name}"
             break
 
-        if renormalizer is not None:
-            y_new = renormalizer(y_new)
-            f_new = np.asarray(field_fn(t_new, y_new), dtype=float)
-
         t, y, f = t_new, y_new, f_new
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
         h = min(h * fac, max_step)
 
     times, states = np.array(times), np.array(states)
@@ -521,5 +489,4 @@ def integrate(
         termination=termination,
         events=ev_hits,
         conserved_residuals=residuals,
-        segments=segments,
     )

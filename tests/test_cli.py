@@ -344,18 +344,30 @@ def test_simulate_continues_from_its_own_csv(tmp_path):
     assert gap < 1e-9
 
 
+STATE_HEADER = "t,r0x,r0y,r1x,r1y,p0x,p0y,p1x,p1y\n"
+
+
+# a row shorter than its header, a cell that is not a number, no file, a row
+# past the end and a header without the state columns
 @pytest.mark.parametrize(
-    "row, message",
-    [("0.0,0.5,0.0,-0.5,0.0,0.0,1.2,0.0", "row -1 column p1y must be a number, got ''"),
-     ("0.0,0.5,0.0,-0.5,0.0,0.0,1.2,0.0,abc", "row -1 column p1y must be a number, got 'abc'")],
+    "text, row, message",
+    [(STATE_HEADER + "0.0,0.5,0.0,-0.5,0.0,0.0,1.2,0.0\n", -1,
+      "state csv {path} row -1 column p1y must be a number, got ''"),
+     (STATE_HEADER + "0.0,0.5,0.0,-0.5,0.0,0.0,1.2,0.0,abc\n", -1,
+      "state csv {path} row -1 column p1y must be a number, got 'abc'"),
+     (None, -1, "cannot read state csv {path}: [Errno 2] No such file or directory: '{path}'"),
+     (STATE_HEADER + "0.0,0.5,0.0,-0.5,0.0,0.0,1.2,0.0,-1.2\n", 1,
+      "state csv {path} row 1 is out of range for its 1 data rows"),
+     ("t,x0,y0\n0.0,0.5,0.0\n", -1, "state csv {path} lacks the r/p columns for 2 bodies")],
 )
-def test_a_bad_state_csv_row_names_its_file_row_and_column(tmp_path, capsys, row, message):
-    # a row shorter than its header, then a cell that is not a number
-    (tmp_path / "state.csv").write_text("t,r0x,r0y,r1x,r1y,p0x,p0y,p1x,p1y\n" + row + "\n")
-    code, out = run(tmp_path, "simulate", CSV_STATE)
+def test_a_bad_state_csv_row_names_its_file_row_and_column(tmp_path, capsys, text, row, message):
+    path = tmp_path / "state.csv"
+    if text is not None:
+        path.write_text(text)
+    code, out = run(tmp_path, "simulate", _case("simulate", "initial_state.row", CSV_STATE, row)[2])
     assert code == 2
-    assert capsys.readouterr().err == f"error: state csv {tmp_path / 'state.csv'} {message}\n"
-    assert not any(out.iterdir())
+    assert capsys.readouterr().err == "error: " + message.format(path=path) + "\n"
+    assert not out.exists()
 
 
 def test_simulate_starts_from_a_blow_up_state(tmp_path, capsys):
@@ -546,7 +558,7 @@ def test_collision_flow_rejects_states_off_the_manifold(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "initial_state" in err and "options.start" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_a_list_of_starts_runs_each_orbit_as_a_single_start_would(tmp_path):
@@ -611,7 +623,33 @@ def test_a_failing_orbit_of_a_list_leaves_no_file(tmp_path, capsys, monkeypatch)
     assert code == 3
     assert capsys.readouterr() == ("", "error: StiffnessError: step size underflow\n")
     assert len(calls) == 2
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+# --out is made only once the command has its results; a rejection (exit 2)
+# or a runtime failure (exit 3) leaves no directory behind
+@pytest.mark.parametrize(
+    "command, data, want",
+    [("cc-planar3", base_config(masses=[1.0, 2.0]), 2),
+     ("homothetic", base_config(masses=[1.0, 1.0, 1.0], beta=1.0, energy_h=1.0), 3)],
+)
+def test_a_failed_run_makes_no_out_directory(tmp_path, command, data, want):
+    code, out = run(tmp_path, command, data)
+    assert code == want
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["afile", "afile/sub"])
+def test_an_out_path_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, target):
+    (tmp_path / "afile").write_text("")
+    cfg = write_config(tmp_path, base_config(), "cfg.json")
+    out = tmp_path / target
+    assert cli.main(["cc-collinear", "--config", str(cfg), "--out", str(out)]) == 2
+    std = capsys.readouterr()
+    assert std.out == ""
+    assert std.err.startswith(f"error: cannot write --out {out}: ")
+    assert "Traceback" not in std.err
+    assert (tmp_path / "afile").read_text() == ""
 
 
 @pytest.mark.parametrize(
@@ -829,6 +867,9 @@ def _case(command, path, data, value=None):
 
 
 SIM = base_config(masses=[1.0, 1.0], initial_state=TWO_BODY)
+BLOWN_UP = base_config(masses=[1.0, 1.0], initial_state={
+    "kind": "mcgehee", "rho": 1.2, "v": 0.1, "s": [[0.5**0.5, 0.0], [-(0.5**0.5), 0.0]],
+    "u": [[0.0, 0.3], [0.0, -0.3]]})
 FLOW = base_config(options=CF_START)
 GRID = base_config(options={"mass_grid": {"m1": [0.5, 1.5], "m2": [0.5, 1.5]}})
 CSV_STATE = base_config(masses=[1.0, 1.0], initial_state={"kind": "csv", "path": "state.csv"})
@@ -893,6 +934,14 @@ CLOSE_MATCH = {
                "momenta": [[0, 0]] * 3}),
         _case("homothetic", "options.shape", HOMOTHETIC, {"positions": [[1, 1]] * 3}),
         _case("homothetic", "options.shape", {**HOMOTHETIC, "masses": [1.0] * 4}, "equilateral"),
+        _case("cc-collinear", "tolerances", base_config(), 5),
+        _case("simultaneous", "options.mass_grid.m1", GRID, [0.5, 1.0, 1.5]),
+        _case("simulate", "options.t_span", SIM, [1.0, 1.0]),
+        _case("simulate", "initial_state.positions", SIM, [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]),
+        _case("simulate", "initial_state.positions", SIM, [[0.5, 0.0], [-0.5, float("inf")]]),
+        _case("simulate", "initial_state.kind", SIM, "polar"),
+        _case("simulate", "initial_state.u", BLOWN_UP, [[0.3], [-0.3]]),
+        _case("simulate", "initial_state.momenta", SIM, [[1.2], [-1.2]]),
     ],
 )
 def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, field, data):

@@ -464,8 +464,8 @@ def test_settle_gives_the_same_equilibrium_stop_as_the_full_field_check():
         pack_mcgehee(st0),
         (0.0, 200.0),
         events=[
-            Event("equilibrium", settle, direction=-1, terminal=True),
-            Event("separation", separation, direction=-1, terminal=True),
+            Event("equilibrium", settle, terminal=True),
+            Event("separation", separation, terminal=True),
         ],
         renormalizer=mcgehee_renormalizer(ms2, 2),
     )

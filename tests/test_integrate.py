@@ -22,7 +22,13 @@ from qhnbody.integrate import (
     _step,
     integrate,
 )
-from qhnbody.mcgehee import renormalize_mcgehee
+from qhnbody.mcgehee import (
+    mcgehee_field,
+    mcgehee_renormalizer,
+    pack_mcgehee,
+    renormalize_mcgehee,
+    to_mcgehee,
+)
 from qhnbody.model import (
     MassSystem,
     PotentialParams,
@@ -59,14 +65,22 @@ def test_tolerance_controls_error():
     assert errs[1] < 1e-2 * errs[0] and errs[2] < 1e-2 * errs[1]
 
 
+def harmonic_segment(t0=0.3, h=0.25):
+    """The dense output of one step of the harmonic oscillator y = (cos t, -sin t)."""
+    y0 = np.array([np.cos(t0), -np.sin(t0)])
+    k = np.empty((13, 2))
+    k[0] = harmonic(t0, y0)
+    y1 = _step(harmonic, t0, y0, h, k)
+    k[12] = harmonic(t0 + h, y1)
+    return _Segment(t0=t0, h=h, y0=y0, y1=y1, k=k, field_fn=harmonic)
+
+
 def test_dense_output_matches_analytic_solution():
-    tr = integrate(harmonic, np.array([1.0, 0.0]), (0.0, 10.0))
-    for t in np.linspace(0.3, 9.7, 23):
-        y = tr.sample(t)
-        assert abs(y[0] - np.cos(t)) < 1e-8
-        assert abs(y[1] + np.sin(t)) < 1e-8
-    with pytest.raises(ValueError):
-        tr.sample(11.0)
+    seg = harmonic_segment()
+    for t in seg.t0 + seg.h * np.linspace(0.05, 0.95, 19):
+        y = seg.eval(t)
+        assert abs(y[0] - np.cos(t)) < 1e-10
+        assert abs(y[1] + np.sin(t)) < 1e-10
 
 
 def test_exponential_decay_event_location():
@@ -77,7 +91,7 @@ def test_exponential_decay_event_location():
         (0.0, 5.0),
         rel_tol=1e-12,
         abs_tol=1e-14,
-        events=[Event("half", lambda t, y: y[0] - 0.5, direction=-1, terminal=True)],
+        events=[Event("half", lambda t, y: y[0] - 0.5, terminal=True)],
     )
     assert tr.termination == "event:half"
     t_hit, y_hit = tr.events["half"][0]
@@ -95,7 +109,7 @@ def test_an_event_state_is_a_real_step_to_the_event_time():
         field,
         np.array([1.0, 0.0]),
         (0.0, 10.0),
-        events=[Event("turn", lambda t, y: y[1], direction=1, terminal=True)],
+        events=[Event("turn", lambda t, y: -y[1], terminal=True)],
     )
     t_hit, y_hit = tr.events["turn"][0]
     t_prev, y_prev = tr.times[-2], tr.states[-2]
@@ -107,27 +121,28 @@ def test_an_event_state_is_a_real_step_to_the_event_time():
 
 
 def test_event_direction_filtering():
-    # sin crosses zero both ways; a rising-only event must skip t = pi.
+    # sin(t - 0.5) falls through zero at 0.5 + pi and rises at 0.5 + 2 pi;
+    # only the falling crossing is an event
     tr = integrate(
         harmonic,
-        np.array([0.0, 1.0]),  # y = sin t
+        np.array([0.0, 1.0]),
         (0.5, 9.0),
-        events=[Event("up", lambda t, y: y[0], direction=1, terminal=False)],
+        events=[Event("down", lambda t, y: y[0], terminal=False)],
     )
-    hits = [t for t, _ in tr.events["up"]]
+    hits = [t for t, _ in tr.events["down"]]
     assert len(hits) == 1
-    assert abs(hits[0] - (0.5 + 2.0 * np.pi)) < 1e-8
+    assert abs(hits[0] - (0.5 + np.pi)) < 1e-8
 
 
 def test_nonterminal_events_record_all_crossings():
     tr = integrate(
         harmonic,
         np.array([0.0, 1.0]),
-        (0.5, 13.0),
-        events=[Event("zero", lambda t, y: y[0], direction=0, terminal=False)],
+        (0.5, 20.0),
+        events=[Event("zero", lambda t, y: y[0], terminal=False)],
     )
     hits = [t for t, _ in tr.events["zero"]]
-    expected = [0.5 + k * np.pi for k in (1, 2, 3)]  # y = sin(t - 0.5)
+    expected = [0.5 + k * np.pi for k in (1, 3, 5)]  # the falling zeros of sin(t - 0.5)
     assert len(hits) == len(expected)
     assert np.abs(np.array(hits) - expected).max() < 1e-7
 
@@ -143,7 +158,7 @@ def test_manev_plane_crossing_timing():
         (0.0, 2.0 * np.pi / omega),
         rel_tol=1e-12,
         abs_tol=1e-14,
-        events=[Event("axis", lambda t, y: y[1], direction=0, terminal=True)],
+        events=[Event("axis", lambda t, y: y[1], terminal=True)],
     )
     assert tr.termination == "event:axis"
     t_hit, _ = tr.events["axis"][0]
@@ -191,7 +206,7 @@ def test_each_monitor_runs_once_on_the_whole_grid():
         harmonic,
         np.array([1.0, 0.0]),
         (0.0, 10.0),
-        events=[Event("down", lambda t, y: y[0] + 0.5, direction=-1, terminal=True)],
+        events=[Event("down", lambda t, y: y[0] + 0.5, terminal=True)],
         monitors={"radius": monitor},
     )
     assert tr.termination == "event:down"
@@ -353,19 +368,10 @@ def test_renormalize_mcgehee_rejects_a_collapsed_shape():
         renormalize_mcgehee(np.zeros((3, 2)), np.ones((3, 2)), masses)
 
 
-def test_trajectory_sample_between_segments():
-    tr = integrate(harmonic, np.array([1.0, 0.0]), (0.0, 3.0))
-    # segment joints are the accepted times; sampling there must agree
-    for k in range(1, len(tr.times) - 1):
-        y = tr.sample(tr.times[k])
-        assert np.abs(y - tr.states[k]).max() < 1e-9
-
-
-def test_sampling_at_a_segment_start_reads_that_segment():
-    tr = integrate(harmonic, np.array([1.0, 0.0]), (0.0, 3.0))
-    assert len(tr.segments) > 2
-    for seg in tr.segments:
-        assert np.array_equal(tr.sample(seg.t0), seg.eval(seg.t0))
+def test_dense_output_meets_the_step_at_both_ends():
+    seg = harmonic_segment()
+    assert np.array_equal(seg.eval(seg.t0), seg.y0)
+    assert np.abs(seg.eval(seg.t0 + seg.h) - seg.y1).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +529,10 @@ def test_a_field_may_keep_every_state_it_is_given():
             assert np.array_equal(z, y + h * (k[:s].T @ _A[s, :s])), s
 
 
-def _counted_run(monkeypatch, fn, y0, span):
-    """(trajectory, field calls, attempted steps) of one run; every attempt
-    whose stages succeed reaches the error test once."""
+def _counted_run(monkeypatch, fn, y0, span, **options):
+    """(trajectory, field calls, attempted steps) of one run with the given
+    events or renormalizer; every attempt whose stages succeed reaches the
+    error test once."""
     calls, attempts = [], []
     error_norm = integrate_module._error_norm
 
@@ -538,22 +545,36 @@ def _counted_run(monkeypatch, fn, y0, span):
         return fn(t, y)
 
     monkeypatch.setattr(integrate_module, "_error_norm", counted_norm)
-    return integrate(field, y0, span), calls, len(attempts)
+    return integrate(field, y0, span, **options), calls, len(attempts)
 
 
 def test_dense_output_is_built_once_and_only_when_asked(monkeypatch):
-    tr, calls, attempts = _counted_run(monkeypatch, harmonic, np.array([1.0, 0.0]), (0.0, 3.0))
+    y0 = np.array([1.0, 0.0])
+    tr, calls, attempts = _counted_run(monkeypatch, harmonic, y0, (0.0, 3.0))
     # f at t0, one probe for the first step size, 11 stages per attempted
-    # step and f(t + h, y1) per accepted one
+    # step and f(t + h, y1) per accepted one: no dense output
     assert len(calls) == 2 + 11 * attempts + (len(tr.times) - 1)
-    assert all(seg.coef is None for seg in tr.segments)
-    before = len(calls)
-    t = 0.5 * (tr.times[1] + tr.times[2])
-    y = tr.sample(t)
-    assert len(calls) == before + 3
-    assert abs(y[0] - np.cos(t)) < 1e-9
-    tr.sample(t + 1e-6 * (tr.times[2] - tr.times[1]))
-    assert len(calls) == before + 3
+    # cos t falls through -1/2 in one step: that step's dense output costs 3
+    # calls however often bisection reads it, and the event's own step 11
+    down = Event("down", lambda t, y: y[0] + 0.5, terminal=True)
+    tr, calls, attempts = _counted_run(monkeypatch, harmonic, y0, (0.0, 3.0), events=[down])
+    assert tr.termination == "event:down"
+    assert len(calls) == 2 + 11 * attempts + (len(tr.times) - 1) + 3 + 11
+
+
+def test_a_renormalized_step_makes_one_field_call_at_its_end(monkeypatch):
+    # a bound circular pair in blow-up coordinates: the end point of each
+    # accepted step is projected before its one field call
+    ms = MassSystem(np.array([1.0, 2.0]))
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    state, _ = circular_two_body(ms, pp, 1.2)
+    tr, calls, attempts = _counted_run(
+        monkeypatch, mcgehee_field(ms, pp), pack_mcgehee(to_mcgehee(state, ms, pp)), (0.0, 2.0),
+        renormalizer=mcgehee_renormalizer(ms),
+    )
+    accepted = len(tr.times) - 1
+    assert accepted > 10
+    assert len(calls) == 2 + 11 * attempts + accepted
 
 
 def test_a_rejected_step_skips_the_field_call_at_its_end(monkeypatch):
@@ -567,7 +588,9 @@ def test_a_rejected_step_skips_the_field_call_at_its_end(monkeypatch):
     assert len(calls) == 2 + 11 * attempts + accepted
 
 
-@pytest.mark.parametrize("failure", ["stage", "nan y1", "end raises", "nan end"])
+@pytest.mark.parametrize(
+    "failure", ["stage", "nan y1", "end raises", "nan end", "renormalizer raises"]
+)
 def test_each_failed_attempt_quarters_the_step(monkeypatch, failure):
     # the third attempt fails one way; the fourth is a quarter as long
     attempts, norms = [], []
@@ -598,10 +621,16 @@ def test_each_failed_attempt_quarters_the_step(monkeypatch, failure):
                 return np.full_like(y, np.nan)
         return harmonic(t, y)
 
+    def renormalizer(y):
+        if len(attempts) == 3:
+            raise CollisionError("projection")
+        return y
+
     monkeypatch.setattr(integrate_module, "_step", recorded_step)
     monkeypatch.setattr(integrate_module, "_error_norm", counted_norm)
-    tr = integrate(field, np.array([1.0, 0.0]), (0.0, 3.0))
+    projected = {"renormalizer": renormalizer} if failure == "renormalizer raises" else {}
+    tr = integrate(field, np.array([1.0, 0.0]), (0.0, 3.0), **projected)
     assert attempts[3][0] == 0.25 * attempts[2][0]
     # a non-finite y1 never reaches the error test; a failed end point does
-    assert (3 in norms) == (failure in ("end raises", "nan end"))
+    assert (3 in norms) == (failure in ("end raises", "nan end", "renormalizer raises"))
     assert tr.times[-1] == 3.0

@@ -78,9 +78,23 @@ def test_the_closures_the_tracer_wraps_return_fresh_arrays():
         assert np.array_equal(first, second), fn
 
 
+# traced, the tracer also rebinds integrate's field, events and monitors and
+# rebuilds each Event around a wrapped fn
+@pytest.mark.parametrize("traced", [False, True])
 @pytest.mark.parametrize("name", ["census", "sweep", "flow", "simulate"])
-def test_the_first_operation_of_each_workload_passes_its_check(tmp_path, name):
+def test_the_first_operation_of_each_workload_passes_its_check(tmp_path, name, traced):
     workloads = _load("workloads")
     assert name in workloads.WORKLOADS
     op = workloads.build(name, 11, 0.0, tmp_path)[0]
-    assert op.check(op.run()) is None
+    if not traced:
+        assert op.check(op.run()) is None
+        return
+    tracer = _load("tracer").Tracer()
+    tracer.install()
+    try:
+        assert op.check(tracer.op(op.run)) is None
+    finally:
+        tracer.restore()
+    if name == "flow":
+        spans = tracer.spans()
+        assert (spans["names"][spans["name_id"]] == "integrate.event").any()
