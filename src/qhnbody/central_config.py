@@ -150,6 +150,38 @@ class CCResult:
     residual_floor: float | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class CCBatch:
+    """Collinear central configurations of a batch, one row per member in input order.
+
+    x holds the (B, n) positions on the line and hess_eigs the (B, n - 2)
+    restricted-Hessian spectra; each other array is (B,) and holds the
+    CCResult field of its name.  results() builds the CCResult list.
+    """
+
+    orderings: list[Ordering]
+    x: np.ndarray
+    sigma: np.ndarray
+    residual: np.ndarray
+    index: np.ndarray
+    hess_eigs: np.ndarray
+    inertia_I0: float
+    newton_iters: np.ndarray
+    backtracks: np.ndarray
+    fallbacks: np.ndarray
+    residual_floor: np.ndarray
+
+    def results(self, stop: int | None = None) -> list[CCResult]:
+        """The CCResult of every member, or of the members before stop."""
+        planar = lift_to_plane(self.x[:stop, :, None])
+        scalars = (self.sigma, self.residual, self.index, self.newton_iters, self.backtracks,
+                   self.fallbacks, self.residual_floor)
+        rows = zip(self.orderings, planar, self.hess_eigs, *(a[:stop].tolist() for a in scalars))
+        return [CCResult(Configuration(r), "collinear", s, res, k, e, self.inertia_I0, o,
+                         newton_iters=it, backtracks=bt, fallbacks=fb, residual_floor=fl)
+                for o, r, e, s, res, k, it, bt, fb, fl in rows]
+
+
 @dataclass(frozen=True)
 class SimultaneousReport:
     """Residuals of the two-multiplier (simultaneous) CC equations."""
@@ -226,12 +258,15 @@ def _metric_null_basis(constraints: np.ndarray, weights: np.ndarray) -> np.ndarr
     _, svals, vt = np.linalg.svd(constraints)
     tol = max(constraints.shape[-2:]) * np.finfo(float).eps * svals[..., :1]
     ranks = (svals > tol).sum(axis=-1)
-    rank = int(ranks.max())
-    if ranks.min() != rank:
+    rank = int(ranks.max(initial=0))
+    if ranks.min(initial=rank) != rank:
         raise ValueError("constraint rank differs across the batch")
     q = vt[..., rank:, :].swapaxes(-1, -2)
     gram = q.swapaxes(-1, -2) @ (weights[..., :, None] * q)
-    chol = np.linalg.cholesky(gram)
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateError(f"tangent-basis Gram matrix has no Cholesky factor: {exc}") from None
     return q @ np.linalg.inv(chol).swapaxes(-1, -2)
 
 
@@ -254,20 +289,19 @@ def tangent_basis(positions: np.ndarray, ms) -> np.ndarray:
     return _metric_null_basis(rows, np.repeat(m, d, axis=-1))
 
 
-def count_modes(eigs: np.ndarray) -> tuple[int, int, int]:
+def count_modes(eigs: np.ndarray) -> tuple:
     """(index, zero_modes, positive) of a spectrum, read by its real parts.
 
     Eigenvalues whose real part lies within zero_tol = 1e-8 * max |eig|
     of zero are zero modes; the index counts those with real part below
     -zero_tol, positive those above +zero_tol.  An empty spectrum gives
-    (0, 0, 0).
+    (0, 0, 0), and a (B, k) batch of spectra three (B,) arrays.
     """
-    if eigs.size == 0:
-        return 0, 0, 0
-    zero_tol = _ZERO_TOL_FACTOR * float(np.abs(eigs).max())
     re = np.real(eigs)
-    return (int(np.sum(re < -zero_tol)), int(np.sum(np.abs(re) < zero_tol)),
-            int(np.sum(re > zero_tol)))
+    zero_tol = _ZERO_TOL_FACTOR * np.abs(eigs).max(axis=-1, initial=0.0, keepdims=True)
+    counts = ((re < -zero_tol).sum(axis=-1), (np.abs(re) < zero_tol).sum(axis=-1),
+              (re > zero_tol).sum(axis=-1))
+    return counts if eigs.ndim > 1 else tuple(map(int, counts))
 
 
 def _as_line(r: np.ndarray) -> np.ndarray:
@@ -295,7 +329,10 @@ def _restricted_spectrum(
     correction = (pp.a * terms.W + pp.b * terms.V) / inertia_I0
     a_mat = basis.swapaxes(-1, -2) @ terms.hess @ basis
     a_mat = a_mat + np.multiply.outer(correction, np.eye(basis.shape[-1]))
-    return a_mat, np.linalg.eigvalsh(a_mat)
+    try:
+        return a_mat, np.linalg.eigvalsh(a_mat)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateError(f"restricted-Hessian spectrum failed: {exc}") from None
 
 
 def require_on_sphere(config, ms: MassSystem, inertia_I0: float = 1.0) -> None:
@@ -346,13 +383,15 @@ def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
 
     The planar ambient must show exactly the one rotational zero mode,
     the collinear ambient none; anything else raises DegenerateError (a
-    degenerate CC, or a shape that is not central).
+    degenerate CC, or a shape that is not central), for the first such
+    member of a (B, k) batch, whose report holds (B,) counts.
     """
     index, zeros, _ = count_modes(eigs)
     expected_zeros = 1 if ambient == "planar" else 0
-    if zeros != expected_zeros:
+    wrong = np.flatnonzero(np.not_equal(zeros, expected_zeros))
+    if wrong.size:
         raise DegenerateError(
-            f"{ambient} restricted Hessian has {zeros} near-zero eigenvalues, "
+            f"{ambient} restricted Hessian has {np.ravel(zeros)[wrong[0]]} near-zero eigenvalues, "
             f"expected {expected_zeros}; CC looks degenerate"
         )
     return IndexReport(index=index, eigenvalues=eigs, zero_modes=zeros, ambient=ambient)
@@ -435,14 +474,17 @@ def _trial_pass(kernel: _PairKernel, r: np.ndarray) -> tuple[PairTerms, np.ndarr
 
 
 def solve_collinear_batch(
-    members: Sequence[tuple[Ordering, MassSystem]],
+    orderings: Sequence[Ordering],
+    masses: np.ndarray,
     pp: PotentialParams,
     inertia_I0: float = 1.0,
     grad_tol: float = 1e-12,
     max_iter: int = 200,
-) -> list[CCResult]:
-    """Collinear central configurations of (ordering, masses) members, in lockstep.
+) -> CCBatch:
+    """Collinear central configurations of orderings[k] with masses[k], in lockstep.
 
+    masses is (B, n), one row of finite positive masses per ordering;
+    results() of the returned batch gives one CCResult per member.
     Every member runs the iteration described in solve_collinear_ordering
     step for step, and all of them advance together: members that have
     converged drop out, a trial step that collides or breaks its
@@ -453,34 +495,31 @@ def solve_collinear_batch(
     kernel is bound once and sliced only when members leave or some
     accept before others; a trial keeps its ordering when its pair
     differences keep their signs.  The spectra of the converged members
-    read that pass at their last iterate.  The members must have the
-    same number of bodies.  When members fail, the error of the first of
-    them in input order is raised.
+    read that pass at their last iterate, in one batch.  When members
+    fail, the error of the first of them in input order is raised.
     """
     _check_knobs(inertia_I0, grad_tol)
-    if not members:
-        return []
-    n = members[0][1].n
-    for ordering, ms in members:
-        if ms.n != n:
-            raise ValueError("batch members must have the same number of bodies")
-        if ordering.n != n:
-            raise ValueError("ordering length does not match the mass system")
-    size = len(members)
-    masses = np.array([ms.masses for _, ms in members])
+    masses = np.asarray(masses, dtype=float)
+    if (masses.ndim != 2 or masses.shape[1] < 2
+            or [o.n for o in orderings] != [masses.shape[1]] * len(masses)):
+        raise ValueError("masses must be (B, n), n >= 2, one row per ordering of n bodies")
+    if not (np.isfinite(masses).all() and (masses > 0.0).all()):
+        raise ValueError("masses must be finite and strictly positive")
+    size, n = masses.shape
     kernel = _PairKernel(masses, pp)
     # the members still iterating: ids, masses, ordered signs of x_i - x_j, iterates, terms
     ids, m = np.arange(size), masses
     x = np.empty((size, n))
-    x[ids[:, None], np.array([o.zero_based for o, _ in members])] = np.arange(n, dtype=float)
+    slots = np.array([o.zero_based for o in orderings], int).reshape(size, n)
+    x[ids[:, None], slots] = np.arange(n)
     sign = np.sign(x @ kernel.e)
     x = _project_line(x, m, inertia_I0)  # unit gaps in each ordering
     terms = kernel.terms(x[..., None], hess=True)[0]
 
     sigma, res, floor, rs = np.zeros(size), np.zeros(size), np.zeros(size), np.full(size, np.inf)
     iters, backtracks, fallbacks = (np.zeros(size, dtype=int) for _ in range(3))
-    finished = []  # (ids, x, *terms) of the members converged in one round
-    errors: list[Exception | None] = [None] * size
+    finished = []  # (ids, x, W, V, Hessian) of the members converged in one round
+    stalls: dict[int, NoConvergenceError] = {}
 
     def keep(stay: np.ndarray) -> None:
         nonlocal ids, m, sign, x, terms, kernel, sig, rs
@@ -494,14 +533,14 @@ def solve_collinear_batch(
         scale = np.max(terms.force_sum + np.abs(2.0 * sig[:, None] * m * x), axis=-1)
         tol = np.maximum(grad_tol, floor_factor * scale)
         done = rs <= tol
-        if done.any():
+        if done.any() or not done.size:  # an empty batch is done at once
             # each member still here has accepted a step in every round
             gone = ids[done]
             sigma[gone], res[gone], floor[gone], iters[gone] = sig[done], rs[done], tol[done], it
             if done.all():
-                finished.append((ids, x, *terms))
+                finished.append((ids, x, terms.W, terms.V, terms.hess))
                 break
-            finished.append((gone, x[done], *(a[done] for a in terms)))
+            finished.append((gone, x[done], terms.W[done], terms.V[done], terms.hess[done]))
             keep(~done)
 
         direction, slope, fallback = _newton_directions(x, m, pp, terms, sig, inertia_I0)
@@ -529,44 +568,29 @@ def solve_collinear_batch(
                     break
             backtracks[ids[k]] += 1
         else:
-            for b, r in zip(ids[k], rs[k]):
-                errors[b] = _stalled(members[b][0], float(r))
+            stalls.update((b, _stalled(orderings[b], r)) for b, r in zip(ids[k], rs[k].tolist()))
             keep(~np.isin(np.arange(ids.size), k))
             if not ids.size:
                 break
     else:  # the iteration budget ran out
-        for b, r in zip(ids, rs):
-            errors[b] = _stalled(members[b][0], float(r))
+        stalls.update((b, _stalled(orderings[b], r)) for b, r in zip(ids, rs.tolist()))
 
-    if len(finished) > 1:
-        finished = [tuple(map(np.concatenate, zip(*finished)))]
-    results: list[CCResult | None] = [None] * size
-    for ids, x, *terms in finished:
-        eigs = _restricted_spectrum(x[..., None], masses[ids], pp, inertia_I0, PairTerms(*terms))[1]
-        for k, b in enumerate(ids):
-            try:
-                report = index_report(eigs[k], "collinear")
-            except DegenerateError as exc:
-                errors[b] = exc
-                continue
-            results[b] = CCResult(
-                config=Configuration(lift_to_plane(x[k][:, None])),
-                kind="collinear",
-                sigma=float(sigma[b]),
-                residual=float(res[b]),
-                index=report.index,
-                hess_eigs=report.eigenvalues,
-                inertia_I0=inertia_I0,
-                ordering=members[b][0],
-                newton_iters=int(iters[b]),
-                backtracks=int(backtracks[b]),
-                fallbacks=int(fallbacks[b]),
-                residual_floor=float(floor[b]),
-            )
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
+    # the members before the first stall have all converged; a degenerate one fails first
+    first = min(stalls, default=size)
+    if not finished:
+        raise stalls[first]
+    _, x, w, v, hess = finished[0]  # the members of one round are in input order
+    if len(finished) > 1 or stalls:
+        ids, *arrays = map(np.concatenate, zip(*finished))
+        order = np.argsort(ids)[:first]
+        x, w, v, hess = (a[order] for a in arrays)
+    eigs = _restricted_spectrum(x[..., None], masses[:first], pp, inertia_I0,
+                                PairTerms(w, v, None, None, None, hess))[1]
+    index = index_report(eigs, "collinear").index
+    if stalls:
+        raise stalls[first]
+    return CCBatch(list(orderings), x, sigma, res, index, eigs, inertia_I0, iters, backtracks,
+                   fallbacks, floor)
 
 
 def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
@@ -584,7 +608,9 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
     a few ulps of max_i (sum_j |f_ij| + |sigma dI/dx_i|) when grad_tol is
     tighter than that.  This is the one-member solve_collinear_batch.
     """
-    return solve_collinear_batch([(ordering, q.ms)], q.pp, q.inertia_I0, q.grad_tol, q.max_iter)[0]
+    batch = solve_collinear_batch([ordering], q.ms.masses[None], q.pp, q.inertia_I0, q.grad_tol,
+                                  q.max_iter)
+    return batch.results()[0]
 
 
 def equilateral_configuration(
@@ -729,44 +755,48 @@ def euler_collinear_homogeneous(
     grad_tol: float = 1e-12,
 ) -> CCResult:
     """Collinear CC of the single-term potential sum m_i m_j / r^exponent."""
-    return euler_collinear_batch([(ordering, ms)], exponent, inertia_I0, grad_tol)[0]
+    return euler_collinear_batch([ordering], ms.masses[None], exponent, inertia_I0,
+                                 grad_tol).results()[0]
 
 
 def euler_collinear_batch(
-    members: Sequence[tuple[Ordering, MassSystem]],
+    orderings: Sequence[Ordering],
+    masses: np.ndarray,
     exponent: float,
     inertia_I0: float = 1.0,
     grad_tol: float = 1e-12,
-) -> list[CCResult]:
-    """euler_collinear_homogeneous of many (ordering, masses) members in lockstep."""
+) -> CCBatch:
+    """euler_collinear_homogeneous of orderings[k] with masses[k], as one solve_collinear_batch."""
     if not (np.isfinite(exponent) and exponent > 0.0):
         raise ValueError("exponent must be positive")
     pure = PotentialParams(a=0.0, b=exponent, alpha=0.0, beta=1.0)
-    return solve_collinear_batch(members, pure, inertia_I0, grad_tol)
+    return solve_collinear_batch(orderings, masses, pure, inertia_I0, grad_tol)
 
 
 def simultaneous_gaps(
-    members: Sequence[tuple[Ordering, MassSystem]],
+    orderings: Sequence[Ordering],
+    masses: np.ndarray,
     pp: PotentialParams,
     inertia_I0: float = 1.0,
     grad_tol: float = 1e-13,
 ) -> np.ndarray:
     """Mass-metric distances between the pure-a and pure-b collinear CCs.
 
-    One gap per (ordering, masses) member; it vanishes exactly when the
-    ordering admits a simultaneous collinear central configuration of
-    U = W + V.  Both exponents must be active and positive.  The pure-a
-    and the pure-b configurations are each solved as one lockstep batch.
+    One gap per member, orderings[k] with the (B, n) masses[k]; it
+    vanishes exactly when the ordering admits a simultaneous collinear
+    central configuration of U = W + V.  Both exponents must be active
+    and positive.  The pure-a and the pure-b configurations are each
+    solved as one lockstep batch.
     """
     if pp.alpha == 0.0 or pp.beta == 0.0:
         raise DegenerateTermError("simultaneous gap needs alpha > 0 and beta > 0")
     if pp.a == 0.0:
         raise DegenerateTermError("simultaneous gap needs a > 0; a = 0 has no shape")
-    s_w = euler_collinear_batch(members, pp.a, inertia_I0, grad_tol)
-    s_v = euler_collinear_batch(members, pp.b, inertia_I0, grad_tol)
-    m = np.array([ms.masses for _, ms in members])
-    diff = np.array([v.config.positions - w.config.positions for w, v in zip(s_w, s_v)])
-    return np.sqrt(np.sum(m[:, :, None] * diff * diff, axis=(-2, -1)))
+    x_w, x_v = (euler_collinear_batch(orderings, masses, e, inertia_I0, grad_tol).x
+                for e in (pp.a, pp.b))
+    # summed over the planar (n, 2) layout, whose rounding the gaps have always carried
+    diff = lift_to_plane((x_v - x_w)[..., None])
+    return np.sqrt(np.sum(np.asarray(masses)[..., None] * diff * diff, axis=(-2, -1)))
 
 
 def simultaneous_gap(
@@ -777,4 +807,4 @@ def simultaneous_gap(
     grad_tol: float = 1e-13,
 ) -> float:
     """The simultaneous_gaps of one ordering and mass system."""
-    return float(simultaneous_gaps([(ordering, ms)], pp, inertia_I0, grad_tol)[0])
+    return float(simultaneous_gaps([ordering], ms.masses[None], pp, inertia_I0, grad_tol)[0])

@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,7 @@ from .model import (
 from .integrate import integrate
 
 SCHEMA = 1
+_quoted = encode_basestring_ascii  # json.dumps of a str, without its per-call setup
 
 
 class ConfigError(ValueError):
@@ -102,21 +104,25 @@ def _json_text(obj, indent: int = 0) -> str:
     # Hand-rolled so float formatting is pinned: json.dump offers no hook
     # for serializable types, and repr() digits vary with the value.
     pad = "  " * indent
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {_json_text(obj[k], indent + 1)}'
-            for k in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        items = [f"{_quoted(str(k))}: {_json_text(obj[k], indent + 1)}" for k in sorted(obj)]
+        return f"{{\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        items = [f"{pad}  {_json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, np.ndarray):
-        return _json_text(obj.tolist(), indent)
+        sep, kinds = f",\n{pad}  ", set(map(type, obj))
+        # a list of finite floats, or of ints, in one pass
+        if kinds == {float} and all(map(math.isfinite, obj)):
+            body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
+        elif kinds == {int}:
+            body = sep.join(map(str, obj))
+        else:
+            body = sep.join([_json_text(v, indent + 1) for v in obj])
+        return f"[\n{pad}  {body}\n{pad}]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
@@ -126,10 +132,10 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if not math.isfinite(x):
-            return json.dumps(repr(x))
+            return _quoted(repr(x))
         return format(x, ".17g")
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quoted(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -141,9 +147,9 @@ def _write_json(path: Path, payload: dict) -> Path:
 def _write_csv(path: Path, header: list[str], body: np.ndarray) -> Path:
     """Write an (N, C) array of numbers under a header, each cell as %.17g."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([format(v, ".17g") for v in row] for row in body.tolist())
+        csv.writer(fh).writerow(header)
+        row = ",".join(["%.17g"] * body.shape[1]) + "\r\n"  # the line end of csv's excel dialect
+        fh.write(row * len(body) % tuple(body.ravel().tolist()))
     return path
 
 
@@ -616,28 +622,32 @@ def _require_enumerable(command: str, n: int) -> None:
 def cmd_cc_collinear(cfg: RunConfig) -> tuple[dict, list]:
     n, draws = cfg.ms.n, cfg.opt["mass_draws"]
     _require_enumerable("cc-collinear", n)
-    systems = [cfg.ms]
+    masses = cfg.ms.masses[None]
     if draws is not None:
         rng = np.random.default_rng(draws["seed"])
-        systems += [MassSystem(rng.uniform(draws["lo"], draws["hi"], size=n))
-                    for _ in range(draws["trials"])]
+        drawn = rng.uniform(draws["lo"], draws["hi"], size=(draws["trials"], n))
+        masses = np.vstack([masses, drawn])
     orderings = Ordering.all_canonical(n)
-    # the classes of the masses and of every draw in one lockstep batch
-    members = [(o, ms) for ms in systems for o in orderings]
-    results = solve_collinear_batch(members, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"])
     count = len(orderings)
+    # the classes of the masses and of every draw in one lockstep batch
+    batch = solve_collinear_batch(orderings * len(masses), np.repeat(masses, count, axis=0),
+                                  cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"])
     payload = {
         "inertia_I0": cfg.inertia_I0,
         "count": count,
-        "max_residual": max(r.residual for r in results[:count]),
-        "results": [_cc_payload(r) for r in results[:count]],
+        "max_residual": batch.residual[:count].max(),
+        "results": [_cc_payload(r) for r in batch.results(count)],
     }
     if draws is None:
         return payload, []
-    rows = np.array([
-        [k // count, int("".join(map(str, r.ordering.perm))), r.sigma, r.residual,
-         min(r.hess_eigs, default=0.0), r.index, *systems[1 + k // count].masses]
-        for k, r in enumerate(results[count:])
+    # each ordering as the number its labels spell, 1324 for (1, 3, 2, 4)
+    codes = np.array([o.perm for o in orderings]) @ 10 ** np.arange(n - 1, -1, -1)
+    # eigvalsh sorts each spectrum ascending; two bodies on a line have none
+    min_eig = batch.hess_eigs[count:, 0] if n > 2 else np.zeros(len(drawn) * count)
+    rows = np.column_stack([
+        np.repeat(np.arange(len(drawn)), count), np.tile(codes, len(drawn)),
+        batch.sigma[count:], batch.residual[count:], min_eig, batch.index[count:],
+        np.repeat(drawn, count, axis=0),
     ])
     header = ["trial", "ordering", "sigma", "residual", "min_hess_eig", "index"]
     header += [f"m{k}" for k in range(1, n + 1)]
@@ -674,16 +684,18 @@ def cmd_simultaneous(cfg: RunConfig) -> tuple[dict, list]:
     _require_enumerable("simultaneous", cfg.ms.n)
     grid, gap_tol = cfg.opt["mass_grid"], cfg.tol["gap_tol"]
     orderings = Ordering.all_canonical(cfg.ms.n)
-    members = [(o, cfg.ms) for o in orderings]
+    count = len(orderings)
+    masses = np.tile(cfg.ms.masses, (count, 1))
     if grid is not None:
         m1_vals, m2_vals = (np.linspace(*grid[m], grid["points"]) for m in ("m1", "m2"))
         cells = [(m1, m2, grid["m3"]) for m1 in m1_vals for m2 in m2_vals]
-        members += [(grid["ordering"], MassSystem(np.array(cell))) for cell in cells]
+        orderings = orderings + [grid["ordering"]] * len(cells)
+        masses = np.vstack([masses, cells])
     # the per-ordering gaps and every grid cell in one lockstep batch
-    gaps = simultaneous_gaps(members, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"])
+    gaps = simultaneous_gaps(orderings, masses, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"])
     records = [
-        {"ordering": _ordering_payload(o), "gap": g, "simultaneous": bool(g <= gap_tol)}
-        for o, g in zip(orderings, gaps)
+        {"ordering": _ordering_payload(o), "gap": g, "simultaneous": g <= gap_tol}
+        for o, g in zip(orderings, gaps[:count].tolist())
     ]
     payload = {
         "inertia_I0": cfg.inertia_I0,
@@ -692,7 +704,7 @@ def cmd_simultaneous(cfg: RunConfig) -> tuple[dict, list]:
     }
     if grid is None:
         return payload, []
-    rows = np.column_stack([cells, gaps[len(orderings):]])
+    rows = np.column_stack([cells, gaps[count:]])
     payload["mass_grid"] = {
         "points": len(m1_vals),
         "rows": len(rows),

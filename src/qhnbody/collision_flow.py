@@ -368,8 +368,9 @@ def pure_b_shapes(ms: MassSystem, b: float, cases: Sequence[tuple[str, Ordering 
     flow has the two rest points u = 0, v = +/- sqrt(2 V(s0)).
     """
     orderings = list(dict.fromkeys(o for kind, o in cases if kind == "collinear"))
-    batch = euler_collinear_batch([(o, ms) for o in orderings], b, 1.0, grad_tol)
-    solved = {("collinear", o): cc for o, cc in zip(orderings, batch)}
+    batch = euler_collinear_batch(orderings, np.tile(ms.masses, (len(orderings), 1)), b, 1.0,
+                                  grad_tol)
+    solved = {("collinear", o): cc for o, cc in zip(orderings, batch.results())}
     if ("equilateral", None) in cases:
         ppb = PotentialParams(a=0.0, b=b, alpha=0.0, beta=1.0)
         solved["equilateral", None] = equilateral_result(

@@ -155,11 +155,14 @@ def centered(positions, ms: MassSystem) -> np.ndarray:
 
 
 def lift_to_plane(config) -> np.ndarray:
-    """(n, 2) positions of a configuration; an (n, 1) shape goes onto the x-axis."""
+    """(n, 2) positions of a configuration; an (n, 1) shape goes onto the x-axis.
+
+    A (B, n, d) batch gives (B, n, 2).
+    """
     r = _positions(config)
-    if r.shape[1] == 2:
+    if r.shape[-1] == 2:
         return r
-    return np.column_stack([r[:, 0], np.zeros(r.shape[0])])
+    return np.concatenate([r, np.zeros_like(r)], axis=-1)
 
 
 @functools.cache

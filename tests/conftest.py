@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qhnbody import model
+from qhnbody.central_config import Ordering
 from qhnbody.model import (
     Configuration,
     MassSystem,
@@ -21,6 +22,12 @@ def rng():
 
 def random_masses(rng, n, lo=0.2, hi=5.0):
     return MassSystem(rng.uniform(lo, hi, size=n))
+
+
+def every_class(ms):
+    """The n!/2 canonical orderings of ms.n bodies, and ms's masses as one row per ordering."""
+    orderings = Ordering.all_canonical(ms.n)
+    return orderings, np.tile(ms.masses, (len(orderings), 1))
 
 
 def random_config(rng, n, dim=2, min_sep=0.3, scale=1.0):

@@ -5,6 +5,7 @@ grid search over the gap ratio, so the Newton implementation is never
 its own referee.
 """
 
+import json
 import time
 
 import numpy as np
@@ -12,18 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_kernel_bindings, count_kernel_passes, random_masses
-from qhnbody import central_config, model
+from conftest import count_kernel_bindings, count_kernel_passes, every_class, random_masses
+from qhnbody import central_config, cli, model
 from qhnbody.central_config import (
     CCQuery,
     Ordering,
     cc_index,
     cc_residual,
+    count_modes,
     equilateral_cc,
     equilateral_configuration,
     equilateral_side,
     euler_collinear_homogeneous,
     f_root,
+    index_report,
     restricted_hessian,
     simultaneous_gap,
     simultaneous_gaps,
@@ -108,7 +111,7 @@ def test_two_body_closed_form_positions():
 def test_collinear_counts_and_residuals():
     for n, count in ((2, 1), (3, 3), (4, 12)):
         ms = MassSystem(np.linspace(1.0, 2.0, n))
-        results = solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(n)], PP13)
+        results = solve_collinear_batch(*every_class(ms), PP13).results()
         assert len(results) == count
         for res in results:
             assert res.residual < 1e-10
@@ -137,7 +140,7 @@ def test_seeded_census_at_five_and_six_bodies():
     started = time.monotonic()
     for n in (5, 5, 6):
         ms = random_masses(rng, n)
-        for res in solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(n)], pp):
+        for res in solve_collinear_batch(*every_class(ms), pp).results():
             x = res.config.positions[:, 0]
             assert np.all(np.diff(x[list(res.ordering.zero_based)]) > 0.0)
             assert res.index == 0
@@ -167,7 +170,7 @@ def test_lockstep_batch_equals_one_member_solves():
     for n in (3, 4, 5, 6):
         ms = random_masses(rng, n)
         q = CCQuery(ms=ms, pp=pp)
-        batch = solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(n)], pp)
+        batch = solve_collinear_batch(*every_class(ms), pp).results()
         assert [r.ordering for r in batch] == Ordering.all_canonical(n)
         for res in batch:
             one = solve_collinear_ordering(res.ordering, q)
@@ -200,7 +203,7 @@ def test_each_newton_iterate_costs_one_kernel_pass(monkeypatch):
     assert len(bindings) == 1
     bindings.clear()
     passes.clear()
-    batch = solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(6)], PP13)
+    batch = solve_collinear_batch(*every_class(ms), PP13).results()
     assert len(bindings) == 1
     rounds = max(r.newton_iters for r in batch)
     assert 1 + rounds <= len(passes) <= 1 + rounds + sum(r.backtracks for r in batch)
@@ -243,8 +246,8 @@ def _reference_directions(x, masses, pp, terms, sigma):
 def _iterates_near_ccs(rng, pp, n, size=8):
     """Random (x, masses) batch: CCs of random orderings, kicked by 1e-9 to 5e-2."""
     masses = rng.uniform(0.2, 5.0, (size, n))
-    members = [(Ordering(tuple(rng.permutation(n) + 1)), MassSystem(m)) for m in masses]
-    x = np.array([cc.config.positions[:, 0] for cc in solve_collinear_batch(members, pp)])
+    orderings = [Ordering(tuple(rng.permutation(n) + 1)) for _ in masses]
+    x = solve_collinear_batch(orderings, masses, pp).x
     kick = np.geomspace(1e-9, 5e-2, size)[rng.permutation(size)][:, None]
     return central_config._project_line(x + kick * rng.standard_normal((size, n)), masses, 1.0), masses
 
@@ -292,24 +295,24 @@ def test_a_singular_newton_system_is_flagged_per_member():
 def test_mass_grid_batch_equals_per_cell_gaps():
     m1s, m2s = np.linspace(0.5, 1.5, 4), np.linspace(0.7, 1.9, 4)
     ordering = Ordering((2, 1, 3))
-    cells = [MassSystem(np.array([m1, m2, 1.2])) for m1 in m1s for m2 in m2s]
-    gaps = simultaneous_gaps([(ordering, ms) for ms in cells], PP13)
-    for ms, gap in zip(cells, gaps):
-        assert gap == pytest.approx(simultaneous_gap(ms, PP13, ordering), abs=1e-12)
+    cells = np.array([[m1, m2, 1.2] for m1 in m1s for m2 in m2s])
+    gaps = simultaneous_gaps([ordering] * len(cells), cells, PP13)
+    for m, gap in zip(cells, gaps):
+        assert gap == pytest.approx(simultaneous_gap(MassSystem(m), PP13, ordering), abs=1e-12)
 
 
 def test_batch_raises_the_first_failure_in_input_order():
     ms = MassSystem(np.linspace(1.0, 2.0, 4))
-    orderings = Ordering.all_canonical(4)[::-1]
+    orderings, masses = (a[::-1] for a in every_class(ms))
     with pytest.raises(NoConvergenceError) as batch_err:
-        solve_collinear_batch([(o, ms) for o in orderings], PP13, max_iter=1)
+        solve_collinear_batch(orderings, masses, PP13, max_iter=1)
     with pytest.raises(NoConvergenceError) as one_err:
         solve_collinear_ordering(orderings[0], CCQuery(ms=ms, pp=PP13, max_iter=1))
     assert str(orderings[0].perm) in str(batch_err.value)
     assert str(batch_err.value) == str(one_err.value)
     assert batch_err.value.residual == one_err.value.residual
     with pytest.raises(NoConvergenceError, match="stalled at residual inf"):
-        solve_collinear_batch([(o, ms) for o in orderings], PP13, max_iter=0)
+        solve_collinear_batch(orderings, masses, PP13, max_iter=0)
 
 
 def _poison_kernel(monkeypatch, bad_masses):
@@ -330,7 +333,7 @@ def test_a_line_search_that_rejects_every_trial_stalls(monkeypatch):
     with pytest.raises(NoConvergenceError, match="stalled at residual") as one_err:
         solve_collinear_ordering(orderings[0], CCQuery(ms=ms, pp=PP13))
     with pytest.raises(NoConvergenceError, match="stalled at residual") as batch_err:
-        solve_collinear_batch([(o, ms) for o in orderings], PP13)
+        solve_collinear_batch(*every_class(ms), PP13)
     assert str(batch_err.value) == str(one_err.value)
     assert batch_err.value.residual == one_err.value.residual
 
@@ -345,7 +348,7 @@ def test_a_collision_rejects_the_colliding_member_only(monkeypatch):
     with pytest.raises(NoConvergenceError) as one_err:
         solve_collinear_ordering(ordering, CCQuery(ms=bad, pp=PP13))
     with pytest.raises(NoConvergenceError) as batch_err:
-        solve_collinear_batch([(ordering, good), (ordering, bad)], PP13)
+        solve_collinear_batch([ordering] * 2, np.array([good.masses, bad.masses]), PP13)
     assert str(batch_err.value) == str(one_err.value)
     assert batch_err.value.residual == one_err.value.residual
 
@@ -375,7 +378,8 @@ def test_a_step_that_swaps_two_bodies_is_rejected_for_its_member_only(monkeypatc
 
     monkeypatch.setattr(central_config, "_newton_directions", swapping)
     monkeypatch.setattr(central_config, "_trial_pass", recording)
-    res = solve_collinear_batch(members, PP13)
+    res = solve_collinear_batch([o for o, _ in members], np.array([ms.masses for _, ms in members]),
+                                PP13).results()
     full, half = trials[:2]
     assert full[0, left] < full[0, right] and full[1, left] > full[1, right]
     assert half.shape[0] == 1 and half[0, left] < half[0, right]
@@ -413,12 +417,18 @@ def test_the_pair_difference_order_test_matches_the_adjacent_gaps():
 
 
 def test_batch_members_must_share_the_body_count():
-    members = [(Ordering.identity(3), MS123), (Ordering.identity(4), MassSystem(np.ones(4)))]
-    with pytest.raises(ValueError):
-        solve_collinear_batch(members, PP13)
-    with pytest.raises(ValueError):
-        solve_collinear_batch([(Ordering.identity(4), MS123)], PP13)
-    assert solve_collinear_batch([], PP13) == []
+    # every ordering has as many bodies as each mass row; the masses are finite and positive
+    for orderings, masses in (
+        ([Ordering.identity(3), Ordering.identity(4)], np.ones((2, 4))),
+        ([Ordering.identity(4)], MS123.masses[None]),
+        ([Ordering.identity(3)] * 2, MS123.masses[None]),
+        ([Ordering.identity(3)], MS123.masses),
+        ([Ordering.identity(3)], np.array([[1.0, -2.0, 3.0]])),
+        ([Ordering.identity(3)], np.array([[1.0, np.nan, 3.0]])),
+    ):
+        with pytest.raises(ValueError):
+            solve_collinear_batch(orderings, masses, PP13)
+    assert solve_collinear_batch([], np.empty((0, 3)), PP13).results() == []
 
 
 def test_solver_respects_requested_ordering():
@@ -709,3 +719,76 @@ def test_cc_index_flags_degenerate_input():
     assert messages == {
         "planar restricted Hessian has 0 near-zero eigenvalues, expected 1; CC looks degenerate"
     }
+
+
+def test_batched_sign_counts_equal_the_row_by_row_ones(rng):
+    # real and complex (B, k) spectra whose largest modulus is 10, so the zero
+    # band is exactly zero_tol = 1e-8 * 10; some entries sit on +-zero_tol or at 0
+    size, k = 240, 6
+    zero_tol = central_config._ZERO_TOL_FACTOR * 10.0
+    for eigs in (rng.standard_normal((size, k)),
+                 rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k))):
+        eigs[:, 0] = 10.0
+        eigs[::3, 1] = zero_tol
+        eigs[1::3, 2] = -zero_tol
+        eigs[::4, 3] = 0.5 * zero_tol
+        eigs[::5, 4] = 0.0
+        counts = count_modes(eigs)
+        rows = np.array([count_modes(row) for row in eigs])
+        for batched, one in zip(counts, rows.T):
+            np.testing.assert_array_equal(batched, one)
+        assert rows[:, 1].min() == 0 and rows[:, 1].max() >= 2  # both sides of the band
+        assert rows.sum(axis=1).min() < k  # entries on the band edge fall in no count
+    real = rng.standard_normal((size, k))
+    real[:, 0] = 10.0
+    clean = real[np.array(count_modes(real)[1]) == 0]
+    report = index_report(clean, "collinear")
+    assert report.index.tolist() == [index_report(row, "collinear").index for row in clean]
+    assert report.zero_modes.tolist() == [0] * len(clean)
+    # two degenerate members: the first in input order is the one named
+    bad = [clean[0].copy(), clean[1].copy()]
+    bad[0][1:3] = 0.0
+    bad[1][1] = 0.0
+    batch = np.array([clean[2], bad[0], clean[3], bad[1]])
+    with pytest.raises(DegenerateError) as one:
+        index_report(bad[0], "collinear")
+    with pytest.raises(DegenerateError) as many:
+        index_report(batch, "collinear")
+    assert str(many.value) == str(one.value) == (
+        "collinear restricted Hessian has 2 near-zero eigenvalues, expected 0; CC looks degenerate"
+    )
+
+
+def test_the_array_readers_equal_the_cc_result_list_bit_for_bit(tmp_path):
+    # the gaps of an 11 x 11 grid from the solver's arrays, against the planar
+    # positions of the CCResult lists of the same two batches
+    m1, m2 = np.meshgrid(np.linspace(0.3, 1.7, 11), np.linspace(0.6, 2.1, 11), indexing="ij")
+    cells = np.column_stack([m1.ravel(), m2.ravel(), np.full(m1.size, 1.2)])
+    orderings = [Ordering((2, 1, 3))] * len(cells)
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    gaps = simultaneous_gaps(orderings, cells, pp)
+    s_w, s_v = (central_config.euler_collinear_batch(orderings, cells, e, 1.0, 1e-13).results()
+                for e in (pp.a, pp.b))
+    diff = np.array([v.config.positions - w.config.positions for w, v in zip(s_w, s_v)])
+    expected = np.sqrt(np.sum(cells[:, :, None] * diff * diff, axis=(-2, -1)))
+    assert np.array_equal(gaps, expected)
+    # the census rows of masses 1...5 and 3 draws, against the rows built one
+    # CCResult at a time from the same batch
+    config = tmp_path / "census.json"
+    config.write_text(json.dumps({
+        "schema": 1, "masses": [1.0, 2.0, 3.0, 4.0, 5.0],
+        "potential": {"a": 1.0, "b": 3.0, "alpha": 1.0, "beta": 0.5},
+        "options": {"mass_draws": {"trials": 3}}}))
+    cfg = cli.RunConfig.from_file(str(config), "cc-collinear")
+    payload, [(_, _, rows)] = cli.cmd_cc_collinear(cfg)
+    drawn = np.random.default_rng(7).uniform(0.2, 5.0, size=(3, 5))
+    masses = np.vstack([cfg.ms.masses, drawn])
+    classes = Ordering.all_canonical(5)
+    results = solve_collinear_batch(classes * 4, np.repeat(masses, 60, axis=0), pp).results()
+    expected = np.array([
+        [k // 60, int("".join(map(str, r.ordering.perm))), r.sigma, r.residual,
+         min(r.hess_eigs, default=0.0), r.index, *drawn[k // 60]]
+        for k, r in enumerate(results[60:])
+    ])
+    assert np.array_equal(rows, expected)
+    assert payload["max_residual"] == max(r.residual for r in results[:60])

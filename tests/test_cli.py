@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_kernel_bindings, count_kernel_passes
+from conftest import count_kernel_bindings, count_kernel_passes, every_class
 from qhnbody import central_config, cli, homothetic
 from qhnbody.central_config import (
     Ordering,
@@ -78,9 +78,9 @@ def count_batches(monkeypatch):
     batches = []
     solve = central_config.solve_collinear_batch
 
-    def counted(members, *args):
-        batches.append(len(members))
-        return solve(members, *args)
+    def counted(orderings, *args):
+        batches.append(len(orderings))
+        return solve(orderings, *args)
 
     monkeypatch.setattr(central_config, "solve_collinear_batch", counted)
     return batches
@@ -148,8 +148,7 @@ def test_a_mass_draw_census_matches_one_solve_per_draw(tmp_path):
     expected = []
     for trial in range(3):
         masses = rng.uniform(0.2, 5.0, size=4)
-        members = [(o, MassSystem(masses)) for o in Ordering.all_canonical(4)]
-        for ref in solve_collinear_batch(members, pp):
+        for ref in solve_collinear_batch(*every_class(MassSystem(masses)), pp).results():
             x = ref.config.positions[:, 0]
             assert np.all(np.diff(x[list(ref.ordering.zero_based)]) > 0.0)
             assert ref.index == 0
@@ -636,6 +635,25 @@ def test_a_failing_orbit_of_a_list_leaves_no_file(tmp_path, capsys, monkeypatch)
 def test_a_failed_run_makes_no_out_directory(tmp_path, command, data, want):
     code, out = run(tmp_path, command, data)
     assert code == want
+    assert not out.exists()
+
+
+# masses 300 decades apart overflow the pair kernel (numpy warns) until a
+# linear-algebra step fails; that is a numerical failure naming its quantity,
+# not a config problem
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, data, quantity",
+    [("eigen", base_config(masses=[1e-300, 1.0, 1.0], b=21.0, beta=1.0),
+      "tangent-basis Gram matrix"),
+     ("cc-collinear", base_config(masses=[1e300, 1.0, 1e-300, 25.0], a=2.0, alpha=0.0, beta=1.0,
+                                  inertia_I0=0.5), "restricted-Hessian spectrum")],
+)
+def test_a_failed_linear_algebra_step_is_a_numerical_failure(tmp_path, capsys, command, data,
+                                                             quantity):
+    code, out = run(tmp_path, command, data)
+    assert code == 3
+    assert capsys.readouterr().err.startswith(f"error: DegenerateError: {quantity} ")
     assert not out.exists()
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import circular_two_body, random_masses
+from conftest import circular_two_body, every_class, random_masses
 from qhnbody import integrate as integrate_module
-from qhnbody.central_config import CCQuery, Ordering, equilateral_cc, solve_collinear_batch
+from qhnbody.central_config import CCQuery, equilateral_cc, solve_collinear_batch
 from qhnbody.errors import CollisionError, DegenerateStateError, FieldError, StiffnessError
 from qhnbody.integrate import (
     _A,
@@ -403,7 +403,7 @@ def relative_equilibria():
     out = []
     for n in (3, 4, 5, 6):
         ms = random_masses(rng, n)
-        results = solve_collinear_batch([(o, ms) for o in Ordering.all_canonical(n)], pp)
+        results = solve_collinear_batch(*every_class(ms), pp).results()
         if n == 6:
             results = [results[i] for i in rng.choice(len(results), 24, replace=False)]
         out += [(f"n={n} {cc.ordering.perm}", lift_to_plane(cc.config), cc.sigma, ms) for cc in results]
