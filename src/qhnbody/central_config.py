@@ -193,7 +193,8 @@ class SimultaneousReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residual_W, self.residual_V)
+        """The larger residual; NaN when either is NaN."""
+        return float(np.maximum(self.residual_W, self.residual_V))
 
 
 @dataclass(frozen=True)
@@ -338,7 +339,7 @@ def _restricted_spectrum(
 def require_on_sphere(config, ms: MassSystem, inertia_I0: float = 1.0) -> None:
     """Raise NotOnSphereError unless <r, r> is within 1e-9 * I0 of I0."""
     inertia = moment_of_inertia(config, ms)
-    if abs(inertia - inertia_I0) > _SPHERE_TOL * inertia_I0:
+    if not abs(inertia - inertia_I0) <= _SPHERE_TOL * inertia_I0:
         raise NotOnSphereError(f"<r, r> = {inertia!r}, expected {inertia_I0!r}")
 
 
@@ -675,7 +676,7 @@ def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
     out = []
     for config in equilateral_configuration(q.ms, q.inertia_I0):
         cc = equilateral_result(config, q.ms, q.pp, q.inertia_I0)
-        if cc.residual > max(q.grad_tol, 1e-12) * max(1.0, abs(cc.sigma)):
+        if not cc.residual <= max(q.grad_tol, 1e-12) * np.maximum(1.0, abs(cc.sigma)):
             raise NoConvergenceError(
                 f"equilateral construction has residual {cc.residual:.3e}", residual=cc.residual
             )

@@ -53,7 +53,7 @@ from .collision_flow import (
 )
 from .errors import ManevOnlyError, QHError, StiffnessError
 from .homothetic import heteroclinic_orbit
-from .mcgehee import McGeheeState, from_mcgehee, unpack_mcgehee
+from .mcgehee import McGeheeState, from_mcgehee, split_mcgehee
 from .model import (
     Configuration,
     MassSystem,
@@ -68,7 +68,7 @@ from .model import (
     lift_to_plane,
     mass_inner,
     pack_phase,
-    unpack_phase,
+    split_phase,
 )
 from .integrate import integrate
 
@@ -384,13 +384,8 @@ def _read_csv_row(cfg: RunConfig, spec: dict) -> tuple[float, PhaseState]:
     for dim in (2, 1):
         names = _state_columns(n, dim)
         if all(name in cols for name in names) and "t" in cols:
-            vals = np.array([cell(name) for name in names])
-            sz = n * dim
-            state = PhaseState(
-                config=Configuration(vals[:sz].reshape(n, dim)),
-                momenta=vals[sz:].reshape(n, dim),
-            )
-            return cell("t"), state
+            r, p = split_phase(np.array([cell(name) for name in names]), n, dim)
+            return cell("t"), PhaseState(config=Configuration(r), momenta=p)
     raise ConfigError(f"state csv {path} lacks the r/p columns for {n} bodies")
 
 
@@ -733,11 +728,11 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
 
     # each monitor runs once on the whole accepted grid: (N, n, d) arrays
     def energy_res(times, states):
-        r, p = states.reshape(-1, 2, n, dim).swapaxes(0, 1)
+        r, p = split_phase(states, n, dim)
         return np.abs(energy_series(r, p, ms, pp) - h0)
 
     def angmom_res(times, states):
-        r, p = states.reshape(-1, 2, n, dim).swapaxes(0, 1)
+        r, p = split_phase(states, n, dim)
         return np.abs(angular_momentum_series(r, p) - l0)
 
     try:
@@ -751,7 +746,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
             max_step=cfg.opt["max_step"],
         )
     except StiffnessError as exc:
-        sep = min_separation(exc.state[: n * dim].reshape(n, dim))
+        sep = min_separation(split_phase(exc.state, n, dim)[0])
         raise StiffnessError(
             f"{exc}; minimum pairwise separation {sep:.3e} at the last accepted state",
             exc.t,
@@ -760,7 +755,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
     header = ["t"] + _state_columns(n, dim) + ["energy_residual", "angmom_residual"]
     res = tr.conserved_residuals
     body = np.column_stack([tr.times, tr.states, res["energy"], res["angular_momentum"]])
-    final = unpack_phase(tr.final_state, n, dim)
+    r_end, p_end = split_phase(tr.final_state, n, dim)
     payload = {
         "t_span": [t0, t1],
         "steps": len(tr.times) - 1,
@@ -769,8 +764,8 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
         "energy_initial": h0,
         "energy_residual_max": float(np.max(res["energy"])),
         "angmom_residual_max": float(np.max(res["angular_momentum"])),
-        "final_positions": final.config.positions,
-        "final_momenta": final.momenta,
+        "final_positions": r_end,
+        "final_momenta": p_end,
         "csv": "simulate.csv",
     }
     return payload, [("simulate.csv", header, body)]
@@ -794,18 +789,16 @@ def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult],
     tr = integrate_on_C(st0, ms, pp, tau_max=cfg.opt["tau_max"], rel_tol=tol["rel_tol"],
                         abs_tol=tol["abs_tol"], equilibrium_tol=tol["equilibrium_tol"],
                         separation_floor=tol["separation_floor"])
-    sz = n * dim
     header = ["tau", "v", "manifold_residual", "min_separation"] + _state_columns(n, dim, "su")
-    seps = [min_separation(y[2 : 2 + sz].reshape(n, dim)) for y in tr.states]
-    body = np.column_stack(
-        [tr.times, tr.states[:, 1], tr.conserved_residuals["manifold"], seps, tr.states[:, 2:]]
-    )
+    _, v, s, u = split_mcgehee(tr.states, n, dim)
+    body = np.column_stack([tr.times, v, tr.conserved_residuals["manifold"], min_separation(s),
+                            s.reshape(len(s), -1), u.reshape(len(u), -1)])
 
     v_series = np.asarray(tr.conserved_residuals["v"])
     # v is monotone except for roundoff: allow slack at integrator scale.
     slack = 1e-9 * max(1.0, float(np.abs(v_series).max()))
     diffs = np.diff(v_series)
-    end = unpack_mcgehee(tr.final_state, n, dim)
+    end = nearest_equilibrium(s[-1], float(v[-1]), catalog, ms, pp)
     summary = {
         "termination": tr.termination,
         "tau_final": tr.times[-1],
@@ -815,7 +808,7 @@ def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult],
         "v_monotone_nonincreasing": bool(np.all(diffs <= slack)),
         "v_monotone_nondecreasing": bool(np.all(diffs >= -slack)),
         "manifold_residual_max": float(np.abs(tr.conserved_residuals["manifold"]).max()),
-        "nearest_equilibrium": _match_payload(nearest_equilibrium(end.s, end.v, catalog, ms, pp)),
+        "nearest_equilibrium": _match_payload(end),
         "csv": name,
     }
     return summary, (name, header, body)

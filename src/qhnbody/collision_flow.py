@@ -39,6 +39,7 @@ from .mcgehee import (
     mcgehee_field,
     mcgehee_renormalizer,
     pack_mcgehee,
+    split_mcgehee,
 )
 from .model import (
     Configuration,
@@ -87,7 +88,7 @@ def _pure_b(pp: PotentialParams) -> PotentialParams:
 
 def _require_on_C(st: McGeheeState, ms: MassSystem, pp: PotentialParams, tol: float):
     defect = collision_manifold_residual(st, ms, pp)
-    if abs(defect) > tol:
+    if not abs(defect) <= tol:
         raise OffManifoldError(
             f"state is off the collision manifold by {defect:.3e} (tol {tol:.1e})"
         )
@@ -151,9 +152,10 @@ def _linearization(a_mat: np.ndarray, v0: float, b: float) -> tuple[np.ndarray, 
     k = a_mat.shape[0]
     mat = np.zeros((2 + 2 * k, 2 + 2 * k))
     mat[0, 0] = v0
-    mat[2 : 2 + k, 2 + k :] = np.eye(k)
-    mat[2 + k :, 2 : 2 + k] = a_mat
-    mat[2 + k :, 2 + k :] = (b / 2.0 - 1.0) * v0 * np.eye(k)
+    su = mat[2:, 2:]  # the (s, u) block, a view
+    su[:k, k:] = np.eye(k)
+    su[k:, :k] = a_mat
+    su[k:, k:] = (b / 2.0 - 1.0) * v0 * np.eye(k)
     return mat, np.linalg.eigvals(mat)
 
 
@@ -221,8 +223,7 @@ def find_equilibria(
         r = s0.positions[:, :1] if ambient == "collinear" else s0.positions
         terms = _PairKernel(ms.masses, ppb).terms(r, hess=True)[0]
         _, defect = cc_residual(r, ms, ppb, terms)
-        scale = max(1.0, pp.b * terms.V)
-        if defect > tol * scale:
+        if not defect <= tol * np.maximum(1.0, pp.b * terms.V):
             raise OffManifoldError(f"shape is not a CC of the b-term: defect {defect:.3e}")
         v_star = float(np.sqrt(2.0 * terms.V))
         a_mat, lam = restricted_hessian(s0, ms, ppb, ambient, 1.0, terms)
@@ -267,9 +268,10 @@ def transversality_necessary(
     return cc_index(s0, ms, _pure_b(pp), "planar").index == 0
 
 
-def min_separation(s: np.ndarray) -> float:
-    diff = _incidence(s.shape[0])[2].T @ s
-    return float(np.sqrt((diff**2).sum(axis=1)).min())
+def min_separation(s: np.ndarray):
+    """Smallest pairwise distance of an (n, d) shape, or (...) values of an (..., n, d) series."""
+    diff = _incidence(s.shape[-2])[2].T @ s
+    return np.sqrt((diff**2).sum(axis=-1)).min(axis=-1)
 
 
 def integrate_on_C(
@@ -307,19 +309,18 @@ def integrate_on_C(
         )
     n, dim = st0.n, st0.dim
     field = mcgehee_field(ms, pp, dim=dim)
-    sz = n * dim
 
     def settle(t, y):
         # integrate reads only the sign of g, which is the sign of
         # u_norm - tol while u_norm > tol: the field is needed only below
-        u_norm = float(np.abs(y[2 + sz :]).max())
+        u_norm = float(np.abs(split_mcgehee(y, n, dim)[3]).max())
         if u_norm > equilibrium_tol:
             return u_norm - equilibrium_tol
         f_norm = float(np.abs(field(t, y)).max())
         return max(u_norm, f_norm) - equilibrium_tol
 
     def separation(t, y):
-        return min_separation(y[2 : 2 + sz].reshape(n, dim)) - separation_floor
+        return min_separation(split_mcgehee(y, n, dim)[2]) - separation_floor
 
     events = [
         Event("equilibrium", settle, terminal=True),
@@ -327,9 +328,8 @@ def integrate_on_C(
     ]
 
     def manifold(times, states):
-        shape = (len(states), n, dim)
-        s, u = states[:, 2 : 2 + sz].reshape(shape), states[:, 2 + sz :].reshape(shape)
-        return manifold_residual_series(states[:, 1], s, u, ms, pp)
+        _, v, s, u = split_mcgehee(states, n, dim)
+        return manifold_residual_series(v, s, u, ms, pp)
 
     monitors = {"manifold": manifold, "v": lambda times, states: states[:, 1]}
     return integrate(

@@ -79,8 +79,9 @@ def is_homothetic_admissible(
 
 
 def _admissible(report, tol: float = _ADMISSIBLE_TOL) -> bool:
-    scale = max(1.0, abs(report.sigma1), abs(report.sigma2))
-    return report.max_residual <= tol * scale
+    """Whether the residual is within tol of the multipliers' scale; NaN is not."""
+    scale = np.max([1.0, abs(report.sigma1), abs(report.sigma2)])
+    return bool(report.max_residual <= tol * scale)
 
 
 def energy_curve_v2(rho, s0: Configuration, ms: MassSystem, pp: PotentialParams,
@@ -149,8 +150,10 @@ def heteroclinic_orbit(
     # one sphere check and one pair-kernel pass at s0 serve every quantity below
     require_on_sphere(s0, ms)
     terms = pair_terms(s0, ms, pp)
-    if not _admissible(simultaneous_residual(s0, ms, pp, terms)):
-        raise AdmissibilityError("shape is not a simultaneous central configuration")
+    report = simultaneous_residual(s0, ms, pp, terms)
+    if not _admissible(report):
+        raise AdmissibilityError(f"shape is not a simultaneous central configuration: "
+                                 f"residual {report.max_residual:.3e}")
     if h >= 0.0:
         raise EnergySignError(
             "no ejection-collision connection for h >= 0: the size never turns around"

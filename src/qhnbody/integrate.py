@@ -17,7 +17,7 @@ its step to the located time, not an interpolated value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,45 +180,6 @@ class Event:
 
 
 @dataclass
-class _Segment:
-    """One accepted step, with its dense output built on first use.
-
-    k holds the 13 stage rows of the step; k[12] is the field at the
-    stored end state, which a renormalizer may have moved off y1.  The
-    first eval copies k, makes the 3 extra stages of the seventh-order
-    interpolant, stores its coefficients in coef and drops k and the field.
-    """
-
-    t0: float
-    h: float
-    y0: np.ndarray
-    y1: np.ndarray
-    k: np.ndarray | None
-    field_fn: object
-    coef: np.ndarray | None = None
-
-    def _build(self):
-        h, dy = self.h, self.y1 - self.y0
-        k = np.empty((16, dy.size))
-        k[:13] = self.k
-        for s in range(13, 16):
-            k[s] = self.field_fn(self.t0 + _NODES[s] * h, _stage_state(s, self.y0, h, k))
-        coef = np.empty((7, dy.size))
-        coef[0] = dy
-        coef[1] = h * k[0] - dy
-        coef[2] = 2.0 * dy - h * (k[0] + k[12])
-        coef[3:] = h * (_D @ k)
-        self.coef, self.k, self.field_fn = coef, None, None
-
-    def eval(self, t: float) -> np.ndarray:
-        if self.coef is None:
-            self._build()
-        x = (t - self.t0) / self.h
-        weights = np.cumprod([x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x])
-        return self.y0 + weights @ self.coef
-
-
-@dataclass
 class Trajectory:
     """Accepted steps of one integration run.
 
@@ -232,8 +193,8 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     termination: str
-    events: dict = field(default_factory=dict)
-    conserved_residuals: dict = field(default_factory=dict)
+    events: dict
+    conserved_residuals: dict
 
     @property
     def final_state(self) -> np.ndarray:
@@ -253,6 +214,30 @@ def _step(field_fn, t, y, h, k) -> np.ndarray:
     for s in range(1, 12):
         k[s] = field_fn(t + _NODES[s] * h, _stage_state(s, y, h, k))
     return _stage_state(12, y, h, k)
+
+
+def _dense_coef(field_fn, t0, h, y0, y1, k) -> np.ndarray:
+    """The (7, dim) coefficients of the dense output of one step, from its 13
+    stage rows k (read, not written; k[12] is the field at the stored end
+    state, which a renormalizer may have moved off y1) and 3 extra stages."""
+    dy = y1 - y0
+    kd = np.empty((16, dy.size))
+    kd[:13] = k
+    for s in range(13, 16):
+        kd[s] = field_fn(t0 + _NODES[s] * h, _stage_state(s, y0, h, kd))
+    coef = np.empty((7, dy.size))
+    coef[0] = dy
+    coef[1] = h * kd[0] - dy
+    coef[2] = 2.0 * dy - h * (kd[0] + kd[12])
+    coef[3:] = h * (_D @ kd)
+    return coef
+
+
+def _dense_value(coef, t0, h, y0, t) -> np.ndarray:
+    """The dense output with coefficients coef of the step (t0, h, y0), at t."""
+    x = (t - t0) / h
+    weights = np.cumprod([x, 1.0 - x, x, 1.0 - x, x, 1.0 - x, x])
+    return y0 + weights @ coef
 
 
 def _error_norm(h, k, scale) -> float:
@@ -293,12 +278,14 @@ def _initial_step(field_fn, t0, y0, f0, t1, rel_tol, abs_tol, max_step):
     return min(100 * h0, h1, abs(t1 - t0), max_step)
 
 
-def _locate_event(ev: Event, seg: _Segment, lo, hi):
-    """Bisect the dense output for the time at which g, above 0 at lo, falls to 0."""
+def _locate_event(ev: Event, coef, t0, h, y0):
+    """Bisect the dense output of the step (t0, h, y0) for the time at which
+    g, above 0 at t0, falls to 0."""
+    lo, hi = t0, t0 + h
     tol = max(_EVENT_TOL, 64.0 * np.finfo(float).eps * abs(hi))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if float(ev.fn(mid, seg.eval(mid))) <= 0.0:
+        if float(ev.fn(mid, _dense_value(coef, t0, h, y0, mid))) <= 0.0:
             hi = mid
         else:
             lo = mid
@@ -378,7 +365,6 @@ def integrate(
     fac_old = 1e-4
     just_rejected = False
     k = np.empty((13, y.size))
-    k_event = np.empty((12, y.size))
     floor_unit = 16.0 * np.finfo(float).eps
 
     def h_floor(at):
@@ -439,23 +425,24 @@ def integrate(
 
         t_new = t + h
 
-        # the dense output, from the raw y1, only for a step in which an event falls
-        seg = None
-        stop_at = None
-        hits = []
+        falling, hits = [], []
         for idx, ev in enumerate(events):
             g1 = float(ev.fn(t_new, y_new))
             if ev_values[idx] > 0.0 >= g1:
-                if seg is None:
-                    seg = _Segment(t0=t, h=h, y0=y, y1=y1, k=k, field_fn=field_fn)
-                hits.append((_locate_event(ev, seg, t, t_new), ev))
+                falling.append(ev)
             ev_values[idx] = g1
-        for te, ev in sorted(hits, key=lambda pair: pair[0]):
+        if falling:
+            # the dense output, from the raw y1, only for a step in which an event falls
+            coef = _dense_coef(field_fn, t, h, y, y1, k)
+            hits = sorted([(_locate_event(ev, coef, t, h, y), ev) for ev in falling],
+                          key=lambda pair: pair[0])
+        stop_at = None
+        for te, ev in hits:
             if stop_at is not None and te > stop_at[0]:
                 break
-            # the stored state is a real step to te, not the interpolant
-            k_event[0] = f
-            ye = _step(field_fn, t, y, te - t, k_event)
+            # the stored state is a real step to te, not the interpolant; it
+            # reuses k, whose row 0 is still f
+            ye = _step(field_fn, t, y, te - t, k)
             if renormalizer is not None:
                 ye = renormalizer(ye)
             ev_hits[ev.name].append((te, ye))

@@ -177,14 +177,19 @@ def pack_mcgehee(st: McGeheeState, t: float | None = None) -> np.ndarray:
     return np.concatenate(head)
 
 
-def unpack_mcgehee(y: np.ndarray, n: int, dim: int = 2) -> McGeheeState:
+def split_mcgehee(y: np.ndarray, n: int, dim: int = 2):
+    """Views (rho, v, s, u) of flat states over any leading axes, with s and u
+    (..., n, dim); a trailing t component is ignored."""
     sz = n * dim
-    return McGeheeState(
-        rho=float(y[0]),
-        v=float(y[1]),
-        s=y[2 : 2 + sz].reshape(n, dim),
-        u=y[2 + sz : 2 + 2 * sz].reshape(n, dim),
-    )
+    shape = y.shape[:-1] + (n, dim)
+    s = y[..., 2 : 2 + sz].reshape(shape)
+    u = y[..., 2 + sz : 2 + 2 * sz].reshape(shape)
+    return y[..., 0], y[..., 1], s, u
+
+
+def unpack_mcgehee(y: np.ndarray, n: int, dim: int = 2) -> McGeheeState:
+    rho, v, s, u = split_mcgehee(y, n, dim)
+    return McGeheeState(rho=float(rho), v=float(v), s=s, u=u)
 
 
 def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: bool = False):
@@ -242,16 +247,11 @@ def renormalize_mcgehee(s: np.ndarray, u: np.ndarray, masses: np.ndarray):
 
 def mcgehee_renormalizer(ms: MassSystem, dim: int = 2):
     """Per-step projection keeping s centered on the sphere, u tangent."""
-    n = ms.n
-    sz = n * dim
 
     def renorm(y):
-        s = y[2 : 2 + sz].reshape(n, dim)
-        u = y[2 + sz : 2 + 2 * sz].reshape(n, dim)
-        s2, u2 = renormalize_mcgehee(s, u, ms.masses)
         out = y.copy()
-        out[2 : 2 + sz] = s2.ravel()
-        out[2 + sz : 2 + 2 * sz] = u2.ravel()
+        _, _, s, u = split_mcgehee(out, ms.n, dim)
+        s[...], u[...] = renormalize_mcgehee(s, u, ms.masses)
         return out
 
     return renorm

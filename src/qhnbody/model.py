@@ -405,10 +405,14 @@ def pack_phase(state: PhaseState) -> np.ndarray:
     return np.concatenate([state.config.positions.ravel(), state.momenta.ravel()])
 
 
+def split_phase(y: np.ndarray, n: int, dim: int):
+    """Views (r, p) of flat states in the layout of pack_phase, (..., n, dim)
+    each, over any leading axes."""
+    rp = y.reshape(y.shape[:-1] + (2, n, dim))
+    return rp[..., 0, :, :], rp[..., 1, :, :]
+
+
 def unpack_phase(y: np.ndarray, n: int, dim: int) -> PhaseState:
     """Inverse of pack_phase."""
-    sz = n * dim
-    return PhaseState(
-        config=Configuration(positions=y[:sz].reshape(n, dim)),
-        momenta=y[sz:].reshape(n, dim),
-    )
+    r, p = split_phase(y, n, dim)
+    return PhaseState(config=Configuration(positions=r), momenta=p)

@@ -5,6 +5,7 @@ grid search over the gap ratio, so the Newton implementation is never
 its own referee.
 """
 
+import dataclasses
 import json
 import time
 
@@ -27,6 +28,8 @@ from qhnbody.central_config import (
     euler_collinear_homogeneous,
     f_root,
     index_report,
+    SimultaneousReport,
+    require_on_sphere,
     restricted_hessian,
     simultaneous_gap,
     simultaneous_gaps,
@@ -581,6 +584,31 @@ def test_equilateral_is_simultaneous(rng):
     config, _ = equilateral_configuration(ms)
     report = simultaneous_residual(config, ms, PP13)
     assert report.max_residual < 1e-10
+
+
+def test_a_nan_in_either_residual_is_the_maximum():
+    for w, v in ((np.nan, 1e-3), (1e-3, np.nan), (np.nan, np.nan)):
+        assert np.isnan(SimultaneousReport(-1.0, -1.0, w, v).max_residual)
+    assert SimultaneousReport(-1.0, -1.0, 1e-3, 2e-3).max_residual == 2e-3
+
+
+def test_a_nan_fails_the_equilateral_residual_gate(monkeypatch):
+    built = central_config.equilateral_result
+
+    def nan_residual(*args):
+        return dataclasses.replace(built(*args), residual=np.nan)
+
+    monkeypatch.setattr(central_config, "equilateral_result", nan_residual)
+    with pytest.raises(NoConvergenceError, match="residual nan"):
+        equilateral_cc(CCQuery(ms=MS123, pp=PP12))
+
+
+def test_a_nan_is_off_the_sphere():
+    config, _ = equilateral_configuration(MS123)
+    with pytest.raises(NotOnSphereError):
+        require_on_sphere(config, MS123, inertia_I0=np.nan)
+    with pytest.raises(NotOnSphereError):
+        require_on_sphere(np.full((3, 2), np.nan), MS123)
 
 
 def test_equilateral_rejects_wrong_potentials():

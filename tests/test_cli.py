@@ -856,6 +856,20 @@ def test_homothetic_rejects_a_non_simultaneous_shape(tmp_path, capsys):
     assert "error: AdmissibilityError" in capsys.readouterr().err
 
 
+# the b-term's pair coefficients overflow (numpy warns), so the shape's V
+# residual is NaN: no admissibility gate may pass it
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_residual_is_not_admissible(tmp_path, capsys):
+    data = base_config(masses=[1e300, 2.0, 2.0], b=1.51, alpha=0.5, beta=1e300, energy_h=-2.0)
+    code, out = run(tmp_path, "homothetic", data)
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "error: AdmissibilityError: shape is not a simultaneous central configuration: "
+        "residual nan"
+    )
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config plumbing shared by every command
 

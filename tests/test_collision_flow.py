@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import count_kernel_bindings, count_kernel_passes
+from qhnbody import collision_flow
 from qhnbody.central_config import (
     CCResult,
     Ordering,
@@ -523,3 +524,25 @@ def test_integrate_on_C_requires_the_boundary_exactly():
 def test_min_separation_is_the_smallest_pair_distance():
     s = np.array([[0.0, 0.0], [3.0, 4.0], [0.3, 0.4]])
     assert abs(min_separation(s) - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (3, 2), (4, 1), (6, 2)])
+def test_min_separation_of_a_series_is_its_rows_bit_for_bit(rng, n, dim):
+    series = rng.standard_normal((50, n, dim)) * rng.uniform(1e-3, 1e3, (50, 1, 1))
+    seps = min_separation(series)
+    assert seps.shape == (50,)
+    assert seps.tobytes() == np.array([min_separation(s) for s in series]).tobytes()
+    assert min_separation(series[None]).tobytes() == seps[None].tobytes()
+
+
+def test_a_nan_fails_the_manifold_gate(monkeypatch):
+    st = perturbed_manifold_state(MS, PP)
+    monkeypatch.setattr(collision_flow, "collision_manifold_residual", lambda *args: np.nan)
+    with pytest.raises(OffManifoldError):
+        gradient_like_rate(st, MS, PP)
+
+
+def test_a_nan_defect_fails_the_equilibrium_gate(monkeypatch):
+    monkeypatch.setattr(collision_flow, "cc_residual", lambda *args: (0.0, np.nan))
+    with pytest.raises(OffManifoldError, match="defect nan"):
+        find_equilibria(MS, PP, [equilateral_cc_of_b_term(MS, PP.b)])

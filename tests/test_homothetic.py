@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_masses
+from qhnbody import homothetic
 from qhnbody.central_config import (
     CCQuery,
     Ordering,
+    SimultaneousReport,
     equilateral_configuration,
     solve_collinear_ordering,
 )
 from qhnbody.errors import AdmissibilityError, EnergySignError, ManevOnlyError, NotOnSphereError
 from qhnbody.homothetic import (
+    _admissible,
     energy_curve_v2,
     heteroclinic_orbit,
     is_homothetic_admissible,
@@ -62,6 +65,19 @@ def test_symmetric_collinear_is_admissible():
 def test_generic_collinear_is_not_admissible():
     cc = collinear_cc_of_full_potential(MS, PP)
     assert is_homothetic_admissible(cc.config, MS, PP) is False
+
+
+def test_a_nan_is_never_admissible(monkeypatch):
+    # a NaN residual or multiplier fails the gate, whichever place it is in
+    for report in (SimultaneousReport(-1.0, -1.0, 1e-3, np.nan),
+                   SimultaneousReport(-1.0, -1.0, np.nan, 1e-3),
+                   SimultaneousReport(-1.0, np.nan, 0.0, 0.0)):
+        assert _admissible(report) is False
+    config, _ = equilateral_configuration(MS)
+    nan_report = SimultaneousReport(-1.0, -1.0, 1e-3, np.nan)
+    monkeypatch.setattr(homothetic, "simultaneous_residual", lambda *args: nan_report)
+    with pytest.raises(AdmissibilityError, match="residual nan"):
+        heteroclinic_orbit(config, MS, PP, -1.0)
 
 
 def test_admissibility_requires_unit_sphere_shape():

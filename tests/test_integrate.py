@@ -18,7 +18,8 @@ from qhnbody.integrate import (
     _E5,
     Event,
     Trajectory,
-    _Segment,
+    _dense_coef,
+    _dense_value,
     _step,
     integrate,
 )
@@ -66,19 +67,21 @@ def test_tolerance_controls_error():
 
 
 def harmonic_segment(t0=0.3, h=0.25):
-    """The dense output of one step of the harmonic oscillator y = (cos t, -sin t)."""
+    """One step of the harmonic oscillator y = (cos t, -sin t): (t0, h, y0, y1)
+    and its dense output as a function of t."""
     y0 = np.array([np.cos(t0), -np.sin(t0)])
     k = np.empty((13, 2))
     k[0] = harmonic(t0, y0)
     y1 = _step(harmonic, t0, y0, h, k)
     k[12] = harmonic(t0 + h, y1)
-    return _Segment(t0=t0, h=h, y0=y0, y1=y1, k=k, field_fn=harmonic)
+    coef = _dense_coef(harmonic, t0, h, y0, y1, k)
+    return t0, h, y0, y1, lambda t: _dense_value(coef, t0, h, y0, t)
 
 
 def test_dense_output_matches_analytic_solution():
-    seg = harmonic_segment()
-    for t in seg.t0 + seg.h * np.linspace(0.05, 0.95, 19):
-        y = seg.eval(t)
+    t0, h, _, _, dense = harmonic_segment()
+    for t in t0 + h * np.linspace(0.05, 0.95, 19):
+        y = dense(t)
         assert abs(y[0] - np.cos(t)) < 1e-10
         assert abs(y[1] + np.sin(t)) < 1e-10
 
@@ -369,9 +372,9 @@ def test_renormalize_mcgehee_rejects_a_collapsed_shape():
 
 
 def test_dense_output_meets_the_step_at_both_ends():
-    seg = harmonic_segment()
-    assert np.array_equal(seg.eval(seg.t0), seg.y0)
-    assert np.abs(seg.eval(seg.t0 + seg.h) - seg.y1).max() < 1e-15
+    t0, h, y0, y1, dense = harmonic_segment()
+    assert np.array_equal(dense(t0), y0)
+    assert np.abs(dense(t0 + h) - y1).max() < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +467,9 @@ def test_a_degree_six_integrand_is_integrated_exactly():
     y1 = _step(field, t0, y0, h, k)
     assert abs(y1[0] - exact(t0 + h)) < 1e-14
     k[12] = field(t0 + h, y1)
-    seg = _Segment(t0=t0, h=h, y0=y0, y1=y1, k=k.copy(), field_fn=field)
+    coef = _dense_coef(field, t0, h, y0, y1, k)
     for x in (0.1, 0.37, 0.5, 0.81, 1.0):
-        assert abs(seg.eval(t0 + x * h)[0] - exact(t0 + x * h)) < 1e-14, x
+        assert abs(_dense_value(coef, t0, h, y0, t0 + x * h)[0] - exact(t0 + x * h)) < 1e-14, x
 
 
 def test_tableau_literals_match_the_scipy_copy():
@@ -501,10 +504,9 @@ def test_the_stage_loop_is_the_tableau_formula_bit_for_bit():
         assert y1.tobytes() == (y + h * (ref[:12].T @ _B)).tobytes()
         # the dense output's three extra stages use the same loop
         k[12] = ref[12] = field(0.3 + h, y1)
-        seg = _Segment(t0=0.3, h=h, y0=y, y1=y1, k=k.copy(), field_fn=field)
-        seg._build()
+        coef = _dense_coef(field, 0.3, h, y, y1, k)
         _literal_stages(field, 0.3, y, h, ref, range(13, 16))
-        assert seg.coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
+        assert coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
 
 
 def test_a_field_may_keep_every_state_it_is_given():
@@ -520,8 +522,7 @@ def test_a_field_may_keep_every_state_it_is_given():
         k[0] = field(0.0, y)
         y1 = _step(keeping, 0.0, y, h, k[:13])
         k[12] = field(h, y1)
-        seg = _Segment(t0=0.0, h=h, y0=y, y1=y1, k=k[:13].copy(), field_fn=keeping)
-        seg._build()
+        _dense_coef(keeping, 0.0, h, y, y1, k[:13])
         # the dense stages' rows, recovered from the states the field kept
         k[13:] = [field(0.0, z) for z in seen[11:]]
         assert len(seen) == 14

@@ -16,6 +16,7 @@ from qhnbody.mcgehee import (
     mcgehee_field,
     mcgehee_renormalizer,
     pack_mcgehee,
+    split_mcgehee,
     to_mcgehee,
     unpack_mcgehee,
     vector_field,
@@ -220,6 +221,24 @@ def test_pack_unpack_round_trip(rng):
     back = unpack_mcgehee(pack_mcgehee(st_), 3, 2)
     assert back.rho == st_.rho and back.v == st_.v
     assert np.array_equal(back.s, st_.s) and np.array_equal(back.u, st_.u)
+
+
+@pytest.mark.parametrize("n, dim, t", [(2, 1, None), (3, 2, None), (4, 2, 0.7)])
+def test_split_mcgehee_inverts_pack_mcgehee_and_reads_a_series_row_by_row(rng, n, dim, t):
+    states = [McGeheeState(rho=float(rng.uniform(0.0, 2.0)), v=float(rng.standard_normal()),
+                           s=rng.standard_normal((n, dim)), u=rng.standard_normal((n, dim)))
+              for _ in range(6)]
+    series = np.stack([pack_mcgehee(st_, t) for st_ in states])
+    whole = split_mcgehee(series, n, dim)
+    assert [part.shape for part in whole] == [(6,), (6,), (6, n, dim), (6, n, dim)]
+    assert all(np.shares_memory(part, series) for part in whole)
+    for k, (st_, y) in enumerate(zip(states, series)):
+        rho, v, s, u = split_mcgehee(y, n, dim)  # a trailing t is not read
+        assert rho == st_.rho and v == st_.v
+        assert np.array_equal(s, st_.s) and np.array_equal(u, st_.u)
+        assert np.shares_memory(s, y) and np.shares_memory(u, y)
+        for part, row_part in zip(whole, (rho, v, s, u)):
+            assert np.array_equal(part[k], row_part)
 
 
 # ---------------------------------------------------------------------------

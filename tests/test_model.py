@@ -46,6 +46,7 @@ from qhnbody.model import (
     potential_U,
     pair_terms,
     potential_terms,
+    split_phase,
     unpack_phase,
 )
 
@@ -420,6 +421,20 @@ def test_pack_unpack_round_trip(rng):
     back = unpack_phase(pack_phase(state), 4, 2)
     assert np.array_equal(back.config.positions, r)
     assert np.array_equal(back.momenta, p)
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (3, 2), (5, 2)])
+def test_split_phase_inverts_pack_phase_and_reads_a_series_row_by_row(rng, n, dim):
+    states = [PhaseState(config=Configuration(random_config(rng, n, dim)),
+                         momenta=rng.standard_normal((n, dim))) for _ in range(6)]
+    series = np.stack([pack_phase(state) for state in states])
+    whole = split_phase(series, n, dim)
+    assert all(part.shape == (6, n, dim) and np.shares_memory(part, series) for part in whole)
+    for k, (state, y) in enumerate(zip(states, series)):
+        r, p = split_phase(y, n, dim)
+        assert np.array_equal(r, state.config.positions) and np.array_equal(p, state.momenta)
+        assert np.shares_memory(r, y) and np.shares_memory(p, y)
+        assert np.array_equal(whole[0][k], r) and np.array_equal(whole[1][k], p)
 
 
 @settings(max_examples=40, deadline=None)
