@@ -385,9 +385,16 @@ def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
     The planar ambient must show exactly the one rotational zero mode,
     the collinear ambient none; anything else raises DegenerateError (a
     degenerate CC, or a shape that is not central), for the first such
-    member of a (B, k) batch, whose report holds (B,) counts.
+    member of a (B, k) batch, whose report holds (B,) counts.  So does a
+    spectrum that the three counts do not cover, such as a non-finite one.
     """
-    index, zeros, _ = count_modes(eigs)
+    index, zeros, positive = count_modes(eigs)
+    k = np.shape(eigs)[-1]
+    uncounted = np.flatnonzero(index + zeros + positive != k)
+    if uncounted.size:
+        bad = np.reshape(eigs, (-1, k))[uncounted[0]]
+        raise DegenerateError(f"{ambient} restricted Hessian spectrum {bad} is not finite "
+                              "or sits on the zero band's edge")
     expected_zeros = 1 if ambient == "planar" else 0
     wrong = np.flatnonzero(np.not_equal(zeros, expected_zeros))
     if wrong.size:

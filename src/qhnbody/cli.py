@@ -154,11 +154,11 @@ def _write_csv(path: Path, header: list[str], body: np.ndarray) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# config: each object is read against a table {key: (default, kind, range)},
-# given below the parsers.  A missing key (or a null one whose default is null)
-# takes its default; a _REQUIRED key has none.  kind(value, path, range, n)
+# config: a subcommand's config is read against its table {key: (default, kind,
+# range)}, given below the parsers.  A missing key (or a null one whose default is
+# null) takes its default; a _REQUIRED key has none.  kind(value, path, range, n)
 # parses the value or the default, where range is an interval such as "(0, inf]",
-# a set such as "{-1, 1}" or a nested table, and n is the mass count.
+# a set such as "{-1, 1}" or a nested table, and n is the mass count, once read.
 
 _REQUIRED = object()
 
@@ -187,6 +187,7 @@ def _read(obj, path: str, table: dict, n=None) -> dict:
         if _has_bool(value):  # no key takes a boolean, and numpy would read one as 0 or 1
             raise ConfigError(f"{at}{key} must not be or hold true or false, got {value!r}")
         out[key] = None if value is None and default is None else kind(value, at + key, rng, n)
+        n = out[key].n if key == "masses" else n
     return out
 
 
@@ -227,10 +228,6 @@ def _text(value, path, rng, n):
     return value
 
 
-def _later(value, path, rng, n):
-    return value  # read by RunConfig.from_file once the mass count is known
-
-
 def _masses(value, path, rng, n):
     try:
         return MassSystem(np.asarray(value, dtype=float))
@@ -238,11 +235,8 @@ def _masses(value, path, rng, n):
         raise ConfigError(f"invalid {path}: {exc}") from None
 
 
-def _potential(value, path, domain):
-    """PotentialParams with each key in its range in domain, or else in (-inf, inf)."""
-    table = {f.name: (f.default, _float, domain.get(f.name, "(-inf, inf)"))
-             for f in fields(PotentialParams)}
-    params = _read(value, path, table)
+def _potential(value, path, table, n):
+    params = _read(value, path, table, n)
     try:
         return PotentialParams(**params)
     except ValueError as exc:
@@ -255,7 +249,7 @@ class RunConfig:
 
     ms: MassSystem
     pp: PotentialParams
-    inertia_I0: float
+    inertia_I0: float | None
     energy_h: float | None
     initial_state: dict | None
     tol: dict
@@ -271,18 +265,10 @@ class RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        allowed = {key: _TOP[key] for key in _TOP_KEYS[command]}
-        top = {key: default for key, (default, _, _) in _TOP.items()} | _read(raw, "", allowed)
-        n, state = top["masses"].n, top["initial_state"]
-        return cls(
-            ms=top["masses"],
-            pp=_potential(top["potential"], "potential", _POTENTIALS[command]),
-            inertia_I0=top["inertia_I0"], energy_h=top["energy_h"],
-            initial_state=None if state is None else _state(state, "initial_state", _STATES, n),
-            tol=_read(top["tolerances"], "tolerances", _TOLERANCES[command], n),
-            opt=_read(top["options"], "options", _OPTIONS[command], n),
-            base_dir=p.resolve().parent,
-        )
+        top = _read(raw, "", _CONFIGS[command])
+        return cls(ms=top["masses"], pp=top["potential"], inertia_I0=top.get("inertia_I0"),
+                   energy_h=top.get("energy_h"), initial_state=top.get("initial_state"),
+                   tol=top["tolerances"], opt=top.get("options", {}), base_dir=p.resolve().parent)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +332,10 @@ def _as_state_array(value, path, rng, n) -> np.ndarray:
 
 
 def _state(value, path, kinds, n):
-    """initial_state read against the table of its kind."""
+    """initial_state read against the table of its kind, one of the tables in kinds."""
     kind = value.get("kind") if isinstance(value, dict) else None
     if not isinstance(kind, str) or kind not in kinds:
-        raise ConfigError(f"{path}.kind must be cartesian, mcgehee or csv, got {kind!r}")
+        raise ConfigError(f"{path}.kind must be one of {', '.join(kinds)}, got {kind!r}")
     return _read(value, path, kinds[kind], n)
 
 
@@ -399,8 +385,6 @@ def _blow_up_state(st: dict) -> McGeheeState:
 def _initial_cartesian(cfg: RunConfig) -> tuple[float, PhaseState]:
     """Starting time and phase state for the Cartesian integrator."""
     st = cfg.initial_state
-    if st is None:
-        raise ConfigError("simulate needs an initial_state")
     if st["kind"] == "csv":
         return _read_csv_row(cfg, st)
     if st["kind"] == "mcgehee":
@@ -476,12 +460,7 @@ def _initial_on_C(cfg: RunConfig) -> tuple[list[McGeheeState], list[CCResult]]:
         raise ConfigError("collision-flow needs exactly one of initial_state and options.start")
     catalog = pure_b_cases(cfg.ms.n)
     if st is not None:
-        if st["kind"] != "mcgehee":
-            raise ConfigError("collision-flow initial_state must have kind mcgehee")
-        st0 = _blow_up_state(st)
-        if st0.rho != 0.0:
-            raise ConfigError(f"collision-flow needs rho = 0, got {st0.rho!r}")
-        return [st0], pure_b_shapes(cfg.ms, cfg.pp.b, catalog, cfg.tol["grad_tol"])
+        return [_blow_up_state(st)], pure_b_shapes(cfg.ms, cfg.pp.b, catalog, cfg.tol["grad_tol"])
     starts = starts if isinstance(starts, list) else [starts]
     # A reversed ordering is a case of its own: the canonical shape negated
     # differs in the last bit and would pair with the same seeded u, which
@@ -521,36 +500,15 @@ def _match_payload(m: RestPointMatch) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# config tables: the keys each config object may hold
+# config tables: each subcommand's table lists the top-level keys it reads, in
+# the order they are read and their errors reported (unknown keys come first)
 
-_TOP = {
-    "schema": (_REQUIRED, _int, f"{{{SCHEMA}}}"),
-    "masses": (_REQUIRED, _masses, None),
-    "potential": ({}, _later, None),
-    "inertia_I0": (1.0, _float, "(0, inf)"),
-    "energy_h": (None, _float, "(-inf, inf)"),
-    "initial_state": (None, _later, None),
-    "tolerances": ({}, _later, None),
-    "options": ({}, _later, None),
-}
-# the top-level keys each subcommand reads; the others keep their defaults
-_COMMON = ("schema", "masses", "potential", "tolerances")
-_TOP_KEYS = {
-    "cc-collinear": _COMMON + ("inertia_I0", "options"),
-    "cc-planar3": _COMMON + ("inertia_I0",),
-    "simultaneous": _COMMON + ("inertia_I0", "options"),
-    "simulate": _COMMON + ("initial_state", "energy_h", "options"),
-    "collision-flow": _COMMON + ("initial_state", "options"),
-    "eigen": _COMMON + ("options",),
-    "homothetic": _COMMON + ("energy_h", "options"),
-}
 _KIND, _ARRAY = (_REQUIRED, _text, None), (_REQUIRED, _as_state_array, None)
-_STATES = {
-    "cartesian": {"kind": _KIND, "positions": _ARRAY, "momenta": _ARRAY},
-    "mcgehee": {"kind": _KIND, "rho": (0.0, _float, "[0, inf)"),
-                "v": (0.0, _float, "(-inf, inf)"), "s": _ARRAY, "u": _ARRAY},
-    "csv": {"kind": _KIND, "path": (_REQUIRED, _text, None), "row": (-1, _int, "(-inf, inf)")},
-}
+_MCGEHEE = {"kind": _KIND, "rho": (0.0, _float, "[0, inf)"), "v": (0.0, _float, "(-inf, inf)"),
+            "s": _ARRAY, "u": _ARRAY}
+_CSV = {"kind": _KIND, "path": (_REQUIRED, _text, None), "row": (-1, _int, "(-inf, inf)")}
+_STATES = {"cartesian": {"kind": _KIND, "positions": _ARRAY, "momenta": _ARRAY},
+           "mcgehee": _MCGEHEE, "csv": _CSV}
 _SHAPE = {"kind": (None, _text, None), "ordering": (None, _ordering_arg, None),
           "positions": (None, _as_state_array, None)}
 _REST_POINT = "{equilateral, collinear}"  # the shapes that name a pure-b rest point
@@ -563,40 +521,69 @@ _MASS_DRAWS = {"trials": (20, _int, "[1, inf)"), "seed": (7, _int, "[0, inf)"),
                "lo": (0.2, _float, "(0, inf)"), "hi": (5.0, _float, "(0, inf)")}
 _GRAD_TOL = (1e-12, _float, "(0, inf)")
 _REL_TOL, _ABS_TOL = (1e-10, _float, "[0, inf)"), (1e-12, _float, "(0, inf)")
-_TOLERANCES = {
-    "cc-collinear": {"grad_tol": _GRAD_TOL},
-    "cc-planar3": {"grad_tol": _GRAD_TOL},
-    "simultaneous": {"gap_tol": (1e-10, _float, "[0, inf)"),
-                     "grad_tol": (1e-13, _float, "(0, inf)")},
-    "simulate": {"rel_tol": _REL_TOL, "abs_tol": _ABS_TOL,
-                 "energy_match_tol": (1e-8, _float, "[0, inf)")},
-    "collision-flow": {"rel_tol": _REL_TOL, "abs_tol": _ABS_TOL, "grad_tol": _GRAD_TOL,
-                       "equilibrium_tol": (1e-9, _float, "[0, inf)"),
-                       "separation_floor": (0.05, _float, "[0, inf)")},
-    "eigen": {"grad_tol": _GRAD_TOL, "cc_tol": (1e-9, _float, "[0, inf)")},
-    "homothetic": {"rho_floor": (1e-8, _float, "(0, 1)"), "rel_tol": (1e-11, _float, "[0, inf)"),
-                   "abs_tol": (1e-13, _float, "(0, inf)"), "grad_tol": _GRAD_TOL},
-}
-# the range of each potential key a subcommand restricts; the others keep (-inf, inf)
-_POTENTIALS = {
-    "cc-collinear": {},
-    "cc-planar3": {"a": "{1}", "alpha": "(0, inf)", "beta": "(0, inf)"},
-    "simultaneous": {"a": "(0, inf)", "alpha": "(0, inf)", "beta": "(0, inf)"},
-    "simulate": {},
-    "collision-flow": {"a": "{1}", "beta": "(0, inf)"},
-    "eigen": {"a": "{1}", "b": "(2, inf)", "beta": "(0, inf)"},
-    "homothetic": {"a": "{1}", "alpha": "(0, inf)", "beta": "(0, inf)"},
-}
-# a null t_span runs from the initial state's time t to t + 10
-_OPTIONS = {
-    "cc-collinear": {"mass_draws": (None, _draws, _MASS_DRAWS)},
-    "cc-planar3": {},
-    "simultaneous": {"mass_grid": (None, _grid, _MASS_GRID)},
-    "simulate": {"t_span": (None, _span, "(-inf, inf)"),
-                 "max_step": (math.inf, _float, "(0, inf]")},
-    "collision-flow": {"start": (None, _starts, _START), "tau_max": (50.0, _float, "(0, inf)")},
-    "eigen": {"cases": (None, _cases, _REST_POINT)},
-    "homothetic": {"shape": ("equilateral", _shape, "{equilateral, collinear, positions}")},
+_SCHEMA, _MASSES = (_REQUIRED, _int, f"{{{SCHEMA}}}"), (_REQUIRED, _masses, None)
+_I0 = (1.0, _float, "(0, inf)")
+
+
+def _potential_entry(**narrowed):
+    """Every PotentialParams key with its default, in its range in narrowed or else (-inf, inf)."""
+    return ({}, _potential, {f.name: (f.default, _float, narrowed.get(f.name, "(-inf, inf)"))
+                             for f in fields(PotentialParams)})
+
+
+_CONFIGS = {
+    "cc-collinear": {
+        "schema": _SCHEMA, "masses": _MASSES, "inertia_I0": _I0, "potential": _potential_entry(),
+        "tolerances": ({}, _read, {"grad_tol": _GRAD_TOL}),
+        "options": ({}, _read, {"mass_draws": (None, _draws, _MASS_DRAWS)}),
+    },
+    "cc-planar3": {
+        "schema": _SCHEMA, "masses": _MASSES, "inertia_I0": _I0,
+        "potential": _potential_entry(a="{1}", alpha="(0, inf)", beta="(0, inf)"),
+        "tolerances": ({}, _read, {"grad_tol": _GRAD_TOL}),
+    },
+    "simultaneous": {
+        "schema": _SCHEMA, "masses": _MASSES, "inertia_I0": _I0,
+        "potential": _potential_entry(a="(0, inf)", alpha="(0, inf)", beta="(0, inf)"),
+        "tolerances": ({}, _read, {"gap_tol": (1e-10, _float, "[0, inf)"),
+                                   "grad_tol": (1e-13, _float, "(0, inf)")}),
+        "options": ({}, _read, {"mass_grid": (None, _grid, _MASS_GRID)}),
+    },
+    "simulate": {
+        "schema": _SCHEMA, "masses": _MASSES, "energy_h": (None, _float, "(-inf, inf)"),
+        "potential": _potential_entry(),
+        "initial_state": (_REQUIRED, _state, _STATES),
+        "tolerances": ({}, _read, {"rel_tol": _REL_TOL, "abs_tol": _ABS_TOL,
+                                   "energy_match_tol": (1e-8, _float, "[0, inf)")}),
+        # a null t_span runs from the initial state's time t to t + 10
+        "options": ({}, _read, {"t_span": (None, _span, "(-inf, inf)"),
+                                "max_step": (math.inf, _float, "(0, inf]")}),
+    },
+    "collision-flow": {
+        "schema": _SCHEMA, "masses": _MASSES,
+        "potential": _potential_entry(a="{1}", beta="(0, inf)"),
+        "initial_state": (None, _state, {"mcgehee": {**_MCGEHEE, "rho": (0.0, _float, "{0}")}}),
+        "tolerances": ({}, _read, {"rel_tol": _REL_TOL, "abs_tol": _ABS_TOL, "grad_tol": _GRAD_TOL,
+                                   "equilibrium_tol": (1e-9, _float, "[0, inf)"),
+                                   "separation_floor": (0.05, _float, "[0, inf)")}),
+        "options": ({}, _read, {"start": (None, _starts, _START),
+                                "tau_max": (50.0, _float, "(0, inf)")}),
+    },
+    "eigen": {
+        "schema": _SCHEMA, "masses": _MASSES,
+        "potential": _potential_entry(a="{1}", b="(2, inf)", beta="(0, inf)"),
+        "tolerances": ({}, _read, {"grad_tol": _GRAD_TOL, "cc_tol": (1e-9, _float, "[0, inf)")}),
+        "options": ({}, _read, {"cases": (None, _cases, _REST_POINT)}),
+    },
+    "homothetic": {
+        "schema": _SCHEMA, "masses": _MASSES, "energy_h": (_REQUIRED, _float, "(-inf, inf)"),
+        "potential": _potential_entry(a="{1}", alpha="(0, inf)", beta="(0, inf)"),
+        "tolerances": ({}, _read, {"rho_floor": (1e-8, _float, "(0, 1)"),
+                                   "rel_tol": (1e-11, _float, "[0, inf)"),
+                                   "abs_tol": (1e-13, _float, "(0, inf)"), "grad_tol": _GRAD_TOL}),
+        "options": ({}, _read, {"shape": ("equilateral", _shape,
+                                          "{equilateral, collinear, positions}")}),
+    },
 }
 
 
@@ -716,7 +703,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
     h0 = hamiltonian(state, ms, pp)
     if cfg.energy_h is not None:
         slack = cfg.tol["energy_match_tol"] * max(1.0, abs(cfg.energy_h))
-        if abs(h0 - cfg.energy_h) > slack:
+        if not abs(h0 - cfg.energy_h) <= slack:  # a NaN H matches no energy
             raise ConfigError(
                 f"energy_h = {cfg.energy_h!r} does not match the initial state "
                 f"(H = {h0!r})"
@@ -837,8 +824,6 @@ def cmd_eigen(cfg: RunConfig) -> tuple[dict, list]:
 
 
 def cmd_homothetic(cfg: RunConfig) -> tuple[dict, list]:
-    if cfg.energy_h is None:
-        raise ConfigError("homothetic needs energy_h")
     s0 = _unit_shape(cfg)
     orbit = heteroclinic_orbit(
         s0,

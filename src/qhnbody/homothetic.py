@@ -25,6 +25,7 @@ import numpy as np
 from .central_config import bisect_sign_change, require_on_sphere, simultaneous_residual
 from .errors import (
     AdmissibilityError,
+    DegenerateTermError,
     EnergySignError,
     NoConvergenceError,
 )
@@ -161,6 +162,8 @@ def heteroclinic_orbit(
     if not (0.0 < rho_floor < 1.0):
         raise ValueError("rho_floor must lie in (0, 1)")
     w0, v0_pot = terms[:2]
+    if not v0_pot > 0.0:
+        raise DegenerateTermError(f"V(s0) = {v0_pot!r} gives no ejection speed sqrt(2 V(s0))")
     b = pp.b
 
     def field(t, y):

@@ -787,6 +787,25 @@ def test_batched_sign_counts_equal_the_row_by_row_ones(rng):
     )
 
 
+def test_index_report_rejects_a_spectrum_its_counts_do_not_cover():
+    # count_modes reads a NaN as no sign, so [nan, nan] counts (0, 0, 0): the
+    # collinear ambient, which expects no zero mode, would certify it as index 0
+    nan = np.array([np.nan, np.nan])
+    assert count_modes(nan) == (0, 0, 0)
+    for eigs, ambient in ((nan, "collinear"), (np.array([1.0, np.inf]), "collinear"),
+                          (np.array([np.nan, 0.0, 2.0]), "planar")):
+        with pytest.raises(DegenerateError, match=r"restricted Hessian spectrum .* is not finite"):
+            index_report(eigs, ambient)
+    # in a batch, the first such member in input order is the one named
+    batch = np.array([[1.0, 2.0], [3.0, np.nan], [-1.0, 2.0], [np.inf, 1.0]])
+    with pytest.raises(DegenerateError) as many:
+        index_report(batch, "collinear")
+    assert str(many.value) == (
+        "collinear restricted Hessian spectrum [ 3. nan] is not finite "
+        "or sits on the zero band's edge"
+    )
+
+
 def test_the_array_readers_equal_the_cc_result_list_bit_for_bit(tmp_path):
     # the gaps of an 11 x 11 grid from the solver's arrays, against the planar
     # positions of the CCResult lists of the same two batches

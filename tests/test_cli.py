@@ -870,6 +870,29 @@ def test_a_nan_residual_is_not_admissible(tmp_path, capsys):
     assert not out.exists()
 
 
+# three configs whose quantities leave the float domain (numpy warns): each is
+# stopped by a gate that names the quantity, not by an unrelated failure later
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, data, want, message",
+    [("simulate", base_config(masses=[1e200, 1e200], b=1.5, energy_h=0.0, initial_state={
+        "kind": "cartesian", "positions": [[0, 0], [1, 0]], "momenta": [[1e250, 0], [-1e250, 0]]}),
+      2, "error: energy_h = 0.0 does not match the initial state (H = nan)\n"),
+     ("eigen", base_config(masses=[0.3, 7.0, 1e-200, 1e-300], b=21.0, alpha=0.0, beta=1e300), 3,
+      "error: DegenerateError: collinear restricted Hessian spectrum [nan nan] is not finite "
+      "or sits on the zero band's edge\n"),
+     ("homothetic", base_config(masses=[1e-300, 2.0, 1e-100], b=21.0, alpha=1e300, beta=1e-300,
+                                energy_h=-1e-300), 3,
+      "error: DegenerateTermError: V(s0) = 0.0 gives no ejection speed sqrt(2 V(s0))\n")],
+)
+def test_a_quantity_past_the_float_domain_fails_its_own_gate(tmp_path, capsys, command, data,
+                                                            want, message):
+    code, out = run(tmp_path, command, data)
+    assert code == want
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config plumbing shared by every command
 
@@ -1016,6 +1039,51 @@ def test_a_potential_outside_its_subcommands_domain_is_a_config_error(
     assert not out.exists()
 
 
+# a check of one key is that key's table entry: a required key, the kinds of
+# state a subcommand takes, the range of rho
+MANIFOLD_STATE = {"kind": "mcgehee", "s": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+                  "u": [[0.0, 0.0]] * 3}
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [("homothetic", base_config(masses=[1.0, 1.0, 1.0]), "config needs energy_h"),
+     ("simulate", base_config(masses=[1.0, 1.0]), "config needs initial_state"),
+     ("collision-flow", base_config(initial_state={**TWO_BODY, "positions": [[1, 0]] * 3,
+                                                   "momenta": [[0, 0]] * 3}),
+      "initial_state.kind must be one of mcgehee, got 'cartesian'"),
+     ("collision-flow", base_config(initial_state={**MANIFOLD_STATE, "rho": 0.5}),
+      "initial_state.rho must lie in {0}, got 0.5")],
+)
+def test_a_check_of_one_key_is_its_table_entry(tmp_path, capsys, command, data, message):
+    code, out = run(tmp_path, command, data)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# of two bad keys, the one read first is reported: schema, masses and the
+# top-level numbers, then potential, initial_state, tolerances and options
+@pytest.mark.parametrize(
+    "command, data, first",
+    [("cc-planar3", base_config(a=0.5, inertia_I0=-1.0), "inertia_I0"),
+     ("homothetic", base_config(a=0.5, energy_h=[1.0]), "energy_h"),
+     ("collision-flow", base_config(a=0.5, initial_state={**MANIFOLD_STATE, "rho": 0.5}),
+      "potential.a"),
+     ("collision-flow", base_config(initial_state={**MANIFOLD_STATE, "rho": 0.5},
+                                    tolerances={"rel_tol": -1.0}), "initial_state.rho"),
+     ("simulate", {**SIM, "tolerances": {"rel_tol": -1.0}, "options": {"max_step": 0.0}},
+      "tolerances.rel_tol"),
+     ("cc-collinear", {**base_config(masses=[1.0, -2.0]), "schema": 2}, "schema"),
+     ("cc-collinear", base_config(masses=[1.0, -2.0], inertia_I0=-1.0), "masses")],
+)
+def test_of_two_bad_keys_the_first_read_is_reported(tmp_path, capsys, command, data, first):
+    code, _ = run(tmp_path, command, data)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {first} ") or err.startswith(f"error: invalid {first}: ")
+
+
 # ---------------------------------------------------------------------------
 # shape specs: one grammar wherever a shape is read
 
@@ -1096,15 +1164,75 @@ def test_readme_config_tables_match_the_code():
             if isinstance(rng, dict):
                 yield from flatten(f"{prefix}{key}.", rng)
 
-    defaults = PotentialParams()
+    # a potential key a subcommand does not narrow has no row: the potential row covers it
     expected = {
-        command: {f"potential.{key}": (getattr(defaults, key), rng)
-                  for key, rng in cli._POTENTIALS[command].items()}
-        | dict(flatten("tolerances.", cli._TOLERANCES[command]))
-        | dict(flatten("options.", cli._OPTIONS[command]))
-        for command in cli._COMMANDS
+        command: {path: row for key in ("potential", "tolerances", "options") if key in table
+                  for path, row in flatten(f"{key}.", table[key][2])
+                  if not (key == "potential" and row[1] == "(-inf, inf)")}
+        for command, table in cli._CONFIGS.items()
     }
+    assert set(expected) == set(cli._COMMANDS)
     assert expected == documented
+
+
+# a valid object of each nested table the walk below enters (an empty one
+# where every key has a default), for three masses, and a state of each kind
+FUZZ_OBJECTS = {"potential": base_config()["potential"],
+                "mass_grid": {"m1": [0.5, 1.5], "m2": [0.5, 1.5]}}
+FUZZ_STATES = {
+    "cartesian": {**TWO_BODY, "positions": [[1, 0], [0, 1], [-1, 0]], "momenta": [[0, 0]] * 3},
+    "mcgehee": MANIFOLD_STATE,
+    "csv": {"kind": "csv", "path": "state.csv"},
+}
+
+
+def _past_each_bound(rng, kind):
+    """A value just past each bound of a numeric range: an open end itself, the next
+    value outward of a closed end or of a set member (the next integer for an int key);
+    a closed infinite end has none."""
+    ends = [float(end) for end in rng[1:-1].split(",")]
+    step = (lambda x, d: x + d) if kind is cli._int else (lambda x, d: np.nextafter(x, d * np.inf))
+    if rng[0] == "{":
+        return [step(x, d) for x in ends for d in (-1, 1) if step(x, d) not in ends]
+    return [x if not closed else step(x, d)
+            for x, closed, d in ((ends[0], rng[0] == "[", -1), (ends[1], rng[-1] == "]", 1))
+            if not (closed and np.isinf(x))]
+
+
+def _fuzz_cases(table, base, path=""):
+    """(dotted path, range, base with the key at path just past one bound of its range) for
+    every bound of every numeric range in table; a state table is entered once per kind."""
+    for key, (_, kind, rng) in table.items():
+        if isinstance(rng, dict):
+            nested = ([(rng[name], FUZZ_STATES[name]) for name in rng] if kind is cli._state
+                      else [(rng, FUZZ_OBJECTS.get(key, {}))])
+            for sub, obj in nested:
+                for where, bad_rng, value in _fuzz_cases(sub, obj, f"{path}{key}."):
+                    yield where, bad_rng, {**base, key: value}
+        elif isinstance(rng, str) and rng != "(-inf, inf)" and not rng[1].isalpha():  # not names
+            for x in map(float, _past_each_bound(rng, kind)):
+                yield path + key, rng, {**base, key: [x, x] if kind is cli._pair else x}
+
+
+def test_a_value_just_past_each_bound_of_each_table_names_its_key(tmp_path, capsys):
+    # the first slice of a config fuzzer: every numeric range of every
+    # subcommand's table, stepped just past each of its bounds
+    required = {"simulate": {"initial_state": FUZZ_STATES["cartesian"]},
+                "homothetic": {"energy_h": -1.0}}
+    covered = {command: set() for command in cli._CONFIGS}
+    for command, table in cli._CONFIGS.items():
+        for k, (path, rng, data) in enumerate(
+                _fuzz_cases(table, {**base_config(), **required.get(command, {})})):
+            code, out = run(tmp_path, command, data, subdir=f"{command}{k}")
+            err = capsys.readouterr().err
+            # an int key at an infinite end is no integer; that message names it too
+            assert code == 2 and err.startswith(f"error: {path} must "), (rng, data)
+            assert not out.exists()
+            covered[command].add(path)
+    assert set(covered) == set(cli._COMMANDS) and all(covered.values())
+    assert {"schema", "inertia_I0", "potential.b", "initial_state.rho", "tolerances.rho_floor",
+            "options.mass_draws.lo", "options.mass_grid.m1", "options.start.v_sign",
+            "options.max_step"} <= set().union(*covered.values())
 
 
 def test_missing_and_malformed_config_files(tmp_path, capsys):
