@@ -167,7 +167,7 @@ def heteroclinic_orbit(
     b = pp.b
 
     def field(t, y):
-        rho, v = y
+        rho, v = y.tolist()  # Python floats: numpy scalars pay per operation
         rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
         return np.array([rho * v, (b - 1.0) * rho_pow * w0 + b * rho**b * h])
 

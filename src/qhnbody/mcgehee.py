@@ -206,11 +206,15 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     t_exp = 1.0 + pp.b / 2.0
 
     def field(tau, y):
-        rho = y[0]
+        # rho and v as Python floats: the same arithmetic without numpy's
+        # per-operation scalar overhead
+        rho = float(y[0])
         su = y[2 : 2 + 2 * sz].reshape(2, n, dim)
         out = np.empty(size)
         su_out = out[2 : 2 + 2 * sz].reshape(2, n, dim)
-        out[0], out[1], _, _ = _field_arrays(rho, y[1], su[0], su[1], kernel, su_out[0], su_out[1])
+        out[0], out[1], _, _ = _field_arrays(
+            rho, float(y[1]), su[0], su[1], kernel, su_out[0], su_out[1]
+        )
         if with_time:
             out[-1] = rho**t_exp if rho > 0.0 else 0.0
         return out

@@ -26,8 +26,11 @@ import numpy as np
 
 from .errors import CollisionError, ManevOnlyError
 
-# Pairwise distances below GUARD_FACTOR * sqrt(I / total_mass) count as a
-# collision; evaluating any potential quantity there raises CollisionError.
+# Pairwise distances at or below GUARD_FACTOR * sqrt(I_cm / M) count as a
+# collision, with I_cm the moment of inertia about the centre of mass and M
+# the total mass; evaluating any potential quantity there raises
+# CollisionError.  The size is read from the pair distances, so the guard
+# does not move when the configuration is translated.
 GUARD_FACTOR = 1e-10
 
 
@@ -210,23 +213,29 @@ class _PairKernel:
     Bound once: the signed incidence matrix E of the pairs (see
     _incidence), the (..., 2, P) coefficients coef = alpha m_i m_j, beta
     m_i m_j and kc = -exp * coef, the half exponents -(exp + 2) / 2, the
-    mass column and the total mass.  pairs() guards squared distances d^2;
-    terms() makes one power call, d^(-exp-2) for both terms, and reads W,
-    V, both gradients and the Hessian from it, each sum over pairs a small
-    matmul with E.  A vector field binds one per closure, the collinear
-    solver one per batch (take() slices it to some members), the rest
-    one per call.
+    mass column and the (..., P) size weights (m_i / M)(m_j / M).  pairs()
+    guards squared distances d^2 against the size sqrt(I_cm / M), which
+    by Lagrange's identity is sqrt(sum_p weight_p d_p^2): the centre of
+    mass never enters, so the guard does not move with the origin.
+    gradients() makes one power call, d^(-exp-2) for both terms, and sums
+    both gradients with one small matmul with E; terms() reads W, V, the
+    force sums and the Hessian from the same pass.  A vector field binds
+    one per closure, the collinear solver one per batch (take() slices it
+    to some members), the rest one per call.
     """
 
-    __slots__ = ("pp", "e", "e_abs", "m_col", "m_total", "coef", "kc", "half_exps")
+    __slots__ = ("pp", "e", "e_abs", "m_col", "weights", "coef", "kc", "half_exps")
 
     def __init__(self, m: np.ndarray, pp: PotentialParams):
         self.pp = pp
         i, j, self.e, self.e_abs = _incidence(m.shape[-1])
         self.m_col = m[..., None]
-        self.m_total = m.sum(axis=-1)
-        mm = m.take(i, axis=-1) * m.take(j, axis=-1)
-        self.coef = np.stack([pp.alpha * mm, pp.beta * mm], axis=-2)
+        mi, mj = m.take(i, axis=-1), m.take(j, axis=-1)
+        total = np.add.reduce(m, axis=-1, keepdims=True)
+        # two mass fractions sum to at most 1, so each weight is in
+        # [0, 1/4] even where m_i m_j or M^2 would overflow
+        self.weights = (mi / total) * (mj / total)
+        self.coef = np.array([[pp.alpha], [pp.beta]]) * (mi * mj)[..., None, :]
         self.kc = np.array([[-pp.a], [-pp.b]]) * self.coef
         self.half_exps = np.array([[-0.5 * (pp.a + 2.0)], [-0.5 * (pp.b + 2.0)]])
 
@@ -234,7 +243,7 @@ class _PairKernel:
         """The kernel of the batch members in rows, sliced from this one, not rebound."""
         out = _PairKernel.__new__(_PairKernel)
         out.pp, out.e, out.e_abs, out.half_exps = self.pp, self.e, self.e_abs, self.half_exps
-        out.m_col, out.m_total = self.m_col[rows], self.m_total[rows]
+        out.m_col, out.weights = self.m_col[rows], self.weights[rows]
         out.coef, out.kc = self.coef[rows], self.kc[rows]
         return out
 
@@ -242,14 +251,13 @@ class _PairKernel:
         """(diff, d2, collided) of all pairs i < j, with the collision guard.
 
         r is (n, d) or a (B, n, d) batch; diff = r_i - r_j, d2 = |diff|^2,
-        and collided flags the members with min d2 <= GUARD_FACTOR^2 I / M.
+        and collided flags the members with min d2 <= GUARD_FACTOR^2 I_cm / M.
         strict raises CollisionError for any such member; otherwise its d2
         read 1 so the arithmetic stays finite, and its values mean nothing.
         """
         diff = self.e.T @ r
         d2 = np.add.reduce(diff * diff, axis=-1)
-        inertia = np.add.reduce(self.m_col * r * r, axis=(-2, -1))
-        guard2 = GUARD_FACTOR * GUARD_FACTOR * inertia / self.m_total
+        guard2 = GUARD_FACTOR * GUARD_FACTOR * np.vecdot(self.weights, d2)
         d2min = np.minimum.reduce(d2, axis=-1)
         collided = d2min <= guard2
         if collided.any() if r.ndim == 3 else collided:
@@ -263,6 +271,19 @@ class _PairKernel:
             d2 = np.where(collided[..., None], 1.0, d2)
         return diff, d2, collided
 
+    def gradients(self, r: np.ndarray, strict: bool = True):
+        """(diff, d2, collided, pw, c, grads): pairs() of r, then pw =
+        d^(-exp-2) and the gradient coefficients c = kc pw, rows w and v,
+        (..., 2, P) each, and grads, the (..., 2, n, d) gradients of W and V.
+        """
+        diff, d2, collided = self.pairs(r, strict)
+        pw = d2[..., None, :] ** self.half_exps
+        # d/dr_i [coef * d^-exp] = -exp * coef * d^(-exp-2) * (r_i - r_j);
+        # body j picks up the opposite sign, the force magnitude the same one.
+        c = self.kc * pw
+        # E sums c_w diff and c_v diff onto the bodies
+        return diff, d2, collided, pw, c, self.e @ (c[..., None] * diff[..., None, :, :])
+
     def terms(self, r: np.ndarray, energy: bool = True, force: bool = True,
               strict: bool = True, hess: bool = False):
         """(PairTerms, collided) of r, summing only what the caller reads.
@@ -272,13 +293,7 @@ class _PairKernel:
         gradient coefficients) only with hess.  Terms left out read None.
         """
         n, d = r.shape[-2:]
-        diff, d2, collided = self.pairs(r, strict)
-        pw = d2[..., None, :] ** self.half_exps  # d^(-exp-2), rows w and v: (..., 2, P)
-        # d/dr_i [coef * d^-exp] = -exp * coef * d^(-exp-2) * (r_i - r_j);
-        # body j picks up the opposite sign, the force magnitude the same one.
-        c = self.kc * pw
-        # E sums c_w diff and c_v diff onto the bodies: (..., 2, n, d)
-        grads = self.e @ (c[..., None] * diff[..., None, :, :])
+        diff, d2, collided, pw, c, grads = self.gradients(r, strict)
         w_sum = v_sum = force_sum = h = None
         if energy:
             # coef last: a subnormal coef then rounds once, at the size of W or V
@@ -393,8 +408,8 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
         rp = y.reshape(shape)
         out = np.empty(shape)
         np.divide(rp[1], kernel.m_col, out=out[0])
-        g = kernel.terms(rp[0], energy=False, force=False)[0]
-        np.add(g.grad_W, g.grad_V, out=out[1])
+        grads = kernel.gradients(rp[0])[-1]
+        np.add(grads[0], grads[1], out=out[1])
         return out.reshape(y.size)
 
     return field

@@ -268,15 +268,23 @@ def test_collision_guard():
 
 @pytest.mark.parametrize("side", ["at", "below", "above"])
 def test_guard_edge_is_the_same_for_pair_terms_and_both_fields(side):
-    ms = MassSystem(np.array([1.0, 2.0, 1.5]))
+    # mass fractions 1/4, 1/4, 1/2 and a far body at unit distance from
+    # both close bodies make I_cm / M = 1/4 exactly, so the guard is
+    # GUARD_FACTOR / 2 and its square GUARD_FACTOR^2 / 4 without rounding
+    ms = MassSystem(np.array([1.0, 1.0, 2.0]))
     pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
-    r = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.5]])
+    r = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+
+    def size_guard(r):
+        return GUARD_FACTOR * np.sqrt(moment_of_inertia(centered(r, ms), ms) / ms.total_mass)
+
+    guard = size_guard(r)
+    assert guard == 0.5 * GUARD_FACTOR
     # the close pair sits at the guard, or one ulp either side of it
-    guard = GUARD_FACTOR * np.sqrt((ms.masses[:, None] * r * r).sum() / ms.total_mass)
     sep = {"at": guard, "below": np.nextafter(guard, 0.0), "above": np.nextafter(guard, 1.0)}
-    r[1, 0] = sep[side]
-    # the close pair is too small to move the system's inertia
-    assert GUARD_FACTOR * np.sqrt((ms.masses[:, None] * r * r).sum() / ms.total_mass) == guard
+    r[1, 1] = sep[side]
+    # the close pair is too small to move the system's size
+    assert size_guard(r) == guard
     raised = []
     for evaluate in _field_inputs(Configuration(r), ms, pp):
         try:
@@ -285,6 +293,68 @@ def test_guard_edge_is_the_same_for_pair_terms_and_both_fields(side):
         except CollisionError:
             raised.append(True)
     assert raised == [side != "above"] * 3
+
+
+def test_a_binary_far_from_the_origin_is_no_collision():
+    # the guard reads the system's size from its pair distances, so two
+    # bodies 0.05 apart are as far from colliding at 1e9 as at the origin
+    ms = MassSystem(np.array([1.0, 1.0]))
+    pp = PotentialParams(a=1.0, b=2.0)
+    far = np.array([[0.0, 0.0], [0.05, 0.0]]) + 1e9
+    got = pair_terms(far, ms, pp)
+    # moved back to the origin exactly (Sterbenz), the pair reads the same values
+    want = pair_terms(far - far[0], ms, pp)
+    for a, b in zip(got[:5], want[:5]):
+        assert np.array_equal(a, b)
+    y = np.concatenate([far.ravel(), np.zeros(4)])
+    pdot = cartesian_field(ms, pp, 2)(0.0, y)[4:]
+    assert pdot.tobytes() == (want.grad_W + want.grad_V).ravel().tobytes()
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_the_guard_decision_does_not_move_with_the_origin(factor):
+    # a pair at half or twice the guard distance, with the far body
+    # setting the size; translations up to 1e9 in any direction keep the
+    # decision (the close pair's distance moves by rounding only)
+    ms = MassSystem(np.array([1.0, 1.0, 2.0]))
+    pp = PotentialParams(a=1.0, b=2.0)
+    scale = 2.0**20
+    guard = 0.5 * GUARD_FACTOR * scale  # I_cm / M = scale^2 / 4, as in the edge test
+    r = np.array([[0.0, 0.0], [0.0, factor * guard], [scale, 0.0]])
+    shifts = [(0.0, 0.0), (1e9, 0.0), (0.0, -1e9), (-1e9, 1e9), (3.7e5, -2.9e8), (1e3, 1e3)]
+    for shift in shifts:
+        for evaluate in _field_inputs(Configuration(r + np.array(shift)), ms, pp):
+            if factor < 1.0:
+                with pytest.raises(CollisionError):
+                    evaluate()
+            else:
+                evaluate()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # m_i m_j overflows to inf
+def test_the_guard_fires_for_coincident_bodies_of_huge_mass():
+    # the weights (m_i / M)(m_j / M) stay in [0, 1/4]; m_i m_j / M^2 would
+    # read inf / inf = nan here, and no distance compares below a nan guard
+    ms = MassSystem(np.array([1e200, 1e200]))
+    with pytest.raises(CollisionError):
+        pair_terms(np.zeros((2, 2)), ms, PotentialParams(a=1.0, b=2.0))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_the_size_weights_give_the_inertia_about_the_centre_of_mass(rng, d):
+    # Lagrange's identity I_cm / M = sum_{i<j} (m_i / M)(m_j / M) d_ij^2,
+    # for one configuration and for a batch with per-member masses
+    for n in range(2, 8):
+        masses = np.array([random_masses(rng, n).masses for _ in range(3)])
+        r = np.array([random_config(rng, n, dim=d, scale=3.0) for _ in range(3)]) + 10.0
+        batch = _PairKernel(masses, PotentialParams())
+        d2 = batch.pairs(r)[1]
+        for k in range(3):
+            ms = MassSystem(masses[k])
+            want = moment_of_inertia(centered(r[k], ms), ms) / ms.total_mass
+            one = _PairKernel(ms.masses, PotentialParams())
+            assert np.vecdot(one.weights, one.pairs(r[k])[1]) == pytest.approx(want, rel=1e-12)
+            assert np.vecdot(batch.weights[k], d2[k]) == pytest.approx(want, rel=1e-12)
 
 
 def _bound_kernel_cases():
