@@ -256,7 +256,10 @@ def _metric_null_basis(constraints: np.ndarray, weights: np.ndarray) -> np.ndarr
     A stack of constraint matrices gives a stack of bases; every member
     must have the same rank.
     """
-    _, svals, vt = np.linalg.svd(constraints)
+    try:
+        _, svals, vt = np.linalg.svd(constraints)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateError(f"tangent-basis constraint SVD failed: {exc}") from None
     tol = max(constraints.shape[-2:]) * np.finfo(float).eps * svals[..., :1]
     ranks = (svals > tol).sum(axis=-1)
     rank = int(ranks.max(initial=0))
@@ -405,15 +408,19 @@ def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
     return IndexReport(index=index, eigenvalues=eigs, zero_modes=zeros, ambient=ambient)
 
 
-def _project_line(x: np.ndarray, m: np.ndarray, inertia_I0: float) -> np.ndarray:
-    """Each row of x moved to its center of mass and scaled onto <x, x> = I0."""
-    x = x - ((m * x).sum(axis=-1) / m.sum(axis=-1))[..., None]
-    return x * np.sqrt(inertia_I0 / (m * x * x).sum(axis=-1))[..., None]
+def _project_line(x: np.ndarray, m: np.ndarray, mass_sum: np.ndarray, inertia_I0: float):
+    """Each row of x moved to its center of mass and scaled onto <x, x> = I0.
+
+    mass_sum is m summed over its last axis, kept as a column.
+    """
+    x = x - np.add.reduce(m * x, axis=-1, keepdims=True) / mass_sum
+    return x * np.sqrt(inertia_I0 / np.add.reduce(m * x * x, axis=-1, keepdims=True))
 
 
-def _stalled(ordering: Ordering, res: float) -> NoConvergenceError:
+def _stalled(ordering: Ordering, res: float, goal: float) -> NoConvergenceError:
     return NoConvergenceError(
-        f"collinear solve for ordering {ordering.perm} stalled at residual {res:.3e}",
+        f"collinear solve for ordering {ordering.perm} stalled at residual {res:.3e} "
+        f"above its goal {goal:.3e}",
         residual=res,
     )
 
@@ -434,14 +441,23 @@ def _solve_each(a_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out, singular
 
 
-def _newton_directions(
-    x: np.ndarray, m: np.ndarray, pp: PotentialParams, terms: PairTerms, sigma, inertia_I0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton directions of a batch of iterates on the line.
+def _border(m: np.ndarray) -> np.ndarray:
+    """(B, n + 2, n + 2) zeros bordered by the center-of-mass row and column m."""
+    size, n = m.shape
+    border = np.zeros((size, n + 2, n + 2))
+    border[:, n, :n] = border[:, :n, n] = m
+    return border
 
-    Each member solves [[H + c M, C^T], [C, 0]] [xi; lambda] = [-r; 0]
-    with H = terms.hess, c = (a W + b V) / I0, M = diag(m), C the rows m
-    and m x of the center-of-mass and inertia constraints, and r =
+
+def _newton_directions(
+    border: np.ndarray, mx: np.ndarray, hess: np.ndarray, shift: np.ndarray, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton directions of a batch of iterates x on the line.
+
+    Each member solves [[H + c M, C^T], [C, 0]] [xi; lambda] = rhs with
+    H = hess, c M = diag(shift), c = (a W + b V) / I0, M = diag(m), C the
+    rows m and mx = m x of the center-of-mass and inertia constraints
+    (border, from _border(m), holds the first), and rhs = [-r; 0] with r =
     grad U - 2 sigma M x the CC residual: xi is the restricted-Hessian
     Newton step of the tangent space, taken without a tangent basis.
     Where the system is singular or xi does not descend, M in place of
@@ -449,36 +465,38 @@ def _newton_directions(
     Returns the (B, n) directions, the slope r . xi of U along each, and
     the mask of members that fell back to the gradient.
     """
-    size, n = x.shape
-    body = np.arange(n)
-    kkt = np.zeros((size, n + 2, n + 2))
-    kkt[:, n, :n] = kkt[:, :n, n] = m
-    kkt[:, n + 1, :n] = kkt[:, :n, n + 1] = m * x
-    kkt[:, :n, :n] = terms.hess
-    kkt[:, body, body] += ((pp.a * terms.W + pp.b * terms.V) / inertia_I0)[:, None] * m
-    rhs = np.zeros((size, n + 2))
-    rhs[:, :n] = 2.0 * sigma[:, None] * m * x - (terms.grad_W + terms.grad_V)[..., 0]
+    size, n = mx.shape
+    kkt = border.copy()
+    kkt[:, :n, :n] = hess
+    kkt[:, n + 1, :n] = kkt[:, :n, n + 1] = mx
+    diagonal = kkt.reshape(size, (n + 2) ** 2)[:, :n * (n + 3):n + 3]  # a view of H + c M's
+    diagonal += shift
     step, singular = _solve_each(kkt, rhs)
     # r . xi; the border rows of the right-hand side are zero
-    slope = -(rhs * step).sum(axis=-1)
+    slope = -np.add.reduce(rhs * step, axis=-1)
     fallback = singular | (slope >= 0.0)
     if fallback.any():
         k = np.flatnonzero(fallback)
         kkt[k, :n, :n] = 0.0
-        kkt[k[:, None], body, body] = m[k]
-        step[k] = np.linalg.solve(kkt[k], rhs[k][..., None])[..., 0]
-        slope[k] = -(rhs[k] * step[k]).sum(axis=-1)
+        diagonal[k] = border[k, n, :n]
+        try:
+            step[k] = np.linalg.solve(kkt[k], rhs[k][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateError(f"gradient-step system of the collinear Newton step "
+                                  f"is singular: {exc}") from None
+        slope[k] = -np.add.reduce(rhs[k] * step[k], axis=-1)
     return step[:, :n], slope, fallback
 
 
 def _in_order(x: np.ndarray, e: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """Rows of x whose pair differences x @ e (x_i - x_j, exact) have the given signs."""
-    return ((x @ e) * sign > 0.0).all(axis=-1)
+    return np.logical_and.reduce((x @ e) * sign > 0.0, axis=-1)
 
 
-def _trial_pass(kernel: _PairKernel, r: np.ndarray) -> tuple[PairTerms, np.ndarray]:
-    """(terms with the Hessian, collided) of trial steps; a collision is flagged, not raised."""
-    return kernel.terms(r, strict=False, hess=True)
+def _trial_pass(kernel: _PairKernel, x: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """(the line's terms with the Hessian, collided) of trial steps x; a collision is
+    flagged, not raised."""
+    return kernel.terms(x, strict=False, hess=True)
 
 
 def solve_collinear_batch(
@@ -498,13 +516,14 @@ def solve_collinear_batch(
     converged drop out, a trial step that collides or breaks its
     ordering is rejected for its own member only, and one pass of the
     pair kernel over the members still searching evaluates each round of
-    trial steps, so an accepted trial already carries W, V, the
-    gradients, the force sums and the Hessian of the next iterate.  The
-    kernel is bound once and sliced only when members leave or some
-    accept before others; a trial keeps its ordering when its pair
-    differences keep their signs.  The spectra of the converged members
-    read that pass at their last iterate, in one batch.  When members
-    fail, the error of the first of them in input order is raised.
+    trial steps, so an accepted trial already carries W, V, grad U, the
+    force sums and the Hessian of the next iterate.  The iterates are
+    (B, n) lines, so each pass is the kernel's line case.  The kernel is
+    bound once and sliced only when members leave or some accept before
+    others; a trial keeps its ordering when its pair differences keep
+    their signs.  The spectra of the converged members read that pass at
+    their last iterate, in one batch.  When members fail, the error of
+    the first of them in input order is raised.
     """
     _check_knobs(inertia_I0, grad_tol)
     masses = np.asarray(masses, dtype=float)
@@ -515,73 +534,93 @@ def solve_collinear_batch(
         raise ValueError("masses must be finite and strictly positive")
     size, n = masses.shape
     kernel = _PairKernel(masses, pp)
-    # the members still iterating: ids, masses, ordered signs of x_i - x_j, iterates, terms
-    ids, m = np.arange(size), masses
+    # the members still iterating, one row each: ids, masses, their sums and the
+    # bordered systems' mass rows, the ordered signs of x_i - x_j, the iterates with
+    # their W, V, grad U, force sums and Hessians, and the last residuals and goals
+    ids, m, mass_sum = np.arange(size), masses, masses.sum(axis=-1, keepdims=True)
+    border = _border(m)
     x = np.empty((size, n))
     slots = np.array([o.zero_based for o in orderings], int).reshape(size, n)
     x[ids[:, None], slots] = np.arange(n)
     sign = np.sign(x @ kernel.e)
-    x = _project_line(x, m, inertia_I0)  # unit gaps in each ordering
-    terms = kernel.terms(x[..., None], hess=True)[0]
+    x = _project_line(x, m, mass_sum, inertia_I0)  # unit gaps in each ordering
+    w, v, g, fs, h = kernel.terms(x, hess=True)[0]
+    rs, tol = np.full(size, np.inf), np.full(size, grad_tol)
 
-    sigma, res, floor, rs = np.zeros(size), np.zeros(size), np.zeros(size), np.full(size, np.inf)
+    sigma, res, floor = np.zeros(size), np.zeros(size), np.zeros(size)
     iters, backtracks, fallbacks = (np.zeros(size, dtype=int) for _ in range(3))
     finished = []  # (ids, x, W, V, Hessian) of the members converged in one round
     stalls: dict[int, NoConvergenceError] = {}
 
-    def keep(stay: np.ndarray) -> None:
-        nonlocal ids, m, sign, x, terms, kernel, sig, rs
-        ids, m, sign, x, sig, rs = (a[stay] for a in (ids, m, sign, x, sig, rs))
-        terms = PairTerms(*(a[stay] for a in terms))
+    def keep(stay: np.ndarray, *more: np.ndarray) -> list[np.ndarray]:
+        """Keep the members in stay; returns the rows in stay of more."""
+        nonlocal ids, m, mass_sum, border, sign, x, w, v, g, fs, h, rs, tol, kernel
+        ids, m, mass_sum, border, sign, x, w, v, g, fs, h, rs, tol = (
+            a[stay] for a in (ids, m, mass_sum, border, sign, x, w, v, g, fs, h, rs, tol))
         kernel = kernel.take(stay)
+        return [a[stay] for a in more]
 
     floor_factor = 8.0 * np.finfo(float).eps
     for it in range(max_iter):
-        sig, rs = cc_residual(x[..., None], m, pp, terms)
-        scale = np.max(terms.force_sum + np.abs(2.0 * sig[:, None] * m * x), axis=-1)
-        tol = np.maximum(grad_tol, floor_factor * scale)
+        # sigma = -(a W + b V) / (2 I) and the sup-norm residual of grad U = sigma dI/dx,
+        # dI/dx = 2 m x; its goal is grad_tol, or a few ulps of the largest sum that
+        # forms it.  sig_di is sigma dI/dx again, rounded as the Newton step reads it
+        mx = m * x
+        aw_bv = pp.a * w + pp.b * v
+        sig = -aw_bv / (2.0 * np.add.reduce(mx * x, axis=-1))
+        rs = np.maximum.reduce(np.abs(g - sig[:, None] * (2.0 * m * x)), axis=-1)
+        sig_di = 2.0 * sig[:, None] * m * x
+        tol = np.maximum(grad_tol, floor_factor * np.maximum.reduce(fs + np.abs(sig_di), axis=-1))
         done = rs <= tol
         if done.any() or not done.size:  # an empty batch is done at once
             # each member still here has accepted a step in every round
             gone = ids[done]
             sigma[gone], res[gone], floor[gone], iters[gone] = sig[done], rs[done], tol[done], it
             if done.all():
-                finished.append((ids, x, terms.W, terms.V, terms.hess))
+                finished.append((ids, x, w, v, h))
                 break
-            finished.append((gone, x[done], terms.W[done], terms.V[done], terms.hess[done]))
-            keep(~done)
+            finished.append((gone, x[done], w[done], v[done], h[done]))
+            mx, aw_bv, sig_di = keep(~done, mx, aw_bv, sig_di)
 
-        direction, slope, fallback = _newton_directions(x, m, pp, terms, sig, inertia_I0)
-        fallbacks[ids[fallback]] += 1
-        u0 = terms.W + terms.V
+        rhs = np.zeros((ids.size, n + 2))
+        np.subtract(sig_di, g, out=rhs[:, :n])
+        direction, slope, fallback = _newton_directions(
+            border, mx, h, (aw_bv / inertia_I0)[:, None] * m, rhs)
+        if fallback.any():
+            fallbacks[ids[fallback]] += 1
+        u0 = w + v
         # k: the members still searching, whose rows search and kern hold; a slack
         # of a few ulps of U keeps rounding from vetoing the final Newton steps
-        k, kern = np.arange(ids.size), kernel
-        search = (x, direction, m, sign, u0, 1e-4 * slope, 1e-14 * np.abs(u0))
-        for t in 0.5 ** np.arange(47):  # step sizes 1 down to 2^-46, the last above 1e-14
-            xs, ds, ms_, sg, u0s, armijo, slack = search
-            trial = _project_line(xs + t * ds, ms_, inertia_I0)
-            trial_terms, collided = _trial_pass(kern, trial[..., None])
+        k, kern, t = np.arange(ids.size), kernel, 1.0
+        search = (x, direction, m, mass_sum, sign, u0, 1e-4 * slope, 1e-14 * np.abs(u0))
+        for _ in range(47):  # step sizes 1 down to 2^-46, the last above 1e-14
+            xs, ds, ms_, msum, sg, u0s, armijo, slack = search
+            trial = _project_line(xs + t * ds, ms_, msum, inertia_I0)
+            trial_terms, collided = _trial_pass(kern, trial)
             ok = _in_order(trial, kern.e, sg) & ~collided
-            ok &= trial_terms.W + trial_terms.V <= u0s + t * armijo + slack
+            ok &= trial_terms[0] + trial_terms[1] <= u0s + t * armijo + slack
             if k.size == ids.size and ok.all():
-                x, terms = trial, trial_terms
+                x, (w, v, g, fs, h) = trial, trial_terms
                 break
             if ok.any():
-                x[k[ok]] = trial[ok]
-                for a, new in zip(terms, trial_terms):
-                    a[k[ok]] = new[ok]
+                rows = k[ok]
+                x[rows] = trial[ok]
+                for a, new in zip((w, v, g, fs, h), trial_terms):
+                    a[rows] = new[ok]
                 k, search, kern = k[~ok], tuple(a[~ok] for a in search), kern.take(~ok)
                 if not k.size:
                     break
             backtracks[ids[k]] += 1
+            t *= 0.5
         else:
-            stalls.update((b, _stalled(orderings[b], r)) for b, r in zip(ids[k], rs[k].tolist()))
+            stalls.update((i, _stalled(orderings[i], r, goal))
+                          for i, r, goal in zip(ids[k], rs[k].tolist(), tol[k].tolist()))
             keep(~np.isin(np.arange(ids.size), k))
             if not ids.size:
                 break
     else:  # the iteration budget ran out
-        stalls.update((b, _stalled(orderings[b], r)) for b, r in zip(ids, rs.tolist()))
+        stalls.update((i, _stalled(orderings[i], r, goal))
+                      for i, r, goal in zip(ids, rs.tolist(), tol.tolist()))
 
     # the members before the first stall have all converged; a degenerate one fails first
     first = min(stalls, default=size)

@@ -30,7 +30,7 @@ from .central_config import (
     index_report,
     restricted_hessian,
 )
-from .errors import MismatchError, OffManifoldError
+from .errors import DegenerateError, MismatchError, OffManifoldError
 from .integrate import Event, Trajectory, integrate
 from .mcgehee import (
     McGeheeState,
@@ -156,7 +156,10 @@ def _linearization(a_mat: np.ndarray, v0: float, b: float) -> tuple[np.ndarray, 
     su[:k, k:] = np.eye(k)
     su[k:, :k] = a_mat
     su[k:, k:] = (b / 2.0 - 1.0) * v0 * np.eye(k)
-    return mat, np.linalg.eigvals(mat)
+    try:
+        return mat, np.linalg.eigvals(mat)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateError(f"linearization spectrum at the rest point failed: {exc}") from None
 
 
 def manifold_dimensions(
@@ -392,7 +395,8 @@ def manifold_start(
     sphere; u is a seeded random direction with zero total momentum and
     s . u = 0, of Euclidean norm scale; v = v_sign sqrt(2 V(s) - u M^-1 u)
     completes the manifold relation.  Raises ValueError when scale is
-    too large for v to be real.
+    too large for v to be real, and DegenerateError when the constraint
+    rows have no solve.
     """
     r = lift_to_plane(shape)
     s = r / np.sqrt(mass_inner(r, r, ms))
@@ -400,7 +404,11 @@ def manifold_start(
     flat = np.random.default_rng(seed).standard_normal(s.shape).ravel()
     # rows: the total momentum along each axis, then s . u
     cmat = np.vstack([np.tile(np.eye(dim), n), s.ravel()])
-    flat = flat - cmat.T @ np.linalg.solve(cmat @ cmat.T, cmat @ flat)
+    try:
+        flat = flat - cmat.T @ np.linalg.solve(cmat @ cmat.T, cmat @ flat)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateError(
+            f"momentum and s . u constraints of the start are singular: {exc}") from None
     norm = np.linalg.norm(flat)
     u = np.zeros_like(s) if norm == 0.0 else scale * (flat / norm).reshape(n, dim)
     v2 = 2.0 * potential_V(Configuration(s), ms, pp) - float(

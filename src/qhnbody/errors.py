@@ -46,7 +46,7 @@ class OffManifoldError(QHError):
 
 
 class DegenerateError(QHError):
-    """A spectrum contains unexpected zero modes."""
+    """A spectrum contains unexpected zero modes, or a linear-algebra step has no answer."""
 
 
 class MismatchError(QHError):

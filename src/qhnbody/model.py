@@ -212,19 +212,24 @@ class _PairKernel:
     m is (n,) masses, or (B, n) per-member masses for (B, n, d) batches.
     Bound once: the signed incidence matrix E of the pairs (see
     _incidence), the (..., 2, P) coefficients coef = alpha m_i m_j, beta
-    m_i m_j and kc = -exp * coef, the half exponents -(exp + 2) / 2, the
-    mass column and the (..., P) size weights (m_i / M)(m_j / M).  pairs()
-    guards squared distances d^2 against the size sqrt(I_cm / M), which
-    by Lagrange's identity is sqrt(sum_p weight_p d_p^2): the centre of
-    mass never enters, so the guard does not move with the origin.
-    gradients() makes one power call, d^(-exp-2) for both terms, and sums
-    both gradients with one small matmul with E; terms() reads W, V, the
-    force sums and the Hessian from the same pass.  A vector field binds
-    one per closure, the collinear solver one per batch (take() slices it
-    to some members), the rest one per call.
+    m_i m_j and kc = -exp * coef, the half exponents -(exp + 2) / 2 and
+    the Hessian's -(exp + 2), the mass column and the (..., P) size
+    weights (m_i / M)(m_j / M).  pairs() guards squared distances d^2
+    against the size sqrt(I_cm / M), which by Lagrange's identity is
+    sqrt(sum_p weight_p d_p^2): the centre of mass never enters, so the
+    guard does not move with the origin.  gradients() makes one power
+    call, d^(-exp-2) for both terms, and sums both gradients with one
+    small matmul with E; terms() reads W, V, the force sums and the
+    Hessian from the same pass.
+
+    A position array of the masses' own shape, (n,) or (B, n), is a line:
+    its pair differences are x E, and terms() builds only the line's
+    (n, n) Hessian.  A vector field binds one kernel per closure, the
+    collinear solver one per batch (take() slices it to some members),
+    the rest one per call.
     """
 
-    __slots__ = ("pp", "e", "e_abs", "m_col", "weights", "coef", "kc", "half_exps")
+    __slots__ = ("pp", "e", "e_abs", "m_col", "weights", "coef", "kc", "half_exps", "hess_exps")
 
     def __init__(self, m: np.ndarray, pp: PotentialParams):
         self.pp = pp
@@ -238,11 +243,13 @@ class _PairKernel:
         self.coef = np.array([[pp.alpha], [pp.beta]]) * (mi * mj)[..., None, :]
         self.kc = np.array([[-pp.a], [-pp.b]]) * self.coef
         self.half_exps = np.array([[-0.5 * (pp.a + 2.0)], [-0.5 * (pp.b + 2.0)]])
+        self.hess_exps = np.array([[-(pp.a + 2.0)], [-(pp.b + 2.0)]])
 
     def take(self, rows) -> "_PairKernel":
         """The kernel of the batch members in rows, sliced from this one, not rebound."""
         out = _PairKernel.__new__(_PairKernel)
-        out.pp, out.e, out.e_abs, out.half_exps = self.pp, self.e, self.e_abs, self.half_exps
+        out.pp, out.e, out.e_abs = self.pp, self.e, self.e_abs
+        out.half_exps, out.hess_exps = self.half_exps, self.hess_exps
         out.m_col, out.weights = self.m_col[rows], self.weights[rows]
         out.coef, out.kc = self.coef[rows], self.kc[rows]
         return out
@@ -250,20 +257,25 @@ class _PairKernel:
     def pairs(self, r: np.ndarray, strict: bool = True):
         """(diff, d2, collided) of all pairs i < j, with the collision guard.
 
-        r is (n, d) or a (B, n, d) batch; diff = r_i - r_j, d2 = |diff|^2,
+        r is (n, d) or a (B, n, d) batch, or a line of the masses' shape;
+        diff = r_i - r_j, (..., P, d) or on a line (..., P), d2 = |diff|^2,
         and collided flags the members with min d2 <= GUARD_FACTOR^2 I_cm / M.
         strict raises CollisionError for any such member; otherwise its d2
         read 1 so the arithmetic stays finite, and its values mean nothing.
         """
-        diff = self.e.T @ r
-        d2 = np.add.reduce(diff * diff, axis=-1)
+        if r.ndim < self.m_col.ndim:
+            diff = r @ self.e
+            d2 = diff * diff
+        else:
+            diff = self.e.T @ r
+            d2 = np.add.reduce(diff * diff, axis=-1)
         guard2 = GUARD_FACTOR * GUARD_FACTOR * np.vecdot(self.weights, d2)
         d2min = np.minimum.reduce(d2, axis=-1)
         collided = d2min <= guard2
-        if collided.any() if r.ndim == 3 else collided:
+        if collided.any() if d2.ndim == 2 else collided:
             if strict:
                 k = np.flatnonzero(collided)[0]
-                where = f" in batch member {k}" if r.ndim == 3 else ""
+                where = f" in batch member {k}" if d2.ndim == 2 else ""
                 raise CollisionError(
                     f"minimum pairwise distance {np.sqrt(d2min.flat[k]):.3e} at or below "
                     f"guard {np.sqrt(guard2.flat[k]):.3e}{where}"
@@ -274,14 +286,18 @@ class _PairKernel:
     def gradients(self, r: np.ndarray, strict: bool = True):
         """(diff, d2, collided, pw, c, grads): pairs() of r, then pw =
         d^(-exp-2) and the gradient coefficients c = kc pw, rows w and v,
-        (..., 2, P) each, and grads, the (..., 2, n, d) gradients of W and V.
+        (..., 2, P) each, and grads, the (..., 2, n, d) gradients of W and
+        V, (..., 2, n) on a line.
         """
         diff, d2, collided = self.pairs(r, strict)
         pw = d2[..., None, :] ** self.half_exps
         # d/dr_i [coef * d^-exp] = -exp * coef * d^(-exp-2) * (r_i - r_j);
         # body j picks up the opposite sign, the force magnitude the same one.
         c = self.kc * pw
-        # E sums c_w diff and c_v diff onto the bodies
+        # E sums c_w diff and c_v diff onto the bodies; a line keeps the
+        # (n, P) @ (P, 1) products of d = 1, and so their rounding
+        if diff.ndim == d2.ndim:
+            return diff, d2, collided, pw, c, (self.e @ (c * diff[..., None, :])[..., None])[..., 0]
         return diff, d2, collided, pw, c, self.e @ (c[..., None] * diff[..., None, :, :])
 
     def terms(self, r: np.ndarray, energy: bool = True, force: bool = True,
@@ -291,29 +307,40 @@ class _PairKernel:
         The gradients are always summed; W and V only with energy, the
         force sums (the only sqrt) only with force, the Hessian (from the
         gradient coefficients) only with hess.  Terms left out read None.
+        A line gives the plain tuple (W, V, grad U, force_sum, hess) in
+        place of PairTerms, with grad U = grad W + grad V.
         """
-        n, d = r.shape[-2:]
         diff, d2, collided, pw, c, grads = self.gradients(r, strict)
+        line = diff.ndim == d2.ndim
         w_sum = v_sum = force_sum = h = None
         if energy:
             # coef last: a subnormal coef then rounds once, at the size of W or V
             sums = np.add.reduce(self.coef * (pw * d2[..., None, :]), axis=-1)
-            w_sum, v_sum = sums.tolist() if r.ndim == 2 else (sums[..., 0], sums[..., 1])
+            w_sum, v_sum = sums.tolist() if sums.ndim == 1 else (sums[..., 0], sums[..., 1])
+        if force or hess:
+            c_sum = np.add.reduce(c, axis=-2)
         if force:
-            pair_force = np.abs(np.add.reduce(c, axis=-2)) * np.sqrt(d2)
+            pair_force = np.abs(c_sum) * np.sqrt(d2)
             force_sum = (self.e_abs @ pair_force[..., None])[..., 0]
         if hess:
             # pair p adds e_p e_p^T (x) B_p, B = sum over both terms of
             # k ((exp + 2) / d^2 diff diff^T - 1), k = exp coef d^(-exp-2) = -c,
-            # so block entry (a, b) of the Hessian is E diag(B[a, b]) E^T
-            ca, cb = -c[..., 0, :], -c[..., 1, :]
-            outer = ((self.pp.a + 2.0) * ca + (self.pp.b + 2.0) * cb) / d2
-            diff_t = diff.swapaxes(-1, -2)
-            blocks = outer[..., None, None, :] * diff_t[..., :, None, :] * diff_t[..., None, :, :]
-            blocks -= (ca + cb)[..., None, None, :] * np.eye(d)[..., None]
-            h = (blocks[..., None, :] * self.e) @ self.e.T  # (..., a, b, i, j)
-            h = h.swapaxes(-3, -2).swapaxes(-4, -3).swapaxes(-2, -1)  # (..., i, a, j, b)
-            h = h.reshape(r.shape[:-2] + (n * d, n * d))
+            # that is B = outer diff diff^T + c_sum with outer = -sum (exp + 2) c / d^2;
+            # block entry (a, b) of the Hessian is E diag(B[a, b]) E^T
+            outer = np.add.reduce(self.hess_exps * c, axis=-2) / d2
+            if line:  # block (0, 0) only
+                h = ((outer * diff * diff + c_sum)[..., None, :] * self.e) @ self.e.T
+            else:
+                n, d = r.shape[-2:]
+                diff_t = diff.swapaxes(-1, -2)
+                blocks = (outer[..., None, None, :] * diff_t[..., :, None, :]
+                          * diff_t[..., None, :, :])
+                blocks += c_sum[..., None, None, :] * np.eye(d)[..., None]
+                h = (blocks[..., None, :] * self.e) @ self.e.T  # (..., a, b, i, j)
+                h = h.swapaxes(-3, -2).swapaxes(-4, -3).swapaxes(-2, -1)  # (..., i, a, j, b)
+                h = h.reshape(r.shape[:-2] + (n * d, n * d))
+        if line:
+            return (w_sum, v_sum, grads[..., 0, :] + grads[..., 1, :], force_sum, h), collided
         terms = PairTerms(w_sum, v_sum, grads[..., 0, :, :], grads[..., 1, :, :], force_sum, h)
         return terms, collided
 

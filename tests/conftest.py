@@ -108,3 +108,12 @@ def count_kernel_bindings(monkeypatch):
 def count_kernel_passes(monkeypatch):
     """A list that grows by one entry per pass (terms call) of the pair kernel."""
     return _count_kernel_calls(monkeypatch, "terms")
+
+
+def fail_linalg(monkeypatch, name):
+    """Make np.linalg.<name> raise LinAlgError, as it does on a singular or unconverged input."""
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError(f"{name} failed")
+
+    monkeypatch.setattr(np.linalg, name, fail)

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_kernel_bindings, count_kernel_passes, every_class, random_masses
+from conftest import (
+    count_kernel_bindings,
+    count_kernel_passes,
+    every_class,
+    fail_linalg,
+    random_masses,
+)
 from qhnbody import central_config, cli, model
 from qhnbody.central_config import (
     CCQuery,
@@ -252,7 +258,8 @@ def _iterates_near_ccs(rng, pp, n, size=8):
     orderings = [Ordering(tuple(rng.permutation(n) + 1)) for _ in masses]
     x = solve_collinear_batch(orderings, masses, pp).x
     kick = np.geomspace(1e-9, 5e-2, size)[rng.permutation(size)][:, None]
-    return central_config._project_line(x + kick * rng.standard_normal((size, n)), masses, 1.0), masses
+    kicked = x + kick * rng.standard_normal((size, n))
+    return central_config._project_line(kicked, masses, masses.sum(-1, keepdims=True), 1.0), masses
 
 
 @pytest.mark.parametrize("flip", [False, True])
@@ -276,7 +283,12 @@ def test_bordered_newton_step_is_the_tangent_basis_step(monkeypatch, flip):
     for x, masses in batches:
         terms = model._PairKernel(masses, pp).terms(x[..., None], hess=True)[0]
         sigma = cc_residual(x[..., None], masses, pp, terms)[0]
-        direction, slope, fallback = central_config._newton_directions(x, masses, pp, terms, sigma, 1.0)
+        # the bordered system as the solver builds it: -r and two zero border rows
+        residual = (terms.grad_W + terms.grad_V)[..., 0] - 2.0 * sigma[:, None] * masses * x
+        rhs = np.concatenate([-residual, np.zeros((len(x), 2))], axis=-1)
+        shift = (pp.a * terms.W + pp.b * terms.V)[:, None] * masses
+        direction, slope, fallback = central_config._newton_directions(
+            central_config._border(masses), masses * x, terms.hess, shift, rhs)
         want_direction, want_slope, want_fallback = _reference_directions(x, masses, pp, terms, sigma)
         error = np.abs(direction - want_direction).max(axis=-1)
         assert (error <= 1e-10 * np.abs(want_direction).max(axis=-1)).all()
@@ -293,6 +305,46 @@ def test_a_singular_newton_system_is_flagged_per_member():
     out, singular = central_config._solve_each(a_mat, rhs)
     assert singular.tolist() == [False, True, False]
     np.testing.assert_array_equal(out, [[1.0] * 3, [0.0] * 3, [0.5] * 3])
+
+
+def test_a_gradient_step_with_no_solve_is_a_degenerate_error(monkeypatch):
+    # every solve fails, so each member falls back to the gradient step,
+    # whose system fails too: a numerical failure naming that system
+    fail_linalg(monkeypatch, "solve")
+    with pytest.raises(DegenerateError, match="^gradient-step system of the collinear Newton step "
+                                              "is singular: solve failed$"):
+        solve_collinear_ordering(Ordering((1, 3, 2)), CCQuery(ms=MS123, pp=PP13))
+
+
+def test_a_tangent_basis_with_no_svd_is_a_degenerate_error(monkeypatch):
+    r = np.array([[-1.0], [0.2], [0.8]])
+    fail_linalg(monkeypatch, "svd")
+    with pytest.raises(DegenerateError, match="^tangent-basis constraint SVD failed: svd failed$"):
+        tangent_basis(r, MS123)
+
+
+def test_a_stall_names_the_goal_it_missed():
+    # one round cannot converge from unit gaps; the goal named is grad_tol
+    # when that is above the rounding floor, and the floor at the first
+    # iterate otherwise
+    ms = MassSystem(np.linspace(1.0, 2.0, 4))
+    ordering = Ordering((2, 4, 1, 3))
+    goal_named = r"stalled at residual \S+ above its goal 1\.000e-06$"
+    with pytest.raises(NoConvergenceError, match=goal_named):
+        solve_collinear_ordering(ordering, CCQuery(ms=ms, pp=PP13, grad_tol=1e-6, max_iter=1))
+    # the first iterate: unit gaps in the ordering, centered and on the unit sphere
+    x = np.empty(4)
+    x[list(ordering.zero_based)] = np.arange(4.0)
+    x = centered(x[:, None], ms)
+    x /= np.sqrt(moment_of_inertia(x, ms))
+    terms = pair_terms(x, ms, PP13)
+    sigma = cc_residual(x, ms, PP13, terms)[0]
+    scale = np.max(terms.force_sum + np.abs(2.0 * sigma * ms.masses * x[:, 0]))
+    floor = 8.0 * np.finfo(float).eps * scale
+    with pytest.raises(NoConvergenceError) as info:
+        solve_collinear_ordering(ordering, CCQuery(ms=ms, pp=PP13, grad_tol=1e-300, max_iter=1))
+    assert str(info.value).endswith(f" above its goal {floor:.3e}")
+    assert f"stalled at residual {info.value.residual:.3e} above" in str(info.value)
 
 
 def test_mass_grid_batch_equals_per_cell_gaps():
@@ -367,17 +419,18 @@ def test_a_step_that_swaps_two_bodies_is_rejected_for_its_member_only(monkeypatc
     clean = [solve_collinear_ordering(o, CCQuery(ms=ms, pp=PP13)) for o, ms in members]
     directions, trial_pass, trials = central_config._newton_directions, central_config._trial_pass, []
 
-    def swapping(x, *args):
-        direction, slope, fallback = directions(x, *args)
+    def swapping(border, mx, *args):
+        direction, slope, fallback = directions(border, mx, *args)
         if not trials:
+            x = mx / border[:, -2, :-2]  # the iterates, to rounding: mx = m x, and the row is m
             direction[1] = 0.0
             direction[1, left] = 1.5 * (x[1, right] - x[1, left])
             slope[1] = 1e12
         return direction, slope, fallback
 
-    def recording(kernel, r):
-        trials.append(r[..., 0])
-        return trial_pass(kernel, r)
+    def recording(kernel, x):
+        trials.append(x.copy())
+        return trial_pass(kernel, x)
 
     monkeypatch.setattr(central_config, "_newton_directions", swapping)
     monkeypatch.setattr(central_config, "_trial_pass", recording)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_kernel_bindings, count_kernel_passes, every_class
+from conftest import count_kernel_bindings, count_kernel_passes, every_class, fail_linalg
 from qhnbody import central_config, cli, homothetic
 from qhnbody.central_config import (
     Ordering,
@@ -654,6 +654,21 @@ def test_a_failed_linear_algebra_step_is_a_numerical_failure(tmp_path, capsys, c
     code, out = run(tmp_path, command, data)
     assert code == 3
     assert capsys.readouterr().err.startswith(f"error: DegenerateError: {quantity} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, failing, quantity",
+    [("cc-collinear", "solve", "gradient-step system of the collinear Newton step is singular"),
+     ("eigen", "eigvals", "linearization spectrum at the rest point failed")],
+)
+def test_a_linear_algebra_failure_exits_3_naming_its_quantity(tmp_path, capsys, monkeypatch,
+                                                               command, failing, quantity):
+    # numpy's LinAlgError is a ValueError, which would read as a config problem (exit 2)
+    fail_linalg(monkeypatch, failing)
+    code, out = run(tmp_path, command, base_config())
+    assert code == 3
+    assert capsys.readouterr().err == f"error: DegenerateError: {quantity}: {failing} failed\n"
     assert not out.exists()
 
 

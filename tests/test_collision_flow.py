@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_kernel_bindings, count_kernel_passes
+from conftest import count_kernel_bindings, count_kernel_passes, fail_linalg
 from qhnbody import collision_flow
 from qhnbody.central_config import (
     CCResult,
@@ -397,6 +397,22 @@ def test_transversality_rejects_a_shape_that_is_not_central():
     s0 = Configuration(r / np.sqrt(mass_inner(r, r, MS)))
     with pytest.raises(DegenerateError):
         transversality_necessary(s0, MS, PP)
+
+
+def test_a_linearization_with_no_spectrum_is_a_degenerate_error(monkeypatch):
+    config, _ = equilateral_configuration(MS)
+    fail_linalg(monkeypatch, "eigvals")
+    with pytest.raises(DegenerateError, match="^linearization spectrum at the rest point failed: "
+                                              "eigvals failed$"):
+        linearize_at_equilibrium(config, -1.0, MS, PP, "planar")
+
+
+def test_a_start_whose_constraints_have_no_solve_is_a_degenerate_error(monkeypatch):
+    config, _ = equilateral_configuration(MS)
+    fail_linalg(monkeypatch, "solve")
+    with pytest.raises(DegenerateError, match=r"^momentum and s \. u constraints of the start are "
+                                              "singular: solve failed$"):
+        manifold_start(config, MS, PP, 0.05, seed=3)
 
 
 def test_spectra_reject_a_shape_off_the_unit_sphere():

@@ -40,6 +40,7 @@ from qhnbody.model import (
     grad_W,
     hamiltonian,
     hess_U_matrix,
+    lift_to_plane,
     mass_inner,
     moment_of_inertia,
     pack_phase,
@@ -624,6 +625,38 @@ def test_batched_kernel_is_the_per_member_kernel(rng, d):
         for got, want in zip(batch[:5], one[:5]):
             assert np.array_equal(got[k], want)
         assert np.array_equal(hess[k], hess_U_matrix(r[k], MassSystem(masses[k]), pp))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_a_line_pass_equals_the_planar_pass_bit_for_bit(rng, n):
+    # a (B, n) array of the masses' shape is the kernel's d = 1 case: W, V,
+    # the force sums and the Hessian equal the planar pass over the same
+    # bodies on the x-axis to the bit, the Hessian as the planar rows and
+    # columns 0::2, and so do the collision flags.  The gradients are only
+    # close: E @ (c diff) rounds differently with one column and with two;
+    # they equal those of the (B, n, 1) configuration, summed the same way
+    size = 50
+    masses = rng.uniform(0.2, 5.0, (size, n))
+    x = rng.uniform(-2.0, 2.0, (size, n))
+    x[0, 1] = x[0, 0]  # a collided member, whose values mean nothing but match
+    for pp in (PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5),
+               PotentialParams(a=0.0, b=2.5, alpha=0.7, beta=1.3)):
+        kernel = _PairKernel(masses, pp)
+        (w, v, grad, force, hess), collided = kernel.terms(x, strict=False, hess=True)
+        planar, planar_collided = kernel.terms(lift_to_plane(x[..., None]), strict=False, hess=True)
+        assert collided.tolist() == planar_collided.tolist() == [True] + [False] * (size - 1)
+        for got, want in ((w, planar.W), (v, planar.V), (force, planar.force_sum),
+                          (hess, planar.hess[:, 0::2, 0::2])):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        planar_grad = (planar.grad_W + planar.grad_V)[..., 0]
+        assert (np.abs(grad - planar_grad).max(axis=-1) <= 4e-16 * force.max(axis=-1)).all()
+        column = kernel.terms(x[..., None], strict=False)[0]
+        assert grad.tobytes() == (column.grad_W + column.grad_V)[..., 0].tobytes()
+        # one line of (n,) masses gives the batch's row, W and V as floats
+        (w1, v1, grad1, force1, hess1), hit = _PairKernel(masses[1], pp).terms(x[1], hess=True)
+        assert (w1, v1) == (w[1], v[1]) and isinstance(w1, float) and not hit
+        for got, want in ((grad1, grad[1]), (force1, force[1]), (hess1, hess[1])):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_a_taken_kernel_equals_a_fresh_binding_of_its_members(rng, monkeypatch):
