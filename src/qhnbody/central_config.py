@@ -29,6 +29,7 @@ from .errors import (
     DegenerateTermError,
     NoConvergenceError,
     NotOnSphereError,
+    QHError,
 )
 from .model import (
     Configuration,
@@ -224,13 +225,13 @@ def cc_residual(config, ms, pp: PotentialParams, terms: PairTerms | None = None)
     """
     r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
     m = _mass_array(ms)
-    w, v, gw, gv = (pair_terms(r, ms, pp) if terms is None else terms)[:4]
+    t = pair_terms(r, ms, pp) if terms is None else terms
     inertia = (m[..., None] * r * r).sum(axis=(-2, -1))
-    sigma = -(pp.a * w + pp.b * v) / (2.0 * inertia)
+    sigma = -(pp.a * t.W + pp.b * t.V) / (2.0 * inertia)
     grad_i = 2.0 * m[..., None] * r
     if r.ndim == 2:
-        return float(sigma), float(np.abs(gw + gv - sigma * grad_i).max())
-    return sigma, np.abs(gw + gv - sigma[:, None, None] * grad_i).max(axis=(-2, -1))
+        return float(sigma), float(np.abs(t.grad_W + t.grad_V - sigma * grad_i).max())
+    return sigma, np.abs(t.grad_W + t.grad_V - sigma[:, None, None] * grad_i).max(axis=(-2, -1))
 
 
 def simultaneous_residual(
@@ -240,13 +241,13 @@ def simultaneous_residual(
     if pp.alpha == 0.0 or pp.beta == 0.0:
         raise DegenerateTermError("simultaneous test needs alpha > 0 and beta > 0")
     r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
-    w, v, gw, gv = (pair_terms(r, ms, pp) if terms is None else terms)[:4]
+    t = pair_terms(r, ms, pp) if terms is None else terms
     inertia = moment_of_inertia(r, ms)
-    sigma1 = -pp.a * w / (2.0 * inertia)
-    sigma2 = -pp.b * v / (2.0 * inertia)
+    sigma1 = -pp.a * t.W / (2.0 * inertia)
+    sigma2 = -pp.b * t.V / (2.0 * inertia)
     grad_i = 2.0 * ms.masses[:, None] * r
-    res_w = float(np.abs(gw - sigma1 * grad_i).max())
-    res_v = float(np.abs(gv - sigma2 * grad_i).max())
+    res_w = float(np.abs(t.grad_W - sigma1 * grad_i).max())
+    res_v = float(np.abs(t.grad_V - sigma2 * grad_i).max())
     return SimultaneousReport(sigma1, sigma2, res_w, res_v)
 
 
@@ -308,30 +309,18 @@ def count_modes(eigs: np.ndarray) -> tuple:
     return counts if eigs.ndim > 1 else tuple(map(int, counts))
 
 
-def _as_line(r: np.ndarray) -> np.ndarray:
-    """x-coordinates of a configuration lying on the x-axis."""
-    if r.shape[1] == 1:
-        return r[:, 0]
-    scale = max(float(np.abs(r).max()), 1e-300)
-    if float(np.abs(r[:, 1]).max()) > 1e-9 * scale:
-        raise ValueError("configuration is not on the x-axis")
-    return r[:, 0]
-
-
 def _restricted_spectrum(
-    x: np.ndarray, ms, pp: PotentialParams, inertia_I0: float, terms: PairTerms | None = None
+    x: np.ndarray, ms, inertia_I0: float, aw_bv, hess: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The restricted Hessian at x in its tangent basis and its eigenvalues.
 
-    The matrix is basis^T (Hess U + (a W + b V) / I0) basis, (K, K) with
-    (K,) eigenvalues, or (B, K, K) and (B, K) for a batch.  W, V and the
-    Hessian come from terms, the kernel's values at x, or one pass.
+    The matrix is basis^T (hess + aw_bv / I0) basis, (K, K) with (K,)
+    eigenvalues, or (B, K, K) and (B, K) for a batch, from a W + b V and
+    the Hessian of U at x.
     """
     basis = tangent_basis(x, ms)
-    if terms is None:
-        terms = _PairKernel(_mass_array(ms), pp).terms(x, force=False, hess=True)[0]
-    correction = (pp.a * terms.W + pp.b * terms.V) / inertia_I0
-    a_mat = basis.swapaxes(-1, -2) @ terms.hess @ basis
+    correction = aw_bv / inertia_I0
+    a_mat = basis.swapaxes(-1, -2) @ hess @ basis
     a_mat = a_mat + np.multiply.outer(correction, np.eye(basis.shape[-1]))
     try:
         return a_mat, np.linalg.eigvalsh(a_mat)
@@ -364,10 +353,14 @@ def restricted_hessian(
     require_on_sphere(config, ms, inertia_I0)
     r = lift_to_plane(config)
     if ambient == "collinear":
-        r = _as_line(r)[:, None]
+        if float(np.abs(r[:, 1]).max()) > 1e-9 * max(float(np.abs(r).max()), 1e-300):
+            raise ValueError("configuration is not on the x-axis")
+        r = r[:, :1]
     elif ambient != "planar":
         raise ValueError(f"unknown ambient {ambient!r}")
-    return _restricted_spectrum(r, ms, pp, inertia_I0, terms)
+    if terms is None:
+        terms = _PairKernel(ms.masses, pp).terms(r, force=False, hess=True)[0]
+    return _restricted_spectrum(r, ms, inertia_I0, pp.a * terms.W + pp.b * terms.V, terms.hess)
 
 
 def cc_index(
@@ -493,9 +486,9 @@ def _in_order(x: np.ndarray, e: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce((x @ e) * sign > 0.0, axis=-1)
 
 
-def _trial_pass(kernel: _PairKernel, x: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """(the line's terms with the Hessian, collided) of trial steps x; a collision is
-    flagged, not raised."""
+def _trial_pass(kernel: _PairKernel, x: np.ndarray) -> tuple[PairTerms, np.ndarray]:
+    """(PairTerms with the Hessian, collided) of trial steps x; a collision is flagged,
+    not raised."""
     return kernel.terms(x, strict=False, hess=True)
 
 
@@ -516,14 +509,15 @@ def solve_collinear_batch(
     converged drop out, a trial step that collides or breaks its
     ordering is rejected for its own member only, and one pass of the
     pair kernel over the members still searching evaluates each round of
-    trial steps, so an accepted trial already carries W, V, grad U, the
-    force sums and the Hessian of the next iterate.  The iterates are
-    (B, n) lines, so each pass is the kernel's line case.  The kernel is
-    bound once and sliced only when members leave or some accept before
-    others; a trial keeps its ordering when its pair differences keep
-    their signs.  The spectra of the converged members read that pass at
-    their last iterate, in one batch.  When members fail, the error of
-    the first of them in input order is raised.
+    trial steps, so an accepted trial already carries the PairTerms of
+    the next iterate, Hessian included.  The iterates are (B, n) lines,
+    so each pass is the kernel's line case.  The kernel is bound once
+    and sliced only when members leave or some accept before others; a
+    trial keeps its ordering when its pair differences keep their signs.
+    A member's row of the batch is written once it has converged or stalled,
+    and the spectra of the converged members read their last pass, in
+    one batch.  When members fail, the error of the first of them in
+    input order is raised.
     """
     _check_knobs(inertia_I0, grad_tol)
     masses = np.asarray(masses, dtype=float)
@@ -536,7 +530,7 @@ def solve_collinear_batch(
     kernel = _PairKernel(masses, pp)
     # the members still iterating, one row each: ids, masses, their sums and the
     # bordered systems' mass rows, the ordered signs of x_i - x_j, the iterates with
-    # their W, V, grad U, force sums and Hessians, and the last residuals and goals
+    # their PairTerms, and the last residuals and goals
     ids, m, mass_sum = np.arange(size), masses, masses.sum(axis=-1, keepdims=True)
     border = _border(m)
     x = np.empty((size, n))
@@ -544,19 +538,22 @@ def solve_collinear_batch(
     x[ids[:, None], slots] = np.arange(n)
     sign = np.sign(x @ kernel.e)
     x = _project_line(x, m, mass_sum, inertia_I0)  # unit gaps in each ordering
-    w, v, g, fs, h = kernel.terms(x, hess=True)[0]
+    terms = kernel.terms(x, hess=True)[0]
     rs, tol = np.full(size, np.inf), np.full(size, grad_tol)
 
+    # one row per member, written when it converges: its x, the a W + b V and
+    # Hessian its spectrum reads, and its counters; stalled, res and floor once it has stalled
+    out_x, out_aw_bv, out_h = np.empty((size, n)), np.empty(size), np.empty((size, n, n))
     sigma, res, floor = np.zeros(size), np.zeros(size), np.zeros(size)
     iters, backtracks, fallbacks = (np.zeros(size, dtype=int) for _ in range(3))
-    finished = []  # (ids, x, W, V, Hessian) of the members converged in one round
-    stalls: dict[int, NoConvergenceError] = {}
+    stalled = np.zeros(size, dtype=bool)
 
     def keep(stay: np.ndarray, *more: np.ndarray) -> list[np.ndarray]:
         """Keep the members in stay; returns the rows in stay of more."""
-        nonlocal ids, m, mass_sum, border, sign, x, w, v, g, fs, h, rs, tol, kernel
-        ids, m, mass_sum, border, sign, x, w, v, g, fs, h, rs, tol = (
-            a[stay] for a in (ids, m, mass_sum, border, sign, x, w, v, g, fs, h, rs, tol))
+        nonlocal ids, m, mass_sum, border, sign, x, terms, rs, tol, kernel
+        ids, m, mass_sum, border, sign, x, rs, tol = (
+            a[stay] for a in (ids, m, mass_sum, border, sign, x, rs, tol))
+        terms = terms._make(a[stay] for a in terms)
         kernel = kernel.take(stay)
         return [a[stay] for a in more]
 
@@ -566,29 +563,30 @@ def solve_collinear_batch(
         # dI/dx = 2 m x; its goal is grad_tol, or a few ulps of the largest sum that
         # forms it.  sig_di is sigma dI/dx again, rounded as the Newton step reads it
         mx = m * x
-        aw_bv = pp.a * w + pp.b * v
+        aw_bv = pp.a * terms.W + pp.b * terms.V
         sig = -aw_bv / (2.0 * np.add.reduce(mx * x, axis=-1))
+        g = terms.grad_W + terms.grad_V
         rs = np.maximum.reduce(np.abs(g - sig[:, None] * (2.0 * m * x)), axis=-1)
         sig_di = 2.0 * sig[:, None] * m * x
-        tol = np.maximum(grad_tol, floor_factor * np.maximum.reduce(fs + np.abs(sig_di), axis=-1))
+        tol = np.maximum(grad_tol, floor_factor * np.maximum.reduce(
+            terms.force_sum + np.abs(sig_di), axis=-1))
         done = rs <= tol
         if done.any() or not done.size:  # an empty batch is done at once
             # each member still here has accepted a step in every round
             gone = ids[done]
             sigma[gone], res[gone], floor[gone], iters[gone] = sig[done], rs[done], tol[done], it
+            out_x[gone], out_aw_bv[gone], out_h[gone] = x[done], aw_bv[done], terms.hess[done]
             if done.all():
-                finished.append((ids, x, w, v, h))
                 break
-            finished.append((gone, x[done], w[done], v[done], h[done]))
-            mx, aw_bv, sig_di = keep(~done, mx, aw_bv, sig_di)
+            mx, aw_bv, sig_di, g = keep(~done, mx, aw_bv, sig_di, g)
 
         rhs = np.zeros((ids.size, n + 2))
         np.subtract(sig_di, g, out=rhs[:, :n])
         direction, slope, fallback = _newton_directions(
-            border, mx, h, (aw_bv / inertia_I0)[:, None] * m, rhs)
+            border, mx, terms.hess, (aw_bv / inertia_I0)[:, None] * m, rhs)
         if fallback.any():
             fallbacks[ids[fallback]] += 1
-        u0 = w + v
+        u0 = terms.W + terms.V
         # k: the members still searching, whose rows search and kern hold; a slack
         # of a few ulps of U keeps rounding from vetoing the final Newton steps
         k, kern, t = np.arange(ids.size), kernel, 1.0
@@ -598,14 +596,14 @@ def solve_collinear_batch(
             trial = _project_line(xs + t * ds, ms_, msum, inertia_I0)
             trial_terms, collided = _trial_pass(kern, trial)
             ok = _in_order(trial, kern.e, sg) & ~collided
-            ok &= trial_terms[0] + trial_terms[1] <= u0s + t * armijo + slack
+            ok &= trial_terms.W + trial_terms.V <= u0s + t * armijo + slack
             if k.size == ids.size and ok.all():
-                x, (w, v, g, fs, h) = trial, trial_terms
+                x, terms = trial, trial_terms
                 break
             if ok.any():
                 rows = k[ok]
                 x[rows] = trial[ok]
-                for a, new in zip((w, v, g, fs, h), trial_terms):
+                for a, new in zip(terms, trial_terms):
                     a[rows] = new[ok]
                 k, search, kern = k[~ok], tuple(a[~ok] for a in search), kern.take(~ok)
                 if not k.size:
@@ -613,30 +611,21 @@ def solve_collinear_batch(
             backtracks[ids[k]] += 1
             t *= 0.5
         else:
-            stalls.update((i, _stalled(orderings[i], r, goal))
-                          for i, r, goal in zip(ids[k], rs[k].tolist(), tol[k].tolist()))
+            stalled[ids[k]], res[ids[k]], floor[ids[k]] = True, rs[k], tol[k]
             keep(~np.isin(np.arange(ids.size), k))
             if not ids.size:
                 break
     else:  # the iteration budget ran out
-        stalls.update((i, _stalled(orderings[i], r, goal))
-                      for i, r, goal in zip(ids, rs.tolist(), tol.tolist()))
+        stalled[ids], res[ids], floor[ids] = True, rs, tol
 
     # the members before the first stall have all converged; a degenerate one fails first
-    first = min(stalls, default=size)
-    if not finished:
-        raise stalls[first]
-    _, x, w, v, hess = finished[0]  # the members of one round are in input order
-    if len(finished) > 1 or stalls:
-        ids, *arrays = map(np.concatenate, zip(*finished))
-        order = np.argsort(ids)[:first]
-        x, w, v, hess = (a[order] for a in arrays)
-    eigs = _restricted_spectrum(x[..., None], masses[:first], pp, inertia_I0,
-                                PairTerms(w, v, None, None, None, hess))[1]
+    first = stalled.argmax() if stalled.any() else size
+    eigs = _restricted_spectrum(out_x[:first, :, None], masses[:first], inertia_I0,
+                                out_aw_bv[:first], out_h[:first])[1]
     index = index_report(eigs, "collinear").index
-    if stalls:
-        raise stalls[first]
-    return CCBatch(list(orderings), x, sigma, res, index, eigs, inertia_I0, iters, backtracks,
+    if first < size:
+        raise _stalled(orderings[first], float(res[first]), float(floor[first]))
+    return CCBatch(list(orderings), out_x, sigma, res, index, eigs, inertia_I0, iters, backtracks,
                    fallbacks, floor)
 
 
@@ -730,20 +719,25 @@ def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
     return out[0], out[1]
 
 
-def bisect_sign_change(f, rel_tol: float) -> tuple[float, float] | None:
+def bisect_sign_change(f, rel_tol: float, error: type[QHError], what: str) -> tuple[float, float]:
     """Bracket (lo, hi) around the point where f, positive near 0, turns negative.
 
-    hi doubles from 1 until f(hi) < 0, at most 400 times (None if f
-    never turns negative); bisection from lo = 0 then shrinks the
-    bracket until hi - lo <= rel_tol * hi.
+    hi doubles from 1 until f(hi) < 0, at most 400 times; bisection from
+    lo = 0 then shrinks the bracket until hi - lo <= rel_tol * hi.  When
+    f never turns negative, error(what) is raised.  So it is when f
+    overflows first, naming the size hi where it did: the sign change
+    then lies where f is not representable.
     """
     hi = 1.0
     for _ in range(400):
-        if f(hi) < 0.0:
-            break
+        try:
+            if f(hi) < 0.0:
+                break
+        except OverflowError:
+            raise error(f"{what}: f overflowed at size {hi:.3e}") from None
         hi *= 2.0
     else:
-        return None
+        raise error(what)
     lo = 0.0
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
@@ -772,10 +766,8 @@ def f_root(sigma: float, b: float, mtotal: float) -> FRootResult:
 
     if not (np.isfinite(sigma) and sigma < 0.0):
         raise BracketError(f"no sign change: sigma = {sigma!r} must be negative")
-    bracket = bisect_sign_change(f, 1e-14)
-    if bracket is None:
-        raise BracketError("no sign change found during bracket expansion")
-    lo, hi = bracket
+    lo, hi = bisect_sign_change(f, 1e-14, BracketError,
+                                "no sign change found during bracket expansion")
     root = 0.5 * (lo + hi)
 
     grid_lo, grid_hi, points = root * 1e-6, root * 1e6, 241

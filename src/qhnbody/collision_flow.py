@@ -221,7 +221,7 @@ def find_equilibria(
     ppb = _pure_b(pp)
     out = []
     for cc in ccs_of_V:
-        s0 = Configuration(lift_to_plane(cc.config))
+        s0 = cc.config
         ambient = "collinear" if cc.kind == "collinear" else "planar"
         r = s0.positions[:, :1] if ambient == "collinear" else s0.positions
         terms = _PairKernel(ms.masses, ppb).terms(r, hess=True)[0]

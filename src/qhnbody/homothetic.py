@@ -123,10 +123,7 @@ def _rho_max(w0: float, v0: float, b: float, h: float) -> float:
     def v2(rho: float) -> float:
         return 2.0 * (rho ** (b - 1.0) * w0 + rho**b * h + v0)
 
-    bracket = bisect_sign_change(v2, 1e-12)
-    if bracket is None:
-        raise NoConvergenceError("energy curve never became negative")
-    lo, hi = bracket
+    lo, hi = bisect_sign_change(v2, 1e-12, NoConvergenceError, "energy curve never became negative")
     return 0.5 * (lo + hi)
 
 
@@ -161,7 +158,7 @@ def heteroclinic_orbit(
         )
     if not (0.0 < rho_floor < 1.0):
         raise ValueError("rho_floor must lie in (0, 1)")
-    w0, v0_pot = terms[:2]
+    w0, v0_pot = terms.W, terms.V
     if not v0_pot > 0.0:
         raise DegenerateTermError(f"V(s0) = {v0_pot!r} gives no ejection speed sqrt(2 V(s0))")
     b = pp.b

@@ -109,7 +109,8 @@ def _field_arrays(rho, v, s, u, kernel: _PairKernel, s_out=None, u_out=None):
     """
     b = kernel.pp.b
     m = kernel.m_col
-    w_s, v_s, gw, gv = kernel.terms(s, force=False)[0][:4]
+    t = kernel.terms(s, force=False)[0]
+    w_s, v_s = t.W, t.V
     u_m_u = float((u * u / m).sum())
     rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
     rho_dot = rho * v
@@ -119,9 +120,9 @@ def _field_arrays(rho, v, s, u, kernel: _PairKernel, s_out=None, u_out=None):
     u_dot = np.add(
         (0.5 * b - 1.0) * v * u
         - u_m_u * m_s
-        + rho_pow * (w_s * m_s + gw)
+        + rho_pow * (w_s * m_s + t.grad_W)
         + b * v_s * m_s,
-        gv,
+        t.grad_V,
         out=u_out,
     )
     return rho_dot, v_dot, s_dot, u_dot
@@ -161,7 +162,7 @@ def manifold_residual_series(v, s, u, ms: MassSystem, pp: PotentialParams) -> np
     numpy's array square is x * x, which differs from pow(x, 2) in the
     last bit for about one x in a thousand.
     """
-    v_s = pair_terms(s, np.broadcast_to(ms.masses, s.shape[:-1]), pp).V
+    v_s = pair_terms(s, ms, pp).V
     u_m_u = np.sum(u * u / ms.masses[:, None], axis=(-2, -1))
     return u_m_u + np.array([x**2 for x in v.tolist()]) - 2.0 * v_s
 

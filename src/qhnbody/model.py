@@ -193,23 +193,25 @@ def _mass_array(ms) -> np.ndarray:
 
 
 class PairTerms(NamedTuple):
-    """W, V and their (n, d) gradients, coefficients included, with
-    force_sum[i] = sum_j |f_ij| over the total pair forces on body i (the
-    scale of the rounding error in either gradient) and hess, the dense
-    Hessian of U.  A batch carries a leading member axis on every field."""
+    """W, V and their gradients, coefficients included, with force_sum[i]
+    = sum_j |f_ij| over the total pair forces on body i (the scale of the
+    rounding error in either gradient) and hess, the dense Hessian of U.
+    The gradients are (n, d), or (n,) on a line; a batch carries a
+    leading member axis on every field."""
 
-    W: float
-    V: float
+    W: float | np.ndarray
+    V: float | np.ndarray
     grad_W: np.ndarray
     grad_V: np.ndarray
-    force_sum: np.ndarray
+    force_sum: np.ndarray | None
     hess: np.ndarray | None = None
 
 
 class _PairKernel:
     """The pair kernel of one mass system, bound once from (masses, pp).
 
-    m is (n,) masses, or (B, n) per-member masses for (B, n, d) batches.
+    m is (n,) masses, which also serve a (B, n, d) batch of states, or
+    (B, n) per-member masses for (B, n, d) batches.
     Bound once: the signed incidence matrix E of the pairs (see
     _incidence), the (..., 2, P) coefficients coef = alpha m_i m_j, beta
     m_i m_j and kc = -exp * coef, the half exponents -(exp + 2) / 2 and
@@ -300,23 +302,20 @@ class _PairKernel:
             return diff, d2, collided, pw, c, (self.e @ (c * diff[..., None, :])[..., None])[..., 0]
         return diff, d2, collided, pw, c, self.e @ (c[..., None] * diff[..., None, :, :])
 
-    def terms(self, r: np.ndarray, energy: bool = True, force: bool = True,
-              strict: bool = True, hess: bool = False):
+    def terms(self, r: np.ndarray, force: bool = True, strict: bool = True, hess: bool = False):
         """(PairTerms, collided) of r, summing only what the caller reads.
 
-        The gradients are always summed; W and V only with energy, the
-        force sums (the only sqrt) only with force, the Hessian (from the
-        gradient coefficients) only with hess.  Terms left out read None.
-        A line gives the plain tuple (W, V, grad U, force_sum, hess) in
-        place of PairTerms, with grad U = grad W + grad V.
+        W, V and both gradients are always summed, the force sums (the
+        only sqrt) only with force, the Hessian (from the gradient
+        coefficients) only with hess; terms left out read None.  On a line
+        the gradients are (..., n) and the Hessian (..., n, n).
         """
         diff, d2, collided, pw, c, grads = self.gradients(r, strict)
         line = diff.ndim == d2.ndim
-        w_sum = v_sum = force_sum = h = None
-        if energy:
-            # coef last: a subnormal coef then rounds once, at the size of W or V
-            sums = np.add.reduce(self.coef * (pw * d2[..., None, :]), axis=-1)
-            w_sum, v_sum = sums.tolist() if sums.ndim == 1 else (sums[..., 0], sums[..., 1])
+        force_sum = h = None
+        # coef last: a subnormal coef then rounds once, at the size of W or V
+        sums = np.add.reduce(self.coef * (pw * d2[..., None, :]), axis=-1)
+        w_sum, v_sum = sums.tolist() if sums.ndim == 1 else (sums[..., 0], sums[..., 1])
         if force or hess:
             c_sum = np.add.reduce(c, axis=-2)
         if force:
@@ -340,25 +339,26 @@ class _PairKernel:
                 h = h.swapaxes(-3, -2).swapaxes(-4, -3).swapaxes(-2, -1)  # (..., i, a, j, b)
                 h = h.reshape(r.shape[:-2] + (n * d, n * d))
         if line:
-            return (w_sum, v_sum, grads[..., 0, :] + grads[..., 1, :], force_sum, h), collided
-        terms = PairTerms(w_sum, v_sum, grads[..., 0, :, :], grads[..., 1, :, :], force_sum, h)
+            terms = PairTerms(w_sum, v_sum, grads[..., 0, :], grads[..., 1, :], force_sum, h)
+        else:
+            terms = PairTerms(w_sum, v_sum, grads[..., 0, :, :], grads[..., 1, :, :], force_sum, h)
         return terms, collided
 
 
 def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
     """W, V, their gradients and the per-body force sums in one pass.
 
-    config is one (n, d) configuration with ms a MassSystem, or a
-    (B, n, d) batch with ms a (B, n) array of per-member masses; a batch
-    gives (B,) arrays for W and V.  Raises CollisionError if any member
-    collides.
+    config is one (n, d) configuration, or a (B, n, d) batch with ms one
+    MassSystem or a (B, n) array of per-member masses; a batch gives (B,)
+    arrays for W and V.  Raises CollisionError if any member collides.
     """
     return _PairKernel(_mass_array(ms), pp).terms(_positions(config))[0]
 
 
 def potential_terms(config, ms: MassSystem, pp: PotentialParams) -> tuple[float, float]:
     """Evaluate (W, V), the a-term and b-term of U, coefficients included."""
-    return pair_terms(config, ms, pp)[:2]
+    t = pair_terms(config, ms, pp)
+    return t.W, t.V
 
 
 def potential_V(config, ms: MassSystem, pp: PotentialParams) -> float:
@@ -366,7 +366,7 @@ def potential_V(config, ms: MassSystem, pp: PotentialParams) -> float:
 
 
 def potential_U(config, ms: MassSystem, pp: PotentialParams) -> float:
-    return sum(pair_terms(config, ms, pp)[:2])
+    return sum(potential_terms(config, ms, pp))
 
 
 def grad_W(config, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
@@ -389,7 +389,7 @@ def hess_U_matrix(config, ms, pp: PotentialParams) -> np.ndarray:
     A (B, n, d) batch with (B, n) masses gives (B, n*d, n*d).
     """
     kernel = _PairKernel(_mass_array(ms), pp)
-    return kernel.terms(_positions(config), energy=False, force=False, hess=True)[0].hess
+    return kernel.terms(_positions(config), force=False, hess=True)[0].hess
 
 
 def energy_series(r: np.ndarray, p: np.ndarray, ms: MassSystem, pp: PotentialParams):
@@ -398,7 +398,7 @@ def energy_series(r: np.ndarray, p: np.ndarray, ms: MassSystem, pp: PotentialPar
     A batch is one kernel pass over all of its states.
     """
     kinetic = 0.5 * np.sum(p * p / ms.masses[:, None], axis=(-2, -1))
-    t = pair_terms(r, np.broadcast_to(ms.masses, r.shape[:-1]), pp)
+    t = pair_terms(r, ms, pp)
     return kinetic - (t.W + t.V)
 
 

@@ -7,6 +7,7 @@ its own referee.
 
 import dataclasses
 import json
+import re
 import time
 
 import numpy as np
@@ -299,6 +300,38 @@ def test_bordered_newton_step_is_the_tangent_basis_step(monkeypatch, flip):
     assert any(fell) == flip and not all(fell)
 
 
+def test_a_newton_step_that_climbs_falls_back_once_inside_a_solve(monkeypatch):
+    # the Hessian's sign flipped as above, on a batch's first pass only: the
+    # members whose first body is heavy take one gradient step in place of a
+    # Newton step, then converge to the clean CC; the others do not notice
+    rng = np.random.default_rng(29)
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    kernel_terms = model._PairKernel.terms
+    for n in (3, 4, 5, 6):
+        masses = rng.uniform(0.2, 5.0, (8, n))
+        orderings = [Ordering(tuple(rng.permutation(n) + 1)) for _ in masses]
+        clean = solve_collinear_batch(orderings, masses, pp)
+        passes = []
+
+        def flipped_once(self, r, *args, **kwargs):
+            terms, collided = kernel_terms(self, r, *args, **kwargs)
+            passes.append(r.shape)
+            if len(passes) > 1:
+                return terms, collided
+            sign = np.where(self.m_col[..., :1, :] > 2.6, -1.0, 1.0)
+            return terms._replace(hess=terms.hess * sign), collided
+
+        with monkeypatch.context() as patch:
+            patch.setattr(model._PairKernel, "terms", flipped_once)
+            got = solve_collinear_batch(orderings, masses, pp)
+        flipped = masses[:, 0] > 2.6
+        assert flipped.any() and not flipped.all() and not clean.fallbacks.any()
+        assert got.fallbacks.tolist() == flipped.astype(int).tolist()
+        assert np.abs(got.x - clean.x).max() <= 1e-12 and not got.index.any()
+        for name in ("newton_iters", "backtracks", "fallbacks"):
+            assert getattr(got, name)[~flipped].tolist() == getattr(clean, name)[~flipped].tolist()
+
+
 def test_a_singular_newton_system_is_flagged_per_member():
     a_mat = np.array([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
     rhs = np.ones((3, 3))
@@ -558,6 +591,19 @@ def test_collinear_restricted_hessian_positive_definite(rng):
             assert report.eigenvalues.min() > 0.0
 
 
+def test_a_collinear_ambient_needs_a_shape_on_the_x_axis():
+    # an (n, 1) shape or one with zero y lies on the line; the triangle does not
+    res = solve_collinear_ordering(Ordering.identity(3), CCQuery(ms=MS123, pp=PP13))
+    column = Configuration(res.config.positions[:, :1])
+    lam = restricted_hessian(column, MS123, PP13, "collinear")[1]
+    assert lam.tobytes() == restricted_hessian(res.config, MS123, PP13, "collinear")[1].tobytes()
+    triangle, _ = equilateral_configuration(MS123)
+    with pytest.raises(ValueError, match="^configuration is not on the x-axis$"):
+        restricted_hessian(triangle, MS123, PP13, "collinear")
+    with pytest.raises(ValueError, match="^unknown ambient 'spatial'$"):
+        restricted_hessian(triangle, MS123, PP13, "spatial")
+
+
 def test_cc_residual_measures_the_defect():
     # A scalene non-equilateral triangle is not a CC: residual is O(1).
     r = centered(np.array([[0.7, 0.1], [-0.4, 0.3], [0.0, -0.5]]), MS123)
@@ -724,6 +770,16 @@ def test_f_root_requires_negative_sigma():
         f_root(-1.0, 0.5, 6.0)
 
 
+@pytest.mark.parametrize("sigma, b, size", [(-5e-324, 1.0000001, "8.959e+102"),
+                                            (-1e-320, 1.5, "1.591e+88")])
+def test_a_root_where_f_overflows_is_a_bracket_error(sigma, b, size):
+    # the root lies where f is not representable: bracket expansion meets
+    # the overflow of r^(b + 2) first, and the error names where
+    with pytest.raises(BracketError, match=f"^no sign change found during bracket expansion: "
+                                           f"f overflowed at size {re.escape(size)}$"):
+        f_root(sigma, b, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # simultaneous configurations
 
@@ -749,6 +805,16 @@ def test_simultaneous_gap_requires_both_terms():
         simultaneous_gap(
             MS123, PotentialParams(a=0.0, b=2.0, alpha=0.0, beta=1.0), Ordering((1, 2, 3))
         )
+
+
+def test_the_simultaneous_tests_need_both_terms_and_a_positive_a():
+    config, _ = equilateral_configuration(MS123)
+    with pytest.raises(DegenerateTermError, match="needs alpha > 0 and beta > 0"):
+        simultaneous_residual(config, MS123, PotentialParams(a=1.0, b=2.0, alpha=0.0, beta=1.0))
+    # both terms active, but the a-term of exponent 0 is a constant with no CC shape
+    with pytest.raises(DegenerateTermError, match="needs a > 0"):
+        simultaneous_gaps([Ordering((1, 2, 3))], MS123.masses[None],
+                          PotentialParams(a=0.0, b=2.0, alpha=1.0, beta=1.0))
 
 
 def test_simultaneous_residual_splits_the_multiplier(rng):

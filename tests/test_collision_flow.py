@@ -537,6 +537,14 @@ def test_integrate_on_C_requires_the_boundary_exactly():
         integrate_on_C(bad, MS, PP)
 
 
+def test_integrate_on_C_rejects_an_uncentered_start():
+    # on C (V does not see a translation) but off the centered reduction
+    st = perturbed_manifold_state(MS, PP)
+    shifted = McGeheeState(rho=0.0, v=st.v, s=st.s + np.array([0.1, 0.0]), u=st.u)
+    with pytest.raises(OffManifoldError, match=r"outside the centered reduction \(\|sum m s\| = 6"):
+        integrate_on_C(shifted, MS, PP)
+
+
 def test_min_separation_is_the_smallest_pair_distance():
     s = np.array([[0.0, 0.0], [3.0, 4.0], [0.3, 0.4]])
     assert abs(min_separation(s) - 0.5) < 1e-15

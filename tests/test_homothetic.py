@@ -12,7 +12,13 @@ from qhnbody.central_config import (
     equilateral_configuration,
     solve_collinear_ordering,
 )
-from qhnbody.errors import AdmissibilityError, EnergySignError, ManevOnlyError, NotOnSphereError
+from qhnbody.errors import (
+    AdmissibilityError,
+    EnergySignError,
+    ManevOnlyError,
+    NoConvergenceError,
+    NotOnSphereError,
+)
 from qhnbody.homothetic import (
     _admissible,
     energy_curve_v2,
@@ -20,7 +26,7 @@ from qhnbody.homothetic import (
     is_homothetic_admissible,
     rho_max_bisection,
 )
-from qhnbody.integrate import integrate
+from qhnbody.integrate import Event, integrate
 from qhnbody.mcgehee import (
     McGeheeState,
     mcgehee_field,
@@ -194,6 +200,42 @@ def test_the_reduction_refuses_a_other_than_one():
         energy_curve_v2(0.5, config, MS, pp, h=-1.0)
     with pytest.raises(ManevOnlyError):
         rho_max_bisection(config, MS, pp, h=-1.0)
+
+
+@pytest.mark.parametrize("b, why", [(3.0, ": f overflowed at size 8.959e\\+102"), (1.5, "")])
+def test_a_turning_size_out_of_reach_is_no_convergence(b, why):
+    # at h = -1e-300 the curve turns negative only past 2^400: at b = 3
+    # rho^3 overflows on the way, and bracket expansion stops there and
+    # says so; at b = 1.5 it runs out of doublings
+    ms = MassSystem(np.ones(3))
+    config, _ = equilateral_configuration(ms)
+    pp = PotentialParams(a=1.0, b=b, alpha=1.0, beta=1.0)
+    with pytest.raises(NoConvergenceError, match=f"^energy curve never became negative{why}$"):
+        rho_max_bisection(config, ms, pp, h=-1e-300)
+
+
+def test_an_orbit_cut_short_of_the_floor_is_no_convergence(monkeypatch):
+    # a thousandth of the orbit's tau budget ends it before it falls back
+    def short(field, y0, span, **kwargs):
+        return integrate(field, y0, (span[0], 1e-3 * span[1]), **kwargs)
+
+    monkeypatch.setattr(homothetic, "integrate", short)
+    config, _ = equilateral_configuration(MS)
+    with pytest.raises(NoConvergenceError, match=r"did not return to rho_floor .*\(time-budget\)$"):
+        heteroclinic_orbit(config, MS, PP, h=-1.0)
+
+
+def test_an_orbit_with_no_turning_event_is_no_convergence(monkeypatch):
+    # v falls through 0 before rho can fall back, so only a turn event that
+    # never fires lets the orbit reach the floor without a turning point
+    def blind(field, y0, span, events, **kwargs):
+        events = [Event(ev.name, lambda t, y: 1.0) if ev.name == "turn" else ev for ev in events]
+        return integrate(field, y0, span, events=events, **kwargs)
+
+    monkeypatch.setattr(homothetic, "integrate", blind)
+    config, _ = equilateral_configuration(MS)
+    with pytest.raises(NoConvergenceError, match="^orbit never reached its turning point$"):
+        heteroclinic_orbit(config, MS, PP, h=-1.0)
 
 
 def test_an_off_sphere_shape_raises_the_sphere_error():

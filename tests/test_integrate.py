@@ -635,3 +635,46 @@ def test_each_failed_attempt_quarters_the_step(monkeypatch, failure):
     # a non-finite y1 never reaches the error test; a failed end point does
     assert (3 in norms) == (failure in ("end raises", "nan end", "renormalizer raises"))
     assert tr.times[-1] == 3.0
+
+
+def test_events_after_a_terminal_one_in_the_same_step_are_dropped():
+    # y' = 1 from 0: one accepted step crosses y = 0.5 and y = 0.7.  The
+    # terminal event at 0.5 comes first, so the tie at the same time is
+    # recorded and the event at 0.7, located in that step, is not
+    later_values = []
+
+    def later(t, y):
+        later_values.append(0.7 - y[0])
+        return later_values[-1]
+
+    events = [Event("stop", lambda t, y: 0.5 - y[0], terminal=True),
+              Event("tie", lambda t, y: 0.5 - y[0], terminal=False),
+              Event("later", later, terminal=False)]
+    tr = integrate(lambda t, y: np.ones(1), np.zeros(1), (0.0, 10.0), max_step=10.0,
+                   events=events)
+    assert tr.termination == "event:stop"
+    assert min(later_values) <= 0.0  # the step that ended the run crossed 0.7 too
+    (te, ye), = tr.events["stop"]
+    assert abs(te - 0.5) <= 1e-9 and tr.times[-1] == te
+    assert [hit[0] for hit in tr.events["tie"]] == [te]
+    assert tr.events["later"] == []
+
+
+def test_a_step_budget_that_runs_out_is_a_stiffness_error(monkeypatch):
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", 3)
+    with pytest.raises(StiffnessError, match="^step budget exhausted at t = ") as info:
+        integrate(harmonic, np.array([1.0, 0.0]), (0.0, 10.0))
+    assert 0.0 < info.value.t < 10.0 and info.value.state.shape == (2,)
+
+
+def test_a_field_that_keeps_failing_is_a_stiffness_error():
+    # past t = 0.5 every evaluation raises a numerical error, so each
+    # attempt quarters the step until it underflows at the last accepted t
+    def field(t, y):
+        if t > 0.5:
+            raise CollisionError("too close")
+        return -y
+
+    with pytest.raises(StiffnessError, match="with h underflow: too close$") as info:
+        integrate(field, np.array([1.0]), (0.0, 1.0))
+    assert 0.5 - 1e-12 <= info.value.t <= 0.5

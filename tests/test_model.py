@@ -642,20 +642,24 @@ def test_a_line_pass_equals_the_planar_pass_bit_for_bit(rng, n):
     for pp in (PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5),
                PotentialParams(a=0.0, b=2.5, alpha=0.7, beta=1.3)):
         kernel = _PairKernel(masses, pp)
-        (w, v, grad, force, hess), collided = kernel.terms(x, strict=False, hess=True)
+        line, collided = kernel.terms(x, strict=False, hess=True)
+        grad = line.grad_W + line.grad_V
         planar, planar_collided = kernel.terms(lift_to_plane(x[..., None]), strict=False, hess=True)
         assert collided.tolist() == planar_collided.tolist() == [True] + [False] * (size - 1)
-        for got, want in ((w, planar.W), (v, planar.V), (force, planar.force_sum),
-                          (hess, planar.hess[:, 0::2, 0::2])):
+        for got, want in ((line.W, planar.W), (line.V, planar.V),
+                          (line.force_sum, planar.force_sum),
+                          (line.hess, planar.hess[:, 0::2, 0::2])):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         planar_grad = (planar.grad_W + planar.grad_V)[..., 0]
-        assert (np.abs(grad - planar_grad).max(axis=-1) <= 4e-16 * force.max(axis=-1)).all()
+        assert (np.abs(grad - planar_grad).max(axis=-1)
+                <= 4e-16 * line.force_sum.max(axis=-1)).all()
         column = kernel.terms(x[..., None], strict=False)[0]
         assert grad.tobytes() == (column.grad_W + column.grad_V)[..., 0].tobytes()
         # one line of (n,) masses gives the batch's row, W and V as floats
-        (w1, v1, grad1, force1, hess1), hit = _PairKernel(masses[1], pp).terms(x[1], hess=True)
-        assert (w1, v1) == (w[1], v[1]) and isinstance(w1, float) and not hit
-        for got, want in ((grad1, grad[1]), (force1, force[1]), (hess1, hess[1])):
+        one, hit = _PairKernel(masses[1], pp).terms(x[1], hess=True)
+        assert (one.W, one.V) == (line.W[1], line.V[1]) and isinstance(one.W, float) and not hit
+        for got, want in ((one.grad_W + one.grad_V, grad[1]),
+                          (one.force_sum, line.force_sum[1]), (one.hess, line.hess[1])):
             assert got.tobytes() == want.tobytes()
 
 
