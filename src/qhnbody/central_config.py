@@ -486,6 +486,73 @@ def _in_order(x: np.ndarray, e: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce((x @ e) * sign > 0.0, axis=-1)
 
 
+def _line_start(kernel: _PairKernel, m: np.ndarray, mass_sum: np.ndarray, slots: np.ndarray,
+                inertia_I0: float) -> tuple[np.ndarray, np.ndarray, PairTerms]:
+    """First iterates of the collinear solve, the signs of their pair differences
+    and their PairTerms with the Hessian.
+
+    Row k of slots lists the bodies of member k from left to right.  The
+    tension of gap k, the net pair force on the bodies left of it, is
+    C_k = sum_{j<=k} dU/dx_j in line order (the left block's internal
+    forces cancel), and at a CC it equals R_k = sum_{j<=k} sigma dI/dx_j.
+    A gap of width g between masses m_k, m_{k+1} carries about
+    m_k m_{k+1} / g^(e+1), e = b (a when beta = 0), so (1) gives each gap
+    the width that balances R_k at centered equal gaps p, g_k = (m_k
+    m_{k+1} / -sum_{j<=k} m_j p_j)^(1/(e+1)), and (2) scales each gap by
+    (C_k / R_k)^(1/(e+1)) read from one light pass of the kernel (no
+    Hessian, no force sums), each followed by the projection onto the
+    centered sphere.  Every step is per row, so a member starts where its
+    one-member batch does.  A member whose start is not finite, out of
+    order or collided starts from equal gaps instead, where a collision
+    raises CollisionError from a strict pass.
+    """
+    size, n = slots.shape
+    flat, steps = slots + n * np.arange(size)[:, None], np.arange(float(n))
+    pp = kernel.pp
+    inv = 1.0 / ((pp.b if pp.beta else pp.a) + 1.0)
+    ml = m.take(flat)  # the masses in line order
+    neg = -ml
+
+    def place(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The iterates whose line-order gaps are gaps, centered and on the
+        sphere, in line order and in body order."""
+        line = np.zeros((size, n))
+        np.add.accumulate(gaps, axis=-1, out=line[:, 1:])
+        line = _project_line(line, ml, mass_sum, inertia_I0)
+        x = np.empty((size, n))
+        x.put(flat, line)
+        return line, x
+
+    with np.errstate(all="ignore"):  # a start out of the float domain falls back below
+        # -sum_{j<=k} m_j p_j stands for R_k at equal gaps
+        p = steps - np.add.reduce(ml * steps, axis=-1, keepdims=True) / mass_sum
+        line, x = place((ml[:, :-1] * ml[:, 1:] / np.add.accumulate(neg * p, axis=-1)[:, :-1]) ** inv)
+        t, collided = kernel.terms(x, force=False, strict=False)
+        # C_k / R_k, with R_k read as -sum_{j<=k} m_j x_j: the factor -2 sigma
+        # is common to every gap, and the projection removes it
+        ratio = (np.add.accumulate((t.grad_W + t.grad_V).take(flat), axis=-1)[:, :-1]
+                 / np.add.accumulate(neg * line, axis=-1)[:, :-1])
+        gaps = (line[:, 1:] - line[:, :-1]) * ratio ** inv
+        x = place(gaps)[1]
+        ok = np.logical_and.reduce(gaps > 0.0, axis=-1) & ~collided
+        ok &= np.logical_and.reduce(np.isfinite(x), axis=-1)
+
+    equal = np.empty((size, n))
+    equal.put(flat, steps)
+    sign = np.sign(equal @ kernel.e)
+
+    def fall_back(rows: np.ndarray) -> None:
+        x[rows] = _project_line(equal[rows], m[rows], mass_sum[rows], inertia_I0)
+
+    if not ok.all():
+        fall_back(~ok)
+    terms, clash = kernel.terms(x, strict=False, hess=True)
+    if clash.any():
+        fall_back(clash)
+        terms = kernel.terms(x, hess=True)[0]
+    return x, sign, terms
+
+
 def _trial_pass(kernel: _PairKernel, x: np.ndarray) -> tuple[PairTerms, np.ndarray]:
     """(PairTerms with the Hessian, collided) of trial steps x; a collision is flagged,
     not raised."""
@@ -504,10 +571,13 @@ def solve_collinear_batch(
 
     masses is (B, n), one row of finite positive masses per ordering;
     results() of the returned batch gives one CCResult per member.
-    Every member runs the iteration described in solve_collinear_ordering
-    step for step, and all of them advance together: members that have
-    converged drop out, a trial step that collides or breaks its
-    ordering is rejected for its own member only, and one pass of the
+    Every member starts from tension-balanced gaps (_line_start: a closed
+    form, then one balance step on a light pass of the kernel) and runs
+    the iteration described in solve_collinear_ordering step for step.
+    All arithmetic is per row, so a member's results are bit for bit
+    those of its one-member batch.  The members advance together:
+    members that have converged drop out, a trial step that collides or
+    breaks its ordering is rejected for its own member only, and one pass of the
     pair kernel over the members still searching evaluates each round of
     trial steps, so an accepted trial already carries the PairTerms of
     the next iterate, Hessian included.  The iterates are (B, n) lines,
@@ -533,12 +603,8 @@ def solve_collinear_batch(
     # their PairTerms, and the last residuals and goals
     ids, m, mass_sum = np.arange(size), masses, masses.sum(axis=-1, keepdims=True)
     border = _border(m)
-    x = np.empty((size, n))
     slots = np.array([o.zero_based for o in orderings], int).reshape(size, n)
-    x[ids[:, None], slots] = np.arange(n)
-    sign = np.sign(x @ kernel.e)
-    x = _project_line(x, m, mass_sum, inertia_I0)  # unit gaps in each ordering
-    terms = kernel.terms(x, hess=True)[0]
+    x, sign, terms = _line_start(kernel, m, mass_sum, slots, inertia_I0)
     rs, tol = np.full(size, np.inf), np.full(size, grad_tol)
 
     # one row per member, written when it converges: its x, the a W + b V and
@@ -559,29 +625,35 @@ def solve_collinear_batch(
 
     floor_factor = 8.0 * np.finfo(float).eps
     for it in range(max_iter):
-        # sigma = -(a W + b V) / (2 I) and the sup-norm residual of grad U = sigma dI/dx,
-        # dI/dx = 2 m x; its goal is grad_tol, or a few ulps of the largest sum that
-        # forms it.  sig_di is sigma dI/dx again, rounded as the Newton step reads it
+        # sigma = -(a W + b V) / (2 I) and the residual r = grad U - sigma dI/dx, dI/dx
+        # = 2 m x, whose sup norm has the goal grad_tol or the rounding floor above
+        # it: a few ulps of the largest sum that forms r, plus max_i sum_j |H_ij|
+        # ulp(x_j), what storing x in floats alone can move r by.  A Hessian that
+        # is not a number bounds nothing: its floor is infinite, and the spectrum
+        # that reads that Hessian reports the failure
         mx = m * x
         aw_bv = pp.a * terms.W + pp.b * terms.V
-        sig = -aw_bv / (2.0 * np.add.reduce(mx * x, axis=-1))
-        g = terms.grad_W + terms.grad_V
-        rs = np.maximum.reduce(np.abs(g - sig[:, None] * (2.0 * m * x)), axis=-1)
-        sig_di = 2.0 * sig[:, None] * m * x
-        tol = np.maximum(grad_tol, floor_factor * np.maximum.reduce(
-            terms.force_sum + np.abs(sig_di), axis=-1))
+        two_sig = aw_bv / -np.add.reduce(mx * x, axis=-1)
+        sig_di = two_sig[:, None] * mx
+        r = terms.grad_W + terms.grad_V - sig_di
+        rs = np.maximum.reduce(np.abs(r), axis=-1)
+        sums = floor_factor * np.maximum.reduce(terms.force_sum + np.abs(sig_di), axis=-1)
+        moved = np.maximum.reduce(
+            np.vecdot(np.abs(terms.hess), np.spacing(np.abs(x))[:, None, :]), axis=-1)
+        tol = np.maximum(grad_tol, np.where(moved >= 0.0, sums + moved, np.inf))
         done = rs <= tol
         if done.any() or not done.size:  # an empty batch is done at once
             # each member still here has accepted a step in every round
             gone = ids[done]
-            sigma[gone], res[gone], floor[gone], iters[gone] = sig[done], rs[done], tol[done], it
+            sigma[gone], res[gone], floor[gone], iters[gone] = (
+                0.5 * two_sig[done], rs[done], tol[done], it)
             out_x[gone], out_aw_bv[gone], out_h[gone] = x[done], aw_bv[done], terms.hess[done]
             if done.all():
                 break
-            mx, aw_bv, sig_di, g = keep(~done, mx, aw_bv, sig_di, g)
+            mx, aw_bv, r = keep(~done, mx, aw_bv, r)
 
         rhs = np.zeros((ids.size, n + 2))
-        np.subtract(sig_di, g, out=rhs[:, :n])
+        np.negative(r, out=rhs[:, :n])
         direction, slope, fallback = _newton_directions(
             border, mx, terms.hess, (aw_bv / inertia_I0)[:, None] * m, rhs)
         if fallback.any():
@@ -638,11 +710,18 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
     restricted-Hessian Newton step of the tangent space.  Armijo
     backtracking on U and a projected-gradient fallback keep it
     descending; the ordering is preserved by rejecting trial steps whose
-    gaps are not strictly positive.  Convergence is declared on the
-    sup-norm residual of the CC equation; since that residual cannot
-    drop below the rounding in the sums that form it, the goal widens to
-    a few ulps of max_i (sum_j |f_ij| + |sigma dI/dx_i|) when grad_tol is
-    tighter than that.  This is the one-member solve_collinear_batch.
+    gaps are not strictly positive.  The first iterate has
+    tension-balanced gaps: each gap is sized so that the net pair force
+    across it matches what sigma dI/dx asks of the bodies on its left,
+    first in closed form from nearest neighbours at equal gaps, then by
+    one balance step read from a light kernel pass (equal gaps where
+    that start fails).  Convergence is declared on the sup-norm residual
+    of the CC equation; since that residual cannot drop below the
+    rounding in the sums that form it, nor below what storing x in floats
+    moves it by, the goal widens to the floor 8 eps max_i (sum_j |f_ij| +
+    |sigma dI/dx_i|) + max_i sum_j |H_ij| ulp(x_j), H the Hessian of U at
+    the iterate, when grad_tol is tighter; the goal met is reported as
+    residual_floor.  This is the one-member solve_collinear_batch.
     """
     batch = solve_collinear_batch([ordering], q.ms.masses[None], q.pp, q.inertia_I0, q.grad_tol,
                                   q.max_iter)
@@ -722,14 +801,14 @@ def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
 def bisect_sign_change(f, rel_tol: float, error: type[QHError], what: str) -> tuple[float, float]:
     """Bracket (lo, hi) around the point where f, positive near 0, turns negative.
 
-    hi doubles from 1 until f(hi) < 0, at most 400 times; bisection from
-    lo = 0 then shrinks the bracket until hi - lo <= rel_tol * hi.  When
-    f never turns negative, error(what) is raised.  So it is when f
-    overflows first, naming the size hi where it did: the sign change
-    then lies where f is not representable.
+    hi doubles from 1 until f(hi) < 0, for as long as hi is finite;
+    bisection from lo = 0 then shrinks the bracket until hi - lo <= rel_tol
+    * hi.  When f never turns negative, error(what) is raised.  So it is
+    when f overflows first, naming the size hi where it did: the sign
+    change then lies where f is not representable.
     """
     hi = 1.0
-    for _ in range(400):
+    while hi < np.inf:
         try:
             if f(hi) < 0.0:
                 break
@@ -771,8 +850,11 @@ def f_root(sigma: float, b: float, mtotal: float) -> FRootResult:
     root = 0.5 * (lo + hi)
 
     grid_lo, grid_hi, points = root * 1e-6, root * 1e6, 241
-    grid = np.geomspace(grid_lo, grid_hi, points)
-    signs = np.sign([f(r) for r in grid])
+    # f = m (r^(b-1) + b) - 2 |sigma| r^(b+2) has the sign of the difference of
+    # the two parts' logs, which stays finite where either power overflows
+    log_r = np.log(np.geomspace(grid_lo, grid_hi, points))
+    signs = np.sign(np.log(mtotal) + np.logaddexp((b - 1.0) * log_r, np.log(b))
+                    - np.log(2.0 * -sigma) - (b + 2.0) * log_r)
     signs = signs[signs != 0.0]
     changes = int(np.sum(signs[1:] != signs[:-1]))
     return FRootResult(

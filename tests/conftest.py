@@ -1,5 +1,7 @@
 """Shared fixtures: seeded RNG, bounded random states, orbit factories."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -88,26 +90,37 @@ def fd_directional_second(f, x, v, h=1e-4):
     return (f(x + h * v) - 2.0 * f(x) + f(x - h * v)) / (h * h)
 
 
-def _count_kernel_calls(monkeypatch, name):
+def count_kernel_bindings(monkeypatch):
+    """A list that grows by one entry per binding of the pair kernel."""
     calls = []
-    method = getattr(model._PairKernel, name)
+    init = model._PairKernel.__init__
 
     def counted(self, *args, **kwargs):
         calls.append(1)
-        return method(self, *args, **kwargs)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(model._PairKernel, name, counted)
+    monkeypatch.setattr(model._PairKernel, "__init__", counted)
     return calls
 
 
-def count_kernel_bindings(monkeypatch):
-    """A list that grows by one entry per binding of the pair kernel."""
-    return _count_kernel_calls(monkeypatch, "__init__")
+class KernelPass(NamedTuple):
+    """What one pass of the pair kernel summed besides W, V and the gradients."""
+
+    hess: bool
+    force: bool
 
 
 def count_kernel_passes(monkeypatch):
-    """A list that grows by one entry per pass (terms call) of the pair kernel."""
-    return _count_kernel_calls(monkeypatch, "terms")
+    """A list that grows by one KernelPass per pass (terms call) of the pair kernel."""
+    passes = []
+    terms = model._PairKernel.terms
+
+    def counted(self, r, force=True, strict=True, hess=False):
+        passes.append(KernelPass(hess, force))
+        return terms(self, r, force, strict, hess)
+
+    monkeypatch.setattr(model._PairKernel, "terms", counted)
+    return passes
 
 
 def fail_linalg(monkeypatch, name):

@@ -9,6 +9,7 @@ import dataclasses
 import json
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    KernelPass,
     count_kernel_bindings,
     count_kernel_passes,
     every_class,
@@ -59,6 +61,7 @@ from qhnbody.model import (
     PotentialParams,
     centered,
     grad_U,
+    hess_U_matrix,
     mass_inner,
     moment_of_inertia,
     pair_terms,
@@ -189,6 +192,137 @@ def test_lockstep_batch_equals_one_member_solves():
             assert np.abs(res.config.positions - one.config.positions).max() <= 1e-12
 
 
+def test_the_six_body_census_takes_at_most_four_rounds_bit_for_bit():
+    # tension-balanced gaps start every class near its CC: the 360 classes
+    # at masses 1..6 take at most 4 Newton rounds, and a member of the
+    # batch is its one-member solve to the last bit
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    ms = MassSystem(np.arange(1.0, 7.0))
+    batch = solve_collinear_batch(*every_class(ms), pp)
+    assert batch.newton_iters.max() <= 4 and not batch.index.any()
+    for k in range(0, 360, 12):
+        one = solve_collinear_batch([batch.orderings[k]], ms.masses[None], pp)
+        for name in ("x", "sigma", "residual", "hess_eigs", "newton_iters", "backtracks",
+                     "fallbacks", "residual_floor"):
+            assert np.array_equal(getattr(batch, name)[k], getattr(one, name)[0]), name
+
+
+def test_the_census_benchmark_ops_take_about_three_rounds(monkeypatch, tmp_path):
+    # the ops of the census workload at seed 3, each solved in the batch of
+    # its mass draw (a member's rounds are those of its own solve), take
+    # about 3 rounds on average from balanced gaps
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = pytest.importorskip("workloads")
+    draws = {}
+
+    def record(ordering, q):
+        draws.setdefault(q.ms.masses.tobytes(), (q, []))[1].append(ordering)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(central_config, "solve_collinear_ordering", record)
+        for op in workloads.build("census", 3, 20, tmp_path):
+            op.run()
+    rounds = []
+    for q, orderings in draws.values():
+        masses = np.tile(q.ms.masses, (len(orderings), 1))
+        rounds.extend(solve_collinear_batch(orderings, masses, q.pp).newton_iters)
+    assert len(rounds) > 1000
+    assert np.mean(rounds) <= 3.3
+
+
+# potentials the start must handle: a = 0, alpha = 0, beta = 0, a small beta, b = 7
+START_POTENTIALS = [
+    PotentialParams(a=0.0, b=2.0, alpha=1.0, beta=1.0),
+    PotentialParams(a=1.0, b=3.0, alpha=0.0, beta=1.0),
+    PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.0),
+    PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=1e-6),
+    PotentialParams(a=0.5, b=7.0, alpha=1.0, beta=3.0),
+]
+
+
+def _start(orderings, masses, pp, inertia_I0=1.0):
+    kernel = model._PairKernel(masses, pp)
+    slots = np.array([o.zero_based for o in orderings])
+    x = central_config._line_start(kernel, masses, masses.sum(-1, keepdims=True), slots,
+                                   inertia_I0)[0]
+    equal = np.argsort(slots, axis=-1).astype(float)  # each body's place in its ordering
+    return x, central_config._project_line(equal, masses, masses.sum(-1, keepdims=True),
+                                           inertia_I0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 7),
+    pp=st.sampled_from(START_POTENTIALS),
+    inertia_I0=st.sampled_from([0.01, 100.0]),
+)
+def test_the_start_is_finite_ordered_centred_and_on_the_sphere(seed, n, pp, inertia_I0):
+    rng = np.random.default_rng(seed)
+    masses = rng.uniform(0.1, 10.0, (4, n))
+    orderings = [Ordering(tuple(rng.permutation(n) + 1)) for _ in masses]
+    x, equal = _start(orderings, masses, pp, inertia_I0)
+    assert np.isfinite(x).all()
+    for o, row in zip(orderings, x):
+        assert np.all(np.diff(row[list(o.zero_based)]) > 0.0)
+    scale = np.sqrt(inertia_I0 * masses.sum(-1))
+    assert (np.abs((masses * x).sum(-1)) <= 1e-14 * scale).all()
+    np.testing.assert_allclose((masses * x * x).sum(-1), inertia_I0, rtol=1e-14)
+    if n > 2:  # two bodies have one shape on the sphere
+        assert not (x == equal).all(axis=-1).any()
+
+
+def test_a_start_that_fails_keeps_equal_gaps(monkeypatch):
+    # the light pass reads NaN forces for the first member and a collision
+    # for the second: both start from equal gaps, the third as before
+    rng = np.random.default_rng(7)
+    masses = rng.uniform(0.1, 10.0, (3, 5))
+    orderings = [Ordering((2, 5, 1, 4, 3))] * 3
+    clean, equal = _start(orderings, masses, PP13)
+    kernel_terms = model._PairKernel.terms
+
+    def broken(self, r, force=True, strict=True, hess=False):
+        terms, collided = kernel_terms(self, r, force, strict, hess)
+        if hess:
+            return terms, collided
+        terms.grad_W[0] = np.nan
+        return terms, collided | (np.arange(len(r)) == 1)
+
+    monkeypatch.setattr(model._PairKernel, "terms", broken)
+    x = _start(orderings, masses, PP13)[0]
+    np.testing.assert_array_equal(x[:2], equal[:2])
+    np.testing.assert_array_equal(x[2], clean[2])
+    assert not (clean[:2] == equal[:2]).all(axis=-1).any()
+
+
+@pytest.mark.parametrize("pp", START_POTENTIALS)
+def test_a_seeded_stall_sweep_converges_everywhere(pp):
+    # random masses in [0.1, 10] and random orderings at n = 2..7 on two
+    # sphere sizes: every member converges to a minimum of its class below
+    # a goal that counts the rounding of x itself (b = 7 stalled without it)
+    rng = np.random.default_rng(2029)
+    for n in range(2, 8):
+        for inertia_I0 in (1.0, 0.3):
+            masses = rng.uniform(0.1, 10.0, (50, n))
+            orderings = [Ordering(tuple(rng.permutation(n) + 1)) for _ in masses]
+            batch = solve_collinear_batch(orderings, masses, pp, inertia_I0)
+            assert (batch.residual <= batch.residual_floor).all() and not batch.index.any()
+
+
+def test_the_b7_class_that_stalled_converges():
+    # rounding x to floats can move this class's residual by about 2.45e-5,
+    # twice the 8-ulp floor of its force sums (about 1.2e-5): the goal must
+    # count both for the solve to converge
+    masses = np.array([4.770119463397014, 3.3909771643083935, 0.7677028567232934,
+                       1.4055820087715427, 5.720888877600102, 2.7181153188320955])
+    pp = PotentialParams(a=0.5, b=7.0, alpha=1.0, beta=3.0)
+    ms = MassSystem(masses)
+    res = solve_collinear_ordering(Ordering((1, 6, 4, 2, 3, 5)), CCQuery(ms=ms, pp=pp))
+    assert res.index == 0 and res.residual <= res.residual_floor
+    force_sum = pair_terms(res.config.positions[:, :1], ms, pp).force_sum
+    assert res.residual_floor > 8.0 * np.finfo(float).eps * force_sum.max()
+
+
 def test_solver_counts_its_work():
     q = CCQuery(ms=MassSystem(np.linspace(1.0, 2.0, 6)), pp=PotentialParams(1.0, 3.0, 1.0, 0.5))
     res = solve_collinear_ordering(Ordering((1, 2, 6, 4, 5, 3)), q)
@@ -200,23 +334,33 @@ def test_solver_counts_its_work():
     assert forced.residual_floor > 1e-300
 
 
+def _light_start_then_hessian_passes(passes):
+    """The passes after the start's one light pass, which sums no Hessian and no force."""
+    assert passes[0] == KernelPass(hess=False, force=False)
+    assert all(p == KernelPass(hess=True, force=True) for p in passes[1:])
+    return passes[1:]
+
+
 def test_each_newton_iterate_costs_one_kernel_pass(monkeypatch):
-    # the pass that accepts a trial step also evaluates the next iterate,
-    # Hessian included, and the final spectrum reads the pass at the last
-    # iterate; besides the first iterate, only rejected trials cost
-    # passes.  The kernel is bound once per solve, and once per batch.
+    # one light pass balances the start's gaps; then the pass that accepts
+    # a trial step also evaluates the next iterate, Hessian included, and
+    # the final spectrum reads the pass at the last iterate; besides the
+    # first iterate, only rejected trials cost passes.  The kernel is bound
+    # once per solve, and once per batch.
     bindings, passes = count_kernel_bindings(monkeypatch), count_kernel_passes(monkeypatch)
     ms = MassSystem(np.linspace(1.0, 2.0, 6))
     res = solve_collinear_ordering(Ordering((1, 2, 6, 4, 5, 3)), CCQuery(ms=ms, pp=PP13))
     assert res.newton_iters > 0
-    assert 1 + res.newton_iters <= len(passes) <= 1 + res.newton_iters + res.backtracks
+    hessian_passes = _light_start_then_hessian_passes(passes)
+    assert 1 + res.newton_iters <= len(hessian_passes) <= 1 + res.newton_iters + res.backtracks
     assert len(bindings) == 1
     bindings.clear()
     passes.clear()
     batch = solve_collinear_batch(*every_class(ms), PP13).results()
     assert len(bindings) == 1
     rounds = max(r.newton_iters for r in batch)
-    assert 1 + rounds <= len(passes) <= 1 + rounds + sum(r.backtracks for r in batch)
+    hessian_passes = _light_start_then_hessian_passes(passes)
+    assert 1 + rounds <= len(hessian_passes) <= 1 + rounds + sum(r.backtracks for r in batch)
 
 
 def test_restricted_hessian_costs_one_kernel_pass(monkeypatch):
@@ -301,9 +445,10 @@ def test_bordered_newton_step_is_the_tangent_basis_step(monkeypatch, flip):
 
 
 def test_a_newton_step_that_climbs_falls_back_once_inside_a_solve(monkeypatch):
-    # the Hessian's sign flipped as above, on a batch's first pass only: the
-    # members whose first body is heavy take one gradient step in place of a
-    # Newton step, then converge to the clean CC; the others do not notice
+    # the Hessian's sign flipped as above, on a batch's first pass with a
+    # Hessian only: the members whose first body is heavy take one gradient
+    # step in place of a Newton step, then converge to the clean CC; the
+    # others do not notice
     rng = np.random.default_rng(29)
     pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
     kernel_terms = model._PairKernel.terms
@@ -315,6 +460,8 @@ def test_a_newton_step_that_climbs_falls_back_once_inside_a_solve(monkeypatch):
 
         def flipped_once(self, r, *args, **kwargs):
             terms, collided = kernel_terms(self, r, *args, **kwargs)
+            if terms.hess is None:  # the start's light pass
+                return terms, collided
             passes.append(r.shape)
             if len(passes) > 1:
                 return terms, collided
@@ -356,26 +503,35 @@ def test_a_tangent_basis_with_no_svd_is_a_degenerate_error(monkeypatch):
         tangent_basis(r, MS123)
 
 
-def test_a_stall_names_the_goal_it_missed():
-    # one round cannot converge from unit gaps; the goal named is grad_tol
+def test_a_stall_names_the_goal_it_missed(monkeypatch):
+    # one round cannot converge from the start; the goal named is grad_tol
     # when that is above the rounding floor, and the floor at the first
-    # iterate otherwise
+    # iterate otherwise: a few ulps of the largest force sum, plus what
+    # rounding x to floats moves the residual by, max_i sum_j |H_ij| ulp(x_j)
     ms = MassSystem(np.linspace(1.0, 2.0, 4))
     ordering = Ordering((2, 4, 1, 3))
     goal_named = r"stalled at residual \S+ above its goal 1\.000e-06$"
     with pytest.raises(NoConvergenceError, match=goal_named):
         solve_collinear_ordering(ordering, CCQuery(ms=ms, pp=PP13, grad_tol=1e-6, max_iter=1))
-    # the first iterate: unit gaps in the ordering, centered and on the unit sphere
-    x = np.empty(4)
-    x[list(ordering.zero_based)] = np.arange(4.0)
-    x = centered(x[:, None], ms)
-    x /= np.sqrt(moment_of_inertia(x, ms))
+    # the first iterate is the position of the first pass with a Hessian
+    kernel_terms, firsts = model._PairKernel.terms, []
+
+    def recording(self, r, force=True, strict=True, hess=False):
+        if hess and not firsts:
+            firsts.append(r[0].copy())
+        return kernel_terms(self, r, force, strict, hess)
+
+    monkeypatch.setattr(model._PairKernel, "terms", recording)
+    with pytest.raises(NoConvergenceError) as info:
+        solve_collinear_ordering(ordering, CCQuery(ms=ms, pp=PP13, grad_tol=1e-300, max_iter=1))
+    x = firsts[0][:, None]
+    assert np.all(np.diff(x[list(ordering.zero_based), 0]) > 0.0)
+    assert abs(ms.masses @ x[:, 0]) < 1e-15 and moment_of_inertia(x, ms) == pytest.approx(1.0)
     terms = pair_terms(x, ms, PP13)
     sigma = cc_residual(x, ms, PP13, terms)[0]
     scale = np.max(terms.force_sum + np.abs(2.0 * sigma * ms.masses * x[:, 0]))
-    floor = 8.0 * np.finfo(float).eps * scale
-    with pytest.raises(NoConvergenceError) as info:
-        solve_collinear_ordering(ordering, CCQuery(ms=ms, pp=PP13, grad_tol=1e-300, max_iter=1))
+    moved = np.abs(hess_U_matrix(x, ms, PP13)) @ np.spacing(np.abs(x[:, 0]))
+    floor = 8.0 * np.finfo(float).eps * scale + moved.max()
     assert str(info.value).endswith(f" above its goal {floor:.3e}")
     assert f"stalled at residual {info.value.residual:.3e} above" in str(info.value)
 
@@ -778,6 +934,16 @@ def test_a_root_where_f_overflows_is_a_bracket_error(sigma, b, size):
     with pytest.raises(BracketError, match=f"^no sign change found during bracket expansion: "
                                            f"f overflowed at size {re.escape(size)}$"):
         f_root(sigma, b, 1.0)
+
+
+def test_a_large_root_is_certified_without_overflow():
+    # the root lies near 1e85, so the scan's grid reaches 1e91, where both
+    # powers of f overflow; each point still gets the sign of f, with no
+    # floating-point warning (the suite turns one into an error)
+    res = f_root(-5e-256, 1.5, 1.0)
+    assert res.root == pytest.approx(1e85, rel=1e-12)
+    assert res.grid_hi > 1e90
+    assert res.sign_changes == 1
 
 
 # ---------------------------------------------------------------------------

@@ -708,15 +708,17 @@ def test_collision_flow_needs_manev_attraction(tmp_path, capsys):
 
 
 def test_a_default_eigen_run_makes_ten_kernel_passes(tmp_path, monkeypatch):
-    # the pure-b census: its first iterate and four rounds of trial steps
-    # on one binding, no pass for its spectra; one pass for the
-    # equilateral residual and index together; one pass per rest-point
-    # shape (4).  16 when each shape took two passes, the census one
-    # more for its spectra and the equilateral one more for its index.
+    # the pure-b census: a light pass for its start, its first iterate and
+    # three rounds of trial steps on one binding, no pass for its spectra;
+    # one pass for the equilateral residual and index together; one pass
+    # per rest-point shape (4).  16 when each shape took two passes, the
+    # census one more for its spectra and the equilateral one more for its
+    # index.
     bindings, passes = count_kernel_bindings(monkeypatch), count_kernel_passes(monkeypatch)
     code, _ = run(tmp_path, "eigen", base_config())
     assert code == 0
     assert len(passes) == 10
+    assert [p.hess for p in passes] == [False] + [True] * 9
     assert len(bindings) == 6
 
 

@@ -1,5 +1,7 @@
 """Homothetic orbits: admissibility, the reduced plane, the connection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -202,16 +204,28 @@ def test_the_reduction_refuses_a_other_than_one():
         rho_max_bisection(config, MS, pp, h=-1.0)
 
 
-@pytest.mark.parametrize("b, why", [(3.0, ": f overflowed at size 8.959e\\+102"), (1.5, "")])
-def test_a_turning_size_out_of_reach_is_no_convergence(b, why):
-    # at h = -1e-300 the curve turns negative only past 2^400: at b = 3
-    # rho^3 overflows on the way, and bracket expansion stops there and
-    # says so; at b = 1.5 it runs out of doublings
+@pytest.mark.parametrize("b, size", [(3.0, "8.959e+102"), (1.5, "4.013e+205")])
+def test_a_turning_size_out_of_reach_is_no_convergence(b, size):
+    # at h = -1e-300 the curve turns negative only near 1e300, where
+    # rho^b overflows first: bracket expansion stops there and says so
     ms = MassSystem(np.ones(3))
     config, _ = equilateral_configuration(ms)
     pp = PotentialParams(a=1.0, b=b, alpha=1.0, beta=1.0)
-    with pytest.raises(NoConvergenceError, match=f"^energy curve never became negative{why}$"):
+    why = f"energy curve never became negative: f overflowed at size {re.escape(size)}"
+    with pytest.raises(NoConvergenceError, match=f"^{why}$"):
         rho_max_bisection(config, ms, pp, h=-1e-300)
+
+
+def test_a_turning_size_near_the_float_limit_is_found():
+    # at b = 1.5 and h = -1e-200 the curve turns near 3e200, about 2^667:
+    # bracket expansion doubles for as long as the size is finite
+    ms = MassSystem(np.ones(3))
+    config, _ = equilateral_configuration(ms)
+    pp = PotentialParams(a=1.0, b=1.5, alpha=1.0, beta=1.0)
+    rho_max = rho_max_bisection(config, ms, pp, h=-1e-200)
+    assert 2.0**400 < rho_max < 1e201
+    assert energy_curve_v2(0.999 * rho_max, config, ms, pp, -1e-200) > 0.0
+    assert energy_curve_v2(1.001 * rho_max, config, ms, pp, -1e-200) < 0.0
 
 
 def test_an_orbit_cut_short_of_the_floor_is_no_convergence(monkeypatch):
