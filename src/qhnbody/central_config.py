@@ -251,30 +251,6 @@ def simultaneous_residual(
     return SimultaneousReport(sigma1, sigma2, res_w, res_v)
 
 
-def _metric_null_basis(constraints: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Orthonormal basis, in the diag(weights) metric, of ker(constraints).
-
-    A stack of constraint matrices gives a stack of bases; every member
-    must have the same rank.
-    """
-    try:
-        _, svals, vt = np.linalg.svd(constraints)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateError(f"tangent-basis constraint SVD failed: {exc}") from None
-    tol = max(constraints.shape[-2:]) * np.finfo(float).eps * svals[..., :1]
-    ranks = (svals > tol).sum(axis=-1)
-    rank = int(ranks.max(initial=0))
-    if ranks.min(initial=rank) != rank:
-        raise ValueError("constraint rank differs across the batch")
-    q = vt[..., rank:, :].swapaxes(-1, -2)
-    gram = q.swapaxes(-1, -2) @ (weights[..., :, None] * q)
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateError(f"tangent-basis Gram matrix has no Cholesky factor: {exc}") from None
-    return q @ np.linalg.inv(chol).swapaxes(-1, -2)
-
-
 def tangent_basis(positions: np.ndarray, ms) -> np.ndarray:
     """Mass-orthonormal basis of the tangent space to the constraint set.
 
@@ -282,16 +258,18 @@ def tangent_basis(positions: np.ndarray, ms) -> np.ndarray:
     tangent space at r does not depend on I0; the basis is returned as a
     (n*d, K) matrix of flattened displacement fields with K = n*d - d - 1.
     A (B, n, d) batch with (B, n) masses gives a (B, n*d, K) stack.
+    In sqrt(M) coordinates, where the mass inner product is the Euclidean
+    one, the constraint normals are sqrt(m) along each axis and sqrt(m) r;
+    the last K columns of Q in their complete QR are an orthonormal
+    complement, which divided by sqrt(m) is the basis.
     """
     r = np.asarray(positions, dtype=float)
     n, d = r.shape[-2:]
-    lead = r.shape[:-2]
-    m = _mass_array(ms)
-    rows = np.zeros(lead + (d + 1, n * d))
-    for ax in range(d):
-        rows[..., ax, ax::d] = m
-    rows[..., d, :] = (m[..., None] * r).reshape(lead + (n * d,))
-    return _metric_null_basis(rows, np.repeat(m, d, axis=-1))
+    root_m = np.sqrt(_mass_array(ms))[..., None]
+    along_axes = np.broadcast_to(root_m[..., None] * np.eye(d), r.shape + (d,))
+    normals = np.concatenate([along_axes, (root_m * r)[..., None]], axis=-1)
+    q = np.linalg.qr(normals.reshape(r.shape[:-2] + (n * d, d + 1)), mode="complete").Q
+    return q[..., d + 1:] / np.repeat(root_m, d, axis=-2)
 
 
 def count_modes(eigs: np.ndarray) -> tuple:
@@ -319,9 +297,8 @@ def _restricted_spectrum(
     the Hessian of U at x.
     """
     basis = tangent_basis(x, ms)
-    correction = aw_bv / inertia_I0
-    a_mat = basis.swapaxes(-1, -2) @ hess @ basis
-    a_mat = a_mat + np.multiply.outer(correction, np.eye(basis.shape[-1]))
+    shift = np.multiply.outer(aw_bv / inertia_I0, np.eye(basis.shape[-1]))
+    a_mat = basis.swapaxes(-1, -2) @ hess @ basis + shift
     try:
         return a_mat, np.linalg.eigvalsh(a_mat)
     except np.linalg.LinAlgError as exc:

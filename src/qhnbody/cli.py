@@ -19,6 +19,7 @@ import argparse
 import csv
 import difflib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -243,6 +244,26 @@ def _potential(value, path, table, n):
         raise ConfigError(f"invalid {path}: {exc}") from None
 
 
+def _check_pair_coefficients(ms: MassSystem, pp: PotentialParams) -> None:
+    """ConfigError naming the key and the pair whose kernel coefficient is not a normal float.
+
+    For each active term the pair kernel forms coef = alpha m_i m_j or beta
+    m_i m_j over the pairs i < j, and its gradients exp * coef; each must
+    be finite and at least the smallest normal float.
+    """
+    tiny = sys.float_info.min
+    for key, coeff, exp in (("alpha", pp.alpha, pp.a), ("beta", pp.beta, pp.b)):
+        if coeff == 0.0:
+            continue
+        for (i, mi), (j, mj) in itertools.combinations(enumerate(ms.masses.tolist(), 1), 2):
+            coef = coeff * (mi * mj)  # Python floats overflow to inf as numpy's do
+            for value in (coef, exp * coef) if exp > 0.0 else (coef,):
+                if not tiny <= value < math.inf:
+                    raise ConfigError(f"potential.{key} = {coeff!r} gives pair ({i}, {j}), masses "
+                                      f"{mi!r} and {mj!r}, the kernel coefficient {value!r}: it "
+                                      f"must be finite and at least {tiny!r}")
+
+
 @dataclass
 class RunConfig:
     """A config file read against the tables of one subcommand."""
@@ -266,6 +287,7 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         top = _read(raw, "", _CONFIGS[command])
+        _check_pair_coefficients(top["masses"], top["potential"])
         return cls(ms=top["masses"], pp=top["potential"], inertia_I0=top.get("inertia_I0"),
                    energy_h=top.get("energy_h"), initial_state=top.get("initial_state"),
                    tol=top["tolerances"], opt=top.get("options", {}), base_dir=p.resolve().parent)

@@ -496,13 +496,6 @@ def test_a_gradient_step_with_no_solve_is_a_degenerate_error(monkeypatch):
         solve_collinear_ordering(Ordering((1, 3, 2)), CCQuery(ms=MS123, pp=PP13))
 
 
-def test_a_tangent_basis_with_no_svd_is_a_degenerate_error(monkeypatch):
-    r = np.array([[-1.0], [0.2], [0.8]])
-    fail_linalg(monkeypatch, "svd")
-    with pytest.raises(DegenerateError, match="^tangent-basis constraint SVD failed: svd failed$"):
-        tangent_basis(r, MS123)
-
-
 def test_a_stall_names_the_goal_it_missed(monkeypatch):
     # one round cannot converge from the start; the goal named is grad_tol
     # when that is above the rounding floor, and the floor at the first
@@ -787,6 +780,32 @@ def test_tangent_basis_orthonormal_and_tangent(rng):
             vj = basis[:, j].reshape(4, 2)
             target = 1.0 if i == j else 0.0
             assert abs(mass_inner(vi, vj, ms) - target) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_stack_of_tangent_bases_equals_each_members_own_bit_for_bit(rng, d):
+    masses = rng.uniform(0.2, 5.0, (6, 4))
+    r = rng.standard_normal((6, 4, d))
+    stack = tangent_basis(r, masses)
+    assert stack.shape == (6, 4 * d, 3 * d - 1)
+    for member, x, m in zip(stack, r, masses):
+        assert np.array_equal(member, tangent_basis(x, MassSystem(m)))
+
+
+def test_a_planar_spectrum_holds_its_digits_as_one_mass_vanishes():
+    # pure-b, b = 21, at the equilateral triangle of masses [m, 1, 1]: the
+    # spectrum moves by about 17 m of its largest |eigenvalue|, so
+    # consecutive ones agree to that and rounding, even where m^2 is below
+    # the smallest float
+    pp = PotentialParams(a=1.0, b=21.0, alpha=0.0, beta=1.0)
+    masses = (1e-9, 1e-12, 1e-15, 1e-300)
+    spectra = []
+    for m in masses:
+        ms = MassSystem(np.array([m, 1.0, 1.0]))
+        spectra.append(restricted_hessian(equilateral_configuration(ms)[0], ms, pp)[1])
+    for m, lam, nxt in zip(masses, spectra, spectra[1:]):
+        assert np.all(np.isfinite(nxt))
+        assert np.abs(nxt - lam).max() <= (50.0 * m + 1e-13) * np.abs(lam).max()
 
 
 # ---------------------------------------------------------------------------

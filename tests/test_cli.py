@@ -638,28 +638,24 @@ def test_a_failed_run_makes_no_out_directory(tmp_path, command, data, want):
     assert not out.exists()
 
 
-# masses 300 decades apart overflow the pair kernel (numpy warns) until a
-# linear-algebra step fails; that is a numerical failure naming its quantity,
-# not a config problem
+# masses 300 decades apart overflow the pair kernel (numpy warns) though each
+# pair coefficient is a normal float; the restricted spectrum comes out NaN, a
+# numerical failure naming its quantity, not a config problem
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "command, data, quantity",
-    [("eigen", base_config(masses=[1e-300, 1.0, 1.0], b=21.0, beta=1.0),
-      "tangent-basis Gram matrix"),
-     ("cc-collinear", base_config(masses=[1e300, 1.0, 1e-300, 25.0], a=2.0, alpha=0.0, beta=1.0,
-                                  inertia_I0=0.5), "restricted-Hessian spectrum")],
-)
-def test_a_failed_linear_algebra_step_is_a_numerical_failure(tmp_path, capsys, command, data,
-                                                             quantity):
-    code, out = run(tmp_path, command, data)
+def test_a_failed_linear_algebra_step_is_a_numerical_failure(tmp_path, capsys):
+    data = base_config(masses=[1e300, 1.0, 1e-300, 25.0], a=2.0, alpha=0.0, beta=1.0,
+                       inertia_I0=0.5)
+    code, out = run(tmp_path, "cc-collinear", data)
     assert code == 3
-    assert capsys.readouterr().err.startswith(f"error: DegenerateError: {quantity} ")
+    assert capsys.readouterr().err.startswith(
+        "error: DegenerateError: collinear restricted Hessian spectrum ")
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "command, failing, quantity",
     [("cc-collinear", "solve", "gradient-step system of the collinear Newton step is singular"),
+     ("cc-collinear", "eigvalsh", "restricted-Hessian spectrum failed"),
      ("eigen", "eigvals", "linearization spectrum at the rest point failed")],
 )
 def test_a_linear_algebra_failure_exits_3_naming_its_quantity(tmp_path, capsys, monkeypatch,
@@ -873,40 +869,70 @@ def test_homothetic_rejects_a_non_simultaneous_shape(tmp_path, capsys):
     assert "error: AdmissibilityError" in capsys.readouterr().err
 
 
-# the b-term's pair coefficients overflow (numpy warns), so the shape's V
-# residual is NaN: no admissibility gate may pass it
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _coefficient_error(key, value, pair, mi, mj, coef):
+    return (f"error: potential.{key} = {value} gives pair {pair}, masses {mi} and {mj}, the kernel "
+            f"coefficient {coef}: it must be finite and at least 2.2250738585072014e-308\n")
+
+
+# the b-term's pair coefficients overflow, so the shape's V residual would be
+# NaN: the config is refused before any gate sees it (test_homothetic keeps
+# the admissibility gate's NaN case)
 def test_a_nan_residual_is_not_admissible(tmp_path, capsys):
     data = base_config(masses=[1e300, 2.0, 2.0], b=1.51, alpha=0.5, beta=1e300, energy_h=-2.0)
     code, out = run(tmp_path, "homothetic", data)
-    assert code == 3
-    assert capsys.readouterr().err.startswith(
-        "error: AdmissibilityError: shape is not a simultaneous central configuration: "
-        "residual nan"
-    )
+    assert code == 2
+    assert capsys.readouterr().err == _coefficient_error("beta", "1e+300", "(1, 2)", "1e+300",
+                                                         "2.0", "inf")
     assert not out.exists()
 
 
-# three configs whose quantities leave the float domain (numpy warns): each is
-# stopped by a gate that names the quantity, not by an unrelated failure later
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# configs whose pair coefficients, or their products with a positive exponent,
+# leave the float domain: each is refused up front naming the key and the
+# pair, before the kernel makes an inf, a NaN or a zero of them
 @pytest.mark.parametrize(
-    "command, data, want, message",
+    "command, data, message",
     [("simulate", base_config(masses=[1e200, 1e200], b=1.5, energy_h=0.0, initial_state={
         "kind": "cartesian", "positions": [[0, 0], [1, 0]], "momenta": [[1e250, 0], [-1e250, 0]]}),
-      2, "error: energy_h = 0.0 does not match the initial state (H = nan)\n"),
-     ("eigen", base_config(masses=[0.3, 7.0, 1e-200, 1e-300], b=21.0, alpha=0.0, beta=1e300), 3,
-      "error: DegenerateError: collinear restricted Hessian spectrum [nan nan] is not finite "
-      "or sits on the zero band's edge\n"),
+      _coefficient_error("alpha", "1.0", "(1, 2)", "1e+200", "1e+200", "inf")),
+     ("eigen", base_config(masses=[0.3, 7.0, 1e-200, 1e-300], b=21.0, alpha=0.0, beta=1e300),
+      _coefficient_error("beta", "1e+300", "(3, 4)", "1e-200", "1e-300", "0.0")),
      ("homothetic", base_config(masses=[1e-300, 2.0, 1e-100], b=21.0, alpha=1e300, beta=1e-300,
-                                energy_h=-1e-300), 3,
-      "error: DegenerateTermError: V(s0) = 0.0 gives no ejection speed sqrt(2 V(s0))\n")],
+                                energy_h=-1e-300),
+      _coefficient_error("alpha", "1e+300", "(1, 3)", "1e-300", "1e-100", "0.0")),
+     ("cc-planar3", base_config(masses=[1e-300, 1.0, 1e-200], b=1.51, beta=1e300,
+                                inertia_I0=1e300),
+      _coefficient_error("alpha", "1.0", "(1, 3)", "1e-300", "1e-200", "0.0")),
+     ("collision-flow", base_config(masses=[1e-5, 1e100, 1e-5, 1e-200], b=4.0, alpha=1e-300,
+                                    beta=1e300, options={"start": {
+                                        "shape": {"ordering": [1, 2, 3, 4]},
+                                        "perturbation_scale": 1e10, "seed": 255}}),
+      _coefficient_error("alpha", "1e-300", "(1, 3)", "1e-05", "1e-05", "1e-310")),
+     ("cc-collinear", base_config(masses=[1.0, 1.0], a=0.5, alpha=3e-308),
+      _coefficient_error("alpha", "3e-308", "(1, 2)", "1.0", "1.0", "1.5000000000000004e-308")),
+     ("cc-collinear", base_config(masses=[1.0, 1.0], beta=1e308),
+      _coefficient_error("beta", "1e+308", "(1, 2)", "1.0", "1.0", "inf"))],
+    ids=["simulate", "eigen", "homothetic", "cc-planar3", "collision-flow", "exponent-underflow",
+         "exponent-overflow"],
 )
 def test_a_quantity_past_the_float_domain_fails_its_own_gate(tmp_path, capsys, command, data,
-                                                            want, message):
+                                                            message):
     code, out = run(tmp_path, command, data)
-    assert code == want
+    assert code == 2
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+# in-range masses, but a kinetic energy past the float range and a pair 1e-160
+# apart: H = inf - inf is NaN, which matches no energy_h
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_nan_energy_matches_no_energy_h(tmp_path, capsys):
+    data = base_config(masses=[1.0, 1.0], b=1.5, energy_h=0.0, initial_state={
+        "kind": "cartesian", "positions": [[0, 0], [1e-160, 0]],
+        "momenta": [[1e200, 0], [-1e200, 0]]})
+    code, out = run(tmp_path, "simulate", data)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: energy_h = 0.0 does not match the initial state (H = nan)\n")
     assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from qhnbody.central_config import (
 )
 from qhnbody.errors import (
     AdmissibilityError,
+    DegenerateTermError,
     EnergySignError,
     ManevOnlyError,
     NoConvergenceError,
@@ -86,6 +87,22 @@ def test_a_nan_is_never_admissible(monkeypatch):
     monkeypatch.setattr(homothetic, "simultaneous_residual", lambda *args: nan_report)
     with pytest.raises(AdmissibilityError, match="residual nan"):
         heteroclinic_orbit(config, MS, PP, -1.0)
+
+
+# pair coefficients past the float range, which the CLI refuses as a config
+# error: the library's own gates still stop each at the quantity it spoils
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_pair_coefficient_past_the_float_range_fails_the_gate_it_reaches():
+    # beta m_1 m_2 overflows, so the V residual is NaN
+    ms = MassSystem(np.array([1e300, 2.0, 2.0]))
+    pp = PotentialParams(a=1.0, b=1.51, alpha=0.5, beta=1e300)
+    with pytest.raises(AdmissibilityError, match="residual nan$"):
+        heteroclinic_orbit(equilateral_configuration(ms)[0], ms, pp, -2.0)
+    # every beta m_i m_j underflows to zero, so V(s0) = 0 and the orbit has no start
+    ms = MassSystem(np.array([1e-300, 2.0, 1e-100]))
+    pp = PotentialParams(a=1.0, b=21.0, alpha=1e300, beta=1e-300)
+    with pytest.raises(DegenerateTermError, match=r"^V\(s0\) = 0\.0 gives no ejection speed"):
+        heteroclinic_orbit(equilateral_configuration(ms)[0], ms, pp, -1e-300)
 
 
 def test_admissibility_requires_unit_sphere_shape():
