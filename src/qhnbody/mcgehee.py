@@ -18,6 +18,8 @@ u^T M^{-1} u + v^2 = 2 V(s), independent of h.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,7 @@ from .model import (
     PhaseState,
     PotentialParams,
     _PairKernel,
+    _float_pass,
     grad_V,  # noqa: F401  (re-exported: callers import it from this module)
     mass_inner,
     pair_terms,
@@ -197,7 +200,8 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     """Flat-vector right-hand side d/dtau for the blown-up system.
 
     With with_time the state carries a trailing physical-time component
-    integrated as dt/dtau = rho^(1 + b/2).
+    integrated as dt/dtau = rho^(1 + b/2).  Up to three bodies it runs in
+    Python floats (model._float_pass), bit for bit.
     """
     pp.require_manev()
     n = ms.n
@@ -205,6 +209,27 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     kernel = _PairKernel(ms.masses, pp)
     size = 2 + 2 * sz + with_time
     t_exp = 1.0 + pp.b / 2.0
+    if n <= 3:
+        run, b, head = _float_pass(kernel, dim), pp.b, 2 + 2 * sz
+        m = np.repeat(ms.masses, dim).tolist()  # the mass of each coordinate
+
+        def field(tau, y):
+            # _field_arrays in Python floats, operation for operation
+            state = y[:head].reshape(head).tolist()
+            rho, v, s, u = state[0], state[1], state[2 : 2 + sz], state[2 + sz :]
+            w_s, v_s, g_w, g_v = run(s)
+            u_m_u = functools.reduce(operator.add, [x * x / mi for x, mi in zip(u, m)], 0.0)
+            rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
+            k_u, k_s, m_s = (0.5 * b - 1.0) * v, b * v_s, [mi * si for mi, si in zip(m, s)]
+            out = [rho * v, 0.5 * b * v * v + u_m_u - rho_pow * w_s - b * v_s]
+            out += [x / mi for x, mi in zip(u, m)]
+            out += [k_u * x - u_m_u * x_s + rho_pow * (w_s * x_s + gw) + k_s * x_s + gv
+                    for x, x_s, gw, gv in zip(u, m_s, g_w, g_v)]
+            if with_time:
+                out.append(rho**t_exp if rho > 0.0 else 0.0)
+            return np.array(out)
+
+        return field
 
     def field(tau, y):
         # rho and v as Python floats: the same arithmetic without numpy's

@@ -19,6 +19,8 @@ Hamiltonian reads H = p^T M^{-1} p / 2 - U(r).
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -246,6 +248,12 @@ class _PairKernel:
         self.kc = np.array([[-pp.a], [-pp.b]]) * self.coef
         self.half_exps = np.array([[-0.5 * (pp.a + 2.0)], [-0.5 * (pp.b + 2.0)]])
         self.hess_exps = np.array([[-(pp.a + 2.0)], [-(pp.b + 2.0)]])
+        if not np.isfinite(self.kc).all():
+            *member, t, p = np.argwhere(~np.isfinite(self.kc))[0].tolist()
+            term, value = ("alpha", "beta")[t], self.kc[(*member, t, p)].item()
+            where = f" in batch member {member[0]}" if member else ""
+            raise ValueError(f"{term} term of pair ({i[p] + 1}, {j[p] + 1}){where}: "
+                             f"-{'ab'[t]} {term} m_i m_j = {value!r} is not finite")
 
     def take(self, rows) -> "_PairKernel":
         """The kernel of the batch members in rows, sliced from this one, not rebound."""
@@ -345,6 +353,55 @@ class _PairKernel:
         return terms, collided
 
 
+def _float_pass(kernel: _PairKernel, d: int):
+    """run(r) -> (W, V, grad_W, grad_V) in Python floats for a kernel of n <= 3 bodies.
+
+    r lists the n d coordinates body by body, d = 1 or 2, as do both
+    gradients.  One numpy call, not about 25, and kernel.terms' values bit
+    for bit: the same power call on the same (2, P) shape (libm's pow
+    differs), W and V summed left to right from 0 as np.add.reduce does
+    below 8 terms, and each body's gradient +0 plus its signed pair terms,
+    as the matmul with E adds them: at most two for n <= 3, which add with
+    one rounding in any order.  kernel.terms takes a configuration within
+    1e-14 of the guard or near the float floor (numpy's guard dot product
+    is an FMA chain), and at n = 3 a gradient that is not finite (E's
+    zeros then multiply inf into NaN).
+    """
+    n = kernel.m_col.shape[0]
+    # offsets (i d + k, j d + k) of pair p's two bodies on axis k, and p
+    pairs = enumerate(zip(*(ends.tolist() for ends in _incidence(n)[:2])))
+    cols = [(a * d + k, b * d + k, p) for p, (a, b) in pairs for k in range(d)]
+    weights, coefs = kernel.weights.tolist(), list(zip(*kernel.coef.tolist(), *kernel.kc.tolist()))
+    near_guard, half_exps = (1.0 + 1e-14) * GUARD_FACTOR * GUARD_FACTOR, kernel.half_exps
+
+    def numpy_pass(r):
+        t = kernel.terms(np.reshape(r, (n, d)), force=False)[0]
+        return t.W, t.V, t.grad_W.ravel().tolist(), t.grad_V.ravel().tolist()
+
+    def run(r):
+        diff = [r[a] - r[b] for a, b, _ in cols]
+        d2 = ([x * x + y * y for x, y in zip(diff[::2], diff[1::2])] if d == 2
+              else [x * x for x in diff])
+        if min(d2) <= near_guard * sum(map(operator.mul, weights, d2)) + 1e-300:
+            return numpy_pass(r)
+        pw_w, pw_v = np.power(np.array(d2), half_exps).tolist()
+        w, v, c_w, c_v = 0.0, 0.0, [], []
+        for (cw, cv, kw, kv), x, y, q in zip(coefs, pw_w, pw_v, d2):
+            w, v = w + cw * (x * q), v + cv * (y * q)
+            c_w.append(kw * x)
+            c_v.append(kv * y)
+        g_w, g_v = [0.0] * (n * d), [0.0] * (n * d)
+        for (a, b, p), x in zip(cols, diff):
+            x_w, x_v = c_w[p] * x, c_v[p] * x
+            g_w[a], g_w[b] = g_w[a] + x_w, g_w[b] - x_w
+            g_v[a], g_v[b] = g_v[a] + x_v, g_v[b] - x_v
+        if n == 3 and not math.isfinite(sum(g_w) + sum(g_v)):
+            return numpy_pass(r)
+        return w, v, g_w, g_v
+
+    return run
+
+
 def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
     """W, V, their gradients and the per-body force sums in one pass.
 
@@ -426,10 +483,21 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
     """Right-hand side of the equations of motion in Cartesian variables.
 
     Returns f(t, y) for the flat state y = [r.ravel(), p.ravel()] with
-    rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).
+    rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).  Up to
+    three bodies it runs in Python floats (_float_pass), bit for bit.
     """
     shape = (2, ms.n, dim)
     kernel = _PairKernel(ms.masses, pp)
+    if ms.n <= 3:
+        run, sz, m = _float_pass(kernel, dim), ms.n * dim, np.repeat(ms.masses, dim).tolist()
+
+        def field(t, y):
+            rp = y.reshape(2 * sz).tolist()
+            _, _, g_w, g_v = run(rp[:sz])
+            pdot = list(map(operator.add, g_w, g_v))
+            return np.array([p / mi for p, mi in zip(rp[sz:], m)] + pdot)
+
+        return field
 
     def field(t, y):
         rp = y.reshape(shape)

@@ -93,10 +93,10 @@ def test_a_nan_is_never_admissible(monkeypatch):
 # error: the library's own gates still stop each at the quantity it spoils
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_pair_coefficient_past_the_float_range_fails_the_gate_it_reaches():
-    # beta m_1 m_2 overflows, so the V residual is NaN
+    # beta m_1 m_2 overflows, which the pair kernel refuses when it is bound
     ms = MassSystem(np.array([1e300, 2.0, 2.0]))
     pp = PotentialParams(a=1.0, b=1.51, alpha=0.5, beta=1e300)
-    with pytest.raises(AdmissibilityError, match="residual nan$"):
+    with pytest.raises(ValueError, match=r"^beta term of pair \(1, 2\): -b beta m_i m_j = -inf"):
         heteroclinic_orbit(equilateral_configuration(ms)[0], ms, pp, -2.0)
     # every beta m_i m_j underflows to zero, so V(s0) = 0 and the orbit has no start
     ms = MassSystem(np.array([1e-300, 2.0, 1e-100]))

@@ -5,6 +5,8 @@ analytic derivative used elsewhere; the homogeneity identities pin the
 signs and exponents independently of any discretization.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from qhnbody.model import (
     PhaseState,
     PotentialParams,
     _PairKernel,
+    _float_pass,
     _incidence,
     angular_momentum,
     angular_momentum_series,
@@ -332,13 +335,13 @@ def test_the_guard_decision_does_not_move_with_the_origin(factor):
                 evaluate()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # m_i m_j overflows to inf
-def test_the_guard_fires_for_coincident_bodies_of_huge_mass():
+def test_the_guard_fires_for_a_close_pair_of_huge_mass():
     # the weights (m_i / M)(m_j / M) stay in [0, 1/4]; m_i m_j / M^2 would
-    # read inf / inf = nan here, and no distance compares below a nan guard
-    ms = MassSystem(np.array([1e200, 1e200]))
+    # read 1e308 / inf = 0 here, a zero guard that no pair 1e-15 apart is below
+    ms = MassSystem(np.array([1e154, 1e154, 1e154]))
+    r = np.array([[0.0, 0.0], [1e-15, 0.0], [1.0, 0.0]])
     with pytest.raises(CollisionError):
-        pair_terms(np.zeros((2, 2)), ms, PotentialParams(a=1.0, b=2.0))
+        pair_terms(r, ms, PotentialParams(a=1.0, b=2.0, alpha=1.0, beta=0.5))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -358,7 +361,8 @@ def test_the_size_weights_give_the_inertia_about_the_centre_of_mass(rng, d):
             assert np.vecdot(batch.weights[k], d2[k]) == pytest.approx(want, rel=1e-12)
 
 
-def _bound_kernel_cases():
+def _bound_kernel_cases(blow_up=False):
+    """Seeded (ms, pp, r, p, rng) for the field tests; blow_up leaves out a != 1."""
     rng = np.random.default_rng(77)
     for n in range(2, 8):
         for d in (1, 2):
@@ -367,6 +371,31 @@ def _bound_kernel_cases():
                 pp = PotentialParams(a=1.0, b=b, alpha=rng.uniform(0.5, 2.0), beta=0.5)
                 r = random_config(rng, n, d, scale=float(n))
                 yield ms, pp, r, rng.standard_normal((n, d)), rng
+    # harder inputs on both sides of the fields' n <= 3 float pass: masses
+    # over 12 decades, alpha = 0, a = 0, b = 7, a pair 1.5 guards apart
+    # (n >= 3: a lone pair sets the size, so it is never near the guard),
+    # unit separations 1e6 from the origin, and a plane's bodies on its
+    # x-axis, where each y-force is a sum of zeros and must read +0
+    pps = [PotentialParams(a=1.0, b=7.0, alpha=0.0, beta=0.5),
+           PotentialParams(a=1.0, b=7.0, alpha=1.3, beta=0.5)]
+    if not blow_up:
+        pps.append(PotentialParams(a=0.0, b=2.0, alpha=1.3, beta=0.7))
+    for n in (2, 3, 4):
+        for d in (1, 2):
+            ms = MassSystem(rng.permutation(np.geomspace(1e-6, 1e6, n)))
+            near = random_config(rng, n, d)
+            near[1] = near[0]
+            size = np.sqrt(moment_of_inertia(centered(near, ms), ms) / ms.total_mass)
+            direction = rng.standard_normal(d)
+            near[1] += 1.5 * GUARD_FACTOR * size * direction / np.linalg.norm(direction)
+            shift = rng.standard_normal(d)
+            far = random_config(rng, n, d, min_sep=1.0, scale=float(n))
+            far += 1e6 * shift / np.linalg.norm(shift)
+            on_axis = lift_to_plane(random_config(rng, n, 1, scale=float(n)))
+            configs = [far] + [near] * (n > 2) + [on_axis] * (d == 2)
+            for pp in pps:
+                for r in configs:
+                    yield ms, pp, r, rng.standard_normal((n, d)), rng
 
 
 def test_cartesian_field_is_pair_terms_bit_for_bit():
@@ -377,6 +406,26 @@ def test_cartesian_field_is_pair_terms_bit_for_bit():
         rdot, pdot = p / ms.masses[:, None], t.grad_W + t.grad_V
         expected = np.concatenate([rdot.ravel(), pdot.ravel()])
         assert field(0.0, y).tobytes() == expected.tobytes()
+
+
+def test_the_float_pass_is_the_kernel_pass_bit_for_bit():
+    # the fields show W and V only through the blown-up one, and at rho = 0
+    # W not at all, so the float pass's sums are checked here on their own:
+    # a sum of three terms in another order differs in about 1 case in 10
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        n, d = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        a = float(rng.choice([0.0, 0.5, 1.0]))
+        pp = PotentialParams(a=a, b=a + float(rng.choice([0.5, 1.0, 2.0, 6.0])),
+                             alpha=float(rng.choice([0.0, 1.3])), beta=float(rng.uniform(0.1, 2.0)))
+        kernel = _PairKernel(10.0 ** rng.uniform(-3.0, 3.0, n), pp)
+        r = random_config(rng, n, d, scale=float(n))
+        if d == 2 and rng.random() < 0.2:
+            r[:, 1] = 0.0
+        w, v, g_w, g_v = _float_pass(kernel, d)(r.ravel().tolist())
+        t = kernel.terms(r, force=False)[0]
+        assert np.array([w, v]).tobytes() == np.array([t.W, t.V]).tobytes()
+        assert np.array(g_w + g_v).tobytes() == np.concatenate([t.grad_W, t.grad_V]).tobytes()
 
 
 def _blown_up_reference(y, ms, pp, n, d, with_time):
@@ -403,7 +452,7 @@ def _blown_up_reference(y, ms, pp, n, d, with_time):
 
 @pytest.mark.parametrize("with_time", [False, True])
 def test_mcgehee_field_is_its_pair_terms_composition_bit_for_bit(with_time):
-    for ms, pp, s, u, rng in _bound_kernel_cases():
+    for ms, pp, s, u, rng in _bound_kernel_cases(blow_up=True):
         n, d = s.shape
         field = mcgehee_field(ms, pp, d, with_time=with_time)
         for rho in (0.0, rng.uniform(0.1, 2.0)):
@@ -412,6 +461,128 @@ def test_mcgehee_field_is_its_pair_terms_composition_bit_for_bit(with_time):
                 y = np.append(y, 0.7)
             expected = _blown_up_reference(y, ms, pp, n, d, with_time)
             assert field(0.0, y).tobytes() == expected.tobytes()
+
+
+def _field_states(n, d, rng):
+    """(field, flat state, the field's numpy pass composed from pair_terms) for the
+    Cartesian field and the blown-up one without and with time, of one seeded
+    system with a = 1, where both are defined."""
+    ms = random_masses(rng, n)
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    y = np.concatenate([random_config(rng, n, d).ravel(), rng.standard_normal(n * d)])
+    y_blown_up = np.concatenate([[0.5, -0.1], y])
+
+    def cartesian(y):
+        t = pair_terms(y[: n * d].reshape(n, d), ms, pp)
+        rdot = y[n * d :].reshape(n, d) / ms.masses[:, None]
+        return np.concatenate([rdot.ravel(), (t.grad_W + t.grad_V).ravel()])
+
+    return [
+        (cartesian_field(ms, pp, d), y, cartesian),
+        (mcgehee_field(ms, pp, d), y_blown_up,
+         lambda y: _blown_up_reference(y, ms, pp, n, d, False)),
+        (mcgehee_field(ms, pp, d, with_time=True), np.append(y_blown_up, 0.7),
+         lambda y: _blown_up_reference(y, ms, pp, n, d, True)),
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fields_of_at_most_three_bodies_take_the_float_pass(rng, monkeypatch, n, d):
+    # every numpy pass starts with _PairKernel.pairs; the float pass never calls it
+    calls = []
+    pairs = _PairKernel.pairs
+    monkeypatch.setattr(_PairKernel, "pairs", lambda self, *a: calls.append(1) or pairs(self, *a))
+    for field, y, _ in _field_states(n, d, rng):
+        before = len(calls)
+        field(0.0, y)
+        assert len(calls) - before == (0 if n <= 3 else 1)
+
+
+@pytest.mark.parametrize("defect", ["short", "long", "nan position", "nan momentum", "overflow"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_malformed_state_gives_what_the_numpy_pass_gives(rng, n, defect):
+    # at n = 4 the fields run the numpy pass itself; below it, the float pass
+    # must not read a state of the wrong size as some other state, and must
+    # give NaN where numpy does: for a NaN coordinate, or for forces past
+    # the float range, where the matmul's 0 * inf is NaN
+    for k, (field, y, numpy_pass) in enumerate(_field_states(n, 2, rng)):
+        blown_up = k > 0
+        if defect == "short" or (defect == "long" and not blown_up):
+            with pytest.raises(ValueError):
+                field(0.0, y[:-2] if defect == "short" else np.append(y, 1.0))
+        elif defect != "long":  # the blown-up field reads no entry past u
+            y = y.copy()
+            if defect == "overflow":  # d^-(b+2) of separations near 1e-70
+                y[2 * blown_up : 2 * blown_up + 2 * n] *= 1e-70
+            else:  # the second coordinate of body 0, or of its momentum (u when blown up)
+                y[2 * blown_up + 2 * n * (defect == "nan momentum") + 1] = np.nan
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = field(0.0, y), numpy_pass(y)
+            assert np.isnan(got).any() or defect == "overflow" and n == 2
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_cartesian_field_keeps_its_symmetries(rng, n):
+    # oracle-free checks on both sides of the float pass (n <= 3).  Each
+    # body's force is a sum of pair terms that cancel exactly in pairs, so
+    # the forces sum to the rounding of the sums, under n ulps of the
+    # largest force sum.  A rotation or translation rounds the positions;
+    # the forces, of degree -(b + 1) in the separations, move by about
+    # (b + 2) times that rounding over the smallest separation d_min.
+    for _ in range(10):
+        ms = random_masses(rng, n)
+        pp = PotentialParams(a=1.0, b=float(rng.choice([1.5, 3.0, 7.0])), alpha=1.0, beta=0.5)
+        r, p = random_config(rng, n, 2, scale=float(n)), rng.standard_normal((n, 2))
+        field = cartesian_field(ms, pp, 2)
+        out = field(0.0, np.concatenate([r.ravel(), p.ravel()])).reshape(2, n, 2)
+        force = out[1]
+        i, j = np.triu_indices(n, 1)
+        d_min = np.linalg.norm(r[i] - r[j], axis=1).min()
+        largest = np.abs(out).max()
+        # momentum: exactly zero for a lone pair
+        net = [abs(math.fsum(force[:, k])) for k in range(2)]
+        assert max(net) <= n * np.spacing(pair_terms(r, ms, pp).force_sum.max())
+        if n == 2:
+            assert max(net) == 0.0
+        # rotation by theta: 8 ulps of the largest entry, times the condition
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        turned = field(0.0, np.concatenate([(r @ rot.T).ravel(), (p @ rot.T).ravel()]))
+        condition = (pp.b + 2.0) * np.abs(r).max() / d_min
+        turn_error = np.abs(turned.reshape(2, n, 2) - out @ rot.T).max()
+        assert turn_error <= 8.0 * condition * np.spacing(largest)
+        # translation by c: twice the condition times the rounding of |r + c|,
+        # plus 4 ulps of the force itself
+        c = rng.standard_normal(2) * 10.0 ** rng.uniform(0.0, 4.0)
+        moved = field(0.0, np.concatenate([(r + c).ravel(), p.ravel()])).reshape(2, n, 2)[1]
+        rounding = np.spacing(np.abs(r + c).max()) / d_min
+        strongest = np.abs(force).max()
+        tol = strongest * 2.0 * (pp.b + 2.0) * rounding + 4.0 * np.spacing(strongest)
+        assert np.abs(moved - force).max() <= tol
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # m_i m_j overflows to inf
+def test_a_pair_coefficient_past_the_float_range_is_refused_when_the_kernel_is_bound():
+    ms = MassSystem(np.array([1e200, 1e200]))
+    pp = PotentialParams(a=1.0, b=2.0)
+    message = r"^alpha term of pair \(1, 2\): -a alpha m_i m_j = -inf is not finite$"
+    with pytest.raises(ValueError, match=message):
+        pair_terms(np.array([[0.0, 0.0], [1.0, 0.0]]), ms, pp)
+    with pytest.raises(ValueError, match=message):
+        cartesian_field(ms, pp, 2)
+    with pytest.raises(ValueError, match=message):
+        mcgehee_field(ms, pp, 2)
+    # a coefficient that is finite until the exponent multiplies it, and a
+    # batch names its member; 0 * inf is not finite either
+    with pytest.raises(ValueError, match=r"^beta term of pair \(1, 3\): -b beta m_i m_j = -inf "):
+        _PairKernel(np.array([1e154, 1.0, 1e154]), PotentialParams(a=1.0, b=3.0, beta=1.0))
+    masses = np.array([[1.0, 1.0, 1.0], [1.0, 1e200, 1e200]])
+    batch = r"^alpha term of pair \(2, 3\) in batch member 1: -a alpha m_i m_j = nan is not finite$"
+    with pytest.raises(ValueError, match=batch):
+        _PairKernel(masses, PotentialParams(a=0.0, b=2.0))
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 2), (9, 2)])
