@@ -34,6 +34,7 @@ from .errors import CollisionError, ManevOnlyError
 # CollisionError.  The size is read from the pair distances, so the guard
 # does not move when the configuration is translated.
 GUARD_FACTOR = 1e-10
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,12 +249,19 @@ class _PairKernel:
         self.kc = np.array([[-pp.a], [-pp.b]]) * self.coef
         self.half_exps = np.array([[-0.5 * (pp.a + 2.0)], [-0.5 * (pp.b + 2.0)]])
         self.hess_exps = np.array([[-(pp.a + 2.0)], [-(pp.b + 2.0)]])
-        if not np.isfinite(self.kc).all():
-            *member, t, p = np.argwhere(~np.isfinite(self.kc))[0].tolist()
-            term, value = ("alpha", "beta")[t], self.kc[(*member, t, p)].item()
+        # rows kc_w, kc_v, coef_w, coef_v: each finite, and a normal float
+        # where its coefficient (and for kc its exponent) is positive
+        checked = np.concatenate([self.kc, self.coef], axis=-2)
+        on = np.array([[pp.alpha > 0.0 < pp.a], [pp.beta > 0.0], [pp.alpha > 0.0], [pp.beta > 0.0]])
+        size = np.abs(checked)
+        ok = (size >= _TINY * on) & (size <= _HUGE)
+        if not ok.all():
+            *member, t, p = np.argwhere(~ok)[0].tolist()
+            name, value = ("-a alpha", "-b beta", "alpha", "beta")[t], checked[(*member, t, p)].item()
             where = f" in batch member {member[0]}" if member else ""
-            raise ValueError(f"{term} term of pair ({i[p] + 1}, {j[p] + 1}){where}: "
-                             f"-{'ab'[t]} {term} m_i m_j = {value!r} is not finite")
+            fault = "is zero or subnormal" if math.isfinite(value) else "is not finite"
+            raise ValueError(f"{name.split()[-1]} term of pair ({i[p] + 1}, {j[p] + 1}){where}: "
+                             f"{name} m_i m_j = {value!r} {fault}")
 
     def take(self, rows) -> "_PairKernel":
         """The kernel of the batch members in rows, sliced from this one, not rebound."""
@@ -354,29 +362,33 @@ class _PairKernel:
 
 
 def _float_pass(kernel: _PairKernel, d: int):
-    """run(r) -> (W, V, grad_W, grad_V) in Python floats for a kernel of n <= 3 bodies.
+    """run(r) -> (W, V, grad_W, grad_V) as Python floats, kernel.terms' values bit for bit.
 
     r lists the n d coordinates body by body, d = 1 or 2, as do both
-    gradients.  One numpy call, not about 25, and kernel.terms' values bit
-    for bit: the same power call on the same (2, P) shape (libm's pow
-    differs), W and V summed left to right from 0 as np.add.reduce does
-    below 8 terms, and each body's gradient +0 plus its signed pair terms,
-    as the matmul with E adds them: at most two for n <= 3, which add with
-    one rounding in any order.  kernel.terms takes a configuration within
-    1e-14 of the guard or near the float floor (numpy's guard dot product
-    is an FMA chain), and at n = 3 a gradient that is not finite (E's
-    zeros then multiply inf into NaN).
+    gradients.  From four bodies run is kernel.terms' numpy pass itself.
+    Up to three it makes one numpy call, not about 25: the same power call
+    on the same (2, P) shape (libm's pow differs), W and V summed left to
+    right from 0 as np.add.reduce does below 8 terms, and each body's
+    gradient +0 plus its signed pair terms, as the matmul with E adds
+    them: at most two for n <= 3, which add with one rounding in any
+    order.  kernel.terms takes a configuration within 1e-14 of the guard
+    or near the float floor (numpy's guard dot product is an FMA chain),
+    and at n = 3 a gradient that is not finite (E's zeros then multiply
+    inf into NaN).
     """
     n = kernel.m_col.shape[0]
+
+    def numpy_pass(r):
+        t = kernel.terms(np.reshape(r, (n, d)), force=False)[0]
+        return t.W, t.V, t.grad_W.ravel().tolist(), t.grad_V.ravel().tolist()
+
+    if n > 3:
+        return numpy_pass
     # offsets (i d + k, j d + k) of pair p's two bodies on axis k, and p
     pairs = enumerate(zip(*(ends.tolist() for ends in _incidence(n)[:2])))
     cols = [(a * d + k, b * d + k, p) for p, (a, b) in pairs for k in range(d)]
     weights, coefs = kernel.weights.tolist(), list(zip(*kernel.coef.tolist(), *kernel.kc.tolist()))
     near_guard, half_exps = (1.0 + 1e-14) * GUARD_FACTOR * GUARD_FACTOR, kernel.half_exps
-
-    def numpy_pass(r):
-        t = kernel.terms(np.reshape(r, (n, d)), force=False)[0]
-        return t.W, t.V, t.grad_W.ravel().tolist(), t.grad_V.ravel().tolist()
 
     def run(r):
         diff = [r[a] - r[b] for a, b, _ in cols]
@@ -484,7 +496,9 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
 
     Returns f(t, y) for the flat state y = [r.ravel(), p.ravel()] with
     rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).  Up to
-    three bodies it runs in Python floats (_float_pass), bit for bit.
+    three bodies it runs in Python floats (_float_pass), bit for bit.  From
+    four a float body measured 1.6-1.9x slower per call (n = 4...7; the
+    field does little around the kernel pass), so it keeps a numpy body.
     """
     shape = (2, ms.n, dim)
     kernel = _PairKernel(ms.masses, pp)

@@ -98,11 +98,17 @@ def test_a_pair_coefficient_past_the_float_range_fails_the_gate_it_reaches():
     pp = PotentialParams(a=1.0, b=1.51, alpha=0.5, beta=1e300)
     with pytest.raises(ValueError, match=r"^beta term of pair \(1, 2\): -b beta m_i m_j = -inf"):
         heteroclinic_orbit(equilateral_configuration(ms)[0], ms, pp, -2.0)
-    # every beta m_i m_j underflows to zero, so V(s0) = 0 and the orbit has no start
+    # m_1 m_3 underflows to zero, which the pair kernel refuses when it is bound
     ms = MassSystem(np.array([1e-300, 2.0, 1e-100]))
     pp = PotentialParams(a=1.0, b=21.0, alpha=1e300, beta=1e-300)
-    with pytest.raises(DegenerateTermError, match=r"^V\(s0\) = 0\.0 gives no ejection speed"):
+    with pytest.raises(ValueError, match=r"^alpha term of pair \(1, 3\): -a alpha m_i m_j = -0\.0 "):
         heteroclinic_orbit(equilateral_configuration(ms)[0], ms, pp, -1e-300)
+    # every coefficient is 1e-300, a normal float, but V(s0) underflows to 0
+    # on the unit mass sphere and the orbit has no start
+    ms = MassSystem(np.array([1e-150, 1e-150, 1e-150]))
+    pp = PotentialParams(a=1.0, b=21.0, alpha=1.0, beta=1.0)
+    with pytest.raises(DegenerateTermError, match=r"^V\(s0\) = 0\.0 gives no ejection speed"):
+        heteroclinic_orbit(equilateral_configuration(ms)[0], ms, pp, -1.0)
 
 
 def test_admissibility_requires_unit_sphere_shape():

@@ -1,5 +1,7 @@
 """Blow-up coordinates: round trips, constraints, field consistency."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from qhnbody.model import (
     hamiltonian,
     mass_inner,
     pack_phase,
+    pair_terms,
     potential_terms,
     unpack_phase,
 )
@@ -312,3 +315,59 @@ def test_energy_relation_is_invariant_of_the_transform(seed, b):
     z = random_phase(rng, ms)
     h = hamiltonian(z, ms, pp)
     assert abs(energy_residual(to_mcgehee(z, ms, pp), h, ms, pp)) < 1e-9
+
+
+def _centred_state(rng, n):
+    """Masses, s and u on dyadic grids with sum m s = 0 and sum u = 0 exactly:
+    the last body's mass is a power of 2 and its s and u close the sums."""
+    while True:
+        m = np.append(rng.integers(1, 17, n - 1) / 4.0, 2.0 ** rng.integers(-1, 2))
+        s = np.round(random_config(rng, n, 2) * 1024.0) / 1024.0
+        u = np.round(rng.standard_normal((n, 2)) * 1024.0) / 1024.0
+        s[-1] = -(m[:-1, None] * s[:-1]).sum(axis=0) / m[-1]
+        u[-1] = -u[:-1].sum(axis=0)
+        i, j = np.triu_indices(n, 1)
+        if np.linalg.norm(s[i] - s[j], axis=1).min() >= 0.1:
+            return MassSystem(m), s, u
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_blown_up_field_keeps_its_symmetries(rng, n):
+    # oracle-free checks on both sides of the float pass (n <= 3), at rho = 0
+    # and rho > 0.  Tolerances count ulps of L, the largest sum of the
+    # magnitudes of the terms that make one entry of v' or u' (for the
+    # gradients, the pair-force sums), the scale of the entry's rounding.
+    for _ in range(10):
+        ms, s, u = _centred_state(rng, n)
+        m = ms.masses[:, None]
+        b = float(rng.choice([1.5, 3.0, 7.0]))
+        pp = PotentialParams(a=1.0, b=b, alpha=1.0, beta=0.5)
+        rho, v = float(rng.choice([0.0, rng.uniform(0.1, 2.0)])), float(rng.standard_normal())
+        field = mcgehee_field(ms, pp, 2)
+        out = field(0.0, np.concatenate([[rho, v], s.ravel(), u.ravel()]))
+        s_d, u_d = out[2 : 2 + 2 * n].reshape(n, 2), out[2 + 2 * n :].reshape(n, 2)
+        t = pair_terms(s, ms, pp)
+        u_m_u = float(np.sum(u * u / m))
+        rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
+        l_v = 0.5 * b * v * v + u_m_u + rho_pow * t.W + b * t.V
+        m_s, force = m * np.abs(s), t.force_sum[:, None]
+        l_u = float((abs((0.5 * b - 1.0) * v) * np.abs(u) + u_m_u * m_s
+                     + rho_pow * (t.W * m_s + force) + b * t.V * m_s + force).max())
+        # sum m s = 0 and sum u = 0 make the u' sum to zero (the gradients
+        # cancel in pairs); each entry rounds at the size of its own L
+        net = max(abs(math.fsum(u_d[:, k])) for k in range(2))
+        assert net <= n * np.spacing(l_u)
+        # rotation by theta: rho' is rho v, bit for bit; s' = M^-1 u turns
+        # within 4 ulps; v' and u' move by the rounding of the turned s and
+        # u times the condition (b + 2) max|s| / d_min, within 8 ulps of L
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        turned = field(0.0, np.concatenate([[rho, v], (s @ rot.T).ravel(), (u @ rot.T).ravel()]))
+        i, j = np.triu_indices(n, 1)
+        condition = (b + 2.0) * np.abs(s).max() / np.linalg.norm(s[i] - s[j], axis=1).min()
+        assert turned[0] == out[0]
+        assert abs(turned[1] - out[1]) <= 8.0 * condition * np.spacing(l_v)
+        s_turned = turned[2 : 2 + 2 * n].reshape(n, 2)
+        assert np.abs(s_turned - s_d @ rot.T).max() <= 4.0 * np.spacing(np.abs(s_d).max())
+        u_turned = turned[2 + 2 * n :].reshape(n, 2)
+        assert np.abs(u_turned - u_d @ rot.T).max() <= 8.0 * condition * np.spacing(l_u)

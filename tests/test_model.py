@@ -21,8 +21,9 @@ from conftest import (
     random_masses,
 )
 from qhnbody.central_config import restricted_hessian, tangent_basis
+from qhnbody.cli import ConfigError, _check_pair_coefficients
 from qhnbody.errors import CollisionError, NotOnSphereError
-from qhnbody.mcgehee import mcgehee_field
+from qhnbody.mcgehee import McGeheeState, mcgehee_field, vector_field
 from qhnbody.model import (
     GUARD_FACTOR,
     Configuration,
@@ -396,6 +397,10 @@ def _bound_kernel_cases(blow_up=False):
             for pp in pps:
                 for r in configs:
                     yield ms, pp, r, rng.standard_normal((n, d)), rng
+    # 130 coordinates, past numpy's 128-term block of pairwise summation
+    ms = random_masses(rng, 65)
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.3, beta=0.5)
+    yield ms, pp, random_config(rng, 65, 2, scale=65.0), rng.standard_normal((65, 2)), rng
 
 
 def test_cartesian_field_is_pair_terms_bit_for_bit():
@@ -461,6 +466,9 @@ def test_mcgehee_field_is_its_pair_terms_composition_bit_for_bit(with_time):
                 y = np.append(y, 0.7)
             expected = _blown_up_reference(y, ms, pp, n, d, with_time)
             assert field(0.0, y).tobytes() == expected.tobytes()
+            parts = vector_field(McGeheeState(rho, y[1], s, u), ms, pp)
+            got = np.concatenate([[parts[0], parts[1]], parts[2].ravel(), parts[3].ravel()])
+            assert got.tobytes() == expected[: 2 + 2 * n * d].tobytes()
 
 
 def _field_states(n, d, rng):
@@ -502,16 +510,19 @@ def test_fields_of_at_most_three_bodies_take_the_float_pass(rng, monkeypatch, n,
 @pytest.mark.parametrize("defect", ["short", "long", "nan position", "nan momentum", "overflow"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_a_malformed_state_gives_what_the_numpy_pass_gives(rng, n, defect):
-    # at n = 4 the fields run the numpy pass itself; below it, the float pass
-    # must not read a state of the wrong size as some other state, and must
+    # no field reads a state of the wrong size as some other state; at n = 4
+    # the fields run the numpy pass itself, and below it the float pass must
     # give NaN where numpy does: for a NaN coordinate, or for forces past
     # the float range, where the matmul's 0 * inf is NaN
     for k, (field, y, numpy_pass) in enumerate(_field_states(n, 2, rng)):
         blown_up = k > 0
-        if defect == "short" or (defect == "long" and not blown_up):
+        if defect in ("short", "long"):
             with pytest.raises(ValueError):
                 field(0.0, y[:-2] if defect == "short" else np.append(y, 1.0))
-        elif defect != "long":  # the blown-up field reads no entry past u
+            if k == 2:  # the blown-up state with time, without its t
+                with pytest.raises(ValueError):
+                    field(0.0, y[:-1])
+        else:
             y = y.copy()
             if defect == "overflow":  # d^-(b+2) of separations near 1e-70
                 y[2 * blown_up : 2 * blown_up + 2 * n] *= 1e-70
@@ -583,6 +594,10 @@ def test_a_pair_coefficient_past_the_float_range_is_refused_when_the_kernel_is_b
     batch = r"^alpha term of pair \(2, 3\) in batch member 1: -a alpha m_i m_j = nan is not finite$"
     with pytest.raises(ValueError, match=batch):
         _PairKernel(masses, PotentialParams(a=0.0, b=2.0))
+    # m_1 m_3 underflows to zero: pair (1, 3) would exert no force at all
+    tiny = r"^alpha term of pair \(1, 3\): -a alpha m_i m_j = -0\.0 is zero or subnormal$"
+    with pytest.raises(ValueError, match=tiny):
+        _PairKernel(np.array([1e-300, 1.0, 1e-200]), PotentialParams(a=1.0, b=1.51))
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 2), (9, 2)])
@@ -691,11 +706,26 @@ def test_two_body_potential_properties(m1, m2, d, a, gap):
     """U decreases with separation; both terms positive for positive coefs."""
     ms = MassSystem(np.array([m1, m2]))
     pp = PotentialParams(a=a, b=a + gap)
+    if not _binds(ms, pp):
+        return
     near = Configuration(np.array([[0.0, 0.0], [d, 0.0]]))
     far = Configuration(np.array([[0.0, 0.0], [d * 1.5, 0.0]]))
     u_near = potential_U(near, ms, pp)
     u_far = potential_U(far, ms, pp)
     assert u_near > u_far > 0.0
+
+
+def _binds(ms, pp):
+    """Whether the pair kernel of (ms, pp) binds; it must refuse exactly the
+    zero, subnormal or non-finite coefficients that the command line refuses
+    (a draw of a or alpha near 0 gives one)."""
+    try:
+        _check_pair_coefficients(ms, pp)
+    except ConfigError:
+        with pytest.raises(ValueError, match=r" is (zero or subnormal|not finite)$"):
+            _PairKernel(ms.masses, pp)
+        return False
+    return True
 
 
 def _pair_loop(r, masses, pp):
@@ -754,6 +784,8 @@ def test_pair_kernel_matches_the_per_pair_loop(seed, n, d, a, gap, alpha, beta):
     ms = random_masses(rng, n)
     r = random_config(rng, n, dim=d, min_sep=0.3 / n, scale=float(n))
     pp = PotentialParams(a=a, b=a + gap, alpha=alpha, beta=beta)
+    if not _binds(ms, pp):
+        return
     terms = pair_terms(Configuration(r), ms, pp)
     w, v, gw, gv, force_sum = _pair_loop(r, ms.masses, pp)
     # gradients cancel between pairs, so compare them against the size of
