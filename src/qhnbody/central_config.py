@@ -40,7 +40,6 @@ from .model import (
     _PairKernel,
     centered,
     lift_to_plane,
-    moment_of_inertia,
     pair_terms,
 )
 
@@ -237,17 +236,23 @@ def cc_residual(config, ms, pp: PotentialParams, terms: PairTerms | None = None)
 def simultaneous_residual(
     config, ms: MassSystem, pp: PotentialParams, terms: PairTerms | None = None
 ) -> SimultaneousReport:
-    """Residuals of the term-by-term CC equations (both terms active); terms as in cc_residual."""
+    """Residuals of the term-by-term CC equations (both terms active); terms as in cc_residual.
+
+    A (B, n, d) batch gives a report of (B,) arrays.
+    """
     if pp.alpha == 0.0 or pp.beta == 0.0:
         raise DegenerateTermError("simultaneous test needs alpha > 0 and beta > 0")
     r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
+    m = _mass_array(ms)
     t = pair_terms(r, ms, pp) if terms is None else terms
-    inertia = moment_of_inertia(r, ms)
+    inertia = np.sum(m[..., None] * r * r, axis=(-2, -1))
     sigma1 = -pp.a * t.W / (2.0 * inertia)
     sigma2 = -pp.b * t.V / (2.0 * inertia)
-    grad_i = 2.0 * ms.masses[:, None] * r
-    res_w = float(np.abs(t.grad_W - sigma1 * grad_i).max())
-    res_v = float(np.abs(t.grad_V - sigma2 * grad_i).max())
+    grad_i = 2.0 * m[..., None] * r
+    res_w = np.abs(t.grad_W - sigma1[..., None, None] * grad_i).max(axis=(-2, -1))
+    res_v = np.abs(t.grad_V - sigma2[..., None, None] * grad_i).max(axis=(-2, -1))
+    if r.ndim == 2:
+        return SimultaneousReport(float(sigma1), float(sigma2), float(res_w), float(res_v))
     return SimultaneousReport(sigma1, sigma2, res_w, res_v)
 
 
@@ -306,10 +311,16 @@ def _restricted_spectrum(
 
 
 def require_on_sphere(config, ms: MassSystem, inertia_I0: float = 1.0) -> None:
-    """Raise NotOnSphereError unless <r, r> is within 1e-9 * I0 of I0."""
-    inertia = moment_of_inertia(config, ms)
-    if not abs(inertia - inertia_I0) <= _SPHERE_TOL * inertia_I0:
-        raise NotOnSphereError(f"<r, r> = {inertia!r}, expected {inertia_I0!r}")
+    """Raise NotOnSphereError unless <r, r> is within 1e-9 * I0 of I0.
+
+    A (B, n, d) batch raises for its first member off the sphere.
+    """
+    r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
+    inertia = np.sum(_mass_array(ms)[..., None] * r * r, axis=(-2, -1))
+    off = np.flatnonzero(~(np.abs(inertia - inertia_I0) <= _SPHERE_TOL * inertia_I0))
+    if off.size:
+        raise NotOnSphereError(f"<r, r> = {np.ravel(inertia)[off[0]].item()!r}, "
+                               f"expected {inertia_I0!r}")
 
 
 def restricted_hessian(
@@ -323,16 +334,18 @@ def restricted_hessian(
     "collinear" works on the line (the configuration must lie on the
     x-axis), "planar" in the plane (an n x 1 shape goes onto the
     x-axis).  terms, the kernel's values with the Hessian at the n x 1 or
-    n x 2 configuration of the ambient, spare a pass when given.  Raises
-    NotOnSphereError off the sphere (require_on_sphere) and ValueError for
-    any other ambient.
+    n x 2 configuration of the ambient, spare a pass when given.  A
+    (B, n, d) batch of configurations gives (B, K, K) and (B, K).  Raises
+    NotOnSphereError off the sphere (require_on_sphere), ValueError off
+    the x-axis in the collinear ambient and for any other ambient.
     """
     require_on_sphere(config, ms, inertia_I0)
     r = lift_to_plane(config)
     if ambient == "collinear":
-        if float(np.abs(r[:, 1]).max()) > 1e-9 * max(float(np.abs(r).max()), 1e-300):
+        scale = np.maximum(np.abs(r).max(axis=(-2, -1)), 1e-300)
+        if np.any(np.abs(r[..., 1]).max(axis=-1) > 1e-9 * scale):
             raise ValueError("configuration is not on the x-axis")
-        r = r[:, :1]
+        r = r[..., :1]
     elif ambient != "planar":
         raise ValueError(f"unknown ambient {ambient!r}")
     if terms is None:
@@ -580,7 +593,7 @@ def solve_collinear_batch(
     # their PairTerms, and the last residuals and goals
     ids, m, mass_sum = np.arange(size), masses, masses.sum(axis=-1, keepdims=True)
     border = _border(m)
-    slots = np.array([o.zero_based for o in orderings], int).reshape(size, n)
+    slots = np.array([o.perm for o in orderings], int).reshape(size, n) - 1
     x, sign, terms = _line_start(kernel, m, mass_sum, slots, inertia_I0)
     rs, tol = np.full(size, np.inf), np.full(size, grad_tol)
 
@@ -729,50 +742,48 @@ def equilateral_side(ms: MassSystem, inertia_I0: float = 1.0) -> float:
     return float(np.sqrt(inertia_I0 * ms.total_mass / pair_sum))
 
 
-def equilateral_result(
-    config: Configuration, ms: MassSystem, pp: PotentialParams, inertia_I0: float = 1.0
-) -> CCResult:
-    """An equilateral triangle as a CCResult: its CC residual, its planar
-    index and, when both terms are active, the multipliers of the
-    simultaneous test, all read from one pass of the pair kernel."""
-    terms = _PairKernel(ms.masses, pp).terms(config.positions, hess=True)[0]
-    sigma, res = cc_residual(config, ms, pp, terms)
-    report = cc_index(config, ms, pp, "planar", inertia_I0, terms)
-    sim = simultaneous_residual(config, ms, pp, terms) if pp.alpha and pp.beta else None
-    return CCResult(
-        config=config,
-        kind="equilateral",
-        sigma=sigma,
-        residual=res,
-        index=report.index,
-        hess_eigs=report.eigenvalues,
-        inertia_I0=inertia_I0,
-        sigma1=None if sim is None else sim.sigma1,
-        sigma2=None if sim is None else sim.sigma2,
-    )
+def equilateral_results(
+    configs: Sequence[Configuration], ms: MassSystem, pp: PotentialParams, inertia_I0: float = 1.0
+) -> list[CCResult]:
+    """Equilateral triangles as CCResults, in order: each one's CC residual,
+    planar index and, when both terms are active, the multipliers of the
+    simultaneous test, all read from one pass of the pair kernel over the
+    (B, 3, 2) stack of the triangles."""
+    r = np.stack([config.positions for config in configs])
+    terms = _PairKernel(ms.masses, pp).terms(r, hess=True)[0]
+    sigma, res = cc_residual(r, ms, pp, terms)
+    report = cc_index(r, ms, pp, "planar", inertia_I0, terms)
+    sim = simultaneous_residual(r, ms, pp, terms) if pp.alpha and pp.beta else None
+    multipliers = ([(None, None)] * len(r) if sim is None
+                   else zip(sim.sigma1.tolist(), sim.sigma2.tolist()))
+    rows = zip(configs, sigma.tolist(), res.tolist(), report.index.tolist(), report.eigenvalues,
+               multipliers)
+    return [CCResult(config=c, kind="equilateral", sigma=s, residual=e, index=k, hess_eigs=eigs,
+                     inertia_I0=inertia_I0, sigma1=s1, sigma2=s2)
+            for c, s, e, k, eigs, (s1, s2) in rows]
 
 
 def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
     """The two equilateral central configurations for three bodies, a = 1.
 
     These are simultaneous central configurations for any masses; both
-    sigma records are filled.  Raises ManevOnlyError unless a = 1 with
-    beta > 0, and DegenerateTermError when alpha = 0.
+    sigma records are filled.  Both triangles are one equilateral_results
+    batch.  Raises ManevOnlyError unless a = 1 with beta > 0, and
+    DegenerateTermError when alpha = 0.
     """
     if q.ms.n != 3:
         raise ValueError("equilateral_cc needs exactly three bodies")
     q.pp.require_manev()
     if q.pp.alpha == 0.0:
         raise DegenerateTermError("equilateral_cc needs alpha > 0")
-    out = []
-    for config in equilateral_configuration(q.ms, q.inertia_I0):
-        cc = equilateral_result(config, q.ms, q.pp, q.inertia_I0)
+    plus, minus = equilateral_results(equilateral_configuration(q.ms, q.inertia_I0), q.ms, q.pp,
+                                      q.inertia_I0)
+    for cc in (plus, minus):
         if not cc.residual <= max(q.grad_tol, 1e-12) * np.maximum(1.0, abs(cc.sigma)):
             raise NoConvergenceError(
                 f"equilateral construction has residual {cc.residual:.3e}", residual=cc.residual
             )
-        out.append(cc)
-    return out[0], out[1]
+    return plus, minus
 
 
 def bisect_sign_change(f, rel_tol: float, error: type[QHError], what: str) -> tuple[float, float]:

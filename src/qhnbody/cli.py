@@ -101,11 +101,22 @@ def _number(value, what: str, kind=float):
 # deterministic serialization
 
 
+@functools.lru_cache(maxsize=256)
+def _array_template(shape: tuple, indent: int) -> str:
+    """The text _json_text gives a float array of this shape, with %.17g for each value."""
+    pad = "  " * indent
+    inner = "%.17g" if len(shape) == 1 else _array_template(shape[1:], indent + 1)
+    return f"[\n{pad}  " + f",\n{pad}  ".join([inner] * shape[0]) + f"\n{pad}]"
+
+
 def _json_text(obj, indent: int = 0) -> str:
     # Hand-rolled so float formatting is pinned: json.dump offers no hook
     # for serializable types, and repr() digits vary with the value.
     pad = "  " * indent
     if isinstance(obj, np.ndarray):
+        # a non-empty float array of finite values fills its shape's template
+        if obj.dtype == np.float64 and obj.ndim and obj.size and np.isfinite(obj).all():
+            return _array_template(obj.shape, indent) % tuple(obj.ravel().tolist())
         obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
@@ -115,11 +126,8 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             return "[]"
-        sep, kinds = f",\n{pad}  ", set(map(type, obj))
-        # a list of finite floats, or of ints, in one pass
-        if kinds == {float} and all(map(math.isfinite, obj)):
-            body = sep.join(["%.17g"] * len(obj)) % tuple(obj)
-        elif kinds == {int}:
+        sep = f",\n{pad}  "
+        if set(map(type, obj)) == {int}:  # a list of ints in one pass
             body = sep.join(map(str, obj))
         else:
             body = sep.join([_json_text(v, indent + 1) for v in obj])
@@ -264,6 +272,38 @@ def _check_pair_coefficients(ms: MassSystem, pp: PotentialParams) -> None:
                                       f"must be finite and at least {tiny!r}")
 
 
+def _check_size(ms: MassSystem, pp: PotentialParams, inertia_I0: float) -> None:
+    """ConfigError naming inertia_I0 when the size it sets takes a kernel value out of range.
+
+    At the pair distance L = sqrt(I0 / M), the size of configurations on
+    <r, r> = I0, the pair kernel forms pw = (L^2)^(-(e + 2) / 2) and, for
+    each active term, its value coef (pw L^2), its gradient coefficient
+    -e coef pw and its Hessian factor -(e + 2) times that over L^2 (the
+    last two where e > 0); each must meet _check_pair_coefficients' rule.
+    The values are formed in that order and each checked before the next,
+    so where L^2 rounds to 0 the value (inf times 0, NaN) fails before any
+    division by L^2.
+    """
+    tiny, d2 = sys.float_info.min, inertia_I0 / ms.total_mass
+    for key, coeff, exp in (("alpha", pp.alpha, pp.a), ("beta", pp.beta, pp.b)):
+        if coeff == 0.0:
+            continue
+        with np.errstate(all="ignore"):  # a pw out of range is refused through the values
+            pw = float(np.float64(d2) ** (-0.5 * (exp + 2.0)))
+        for (i, mi), (j, mj) in itertools.combinations(enumerate(ms.masses.tolist(), 1), 2):
+            coef = coeff * (mi * mj)  # Python floats overflow to inf as numpy's do
+            what, value = "value", coef * (pw * d2)
+            if exp > 0.0 and tiny <= abs(value) < math.inf:
+                what, value = "gradient coefficient", -exp * coef * pw
+                if tiny <= abs(value) < math.inf:
+                    what, value = "Hessian factor", -(exp + 2.0) * value / d2
+            if not tiny <= abs(value) < math.inf:
+                raise ConfigError(f"inertia_I0 = {inertia_I0!r} sets the size sqrt(I0 / M) = "
+                                  f"{math.sqrt(d2)!r}, at which pair ({i}, {j}) gives the {key} "
+                                  f"term's kernel {what} {value!r}: it must be finite and at least "
+                                  f"{tiny!r}")
+
+
 @dataclass
 class RunConfig:
     """A config file read against the tables of one subcommand."""
@@ -288,6 +328,8 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         top = _read(raw, "", _CONFIGS[command])
         _check_pair_coefficients(top["masses"], top["potential"])
+        if "inertia_I0" in top:
+            _check_size(top["masses"], top["potential"], top["inertia_I0"])
         return cls(ms=top["masses"], pp=top["potential"], inertia_I0=top.get("inertia_I0"),
                    energy_h=top.get("energy_h"), initial_state=top.get("initial_state"),
                    tol=top["tolerances"], opt=top.get("options", {}), base_dir=p.resolve().parent)
@@ -329,9 +371,9 @@ def _cc_payload(r: CCResult) -> dict:
     return out
 
 
-def _complex_pairs(z: np.ndarray) -> list:
-    z = np.sort_complex(np.asarray(z, dtype=complex).ravel())
-    return [[float(c.real), float(c.imag)] for c in z]
+def _complex_pairs(z: np.ndarray) -> np.ndarray:
+    """The (k, 2) real and imaginary parts of z, sorted as complex numbers."""
+    return np.sort_complex(np.asarray(z, dtype=complex).ravel()).view(float).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,12 @@ from .central_config import (
     cc_residual,
     count_modes,
     equilateral_configuration,
-    equilateral_result,
+    equilateral_results,
     euler_collinear_batch,
     index_report,
     restricted_hessian,
 )
-from .errors import DegenerateError, MismatchError, OffManifoldError
+from .errors import DegenerateError, MismatchError, OffManifoldError, QHError
 from .integrate import Event, Trajectory, integrate
 from .mcgehee import (
     McGeheeState,
@@ -106,16 +106,18 @@ def gradient_like_rate(st: McGeheeState, ms: MassSystem, pp: PotentialParams,
     return (1.0 - pp.b / 2.0) * u_m_u
 
 
-def eigen_closed_form(lam, v: float, b: float) -> np.ndarray:
+def eigen_closed_form(lam, v, b: float) -> np.ndarray:
     """Exponent pairs mu = [(b-2) v +/- sqrt((2-b)^2 v^2 + 16 lam)] / 4.
 
     One pair per restricted-Hessian eigenvalue; complex when the
-    discriminant is negative.  Returns a (K, 2) complex array.
+    discriminant is negative.  Returns a (K, 2) complex array, or
+    (B, K, 2) for (B, K) eigenvalues with (B,) values v.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    v = np.asarray(v, dtype=float)[..., None]
     disc = np.sqrt((2.0 - b) ** 2 * v**2 + 16.0 * lam)
     base = (b - 2.0) * v
-    return np.column_stack([(base + disc) / 4.0, (base - disc) / 4.0])
+    return np.stack([(base + disc) / 4.0, (base - disc) / 4.0], axis=-1)
 
 
 def linearize_at_equilibrium(
@@ -147,15 +149,20 @@ def linearize_at_equilibrium(
     return (*_linearization(a_mat, v0, pp.b), lam)
 
 
-def _linearization(a_mat: np.ndarray, v0: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The block matrix of linearize_at_equilibrium from A, and its eigenvalues."""
-    k = a_mat.shape[0]
-    mat = np.zeros((2 + 2 * k, 2 + 2 * k))
-    mat[0, 0] = v0
-    su = mat[2:, 2:]  # the (s, u) block, a view
-    su[:k, k:] = np.eye(k)
-    su[k:, :k] = a_mat
-    su[k:, k:] = (b / 2.0 - 1.0) * v0 * np.eye(k)
+def _linearization(a_mat: np.ndarray, v0, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The block matrix of linearize_at_equilibrium from A, and its eigenvalues.
+
+    (B, K, K) matrices A with (B,) values v0 give a (B, 2 + 2K, 2 + 2K)
+    stack and its spectra, in one eigvals call.
+    """
+    k = a_mat.shape[-1]
+    v0 = np.asarray(v0, dtype=float)
+    mat = np.zeros(v0.shape + (2 + 2 * k, 2 + 2 * k))
+    mat[..., 0, 0] = v0
+    su = mat[..., 2:, 2:]  # the (s, u) block, a view
+    su[..., :k, k:] = np.eye(k)
+    su[..., k:, :k] = a_mat
+    su[..., k:, k:] = ((b / 2.0 - 1.0) * v0)[..., None, None] * np.eye(k)
     try:
         return mat, np.linalg.eigvals(mat)
     except np.linalg.LinAlgError as exc:
@@ -165,10 +172,10 @@ def _linearization(a_mat: np.ndarray, v0: float, b: float) -> tuple[np.ndarray, 
 def manifold_dimensions(
     n: int,
     ambient: str,
-    index: int,
-    v_value: float,
+    index,
+    v_value,
     spectrum: np.ndarray,
-) -> tuple[int, int, int]:
+) -> tuple:
     """Closed-form stable/unstable dimensions, cross-checked numerically.
 
     Planar ambient: the energy surface has dimension 4n - 5 and the
@@ -176,11 +183,13 @@ def manifold_dimensions(
     v < 0.  Collinear ambient: surface dimension 2n - 3 with counts
     (n - 1, n - 2) for v > 0, swapped for v < 0.  The closed form must
     agree with the sign counts of the assembled spectrum (count_modes);
-    disagreement raises MismatchError.
+    disagreement raises MismatchError.  (B,) indices and values v with a
+    (B, k) stack of spectra give (B,) counts, and the first member that
+    disagrees raises.
     """
     if ambient == "planar":
         dim_eh = 4 * n - 5
-        up, down = 2 * n - 2 - index, 2 * n - 4 + index
+        up, down = 2 * n - 2 - np.asarray(index), 2 * n - 4 + np.asarray(index)
         expected_zeros = 2  # radial energy direction plus the rotation
     elif ambient == "collinear":
         dim_eh = 2 * n - 3
@@ -188,16 +197,20 @@ def manifold_dimensions(
         expected_zeros = 1  # radial energy direction only
     else:
         raise ValueError(f"unknown ambient {ambient!r}")
-    if v_value < 0.0:
-        up, down = down, up
+    flip = np.asarray(v_value) < 0.0
+    up, down = np.where(flip, down, up), np.where(flip, up, down)
     n_neg, n_zero, n_pos = count_modes(spectrum)
-    if (n_pos, n_neg, n_zero) != (up, down, expected_zeros):
+    wrong = np.flatnonzero((n_pos != up) | (n_neg != down) | (n_zero != expected_zeros))
+    if wrong.size:
+        at = (np.ravel(np.broadcast_to(x, flip.shape))[wrong[0]].item()
+              for x in (up, down, n_pos, n_neg, n_zero, index, v_value))
+        up, down, n_pos, n_neg, n_zero, index, v_value = at
         raise MismatchError(
             f"closed-form dimensions ({up}, {down}, {expected_zeros} zeros) "
             f"disagree with spectrum sign counts ({n_pos}, {n_neg}, {n_zero}) "
             f"for {ambient} ambient, index {index}, v = {v_value!r}"
         )
-    return up, down, dim_eh
+    return (up, down, dim_eh) if flip.ndim else (int(up), int(down), dim_eh)
 
 
 def find_equilibria(
@@ -206,55 +219,84 @@ def find_equilibria(
     ccs_of_V: list[CCResult],
     tol: float = 1e-9,
 ) -> list[EquilibriumReport]:
-    """Both equilibria (v = +/- sqrt(2 V(s0))) over each given CC of V.
+    """Both equilibria (v = +/- sqrt(2 V(s0))) over each given CC of V, in order.
 
     ccs_of_V must be central configurations of the b-term alone on the
     unit sphere (alpha = 0 solves).  Each shape is verified against the
     equilibrium condition b V(s0) M s0 + grad V(s0) = 0, the cc_residual
     of the b-term on the unit sphere, before its reports are built; the
     shape's restricted Hessian then serves both of its linearizations.
-    One pair-kernel pass per shape yields the defect, V and that Hessian.
+    The pair kernel is bound once per call, and the shapes of each
+    ambient (collinear shapes as (B, n, 1), planar ones as (B, n, 2)) run
+    as one batch: one kernel pass yields every defect, V and Hessian, one
+    stacked spectrum every restricted Hessian, and one eigvals call the
+    2B linearizations.  When shapes fail a check, the error is that of
+    the first of them in input order, as a call with that shape alone
+    raises it: the shortest failing prefix of the shapes, found by
+    bisection over batches, fails at its last shape only.
     """
     pp.require_manev()
     if pp.b <= 2.0:
         raise ValueError("equilibrium spectra need b > 2")
-    ppb = _pure_b(pp)
-    out = []
-    for cc in ccs_of_V:
-        s0 = cc.config
-        ambient = "collinear" if cc.kind == "collinear" else "planar"
-        r = s0.positions[:, :1] if ambient == "collinear" else s0.positions
-        terms = _PairKernel(ms.masses, ppb).terms(r, hess=True)[0]
-        _, defect = cc_residual(r, ms, ppb, terms)
-        if not defect <= tol * np.maximum(1.0, pp.b * terms.V):
-            raise OffManifoldError(f"shape is not a CC of the b-term: defect {defect:.3e}")
-        v_star = float(np.sqrt(2.0 * terms.V))
+    kernel = _PairKernel(ms.masses, _pure_b(pp))
+    try:
+        return _rest_points(kernel, ms, pp, ccs_of_V, tol)
+    except (QHError, ValueError) as exc:
+        error = exc
+    good, bad = 0, len(ccs_of_V)  # ccs_of_V[:good] passes, ccs_of_V[:bad] fails
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _rest_points(kernel, ms, pp, ccs_of_V[:mid], tol)
+            good = mid
+        except (QHError, ValueError) as exc:
+            bad, error = mid, exc
+    raise error
+
+
+def _rest_points(kernel: _PairKernel, ms: MassSystem, pp: PotentialParams, ccs: list[CCResult],
+                 tol: float) -> list[EquilibriumReport]:
+    """find_equilibria's reports on the bound pure-b kernel, one batch per ambient.
+
+    Each check raises for the first shape of its batch that fails it.
+    """
+    ppb = kernel.pp
+    out = [None] * (2 * len(ccs))
+    ambients = ["collinear" if cc.kind == "collinear" else "planar" for cc in ccs]
+    for ambient, d in (("planar", 2), ("collinear", 1)):
+        rows = [k for k, a in enumerate(ambients) if a == ambient]
+        if not rows:
+            continue
+        s0 = np.stack([lift_to_plane(ccs[k].config) for k in rows])
+        r = s0[..., :d]
+        terms, collided = kernel.terms(r, force=False, strict=False, hess=True)
+        if collided.any():
+            kernel.pairs(r[collided.argmax()])  # raises that shape's CollisionError
+        defect = np.broadcast_to(cc_residual(r, ms, ppb, terms)[1], len(rows))
+        passed = defect <= tol * np.maximum(1.0, pp.b * terms.V)
+        if not passed.all():
+            worst = defect[passed.argmin()]
+            raise OffManifoldError(f"shape is not a CC of the b-term: defect {worst:.3e}")
         a_mat, lam = restricted_hessian(s0, ms, ppb, ambient, 1.0, terms)
         report = index_report(lam, ambient)
-        for sign in (+1, -1):
-            v0 = sign * v_star
-            spectrum = _linearization(a_mat, v0, pp.b)[1]
-            mu = eigen_closed_form(lam, v0, pp.b)
-            dim_u, dim_s, dim_eh = manifold_dimensions(ms.n, ambient, report.index, v0, spectrum)
-            out.append(
-                EquilibriumReport(
-                    s0=s0,
-                    ambient=ambient,
-                    v_sign=sign,
-                    v_value=v0,
-                    cc_defect=defect,
-                    lam=lam,
-                    mu=mu,
-                    spectrum=spectrum,
-                    index=report.index,
-                    zero_modes=report.zero_modes,
-                    dim_unstable=dim_u,
-                    dim_stable=dim_s,
-                    dim_energy_surface=dim_eh,
-                    kind=cc.kind,
-                    ordering=cc.ordering,
-                )
-            )
+        # the rest points v = +sqrt(2 V) and -sqrt(2 V) of each shape, in turn
+        v0 = np.multiply.outer(np.sqrt(2.0 * terms.V), [1.0, -1.0]).ravel()
+        index = np.repeat(report.index, 2)
+        spectra = _linearization(np.repeat(a_mat, 2, axis=0), v0, pp.b)[1]
+        mu = eigen_closed_form(np.repeat(lam, 2, axis=0), v0, pp.b)
+        dim_u, dim_s, dim_eh = manifold_dimensions(ms.n, ambient, index, v0, spectra)
+        if np.iscomplexobj(spectra):
+            # eigvals gives real spectra only when every member's is real, and
+            # one shape's own call a real one whenever its own is
+            spectra = [z if z.imag.any() else z.real for z in spectra]
+        defects, zeros = defect.tolist(), report.zero_modes.tolist()
+        fields = zip(v0.tolist(), index.tolist(), mu, spectra, dim_u.tolist(), dim_s.tolist())
+        for q, (v, k, mu_q, spectrum, up, down) in enumerate(fields):
+            j, second = divmod(q, 2)
+            cc = ccs[rows[j]]
+            out[2 * rows[j] + second] = EquilibriumReport(
+                cc.config, ambient, -1 if second else 1, v, defects[j], lam[j], mu_q, spectrum, k,
+                zeros[j], up, down, dim_eh, cc.kind, cc.ordering)
     return out
 
 
@@ -376,8 +418,8 @@ def pure_b_shapes(ms: MassSystem, b: float, cases: Sequence[tuple[str, Ordering 
     solved = {("collinear", o): cc for o, cc in zip(orderings, batch.results())}
     if ("equilateral", None) in cases:
         ppb = PotentialParams(a=0.0, b=b, alpha=0.0, beta=1.0)
-        solved["equilateral", None] = equilateral_result(
-            equilateral_configuration(ms, 1.0)[0], ms, ppb, 1.0)
+        solved["equilateral", None] = equilateral_results(
+            equilateral_configuration(ms, 1.0)[:1], ms, ppb, 1.0)[0]
     return [solved[case] for case in cases]
 
 

@@ -853,6 +853,35 @@ def test_equilateral_cc_certificates(rng):
             assert np.isclose(res.sigma2, -PP12.b * v / 2.0, rtol=1e-10)
 
 
+def test_equilateral_cc_is_one_batch_with_each_triangles_own_values(rng, monkeypatch):
+    for inertia_i0, pp in ((1.0, PP12), (7.3, PotentialParams(a=1.0, b=3.5, alpha=0.6, beta=2.0))):
+        ms = random_masses(rng, 3)
+        bindings, passes = count_kernel_bindings(monkeypatch), count_kernel_passes(monkeypatch)
+        plus, minus = equilateral_cc(CCQuery(ms=ms, pp=pp, inertia_I0=inertia_i0))
+        assert (len(bindings), len(passes)) == (1, 1)
+        monkeypatch.undo()
+        for res, config in zip((plus, minus), equilateral_configuration(ms, inertia_i0)):
+            # each value as a pass, a residual and a spectrum of the triangle alone give it
+            sigma, residual = cc_residual(config, ms, pp)
+            report = cc_index(config, ms, pp, "planar", inertia_i0)
+            sim = simultaneous_residual(config, ms, pp)
+            assert res.config.positions.tobytes() == config.positions.tobytes()
+            assert (res.sigma, res.residual, res.index) == (sigma, residual, report.index)
+            assert (res.sigma1, res.sigma2) == (sim.sigma1, sim.sigma2)
+            assert res.hess_eigs.tobytes() == report.eigenvalues.tobytes()
+            assert res.inertia_I0 == inertia_i0
+
+
+def test_a_batch_of_simultaneous_residuals_is_each_members_own(rng):
+    r = rng.standard_normal((4, 3, 2))
+    batch = simultaneous_residual(r, MS123, PP13)
+    for k in range(4):
+        one = simultaneous_residual(r[k], MS123, PP13)
+        assert type(one.sigma1) is float
+        assert [a[k] for a in (batch.sigma1, batch.sigma2, batch.residual_W, batch.residual_V)] \
+            == [one.sigma1, one.sigma2, one.residual_W, one.residual_V]
+
+
 def test_equilateral_is_simultaneous(rng):
     ms = random_masses(rng, 3)
     config, _ = equilateral_configuration(ms)
@@ -867,12 +896,12 @@ def test_a_nan_in_either_residual_is_the_maximum():
 
 
 def test_a_nan_fails_the_equilateral_residual_gate(monkeypatch):
-    built = central_config.equilateral_result
+    built = central_config.equilateral_results
 
     def nan_residual(*args):
-        return dataclasses.replace(built(*args), residual=np.nan)
+        return [dataclasses.replace(cc, residual=np.nan) for cc in built(*args)]
 
-    monkeypatch.setattr(central_config, "equilateral_result", nan_residual)
+    monkeypatch.setattr(central_config, "equilateral_results", nan_residual)
     with pytest.raises(NoConvergenceError, match="residual nan"):
         equilateral_cc(CCQuery(ms=MS123, pp=PP12))
 

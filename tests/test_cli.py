@@ -643,8 +643,9 @@ def test_a_failed_run_makes_no_out_directory(tmp_path, command, data, want):
 # numerical failure naming its quantity, not a config problem
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_failed_linear_algebra_step_is_a_numerical_failure(tmp_path, capsys):
+    # masses over 600 decades, at a size where every kernel value is a normal float
     data = base_config(masses=[1e300, 1.0, 1e-300, 25.0], a=2.0, alpha=0.0, beta=1.0,
-                       inertia_I0=0.5)
+                       inertia_I0=1e300)
     code, out = run(tmp_path, "cc-collinear", data)
     assert code == 3
     assert capsys.readouterr().err.startswith(
@@ -703,19 +704,19 @@ def test_collision_flow_needs_manev_attraction(tmp_path, capsys):
 # eigen
 
 
-def test_a_default_eigen_run_makes_ten_kernel_passes(tmp_path, monkeypatch):
+def test_a_default_eigen_run_makes_eight_kernel_passes(tmp_path, monkeypatch):
     # the pure-b census: a light pass for its start, its first iterate and
     # three rounds of trial steps on one binding, no pass for its spectra;
-    # one pass for the equilateral residual and index together; one pass
-    # per rest-point shape (4).  16 when each shape took two passes, the
-    # census one more for its spectra and the equilateral one more for its
-    # index.
+    # one pass for the equilateral residual and index together; the rest
+    # points on one binding, one pass for the planar shape and one for the
+    # three collinear ones.  10 passes on 6 bindings when each rest-point
+    # shape took a binding and a pass of its own.
     bindings, passes = count_kernel_bindings(monkeypatch), count_kernel_passes(monkeypatch)
     code, _ = run(tmp_path, "eigen", base_config())
     assert code == 0
-    assert len(passes) == 10
-    assert [p.hess for p in passes] == [False] + [True] * 9
-    assert len(bindings) == 6
+    assert len(passes) == 8
+    assert [p.hess for p in passes] == [False] + [True] * 7
+    assert len(bindings) == 3
 
 
 def test_eigen_reports_the_default_equilibrium_catalog(tmp_path):
@@ -920,6 +921,48 @@ def test_a_quantity_past_the_float_domain_fails_its_own_gate(tmp_path, capsys, c
     assert code == 2
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+def _size_error(i0, size, key, what, value):
+    return (f"error: inertia_I0 = {i0} sets the size sqrt(I0 / M) = {size}, at which pair (1, 2) "
+            f"gives the {key} term's kernel {what} {value}: it must be finite and at least "
+            f"2.2250738585072014e-308\n")
+
+
+# sizes whose kernel values leave the float domain at masses 1, 2, 3: the pair
+# kernel's d^-(e+2) underflows or overflows first, so the size is refused up
+# front, naming inertia_I0, where the solve would report a spectrum [0.], an
+# index read off rounding, or overflow warnings and a numerical failure
+@pytest.mark.parametrize("command", ["cc-collinear", "cc-planar3", "simultaneous"])
+@pytest.mark.parametrize(
+    "i0, message",
+    [(1e200, _size_error("1e+200", "4.0824829046386303e+99", "alpha", "Hessian factor", "0.0")),
+     (1e300, _size_error("1e+300", "4.08248290463863e+149", "alpha", "value", "0.0")),
+     (1e-300, _size_error("1e-300", "4.08248290463863e-151", "alpha", "value", "inf"))],
+    ids=["1e200", "1e300", "1e-300"],
+)
+def test_a_size_past_the_float_domain_is_a_config_error(tmp_path, capsys, command, i0, message):
+    code, out = run(tmp_path, command, base_config(inertia_I0=i0))
+    assert code == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+def test_a_size_whose_square_underflows_is_a_config_error(tmp_path, capsys):
+    # I0 / M = 1e-320 / 3e10 rounds to 0: pw = 0^-2.5 = inf, and the value inf * 0 is NaN
+    code, out = run(tmp_path, "cc-collinear", base_config(masses=[1e10] * 3, inertia_I0=1e-320))
+    assert code == 2
+    assert capsys.readouterr().err == _size_error("1e-320", "0.0", "alpha", "value", "nan")
+    assert not out.exists()
+
+
+def test_a_size_whose_kernel_values_are_normal_floats_runs(tmp_path):
+    # at I0 = 1e40 the smallest value, the b-term's Hessian factor, is about 1e-137
+    code, out = run(tmp_path, "cc-collinear", base_config(inertia_I0=1e40))
+    assert code == 0
+    doc = load_json(out, "cc_collinear.json")
+    assert [rec["index"] for rec in doc["results"]] == [0, 0, 0]
+    assert doc["inertia_I0"] == 1e40
 
 
 # in-range masses, but a kinetic energy past the float range and a pair 1e-160

@@ -1,5 +1,7 @@
 """Collision-manifold flow: equilibria, spectra, dimensions, monotone v."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from qhnbody.central_config import (
     count_modes,
     equilateral_configuration,
     euler_collinear_homogeneous,
+    index_report,
     restricted_hessian,
     tangent_basis,
 )
@@ -31,6 +34,7 @@ from qhnbody.collision_flow import (
     transversality_necessary,
 )
 from qhnbody.errors import (
+    CollisionError,
     DegenerateError,
     ManevOnlyError,
     MismatchError,
@@ -184,15 +188,126 @@ def test_manifold_start_lies_on_the_manifold_in_the_centered_reduction():
         manifold_start(catalog[0].config, MS, PP, 50.0, seed=3)
 
 
-def test_find_equilibria_makes_one_kernel_pass_per_shape(monkeypatch):
+def test_find_equilibria_binds_once_and_makes_one_kernel_pass_per_ambient(monkeypatch):
     ccs = all_pure_b_ccs(MS, PP.b)
     bindings, passes = count_kernel_bindings(monkeypatch), count_kernel_passes(monkeypatch)
     reports = find_equilibria(MS, PP, ccs)
-    assert len(passes) == len(bindings) == len(ccs)
+    assert (len(bindings), len(passes)) == (1, 2)  # the triangle, then the three lines
     # the shared pass gives the spectrum that a pass of its own gives
     ppb = PotentialParams(a=PP.a, b=PP.b, alpha=0.0, beta=PP.beta)
     for rep in reports:
         assert np.array_equal(rep.lam, restricted_hessian(rep.s0, MS, ppb, rep.ambient)[1])
+    # a repeated shape rides in its ambient's pass, and one ambient makes one pass
+    for shapes, count in ((ccs[:2] * 3, 2), (ccs[1:], 1), (ccs[:1] * 4, 1)):
+        bindings.clear(), passes.clear()
+        assert len(find_equilibria(MS, PP, shapes)) == 2 * len(shapes)
+        assert (len(bindings), len(passes)) == (1, count)
+
+
+def _one_shape_reports(ms, pp, cc):
+    """The two EquilibriumReport field sets of one shape, from linearize_at_equilibrium
+    and a one-shape restricted_hessian, with the shape's own kernel pass."""
+    ppb = PotentialParams(a=pp.a, b=pp.b, alpha=0.0, beta=pp.beta)
+    ambient = "collinear" if cc.kind == "collinear" else "planar"
+    r = cc.config.positions[:, :1] if ambient == "collinear" else cc.config.positions
+    _, defect = cc_residual(r, ms, ppb)
+    v_star = float(np.sqrt(2.0 * potential_terms(r, ms, ppb)[1]))
+    lam = restricted_hessian(cc.config, ms, ppb, ambient)[1]
+    report = index_report(lam, ambient)
+    out = []
+    for sign in (1, -1):
+        v0 = sign * v_star
+        _, spectrum, lam_lin = linearize_at_equilibrium(cc.config, v0, ms, pp, ambient)
+        assert lam_lin.tobytes() == lam.tobytes()
+        dims = manifold_dimensions(ms.n, ambient, report.index, v0, spectrum)
+        out.append({"s0": cc.config, "ambient": ambient, "v_sign": sign, "v_value": v0,
+                    "cc_defect": defect, "lam": lam, "mu": eigen_closed_form(lam, v0, pp.b),
+                    "spectrum": spectrum, "index": report.index, "zero_modes": report.zero_modes,
+                    "dim_unstable": dims[0], "dim_stable": dims[1], "dim_energy_surface": dims[2],
+                    "kind": cc.kind, "ordering": cc.ordering})
+    return out
+
+
+def _mixed_cases(n):
+    """Every class once, then repeats, a reversed ordering and the triangle more than once."""
+    orderings = Ordering.all_canonical(n)
+    repeats = [orderings[-1], orderings[0], orderings[1].reversed_(), orderings[0]]
+    cases = [("collinear", o) for o in orderings + repeats]
+    if n == 3:
+        cases = [cases[1], ("equilateral", None), *cases[2:], ("equilateral", None), cases[0]]
+    return cases
+
+
+@pytest.mark.parametrize("masses", [(1.0, 2.0, 3.0), (0.7, 1.0, 2.5, 1.6),
+                                    (0.4, 1.3, 2.2, 0.9, 3.1)])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_the_batch_reports_are_the_one_shape_reports_bit_for_bit(masses, mixed):
+    ms = MassSystem(np.array(masses))
+    pp = PotentialParams(a=1.0, b=3.5, alpha=0.8, beta=1.7)
+    cases = _mixed_cases(ms.n) if mixed else pure_b_cases(ms.n)
+    ccs = pure_b_shapes(ms, pp.b, cases)
+    reports = find_equilibria(ms, pp, ccs)
+    assert len(reports) == 2 * len(ccs)
+    for k, cc in enumerate(ccs):
+        for rep, want in zip(reports[2 * k:2 * k + 2], _one_shape_reports(ms, pp, cc)):
+            for name, value in want.items():
+                got = getattr(rep, name)
+                assert type(got) is type(value), name
+                if isinstance(value, np.ndarray):
+                    assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+                    assert got.tobytes() == value.tobytes(), name
+                else:
+                    assert got is value if name in ("s0", "ordering") else got == value, name
+
+
+def test_a_complex_spectrum_in_the_stack_leaves_the_real_ones_real(monkeypatch):
+    ccs = all_pure_b_ccs(MS, PP.b)[1:]  # the three lines: one stack of six linearizations
+    want = [rep.spectrum for rep in find_equilibria(MS, PP, ccs)]
+    assert all(z.dtype == float for z in want)
+    eigvals = np.linalg.eigvals
+
+    def first_complex(a):
+        w = eigvals(a).astype(complex)
+        w[0, -1] += 1e-3j  # the stack's first member, and so the whole stack, complex
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvals", first_complex)
+    got = [rep.spectrum for rep in find_equilibria(MS, PP, ccs)]
+    assert got[0].dtype == complex
+    for z, ref in zip(got[1:], want[1:]):
+        assert z.dtype == float and z.tobytes() == ref.tobytes()
+
+
+def test_a_bad_shape_after_good_ones_raises_its_own_error():
+    good = all_pure_b_ccs(MS, PP.b)
+    triangle, line = good[0], good[1]
+    off_sphere = dataclasses.replace(triangle, config=Configuration(1.1 * triangle.config.positions))
+    r = triangle.config.positions.copy()
+    r[0] *= 1.2
+    r -= (MS.masses[:, None] * r).sum(axis=0) / MS.masses.sum()
+    not_a_cc = dataclasses.replace(triangle, config=Configuration(r / np.sqrt(mass_inner(r, r, MS))))
+    flat = dataclasses.replace(line, kind="planar-embedded")  # a line in the planar ambient
+    line_off_sphere = dataclasses.replace(line, config=Configuration(0.9 * line.config.positions))
+    r = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+    r -= (MS.masses[:, None] * r).sum(axis=0) / MS.masses.sum()
+    collided = dataclasses.replace(line, config=Configuration(r / np.sqrt(mass_inner(r, r, MS))))
+    for bad, error in ((off_sphere, NotOnSphereError), (not_a_cc, OffManifoldError),
+                       (flat, MismatchError), (line_off_sphere, NotOnSphereError),
+                       (collided, CollisionError)):
+        with pytest.raises(error) as alone:
+            find_equilibria(MS, PP, [bad])
+        for shapes in (good + [bad], [line, bad] + good, good[::-1] + [bad, triangle] + good):
+            with pytest.raises(error) as batch:
+                find_equilibria(MS, PP, shapes)
+            assert str(batch.value) == str(alone.value)
+    # the first bad shape in input order wins, whatever check the later ones fail first
+    cases = (([flat, off_sphere], MismatchError, "planar ambient"),
+             ([line, not_a_cc, flat], OffManifoldError, "defect"),
+             ([triangle, line_off_sphere, not_a_cc], NotOnSphereError, "<r, r> = 0.81"),
+             ([line, flat, line_off_sphere, triangle], MismatchError, "planar ambient"))
+    for shapes, error, text in cases:
+        with pytest.raises(error, match=text):
+            find_equilibria(MS, PP, shapes)
 
 
 def test_find_equilibria_two_per_shape():

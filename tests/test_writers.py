@@ -116,6 +116,18 @@ def test_edge_values_are_written_as_the_recursive_writers_wrote_them(tmp_path, r
         "empty_rows": np.empty((0, 2)),
         "column": np.array(special)[:, None],
         "pairs": np.array(special[:10]).reshape(5, 2),
+        # finite float arrays, which fill a template per shape, among them -0.0 and 5e-324
+        "rank1": np.array([-0.0, 5e-324, 0.1, -2.5e-300]),
+        "rank1_one": np.array([1.0 / 3.0]),
+        "rank2": np.concatenate([[-0.0, 5e-324], doubles[:4]]).reshape(3, 2),
+        "rank3": doubles[:24].reshape(2, 3, 4),
+        "rank3_again": doubles[24:48].reshape(2, 3, 4),
+        "nested_arrays": [np.array([[-0.0, 5e-324]]), {"k": doubles[:6].reshape(3, 2)}],
+        "zero_d": np.array(2.5),
+        "zero_d_nan": np.array(math.nan),
+        "three_empty_rows": np.empty((3, 0)),
+        "float32": np.array([0.1, -0.0], dtype=np.float32),
+        "ints_array": np.array([[1, -2], [3, 10**15]]),
         "nested": [[], [1.0, [2.0, math.inf]], {"k": [-0.0]}, ()],
         "tuple": (1.0, 2.0),
         "scalars": {"nan": math.nan, "inf": math.inf, "np": np.float64(-0.0), "int": np.int32(4)},
