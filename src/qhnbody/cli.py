@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -272,8 +272,8 @@ def _check_pair_coefficients(ms: MassSystem, pp: PotentialParams) -> None:
                                       f"must be finite and at least {tiny!r}")
 
 
-def _check_size(ms: MassSystem, pp: PotentialParams, inertia_I0: float) -> None:
-    """ConfigError naming inertia_I0 when the size it sets takes a kernel value out of range.
+def _check_size(ms: MassSystem, pp: PotentialParams, inertia_I0: float, cause: str) -> None:
+    """ConfigError naming cause when the size inertia_I0 sets takes a kernel value out of range.
 
     At the pair distance L = sqrt(I0 / M), the size of configurations on
     <r, r> = I0, the pair kernel forms pw = (L^2)^(-(e + 2) / 2) and, for
@@ -282,7 +282,7 @@ def _check_size(ms: MassSystem, pp: PotentialParams, inertia_I0: float) -> None:
     last two where e > 0); each must meet _check_pair_coefficients' rule.
     The values are formed in that order and each checked before the next,
     so where L^2 rounds to 0 the value (inf times 0, NaN) fails before any
-    division by L^2.
+    division by L^2.  cause says what set the size, up to "= L".
     """
     tiny, d2 = sys.float_info.min, inertia_I0 / ms.total_mass
     for key, coeff, exp in (("alpha", pp.alpha, pp.a), ("beta", pp.beta, pp.b)):
@@ -298,10 +298,17 @@ def _check_size(ms: MassSystem, pp: PotentialParams, inertia_I0: float) -> None:
                 if tiny <= abs(value) < math.inf:
                     what, value = "Hessian factor", -(exp + 2.0) * value / d2
             if not tiny <= abs(value) < math.inf:
-                raise ConfigError(f"inertia_I0 = {inertia_I0!r} sets the size sqrt(I0 / M) = "
-                                  f"{math.sqrt(d2)!r}, at which pair ({i}, {j}) gives the {key} "
-                                  f"term's kernel {what} {value!r}: it must be finite and at least "
-                                  f"{tiny!r}")
+                raise ConfigError(f"{cause} = {math.sqrt(d2)!r}, at which pair ({i}, {j}) gives the "
+                                  f"{key} term's kernel {what} {value!r}: it must be finite and at "
+                                  f"least {tiny!r}")
+
+
+def _check_unit_sphere(ms: MassSystem, *potentials: PotentialParams) -> None:
+    """_check_size on the unit sphere <r, r> = 1, where the masses alone set the
+    size, for each potential a subcommand evaluates there; the error names masses."""
+    cause = f"masses of total M = {ms.total_mass!r} set the unit sphere's size sqrt(1 / M)"
+    for pp in potentials:
+        _check_size(ms, pp, 1.0, cause)
 
 
 @dataclass
@@ -329,7 +336,9 @@ class RunConfig:
         top = _read(raw, "", _CONFIGS[command])
         _check_pair_coefficients(top["masses"], top["potential"])
         if "inertia_I0" in top:
-            _check_size(top["masses"], top["potential"], top["inertia_I0"])
+            i0 = top["inertia_I0"]
+            _check_size(top["masses"], top["potential"], i0,
+                        f"inertia_I0 = {i0!r} sets the size sqrt(I0 / M)")
         return cls(ms=top["masses"], pp=top["potential"], inertia_I0=top.get("inertia_I0"),
                    energy_h=top.get("energy_h"), initial_state=top.get("initial_state"),
                    tol=top["tolerances"], opt=top.get("options", {}), base_dir=p.resolve().parent)
@@ -823,6 +832,8 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
 
 
 def cmd_collision_flow(cfg: RunConfig) -> tuple[dict, list]:
+    # the run's potential on the orbit, the pure b-term (beta = 1) of the catalog it matches
+    _check_unit_sphere(cfg.ms, cfg.pp, replace(cfg.pp, alpha=0.0, beta=1.0))
     _require_enumerable("collision-flow", cfg.ms.n)
     starts, catalog = _initial_on_C(cfg)
     listed = isinstance(cfg.opt["start"], list)
@@ -866,6 +877,8 @@ def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult],
 
 
 def cmd_eigen(cfg: RunConfig) -> tuple[dict, list]:
+    # the b-term alone at the run's beta at the rest points, and at beta = 1 in their solve
+    _check_unit_sphere(cfg.ms, replace(cfg.pp, alpha=0.0), replace(cfg.pp, alpha=0.0, beta=1.0))
     cases = cfg.opt["cases"]
     if cases is None:
         _require_enumerable("eigen", cfg.ms.n)
@@ -888,6 +901,7 @@ def cmd_eigen(cfg: RunConfig) -> tuple[dict, list]:
 
 
 def cmd_homothetic(cfg: RunConfig) -> tuple[dict, list]:
+    _check_unit_sphere(cfg.ms, cfg.pp)
     s0 = _unit_shape(cfg)
     orbit = heteroclinic_orbit(
         s0,

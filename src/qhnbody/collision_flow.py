@@ -179,8 +179,11 @@ def manifold_dimensions(
     """Closed-form stable/unstable dimensions, cross-checked numerically.
 
     Planar ambient: the energy surface has dimension 4n - 5 and the
-    counts are (2n - 2 - index, 2n - 4 + index) for v > 0, swapped for
-    v < 0.  Collinear ambient: surface dimension 2n - 3 with counts
+    counts are (2n - 2 + index, 2n - 4 - index) for v > 0, swapped for
+    v < 0: the exponents of an eigenvalue lam have product -lam, so each
+    of the index negative lam gives two with the sign of v (complex ones
+    have real part (b - 2) v / 4), and each positive one a pair of
+    opposite signs.  Collinear ambient: surface dimension 2n - 3 with counts
     (n - 1, n - 2) for v > 0, swapped for v < 0.  The closed form must
     agree with the sign counts of the assembled spectrum (count_modes);
     disagreement raises MismatchError.  (B,) indices and values v with a
@@ -189,7 +192,7 @@ def manifold_dimensions(
     """
     if ambient == "planar":
         dim_eh = 4 * n - 5
-        up, down = 2 * n - 2 - np.asarray(index), 2 * n - 4 + np.asarray(index)
+        up, down = 2 * n - 2 + np.asarray(index), 2 * n - 4 - np.asarray(index)
         expected_zeros = 2  # radial energy direction plus the rotation
     elif ambient == "collinear":
         dim_eh = 2 * n - 3
@@ -482,25 +485,36 @@ def nearest_equilibrium(
 ) -> RestPointMatch:
     """The rest point (s0, +/- sqrt(2 V(s0))) nearest (s, v) over the catalog.
 
-    Nearest means the smallest hypot(shape_distance, v_distance); s may
+    Nearest means the smallest hypot(shape_distance, v_distance), the
+    first such in catalog order with +sqrt(2 V) before -sqrt(2 V); s may
     be collinear (n x 1) or planar (n x 2) and lies on the unit sphere.
+    The kernel is bound once and V of every catalog shape, lifted into
+    the plane and scaled onto the unit sphere, read from one batched pass;
+    every other sum runs over one shape's own row, in the order of that
+    shape's own numpy call, so the match, its distances and v_value are
+    bit for bit those of a call per shape.
     """
     s = lift_to_plane(s)
     w = ms.masses[:, None]
-    best = None
-    for cc in catalog:
-        r = lift_to_plane(cc.config)
-        target = r / np.sqrt(mass_inner(r, r, ms))
-        v_star = float(np.sqrt(2.0 * potential_V(Configuration(target), ms, pp)))
-        # the rotation by theta turns the overlap <s, R target> into
-        # dots cos(theta) + cross sin(theta), at most hypot(dots, cross)
-        dots = float(np.sum(w * s * target))
-        cross = float(np.sum(ms.masses * (target[:, 0] * s[:, 1] - target[:, 1] * s[:, 0])))
-        overlap = float(np.hypot(dots, cross))
-        dist = float(np.sqrt(max(2.0 - 2.0 * overlap, 0.0)))
-        for sign in (1, -1):
-            score = float(np.hypot(dist, v - sign * v_star))
-            if best is None or score < best[0]:
-                match = RestPointMatch(cc, sign, sign * v_star, dist, abs(v - sign * v_star))
-                best = (score, match)
-    return best[1]
+    r = np.stack([lift_to_plane(cc.config) for cc in catalog])
+    rows = (len(catalog), -1)  # each shape's (n, 2) products as one row, summed as np.sum sums them
+    targets = r / np.sqrt(np.add.reduce((w * r * r).reshape(rows), axis=-1))[:, None, None]
+    kernel = _PairKernel(ms.masses, pp)
+    terms, collided = kernel.terms(targets, force=False, strict=False)
+    if collided.any():
+        kernel.pairs(targets[collided.argmax()])  # raises that shape's CollisionError
+    v_star = np.sqrt(2.0 * terms.V)
+    # the rotation by theta turns the overlap <s, R target> into
+    # dots cos(theta) + cross sin(theta), at most hypot(dots, cross)
+    dots = np.add.reduce((w * s * targets).reshape(rows), axis=-1)
+    cross = np.add.reduce(
+        ms.masses * (targets[..., 0] * s[:, 1] - targets[..., 1] * s[:, 0]), axis=-1)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * np.hypot(dots, cross), 0.0))
+    # v - sign v_star per shape and sign, +1 first
+    v_gap = v - np.multiply.outer(v_star, [1.0, -1.0])
+    scores = np.hypot(dist[:, None], v_gap).ravel().tolist()
+    # min keeps the first of equal scores, as a loop over shapes and signs would
+    j, second = divmod(min(range(len(scores)), key=scores.__getitem__), 2)
+    sign = -1 if second else 1
+    return RestPointMatch(catalog[j], sign, sign * v_star[j].item(), dist[j].item(),
+                          abs(v_gap[j, second].item()))

@@ -19,6 +19,7 @@ u^T M^{-1} u + v^2 = 2 V(s), independent of h.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -174,8 +175,8 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     With with_time the state carries a trailing physical-time component
     integrated as dt/dtau = rho^(1 + b/2); a state of another length raises
     ValueError.  One body in Python floats for every n, on _float_pass,
-    with u^T M^{-1} u summed as numpy sums an array: bit for bit with the
-    equations composed in numpy.  Per call it takes 0.9-1.1x of a numpy
+    with u^T M^{-1} u summed as numpy sums an array (_sum): bit for bit
+    with the equations composed in numpy.  Per call it takes 0.9-1.1x of a numpy
     body's time at n = 4...7, 1.2x at n = 12 and 1.5x at n = 65 (d = 2).
     """
     pp.require_manev()
@@ -183,14 +184,12 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     run, b = _float_pass(_PairKernel(ms.masses, pp), dim), pp.b
     m = np.repeat(ms.masses, dim).tolist()  # the mass of each coordinate
     size, t_exp = 2 + 2 * sz + with_time, 1.0 + b / 2.0
-    # numpy sums an array left to right below 8 terms, pairwise from 8
-    total = functools.partial(functools.reduce, operator.add) if sz < 8 else np.add.reduce
 
     def field(tau, y):
         state = y.reshape(size).tolist()
         rho, v, s, u = state[0], state[1], state[2 : 2 + sz], state[2 + sz : 2 + 2 * sz]
         w_s, v_s, g_w, g_v = run(s)
-        u_m_u = float(total([x * x / mi for x, mi in zip(u, m)]))
+        u_m_u = _sum([x * x / mi for x, mi in zip(u, m)])
         rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
         k_u, k_s, m_s = (0.5 * b - 1.0) * v, b * v_s, [mi * si for mi, si in zip(m, s)]
         out = [rho * v, 0.5 * b * v * v + u_m_u - rho_pow * w_s - b * v_s]
@@ -202,6 +201,37 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
         return np.array(out)
 
     return field
+
+
+def _sum(xs: list) -> float:
+    """A list summed as numpy sums a 1-d array of it: from +0 left to right
+    below 8 terms (so -0 terms alone sum to +0), pairwise from 8."""
+    return functools.reduce(operator.add, xs, 0.0) if len(xs) < 8 else float(np.add.reduce(xs))
+
+
+def _axis_sums(xs: list, d: int) -> list:
+    """Per-axis sums of body-by-body coordinates, as numpy's sum over axis 0 of
+    their (n, d) array: on a line one 1-d sum, in the plane each axis from +0
+    in body order."""
+    if d == 1:
+        return [_sum(xs)]
+    return [functools.reduce(operator.add, xs[k::d], 0.0) for k in range(d)]
+
+
+def _renormalized(s: list, u: list, m: list, d: int) -> tuple[list, list]:
+    """renormalize_mcgehee on body-by-body coordinate lists; m is the mass of each coordinate."""
+    mtot = _sum(m[::d])
+    shift = [x / mtot for x in _axis_sums(list(map(operator.mul, m, s)), d)] * (len(s) // d)
+    s = list(map(operator.sub, s, shift))
+    c2 = _sum([mi * x * x for mi, x in zip(m, s)])
+    if not (math.isfinite(c2) and c2 > 0.0):
+        raise DegenerateStateError(f"s^T M s = {c2!r}, cannot renormalize")
+    root = math.sqrt(c2)
+    s = [x / root for x in s]
+    shift = [x / mtot for x in _axis_sums(u, d)] * (len(u) // d)
+    u = [x - mi * q for x, mi, q in zip(u, m, shift)]
+    dot = _sum(list(map(operator.mul, u, s)))
+    return s, [x - dot * (mi * y) for x, mi, y in zip(u, m, s)]
 
 
 def renormalize_mcgehee(s: np.ndarray, u: np.ndarray, masses: np.ndarray):
@@ -216,28 +246,37 @@ def renormalize_mcgehee(s: np.ndarray, u: np.ndarray, masses: np.ndarray):
     integrations unless they are projected away each step.  Idempotent
     up to rounding.  Raises DegenerateStateError when s^T M s is not
     strictly positive and finite.
+
+    s and u are (n, d) and the masses positive.  The body runs in Python
+    floats for every n, in the operations and order of the numpy
+    composition s - (m s).sum(0) / M, c2 = sum(m s s), s / sqrt(c2),
+    u - m u.sum(0) / M, u - sum(u s) m s: the same values and errors bit
+    for bit, signed zeros included.  mcgehee_renormalizer runs it on the
+    integrator's flat state with no array between, at about half the
+    numpy body's time per step at n = 3 and 4 and at most its time up to
+    n = 8.  Its list arithmetic grows with n d while a numpy body's cost
+    is nearly flat, so past about ten bodies in the plane a step costs
+    more than the numpy body's: 1.1x at n = 12, 1.5x at n = 20 and 3.2x
+    at n = 65 (d = 2).  qh collision-flow stops at six bodies.
     """
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)
-    m = np.asarray(masses, dtype=float)[:, None]
-    mtot = float(m.sum())
-    s = s - (m * s).sum(axis=0) / mtot
-    c2 = float(np.sum(m * s * s))
-    if not np.isfinite(c2) or c2 <= 0.0:
-        raise DegenerateStateError(f"s^T M s = {c2!r}, cannot renormalize")
-    s_out = s / np.sqrt(c2)
-    u = u - m * (u.sum(axis=0) / mtot)
-    u_out = u - float(np.sum(u * s_out)) * (m * s_out)
-    return s_out, u_out
+    n, d = s.shape
+    m = np.repeat(np.asarray(masses, dtype=float), d).tolist()
+    s_out, u_out = _renormalized(s.ravel().tolist(), u.ravel().tolist(), m, d)
+    return np.reshape(s_out, (n, d)), np.reshape(u_out, (n, d))
 
 
 def mcgehee_renormalizer(ms: MassSystem, dim: int = 2):
-    """Per-step projection keeping s centered on the sphere, u tangent."""
+    """Per-step projection keeping s centered on the sphere, u tangent:
+    renormalize_mcgehee's body on the flat state, which it returns anew."""
+    sz, m = ms.n * dim, np.repeat(ms.masses, dim).tolist()
 
     def renorm(y):
-        out = y.copy()
-        _, _, s, u = split_mcgehee(out, ms.n, dim)
-        s[...], u[...] = renormalize_mcgehee(s, u, ms.masses)
-        return out
+        state = y.tolist()
+        if len(state) < 2 + 2 * sz:
+            raise ValueError(f"a flat blow-up state of {len(state)} values, need {2 + 2 * sz}")
+        s, u = _renormalized(state[2 : 2 + sz], state[2 + sz : 2 + 2 * sz], m, dim)
+        return np.array(state[:2] + s + u + state[2 + 2 * sz :])
 
     return renorm

@@ -365,16 +365,27 @@ def _float_pass(kernel: _PairKernel, d: int):
     """run(r) -> (W, V, grad_W, grad_V) as Python floats, kernel.terms' values bit for bit.
 
     r lists the n d coordinates body by body, d = 1 or 2, as do both
-    gradients.  From four bodies run is kernel.terms' numpy pass itself.
-    Up to three it makes one numpy call, not about 25: the same power call
-    on the same (2, P) shape (libm's pow differs), W and V summed left to
-    right from 0 as np.add.reduce does below 8 terms, and each body's
-    gradient +0 plus its signed pair terms, as the matmul with E adds
-    them: at most two for n <= 3, which add with one rounding in any
-    order.  kernel.terms takes a configuration within 1e-14 of the guard
-    or near the float floor (numpy's guard dot product is an FMA chain),
-    and at n = 3 a gradient that is not finite (E's zeros then multiply
-    inf into NaN).
+    gradients.  Up to three bodies, and four in the plane, it makes one
+    numpy call, not about 25: the same power call on the same (2, P)
+    shape (libm's pow differs), W and V summed left to right from 0 as
+    np.add.reduce does below 8 terms, and each body's gradient +0 plus
+    its signed pair terms in pair order, as the matmul with E adds them
+    (for n <= 3 at most two, which add with one rounding in any order).
+    Four bodies in the plane have three each, and the plane's (n, P) @
+    (P, 2) product is a dgemm that adds its K = 6 terms in order: an
+    empirical property of the BLAS kernel (0 of 20,000 seeded draws
+    differed), not a guarantee.  It is pinned by
+    test_the_float_pass_of_four_bodies_in_the_plane_is_the_kernel_pass_bit_for_bit,
+    so a failure there on another build reads as a change of BLAS kernel
+    (small-matrix or split-K), not a fault of this pass.  Four bodies on
+    the line and every n >= 5 run kernel.terms' numpy pass itself: on the
+    line the (n, P) @ (P, 1) product is a gemv, whose blocked sum is not
+    pair order (it differed in about half of 5,000 seeded draws at n =
+    4), and from five bodies numpy sums the P >= 10 pair terms pairwise.
+    kernel.terms also takes a configuration within 1e-14
+    of the guard or near the float floor (numpy's guard dot product is an
+    FMA chain), and from n = 3 a gradient that is not finite (E's zeros
+    then multiply inf into NaN).
     """
     n = kernel.m_col.shape[0]
 
@@ -382,7 +393,7 @@ def _float_pass(kernel: _PairKernel, d: int):
         t = kernel.terms(np.reshape(r, (n, d)), force=False)[0]
         return t.W, t.V, t.grad_W.ravel().tolist(), t.grad_V.ravel().tolist()
 
-    if n > 3:
+    if n > 4 or n == 4 and d == 1:
         return numpy_pass
     # offsets (i d + k, j d + k) of pair p's two bodies on axis k, and p
     pairs = enumerate(zip(*(ends.tolist() for ends in _incidence(n)[:2])))
@@ -407,7 +418,7 @@ def _float_pass(kernel: _PairKernel, d: int):
             x_w, x_v = c_w[p] * x, c_v[p] * x
             g_w[a], g_w[b] = g_w[a] + x_w, g_w[b] - x_w
             g_v[a], g_v[b] = g_v[a] + x_v, g_v[b] - x_v
-        if n == 3 and not math.isfinite(sum(g_w) + sum(g_v)):
+        if n >= 3 and not math.isfinite(sum(g_w) + sum(g_v)):
             return numpy_pass(r)
         return w, v, g_w, g_v
 
@@ -498,7 +509,8 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
     rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).  Up to
     three bodies it runs in Python floats (_float_pass), bit for bit.  From
     four a float body measured 1.6-1.9x slower per call (n = 4...7; the
-    field does little around the kernel pass), so it keeps a numpy body.
+    field does little around the kernel pass), and no faster on four
+    bodies in the plane with the float pass, so it keeps a numpy body.
     """
     shape = (2, ms.n, dim)
     kernel = _PairKernel(ms.masses, pp)

@@ -965,6 +965,55 @@ def test_a_size_whose_kernel_values_are_normal_floats_runs(tmp_path):
     assert doc["inertia_I0"] == 1e40
 
 
+def _unit_sphere_error(total, size, key, what, value):
+    return (f"error: masses of total M = {total} set the unit sphere's size sqrt(1 / M) = {size}, "
+            f"at which pair (1, 2) gives the {key} term's kernel {what} {value}: it must be finite "
+            f"and at least 2.2250738585072014e-308\n")
+
+
+# the subcommands on the unit sphere <r, r> = 1, where the masses alone set the
+# size: at masses 1e-100 times 1, 2, 3 the solve would report a spectrum [0.],
+# at 1e100 times them a stall at a NaN residual, and both are refused up front,
+# naming masses.  eigen evaluates the b-term alone, the others the a-term too.
+_TINY_MASSES, _HUGE_MASSES = [1e-100, 2e-100, 3e-100], [1e100, 2e100, 3e100]
+_TINY_SIZE = ("6e-100", "4.08248290463863e+49")
+_HUGE_SIZE = ("6.0000000000000005e+100", "4.08248290463863e-51")
+_UNIT_SPHERE_RUNS = {
+    "eigen": ({}, [_unit_sphere_error(*_TINY_SIZE, "beta", "value", "0.0"),
+                   _unit_sphere_error(*_HUGE_SIZE, "beta", "value", "inf")]),
+    "collision-flow": ({"options": {"start": {"shape": "equilateral"}}},
+                       [_unit_sphere_error(*_TINY_SIZE, "alpha", "gradient coefficient", "-0.0"),
+                        _unit_sphere_error(*_HUGE_SIZE, "alpha", "gradient coefficient", "-inf")]),
+    "homothetic": ({"energy_h": -1.0},
+                   [_unit_sphere_error(*_TINY_SIZE, "alpha", "gradient coefficient", "-0.0"),
+                    _unit_sphere_error(*_HUGE_SIZE, "alpha", "gradient coefficient", "-inf")]),
+}
+
+
+@pytest.mark.parametrize("command", list(_UNIT_SPHERE_RUNS))
+def test_masses_whose_unit_sphere_is_past_the_float_domain_are_a_config_error(
+        tmp_path, capsys, command):
+    extra, messages = _UNIT_SPHERE_RUNS[command]
+    for k, (masses, message) in enumerate(zip((_TINY_MASSES, _HUGE_MASSES), messages)):
+        code, out = run(tmp_path, command, base_config(masses=masses, **extra), subdir=f"out{k}")
+        assert code == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+# the unit-sphere check builds pure b-term potentials only for the subcommands
+# that evaluate them, so a pure a-term run of the others still reads its config
+@pytest.mark.parametrize("command, extra", [
+    ("cc-collinear", {}),
+    ("simulate", {"masses": [1.0, 1.0], "initial_state": TWO_BODY,
+                  "options": {"t_span": [0.0, 1.0]}}),
+])
+def test_a_pure_a_term_runs_where_beta_may_be_zero(tmp_path, command, extra):
+    code, out = run(tmp_path, command, base_config(beta=0.0, **extra))
+    assert code == 0
+    assert load_json(out, command.replace("-", "_") + ".json")["potential"]["beta"] == 0.0
+
+
 # in-range masses, but a kinetic energy past the float range and a pair 1e-160
 # apart: H = inf - inf is NaN, which matches no energy_h
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -27,6 +27,7 @@ from qhnbody.collision_flow import (
     linearize_at_equilibrium,
     manifold_dimensions,
     manifold_start,
+    RestPointMatch,
     min_separation,
     nearest_equilibrium,
     pure_b_cases,
@@ -55,7 +56,9 @@ from qhnbody.model import (
     Configuration,
     MassSystem,
     PotentialParams,
+    lift_to_plane,
     mass_inner,
+    potential_V,
     potential_terms,
 )
 
@@ -173,6 +176,63 @@ def test_nearest_equilibrium_ignores_rotations(which):
         assert got.v_distance == ref.v_distance
 
 
+def _nearest_per_shape(s, v, catalog, ms, pp):
+    """nearest_equilibrium with a kernel binding and pass per catalog shape, its reference."""
+    s, w, best = lift_to_plane(s), ms.masses[:, None], None
+    for cc in catalog:
+        r = lift_to_plane(cc.config)
+        target = r / np.sqrt(mass_inner(r, r, ms))
+        v_star = float(np.sqrt(2.0 * potential_V(Configuration(target), ms, pp)))
+        dots = float(np.sum(w * s * target))
+        cross = float(np.sum(ms.masses * (target[:, 0] * s[:, 1] - target[:, 1] * s[:, 0])))
+        dist = float(np.sqrt(max(2.0 - 2.0 * float(np.hypot(dots, cross)), 0.0)))
+        for sign in (1, -1):
+            score = float(np.hypot(dist, v - sign * v_star))
+            if best is None or score < best[0]:
+                best = (score, (cc, sign, sign * v_star, dist, abs(v - sign * v_star)))
+    return best[1]
+
+
+def _match_fields(m):
+    return (m.cc, m.v_sign, np.array([m.v_value, m.shape_distance, m.v_distance]).tobytes())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_nearest_equilibrium_is_its_per_shape_reference_bit_for_bit(n):
+    # the batched V and the row sums give each shape's own distances: the
+    # whole catalog and each shape alone, at rotated and perturbed states
+    rng = np.random.default_rng(40 + n)
+    for _ in range(12):
+        ms = MassSystem(10.0 ** rng.uniform(-1.0, 1.0, n))
+        pp = PotentialParams(a=1.0, b=float(rng.uniform(2.2, 5.0)), alpha=1.0,
+                             beta=float(rng.uniform(0.2, 2.0)))
+        catalog = pure_b_shapes(ms, pp.b, pure_b_cases(n))
+        for _ in range(4):
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            turn = np.array([[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]])
+            shape = catalog[rng.integers(len(catalog))].config.positions
+            s = lift_to_plane(shape) @ turn + rng.choice([0.0, 1e-3]) * rng.standard_normal((n, 2))
+            s = shape if rng.random() < 0.25 else s / np.sqrt(mass_inner(s, s, ms))
+            v = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 3.0))
+            got = nearest_equilibrium(s, v, catalog, ms, pp)
+            assert _match_fields(got) == _match_fields(RestPointMatch(
+                *_nearest_per_shape(s, v, catalog, ms, pp)))
+            for cc in catalog:
+                got = nearest_equilibrium(s, v, [cc], ms, pp)
+                want = RestPointMatch(*_nearest_per_shape(s, v, [cc], ms, pp))
+                assert _match_fields(got) == _match_fields(want)
+    # a collided shape raises its own CollisionError, as the first to fail
+    r = lift_to_plane(catalog[0].config).copy()
+    r[1] = r[0]
+    collided = dataclasses.replace(catalog[0], config=Configuration(r))
+    for shapes in ([collided], catalog + [collided, collided]):
+        with pytest.raises(CollisionError) as want:
+            _nearest_per_shape(s, v, shapes, ms, pp)
+        with pytest.raises(CollisionError) as got:
+            nearest_equilibrium(s, v, shapes, ms, pp)
+        assert str(got.value) == str(want.value)
+
+
 def test_manifold_start_lies_on_the_manifold_in_the_centered_reduction():
     catalog = pure_b_shapes(MS, PP.b, pure_b_cases(MS.n))
     for cc in catalog:
@@ -278,15 +338,26 @@ def test_a_complex_spectrum_in_the_stack_leaves_the_real_ones_real(monkeypatch):
         assert z.dtype == float and z.tobytes() == ref.tobytes()
 
 
-def test_a_bad_shape_after_good_ones_raises_its_own_error():
+def test_a_bad_shape_after_good_ones_raises_its_own_error(monkeypatch):
     good = all_pure_b_ccs(MS, PP.b)
     triangle, line = good[0], good[1]
+    # a line in the planar ambient is a rest point of planar index 1; the
+    # closed form is handed index 2 for it, so it fails the last check
+    flat = dataclasses.replace(line, kind="planar-embedded")
+    flat_v = find_equilibria(MS, PP, [flat])[0].v_value
+    dimensions = collision_flow.manifold_dimensions
+
+    def off_by_one(n, ambient, index, v0, spectra):
+        if ambient == "planar":
+            index = np.where(np.abs(v0) == flat_v, index + 1, index)
+        return dimensions(n, ambient, index, v0, spectra)
+
+    monkeypatch.setattr(collision_flow, "manifold_dimensions", off_by_one)
     off_sphere = dataclasses.replace(triangle, config=Configuration(1.1 * triangle.config.positions))
     r = triangle.config.positions.copy()
     r[0] *= 1.2
     r -= (MS.masses[:, None] * r).sum(axis=0) / MS.masses.sum()
     not_a_cc = dataclasses.replace(triangle, config=Configuration(r / np.sqrt(mass_inner(r, r, MS))))
-    flat = dataclasses.replace(line, kind="planar-embedded")  # a line in the planar ambient
     line_off_sphere = dataclasses.replace(line, config=Configuration(0.9 * line.config.positions))
     r = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
     r -= (MS.masses[:, None] * r).sum(axis=0) / MS.masses.sum()
@@ -359,22 +430,50 @@ def test_dimension_counts_planar_and_collinear():
         assert (rep.dim_unstable, rep.dim_stable) == expect
 
 
-def test_collinear_shape_in_planar_ambient_is_flagged():
-    # the closed-form planar counts do not match the actual sign counts
-    # when the shape is collinear, so the mismatch must raise, not pass
+def _planar_shape(config, kind="planar-embedded"):
+    """A CCResult of a shape that find_equilibria treats in the planar ambient."""
+    return CCResult(config=Configuration(config), kind=kind, sigma=0.0, residual=0.0, index=0,
+                    hess_eigs=np.zeros(0), inertia_I0=1.0)
+
+
+def test_collinear_shape_in_planar_ambient_has_the_planar_counts_of_its_index():
+    # in the plane a collinear CC of three bodies is a saddle of planar
+    # index 1: each rest point has 2n - 2 + 1 exponents with the sign of v
+    # and 2n - 4 - 1 against it, and the rotation and radial-energy zeros
     cc = euler_collinear_homogeneous(MS, PP.b, Ordering.identity(3))
-    relabeled = CCResult(
-        config=cc.config,
-        kind="planar-embedded",
-        sigma=cc.sigma,
-        residual=cc.residual,
-        index=cc.index,
-        hess_eigs=cc.hess_eigs,
-        inertia_I0=cc.inertia_I0,
-        ordering=cc.ordering,
-    )
-    with pytest.raises(MismatchError):
-        find_equilibria(MS, PP, [relabeled])
+    up, down = find_equilibria(MS, PP, [_planar_shape(cc.config.positions)])
+    for rep, sign in ((up, 1), (down, -1)):
+        n_neg, n_zero, n_pos = count_modes(rep.spectrum)
+        assert (rep.ambient, rep.index, rep.zero_modes, n_zero) == ("planar", 1, 1, 2)
+        assert (rep.dim_unstable, rep.dim_stable) == (n_pos, n_neg) == ((5, 1) if sign > 0 else (1, 5))
+        assert rep.dim_energy_surface == 7
+
+
+def test_a_centred_triangle_of_four_bodies_has_the_counts_of_planar_index_two():
+    # unit masses at the vertices of an equilateral triangle and its centre
+    # are a CC of the b-term with planar index 2 (b = 3)
+    ms = MassSystem(np.ones(4))
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=1.0)
+    angles = 2.0 * np.pi * np.arange(3) / 3.0
+    shape = np.vstack([np.column_stack([np.cos(angles), np.sin(angles)]) / np.sqrt(3.0), [0, 0]])
+    up, down = find_equilibria(ms, pp, [_planar_shape(shape)])
+    for rep, counts in ((up, (8, 2)), (down, (2, 8))):
+        n_neg, n_zero, n_pos = count_modes(rep.spectrum)
+        assert rep.index == 2 and n_zero == 2
+        assert (rep.dim_unstable, rep.dim_stable) == counts == (n_pos, n_neg)
+        assert rep.dim_energy_surface == 11
+
+
+def test_a_spectrum_that_disagrees_with_the_planar_counts_raises():
+    # the closed form reads the index; a spectrum built for another index
+    # has other sign counts, and the mismatch must raise, not pass
+    lam = np.array([-2.0, 0.0, 3.0])  # index 1 and the rotation, the planar sphere of three bodies
+    v0 = 1.2
+    spectrum = np.concatenate([[v0, 0.0], eigen_closed_form(lam, v0, 3.0).ravel()])
+    assert manifold_dimensions(3, "planar", 1, v0, spectrum) == (5, 1, 7)
+    for index in (0, 2):
+        with pytest.raises(MismatchError, match="disagree with spectrum sign counts"):
+            manifold_dimensions(3, "planar", index, v0, spectrum)
 
 
 def test_manifold_dimensions_validates_against_spectrum():

@@ -371,6 +371,50 @@ def test_renormalize_mcgehee_rejects_a_collapsed_shape():
         renormalize_mcgehee(np.zeros((3, 2)), np.ones((3, 2)), masses)
 
 
+def _numpy_renormalized(s, u, masses):
+    """The numpy composition renormalize_mcgehee's float body replaces, kept as its reference."""
+    m = masses[:, None]
+    mtot = float(m.sum())
+    s = s - (m * s).sum(axis=0) / mtot
+    c2 = float(np.sum(m * s * s))
+    if not np.isfinite(c2) or c2 <= 0.0:
+        raise DegenerateStateError(f"s^T M s = {c2!r}, cannot renormalize")
+    s_out = s / np.sqrt(c2)
+    u = u - m * (u.sum(axis=0) / mtot)
+    return s_out, u - float(np.sum(u * s_out)) * (m * s_out)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_the_renormalizer_is_its_numpy_composition_bit_for_bit(rng, d):
+    # n = 2...6, and 9 and 65 past numpy's 8-term pairwise sums; shifted
+    # shapes, masses over 6 decades, u of any scale, signed zeros, one axis flat
+    for n in [2, 3, 4, 5, 6] * 80 + [9, 65] * 10:
+        masses = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        s = rng.standard_normal((n, d)) + rng.choice([0.0, 1.0, 1e3]) * rng.standard_normal(d)
+        u = rng.choice([0.0, 1e-8, 1.0, 1e4]) * rng.standard_normal((n, d))
+        if rng.random() < 0.1:
+            u = -0.0 * u  # zeros of both signs
+        if d == 2 and rng.random() < 0.1:
+            s[:, 1] = 0.0
+        want = _numpy_renormalized(s, u, masses)
+        got = renormalize_mcgehee(s, u, masses)
+        assert [x.shape for x in got] == [(n, d)] * 2
+        assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+        tail = [0.7] * int(rng.integers(2))  # a trailing physical time, kept as it is
+        y = np.concatenate([[0.0, rng.standard_normal()], s.ravel(), u.ravel(), tail])
+        out = mcgehee_renormalizer(MassSystem(masses), d)(y)
+        ref = np.concatenate([y[:2], want[0].ravel(), want[1].ravel(), tail])
+        assert out.tobytes() == ref.tobytes() and out is not y
+    with pytest.raises(ValueError):
+        mcgehee_renormalizer(MassSystem(masses), d)(y[: 1 + 2 * n * d])
+    for bad in (np.zeros((3, d)), np.full((3, d), np.nan), np.full((3, d), np.inf)):
+        with pytest.raises(DegenerateStateError) as want, np.errstate(invalid="ignore"):
+            _numpy_renormalized(bad, np.ones((3, d)), np.ones(3))
+        with pytest.raises(DegenerateStateError) as got:
+            renormalize_mcgehee(bad, np.ones((3, d)), np.ones(3))
+        assert str(got.value) == str(want.value)
+
+
 def test_dense_output_meets_the_step_at_both_ends():
     t0, h, y0, y1, dense = harmonic_segment()
     assert np.array_equal(dense(t0), y0)

@@ -372,23 +372,24 @@ def _bound_kernel_cases(blow_up=False):
                 pp = PotentialParams(a=1.0, b=b, alpha=rng.uniform(0.5, 2.0), beta=0.5)
                 r = random_config(rng, n, d, scale=float(n))
                 yield ms, pp, r, rng.standard_normal((n, d)), rng
-    # harder inputs on both sides of the fields' n <= 3 float pass: masses
-    # over 12 decades, alpha = 0, a = 0, b = 7, a pair 1.5 guards apart
-    # (n >= 3: a lone pair sets the size, so it is never near the guard),
-    # unit separations 1e6 from the origin, and a plane's bodies on its
-    # x-axis, where each y-force is a sum of zeros and must read +0
+    # harder inputs on both sides of the fields' float pass (n <= 3, and
+    # n = 4 in the plane): masses over 12 decades, alpha = 0, a = 0, b = 7,
+    # a pair 1.5 guards apart (n >= 3: a lone pair sets the size, so it is
+    # never near the guard), unit separations 1e6 from the origin, and a
+    # plane's bodies on its x-axis, where each y-force is a sum of zeros and
+    # must read +0.  Four bodies come twice, with the near pair first and last.
     pps = [PotentialParams(a=1.0, b=7.0, alpha=0.0, beta=0.5),
            PotentialParams(a=1.0, b=7.0, alpha=1.3, beta=0.5)]
     if not blow_up:
         pps.append(PotentialParams(a=0.0, b=2.0, alpha=1.3, beta=0.7))
-    for n in (2, 3, 4):
+    for n, (i, j) in ((2, (0, 1)), (3, (0, 1)), (4, (0, 1)), (4, (3, 2)), (5, (0, 1))):
         for d in (1, 2):
             ms = MassSystem(rng.permutation(np.geomspace(1e-6, 1e6, n)))
             near = random_config(rng, n, d)
-            near[1] = near[0]
+            near[j] = near[i]
             size = np.sqrt(moment_of_inertia(centered(near, ms), ms) / ms.total_mass)
             direction = rng.standard_normal(d)
-            near[1] += 1.5 * GUARD_FACTOR * size * direction / np.linalg.norm(direction)
+            near[j] += 1.5 * GUARD_FACTOR * size * direction / np.linalg.norm(direction)
             shift = rng.standard_normal(d)
             far = random_config(rng, n, d, min_sep=1.0, scale=float(n))
             far += 1e6 * shift / np.linalg.norm(shift)
@@ -431,6 +432,30 @@ def test_the_float_pass_is_the_kernel_pass_bit_for_bit():
         t = kernel.terms(r, force=False)[0]
         assert np.array([w, v]).tobytes() == np.array([t.W, t.V]).tobytes()
         assert np.array(g_w + g_v).tobytes() == np.concatenate([t.grad_W, t.grad_V]).tobytes()
+
+
+def float_pass_fuzz(seed, draws, n=4, d=2):
+    """The number of seeded draws at which _float_pass and kernel.terms differ in any bit."""
+    rng, differ = np.random.default_rng(seed), 0
+    for _ in range(draws):
+        a = float(rng.choice([0.0, 0.5, 1.0]))
+        pp = PotentialParams(a=a, b=a + float(rng.choice([0.5, 1.0, 2.0, 6.0])),
+                             alpha=float(rng.choice([0.0, 1.3])), beta=float(rng.uniform(0.1, 2.0)))
+        kernel = _PairKernel(10.0 ** rng.uniform(-6.0, 6.0, n), pp)
+        r = random_config(rng, n, d, scale=float(n))
+        if d == 2 and rng.random() < 0.2:
+            r[:, int(rng.integers(2))] = 0.0
+        w, v, g_w, g_v = _float_pass(kernel, d)(r.ravel().tolist())
+        t = kernel.terms(r, force=False)[0]
+        differ += (np.array([w, v, *g_w, *g_v]).tobytes()
+                   != np.concatenate([[t.W, t.V], t.grad_W.ravel(), t.grad_V.ravel()]).tobytes())
+    return differ
+
+
+def test_the_float_pass_of_four_bodies_in_the_plane_is_the_kernel_pass_bit_for_bit():
+    # each body's three pair terms in pair order, as the plane's batched
+    # matmul adds them; masses over 12 decades, and one axis all zeros
+    assert float_pass_fuzz(seed=44, draws=2000) == 0
 
 
 def _blown_up_reference(y, ms, pp, n, d, with_time):
@@ -495,23 +520,27 @@ def _field_states(n, d, rng):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_fields_of_at_most_three_bodies_take_the_float_pass(rng, monkeypatch, n, d):
-    # every numpy pass starts with _PairKernel.pairs; the float pass never calls it
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_fields_take_the_float_pass_up_to_three_bodies_and_four_in_the_plane(
+        rng, monkeypatch, n, d):
+    # every numpy pass starts with _PairKernel.pairs; the float pass never
+    # calls it.  The Cartesian field keeps its numpy body from four bodies,
+    # and four bodies on the line keep the numpy pass in the blown-up one.
     calls = []
     pairs = _PairKernel.pairs
     monkeypatch.setattr(_PairKernel, "pairs", lambda self, *a: calls.append(1) or pairs(self, *a))
-    for field, y, _ in _field_states(n, d, rng):
+    for k, (field, y, _) in enumerate(_field_states(n, d, rng)):
         before = len(calls)
         field(0.0, y)
-        assert len(calls) - before == (0 if n <= 3 else 1)
+        float_pass = n <= 3 or n == 4 and d == 2 and k > 0
+        assert len(calls) - before == (0 if float_pass else 1)
 
 
 @pytest.mark.parametrize("defect", ["short", "long", "nan position", "nan momentum", "overflow"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_a_malformed_state_gives_what_the_numpy_pass_gives(rng, n, defect):
     # no field reads a state of the wrong size as some other state; at n = 4
-    # the fields run the numpy pass itself, and below it the float pass must
+    # the Cartesian field runs the numpy pass itself, and the float pass must
     # give NaN where numpy does: for a NaN coordinate, or for forces past
     # the float range, where the matmul's 0 * inf is NaN
     for k, (field, y, numpy_pass) in enumerate(_field_states(n, 2, rng)):
