@@ -64,21 +64,6 @@ class PlaneOrbit:
     trajectory: Trajectory
 
 
-def is_homothetic_admissible(
-    s0: Configuration,
-    ms: MassSystem,
-    pp: PotentialParams,
-    tol: float = _ADMISSIBLE_TOL,
-) -> bool:
-    """Whether s0 admits homothetic orbits of U = W + V.
-
-    The invariant-plane reduction is exact precisely when s0 is a
-    simultaneous central configuration of both terms.
-    """
-    require_on_sphere(s0, ms)
-    return _admissible(simultaneous_residual(s0, ms, pp), tol)
-
-
 def _admissible(report, tol: float = _ADMISSIBLE_TOL) -> bool:
     """Whether the residual is within tol of the multipliers' scale; NaN is not."""
     scale = np.max([1.0, abs(report.sigma1), abs(report.sigma2)])

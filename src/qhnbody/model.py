@@ -143,12 +143,6 @@ def mass_inner(x, y, ms: MassSystem) -> float:
     return float(np.sum(ms.masses[:, None] * x * y))
 
 
-def moment_of_inertia(config, ms: MassSystem) -> float:
-    """I = sum_i m_i |r_i|^2 about the origin."""
-    r = _positions(config)
-    return float(np.sum(ms.masses[:, None] * r * r))
-
-
 def center_of_mass(config, ms: MassSystem) -> np.ndarray:
     r = _positions(config)
     return ms.masses @ r / ms.total_mass
@@ -361,18 +355,30 @@ class _PairKernel:
         return terms, collided
 
 
+# the shapes (n, d) whose pair terms _float_body writes out in Python floats
+_FLOAT_SHAPES = frozenset({(2, 1), (2, 2), (3, 1), (3, 2), (4, 2)})
+
+
 def _float_pass(kernel: _PairKernel, d: int):
     """run(r) -> (W, V, grad_W, grad_V) as Python floats, kernel.terms' values bit for bit.
 
     r lists the n d coordinates body by body, d = 1 or 2, as do both
-    gradients.  Up to three bodies, and four in the plane, it makes one
-    numpy call, not about 25: the same power call on the same (2, P)
-    shape (libm's pow differs), W and V summed left to right from 0 as
-    np.add.reduce does below 8 terms, and each body's gradient +0 plus
-    its signed pair terms in pair order, as the matmul with E adds them
-    (for n <= 3 at most two, which add with one rounding in any order).
-    Four bodies in the plane have three each, and the plane's (n, P) @
-    (P, 2) product is a dgemm that adds its K = 6 terms in order: an
+    gradients.  For the shapes in _FLOAT_SHAPES, up to three bodies and
+    four in the plane, run is a straight-line body that _float_body writes
+    out for (n, d) and compiles once per shape in a process.  The kernel's
+    size weights, coef and kc enter as arguments of its factory, never as
+    literals, so binding another kernel of a compiled shape compiles
+    nothing.  It makes one numpy call, not about 25: the same power call
+    on the same (2, P) shape (libm's pow, behind ** on floats, differs
+    from numpy's in the last bit on some inputs).  W and V are summed left
+    to right from 0, as np.add.reduce sums below 8 terms, and each
+    coordinate's gradient is +0 plus its signed pair terms in pair order,
+    as the matmul with E adds them (for n <= 3 at most two, which add with
+    one rounding in any order).  Each of these sums, and the guard's, is
+    written out term by term and never left to builtin sum(): from Python
+    3.12 that sum of floats is compensated (Neumaier), not left to right.
+    Four bodies in the plane have three terms each, and the plane's (n, P)
+    @ (P, 2) product is a dgemm that adds its K = 6 terms in order: an
     empirical property of the BLAS kernel (0 of 20,000 seeded draws
     differed), not a guarantee.  It is pinned by
     test_the_float_pass_of_four_bodies_in_the_plane_is_the_kernel_pass_bit_for_bit,
@@ -393,36 +399,61 @@ def _float_pass(kernel: _PairKernel, d: int):
         t = kernel.terms(np.reshape(r, (n, d)), force=False)[0]
         return t.W, t.V, t.grad_W.ravel().tolist(), t.grad_V.ravel().tolist()
 
-    if n > 4 or n == 4 and d == 1:
+    if (n, d) not in _FLOAT_SHAPES:
         return numpy_pass
-    # offsets (i d + k, j d + k) of pair p's two bodies on axis k, and p
-    pairs = enumerate(zip(*(ends.tolist() for ends in _incidence(n)[:2])))
-    cols = [(a * d + k, b * d + k, p) for p, (a, b) in pairs for k in range(d)]
-    weights, coefs = kernel.weights.tolist(), list(zip(*kernel.coef.tolist(), *kernel.kc.tolist()))
-    near_guard, half_exps = (1.0 + 1e-14) * GUARD_FACTOR * GUARD_FACTOR, kernel.half_exps
+    near_guard = (1.0 + 1e-14) * GUARD_FACTOR * GUARD_FACTOR
+    values = np.concatenate([kernel.weights, kernel.coef.ravel(), kernel.kc.ravel()]).tolist()
+    return _float_body(n, d)(*values, numpy_pass, kernel.half_exps, near_guard)
 
-    def run(r):
-        diff = [r[a] - r[b] for a, b, _ in cols]
-        d2 = ([x * x + y * y for x, y in zip(diff[::2], diff[1::2])] if d == 2
-              else [x * x for x in diff])
-        if min(d2) <= near_guard * sum(map(operator.mul, weights, d2)) + 1e-300:
-            return numpy_pass(r)
-        pw_w, pw_v = np.power(np.array(d2), half_exps).tolist()
-        w, v, c_w, c_v = 0.0, 0.0, [], []
-        for (cw, cv, kw, kv), x, y, q in zip(coefs, pw_w, pw_v, d2):
-            w, v = w + cw * (x * q), v + cv * (y * q)
-            c_w.append(kw * x)
-            c_v.append(kv * y)
-        g_w, g_v = [0.0] * (n * d), [0.0] * (n * d)
-        for (a, b, p), x in zip(cols, diff):
-            x_w, x_v = c_w[p] * x, c_v[p] * x
-            g_w[a], g_w[b] = g_w[a] + x_w, g_w[b] - x_w
-            g_v[a], g_v[b] = g_v[a] + x_v, g_v[b] - x_v
-        if n >= 3 and not math.isfinite(sum(g_w) + sum(g_v)):
-            return numpy_pass(r)
-        return w, v, g_w, g_v
 
-    return run
+@functools.lru_cache(maxsize=None)
+def _float_body(n: int, d: int):
+    """make(*weights, *coef.ravel(), *kc.ravel(), numpy_pass, half_exps, near_guard)
+    -> run, the float pass of n bodies in d dimensions (see _float_pass).
+
+    The source depends on (n, d) alone.  Pair p's values are make's
+    parameters w<p> (size weight), cw<p>, cv<p> (coef) and kw<p>, kv<p>
+    (kc), and run names r<c> the coordinates, x<p>_<k> pair p's difference
+    on axis k and q<p> its squared distance, in the operations and order
+    of the numpy pass.
+    """
+    i, j = (ends.tolist() for ends in _incidence(n)[:2])
+    pairs, coords = range(len(i)), range(n * d)
+
+    def names(prefix, over=pairs):
+        return ", ".join(f"{prefix}{p}" for p in over)
+
+    def from_zero(terms):  # 0.0, then each signed term, left to right
+        return " ".join(["0.0", *terms])
+
+    def gradient(t):  # each coordinate's signed pair terms, in pair order
+        return [from_zero(f"{'+' if i[p] == c // d else '-'} f{t}{p} * x{p}_{c % d}"
+                          for p in pairs if c // d in (i[p], j[p])) for c in coords]
+
+    q_min = f"min({names('q')})" if len(i) > 1 else "q0"
+    lines = [
+        f"def make({names('w')}, {names('cw')}, {names('cv')}, {names('kw')}, {names('kv')},",
+        "         numpy_pass, half_exps, near_guard):",
+        "    def run(r):",
+        f"        {names('r', coords)}, = r",
+        *(f"        x{p}_{k} = r{i[p] * d + k} - r{j[p] * d + k}" for p in pairs for k in range(d)),
+        *(f"        q{p} = " + " + ".join(f"x{p}_{k} * x{p}_{k}" for k in range(d)) for p in pairs),
+        f"        if {q_min} <= near_guard * ({from_zero(f'+ w{p} * q{p}' for p in pairs)}) + 1e-300:",
+        "            return numpy_pass(r)",
+        f"        ({names('pw')},), ({names('pv')},) = power(array([{names('q')}]), half_exps).tolist()",
+        f"        w = {from_zero(f'+ cw{p} * (pw{p} * q{p})' for p in pairs)}",
+        f"        v = {from_zero(f'+ cv{p} * (pv{p} * q{p})' for p in pairs)}",
+        *(f"        f{t}{p} = k{t}{p} * p{t}{p}" for p in pairs for t in "wv"),
+        *(f"        g{t}{c} = {sum_c}" for t in "wv" for c, sum_c in zip(coords, gradient(t))),
+    ]
+    if n >= 3:  # the numpy pass's zeros of E multiply an inf into NaN
+        lines += [f"        if not isfinite(({' + '.join(f'gw{c}' for c in coords)})"
+                  f" + ({' + '.join(f'gv{c}' for c in coords)})):",
+                  "            return numpy_pass(r)"]
+    lines += [f"        return w, v, [{names('gw', coords)}], [{names('gv', coords)}]", "    return run"]
+    scope = {"power": np.power, "array": np.array, "isfinite": math.isfinite}
+    exec(compile("\n".join(lines), f"<float pass n={n} d={d}>", "exec"), scope)
+    return scope["make"]
 
 
 def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
@@ -507,21 +538,24 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
 
     Returns f(t, y) for the flat state y = [r.ravel(), p.ravel()] with
     rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).  Up to
-    three bodies it runs in Python floats (_float_pass), bit for bit.  From
-    four a float body measured 1.6-1.9x slower per call (n = 4...7; the
-    field does little around the kernel pass), and no faster on four
-    bodies in the plane with the float pass, so it keeps a numpy body.
+    three bodies, and four in the plane, it runs in Python floats on
+    _float_pass, bit for bit, and builds its output with one np.array
+    call.  At four bodies in the plane that took 7.3-7.7 us per call
+    against 11.5-12.9 us for the numpy body (CPython 3.11, numpy 2.4,
+    2 cores, best of 7 in three alternations).  Four bodies on the line and
+    five or more keep a numpy body: around the numpy pass a float body
+    measured 1.6-1.9x slower per call (n = 4...7; the field does
+    little around the kernel pass).
     """
     shape = (2, ms.n, dim)
     kernel = _PairKernel(ms.masses, pp)
-    if ms.n <= 3:
+    if shape[1:] in _FLOAT_SHAPES:
         run, sz, m = _float_pass(kernel, dim), ms.n * dim, np.repeat(ms.masses, dim).tolist()
 
         def field(t, y):
             rp = y.reshape(2 * sz).tolist()
             _, _, g_w, g_v = run(rp[:sz])
-            pdot = list(map(operator.add, g_w, g_v))
-            return np.array([p / mi for p, mi in zip(rp[sz:], m)] + pdot)
+            return np.array([*map(operator.truediv, rp[sz:], m), *map(operator.add, g_w, g_v)])
 
         return field
 

@@ -63,7 +63,6 @@ from qhnbody.model import (
     grad_U,
     hess_U_matrix,
     mass_inner,
-    moment_of_inertia,
     pair_terms,
     potential_U,
     potential_terms,
@@ -519,7 +518,7 @@ def test_a_stall_names_the_goal_it_missed(monkeypatch):
         solve_collinear_ordering(ordering, CCQuery(ms=ms, pp=PP13, grad_tol=1e-300, max_iter=1))
     x = firsts[0][:, None]
     assert np.all(np.diff(x[list(ordering.zero_based), 0]) > 0.0)
-    assert abs(ms.masses @ x[:, 0]) < 1e-15 and moment_of_inertia(x, ms) == pytest.approx(1.0)
+    assert abs(ms.masses @ x[:, 0]) < 1e-15 and mass_inner(x, x, ms) == pytest.approx(1.0)
     terms = pair_terms(x, ms, PP13)
     sigma = cc_residual(x, ms, PP13, terms)[0]
     scale = np.max(terms.force_sum + np.abs(2.0 * sigma * ms.masses * x[:, 0]))
@@ -829,7 +828,7 @@ def test_equilateral_configuration_geometry(rng):
     for config in (plus, minus):
         r = config.positions
         assert np.abs(ms.masses @ r).max() < 1e-12
-        assert abs(moment_of_inertia(config, ms) - 1.0) < 1e-12
+        assert abs(mass_inner(r, r, ms) - 1.0) < 1e-12
         d01 = np.linalg.norm(r[0] - r[1])
         d02 = np.linalg.norm(r[0] - r[2])
         d12 = np.linalg.norm(r[1] - r[2])

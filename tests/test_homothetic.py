@@ -12,6 +12,7 @@ from qhnbody.central_config import (
     Ordering,
     SimultaneousReport,
     equilateral_configuration,
+    simultaneous_residual,
     solve_collinear_ordering,
 )
 from qhnbody.errors import (
@@ -26,7 +27,6 @@ from qhnbody.homothetic import (
     _admissible,
     energy_curve_v2,
     heteroclinic_orbit,
-    is_homothetic_admissible,
     rho_max_bisection,
 )
 from qhnbody.integrate import Event, integrate
@@ -62,18 +62,18 @@ def test_equilateral_is_admissible_for_arbitrary_masses(rng):
     for _ in range(5):
         ms = random_masses(rng, 3)
         config, _ = equilateral_configuration(ms)
-        assert is_homothetic_admissible(config, ms, PP) is True
+        assert _admissible(simultaneous_residual(config, ms, PP)) is True
 
 
 def test_symmetric_collinear_is_admissible():
     ms = MassSystem(np.array([1.0, 2.0, 1.0]))
     cc = collinear_cc_of_full_potential(ms, PP)
-    assert is_homothetic_admissible(cc.config, ms, PP) is True
+    assert _admissible(simultaneous_residual(cc.config, ms, PP)) is True
 
 
 def test_generic_collinear_is_not_admissible():
     cc = collinear_cc_of_full_potential(MS, PP)
-    assert is_homothetic_admissible(cc.config, MS, PP) is False
+    assert _admissible(simultaneous_residual(cc.config, MS, PP)) is False
 
 
 def test_a_nan_is_never_admissible(monkeypatch):
@@ -109,12 +109,6 @@ def test_a_pair_coefficient_past_the_float_range_fails_the_gate_it_reaches():
     pp = PotentialParams(a=1.0, b=21.0, alpha=1.0, beta=1.0)
     with pytest.raises(DegenerateTermError, match=r"^V\(s0\) = 0\.0 gives no ejection speed"):
         heteroclinic_orbit(equilateral_configuration(ms)[0], ms, pp, -1.0)
-
-
-def test_admissibility_requires_unit_sphere_shape():
-    config, _ = equilateral_configuration(MS)
-    with pytest.raises(NotOnSphereError):
-        is_homothetic_admissible(Configuration(2.0 * config.positions), MS, PP)
 
 
 # ---------------------------------------------------------------------------

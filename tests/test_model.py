@@ -6,6 +6,7 @@ signs and exponents independently of any discretization.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import (
     circular_two_body,
     count_kernel_bindings,
+    count_kernel_passes,
     fd_directional_second,
     fd_gradient,
     random_config,
@@ -30,7 +32,9 @@ from qhnbody.model import (
     MassSystem,
     PhaseState,
     PotentialParams,
+    _FLOAT_SHAPES,
     _PairKernel,
+    _float_body,
     _float_pass,
     _incidence,
     angular_momentum,
@@ -46,7 +50,6 @@ from qhnbody.model import (
     hess_U_matrix,
     lift_to_plane,
     mass_inner,
-    moment_of_inertia,
     pack_phase,
     potential_U,
     pair_terms,
@@ -120,7 +123,7 @@ def test_moment_of_inertia_and_centering(rng):
     c = centered(r, ms)
     assert np.abs(center_of_mass(c, ms)).max() < 1e-14
     config = Configuration(c)
-    assert np.isclose(moment_of_inertia(config, ms), mass_inner(c, c, ms))
+    assert np.isclose(np.sum(ms.masses[:, None] * config.positions**2), mass_inner(c, c, ms))
 
 
 @pytest.mark.parametrize("pp", PP_CASES)
@@ -281,7 +284,8 @@ def test_guard_edge_is_the_same_for_pair_terms_and_both_fields(side):
     r = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
 
     def size_guard(r):
-        return GUARD_FACTOR * np.sqrt(moment_of_inertia(centered(r, ms), ms) / ms.total_mass)
+        c = centered(r, ms)
+        return GUARD_FACTOR * np.sqrt(mass_inner(c, c, ms) / ms.total_mass)
 
     guard = size_guard(r)
     assert guard == 0.5 * GUARD_FACTOR
@@ -356,7 +360,8 @@ def test_the_size_weights_give_the_inertia_about_the_centre_of_mass(rng, d):
         d2 = batch.pairs(r)[1]
         for k in range(3):
             ms = MassSystem(masses[k])
-            want = moment_of_inertia(centered(r[k], ms), ms) / ms.total_mass
+            c = centered(r[k], ms)
+            want = mass_inner(c, c, ms) / ms.total_mass
             one = _PairKernel(ms.masses, PotentialParams())
             assert np.vecdot(one.weights, one.pairs(r[k])[1]) == pytest.approx(want, rel=1e-12)
             assert np.vecdot(batch.weights[k], d2[k]) == pytest.approx(want, rel=1e-12)
@@ -387,7 +392,8 @@ def _bound_kernel_cases(blow_up=False):
             ms = MassSystem(rng.permutation(np.geomspace(1e-6, 1e6, n)))
             near = random_config(rng, n, d)
             near[j] = near[i]
-            size = np.sqrt(moment_of_inertia(centered(near, ms), ms) / ms.total_mass)
+            c = centered(near, ms)
+            size = np.sqrt(mass_inner(c, c, ms) / ms.total_mass)
             direction = rng.standard_normal(d)
             near[j] += 1.5 * GUARD_FACTOR * size * direction / np.linalg.norm(direction)
             shift = rng.standard_normal(d)
@@ -414,24 +420,12 @@ def test_cartesian_field_is_pair_terms_bit_for_bit():
         assert field(0.0, y).tobytes() == expected.tobytes()
 
 
-def test_the_float_pass_is_the_kernel_pass_bit_for_bit():
-    # the fields show W and V only through the blown-up one, and at rho = 0
-    # W not at all, so the float pass's sums are checked here on their own:
-    # a sum of three terms in another order differs in about 1 case in 10
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        n, d = int(rng.integers(2, 4)), int(rng.integers(1, 3))
-        a = float(rng.choice([0.0, 0.5, 1.0]))
-        pp = PotentialParams(a=a, b=a + float(rng.choice([0.5, 1.0, 2.0, 6.0])),
-                             alpha=float(rng.choice([0.0, 1.3])), beta=float(rng.uniform(0.1, 2.0)))
-        kernel = _PairKernel(10.0 ** rng.uniform(-3.0, 3.0, n), pp)
-        r = random_config(rng, n, d, scale=float(n))
-        if d == 2 and rng.random() < 0.2:
-            r[:, 1] = 0.0
-        w, v, g_w, g_v = _float_pass(kernel, d)(r.ravel().tolist())
-        t = kernel.terms(r, force=False)[0]
-        assert np.array([w, v]).tobytes() == np.array([t.W, t.V]).tobytes()
-        assert np.array(g_w + g_v).tobytes() == np.concatenate([t.grad_W, t.grad_V]).tobytes()
+def _pass_bytes(w, v, g_w, g_v):
+    return np.array([w, v, *g_w, *g_v]).tobytes()
+
+
+def _terms_bytes(t):
+    return np.concatenate([[t.W, t.V], t.grad_W.ravel(), t.grad_V.ravel()]).tobytes()
 
 
 def float_pass_fuzz(seed, draws, n=4, d=2):
@@ -445,17 +439,83 @@ def float_pass_fuzz(seed, draws, n=4, d=2):
         r = random_config(rng, n, d, scale=float(n))
         if d == 2 and rng.random() < 0.2:
             r[:, int(rng.integers(2))] = 0.0
-        w, v, g_w, g_v = _float_pass(kernel, d)(r.ravel().tolist())
-        t = kernel.terms(r, force=False)[0]
-        differ += (np.array([w, v, *g_w, *g_v]).tobytes()
-                   != np.concatenate([[t.W, t.V], t.grad_W.ravel(), t.grad_V.ravel()]).tobytes())
+        got = _float_pass(kernel, d)(r.ravel().tolist())
+        differ += _pass_bytes(*got) != _terms_bytes(kernel.terms(r, force=False)[0])
     return differ
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_the_float_pass_is_the_kernel_pass_bit_for_bit(n, d):
+    # the fields show W and V only through the blown-up one, and at rho = 0
+    # W not at all, so the float pass's sums are checked here on their own:
+    # a sum of three terms in another order differs in about 1 case in 10
+    assert float_pass_fuzz(seed=10 * n + d, draws=500, n=n, d=d) == 0
 
 
 def test_the_float_pass_of_four_bodies_in_the_plane_is_the_kernel_pass_bit_for_bit():
     # each body's three pair terms in pair order, as the plane's batched
     # matmul adds them; masses over 12 decades, and one axis all zeros
     assert float_pass_fuzz(seed=44, draws=2000) == 0
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (4, 2)])
+def test_the_float_pass_falls_back_to_the_numpy_pass_near_the_guard(rng, monkeypatch, n, d):
+    # a pair within 1e-14 of the guard, either side: the numpy pass decides,
+    # and the float pass returns its bytes or raises its CollisionError.  A
+    # lone pair sets the size itself and is never near the guard, so n >= 3.
+    passes, raised = count_kernel_passes(monkeypatch), set()
+    for _ in range(40):
+        kernel = _PairKernel(random_masses(rng, n).masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
+        r = random_config(rng, n, d, scale=float(n))
+        i, j = rng.choice(n, size=2, replace=False)
+        r -= r[i]  # body i at the origin, so body j's offset is exact
+        step, ratio = rng.standard_normal(d), 1.0 + rng.uniform(-8e-15, 8e-15)
+        step /= np.linalg.norm(step)
+        for _ in range(3):  # the size moves with body j, by 1e-10 relative at the second step
+            diff = kernel.e.T @ r
+            r[j] = np.sqrt(ratio * np.vecdot(kernel.weights, np.sum(diff * diff, axis=1)))
+            r[j] *= GUARD_FACTOR * step
+        try:
+            t = kernel.terms(r, force=False)[0]
+        except CollisionError as error:
+            before = len(passes)
+            with pytest.raises(CollisionError, match=f"^{re.escape(str(error))}$"):
+                _float_pass(kernel, d)(r.ravel().tolist())
+            raised.add(True)
+        else:
+            before = len(passes)
+            assert _pass_bytes(*_float_pass(kernel, d)(r.ravel().tolist())) == _terms_bytes(t)
+            raised.add(False)
+        assert len(passes) - before == 1
+    assert raised == {True, False}
+
+
+def test_the_float_pass_of_three_bodies_falls_back_on_a_gradient_past_the_float_range(
+        rng, monkeypatch):
+    # separations near 1e-70 with b = 3: d^-5 overflows, and the numpy
+    # pass's zeros of E multiply inf into NaN, which the float pass returns
+    passes = count_kernel_passes(monkeypatch)
+    kernel = _PairKernel(random_masses(rng, 3).masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
+    r = 1e-70 * random_config(rng, 3, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _float_pass(kernel, 2)(r.ravel().tolist())
+        t = kernel.terms(r, force=False)[0]
+    assert len(passes) == 2 and np.isnan(got[2] + got[3]).any()
+    assert _pass_bytes(*got) == _terms_bytes(t)
+
+
+def test_a_second_kernel_of_a_compiled_shape_compiles_nothing(rng):
+    # the kernel's values are arguments of the compiled body, so a new
+    # kernel of a compiled shape reuses it and still gets its own values
+    for n, d in _FLOAT_SHAPES:
+        _float_pass(_PairKernel(random_masses(rng, n).masses, PotentialParams()), d)
+    misses = _float_body.cache_info().misses
+    for n, d in _FLOAT_SHAPES:
+        kernel = _PairKernel(random_masses(rng, n).masses, PotentialParams(a=0.5, b=2.5, alpha=1.3))
+        r = random_config(rng, n, d)
+        got = _float_pass(kernel, d)(r.ravel().tolist())
+        assert _pass_bytes(*got) == _terms_bytes(kernel.terms(r, force=False)[0])
+    assert _float_body.cache_info().misses == misses
 
 
 def _blown_up_reference(y, ms, pp, n, d, with_time):
@@ -524,25 +584,23 @@ def _field_states(n, d, rng):
 def test_the_fields_take_the_float_pass_up_to_three_bodies_and_four_in_the_plane(
         rng, monkeypatch, n, d):
     # every numpy pass starts with _PairKernel.pairs; the float pass never
-    # calls it.  The Cartesian field keeps its numpy body from four bodies,
-    # and four bodies on the line keep the numpy pass in the blown-up one.
+    # calls it.  Four bodies on the line and five keep the numpy pass.
     calls = []
     pairs = _PairKernel.pairs
     monkeypatch.setattr(_PairKernel, "pairs", lambda self, *a: calls.append(1) or pairs(self, *a))
-    for k, (field, y, _) in enumerate(_field_states(n, d, rng)):
+    float_pass = n <= 3 or n == 4 and d == 2
+    for field, y, _ in _field_states(n, d, rng):
         before = len(calls)
         field(0.0, y)
-        float_pass = n <= 3 or n == 4 and d == 2 and k > 0
         assert len(calls) - before == (0 if float_pass else 1)
 
 
 @pytest.mark.parametrize("defect", ["short", "long", "nan position", "nan momentum", "overflow"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_a_malformed_state_gives_what_the_numpy_pass_gives(rng, n, defect):
-    # no field reads a state of the wrong size as some other state; at n = 4
-    # the Cartesian field runs the numpy pass itself, and the float pass must
-    # give NaN where numpy does: for a NaN coordinate, or for forces past
-    # the float range, where the matmul's 0 * inf is NaN
+    # no field reads a state of the wrong size as some other state, and the
+    # float pass must give NaN where numpy does: for a NaN coordinate, or
+    # for forces past the float range, where the matmul's 0 * inf is NaN
     for k, (field, y, numpy_pass) in enumerate(_field_states(n, 2, rng)):
         blown_up = k > 0
         if defect in ("short", "long"):
@@ -566,7 +624,7 @@ def test_a_malformed_state_gives_what_the_numpy_pass_gives(rng, n, defect):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_the_cartesian_field_keeps_its_symmetries(rng, n):
-    # oracle-free checks on both sides of the float pass (n <= 3).  Each
+    # oracle-free checks on both sides of the float pass (n <= 4).  Each
     # body's force is a sum of pair terms that cancel exactly in pairs, so
     # the forces sum to the rounding of the sums, under n ulps of the
     # largest force sum.  A rotation or translation rounds the positions;
@@ -602,6 +660,31 @@ def test_the_cartesian_field_keeps_its_symmetries(rng, n):
         strongest = np.abs(force).max()
         tol = strongest * 2.0 * (pp.b + 2.0) * rounding + 4.0 * np.spacing(strongest)
         assert np.abs(moved - force).max() <= tol
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_fields_are_time_reversible_bit_for_bit(rng, n, d):
+    # reversing time flips every velocity: the blown-up field satisfies
+    # f(R y) = -R f(y) with R: (rho, v, s, u) -> (rho, -v, s, -u), and the
+    # Cartesian one f(r, -p) = (-rdot, pdot), exactly, since each flipped
+    # term either changes sign alone or enters as a product of two flips.
+    # Both sides of the float pass, at rho = 0 and rho > 0.
+    sz = n * d
+    flip = np.r_[np.ones(sz), -np.ones(sz)]
+    flip_blown_up = np.r_[1.0, -1.0, flip]
+    for _ in range(100):
+        ms = random_masses(rng, n)
+        pp = PotentialParams(a=1.0, b=float(rng.choice([1.5, 3.0, 7.0])),
+                             alpha=float(rng.choice([0.0, 1.3])), beta=float(rng.uniform(0.1, 2.0)))
+        y = np.concatenate([random_config(rng, n, d, scale=float(n)).ravel(), rng.standard_normal(sz)])
+        field = cartesian_field(ms, pp, d)
+        assert field(0.0, flip * y).tobytes() == (-flip * field(0.0, y)).tobytes()
+        field = mcgehee_field(ms, pp, d)
+        for rho in (0.0, rng.uniform(0.1, 2.0)):
+            y_blown_up = np.concatenate([[rho, rng.standard_normal()], y])
+            reversed_ = field(0.0, flip_blown_up * y_blown_up)
+            assert reversed_.tobytes() == (-flip_blown_up * field(0.0, y_blown_up)).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # m_i m_j overflows to inf
