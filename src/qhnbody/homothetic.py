@@ -148,10 +148,15 @@ def heteroclinic_orbit(
         raise DegenerateTermError(f"V(s0) = {v0_pot!r} gives no ejection speed sqrt(2 V(s0))")
     b = pp.b
 
-    def field(t, y):
-        rho, v = y.tolist()  # Python floats: numpy scalars pay per operation
+    def floats(t, y):
+        rho, v = y  # Python floats: numpy scalars pay per operation
         rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
-        return np.array([rho * v, (b - 1.0) * rho_pow * w0 + b * rho**b * h])
+        return [rho * v, (b - 1.0) * rho_pow * w0 + b * rho**b * h]
+
+    def field(t, y):
+        return np.array(floats(t, y.tolist()))
+
+    field.floats = floats  # integrate's stage states reach it as lists
 
     v_start = np.sqrt(_v2(rho_floor, w0, v0_pot, b, h))
     y0 = np.array([rho_floor, v_start])

@@ -209,6 +209,13 @@ def _stage_state(s, y, h, k) -> np.ndarray:
     return z
 
 
+def _field_call(field_fn):
+    """What integrate calls on each stage state, a fresh array: field_fn,
+    or its float body field_fn.floats on the state's list of floats."""
+    floats = getattr(field_fn, "floats", None)
+    return field_fn if floats is None else lambda t, y: floats(t, y.tolist())
+
+
 def _step(field_fn, t, y, h, k) -> np.ndarray:
     """Stages k[1:12] of a step of size h from (t, y) given k[0] = f(t, y); returns y(t + h)."""
     for s in range(1, 12):
@@ -325,6 +332,15 @@ def integrate(
     Later field errors other than QHError and ArithmeticError propagate
     unchanged, and so does any error of the field calls made for the
     dense output or for an event's step, outside the step-size control.
+
+    A field may carry its body in Python floats as field_fn.floats, a
+    callable (t, list) -> list whose values are field_fn's bit for bit;
+    integrate reads it once per run.  Then each stage state (the step's,
+    the dense output's and an event step's), still one fresh array, and
+    the end state of each accepted step reach that body as lists, and
+    the list it returns is written into its stage row: no array is made
+    for the field's output, and no list it is given is written again.
+    The first call, at t0, and the initial step's probe are array calls.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -365,6 +381,7 @@ def integrate(
     fac_old = 1e-4
     just_rejected = False
     k = np.empty((13, y.size))
+    call = _field_call(field_fn)
     floor_unit = 16.0 * np.finfo(float).eps
 
     def h_floor(at):
@@ -387,7 +404,7 @@ def integrate(
         failed = err = None
         k[0] = f
         try:
-            y1 = _step(field_fn, t, y, h, k)
+            y1 = _step(call, t, y, h, k)
             if not np.isfinite(y1).all():
                 failed = "non-finite step"
             else:
@@ -395,8 +412,8 @@ def integrate(
                 err = _error_norm(h, k, scale)
                 if err <= 1.0:
                     y_new = y1 if renormalizer is None else renormalizer(y1)
-                    k[12] = f_new = np.asarray(field_fn(t + h, y_new), dtype=float)
-                    if not np.isfinite(f_new).all():
+                    k[12] = f_new = call(t + h, y_new)
+                    if not np.isfinite(k[12]).all():
                         failed = "non-finite step"
         except (QHError, ArithmeticError) as exc:
             failed = str(exc)
@@ -433,7 +450,7 @@ def integrate(
             ev_values[idx] = g1
         if falling:
             # the dense output, from the raw y1, only for a step in which an event falls
-            coef = _dense_coef(field_fn, t, h, y, y1, k)
+            coef = _dense_coef(call, t, h, y, y1, k)
             hits = sorted([(_locate_event(ev, coef, t, h, y), ev) for ev in falling],
                           key=lambda pair: pair[0])
         stop_at = None
@@ -442,7 +459,7 @@ def integrate(
                 break
             # the stored state is a real step to te, not the interpolant; it
             # reuses k, whose row 0 is still f
-            ye = _step(field_fn, t, y, te - t, k)
+            ye = _step(call, t, y, te - t, k)
             if renormalizer is not None:
                 ye = renormalizer(ye)
             ev_hits[ev.name].append((te, ye))

@@ -174,10 +174,13 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
 
     With with_time the state carries a trailing physical-time component
     integrated as dt/dtau = rho^(1 + b/2); a state of another length raises
-    ValueError.  One body in Python floats for every n, on _float_pass,
-    with u^T M^{-1} u summed as numpy sums an array (_sum): bit for bit
-    with the equations composed in numpy.  Per call it takes 0.9-1.1x of a numpy
-    body's time at n = 4...7, 1.2x at n = 12 and 1.5x at n = 65 (d = 2).
+    ValueError naming both lengths.  One body in Python floats for every
+    n, on _float_pass, with u^T M^{-1} u summed as numpy sums an array
+    (_sum): bit for bit with the equations composed in numpy.  That body
+    is also field.floats, (tau, list) -> list, which integrate calls on
+    its stage states as lists (see integrate).  Per call it takes 0.9-1.1x
+    of a numpy body's time at n = 4...7, 1.2x at n = 12 and 1.5x at n = 65
+    (d = 2).
     """
     pp.require_manev()
     sz = ms.n * dim
@@ -185,8 +188,9 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     m = np.repeat(ms.masses, dim).tolist()  # the mass of each coordinate
     size, t_exp = 2 + 2 * sz + with_time, 1.0 + b / 2.0
 
-    def field(tau, y):
-        state = y.reshape(size).tolist()
+    def floats(tau, state):
+        if len(state) != size:
+            raise ValueError(f"a flat blow-up state of {len(state)} values, need {size}")
         rho, v, s, u = state[0], state[1], state[2 : 2 + sz], state[2 + sz : 2 + 2 * sz]
         w_s, v_s, g_w, g_v = run(s)
         u_m_u = _sum([x * x / mi for x, mi in zip(u, m)])
@@ -198,8 +202,12 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
                 for x, x_s, gw, gv in zip(u, m_s, g_w, g_v)]
         if with_time:
             out.append(rho**t_exp if rho > 0.0 else 0.0)
-        return np.array(out)
+        return out
 
+    def field(tau, y):
+        return np.array(floats(tau, y.reshape(-1).tolist()))
+
+    field.floats = floats
     return field
 
 

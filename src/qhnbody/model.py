@@ -359,8 +359,14 @@ class _PairKernel:
 _FLOAT_SHAPES = frozenset({(2, 1), (2, 2), (3, 1), (3, 2), (4, 2)})
 
 
-def _float_pass(kernel: _PairKernel, d: int):
+def _float_pass(kernel: _PairKernel, d: int, m=None):
     """run(r) -> (W, V, grad_W, grad_V) as Python floats, kernel.terms' values bit for bit.
+
+    With m, the n d masses coordinate by coordinate, and a shape in
+    _FLOAT_SHAPES, it returns instead the Cartesian field's body run(t,
+    rp) -> [p / m, grad_W + grad_V] on the flat state rp = [r, p]: one
+    straight-line body that skips W and V, and that falls back where run
+    falls back, to the numpy pass with the same division and addition.
 
     r lists the n d coordinates body by body, d = 1 or 2, as do both
     gradients.  For the shapes in _FLOAT_SHAPES, up to three bodies and
@@ -403,13 +409,26 @@ def _float_pass(kernel: _PairKernel, d: int):
         return numpy_pass
     near_guard = (1.0 + 1e-14) * GUARD_FACTOR * GUARD_FACTOR
     values = np.concatenate([kernel.weights, kernel.coef.ravel(), kernel.kc.ravel()]).tolist()
-    return _float_body(n, d)(*values, numpy_pass, kernel.half_exps, near_guard)
+    if m is None:
+        return _float_body(n, d)(*values, numpy_pass, kernel.half_exps, near_guard)
+    sz = n * d
+
+    def numpy_field(rp):
+        _, _, g_w, g_v = numpy_pass(rp[:sz])
+        return [*map(operator.truediv, rp[sz:], m), *map(operator.add, g_w, g_v)]
+
+    return _float_body(n, d, field=True)(*values, numpy_field, kernel.half_exps, near_guard, *m)
 
 
 @functools.lru_cache(maxsize=None)
-def _float_body(n: int, d: int):
+def _float_body(n: int, d: int, field: bool = False):
     """make(*weights, *coef.ravel(), *kc.ravel(), numpy_pass, half_exps, near_guard)
     -> run, the float pass of n bodies in d dimensions (see _float_pass).
+
+    With field, make also takes the masses m<c> of the coordinates, and
+    run(t, rp) is the Cartesian field's body: it reads the momenta p<c>
+    after r, makes no W or V, hands rp to numpy_pass where the pass would
+    hand r, and returns [p<c> / m<c>..., gw<c> + gv<c>...].
 
     The source depends on (n, d) alone.  Pair p's values are make's
     parameters w<p> (size weight), cw<p>, cv<p> (coef) and kw<p>, kv<p>
@@ -431,28 +450,36 @@ def _float_body(n: int, d: int):
                           for p in pairs if c // d in (i[p], j[p])) for c in coords]
 
     q_min = f"min({names('q')})" if len(i) > 1 else "q0"
+    arg = "rp" if field else "r"
     lines = [
         f"def make({names('w')}, {names('cw')}, {names('cv')}, {names('kw')}, {names('kv')},",
-        "         numpy_pass, half_exps, near_guard):",
-        "    def run(r):",
-        f"        {names('r', coords)}, = r",
+        f"         numpy_pass, half_exps, near_guard{', ' + names('m', coords) if field else ''}):",
+        "    def run(t, rp):" if field else "    def run(r):",
+        f"        {names('r', coords)},{' ' + names('p', coords) + ',' if field else ''} = {arg}",
         *(f"        x{p}_{k} = r{i[p] * d + k} - r{j[p] * d + k}" for p in pairs for k in range(d)),
         *(f"        q{p} = " + " + ".join(f"x{p}_{k} * x{p}_{k}" for k in range(d)) for p in pairs),
         f"        if {q_min} <= near_guard * ({from_zero(f'+ w{p} * q{p}' for p in pairs)}) + 1e-300:",
-        "            return numpy_pass(r)",
+        f"            return numpy_pass({arg})",
         f"        ({names('pw')},), ({names('pv')},) = power(array([{names('q')}]), half_exps).tolist()",
-        f"        w = {from_zero(f'+ cw{p} * (pw{p} * q{p})' for p in pairs)}",
-        f"        v = {from_zero(f'+ cv{p} * (pv{p} * q{p})' for p in pairs)}",
+        *([] if field else [
+            f"        w = {from_zero(f'+ cw{p} * (pw{p} * q{p})' for p in pairs)}",
+            f"        v = {from_zero(f'+ cv{p} * (pv{p} * q{p})' for p in pairs)}"]),
         *(f"        f{t}{p} = k{t}{p} * p{t}{p}" for p in pairs for t in "wv"),
         *(f"        g{t}{c} = {sum_c}" for t in "wv" for c, sum_c in zip(coords, gradient(t))),
     ]
     if n >= 3:  # the numpy pass's zeros of E multiply an inf into NaN
         lines += [f"        if not isfinite(({' + '.join(f'gw{c}' for c in coords)})"
                   f" + ({' + '.join(f'gv{c}' for c in coords)})):",
-                  "            return numpy_pass(r)"]
-    lines += [f"        return w, v, [{names('gw', coords)}], [{names('gv', coords)}]", "    return run"]
+                  f"            return numpy_pass({arg})"]
+    if field:
+        lines.append(f"        return [{', '.join(f'p{c} / m{c}' for c in coords)},"
+                     f" {', '.join(f'gw{c} + gv{c}' for c in coords)}]")
+    else:
+        lines.append(f"        return w, v, [{names('gw', coords)}], [{names('gv', coords)}]")
+    lines.append("    return run")
     scope = {"power": np.power, "array": np.array, "isfinite": math.isfinite}
-    exec(compile("\n".join(lines), f"<float pass n={n} d={d}>", "exec"), scope)
+    name = f"<float {'field' if field else 'pass'} n={n} d={d}>"
+    exec(compile("\n".join(lines), name, "exec"), scope)
     return scope["make"]
 
 
@@ -538,25 +565,27 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
 
     Returns f(t, y) for the flat state y = [r.ravel(), p.ravel()] with
     rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).  Up to
-    three bodies, and four in the plane, it runs in Python floats on
-    _float_pass, bit for bit, and builds its output with one np.array
-    call.  At four bodies in the plane that took 7.3-7.7 us per call
-    against 11.5-12.9 us for the numpy body (CPython 3.11, numpy 2.4,
-    2 cores, best of 7 in three alternations).  Four bodies on the line and
-    five or more keep a numpy body: around the numpy pass a float body
-    measured 1.6-1.9x slower per call (n = 4...7; the field does
-    little around the kernel pass).
+    three bodies, and four in the plane, its body is one straight-line
+    function in Python floats, _float_pass with the masses: the float
+    pass with the division and addition written in, bit for bit.  f builds
+    its output with one np.array call, and the body is also f.floats,
+    (t, list) -> list, which integrate calls on its stage states as lists
+    (see integrate).  Four bodies on the line and five or more keep a
+    numpy body, and have no floats: around the numpy pass a float body
+    measured 1.6-1.9x slower per call (n = 4...7; the field does little
+    around the kernel pass), while at four bodies in the plane the float
+    pass took 7.3-7.7 us per call against 11.5-12.9 us for the numpy body
+    (CPython 3.11, numpy 2.4, 2 cores, best of 7 in three alternations).
     """
     shape = (2, ms.n, dim)
     kernel = _PairKernel(ms.masses, pp)
     if shape[1:] in _FLOAT_SHAPES:
-        run, sz, m = _float_pass(kernel, dim), ms.n * dim, np.repeat(ms.masses, dim).tolist()
+        floats, size = _float_pass(kernel, dim, np.repeat(ms.masses, dim).tolist()), 2 * ms.n * dim
 
         def field(t, y):
-            rp = y.reshape(2 * sz).tolist()
-            _, _, g_w, g_v = run(rp[:sz])
-            return np.array([*map(operator.truediv, rp[sz:], m), *map(operator.add, g_w, g_v)])
+            return np.array(floats(t, y.reshape(size).tolist()))
 
+        field.floats = floats
         return field
 
     def field(t, y):

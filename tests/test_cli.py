@@ -1438,3 +1438,38 @@ def test_every_main_call_of_one_process_behaves_as_in_a_fresh_one(tmp_path, caps
         for name in files:
             assert (here / name).read_bytes() == (there / name).read_bytes()
     assert [proc.returncode for proc in fresh] == [0, 2, 2, 0]
+
+
+# a hierarchical triple: a circular inner binary of masses 0.8 and 1.2 and
+# a third body of mass 0.9 on a wide circular orbit at distance 6
+TRIPLE = {
+    "kind": "cartesian",
+    "positions": [[-1.2620689655172415, 0.0], [-2.2620689655172415, 0.0],
+                  [4.137931034482759, 0.0]],
+    "momenta": [[0.0, 0.5062157214043473], [0.0, -0.9377326927411931],
+                [0.0, 0.43151697133684574]],
+}
+
+
+@pytest.mark.parametrize("command, data, module", [
+    ("simulate", base_config(masses=[0.8, 1.2, 0.9], b=1.5, initial_state=TRIPLE,
+                             options={"t_span": [0.0, 4.0]}), cli),
+    ("homothetic", HOMOTHETIC, homothetic),
+])
+def test_float_bodied_runs_write_the_bytes_of_the_array_path(tmp_path, monkeypatch, command,
+                                                            data, module):
+    # the second run's field has no float body, so integrate gives it arrays
+    code, fast = run(tmp_path, command, data, subdir="fast")
+    integrate = module.integrate
+
+    def array_path(field_fn, *args, **kwargs):
+        assert callable(field_fn.floats)
+        return integrate(lambda t, y: field_fn(t, y), *args, **kwargs)
+
+    monkeypatch.setattr(module, "integrate", array_path)
+    assert (code, run(tmp_path, command, data, subdir="slow")[0]) == (0, 0)
+    files = sorted(p.name for p in fast.glob("*"))
+    assert any(name.endswith(".csv") for name in files)
+    assert files == sorted(p.name for p in (tmp_path / "slow").glob("*"))
+    for name in files:
+        assert (fast / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()

@@ -115,6 +115,32 @@ def test_a_pair_coefficient_past_the_float_range_fails_the_gate_it_reaches():
 # the invariant plane
 
 
+def test_the_plane_field_s_float_body_is_its_array_call_bit_for_bit(monkeypatch, rng):
+    # the reduced (rho, v) field is made inside heteroclinic_orbit; take it
+    # from the integrate call and compare both entries with its formula
+    fields = []
+
+    def recording(field_fn, *args, **kwargs):
+        fields.append(field_fn)
+        return integrate(field_fn, *args, **kwargs)
+
+    monkeypatch.setattr(homothetic, "integrate", recording)
+    config, _ = equilateral_configuration(MS)
+    heteroclinic_orbit(config, MS, PP, -1.0)
+    (field,) = fields
+    w0, v0 = potential_terms(config, MS, PP)
+    b, h = PP.b, -1.0
+    states = [[0.0, 1.5], [0.0, -0.0]] + rng.uniform([0.0, -3.0], [2.0, 3.0], (200, 2)).tolist()
+    for rho, v in states:
+        given = [rho, v]
+        got = field.floats(0.4, given)
+        assert given == [rho, v] and all(type(x) is float for x in got)
+        rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
+        want = np.array([rho * v, (b - 1.0) * rho_pow * w0 + b * rho**b * h])
+        assert np.array(got).tobytes() == want.tobytes()
+        assert field(0.4, np.array(given)).tobytes() == want.tobytes()
+
+
 def test_plane_is_invariant_under_the_full_field():
     config, _ = equilateral_configuration(MS)
     s0, b = config.positions, PP.b

@@ -1,13 +1,22 @@
 """Integrator accuracy, dense output, events, and failure modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import circular_two_body, every_class, random_masses
+from qhnbody import collision_flow, homothetic
 from qhnbody import integrate as integrate_module
-from qhnbody.central_config import CCQuery, equilateral_cc, solve_collinear_batch
+from qhnbody.central_config import (
+    CCQuery,
+    Ordering,
+    equilateral_cc,
+    equilateral_configuration,
+    solve_collinear_batch,
+)
 from qhnbody.errors import CollisionError, DegenerateStateError, FieldError, StiffnessError
 from qhnbody.integrate import (
     _A,
@@ -20,6 +29,7 @@ from qhnbody.integrate import (
     Trajectory,
     _dense_coef,
     _dense_value,
+    _field_call,
     _step,
     integrate,
 )
@@ -33,10 +43,13 @@ from qhnbody.mcgehee import (
 from qhnbody.model import (
     MassSystem,
     PotentialParams,
+    angular_momentum_series,
     cartesian_field,
+    energy_series,
     hamiltonian,
     lift_to_plane,
     pack_phase,
+    split_phase,
     unpack_phase,
 )
 
@@ -538,40 +551,89 @@ def _linear_fields(sizes, per_size=4):
             yield (lambda t, y, m=m: m @ y), rng.standard_normal(size), rng.uniform(1e-3, 0.5)
 
 
+def _on_lists(field, seen=None):
+    """A float body of an array field: field's values on a list, as a list.
+    Each list it is given is appended to seen, when given."""
+
+    def floats(t, z):
+        if seen is not None:
+            seen.append(z)
+        return field(t, np.array(z)).tolist()
+
+    return floats
+
+
+def _float_bodied(field, seen=None):
+    """field with a float body, _on_lists(field, seen)."""
+
+    def twin(t, y):
+        return field(t, y)
+
+    twin.floats = _on_lists(field, seen)
+    return twin
+
+
 def test_the_stage_loop_is_the_tableau_formula_bit_for_bit():
+    # the same bytes whether the field takes its stage states as arrays or,
+    # with a float body, as lists and returns a list
     for field, y, h in _linear_fields(range(2, 31)):
-        k, ref = np.empty((13, y.size)), np.empty((16, y.size))
-        k[0] = ref[0] = field(0.3, y)
-        y1 = _step(field, 0.3, y, h, k)
-        _literal_stages(field, 0.3, y, h, ref, range(1, 12))
-        assert k[:12].tobytes() == ref[:12].tobytes()
-        assert y1.tobytes() == (y + h * (ref[:12].T @ _B)).tobytes()
-        # the dense output's three extra stages use the same loop
-        k[12] = ref[12] = field(0.3 + h, y1)
-        coef = _dense_coef(field, 0.3, h, y, y1, k)
-        _literal_stages(field, 0.3, y, h, ref, range(13, 16))
-        assert coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
+        for call in (field, _field_call(_float_bodied(field))):
+            k, ref = np.empty((13, y.size)), np.empty((16, y.size))
+            k[0] = ref[0] = field(0.3, y)
+            y1 = _step(call, 0.3, y, h, k)
+            _literal_stages(field, 0.3, y, h, ref, range(1, 12))
+            assert k[:12].tobytes() == ref[:12].tobytes()
+            assert y1.tobytes() == (y + h * (ref[:12].T @ _B)).tobytes()
+            # the dense output's three extra stages use the same loop
+            k[12] = ref[12] = field(0.3 + h, y1)
+            coef = _dense_coef(call, 0.3, h, y, y1, k)
+            _literal_stages(field, 0.3, y, h, ref, range(13, 16))
+            assert coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
 
 
 def test_a_field_may_keep_every_state_it_is_given():
-    # no stage state is a buffer that a later stage overwrites
+    # no stage state is a buffer that a later stage overwrites, nor a list
+    # written again once a float body has it
     for field, y, h in _linear_fields((2, 12, 29), per_size=2):
-        seen = []
+        for lists in (False, True):
+            seen = []
 
-        def keeping(t, z, field=field):
-            seen.append(z)
-            return field(t, z)
+            def keeping(t, z, field=field):
+                seen.append(z)
+                return field(t, z)
 
-        k = np.empty((16, y.size))
-        k[0] = field(0.0, y)
-        y1 = _step(keeping, 0.0, y, h, k[:13])
-        k[12] = field(h, y1)
-        _dense_coef(keeping, 0.0, h, y, y1, k[:13])
-        # the dense stages' rows, recovered from the states the field kept
-        k[13:] = [field(0.0, z) for z in seen[11:]]
-        assert len(seen) == 14
-        for s, z in zip([*range(1, 12), *range(13, 16)], seen):
-            assert np.array_equal(z, y + h * (k[:s].T @ _A[s, :s])), s
+            call = _field_call(_float_bodied(field, seen)) if lists else keeping
+            k = np.empty((16, y.size))
+            k[0] = field(0.0, y)
+            y1 = _step(call, 0.0, y, h, k[:13])
+            k[12] = field(h, y1)
+            _dense_coef(call, 0.0, h, y, y1, k[:13])
+            # the dense stages' rows, recovered from the states the field kept
+            k[13:] = [field(0.0, np.array(z)) for z in seen[11:]]
+            assert len(seen) == 14
+            for s, z in zip([*range(1, 12), *range(13, 16)], seen):
+                assert type(z) is (list if lists else np.ndarray)
+                assert np.array(z).tobytes() == (y + h * (k[:s].T @ _A[s, :s])).tobytes(), s
+
+
+def test_a_float_body_may_keep_every_list_it_is_given():
+    # a whole run, with an event's dense output and its step: each list
+    # the float body is given reads as it did on arrival
+    kept = []
+
+    def floats(t, z):
+        kept.append((z, z.copy()))
+        return [z[1], -z[0]]
+
+    def field(t, y):
+        return np.array(floats(t, y.tolist()))
+
+    field.floats = floats
+    down = Event("down", lambda t, y: y[0] + 0.5, terminal=True)
+    tr = integrate(field, np.array([1.0, 0.0]), (0.0, 3.0), events=[down], max_step=1.0)
+    assert tr.termination == "event:down"
+    assert len(kept) > 100
+    assert all(type(z) is list and z == copy for z, copy in kept)
 
 
 def _counted_run(monkeypatch, fn, y0, span, **options):
@@ -637,11 +699,24 @@ def test_a_rejected_step_skips_the_field_call_at_its_end(monkeypatch):
     "failure", ["stage", "nan y1", "end raises", "nan end", "renormalizer raises"]
 )
 def test_each_failed_attempt_quarters_the_step(monkeypatch, failure):
+    _quarters_the_step(monkeypatch, failure, lists=False)
+
+
+@pytest.mark.parametrize(
+    "failure", ["stage", "nan y1", "end raises", "nan end", "renormalizer raises"]
+)
+def test_each_failed_attempt_of_a_float_body_quarters_the_step(monkeypatch, failure):
+    # the same failures when the stages and the end point reach the field as lists
+    _quarters_the_step(monkeypatch, failure, lists=True)
+
+
+def _quarters_the_step(monkeypatch, failure, lists):
     # the third attempt fails one way; the fourth is a quarter as long
     attempts, norms = [], []
     step, error_norm = integrate_module._step, integrate_module._error_norm
 
     def recorded_step(fn, t, y, h, k):
+        assert (fn is not field) == lists
         attempts.append([h, None])
         y1 = step(fn, t, y, h, k)
         if len(attempts) == 3 and failure == "nan y1":
@@ -671,6 +746,8 @@ def test_each_failed_attempt_quarters_the_step(monkeypatch, failure):
             raise CollisionError("projection")
         return y
 
+    if lists:
+        field.floats = lambda t, z: field(t, np.array(z)).tolist()
     monkeypatch.setattr(integrate_module, "_step", recorded_step)
     monkeypatch.setattr(integrate_module, "_error_norm", counted_norm)
     projected = {"renormalizer": renormalizer} if failure == "renormalizer raises" else {}
@@ -704,6 +781,45 @@ def test_events_after_a_terminal_one_in_the_same_step_are_dropped():
     assert tr.events["later"] == []
 
 
+@pytest.mark.parametrize("float_body", [False, True])
+def test_each_accepted_step_ends_with_the_field_at_the_projected_state(float_body):
+    # a spiral pulled back onto the unit circle at each step: the one field
+    # call at t + h reads the stored, projected state, not the raw y1
+    calls = set()
+
+    def field(t, y):
+        calls.add((t, y.tobytes()))
+        return np.array([y[1] + 0.1 * y[0], 0.1 * y[1] - y[0]])
+
+    fn = _float_bodied(field) if float_body else field
+    tr = integrate(fn, np.array([1.0, 0.0]), (0.0, 2.0),
+                   renormalizer=lambda y: y / np.linalg.norm(y))
+    assert len(tr.times) > 10
+    for t, y in zip(tr.times[1:], tr.states[1:]):
+        assert (t, y.tobytes()) in calls
+
+
+def test_a_stage_state_past_the_float_range_warns_alike_with_or_without_a_float_body():
+    # y' = 1e300 from 0 in steps that grow tenfold: once the stage states
+    # pass the float range numpy warns of the overflow, and each attempt
+    # fails as a non-finite step and is quartered until the step underflows.
+    # A float body gets the same stage states, as lists, so both runs warn
+    # alike and end alike
+    def field(t, y):
+        return np.full(1, 1e300)
+
+    ends = []
+    for fn in (field, _float_bodied(field)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StiffnessError, match="h underflow: non-finite step$") as info:
+                integrate(fn, np.zeros(1), (0.0, 1e10), rel_tol=0.0, abs_tol=1e300)
+        ends.append((info.value.t.hex(), info.value.state.tobytes(),
+                     [str(w.message) for w in caught]))
+    assert ends[0] == ends[1]
+    assert "overflow encountered in multiply" in ends[0][2]
+
+
 def test_a_step_budget_that_runs_out_is_a_stiffness_error(monkeypatch):
     monkeypatch.setattr(integrate_module, "_MAX_STEPS", 3)
     with pytest.raises(StiffnessError, match="^step budget exhausted at t = ") as info:
@@ -722,3 +838,94 @@ def test_a_field_that_keeps_failing_is_a_stiffness_error():
     with pytest.raises(StiffnessError, match="with h underflow: too close$") as info:
         integrate(field, np.array([1.0]), (0.0, 1.0))
     assert 0.5 - 1e-12 <= info.value.t <= 0.5
+
+
+# ---------------------------------------------------------------------------
+# a field's float body against its array call, whole runs
+
+
+def _array_path(field_fn):
+    """field_fn without its float body, so that integrate makes its array calls."""
+    assert callable(field_fn.floats)
+    return lambda t, y: field_fn(t, y)
+
+
+def _run_bytes(tr):
+    """Everything a trajectory holds, as bytes and strings."""
+    events = {name: [(te.hex(), ye.tobytes()) for te, ye in hits]
+              for name, hits in tr.events.items()}
+    residuals = {name: series.tobytes() for name, series in tr.conserved_residuals.items()}
+    return tr.times.tobytes(), tr.states.tobytes(), tr.termination, events, residuals
+
+
+def _simulate_starts():
+    """The orbits of qh simulate: two bodies at apocentre, e = 0.25, and a
+    circular inner binary with a third body on a wide circular orbit."""
+    speed = np.sqrt(2.0 * 0.75)
+    yield [1.0, 1.0], [[0.5, 0.0], [-0.5, 0.0]], [[0.0, 0.5 * speed], [0.0, -0.5 * speed]]
+    m, dist = np.array([0.8, 1.2, 0.9]), 6.0
+    inner, big = m[0] + m[1], m.sum()
+    p_in = m[0] * m[1] / inner * np.array([0.0, np.sqrt(inner)])
+    p_out = inner * m[2] / big * np.array([0.0, np.sqrt(big / dist)])
+    c_in = -m[2] / big * np.array([dist, 0.0])
+    pos = [c_in + [m[1] / inner, 0.0], c_in - [m[0] / inner, 0.0], [inner / big * dist, 0.0]]
+    yield m, pos, [p_in - p_out * m[0] / inner, -p_in - p_out * m[1] / inner, p_out]
+
+
+def test_simulate_orbits_are_the_array_path_s_bit_for_bit():
+    pp = PotentialParams(a=1.0, b=1.5, alpha=1.0, beta=0.5)
+    for masses, pos, mom in _simulate_starts():
+        ms = MassSystem(np.array(masses))
+        r, p = np.array(pos), np.array(mom)
+        n = ms.n
+        h0, l0 = energy_series(r, p, ms, pp), angular_momentum_series(r, p)
+
+        def energy(times, states):
+            return np.abs(energy_series(*split_phase(states, n, 2), ms, pp) - h0)
+
+        def angmom(times, states):
+            return np.abs(angular_momentum_series(*split_phase(states, n, 2)) - l0)
+
+        field = cartesian_field(ms, pp, 2)
+        runs = [_run_bytes(integrate(fn, np.concatenate([r.ravel(), p.ravel()]), (0.0, 4.0),
+                                     monitors={"energy": energy, "angular_momentum": angmom}))
+                for fn in (field, _array_path(field))]
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) > 8 * 50
+
+
+@pytest.fixture
+def array_path_of(monkeypatch):
+    """Make the integrate calls of a module use their fields' array calls."""
+
+    def strip(module):
+        def stripped(field_fn, *args, **kwargs):
+            return integrate(_array_path(field_fn), *args, **kwargs)
+
+        monkeypatch.setattr(module, "integrate", stripped)
+
+    return strip
+
+
+def test_a_four_body_collision_flow_is_the_array_path_s_bit_for_bit(array_path_of):
+    # renormalized steps and both events, until separation ends the flow
+    ms = MassSystem(np.array([1.0, 2.0, 3.0, 4.0]))
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    shape = collision_flow.pure_b_shapes(ms, pp.b, [("collinear", Ordering((1, 2, 3, 4)))])[0]
+    st0 = collision_flow.manifold_start(shape.config, ms, pp, 0.05, seed=3)
+    fast = collision_flow.integrate_on_C(st0, ms, pp, tau_max=1.0)
+    array_path_of(collision_flow)
+    slow = collision_flow.integrate_on_C(st0, ms, pp, tau_max=1.0)
+    assert fast.termination == "event:separation"
+    assert _run_bytes(fast) == _run_bytes(slow)
+
+
+def test_a_homothetic_orbit_is_the_array_path_s_bit_for_bit(array_path_of):
+    ms = MassSystem(np.array([1.0, 1.0, 1.0]))
+    pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+    s0 = equilateral_configuration(ms)[0]
+    fast = homothetic.heteroclinic_orbit(s0, ms, pp, -1.0)
+    array_path_of(homothetic)
+    slow = homothetic.heteroclinic_orbit(s0, ms, pp, -1.0)
+    assert fast.termination == "event:floor" and len(fast.trajectory.events["turn"]) == 1
+    assert _run_bytes(fast.trajectory) == _run_bytes(slow.trajectory)

@@ -218,6 +218,22 @@ def test_state_validation():
         st_.s[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("with_time", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_blown_up_state_of_the_wrong_length_names_both_lengths(d, with_time):
+    # both entries, the array call and the float body integrate calls, say
+    # what they were given and what they need; a state with time is one
+    # longer, so the state without its t is short by one
+    field = mcgehee_field(MS, PP, d, with_time=with_time)
+    need = 2 + 2 * MS.n * d + with_time
+    for size in (need - 1, need + 1, 2 + 2 * MS.n * d + (not with_time)):
+        message = rf"^a flat blow-up state of {size} values, need {need}$"
+        with pytest.raises(ValueError, match=message):
+            field(0.0, np.full(size, 0.5))
+        with pytest.raises(ValueError, match=message):
+            field.floats(0.0, [0.5] * size)
+
+
 def test_pack_unpack_round_trip(rng):
     z = random_phase(rng, MS)
     st_ = to_mcgehee(z, MS, PP)

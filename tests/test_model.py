@@ -6,6 +6,7 @@ signs and exponents independently of any discretization.
 """
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -458,6 +459,32 @@ def test_the_float_pass_of_four_bodies_in_the_plane_is_the_kernel_pass_bit_for_b
     assert float_pass_fuzz(seed=44, draws=2000) == 0
 
 
+def _composed_field(kernel, d, rp):
+    """The Cartesian field's values from the float pass, divided and added
+    as the field's body must give them."""
+    m = np.repeat(kernel.m_col[:, 0], d).tolist()
+    _, _, g_w, g_v = _float_pass(kernel, d)(rp[: len(m)])
+    return [*map(operator.truediv, rp[len(m) :], m), *map(operator.add, g_w, g_v)]
+
+
+@pytest.mark.parametrize("n, d", sorted(_FLOAT_SHAPES))
+def test_the_cartesian_field_body_is_the_float_pass_composition_bit_for_bit(rng, n, d):
+    # the straight-line field body skips W and V and divides and adds in
+    # place; one draw in four puts the bodies near 1e-70, where the forces
+    # pass the float range and from three bodies both fall back to numpy
+    for draw in range(300):
+        masses = 10.0 ** rng.uniform(-6.0, 6.0, n)
+        pp = PotentialParams(a=float(rng.choice([0.0, 1.0])), b=float(rng.choice([1.5, 3.0, 7.0])),
+                             alpha=float(rng.choice([0.0, 1.3])), beta=float(rng.uniform(0.1, 2.0)))
+        kernel = _PairKernel(masses, pp)
+        r = random_config(rng, n, d, scale=float(n)) * (1e-70 if draw % 4 == 0 else 1.0)
+        rp = [*r.ravel().tolist(), *rng.standard_normal(n * d).tolist()]
+        body = _float_pass(kernel, d, np.repeat(masses, d).tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = body(0.3, rp), _composed_field(kernel, d, rp)
+        assert _float_bytes(got) == np.array(want).tobytes()
+
+
 @pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (4, 2)])
 def test_the_float_pass_falls_back_to_the_numpy_pass_near_the_guard(rng, monkeypatch, n, d):
     # a pair within 1e-14 of the guard, either side: the numpy pass decides,
@@ -487,6 +514,18 @@ def test_the_float_pass_falls_back_to_the_numpy_pass_near_the_guard(rng, monkeyp
             assert _pass_bytes(*_float_pass(kernel, d)(r.ravel().tolist())) == _terms_bytes(t)
             raised.add(False)
         assert len(passes) - before == 1
+        # the Cartesian field's straight-line body falls back where the pass does
+        rp = [*r.ravel().tolist(), *np.linspace(-1.0, 1.0, n * d).tolist()]
+        body = _float_pass(kernel, d, np.repeat(kernel.m_col[:, 0], d).tolist())
+        before = len(passes)
+        try:
+            want = _composed_field(kernel, d, rp)
+        except CollisionError as error:
+            with pytest.raises(CollisionError, match=f"^{re.escape(str(error))}$"):
+                body(0.0, rp)
+        else:
+            assert _float_bytes(body(0.0, rp)) == np.array(want).tobytes()
+        assert len(passes) - before == 2
     assert raised == {True, False}
 
 
@@ -584,15 +623,47 @@ def _field_states(n, d, rng):
 def test_the_fields_take_the_float_pass_up_to_three_bodies_and_four_in_the_plane(
         rng, monkeypatch, n, d):
     # every numpy pass starts with _PairKernel.pairs; the float pass never
-    # calls it.  Four bodies on the line and five keep the numpy pass.
+    # calls it.  Four bodies on the line and five keep the numpy pass.  The
+    # blown-up fields always offer integrate their float body; the Cartesian
+    # field's numpy body has none, so integrate gives it arrays
     calls = []
     pairs = _PairKernel.pairs
     monkeypatch.setattr(_PairKernel, "pairs", lambda self, *a: calls.append(1) or pairs(self, *a))
     float_pass = n <= 3 or n == 4 and d == 2
-    for field, y, _ in _field_states(n, d, rng):
+    for k, (field, y, _) in enumerate(_field_states(n, d, rng)):
         before = len(calls)
         field(0.0, y)
         assert len(calls) - before == (0 if float_pass else 1)
+        assert hasattr(field, "floats") == (float_pass or k > 0)
+
+
+def _float_bytes(out):
+    """The bytes of a float body's output, which must be a list of Python floats."""
+    assert type(out) is list and all(type(x) is float for x in out)
+    return np.array(out).tobytes()
+
+
+def test_the_float_bodies_are_the_array_calls_bit_for_bit():
+    # integrate calls field.floats on its stage states as lists in place of
+    # field; the two entries must agree bit for bit, and neither may write
+    # into the state it is given
+    for ms, pp, r, p, rng in _bound_kernel_cases():
+        n, d = r.shape
+        y = np.concatenate([r.ravel(), p.ravel()])
+        fields = []
+        if pp.a == 1.0:  # the blown-up field is defined for a = 1 only
+            fields += [(mcgehee_field(ms, pp, d, with_time=wt), wt) for wt in (False, True)]
+        if (n, d) in _FLOAT_SHAPES:
+            fields.append((cartesian_field(ms, pp, d), None))
+        for field, with_time in fields:
+            states = [y] if with_time is None else [
+                np.concatenate([[rho, rng.standard_normal()], y, [0.7] * with_time])
+                for rho in (0.0, rng.uniform(0.1, 2.0))]
+            for state in states:
+                given = state.tolist()
+                got = field.floats(0.3, given)
+                assert given == state.tolist()
+                assert _float_bytes(got) == field(0.3, state).tobytes()
 
 
 @pytest.mark.parametrize("defect", ["short", "long", "nan position", "nan momentum", "overflow"])
