@@ -38,6 +38,7 @@ from .model import (
     PotentialParams,
     _mass_array,
     _PairKernel,
+    _positions,
     centered,
     lift_to_plane,
     pair_terms,
@@ -222,7 +223,7 @@ def cc_residual(config, ms, pp: PotentialParams, terms: PairTerms | None = None)
     arrays.  terms, the pair kernel's values at config when the caller
     already has them, spare a second pass.
     """
-    r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
+    r = _positions(config)
     m = _mass_array(ms)
     t = pair_terms(r, ms, pp) if terms is None else terms
     inertia = (m[..., None] * r * r).sum(axis=(-2, -1))
@@ -242,7 +243,7 @@ def simultaneous_residual(
     """
     if pp.alpha == 0.0 or pp.beta == 0.0:
         raise DegenerateTermError("simultaneous test needs alpha > 0 and beta > 0")
-    r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
+    r = _positions(config)
     m = _mass_array(ms)
     t = pair_terms(r, ms, pp) if terms is None else terms
     inertia = np.sum(m[..., None] * r * r, axis=(-2, -1))
@@ -315,7 +316,7 @@ def require_on_sphere(config, ms: MassSystem, inertia_I0: float = 1.0) -> None:
 
     A (B, n, d) batch raises for its first member off the sphere.
     """
-    r = config.positions if isinstance(config, Configuration) else np.asarray(config, float)
+    r = _positions(config)
     inertia = np.sum(_mass_array(ms)[..., None] * r * r, axis=(-2, -1))
     off = np.flatnonzero(~(np.abs(inertia - inertia_I0) <= _SPHERE_TOL * inertia_I0))
     if off.size:

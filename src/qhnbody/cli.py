@@ -19,7 +19,6 @@ import argparse
 import csv
 import difflib
 import functools
-import itertools
 import json
 import math
 import sys
@@ -65,6 +64,7 @@ from .model import (
     cartesian_field,
     centered,
     energy_series,
+    float_domain_fault,
     hamiltonian,
     lift_to_plane,
     mass_inner,
@@ -252,63 +252,27 @@ def _potential(value, path, table, n):
         raise ConfigError(f"invalid {path}: {exc}") from None
 
 
-def _check_pair_coefficients(ms: MassSystem, pp: PotentialParams) -> None:
-    """ConfigError naming the key and the pair whose kernel coefficient is not a normal float.
-
-    For each active term the pair kernel forms coef = alpha m_i m_j or beta
-    m_i m_j over the pairs i < j, and its gradients exp * coef; each must
-    be finite and at least the smallest normal float.
-    """
-    tiny = sys.float_info.min
-    for key, coeff, exp in (("alpha", pp.alpha, pp.a), ("beta", pp.beta, pp.b)):
-        if coeff == 0.0:
+def _check_float_domain(ms: MassSystem, pps, d2: float | None = None, cause: str = "") -> None:
+    """ConfigError on model.float_domain_fault's fault for a potential in pps, naming its key
+    and pair: at bind with the pair's masses, at the squared pair distance d2 with cause."""
+    for pp in pps:
+        if (fault := float_domain_fault(ms.masses, pp, d2)) is None:
             continue
-        for (i, mi), (j, mj) in itertools.combinations(enumerate(ms.masses.tolist(), 1), 2):
-            coef = coeff * (mi * mj)  # Python floats overflow to inf as numpy's do
-            for value in (coef, exp * coef) if exp > 0.0 else (coef,):
-                if not tiny <= value < math.inf:
-                    raise ConfigError(f"potential.{key} = {coeff!r} gives pair ({i}, {j}), masses "
-                                      f"{mi!r} and {mj!r}, the kernel coefficient {value!r}: it "
-                                      f"must be finite and at least {tiny!r}")
-
-
-def _check_size(ms: MassSystem, pp: PotentialParams, inertia_I0: float, cause: str) -> None:
-    """ConfigError naming cause when the size inertia_I0 sets takes a kernel value out of range.
-
-    At the pair distance L = sqrt(I0 / M), the size of configurations on
-    <r, r> = I0, the pair kernel forms pw = (L^2)^(-(e + 2) / 2) and, for
-    each active term, its value coef (pw L^2), its gradient coefficient
-    -e coef pw and its Hessian factor -(e + 2) times that over L^2 (the
-    last two where e > 0); each must meet _check_pair_coefficients' rule.
-    The values are formed in that order and each checked before the next,
-    so where L^2 rounds to 0 the value (inf times 0, NaN) fails before any
-    division by L^2.  cause says what set the size, up to "= L".
-    """
-    tiny, d2 = sys.float_info.min, inertia_I0 / ms.total_mass
-    for key, coeff, exp in (("alpha", pp.alpha, pp.a), ("beta", pp.beta, pp.b)):
-        if coeff == 0.0:
-            continue
-        with np.errstate(all="ignore"):  # a pw out of range is refused through the values
-            pw = float(np.float64(d2) ** (-0.5 * (exp + 2.0)))
-        for (i, mi), (j, mj) in itertools.combinations(enumerate(ms.masses.tolist(), 1), 2):
-            coef = coeff * (mi * mj)  # Python floats overflow to inf as numpy's do
-            what, value = "value", coef * (pw * d2)
-            if exp > 0.0 and tiny <= abs(value) < math.inf:
-                what, value = "gradient coefficient", -exp * coef * pw
-                if tiny <= abs(value) < math.inf:
-                    what, value = "Hessian factor", -(exp + 2.0) * value / d2
-            if not tiny <= abs(value) < math.inf:
-                raise ConfigError(f"{cause} = {math.sqrt(d2)!r}, at which pair ({i}, {j}) gives the "
-                                  f"{key} term's kernel {what} {value!r}: it must be finite and at "
-                                  f"least {tiny!r}")
+        _, key, (i, j), what, value = fault
+        if d2 is None:  # kc = -exp coef or coef, named by its size
+            where = (f"potential.{key} = {getattr(pp, key)!r} gives pair ({i}, {j}), masses "
+                     f"{ms.masses.item(i - 1)!r} and {ms.masses.item(j - 1)!r}, the kernel "
+                     f"coefficient {abs(value)!r}")
+        else:
+            where = (f"{cause} = {math.sqrt(d2)!r}, at which pair ({i}, {j}) gives the {key} "
+                     f"term's kernel {what} {value!r}")
+        raise ConfigError(f"{where}: it must be finite and at least {sys.float_info.min!r}")
 
 
 def _check_unit_sphere(ms: MassSystem, *potentials: PotentialParams) -> None:
-    """_check_size on the unit sphere <r, r> = 1, where the masses alone set the
-    size, for each potential a subcommand evaluates there; the error names masses."""
-    cause = f"masses of total M = {ms.total_mass!r} set the unit sphere's size sqrt(1 / M)"
-    for pp in potentials:
-        _check_size(ms, pp, 1.0, cause)
+    """_check_float_domain of potentials on the unit sphere, whose size the masses set."""
+    _check_float_domain(ms, potentials, 1.0 / ms.total_mass, f"masses of total M = "
+                        f"{ms.total_mass!r} set the unit sphere's size sqrt(1 / M)")
 
 
 @dataclass
@@ -334,12 +298,12 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         top = _read(raw, "", _CONFIGS[command])
-        _check_pair_coefficients(top["masses"], top["potential"])
-        if "inertia_I0" in top:
-            i0 = top["inertia_I0"]
-            _check_size(top["masses"], top["potential"], i0,
-                        f"inertia_I0 = {i0!r} sets the size sqrt(I0 / M)")
-        return cls(ms=top["masses"], pp=top["potential"], inertia_I0=top.get("inertia_I0"),
+        ms, pp, i0 = top["masses"], top["potential"], top.get("inertia_I0")
+        _check_float_domain(ms, [pp])
+        if i0 is not None:
+            _check_float_domain(ms, [pp], i0 / ms.total_mass,
+                                f"inertia_I0 = {i0!r} sets the size sqrt(I0 / M)")
+        return cls(ms=ms, pp=pp, inertia_I0=i0,
                    energy_h=top.get("energy_h"), initial_state=top.get("initial_state"),
                    tol=top["tolerances"], opt=top.get("options", {}), base_dir=p.resolve().parent)
 

@@ -233,10 +233,9 @@ def find_equilibria(
     ambient (collinear shapes as (B, n, 1), planar ones as (B, n, 2)) run
     as one batch: one kernel pass yields every defect, V and Hessian, one
     stacked spectrum every restricted Hessian, and one eigvals call the
-    2B linearizations.  When shapes fail a check, the error is that of
-    the first of them in input order, as a call with that shape alone
-    raises it: the shortest failing prefix of the shapes, found by
-    bisection over batches, fails at its last shape only.
+    2B linearizations.  When the batch fails, each shape runs alone in
+    input order and the first to fail raises its own error; if none does,
+    the batch's error is raised.
     """
     pp.require_manev()
     if pp.b <= 2.0:
@@ -244,17 +243,10 @@ def find_equilibria(
     kernel = _PairKernel(ms.masses, _pure_b(pp))
     try:
         return _rest_points(kernel, ms, pp, ccs_of_V, tol)
-    except (QHError, ValueError) as exc:
-        error = exc
-    good, bad = 0, len(ccs_of_V)  # ccs_of_V[:good] passes, ccs_of_V[:bad] fails
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            _rest_points(kernel, ms, pp, ccs_of_V[:mid], tol)
-            good = mid
-        except (QHError, ValueError) as exc:
-            bad, error = mid, exc
-    raise error
+    except (QHError, ValueError):
+        for cc in ccs_of_V:
+            _rest_points(kernel, ms, pp, [cc], tol)
+        raise
 
 
 def _rest_points(kernel: _PairKernel, ms: MassSystem, pp: PotentialParams, ccs: list[CCResult],

@@ -204,6 +204,57 @@ class PairTerms(NamedTuple):
     hess: np.ndarray | None = None
 
 
+def _pair_constants(mm: np.ndarray, pp: PotentialParams):
+    """_PairKernel's coef, kc, half_exps and hess_exps from the pair mass products mm, (..., P)."""
+    coef = np.array([[pp.alpha], [pp.beta]]) * mm[..., None, :]
+    exps = np.array([[pp.a + 2.0], [pp.b + 2.0]])
+    return coef, np.array([[-pp.a], [-pp.b]]) * coef, -0.5 * exps, -exps
+
+
+@functools.lru_cache(maxsize=256)
+def _floors(pp: PotentialParams, names: tuple) -> np.ndarray:
+    """float_domain_fault's read-only floors of |value| by (quantity, term), 0 where not required."""
+    lo = np.array([[_TINY if coeff > 0.0 and (exp > 0.0 or q in ("coef", "value")) else 0.0]
+                   for q in names for coeff, exp in ((pp.alpha, pp.a), (pp.beta, pp.b))])
+    lo.flags.writeable = False
+    return lo
+
+
+def float_domain_fault(m: np.ndarray, pp: PotentialParams, d2: float | None = None, bound=None):
+    """The first value of the pair kernel of (m, pp) outside the normal floats, or None.
+
+    Each value of an active term (alpha > 0 or beta > 0) must be finite and at least the
+    smallest normal float, or only finite where it has the exponent 0 as a factor.  The
+    values are kc then coef, bound from m, (n,) or (B, n), unless the kernel passes its
+    (coef, kc, half_exps, hess_exps) as bound; at d2, a squared pair distance, the "value"
+    coef (pw d2), "gradient coefficient" c = kc pw and "Hessian factor" -(exp + 2) c / d2,
+    pw = d2^(-(exp + 2) / 2).  The fault is (member, term, pair, quantity, value), member
+    None for (n,) masses and the pair counted from 1, searched in that order.
+    """
+    i, j = _incidence(m.shape[-1])[:2]
+    if bound is None:
+        with np.errstate(all="ignore"):  # a value out of range is a fault, not a warning
+            bound = _pair_constants(m.take(i, axis=-1) * m.take(j, axis=-1), pp)
+    coef, kc, half_exps, hess_exps = bound
+    if d2 is None:
+        names, values = ("kc", "coef"), (kc, coef)
+    else:
+        names = ("value", "gradient coefficient", "Hessian factor")
+        with np.errstate(all="ignore"):
+            pw = d2 ** half_exps
+            c = kc * pw
+            values = coef * (pw * d2), c, hess_exps * c / d2
+    values = np.concatenate(values, axis=-2)  # rows (quantity, term)
+    ok = ((size := np.abs(values)) >= _floors(pp, names)) & (size <= _HUGE)
+    off = [[pp.alpha == 0.0], [pp.beta == 0.0]] * len(names)  # inactive: 0, or NaN of 0 inf
+    if ok.all() or (ok := ok | off).all():
+        return None
+    shape = (*ok.shape[:-2], len(names), 2, ok.shape[-1])
+    *member, t, p, q = np.argwhere(~np.moveaxis(ok.reshape(shape), -3, -1))[0].tolist()
+    value = values.reshape(shape)[(*member, q, t, p)].item()
+    return (*member, None)[0], ("alpha", "beta")[t], (i.item(p) + 1, j.item(p) + 1), names[q], value
+
+
 class _PairKernel:
     """The pair kernel of one mass system, bound once from (masses, pp).
 
@@ -213,10 +264,11 @@ class _PairKernel:
     _incidence), the (..., 2, P) coefficients coef = alpha m_i m_j, beta
     m_i m_j and kc = -exp * coef, the half exponents -(exp + 2) / 2 and
     the Hessian's -(exp + 2), the mass column and the (..., P) size
-    weights (m_i / M)(m_j / M).  pairs() guards squared distances d^2
-    against the size sqrt(I_cm / M), which by Lagrange's identity is
-    sqrt(sum_p weight_p d_p^2): the centre of mass never enters, so the
-    guard does not move with the origin.  gradients() makes one power
+    weights (m_i / M)(m_j / M); a fault float_domain_fault finds in coef
+    or kc raises ValueError.  pairs() guards squared distances d^2 against the
+    size sqrt(I_cm / M), which by Lagrange's identity is sqrt(sum_p
+    weight_p d_p^2): the centre of mass never enters, so the guard does
+    not move with the origin.  gradients() makes one power
     call, d^(-exp-2) for both terms, and sums both gradients with one
     small matmul with E; terms() reads W, V, the force sums and the
     Hessian from the same pass.
@@ -239,23 +291,13 @@ class _PairKernel:
         # two mass fractions sum to at most 1, so each weight is in
         # [0, 1/4] even where m_i m_j or M^2 would overflow
         self.weights = (mi / total) * (mj / total)
-        self.coef = np.array([[pp.alpha], [pp.beta]]) * (mi * mj)[..., None, :]
-        self.kc = np.array([[-pp.a], [-pp.b]]) * self.coef
-        self.half_exps = np.array([[-0.5 * (pp.a + 2.0)], [-0.5 * (pp.b + 2.0)]])
-        self.hess_exps = np.array([[-(pp.a + 2.0)], [-(pp.b + 2.0)]])
-        # rows kc_w, kc_v, coef_w, coef_v: each finite, and a normal float
-        # where its coefficient (and for kc its exponent) is positive
-        checked = np.concatenate([self.kc, self.coef], axis=-2)
-        on = np.array([[pp.alpha > 0.0 < pp.a], [pp.beta > 0.0], [pp.alpha > 0.0], [pp.beta > 0.0]])
-        size = np.abs(checked)
-        ok = (size >= _TINY * on) & (size <= _HUGE)
-        if not ok.all():
-            *member, t, p = np.argwhere(~ok)[0].tolist()
-            name, value = ("-a alpha", "-b beta", "alpha", "beta")[t], checked[(*member, t, p)].item()
-            where = f" in batch member {member[0]}" if member else ""
-            fault = "is zero or subnormal" if math.isfinite(value) else "is not finite"
-            raise ValueError(f"{name.split()[-1]} term of pair ({i[p] + 1}, {j[p] + 1}){where}: "
-                             f"{name} m_i m_j = {value!r} {fault}")
+        bound = self.coef, self.kc, self.half_exps, self.hess_exps = _pair_constants(mi * mj, pp)
+        if (fault := float_domain_fault(m, pp, bound=bound)) is not None:
+            member, term, pair, quantity, value = fault
+            name = f"-{term[0]} {term}" if quantity == "kc" else term  # -a alpha, beta, ...
+            where = "" if member is None else f" in batch member {member}"
+            what = "is zero or subnormal" if math.isfinite(value) else "is not finite"
+            raise ValueError(f"{term} term of pair {pair}{where}: {name} m_i m_j = {value!r} {what}")
 
     def take(self, rows) -> "_PairKernel":
         """The kernel of the batch members in rows, sliced from this one, not rebound."""

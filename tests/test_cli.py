@@ -8,6 +8,7 @@ exit 3 for runtime failures (which name the error class).
 
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import count_kernel_bindings, count_kernel_passes, every_class, fail_linalg
-from qhnbody import central_config, cli, homothetic
+from qhnbody import central_config, cli, homothetic, model
 from qhnbody.central_config import (
     Ordering,
     equilateral_configuration,
@@ -1012,6 +1013,41 @@ def test_a_pure_a_term_runs_where_beta_may_be_zero(tmp_path, command, extra):
     code, out = run(tmp_path, command, base_config(beta=0.0, **extra))
     assert code == 0
     assert load_json(out, command.replace("-", "_") + ".json")["potential"]["beta"] == 0.0
+
+
+# every float-domain gate raises from model.float_domain_fault: a rule that
+# reports one fault, on the bound values or at a size, is heard at the kernel
+# bind and at each command-line gate, which only names the cause
+def test_every_float_domain_gate_raises_from_the_one_rule(tmp_path, capsys, monkeypatch):
+    def reporting(quantity, at_size):
+        def rule(m, pp, d2=None, bound=None):
+            return (None, "beta", (1, 3), quantity, -7.5) if (d2 is not None) == at_size else None
+        return rule
+
+    monkeypatch.setattr(model, "float_domain_fault", reporting("kc", False))
+    with pytest.raises(ValueError, match=r"^beta term of pair \(1, 3\): -b beta m_i m_j = -7\.5 "
+                                         r"is zero or subnormal$"):
+        model._PairKernel(np.array([1.0, 2.0, 3.0]), PotentialParams())
+    monkeypatch.undo()
+    tail = "it must be finite and at least 2.2250738585072014e-308\n"
+    monkeypatch.setattr(cli, "float_domain_fault", reporting("coef", False))
+    code, out = run(tmp_path, "cc-collinear", base_config(), subdir="bind")
+    assert (code, out.exists()) == (2, False)
+    assert capsys.readouterr().err == ("error: potential.beta = 0.5 gives pair (1, 3), masses 1.0 "
+                                       f"and 3.0, the kernel coefficient 7.5: {tail}")
+    monkeypatch.setattr(cli, "float_domain_fault", reporting("gradient coefficient", True))
+    code, out = run(tmp_path, "cc-collinear", base_config(inertia_I0=2.0), subdir="size")
+    assert (code, out.exists()) == (2, False)
+    assert capsys.readouterr().err == (
+        f"error: inertia_I0 = 2.0 sets the size sqrt(I0 / M) = {math.sqrt(2.0 / 6.0)!r}, at which "
+        f"pair (1, 3) gives the beta term's kernel gradient coefficient -7.5: {tail}")
+    for command, (extra, _) in _UNIT_SPHERE_RUNS.items():
+        code, out = run(tmp_path, command, base_config(**extra), subdir=command)
+        assert (code, out.exists()) == (2, False)
+        assert capsys.readouterr().err == (
+            f"error: masses of total M = 6.0 set the unit sphere's size sqrt(1 / M) = "
+            f"{math.sqrt(1.0 / 6.0)!r}, at which pair (1, 3) gives the beta term's kernel gradient "
+            f"coefficient -7.5: {tail}")
 
 
 # in-range masses, but a kinetic energy past the float range and a pair 1e-160

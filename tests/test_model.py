@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -24,7 +24,6 @@ from conftest import (
     random_masses,
 )
 from qhnbody.central_config import restricted_hessian, tangent_basis
-from qhnbody.cli import ConfigError, _check_pair_coefficients
 from qhnbody.errors import CollisionError, NotOnSphereError
 from qhnbody.mcgehee import McGeheeState, mcgehee_field, vector_field
 from qhnbody.model import (
@@ -44,6 +43,7 @@ from qhnbody.model import (
     center_of_mass,
     centered,
     energy_series,
+    float_domain_fault,
     grad_U,
     grad_V,
     grad_W,
@@ -783,6 +783,44 @@ def test_a_pair_coefficient_past_the_float_range_is_refused_when_the_kernel_is_b
         _PairKernel(np.array([1e-300, 1.0, 1e-200]), PotentialParams(a=1.0, b=1.51))
 
 
+def _decades(lo, hi, zero=False):
+    powers = st.floats(lo, hi).map(lambda e: 10.0 ** e)
+    return st.one_of(st.just(0.0), powers) if zero else powers
+
+
+# two bodies at distance L on the line: the rule at L^2 passes exactly where
+# every value the kernel's own pass forms there for an active term, coef (pw
+# L^2), and where exp > 0 also c and (exp + 2) c / L^2, is a normal float.  An
+# edge draw puts L within a few ulps of where one b-term value, k L^-p, crosses
+# the smallest normal float or the largest float, so rounding decides there.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m1=_decades(-150.0, 150.0), m2=_decades(-150.0, 150.0),
+       a=st.one_of(st.just(0.0), st.floats(0.0, 3.0)), gap=st.floats(0.1, 30.0),
+       alpha=_decades(-300.0, 300.0, zero=True), beta=_decades(-300.0, 300.0, zero=True),
+       length=_decades(-150.0, 150.0), edge=st.sampled_from([None, 0, 1, 2]),
+       huge=st.booleans(), ulps=st.integers(-3, 3))
+def test_the_size_rule_passes_where_the_kernel_s_values_at_that_size_are_normal(
+        m1, m2, a, gap, alpha, beta, length, edge, huge, ulps):
+    assume(alpha > 0.0 or beta > 0.0)
+    m, pp = np.array([m1, m2]), PotentialParams(a=a, b=a + gap, alpha=alpha, beta=beta)
+    assume(float_domain_fault(m, pp) is None)
+    kernel = _PairKernel(m, pp)
+    tiny, big = float(np.finfo(float).tiny), float(np.finfo(float).max)
+    if edge is not None and beta > 0.0:  # value, c and Hessian factor: k = coef, b coef, ...
+        k = kernel.coef[1, 0].item() * math.prod([pp.b, pp.b + 2.0][:edge])
+        length = (k / (big if huge else tiny)) ** (1.0 / (pp.b + 2.0 * edge)) * (1.0 + ulps * 2.0**-52)
+    assume(0.0 < length * length < math.inf)
+    with np.errstate(all="ignore"):
+        _, d2, _, pw, c, _ = kernel.gradients(np.array([0.0, length]))
+        d2, pw, c = d2.item(), pw[:, 0].tolist(), c[:, 0].tolist()
+        normal = True
+        for t, (coeff, exp) in enumerate(((alpha, pp.a), (beta, pp.b))):
+            values = [kernel.coef[t, 0].item() * (pw[t] * d2)] if coeff > 0.0 else []
+            values += [c[t], (exp + 2.0) * c[t] / d2] if coeff > 0.0 and exp > 0.0 else []
+            normal &= all(tiny <= abs(x) <= big for x in values)
+    assert (float_domain_fault(m, pp, d2) is None) == normal
+
+
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 2), (5, 2), (9, 2)])
 def test_batched_energy_and_angular_momentum_match_each_state(rng, n, d):
     ms = random_masses(rng, n)
@@ -889,26 +927,13 @@ def test_two_body_potential_properties(m1, m2, d, a, gap):
     """U decreases with separation; both terms positive for positive coefs."""
     ms = MassSystem(np.array([m1, m2]))
     pp = PotentialParams(a=a, b=a + gap)
-    if not _binds(ms, pp):
+    if float_domain_fault(ms.masses, pp) is not None:  # a draw of a or alpha near 0
         return
     near = Configuration(np.array([[0.0, 0.0], [d, 0.0]]))
     far = Configuration(np.array([[0.0, 0.0], [d * 1.5, 0.0]]))
     u_near = potential_U(near, ms, pp)
     u_far = potential_U(far, ms, pp)
     assert u_near > u_far > 0.0
-
-
-def _binds(ms, pp):
-    """Whether the pair kernel of (ms, pp) binds; it must refuse exactly the
-    zero, subnormal or non-finite coefficients that the command line refuses
-    (a draw of a or alpha near 0 gives one)."""
-    try:
-        _check_pair_coefficients(ms, pp)
-    except ConfigError:
-        with pytest.raises(ValueError, match=r" is (zero or subnormal|not finite)$"):
-            _PairKernel(ms.masses, pp)
-        return False
-    return True
 
 
 def _pair_loop(r, masses, pp):
@@ -967,7 +992,7 @@ def test_pair_kernel_matches_the_per_pair_loop(seed, n, d, a, gap, alpha, beta):
     ms = random_masses(rng, n)
     r = random_config(rng, n, dim=d, min_sep=0.3 / n, scale=float(n))
     pp = PotentialParams(a=a, b=a + gap, alpha=alpha, beta=beta)
-    if not _binds(ms, pp):
+    if float_domain_fault(ms.masses, pp) is not None:  # a draw of a or alpha near 0
         return
     terms = pair_terms(Configuration(r), ms, pp)
     w, v, gw, gv, force_sum = _pair_loop(r, ms.masses, pp)
