@@ -51,7 +51,7 @@ from .collision_flow import (
     pure_b_cases,
     pure_b_shapes,
 )
-from .errors import ManevOnlyError, QHError, StiffnessError
+from .errors import QHError, StiffnessError
 from .homothetic import heteroclinic_orbit
 from .mcgehee import McGeheeState, from_mcgehee, split_mcgehee
 from .model import (
@@ -299,9 +299,11 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         top = _read(raw, "", _CONFIGS[command])
         ms, pp, i0 = top["masses"], top["potential"], top.get("inertia_I0")
-        _check_float_domain(ms, [pp])
+        # simultaneous solves each term alone at coefficient 1 (euler_collinear_batch)
+        gated = [replace(pp, alpha=1.0, beta=1.0) if command == "simultaneous" else pp]
+        _check_float_domain(ms, gated)
         if i0 is not None:
-            _check_float_domain(ms, [pp], i0 / ms.total_mass,
+            _check_float_domain(ms, gated, i0 / ms.total_mass,
                                 f"inertia_I0 = {i0!r} sets the size sqrt(I0 / M)")
         return cls(ms=ms, pp=pp, inertia_I0=i0,
                    energy_h=top.get("energy_h"), initial_state=top.get("initial_state"),
@@ -598,7 +600,7 @@ _CONFIGS = {
     },
     "collision-flow": {
         "schema": _SCHEMA, "masses": _MASSES,
-        "potential": _potential_entry(a="{1}", beta="(0, inf)"),
+        "potential": _potential_entry(beta="(0, inf)"),
         "initial_state": (None, _state, {"mcgehee": {**_MCGEHEE, "rho": (0.0, _float, "{0}")}}),
         "tolerances": ({}, _read, {"rel_tol": _REL_TOL, "abs_tol": _ABS_TOL, "grad_tol": _GRAD_TOL,
                                    "equilibrium_tol": (1e-9, _float, "[0, inf)"),
@@ -608,13 +610,13 @@ _CONFIGS = {
     },
     "eigen": {
         "schema": _SCHEMA, "masses": _MASSES,
-        "potential": _potential_entry(a="{1}", b="(2, inf)", beta="(0, inf)"),
+        "potential": _potential_entry(b="(2, inf)", beta="(0, inf)"),
         "tolerances": ({}, _read, {"grad_tol": _GRAD_TOL, "cc_tol": (1e-9, _float, "[0, inf)")}),
         "options": ({}, _read, {"cases": (None, _cases, _REST_POINT)}),
     },
     "homothetic": {
         "schema": _SCHEMA, "masses": _MASSES, "energy_h": (_REQUIRED, _float, "(-inf, inf)"),
-        "potential": _potential_entry(a="{1}", alpha="(0, inf)", beta="(0, inf)"),
+        "potential": _potential_entry(a="(0, inf)", alpha="(0, inf)", beta="(0, inf)"),
         "tolerances": ({}, _read, {"rho_floor": (1e-8, _float, "(0, 1)"),
                                    "rel_tol": (1e-11, _float, "[0, inf)"),
                                    "abs_tol": (1e-13, _float, "(0, inf)"), "grad_tol": _GRAD_TOL}),
@@ -926,9 +928,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config, args.command)
         payload, tables = _COMMANDS[args.command](cfg)
-    except (ValueError, ManevOnlyError) as exc:
-        # ConfigError is a ValueError; a != 1 (or beta = 0) is a config
-        # problem, not a numerical one
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QHError as exc:

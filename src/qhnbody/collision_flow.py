@@ -141,7 +141,6 @@ def linearize_at_equilibrium(
     NotOnSphereError unless <s0, s0> = 1, and DegenerateError when A
     shows other zero modes than its ambient's (index_report).
     """
-    pp.require_manev()
     if pp.b <= 2.0:
         raise ValueError("linearization at equilibria needs b > 2")
     a_mat, lam = restricted_hessian(s0, ms, _pure_b(pp), ambient)
@@ -237,7 +236,6 @@ def find_equilibria(
     input order and the first to fail raises its own error; if none does,
     the batch's error is raised.
     """
-    pp.require_manev()
     if pp.b <= 2.0:
         raise ValueError("equilibrium spectra need b > 2")
     kernel = _PairKernel(ms.masses, _pure_b(pp))
@@ -332,7 +330,6 @@ def integrate_on_C(
     (minimum separation hits separation_floor, where the manifold ends
     in a singularity of V).
     """
-    pp.require_manev()
     if st0.rho != 0.0:
         raise OffManifoldError(f"rho = {st0.rho!r}, expected exactly 0 on C")
     _require_on_C(st0, ms, pp, 1e-9)
@@ -371,7 +368,7 @@ def integrate_on_C(
         _, v, s, u = split_mcgehee(states, n, dim)
         return manifold_residual_series(v, s, u, ms, pp)
 
-    monitors = {"manifold": manifold, "v": lambda times, states: states[:, 1]}
+    monitors = {"manifold": manifold, "v": lambda t, y: split_mcgehee(y, n, dim)[1]}
     return integrate(
         field,
         pack_mcgehee(st0),

@@ -1,19 +1,19 @@
 """Homothetic orbits over simultaneous central configurations.
 
 When s0 is a simultaneous central configuration of both terms, the
-plane {s = s0, u = 0} is invariant under the blown-up flow of a = 1 and
-the dynamics reduce to
+plane {s = s0, u = 0} is invariant under the blown-up flow and the
+dynamics reduce to
 
     rho' = rho v
-    v'   = (b - 1) rho^(b-1) W(s0) + b rho^b h,
+    v'   = (b - a) rho^(b-a) W(s0) + b rho^b h,
 
-with the conserved quantity K = v^2/2 - rho^(b-1) W(s0) - rho^b h equal
+with the conserved quantity K = v^2/2 - rho^(b-a) W(s0) - rho^b h equal
 to V(s0) on every orbit that reaches the collision manifold.  For h < 0
-the orbit ejecting from rho = 0 with v = +sqrt(2 V(s0)) rises to a
-maximum size rho_max, the unique positive zero of v^2(rho), and falls
-back to total collision with v = -sqrt(2 V(s0)): a heteroclinic
-connection between the two equilibria over s0.  For h >= 0 the size
-grows without bound and no connection exists.
+and a > 0 the orbit ejecting from rho = 0 with v = +sqrt(2 V(s0)) rises
+to a maximum size rho_max, the unique positive zero of v^2(rho), and
+falls back to total collision with v = -sqrt(2 V(s0)): a heteroclinic
+connection between the two equilibria over s0.  For h >= 0, and at
+a = 0 (W constant) for h >= -W(s0), the size grows without bound.
 """
 
 from __future__ import annotations
@@ -72,41 +72,39 @@ def _admissible(report, tol: float = _ADMISSIBLE_TOL) -> bool:
 
 def energy_curve_v2(rho, s0: Configuration, ms: MassSystem, pp: PotentialParams,
                     h: float) -> np.ndarray | float:
-    """v^2 along the reduced energy level: 2 (rho^(b-1) W + rho^b h + V).
+    """v^2 along the reduced energy level: 2 (rho^(b-a) W + rho^b h + V).
 
-    Vectorized over rho.  At rho = 0 the value is 2 V(s0) > 0; for
-    h >= 0 the curve is nondecreasing in rho, for h < 0 it has a unique
-    positive zero.  The reduction holds for a = 1 with beta > 0 only;
-    other parameters raise ManevOnlyError.
+    Vectorized over rho.  At rho = 0 the value is 2 V(s0); for h >= 0
+    the curve is nondecreasing in rho, for h < 0 and a > 0 it has a
+    unique positive zero.
     """
-    pp.require_manev()
     require_on_sphere(s0, ms)
-    return _v2(rho, *potential_terms(s0, ms, pp), pp.b, h)
+    return _v2(rho, *potential_terms(s0, ms, pp), pp, h)
 
 
-def _v2(rho, w0: float, v0: float, b: float, h: float) -> np.ndarray | float:
+def _v2(rho, w0: float, v0: float, pp: PotentialParams, h: float) -> np.ndarray | float:
     """energy_curve_v2 from W(s0) and V(s0)."""
     rho_arr = np.asarray(rho, dtype=float)
-    val = 2.0 * (rho_arr ** (b - 1.0) * w0 + rho_arr**b * h + v0)
+    val = 2.0 * (rho_arr ** (pp.b - pp.a) * w0 + rho_arr**pp.b * h + v0)
     return float(val) if np.isscalar(rho) else val
 
 
 def rho_max_bisection(
     s0: Configuration, ms: MassSystem, pp: PotentialParams, h: float
 ) -> float:
-    """Unique positive zero of the energy curve, h < 0 and a = 1 with beta > 0 required."""
-    pp.require_manev()
+    """Unique positive zero of the energy curve; h < 0 required."""
     if h >= 0.0:
         raise EnergySignError("rho_max exists only for negative energy")
     require_on_sphere(s0, ms)
-    return _rho_max(*potential_terms(s0, ms, pp), pp.b, h)
+    return _rho_max(*potential_terms(s0, ms, pp), pp, h)
 
 
-def _rho_max(w0: float, v0: float, b: float, h: float) -> float:
+def _rho_max(w0: float, v0: float, pp: PotentialParams, h: float) -> float:
     """rho_max_bisection from W(s0) and V(s0)."""
+    w_exp, b = pp.b - pp.a, pp.b
 
     def v2(rho: float) -> float:
-        return 2.0 * (rho ** (b - 1.0) * w0 + rho**b * h + v0)
+        return 2.0 * (rho**w_exp * w0 + rho**b * h + v0)
 
     lo, hi = bisect_sign_change(v2, 1e-12, NoConvergenceError, "energy curve never became negative")
     return 0.5 * (lo + hi)
@@ -126,10 +124,11 @@ def heteroclinic_orbit(
     Starts at rho = rho_floor on the ejection branch and integrates the
     reduced system until the orbit falls back through rho_floor.  The
     turning size is recorded by a v = 0 event and cross-checked against
-    bisection on the energy curve.  The reduction holds for a = 1 with
-    beta > 0 only; other parameters raise ManevOnlyError.
+    bisection on the energy curve.  a = 0, where W is constant and the
+    size turns only below h = -W(s0), raises DegenerateTermError.
     """
-    pp.require_manev()
+    if pp.a == 0.0:
+        raise DegenerateTermError("homothetic orbit needs a > 0: at a = 0 W is constant")
     # one sphere check and one pair-kernel pass at s0 serve every quantity below
     require_on_sphere(s0, ms)
     terms = pair_terms(s0, ms, pp)
@@ -146,26 +145,26 @@ def heteroclinic_orbit(
     w0, v0_pot = terms.W, terms.V
     if not v0_pot > 0.0:
         raise DegenerateTermError(f"V(s0) = {v0_pot!r} gives no ejection speed sqrt(2 V(s0))")
-    b = pp.b
+    w_exp, b = pp.b - pp.a, pp.b
 
     def floats(t, y):
         rho, v = y  # Python floats: numpy scalars pay per operation
-        rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
-        return [rho * v, (b - 1.0) * rho_pow * w0 + b * rho**b * h]
+        rho_pow = rho**w_exp if rho > 0.0 else 0.0
+        return [rho * v, w_exp * rho_pow * w0 + b * rho**b * h]
 
     def field(t, y):
         return np.array(floats(t, y.tolist()))
 
     field.floats = floats  # integrate's stage states reach it as lists
 
-    v_start = np.sqrt(_v2(rho_floor, w0, v0_pot, b, h))
+    v_start = np.sqrt(_v2(rho_floor, w0, v0_pot, pp, h))
     y0 = np.array([rho_floor, v_start])
 
     def k_defect(taus, states):
         # scalar pow row by row: numpy's array pow rounds differently in
         # the last bit for some rows, which would change the written series
         def defect(rho, v):
-            rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
+            rho_pow = rho**w_exp if rho > 0.0 else 0.0
             return 0.5 * v * v - rho_pow * w0 - rho**b * h - v0_pot
 
         return [defect(rho, v) for rho, v in states]
@@ -203,7 +202,7 @@ def heteroclinic_orbit(
         K=v0_pot,
         k_drift=float(np.abs(tr.conserved_residuals["K"]).max()),
         rho_max_orbit=rho_turn,
-        rho_max_bisect=_rho_max(w0, v0_pot, b, h),
+        rho_max_bisect=_rho_max(w0, v0_pot, pp, h),
         termination=tr.termination,
         trajectory=tr,
     )

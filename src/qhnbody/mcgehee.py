@@ -1,6 +1,6 @@
-"""Blow-up coordinates near total collision for the Manev-type case.
+"""Blow-up coordinates near total collision, for every 0 <= a < b.
 
-For a = 1 the change of variables
+The change of variables
 
     rho = <r, r>^(1/2)        s = r / rho
     v = rho^(b/2) (p . s)     u = rho^(b/2) (p - (p . s) M s)
@@ -10,10 +10,10 @@ motion into a field that extends to rho = 0.  s lives on the unit mass
 sphere s^T M s = 1 and u is mass-orthogonal to it, u . s = 0; v is the
 scaled radial velocity.  In these variables the energy relation reads
 
-    (u^T M^{-1} u + v^2) / 2 - rho^(b-1) W(s) - V(s) = h rho^b,
+    (u^T M^{-1} u + v^2) / 2 - rho^(b-a) W(s) - V(s) = h rho^b,
 
-so the collision manifold rho = 0 is the set
-u^T M^{-1} u + v^2 = 2 V(s), independent of h.
+so the collision manifold rho = 0, where the factor rho^(b-a) vanishes,
+is the set u^T M^{-1} u + v^2 = 2 V(s), independent of h and of a.
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ class McGeheeState:
 
 
 def to_mcgehee(state: PhaseState, ms: MassSystem, pp: PotentialParams) -> McGeheeState:
-    """Blow up a Cartesian phase state; needs a = 1 and rho > 0."""
-    pp.require_manev()
+    """Blow up a Cartesian phase state; needs rho > 0."""
     r = state.config.positions
     p = state.momenta
     inertia = mass_inner(r, r, ms)
@@ -95,7 +94,6 @@ def to_mcgehee(state: PhaseState, ms: MassSystem, pp: PotentialParams) -> McGehe
 
 def from_mcgehee(st: McGeheeState, ms: MassSystem, pp: PotentialParams) -> PhaseState:
     """Inverse of to_mcgehee; rejects rho = 0 (the blown-up boundary)."""
-    pp.require_manev()
     if st.rho <= 0.0:
         raise ZeroSizeError("rho must be positive to map back to Cartesian variables")
     r = st.rho * st.s
@@ -112,11 +110,10 @@ def vector_field(st: McGeheeState, ms: MassSystem, pp: PotentialParams):
 
 def energy_residual(st: McGeheeState, h: float, ms: MassSystem, pp: PotentialParams) -> float:
     """Defect of the blown-up energy relation at the state."""
-    pp.require_manev()
     b = pp.b
     w_s, v_s = potential_terms(st.s, ms, pp)
     u_m_u = float(np.sum(st.u * st.u / ms.masses[:, None]))
-    rho_pow = st.rho ** (b - 1.0) if st.rho > 0.0 else 0.0
+    rho_pow = st.rho ** (b - pp.a) if st.rho > 0.0 else 0.0
     return (
         0.5 * (u_m_u + st.v**2)
         - rho_pow * w_s
@@ -180,25 +177,25 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     is also field.floats, (tau, list) -> list, which integrate calls on
     its stage states as lists (see integrate).  Per call it takes 0.9-1.1x
     of a numpy body's time at n = 4...7, 1.2x at n = 12 and 1.5x at n = 65
-    (d = 2).
+    (d = 2); at a = 1 the W-term's factor a is an exact multiply.
     """
-    pp.require_manev()
     sz = ms.n * dim
-    run, b = _float_pass(_PairKernel(ms.masses, pp), dim), pp.b
+    run, a, b = _float_pass(_PairKernel(ms.masses, pp), dim), pp.a, pp.b
     m = np.repeat(ms.masses, dim).tolist()  # the mass of each coordinate
-    size, t_exp = 2 + 2 * sz + with_time, 1.0 + b / 2.0
+    size, t_exp, w_exp = 2 + 2 * sz + with_time, 1.0 + b / 2.0, b - a
 
     def floats(tau, state):
         if len(state) != size:
             raise ValueError(f"a flat blow-up state of {len(state)} values, need {size}")
         rho, v, s, u = state[0], state[1], state[2 : 2 + sz], state[2 + sz : 2 + 2 * sz]
         w_s, v_s, g_w, g_v = run(s)
+        aw_s = a * w_s
         u_m_u = _sum([x * x / mi for x, mi in zip(u, m)])
-        rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
+        rho_pow = rho**w_exp if rho > 0.0 else 0.0
         k_u, k_s, m_s = (0.5 * b - 1.0) * v, b * v_s, [mi * si for mi, si in zip(m, s)]
-        out = [rho * v, 0.5 * b * v * v + u_m_u - rho_pow * w_s - b * v_s]
+        out = [rho * v, 0.5 * b * v * v + u_m_u - rho_pow * aw_s - b * v_s]
         out += [x / mi for x, mi in zip(u, m)]
-        out += [k_u * x - u_m_u * x_s + rho_pow * (w_s * x_s + gw) + k_s * x_s + gv
+        out += [k_u * x - u_m_u * x_s + rho_pow * (aw_s * x_s + gw) + k_s * x_s + gv
                 for x, x_s, gw, gv in zip(u, m_s, g_w, g_v)]
         if with_time:
             out.append(rho**t_exp if rho > 0.0 else 0.0)

@@ -6,8 +6,8 @@ The potential is a sum of two homogeneous terms,
          + beta  * sum_{i<j} m_i m_j / |r_i - r_j|**b,
 
 with 0 <= a < b, acting on point masses in one or two dimensions.  The
-a-term is called W and the b-term V throughout; a = 1 with beta > 0 is
-the Manev-type case used by the collision modules.
+a-term is called W and the b-term V throughout; the paper's Manev-type
+case is a = 1.
 
 Positions and momenta are (n, d) arrays with d in {1, 2}.  All inner
 products weighted by the masses use the mass metric

@@ -1171,3 +1171,29 @@ def test_the_array_readers_equal_the_cc_result_list_bit_for_bit(tmp_path):
     ])
     assert np.array_equal(rows, expected)
     assert payload["max_residual"] == max(r.residual for r in results[:60])
+
+
+# U(sqrt(I0) s) = I0^(-a/2) alpha W_1(s) + I0^(-b/2) beta V_1(s), so the CC at
+# size I0 with (alpha, beta) has the shape of the CC at size 1 with
+# (alpha I0^(-a/2), beta I0^(-b/2)), at every 0 <= a < b (b - a at least 1%
+# of 7 - a).  Sizes past 1e2 meet rounding floors that grow with the size.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    a=st.sampled_from([0.0, 0.5, 1.0, 1.7]),
+    b_over=st.floats(0.01, 1.0),
+    masses=st.integers(3, 5).flatmap(lambda n: st.lists(st.floats(0.2, 5.0), min_size=n,
+                                                        max_size=n)),
+    coefs=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+    inertia_I0=st.floats(1e-2, 1e2),
+)
+def test_a_cc_at_another_size_is_the_unit_size_cc_of_rescaled_coefficients(a, b_over, masses,
+                                                                           coefs, inertia_I0):
+    b = a + b_over * (7.0 - a)
+    alpha, beta = coefs
+    classes = Ordering.all_canonical(len(masses))
+    rows = np.tile(masses, (len(classes), 1))
+    sized = solve_collinear_batch(classes, rows, PotentialParams(a, b, alpha, beta), inertia_I0)
+    unit = solve_collinear_batch(classes, rows, PotentialParams(
+        a, b, alpha * inertia_I0 ** (-a / 2.0), beta * inertia_I0 ** (-b / 2.0)))
+    assert np.abs(sized.x / np.sqrt(inertia_I0) - unit.x).max() <= 1e-11 * np.abs(unit.x).max()
+    assert np.array_equal(sized.index, unit.index)

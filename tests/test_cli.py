@@ -74,6 +74,16 @@ def load_csv(out_dir, name):
     return rows[0], rows[1:]
 
 
+def _text_but(out, name, **echoed):
+    """The text of out/name with the value of each echoed key, written once in it, masked."""
+    text = (out / name).read_text()
+    for key, value in echoed.items():
+        field = f'"{key}": {value:.17g}'
+        assert text.count(field) == 1
+        text = text.replace(field, f'"{key}": ...')
+    return text
+
+
 def count_batches(monkeypatch):
     """The member count of each solve_collinear_batch call, in call order."""
     batches = []
@@ -214,6 +224,18 @@ def test_cc_planar3_guards_its_preconditions(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # simultaneous
+
+
+# each term is solved alone at coefficient 1, so the bind and the size are
+# gated at alpha = beta = 1: coefficients the gaps do not depend on gate nothing
+def test_simultaneous_gates_the_size_at_the_coefficients_it_solves_with(tmp_path):
+    texts = []
+    for coef in (1.0, 1e-300):
+        data = base_config(alpha=coef, beta=coef, inertia_I0=1e10)
+        code, out = run(tmp_path, "simultaneous", data, subdir=f"c{coef}")
+        assert code == 0
+        texts.append(_text_but(out, "simultaneous.json", alpha=coef, beta=coef))
+    assert texts[0] == texts[1]
 
 
 def test_simultaneous_detects_the_symmetric_arrangement(tmp_path):
@@ -693,12 +715,27 @@ def test_a_bad_list_of_starts_names_its_element(tmp_path, capsys, starts, path):
     assert path in capsys.readouterr().err
 
 
-def test_collision_flow_needs_manev_attraction(tmp_path, capsys):
-    code, _ = run(
-        tmp_path, "collision-flow", base_config(a=0.5, b=2.5, options=CF_START)
-    )
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+# on the collision manifold the W-term carries the factor rho^(b-a) = 0, and
+# the rest points are the b-term's: every a gives the bytes of a = 1 but the
+# echoed potential.a
+@pytest.mark.parametrize("command, masses, options", [
+    ("eigen", [1.0, 2.0, 3.0], {}),
+    ("eigen", [1.0, 2.0, 3.0, 4.0], {}),
+    ("collision-flow", [1.0, 2.0, 3.0], {"start": CF_START["start"], "tau_max": 0.25}),
+    ("collision-flow", [1.0, 2.0, 3.0, 4.0],
+     {"start": {**CF_START["start"], "shape": {"ordering": [1, 2, 3, 4]}}, "tau_max": 0.03}),
+], ids=["eigen-3", "eigen-4", "collision-flow-3", "collision-flow-4"])
+def test_a_collision_manifold_run_does_not_depend_on_a(tmp_path, command, masses, options):
+    texts = {}
+    for a in (1.0, 0.0, 0.5, 1.7):
+        code, out = run(tmp_path, command, base_config(masses=masses, a=a, options=options),
+                        subdir=f"a{a}")
+        assert code == 0
+        summary = command.replace("-", "_") + ".json"
+        texts[a] = {p.name: _text_but(out, p.name, a=a) if p.name == summary else p.read_bytes()
+                    for p in out.iterdir()}
+    assert len(texts[1.0]) == 1 + (command == "collision-flow")
+    assert texts[0.0] == texts[0.5] == texts[1.7] == texts[1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +825,6 @@ def test_eigen_guards_its_preconditions(tmp_path, capsys):
     for sub, bad in (
         ("b2", base_config(b=2.0)),  # spectra need b > 2
         ("nob", base_config(beta=0.0)),
-        ("nom", base_config(a=0.5, b=2.5)),
         ("empty", base_config(options={"cases": []})),
     ):
         code, _ = run(tmp_path, "eigen", bad, subdir=sub)
@@ -823,6 +859,19 @@ def test_homothetic_builds_the_ejection_collision_orbit(tmp_path):
     assert header == ["tau", "rho", "v", "k_defect"]
     rhos = [float(r[1]) for r in rows]
     assert max(rhos) == pytest.approx(doc["rho_max_orbit"], rel=1e-3)
+
+
+# the reduced plane is that of every 0 < a < b, with the bounds a = 1 meets
+@pytest.mark.parametrize("a", [0.5, 1.7])
+def test_homothetic_builds_the_orbit_at_any_positive_inner_exponent(tmp_path, a):
+    code, out = run(tmp_path, "homothetic",
+                    base_config(masses=[1.0, 1.0, 1.0], a=a, beta=1.0, energy_h=-1.0))
+    assert code == 0
+    doc = load_json(out, "homothetic.json")
+    assert doc["potential"]["a"] == a
+    assert doc["termination"] == "event:floor"
+    assert doc["k_drift"] < 1e-9
+    assert doc["rho_max_gap"] < 1e-6
 
 
 def test_a_default_homothetic_run_reads_its_shape_once(tmp_path, monkeypatch):
@@ -1190,13 +1239,11 @@ def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, fi
         ("simultaneous", base_config(), "a", 0.0, "(0, inf)"),
         ("simultaneous", base_config(), "alpha", 0.0, "(0, inf)"),
         ("simultaneous", base_config(), "beta", 0.0, "(0, inf)"),
-        ("collision-flow", FLOW, "a", 0.5, "{1}"),
         ("collision-flow", FLOW, "beta", 0.0, "(0, inf)"),
-        ("eigen", EIGEN, "a", 0.5, "{1}"),
         ("eigen", EIGEN, "b", 2.0, "(2, inf)"),
         ("eigen", EIGEN, "b", 1.5, "(2, inf)"),
         ("eigen", EIGEN, "beta", 0.0, "(0, inf)"),
-        ("homothetic", HOMOTHETIC, "a", 0.5, "{1}"),
+        ("homothetic", HOMOTHETIC, "a", 0.0, "(0, inf)"),
         ("homothetic", HOMOTHETIC, "alpha", 0.0, "(0, inf)"),
         ("homothetic", HOMOTHETIC, "beta", 0.0, "(0, inf)"),
     ],
@@ -1239,8 +1286,8 @@ def test_a_check_of_one_key_is_its_table_entry(tmp_path, capsys, command, data, 
     "command, data, first",
     [("cc-planar3", base_config(a=0.5, inertia_I0=-1.0), "inertia_I0"),
      ("homothetic", base_config(a=0.5, energy_h=[1.0]), "energy_h"),
-     ("collision-flow", base_config(a=0.5, initial_state={**MANIFOLD_STATE, "rho": 0.5}),
-      "potential.a"),
+     ("collision-flow", base_config(beta=0.0, initial_state={**MANIFOLD_STATE, "rho": 0.5}),
+      "potential.beta"),
      ("collision-flow", base_config(initial_state={**MANIFOLD_STATE, "rho": 0.5},
                                     tolerances={"rel_tol": -1.0}), "initial_state.rho"),
      ("simulate", {**SIM, "tolerances": {"rel_tol": -1.0}, "options": {"max_step": 0.0}},

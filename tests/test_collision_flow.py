@@ -37,7 +37,6 @@ from qhnbody.collision_flow import (
 from qhnbody.errors import (
     CollisionError,
     DegenerateError,
-    ManevOnlyError,
     MismatchError,
     NotOnSphereError,
     OffManifoldError,
@@ -497,7 +496,8 @@ def test_equilibrium_spectra_need_supercritical_exponent():
     pp2 = PotentialParams(a=1.0, b=2.0, alpha=1.0, beta=0.5)
     with pytest.raises(ValueError):
         find_equilibria(MS, pp2, [equilateral_cc_of_b_term(MS, 2.0)])
-    with pytest.raises(ManevOnlyError):
+    # the rest points are those of the b-term, whatever a is: beta = 0 leaves none
+    with pytest.raises(ValueError, match="^collision manifold needs an active b-term$"):
         find_equilibria(
             MS, PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.0),
             [equilateral_cc_of_b_term(MS, 3.0)],

@@ -19,7 +19,6 @@ from qhnbody.errors import (
     AdmissibilityError,
     DegenerateTermError,
     EnergySignError,
-    ManevOnlyError,
     NoConvergenceError,
     NotOnSphereError,
 )
@@ -234,17 +233,41 @@ def test_heteroclinic_orbit_guard_rails():
         heteroclinic_orbit(config, MS, PP, h=-1.0, rho_floor=1.5)
 
 
-def test_the_reduction_refuses_a_other_than_one():
-    # the reduced field and energy curve are those of a = 1; at a = 0.5 they
-    # would trace the a = 1 orbit, with a turning size the energy relation denies
+@pytest.mark.parametrize("a", [0.5, 1.7])
+def test_the_reduced_orbit_is_an_orbit_of_the_full_field_at_any_inner_exponent(a):
+    # v' = (b - a) rho^(b-a) W(s0) + b rho^b h is the full blown-up field on
+    # the plane s = s0, u = 0: from each accepted point of the reduced orbit
+    # the full field reaches the next one.  Step by step, since off its
+    # energy level the ejection rest point repels v at the rate b v.
+    ms = MassSystem(np.ones(3))
+    config, _ = equilateral_configuration(ms)
+    s0 = config.positions
+    pp = PotentialParams(a=a, b=3.0, alpha=1.0, beta=1.0)
+    orbit = heteroclinic_orbit(config, ms, pp, h=-1.0)
+    assert orbit.termination == "event:floor"
+    assert orbit.k_drift < 1e-9
+    assert abs(orbit.rho_max_orbit - orbit.rho_max_bisect) < 1e-6
+    field = mcgehee_field(ms, pp)
+    for k in range(len(orbit.taus) - 1):
+        st = McGeheeState(rho=orbit.rhos[k], v=orbit.vs[k], s=s0, u=np.zeros_like(s0))
+        end = integrate(field, pack_mcgehee(st), (orbit.taus[k], orbit.taus[k + 1]),
+                        rel_tol=1e-13, abs_tol=1e-15).final_state
+        reduced = np.array([orbit.rhos[k + 1], orbit.vs[k + 1]])
+        assert np.abs(end[:2] - reduced).max() < 1e-10 * max(1.0, np.abs(reduced).max())
+        assert np.abs(end[2:] - pack_mcgehee(st)[2:]).max() < 1e-14
+
+
+def test_the_orbit_needs_an_inner_exponent_above_zero():
+    # at a = 0 W is the constant alpha sum m_i m_j: the size turns only below
+    # h = -W(s0), and the energy curve says so
     config, _ = equilateral_configuration(MS)
-    pp = PotentialParams(a=0.5, b=3.0, alpha=1.0, beta=1.0)
-    with pytest.raises(ManevOnlyError):
+    pp = PotentialParams(a=0.0, b=3.0, alpha=1.0, beta=1.0)
+    with pytest.raises(DegenerateTermError, match="^homothetic orbit needs a > 0"):
         heteroclinic_orbit(config, MS, pp, h=-1.0)
-    with pytest.raises(ManevOnlyError):
-        energy_curve_v2(0.5, config, MS, pp, h=-1.0)
-    with pytest.raises(ManevOnlyError):
-        rho_max_bisection(config, MS, pp, h=-1.0)
+    w0, v0 = potential_terms(config, MS, pp)
+    rho = np.array([0.5, 2.0])
+    assert np.allclose(energy_curve_v2(rho, config, MS, pp, -w0), 2.0 * v0, rtol=1e-15)
+    assert abs(rho_max_bisection(config, MS, pp, -w0 - 1.0) ** 3 - v0) < 1e-9 * v0
 
 
 @pytest.mark.parametrize("b, size", [(3.0, "8.959e+102"), (1.5, "4.013e+205")])

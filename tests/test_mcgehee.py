@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config, random_masses
-from qhnbody.errors import ManevOnlyError, ZeroSizeError
+from qhnbody.errors import ZeroSizeError
 from qhnbody.integrate import integrate
 from qhnbody.mcgehee import (
     McGeheeState,
@@ -30,6 +30,7 @@ from qhnbody.model import (
     PhaseState,
     PotentialParams,
     cartesian_field,
+    centered,
     hamiltonian,
     mass_inner,
     pack_phase,
@@ -172,25 +173,30 @@ def test_with_time_component_integrates_physical_time(rng):
     assert field(0.0, pack_mcgehee(zero, t=0.0))[-1] == 0.0
 
 
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.7])
+def test_the_blowup_at_any_inner_exponent_blows_down_onto_the_cartesian_orbit(a):
+    # the blow-up is that of every 0 <= a < b: rho^(b-a) carries the W-term
+    # and a its factor, so a run in blown-up variables with physical time
+    # ends, blown down, where Cartesian integration to that time ends, and
+    # keeps the energy relation with rho^(b-a) along the way
+    pp = PotentialParams(a=a, b=3.0, alpha=1.0, beta=0.5)
+    rng = np.random.default_rng(4)
+    r = centered(random_config(rng, 3, 2, min_sep=0.5), MS)
+    p = 0.5 * rng.standard_normal((3, 2))
+    z = PhaseState(config=Configuration(r), momenta=p - p.mean(axis=0))
+    h = hamiltonian(z, MS, pp)
+    tr = integrate(mcgehee_field(MS, pp, with_time=True), pack_mcgehee(to_mcgehee(z, MS, pp), t=0.0),
+                   (0.0, 0.1), rel_tol=1e-13, abs_tol=1e-15)
+    assert tr.termination == "time-budget"
+    blown_up = [unpack_mcgehee(y[:-1], 3, 2) for y in tr.states]
+    assert max(abs(energy_residual(st_, h, MS, pp)) for st_ in blown_up) < 1e-11
+    cart = integrate(cartesian_field(MS, pp), pack_phase(z), (0.0, tr.states[-1, -1]),
+                     rel_tol=1e-13, abs_tol=1e-15)
+    assert np.abs(pack_phase(from_mcgehee(blown_up[-1], MS, pp)) - cart.states[-1]).max() < 1e-11
+
+
 # ---------------------------------------------------------------------------
 # guard rails
-
-
-def test_blowup_requires_unit_inner_exponent():
-    bad = PotentialParams(a=0.5, b=3.0, alpha=1.0, beta=1.0)
-    z = PhaseState(
-        config=Configuration(np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5]])),
-        momenta=np.zeros((3, 2)),
-    )
-    with pytest.raises(ManevOnlyError):
-        to_mcgehee(z, MS, bad)
-    st_ = to_mcgehee(z, MS, PP)
-    with pytest.raises(ManevOnlyError):
-        from_mcgehee(st_, MS, bad)
-    with pytest.raises(ManevOnlyError):
-        vector_field(st_, MS, bad)
-    with pytest.raises(ManevOnlyError):
-        mcgehee_field(MS, bad)
 
 
 def test_zero_size_rejected_both_ways():
@@ -323,11 +329,12 @@ def test_renormalizer_bounds_constraint_drift():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=2.1, max_value=4.0))
-def test_energy_relation_is_invariant_of_the_transform(seed, b):
+@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=2.1, max_value=4.0),
+       st.sampled_from([0.0, 0.5, 1.0, 1.7]))
+def test_energy_relation_is_invariant_of_the_transform(seed, b, a):
     rng = np.random.default_rng(seed)
     ms = random_masses(rng, 3)
-    pp = PotentialParams(a=1.0, b=b, alpha=1.0, beta=1.0)
+    pp = PotentialParams(a=a, b=b, alpha=1.0, beta=1.0)
     z = random_phase(rng, ms)
     h = hamiltonian(z, ms, pp)
     assert abs(energy_residual(to_mcgehee(z, ms, pp), h, ms, pp)) < 1e-9

@@ -368,8 +368,8 @@ def test_the_size_weights_give_the_inertia_about_the_centre_of_mass(rng, d):
             assert np.vecdot(batch.weights[k], d2[k]) == pytest.approx(want, rel=1e-12)
 
 
-def _bound_kernel_cases(blow_up=False):
-    """Seeded (ms, pp, r, p, rng) for the field tests; blow_up leaves out a != 1."""
+def _bound_kernel_cases():
+    """Seeded (ms, pp, r, p, rng) for the field tests."""
     rng = np.random.default_rng(77)
     for n in range(2, 8):
         for d in (1, 2):
@@ -385,9 +385,8 @@ def _bound_kernel_cases(blow_up=False):
     # plane's bodies on its x-axis, where each y-force is a sum of zeros and
     # must read +0.  Four bodies come twice, with the near pair first and last.
     pps = [PotentialParams(a=1.0, b=7.0, alpha=0.0, beta=0.5),
-           PotentialParams(a=1.0, b=7.0, alpha=1.3, beta=0.5)]
-    if not blow_up:
-        pps.append(PotentialParams(a=0.0, b=2.0, alpha=1.3, beta=0.7))
+           PotentialParams(a=1.0, b=7.0, alpha=1.3, beta=0.5),
+           PotentialParams(a=0.0, b=2.0, alpha=1.3, beta=0.7)]
     for n, (i, j) in ((2, (0, 1)), (3, (0, 1)), (4, (0, 1)), (4, (3, 2)), (5, (0, 1))):
         for d in (1, 2):
             ms = MassSystem(rng.permutation(np.geomspace(1e-6, 1e6, n)))
@@ -559,17 +558,17 @@ def test_a_second_kernel_of_a_compiled_shape_compiles_nothing(rng):
 
 def _blown_up_reference(y, ms, pp, n, d, with_time):
     """The blown-up field composed from pair_terms, one array per part."""
-    b, m, sz = pp.b, ms.masses[:, None], n * d
+    a, b, m, sz = pp.a, pp.b, ms.masses[:, None], n * d
     rho, v = y[0], y[1]
     s, u = y[2 : 2 + sz].reshape(n, d), y[2 + sz : 2 + 2 * sz].reshape(n, d)
     w_s, v_s, gw, gv = pair_terms(s, ms, pp)[:4]
     u_m_u = float(np.sum(u * u / m))
-    rho_pow = rho ** (b - 1.0) if rho > 0.0 else 0.0
-    v_dot = 0.5 * b * v * v + u_m_u - rho_pow * w_s - b * v_s
+    rho_pow = rho ** (b - a) if rho > 0.0 else 0.0
+    v_dot = 0.5 * b * v * v + u_m_u - rho_pow * (a * w_s) - b * v_s
     u_dot = (
         (0.5 * b - 1.0) * v * u
         - u_m_u * (m * s)
-        + rho_pow * (w_s * (m * s) + gw)
+        + rho_pow * ((a * w_s) * (m * s) + gw)
         + b * v_s * (m * s)
         + gv
     )
@@ -581,7 +580,7 @@ def _blown_up_reference(y, ms, pp, n, d, with_time):
 
 @pytest.mark.parametrize("with_time", [False, True])
 def test_mcgehee_field_is_its_pair_terms_composition_bit_for_bit(with_time):
-    for ms, pp, s, u, rng in _bound_kernel_cases(blow_up=True):
+    for ms, pp, s, u, rng in _bound_kernel_cases():
         n, d = s.shape
         field = mcgehee_field(ms, pp, d, with_time=with_time)
         for rho in (0.0, rng.uniform(0.1, 2.0)):
@@ -598,7 +597,7 @@ def test_mcgehee_field_is_its_pair_terms_composition_bit_for_bit(with_time):
 def _field_states(n, d, rng):
     """(field, flat state, the field's numpy pass composed from pair_terms) for the
     Cartesian field and the blown-up one without and with time, of one seeded
-    system with a = 1, where both are defined."""
+    system with a = 1."""
     ms = random_masses(rng, n)
     pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
     y = np.concatenate([random_config(rng, n, d).ravel(), rng.standard_normal(n * d)])
@@ -650,9 +649,7 @@ def test_the_float_bodies_are_the_array_calls_bit_for_bit():
     for ms, pp, r, p, rng in _bound_kernel_cases():
         n, d = r.shape
         y = np.concatenate([r.ravel(), p.ravel()])
-        fields = []
-        if pp.a == 1.0:  # the blown-up field is defined for a = 1 only
-            fields += [(mcgehee_field(ms, pp, d, with_time=wt), wt) for wt in (False, True)]
+        fields = [(mcgehee_field(ms, pp, d, with_time=wt), wt) for wt in (False, True)]
         if (n, d) in _FLOAT_SHAPES:
             fields.append((cartesian_field(ms, pp, d), None))
         for field, with_time in fields:
