@@ -21,7 +21,6 @@ from .errors import (
     DegenerateTermError,
     EnergySignError,
     FieldError,
-    ManevOnlyError,
     MismatchError,
     NoConvergenceError,
     NotOnSphereError,
@@ -42,7 +41,6 @@ __all__ = [
     "DegenerateTermError",
     "EnergySignError",
     "FieldError",
-    "ManevOnlyError",
     "MassSystem",
     "MismatchError",
     "NoConvergenceError",

@@ -10,9 +10,11 @@ Collinear classes are labelled by orderings of the bodies on the line
 modulo reflection; every class contains exactly one central
 configuration (the restricted Hessian is positive definite on the whole
 component), found here by a constrained Newton iteration.  For three
-bodies in the plane with a = 1 the only non-collinear classes are the
-two equilateral orientations, whose side length is fixed by the inertia
-constraint alone.
+bodies in the plane the only non-collinear classes are the two
+equilateral orientations, whose side length is fixed by the inertia
+constraint alone: a triangle is central only if g(r) = a alpha r^(-a-2)
++ b beta r^(-b-2) takes one value on its three sides, and g is strictly
+decreasing.
 """
 
 from __future__ import annotations
@@ -765,18 +767,17 @@ def equilateral_results(
 
 
 def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
-    """The two equilateral central configurations for three bodies, a = 1.
+    """The two equilateral central configurations for three bodies.
 
-    These are simultaneous central configurations for any masses; both
-    sigma records are filled.  Both triangles are one equilateral_results
-    batch.  Raises ManevOnlyError unless a = 1 with beta > 0, and
-    DegenerateTermError when alpha = 0.
+    These are simultaneous central configurations for any masses and
+    every 0 <= a < b; both sigma records are filled.  Both triangles are
+    one equilateral_results batch.  Raises DegenerateTermError unless
+    alpha > 0 and beta > 0.
     """
     if q.ms.n != 3:
         raise ValueError("equilateral_cc needs exactly three bodies")
-    q.pp.require_manev()
-    if q.pp.alpha == 0.0:
-        raise DegenerateTermError("equilateral_cc needs alpha > 0")
+    if q.pp.alpha == 0.0 or q.pp.beta == 0.0:
+        raise DegenerateTermError("equilateral_cc needs alpha > 0 and beta > 0")
     plus, minus = equilateral_results(equilateral_configuration(q.ms, q.inertia_I0), q.ms, q.pp,
                                       q.inertia_I0)
     for cc in (plus, minus):
@@ -816,21 +817,23 @@ def bisect_sign_change(f, rel_tol: float, error: type[QHError], what: str) -> tu
     return lo, hi
 
 
-def f_root(sigma: float, b: float, mtotal: float) -> FRootResult:
-    """Unique positive root of f(r) = 2 sigma r^(b+2) + m r^(b-1) + m b.
+def f_root(sigma: float, b: float, mtotal: float, a: float = 1.0) -> FRootResult:
+    """Unique positive root of f(r) = 2 sigma r^(b+2) + a m r^(b-a) + b m.
 
-    Needs sigma < 0 (f then starts positive and ends negative), b > 1
-    and mtotal > 0.  The root is located by bisection after geometric
-    bracket expansion, to 1e-14 relative tolerance, and certified by a
-    sign scan over a log-spaced grid around the root.
+    At unit coefficients this is the equilateral side of three bodies of
+    total mass m and multiplier sigma.  Needs sigma < 0, 0 <= a < b and
+    mtotal > 0: f(r) / r^(b+2) then falls strictly from +inf to 2 sigma.
+    Bisection after geometric bracket expansion locates the root to 1e-14
+    relative tolerance, and a sign scan over a log-spaced grid around it
+    certifies it.
     """
-    if not (np.isfinite(b) and b > 1.0):
-        raise ValueError("f_root needs b > 1")
+    if not (np.isfinite(b) and 0.0 <= a < b):
+        raise ValueError("f_root needs 0 <= a < b")
     if not (np.isfinite(mtotal) and mtotal > 0.0):
         raise ValueError("f_root needs a positive total mass")
 
     def f(r: float) -> float:
-        return 2.0 * sigma * r ** (b + 2.0) + mtotal * r ** (b - 1.0) + mtotal * b
+        return 2.0 * sigma * r ** (b + 2.0) + a * mtotal * r ** (b - a) + mtotal * b
 
     if not (np.isfinite(sigma) and sigma < 0.0):
         raise BracketError(f"no sign change: sigma = {sigma!r} must be negative")
@@ -839,10 +842,11 @@ def f_root(sigma: float, b: float, mtotal: float) -> FRootResult:
     root = 0.5 * (lo + hi)
 
     grid_lo, grid_hi, points = root * 1e-6, root * 1e6, 241
-    # f = m (r^(b-1) + b) - 2 |sigma| r^(b+2) has the sign of the difference of
+    # f = m (a r^(b-a) + b) - 2 |sigma| r^(b+2) has the sign of the difference of
     # the two parts' logs, which stays finite where either power overflows
     log_r = np.log(np.geomspace(grid_lo, grid_hi, points))
-    signs = np.sign(np.log(mtotal) + np.logaddexp((b - 1.0) * log_r, np.log(b))
+    log_a = np.log(a) if a > 0.0 else -np.inf  # at a = 0 the power term is absent
+    signs = np.sign(np.log(mtotal) + np.logaddexp(log_a + (b - a) * log_r, np.log(b))
                     - np.log(2.0 * -sigma) - (b + 2.0) * log_r)
     signs = signs[signs != 0.0]
     changes = int(np.sum(signs[1:] != signs[:-1]))

@@ -301,10 +301,22 @@ class RunConfig:
         ms, pp, i0 = top["masses"], top["potential"], top.get("inertia_I0")
         # simultaneous solves each term alone at coefficient 1 (euler_collinear_batch)
         gated = [replace(pp, alpha=1.0, beta=1.0) if command == "simultaneous" else pp]
-        _check_float_domain(ms, gated)
-        if i0 is not None:
-            _check_float_domain(ms, gated, i0 / ms.total_mass,
-                                f"inertia_I0 = {i0!r} sets the size sqrt(I0 / M)")
+
+        def gate(ms: MassSystem) -> None:
+            _check_float_domain(ms, gated)
+            if i0 is not None:
+                _check_float_domain(ms, gated, i0 / ms.total_mass,
+                                    f"inertia_I0 = {i0!r} sets the size sqrt(I0 / M)")
+
+        gate(ms)
+        if (grid := top.get("options", {}).get("mass_grid")) is not None:
+            # every kernel value grows with each mass, as m_i m_j (M / I0)^(exp / 2),
+            # so the lowest and the highest cell bound those of the whole grid
+            for cell in ((pick(grid["m1"]), pick(grid["m2"]), grid["m3"]) for pick in (min, max)):
+                try:
+                    gate(MassSystem(cell))
+                except ConfigError as exc:
+                    raise ConfigError(f"options.mass_grid cell with masses {cell}: {exc}") from None
         return cls(ms=ms, pp=pp, inertia_I0=i0,
                    energy_h=top.get("energy_h"), initial_state=top.get("initial_state"),
                    tol=top["tolerances"], opt=top.get("options", {}), base_dir=p.resolve().parent)
@@ -578,7 +590,7 @@ _CONFIGS = {
     },
     "cc-planar3": {
         "schema": _SCHEMA, "masses": _MASSES, "inertia_I0": _I0,
-        "potential": _potential_entry(a="{1}", alpha="(0, inf)", beta="(0, inf)"),
+        "potential": _potential_entry(alpha="(0, inf)", beta="(0, inf)"),
         "tolerances": ({}, _read, {"grad_tol": _GRAD_TOL}),
     },
     "simultaneous": {
@@ -616,7 +628,7 @@ _CONFIGS = {
     },
     "homothetic": {
         "schema": _SCHEMA, "masses": _MASSES, "energy_h": (_REQUIRED, _float, "(-inf, inf)"),
-        "potential": _potential_entry(a="(0, inf)", alpha="(0, inf)", beta="(0, inf)"),
+        "potential": _potential_entry(alpha="(0, inf)", beta="(0, inf)"),
         "tolerances": ({}, _read, {"rho_floor": (1e-8, _float, "(0, 1)"),
                                    "rel_tol": (1e-11, _float, "[0, inf)"),
                                    "abs_tol": (1e-13, _float, "(0, inf)"), "grad_tol": _GRAD_TOL}),
@@ -683,9 +695,9 @@ def cmd_cc_planar3(cfg: RunConfig) -> tuple[dict, list]:
     plus, minus = equilateral_cc(CCQuery(cfg.ms, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"]))
     # The side certificate: with unit coefficients the side solves the
     # scalar equation behind f_root, so recompute sigma in that gauge.
-    unit_pp = PotentialParams(a=1.0, b=cfg.pp.b, alpha=1.0, beta=1.0)
+    unit_pp = replace(cfg.pp, alpha=1.0, beta=1.0)
     unit_sigma, _ = cc_residual(plus.config, cfg.ms, unit_pp)
-    fr = f_root(unit_sigma, cfg.pp.b, cfg.ms.total_mass)
+    fr = f_root(unit_sigma, cfg.pp.b, cfg.ms.total_mass, cfg.pp.a)
     payload = {
         "inertia_I0": cfg.inertia_I0,
         "side": equilateral_side(cfg.ms, cfg.inertia_I0),

@@ -33,10 +33,6 @@ class DegenerateTermError(QHError):
     """An operation requires both potential terms to be active."""
 
 
-class ManevOnlyError(QHError):
-    """The operation is only defined for a = 1 with an active b-term."""
-
-
 class ZeroSizeError(QHError):
     """A transform required a strictly positive configuration size."""
 

@@ -8,12 +8,13 @@ dynamics reduce to
     v'   = (b - a) rho^(b-a) W(s0) + b rho^b h,
 
 with the conserved quantity K = v^2/2 - rho^(b-a) W(s0) - rho^b h equal
-to V(s0) on every orbit that reaches the collision manifold.  For h < 0
-and a > 0 the orbit ejecting from rho = 0 with v = +sqrt(2 V(s0)) rises
-to a maximum size rho_max, the unique positive zero of v^2(rho), and
-falls back to total collision with v = -sqrt(2 V(s0)): a heteroclinic
-connection between the two equilibria over s0.  For h >= 0, and at
-a = 0 (W constant) for h >= -W(s0), the size grows without bound.
+to V(s0) on every orbit that reaches the collision manifold.  When the
+rho^b coefficient of v^2/2 is negative, h for a > 0 and h + W(s0) at
+a = 0 (W constant), the orbit ejecting from rho = 0 with
+v = +sqrt(2 V(s0)) rises to a maximum size rho_max, the unique positive
+zero of v^2(rho), and falls back to total collision with
+v = -sqrt(2 V(s0)): a heteroclinic connection between the two equilibria
+over s0.  Otherwise the size grows without bound.
 """
 
 from __future__ import annotations
@@ -74,9 +75,9 @@ def energy_curve_v2(rho, s0: Configuration, ms: MassSystem, pp: PotentialParams,
                     h: float) -> np.ndarray | float:
     """v^2 along the reduced energy level: 2 (rho^(b-a) W + rho^b h + V).
 
-    Vectorized over rho.  At rho = 0 the value is 2 V(s0); for h >= 0
-    the curve is nondecreasing in rho, for h < 0 and a > 0 it has a
-    unique positive zero.
+    Vectorized over rho.  At rho = 0 the value is 2 V(s0); the curve has
+    a unique positive zero when its rho^b coefficient, h for a > 0 and
+    h + W(s0) at a = 0, is negative, and is nondecreasing otherwise.
     """
     require_on_sphere(s0, ms)
     return _v2(rho, *potential_terms(s0, ms, pp), pp, h)
@@ -92,15 +93,23 @@ def _v2(rho, w0: float, v0: float, pp: PotentialParams, h: float) -> np.ndarray 
 def rho_max_bisection(
     s0: Configuration, ms: MassSystem, pp: PotentialParams, h: float
 ) -> float:
-    """Unique positive zero of the energy curve; h < 0 required."""
-    if h >= 0.0:
-        raise EnergySignError("rho_max exists only for negative energy")
+    """Unique positive zero of the energy curve; raises EnergySignError where it has none."""
     require_on_sphere(s0, ms)
-    return _rho_max(*potential_terms(s0, ms, pp), pp, h)
+    w0, v0 = potential_terms(s0, ms, pp)
+    _require_turn(w0, pp, h)
+    return _rho_max(w0, v0, pp, h)
+
+
+def _require_turn(w0: float, pp: PotentialParams, h: float) -> None:
+    """EnergySignError unless the size turns: the rho^b coefficient of v^2/2,
+    h for a > 0 and h + W(s0) at a = 0, where W is constant, must be negative."""
+    bound = -w0 if pp.a == 0.0 else 0.0
+    if not h < bound:
+        raise EnergySignError(f"the size never turns around: h = {h!r} must be below {bound!r}")
 
 
 def _rho_max(w0: float, v0: float, pp: PotentialParams, h: float) -> float:
-    """rho_max_bisection from W(s0) and V(s0)."""
+    """rho_max_bisection from W(s0) and V(s0), on a level where the size turns."""
     w_exp, b = pp.b - pp.a, pp.b
 
     def v2(rho: float) -> float:
@@ -119,16 +128,14 @@ def heteroclinic_orbit(
     rel_tol: float = 1e-11,
     abs_tol: float = 1e-13,
 ) -> PlaneOrbit:
-    """The ejection-collision connection over a simultaneous CC, h < 0.
+    """The ejection-collision connection over a simultaneous CC.
 
     Starts at rho = rho_floor on the ejection branch and integrates the
     reduced system until the orbit falls back through rho_floor.  The
     turning size is recorded by a v = 0 event and cross-checked against
-    bisection on the energy curve.  a = 0, where W is constant and the
-    size turns only below h = -W(s0), raises DegenerateTermError.
+    bisection on the energy curve.  An energy level on which the size
+    never turns raises EnergySignError.
     """
-    if pp.a == 0.0:
-        raise DegenerateTermError("homothetic orbit needs a > 0: at a = 0 W is constant")
     # one sphere check and one pair-kernel pass at s0 serve every quantity below
     require_on_sphere(s0, ms)
     terms = pair_terms(s0, ms, pp)
@@ -136,13 +143,10 @@ def heteroclinic_orbit(
     if not _admissible(report):
         raise AdmissibilityError(f"shape is not a simultaneous central configuration: "
                                  f"residual {report.max_residual:.3e}")
-    if h >= 0.0:
-        raise EnergySignError(
-            "no ejection-collision connection for h >= 0: the size never turns around"
-        )
+    w0, v0_pot = terms.W, terms.V
+    _require_turn(w0, pp, h)
     if not (0.0 < rho_floor < 1.0):
         raise ValueError("rho_floor must lie in (0, 1)")
-    w0, v0_pot = terms.W, terms.V
     if not v0_pot > 0.0:
         raise DegenerateTermError(f"V(s0) = {v0_pot!r} gives no ejection speed sqrt(2 V(s0))")
     w_exp, b = pp.b - pp.a, pp.b

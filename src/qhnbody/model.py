@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CollisionError, ManevOnlyError
+from .errors import CollisionError
 
 # Pairwise distances at or below GUARD_FACTOR * sqrt(I_cm / M) count as a
 # collision, with I_cm the moment of inertia about the centre of mass and M
@@ -86,13 +86,6 @@ class PotentialParams:
             raise ValueError("coefficients must be nonnegative")
         if self.alpha == 0.0 and self.beta == 0.0:
             raise ValueError("at least one coefficient must be positive")
-
-    def require_manev(self) -> None:
-        """Raise unless a = 1 and the b-term is active."""
-        if self.a != 1.0 or self.beta <= 0.0:
-            raise ManevOnlyError(
-                f"operation needs a = 1 and beta > 0, got a={self.a}, beta={self.beta}"
-            )
 
 
 @dataclass(frozen=True, eq=False)

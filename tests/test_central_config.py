@@ -914,14 +914,11 @@ def test_a_nan_is_off_the_sphere():
 
 
 def test_equilateral_rejects_wrong_potentials():
-    from qhnbody.errors import ManevOnlyError
-
-    with pytest.raises(ManevOnlyError):
-        equilateral_cc(CCQuery(ms=MS123, pp=PotentialParams(a=0.5, b=2.0)))
-    with pytest.raises(DegenerateTermError):
-        equilateral_cc(
-            CCQuery(ms=MS123, pp=PotentialParams(a=1.0, b=2.0, alpha=0.0, beta=1.0))
-        )
+    for alpha, beta in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(DegenerateTermError, match="^equilateral_cc needs alpha > 0 and beta"):
+            equilateral_cc(
+                CCQuery(ms=MS123, pp=PotentialParams(a=1.0, b=2.0, alpha=alpha, beta=beta))
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -929,10 +926,14 @@ def test_equilateral_rejects_wrong_potentials():
 
 
 def test_f_root_plug_in_solution():
-    # With sigma = -m(1+b)/2 the equation is solved by r = 1 exactly.
+    # With sigma = -m(a+b)/2 the equation is solved by r = 1 exactly.
+    mtotal = 6.0
     for b in (2.0, 2.5, 3.0):
-        mtotal = 6.0
         fr = f_root(-mtotal * (1.0 + b) / 2.0, b, mtotal)
+        assert abs(fr.root - 1.0) < 1e-13
+        assert fr.sign_changes == 1
+    for a in (0.0, 0.5, 1.7):
+        fr = f_root(-mtotal * (a + 3.0) / 2.0, 3.0, mtotal, a)
         assert abs(fr.root - 1.0) < 1e-13
         assert fr.sign_changes == 1
 
@@ -953,9 +954,10 @@ def test_f_root_matches_equilateral_side(rng):
     sigma=st.floats(-500.0, -1e-3),
     b=st.floats(1.1, 4.0),
     mtotal=st.floats(0.1, 100.0),
+    a_frac=st.floats(0.0, 0.999),
 )
-def test_f_root_properties(sigma, b, mtotal):
-    fr = f_root(sigma, b, mtotal)
+def test_f_root_properties(sigma, b, mtotal, a_frac):
+    fr = f_root(sigma, b, mtotal, a_frac * b)
     assert fr.root > 0.0
     assert fr.bracket[0] <= fr.root <= fr.bracket[1]
     # residual small relative to the dominant term at the root
@@ -969,8 +971,9 @@ def test_f_root_requires_negative_sigma():
         f_root(0.0, 2.0, 6.0)
     with pytest.raises(BracketError):
         f_root(1.0, 2.0, 6.0)
-    with pytest.raises(ValueError):
-        f_root(-1.0, 0.5, 6.0)
+    for b, a in ((0.5, 1.0), (2.0, 2.0), (2.0, -0.5), (2.0, np.nan)):
+        with pytest.raises(ValueError, match=r"^f_root needs 0 <= a < b$"):
+            f_root(-1.0, b, 6.0, a)
 
 
 @pytest.mark.parametrize("sigma, b, size", [(-5e-324, 1.0000001, "8.959e+102"),

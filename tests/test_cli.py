@@ -211,9 +211,20 @@ def test_cc_planar3_certifies_the_equilateral_side(tmp_path):
         assert rec["residual"] < 1e-10
 
 
+# at unit coefficients the side L solves 2 sigma L^(b+2) = -M (a L^(b-a) + b) at every 0 <= a < b
+@pytest.mark.parametrize("masses", [(1.0, 2.0, 3.0), (1e-3, 1.0, 1e-3)])
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.7, 2.9])
+def test_cc_planar3_certifies_the_side_at_any_inner_exponent(tmp_path, a, masses):
+    code, out = run(tmp_path, "cc-planar3", base_config(masses=masses, a=a))
+    assert code == 0
+    doc = load_json(out, "cc_planar3.json")
+    cert = doc["side_certificate"]
+    assert cert["sign_changes"] == 1
+    assert abs(cert["root"] - doc["side"]) <= 1e-10 * doc["side"]
+
+
 def test_cc_planar3_guards_its_preconditions(tmp_path, capsys):
     for bad in (
-        base_config(a=0.5, b=2.5),  # needs a = 1
         base_config(beta=0.0),  # needs beta > 0
         base_config(masses=[1.0, 2.0]),  # needs three bodies
     ):
@@ -236,6 +247,20 @@ def test_simultaneous_gates_the_size_at_the_coefficients_it_solves_with(tmp_path
         assert code == 0
         texts.append(_text_but(out, "simultaneous.json", alpha=coef, beta=coef))
     assert texts[0] == texts[1]
+
+
+# every kernel value grows with each mass, so the lowest and the highest cell
+# gate the grid; a cell out of range is named, before any solve
+@pytest.mark.parametrize("m, cell", [([1e-170, 2e-170], "(1e-170, 1e-170, 1.0)"),
+                                     ([1.0, 1e150], "(1e+150, 1e+150, 1.0)")])
+def test_simultaneous_gates_the_float_domain_of_its_mass_grid(tmp_path, capsys, m, cell):
+    data = base_config(options={"mass_grid": {"m1": m, "m2": m[::-1]}})
+    code, out = run(tmp_path, "simultaneous", data)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: options.mass_grid cell with masses {cell}: ")
+    assert "batch member" not in err
+    assert not out.exists()
 
 
 def test_simultaneous_detects_the_symmetric_arrangement(tmp_path):
@@ -892,6 +917,24 @@ def test_a_default_homothetic_run_reads_its_shape_once(tmp_path, monkeypatch):
     assert (len(passes), len(checks)) == (1, 1)
 
 
+# at a = 0 W is the constant 3 of unit masses, so the size turns only below h = -3,
+# where rho_max = (V / -(W + h))^(1/b)
+def test_homothetic_at_a_zero_turns_below_minus_w(tmp_path, capsys):
+    data = base_config(masses=[1.0, 1.0, 1.0], a=0.0, beta=1.0, energy_h=-4.0)
+    code, out = run(tmp_path, "homothetic", data)
+    assert code == 0
+    doc = load_json(out, "homothetic.json")
+    assert doc["k_drift"] < 1e-9
+    assert doc["rho_max_gap"] < 1e-6
+    ms = MassSystem(np.ones(3))
+    v0 = potential_V(equilateral_configuration(ms)[0], ms, PotentialParams(a=0.0, b=3.0))
+    w0, h = 3.0, -4.0
+    assert doc["rho_max_bisect"] == pytest.approx((v0 / -(w0 + h)) ** (1.0 / 3.0), rel=1e-10)
+    code, _ = run(tmp_path, "homothetic", {**data, "energy_h": -0.5}, subdir="above")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: EnergySignError: ")
+
+
 def test_homothetic_requires_a_negative_energy_level(tmp_path, capsys):
     data = base_config(
         masses=[1.0, 1.0, 1.0], beta=1.0, energy_h=1.0,
@@ -1233,7 +1276,6 @@ def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, fi
 @pytest.mark.parametrize(
     "command, data, key, value, rng",
     [
-        ("cc-planar3", base_config(), "a", 0.5, "{1}"),
         ("cc-planar3", base_config(), "alpha", 0.0, "(0, inf)"),
         ("cc-planar3", base_config(), "beta", 0.0, "(0, inf)"),
         ("simultaneous", base_config(), "a", 0.0, "(0, inf)"),
@@ -1243,7 +1285,6 @@ def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, fi
         ("eigen", EIGEN, "b", 2.0, "(2, inf)"),
         ("eigen", EIGEN, "b", 1.5, "(2, inf)"),
         ("eigen", EIGEN, "beta", 0.0, "(0, inf)"),
-        ("homothetic", HOMOTHETIC, "a", 0.0, "(0, inf)"),
         ("homothetic", HOMOTHETIC, "alpha", 0.0, "(0, inf)"),
         ("homothetic", HOMOTHETIC, "beta", 0.0, "(0, inf)"),
     ],
@@ -1284,8 +1325,8 @@ def test_a_check_of_one_key_is_its_table_entry(tmp_path, capsys, command, data, 
 # top-level numbers, then potential, initial_state, tolerances and options
 @pytest.mark.parametrize(
     "command, data, first",
-    [("cc-planar3", base_config(a=0.5, inertia_I0=-1.0), "inertia_I0"),
-     ("homothetic", base_config(a=0.5, energy_h=[1.0]), "energy_h"),
+    [("cc-planar3", base_config(beta=0.0, inertia_I0=-1.0), "inertia_I0"),
+     ("homothetic", base_config(beta=0.0, energy_h=[1.0]), "energy_h"),
      ("collision-flow", base_config(beta=0.0, initial_state={**MANIFOLD_STATE, "rho": 0.5}),
       "potential.beta"),
      ("collision-flow", base_config(initial_state={**MANIFOLD_STATE, "rho": 0.5},

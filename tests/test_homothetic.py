@@ -257,17 +257,24 @@ def test_the_reduced_orbit_is_an_orbit_of_the_full_field_at_any_inner_exponent(a
         assert np.abs(end[2:] - pack_mcgehee(st)[2:]).max() < 1e-14
 
 
-def test_the_orbit_needs_an_inner_exponent_above_zero():
-    # at a = 0 W is the constant alpha sum m_i m_j: the size turns only below
-    # h = -W(s0), and the energy curve says so
+def test_the_size_turns_only_where_the_rho_b_coefficient_is_negative():
+    # the rho^b coefficient of v^2/2 is h for a > 0 and h + W(s0) at a = 0, where
+    # W is the constant alpha sum m_i m_j: one rule for the orbit and the bisection
     config, _ = equilateral_configuration(MS)
-    pp = PotentialParams(a=0.0, b=3.0, alpha=1.0, beta=1.0)
-    with pytest.raises(DegenerateTermError, match="^homothetic orbit needs a > 0"):
-        heteroclinic_orbit(config, MS, pp, h=-1.0)
-    w0, v0 = potential_terms(config, MS, pp)
+    pp0 = PotentialParams(a=0.0, b=3.0, alpha=1.0, beta=1.0)
+    w0, v0 = potential_terms(config, MS, pp0)
     rho = np.array([0.5, 2.0])
-    assert np.allclose(energy_curve_v2(rho, config, MS, pp, -w0), 2.0 * v0, rtol=1e-15)
-    assert abs(rho_max_bisection(config, MS, pp, -w0 - 1.0) ** 3 - v0) < 1e-9 * v0
+    assert np.allclose(energy_curve_v2(rho, config, MS, pp0, -w0), 2.0 * v0, rtol=1e-15)
+    assert abs(rho_max_bisection(config, MS, pp0, -w0 - 1.0) ** 3 - v0) < 1e-9 * v0
+    orbit = heteroclinic_orbit(config, MS, pp0, h=-w0 - 1.0)
+    assert orbit.termination == "event:floor"
+    assert abs(orbit.rho_max_orbit - orbit.rho_max_bisect) < 1e-6
+    for pp, h, bound in ((pp0, -0.5, -w0), (pp0, -w0, -w0), (PP, 0.0, 0.0), (PP, np.nan, 0.0)):
+        why = f"^the size never turns around: h = {h!r} must be below {bound!r}$"
+        with pytest.raises(EnergySignError, match=why):
+            rho_max_bisection(config, MS, pp, h)
+        with pytest.raises(EnergySignError, match=why):
+            heteroclinic_orbit(config, MS, pp, h)
 
 
 @pytest.mark.parametrize("b, size", [(3.0, "8.959e+102"), (1.5, "4.013e+205")])

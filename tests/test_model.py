@@ -85,14 +85,6 @@ def test_potential_params_validation():
         PotentialParams(a=1.0, b=2.0, alpha=-1.0)
     with pytest.raises(ValueError):
         PotentialParams(a=1.0, b=2.0, alpha=0.0, beta=0.0)
-    pp = PotentialParams(a=1.0, b=2.0)
-    pp.require_manev()
-    from qhnbody.errors import ManevOnlyError
-
-    with pytest.raises(ManevOnlyError):
-        PotentialParams(a=0.5, b=2.0).require_manev()
-    with pytest.raises(ManevOnlyError):
-        PotentialParams(a=1.0, b=2.0, alpha=1.0, beta=0.0).require_manev()
 
 
 def test_two_body_closed_form():

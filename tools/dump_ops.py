@@ -1,7 +1,7 @@
 """Dump the output of every benchmark operation, for a byte comparison of two trees.
 
     python3 tools/dump_ops.py OUT --seeds 11 12
-    diff -r OLD/ NEW/
+    python3 tools/compare_dumps.py OLD NEW
 
 For each workload of bench/workloads.py and each seed, the operations are
 built by workloads.build with a fixed budget of 20 s, the benchmark's
@@ -19,7 +19,8 @@ OUT/<workload>/seed<s>/<k>/:
 A ``qh`` operation writes into work/out under a temporary working
 directory, so the paths its stdout names are the same in every tree.
 The script only reads bench/; run it from each tree, or copy it into a
-checkout of the other tree's commit, and compare the two dumps with diff -r.
+checkout of the other tree's commit, and compare the two dumps with
+tools/compare_dumps.py, which prints one line per workload and seed.
 """
 
 from __future__ import annotations
