@@ -107,10 +107,13 @@ class CCQuery:
     max_iter: int = 200
 
     def __post_init__(self):
-        _check_knobs(self.inertia_I0, self.grad_tol)
+        _check_knobs(self.pp, self.inertia_I0, self.grad_tol)
 
 
-def _check_knobs(inertia_I0: float, grad_tol: float) -> None:
+def _check_knobs(pp: PotentialParams, inertia_I0: float, grad_tol: float) -> None:
+    if pp.a == 0.0 and pp.beta == 0.0:
+        raise ValueError("a = 0 with beta = 0 makes U = alpha sum m_i m_j constant: "
+                         "it has no isolated central configuration")
     if not (np.isfinite(inertia_I0) and inertia_I0 > 0.0):
         raise ValueError("inertia_I0 must be positive")
     if not (np.isfinite(grad_tol) and grad_tol > 0.0):
@@ -202,7 +205,7 @@ class SimultaneousReport:
 
 @dataclass(frozen=True)
 class FRootResult:
-    """Positive root of f(r) = 2 sigma r^(b+2) + m r^(b-1) + m b.
+    """Positive root of f(r) = 2 sigma r^(b+2) + a m r^(b-a) + b m.
 
     sign_changes counts the sign alternations of f over a log-spaced
     grid spanning [grid_lo, grid_hi]; a valid certificate has exactly
@@ -239,12 +242,12 @@ def cc_residual(config, ms, pp: PotentialParams, terms: PairTerms | None = None)
 def simultaneous_residual(
     config, ms: MassSystem, pp: PotentialParams, terms: PairTerms | None = None
 ) -> SimultaneousReport:
-    """Residuals of the term-by-term CC equations (both terms active); terms as in cc_residual.
+    """Residuals of the term-by-term CC equations; terms as in cc_residual.
 
-    A (B, n, d) batch gives a report of (B,) arrays.
+    A (B, n, d) batch gives a report of (B,) arrays.  A term with
+    coefficient 0 vanishes with its gradient, so its multiplier and its
+    residual are 0 and the test reads the other term's CC equation.
     """
-    if pp.alpha == 0.0 or pp.beta == 0.0:
-        raise DegenerateTermError("simultaneous test needs alpha > 0 and beta > 0")
     r = _positions(config)
     m = _mass_array(ms)
     t = pair_terms(r, ms, pp) if terms is None else terms
@@ -582,7 +585,7 @@ def solve_collinear_batch(
     one batch.  When members fail, the error of the first of them in
     input order is raised.
     """
-    _check_knobs(inertia_I0, grad_tol)
+    _check_knobs(pp, inertia_I0, grad_tol)
     masses = np.asarray(masses, dtype=float)
     if (masses.ndim != 2 or masses.shape[1] < 2
             or [o.n for o in orderings] != [masses.shape[1]] * len(masses)):
@@ -769,15 +772,14 @@ def equilateral_results(
 def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
     """The two equilateral central configurations for three bodies.
 
-    These are simultaneous central configurations for any masses and
-    every 0 <= a < b; both sigma records are filled.  Both triangles are
-    one equilateral_results batch.  Raises DegenerateTermError unless
-    alpha > 0 and beta > 0.
+    The equilateral triangle is a central configuration of each term
+    alone, so these are simultaneous central configurations for any
+    masses, exponents 0 <= a < b and coefficients; the sigma1 and sigma2
+    records are filled when both terms are active.  Both triangles are
+    one equilateral_results batch.
     """
     if q.ms.n != 3:
         raise ValueError("equilateral_cc needs exactly three bodies")
-    if q.pp.alpha == 0.0 or q.pp.beta == 0.0:
-        raise DegenerateTermError("equilateral_cc needs alpha > 0 and beta > 0")
     plus, minus = equilateral_results(equilateral_configuration(q.ms, q.inertia_I0), q.ms, q.pp,
                                       q.inertia_I0)
     for cc in (plus, minus):
@@ -898,12 +900,11 @@ def simultaneous_gaps(
 
     One gap per member, orderings[k] with the (B, n) masses[k]; it
     vanishes exactly when the ordering admits a simultaneous collinear
-    central configuration of U = W + V.  Both exponents must be active
-    and positive.  The pure-a and the pure-b configurations are each
-    solved as one lockstep batch.
+    central configuration of U = W + V.  The gaps read only the
+    exponents, solving each term alone at coefficient 1, and need a > 0.
+    The pure-a and the pure-b configurations are each solved as one
+    lockstep batch.
     """
-    if pp.alpha == 0.0 or pp.beta == 0.0:
-        raise DegenerateTermError("simultaneous gap needs alpha > 0 and beta > 0")
     if pp.a == 0.0:
         raise DegenerateTermError("simultaneous gap needs a > 0; a = 0 has no shape")
     x_w, x_v = (euler_collinear_batch(orderings, masses, e, inertia_I0, grad_tol).x

@@ -254,13 +254,15 @@ def _potential(value, path, table, n):
 
 def _check_float_domain(ms: MassSystem, pps, d2: float | None = None, cause: str = "") -> None:
     """ConfigError on model.float_domain_fault's fault for a potential in pps, naming its key
-    and pair: at bind with the pair's masses, at the squared pair distance d2 with cause."""
+    and pair: at bind with the pair's masses, its coefficient named by cause, a format of
+    {key}, when given; at the squared pair distance d2 with cause."""
     for pp in pps:
         if (fault := float_domain_fault(ms.masses, pp, d2)) is None:
             continue
         _, key, (i, j), what, value = fault
         if d2 is None:  # kc = -exp coef or coef, named by its size
-            where = (f"potential.{key} = {getattr(pp, key)!r} gives pair ({i}, {j}), masses "
+            coefficient = cause.format(key=key) or f"potential.{key} = {getattr(pp, key)!r}"
+            where = (f"{coefficient} gives pair ({i}, {j}), masses "
                      f"{ms.masses.item(i - 1)!r} and {ms.masses.item(j - 1)!r}, the kernel "
                      f"coefficient {abs(value)!r}")
         else:
@@ -300,10 +302,12 @@ class RunConfig:
         top = _read(raw, "", _CONFIGS[command])
         ms, pp, i0 = top["masses"], top["potential"], top.get("inertia_I0")
         # simultaneous solves each term alone at coefficient 1 (euler_collinear_batch)
-        gated = [replace(pp, alpha=1.0, beta=1.0) if command == "simultaneous" else pp]
+        unit = command == "simultaneous"
+        gated = [replace(pp, alpha=1.0, beta=1.0) if unit else pp]
+        coefficient = "the {key} term at coefficient 1, which simultaneous solves," if unit else ""
 
         def gate(ms: MassSystem) -> None:
-            _check_float_domain(ms, gated)
+            _check_float_domain(ms, gated, cause=coefficient)
             if i0 is not None:
                 _check_float_domain(ms, gated, i0 / ms.total_mass,
                                     f"inertia_I0 = {i0!r} sets the size sqrt(I0 / M)")
@@ -590,12 +594,12 @@ _CONFIGS = {
     },
     "cc-planar3": {
         "schema": _SCHEMA, "masses": _MASSES, "inertia_I0": _I0,
-        "potential": _potential_entry(alpha="(0, inf)", beta="(0, inf)"),
+        "potential": _potential_entry(),
         "tolerances": ({}, _read, {"grad_tol": _GRAD_TOL}),
     },
     "simultaneous": {
         "schema": _SCHEMA, "masses": _MASSES, "inertia_I0": _I0,
-        "potential": _potential_entry(a="(0, inf)", alpha="(0, inf)", beta="(0, inf)"),
+        "potential": _potential_entry(a="(0, inf)"),
         "tolerances": ({}, _read, {"gap_tol": (1e-10, _float, "[0, inf)"),
                                    "grad_tol": (1e-13, _float, "(0, inf)")}),
         "options": ({}, _read, {"mass_grid": (None, _grid, _MASS_GRID)}),
@@ -628,8 +632,8 @@ _CONFIGS = {
     },
     "homothetic": {
         "schema": _SCHEMA, "masses": _MASSES, "energy_h": (_REQUIRED, _float, "(-inf, inf)"),
-        "potential": _potential_entry(alpha="(0, inf)", beta="(0, inf)"),
-        "tolerances": ({}, _read, {"rho_floor": (1e-8, _float, "(0, 1)"),
+        "potential": _potential_entry(beta="(0, inf)"),
+        "tolerances": ({}, _read, {"rho_floor": (1e-8, _float, "(0, inf)"),
                                    "rel_tol": (1e-11, _float, "[0, inf)"),
                                    "abs_tol": (1e-13, _float, "(0, inf)"), "grad_tol": _GRAD_TOL}),
         "options": ({}, _read, {"shape": ("equilateral", _shape,

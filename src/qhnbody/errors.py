@@ -30,7 +30,8 @@ class BracketError(QHError):
 
 
 class DegenerateTermError(QHError):
-    """An operation requires both potential terms to be active."""
+    """A potential term an operation needs is degenerate: at a = 0 the a-term is
+    constant and has no shape to gap, and V(s0) = 0 gives no ejection speed."""
 
 
 class ZeroSizeError(QHError):

@@ -95,21 +95,16 @@ def rho_max_bisection(
 ) -> float:
     """Unique positive zero of the energy curve; raises EnergySignError where it has none."""
     require_on_sphere(s0, ms)
-    w0, v0 = potential_terms(s0, ms, pp)
-    _require_turn(w0, pp, h)
-    return _rho_max(w0, v0, pp, h)
-
-
-def _require_turn(w0: float, pp: PotentialParams, h: float) -> None:
-    """EnergySignError unless the size turns: the rho^b coefficient of v^2/2,
-    h for a > 0 and h + W(s0) at a = 0, where W is constant, must be negative."""
-    bound = -w0 if pp.a == 0.0 else 0.0
-    if not h < bound:
-        raise EnergySignError(f"the size never turns around: h = {h!r} must be below {bound!r}")
+    return _rho_max(*potential_terms(s0, ms, pp), pp, h)
 
 
 def _rho_max(w0: float, v0: float, pp: PotentialParams, h: float) -> float:
-    """rho_max_bisection from W(s0) and V(s0), on a level where the size turns."""
+    """rho_max_bisection from W(s0) and V(s0).  EnergySignError unless the size
+    turns: the rho^b coefficient of v^2/2, h for a > 0 and h + W(s0) at a = 0,
+    where W is constant, must be negative."""
+    bound = -w0 if pp.a == 0.0 else 0.0
+    if not h < bound:
+        raise EnergySignError(f"the size never turns around: h = {h!r} must be below {bound!r}")
     w_exp, b = pp.b - pp.a, pp.b
 
     def v2(rho: float) -> float:
@@ -130,11 +125,14 @@ def heteroclinic_orbit(
 ) -> PlaneOrbit:
     """The ejection-collision connection over a simultaneous CC.
 
-    Starts at rho = rho_floor on the ejection branch and integrates the
-    reduced system until the orbit falls back through rho_floor.  The
-    turning size is recorded by a v = 0 event and cross-checked against
-    bisection on the energy curve.  An energy level on which the size
-    never turns raises EnergySignError.
+    s0 must be a central configuration of each active term; with alpha = 0
+    that is any central configuration of V.  Starts at rho = rho_floor on
+    the ejection branch and integrates the reduced system until the orbit
+    falls back through rho_floor.  The turning size is recorded by a
+    v = 0 event and cross-checked against bisection on the energy curve.
+    An energy level on which the size never turns raises EnergySignError,
+    V(s0) = 0 DegenerateTermError, and a rho_floor outside (0, rho_max)
+    ValueError.
     """
     # one sphere check and one pair-kernel pass at s0 serve every quantity below
     require_on_sphere(s0, ms)
@@ -144,11 +142,12 @@ def heteroclinic_orbit(
         raise AdmissibilityError(f"shape is not a simultaneous central configuration: "
                                  f"residual {report.max_residual:.3e}")
     w0, v0_pot = terms.W, terms.V
-    _require_turn(w0, pp, h)
-    if not (0.0 < rho_floor < 1.0):
-        raise ValueError("rho_floor must lie in (0, 1)")
     if not v0_pot > 0.0:
         raise DegenerateTermError(f"V(s0) = {v0_pot!r} gives no ejection speed sqrt(2 V(s0))")
+    rho_max = _rho_max(w0, v0_pot, pp, h)
+    if not 0.0 < rho_floor < rho_max:
+        raise ValueError(f"rho_floor = {rho_floor!r} must lie in (0, rho_max), below the "
+                         f"turning size rho_max = {rho_max!r}")
     w_exp, b = pp.b - pp.a, pp.b
 
     def floats(t, y):
@@ -206,7 +205,7 @@ def heteroclinic_orbit(
         K=v0_pot,
         k_drift=float(np.abs(tr.conserved_residuals["K"]).max()),
         rho_max_orbit=rho_turn,
-        rho_max_bisect=_rho_max(w0, v0_pot, pp, h),
+        rho_max_bisect=rho_max,
         termination=tr.termination,
         trajectory=tr,
     )

@@ -913,12 +913,26 @@ def test_a_nan_is_off_the_sphere():
         require_on_sphere(np.full((3, 2), np.nan), MS123)
 
 
-def test_equilateral_rejects_wrong_potentials():
+# the equilateral triangle is a CC of each term alone; the multipliers of
+# the simultaneous test are written only when both terms are active
+def test_equilateral_cc_takes_either_term_alone():
     for alpha, beta in ((0.0, 1.0), (1.0, 0.0)):
-        with pytest.raises(DegenerateTermError, match="^equilateral_cc needs alpha > 0 and beta"):
-            equilateral_cc(
-                CCQuery(ms=MS123, pp=PotentialParams(a=1.0, b=2.0, alpha=alpha, beta=beta))
-            )
+        pp = PotentialParams(a=1.0, b=2.0, alpha=alpha, beta=beta)
+        for cc in equilateral_cc(CCQuery(ms=MS123, pp=pp)):
+            assert cc.residual <= 1e-12 * max(1.0, abs(cc.sigma))
+            assert (cc.sigma1, cc.sigma2) == (None, None)
+
+
+# a = 0 with beta = 0 leaves U = alpha sum m_i m_j, a constant with no isolated
+# CC: the query and the batch solve refuse it before any kernel pass
+def test_a_constant_potential_is_refused_by_name():
+    pp = PotentialParams(a=0.0, b=2.0, alpha=1.0, beta=0.0)
+    why = ("^a = 0 with beta = 0 makes U = alpha sum m_i m_j constant: "
+           "it has no isolated central configuration$")
+    with pytest.raises(ValueError, match=why):
+        CCQuery(ms=MS123, pp=pp)
+    with pytest.raises(ValueError, match=why):
+        solve_collinear_batch([Ordering.identity(3)], MS123.masses[None], pp)
 
 
 # ---------------------------------------------------------------------------
@@ -1012,25 +1026,29 @@ def test_generic_masses_are_not_simultaneous():
     assert gap > 1e-3
 
 
-def test_simultaneous_gap_requires_both_terms():
-    with pytest.raises(DegenerateTermError):
-        simultaneous_gap(
-            MS123, PotentialParams(a=1.0, b=2.0, alpha=0.0, beta=1.0), Ordering((1, 2, 3))
-        )
-    with pytest.raises(DegenerateTermError):
-        simultaneous_gap(
-            MS123, PotentialParams(a=0.0, b=2.0, alpha=0.0, beta=1.0), Ordering((1, 2, 3))
-        )
-
-
-def test_the_simultaneous_tests_need_both_terms_and_a_positive_a():
-    config, _ = equilateral_configuration(MS123)
-    with pytest.raises(DegenerateTermError, match="needs alpha > 0 and beta > 0"):
-        simultaneous_residual(config, MS123, PotentialParams(a=1.0, b=2.0, alpha=0.0, beta=1.0))
-    # both terms active, but the a-term of exponent 0 is a constant with no CC shape
-    with pytest.raises(DegenerateTermError, match="needs a > 0"):
+def test_simultaneous_gap_reads_only_the_exponents():
+    # each term is solved alone at coefficient 1, so a zero coefficient changes no gap
+    gaps = [simultaneous_gap(MS123, PotentialParams(a=1.0, b=2.0, alpha=alpha, beta=beta),
+                             Ordering((1, 2, 3)))
+            for alpha, beta in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))]
+    assert gaps == [gaps[0]] * 3
+    # the a-term of exponent 0 is a constant with no CC shape
+    with pytest.raises(DegenerateTermError, match="^simultaneous gap needs a > 0; a = 0 has no"):
         simultaneous_gaps([Ordering((1, 2, 3))], MS123.masses[None],
                           PotentialParams(a=0.0, b=2.0, alpha=1.0, beta=1.0))
+
+
+def test_a_zero_term_passes_its_own_simultaneous_equation():
+    # a term of coefficient 0 vanishes with its gradient: its multiplier and its
+    # residual are exactly 0, and the report reads the other term's CC equation
+    pure_v = PotentialParams(a=1.0, b=2.0, alpha=0.0, beta=1.0)
+    config = solve_collinear_ordering(Ordering((1, 2, 3)), CCQuery(ms=MS123, pp=pure_v)).config
+    report = simultaneous_residual(config, MS123, pure_v)
+    assert (report.sigma1, report.residual_W) == (0.0, 0.0)
+    assert report.max_residual == report.residual_V < 1e-10
+    report = simultaneous_residual(config, MS123, dataclasses.replace(pure_v, alpha=1.0, beta=0.0))
+    assert (report.sigma2, report.residual_V) == (0.0, 0.0)
+    assert report.max_residual == report.residual_W > 1e-3
 
 
 def test_simultaneous_residual_splits_the_multiplier(rng):

@@ -211,26 +211,46 @@ def test_cc_planar3_certifies_the_equilateral_side(tmp_path):
         assert rec["residual"] < 1e-10
 
 
-# at unit coefficients the side L solves 2 sigma L^(b+2) = -M (a L^(b-a) + b) at every 0 <= a < b
+# at unit coefficients the side L solves 2 sigma L^(b+2) = -M (a L^(b-a) + b) at every
+# 0 <= a < b, and the triangle is a CC of either term alone; sigma1 and sigma2 are
+# written only when both terms are active
 @pytest.mark.parametrize("masses", [(1.0, 2.0, 3.0), (1e-3, 1.0, 1e-3)])
-@pytest.mark.parametrize("a", [0.0, 0.5, 1.7, 2.9])
-def test_cc_planar3_certifies_the_side_at_any_inner_exponent(tmp_path, a, masses):
-    code, out = run(tmp_path, "cc-planar3", base_config(masses=masses, a=a))
+@pytest.mark.parametrize("potential", [{"a": 0.0}, {"a": 0.5}, {"a": 1.7}, {"a": 2.9},
+                                       {"alpha": 0.0}, {"beta": 0.0}],
+                         ids=["a0", "a0.5", "a1.7", "a2.9", "alpha0", "beta0"])
+def test_cc_planar3_certifies_the_side_at_any_inner_exponent(tmp_path, potential, masses):
+    code, out = run(tmp_path, "cc-planar3", base_config(masses=masses, **potential))
     assert code == 0
     doc = load_json(out, "cc_planar3.json")
     cert = doc["side_certificate"]
     assert cert["sign_changes"] == 1
     assert abs(cert["root"] - doc["side"]) <= 1e-10 * doc["side"]
+    both = doc["potential"]["alpha"] > 0.0 and doc["potential"]["beta"] > 0.0
+    assert [("sigma1" in rec, "sigma2" in rec) for rec in doc["results"]] == [(both, both)] * 2
+
+
+_CONSTANT_U = ("error: a = 0 with beta = 0 makes U = alpha sum m_i m_j constant: "
+               "it has no isolated central configuration\n")
 
 
 def test_cc_planar3_guards_its_preconditions(tmp_path, capsys):
     for bad in (
-        base_config(beta=0.0),  # needs beta > 0
+        base_config(a=0.0, beta=0.0),  # a constant U has no isolated CC
         base_config(masses=[1.0, 2.0]),  # needs three bodies
     ):
         code, _ = run(tmp_path, "cc-planar3", bad, subdir=f"g{id(bad) % 97}")
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+# a = 0 with beta = 0 makes U constant, with no isolated CC: it is refused by name
+# before any kernel pass, where cc-collinear reported a Hessian spectrum [0.]
+@pytest.mark.parametrize("command", ["cc-collinear", "cc-planar3"])
+def test_a_constant_potential_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    passes = count_kernel_passes(monkeypatch)
+    code, out = run(tmp_path, command, base_config(a=0.0, beta=0.0))
+    assert (code, out.exists(), passes) == (2, False, [])
+    assert capsys.readouterr().err == _CONSTANT_U
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +261,28 @@ def test_cc_planar3_guards_its_preconditions(tmp_path, capsys):
 # gated at alpha = beta = 1: coefficients the gaps do not depend on gate nothing
 def test_simultaneous_gates_the_size_at_the_coefficients_it_solves_with(tmp_path):
     texts = []
-    for coef in (1.0, 1e-300):
-        data = base_config(alpha=coef, beta=coef, inertia_I0=1e10)
-        code, out = run(tmp_path, "simultaneous", data, subdir=f"c{coef}")
+    for alpha, beta in ((1.0, 1.0), (1e-300, 1e-300), (0.0, 1.0), (1.0, 0.0)):
+        data = base_config(alpha=alpha, beta=beta, inertia_I0=1e10)
+        code, out = run(tmp_path, "simultaneous", data, subdir=f"c{alpha}-{beta}")
         assert code == 0
-        texts.append(_text_but(out, "simultaneous.json", alpha=coef, beta=coef))
-    assert texts[0] == texts[1]
+        texts.append(_text_but(out, "simultaneous.json", alpha=alpha, beta=beta))
+    assert texts == [texts[0]] * 4
 
 
 # every kernel value grows with each mass, so the lowest and the highest cell
-# gate the grid; a cell out of range is named, before any solve
-@pytest.mark.parametrize("m, cell", [([1e-170, 2e-170], "(1e-170, 1e-170, 1.0)"),
-                                     ([1.0, 1e150], "(1e+150, 1e+150, 1.0)")])
-def test_simultaneous_gates_the_float_domain_of_its_mass_grid(tmp_path, capsys, m, cell):
-    data = base_config(options={"mass_grid": {"m1": m, "m2": m[::-1]}})
+# gate the grid; a cell out of range is named, before any solve, with the unit
+# coefficient the solves use and not the config's alpha = 0.3
+@pytest.mark.parametrize("m, cell, cause", [
+    ([1e-170, 2e-170], "(1e-170, 1e-170, 1.0)", "the alpha term at coefficient 1, which "
+     "simultaneous solves, gives pair (1, 2), masses 1e-170 and 1e-170, the kernel coefficient"),
+    ([1.0, 1e150], "(1e+150, 1e+150, 1.0)", "inertia_I0 = 1.0 sets the size sqrt(I0 / M)")])
+def test_simultaneous_gates_the_float_domain_of_its_mass_grid(tmp_path, capsys, m, cell, cause):
+    data = base_config(alpha=0.3, options={"mass_grid": {"m1": m, "m2": m[::-1]}})
     code, out = run(tmp_path, "simultaneous", data)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: options.mass_grid cell with masses {cell}: ")
-    assert "batch member" not in err
+    assert err.startswith(f"error: options.mass_grid cell with masses {cell}: {cause} ")
+    assert "batch member" not in err and "potential.alpha" not in err
     assert not out.exists()
 
 
@@ -935,6 +958,38 @@ def test_homothetic_at_a_zero_turns_below_minus_w(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: EnergySignError: ")
 
 
+# at alpha = 0 the admissibility test reads "s0 is a CC of V", which every CC of
+# V passes (the collinear one too, which test_homothetic_rejects_a_non_simultaneous_shape
+# refuses at alpha = 1), and the size turns at rho_max = (V(s0) / -h)^(1/b)
+def test_homothetic_at_alpha_zero_takes_every_cc_of_v(tmp_path):
+    data = base_config(masses=[1.0, 1.0, 1.0], alpha=0.0, beta=1.0, energy_h=-1.0)
+    code, out = run(tmp_path, "homothetic", data)
+    assert code == 0
+    doc = load_json(out, "homothetic.json")
+    assert doc["rho_max_bisect"] == pytest.approx(doc["K"] ** (1.0 / 3.0), rel=1e-10)
+    assert doc["k_drift"] < 1e-9
+    data = base_config(alpha=0.0, energy_h=-1.0, options={"shape": {"ordering": [1, 2, 3]}})
+    code, out = run(tmp_path, "homothetic", data, subdir="collinear")
+    assert code == 0
+    doc = load_json(out, "homothetic.json")
+    assert doc["termination"] == "event:floor"
+    assert doc["k_drift"] < 1e-9
+
+
+# the orbit starts at rho_floor on its way up, so the floor must lie below the
+# turning size; at h = -1000 that is 0.145, and a floor of 0.5 has no v there
+def test_homothetic_needs_a_floor_below_the_turning_size(tmp_path, capsys):
+    data = base_config(masses=[1.0, 1.0, 1.0], beta=1.0, energy_h=-1000.0,
+                       tolerances={"rho_floor": 0.5})
+    code, out = run(tmp_path, "homothetic", data)
+    assert (code, out.exists()) == (2, False)
+    ms, pp = MassSystem(np.ones(3)), PotentialParams(a=1.0, b=3.0)
+    rho_max = homothetic.rho_max_bisection(equilateral_configuration(ms)[0], ms, pp, -1000.0)
+    assert f"{rho_max:.3g}" == "0.145"
+    assert capsys.readouterr().err == ("error: rho_floor = 0.5 must lie in (0, rho_max), below "
+                                       f"the turning size rho_max = {rho_max!r}\n")
+
+
 def test_homothetic_requires_a_negative_energy_level(tmp_path, capsys):
     data = base_config(
         masses=[1.0, 1.0, 1.0], beta=1.0, energy_h=1.0,
@@ -963,8 +1018,9 @@ def test_homothetic_rejects_a_non_simultaneous_shape(tmp_path, capsys):
     assert "error: AdmissibilityError" in capsys.readouterr().err
 
 
-def _coefficient_error(key, value, pair, mi, mj, coef):
-    return (f"error: potential.{key} = {value} gives pair {pair}, masses {mi} and {mj}, the kernel "
+def _coefficient_error(key, value, pair, mi, mj, coef, name=None):
+    name = name or f"potential.{key} = {value}"
+    return (f"error: {name} gives pair {pair}, masses {mi} and {mj}, the kernel "
             f"coefficient {coef}: it must be finite and at least 2.2250738585072014e-308\n")
 
 
@@ -1004,9 +1060,13 @@ def test_a_nan_residual_is_not_admissible(tmp_path, capsys):
      ("cc-collinear", base_config(masses=[1.0, 1.0], a=0.5, alpha=3e-308),
       _coefficient_error("alpha", "3e-308", "(1, 2)", "1.0", "1.0", "1.5000000000000004e-308")),
      ("cc-collinear", base_config(masses=[1.0, 1.0], beta=1e308),
-      _coefficient_error("beta", "1e+308", "(1, 2)", "1.0", "1.0", "inf"))],
+      _coefficient_error("beta", "1e+308", "(1, 2)", "1.0", "1.0", "inf")),
+     # simultaneous solves each term at coefficient 1 and names it, not the config's alpha
+     ("simultaneous", base_config(masses=[1e-170, 1e-170, 1.0], alpha=0.3),
+      _coefficient_error("alpha", None, "(1, 2)", "1e-170", "1e-170", "0.0",
+                         name="the alpha term at coefficient 1, which simultaneous solves,"))],
     ids=["simulate", "eigen", "homothetic", "cc-planar3", "collision-flow", "exponent-underflow",
-         "exponent-overflow"],
+         "exponent-overflow", "simultaneous"],
 )
 def test_a_quantity_past_the_float_domain_fails_its_own_gate(tmp_path, capsys, command, data,
                                                             message):
@@ -1276,16 +1336,11 @@ def test_null_in_a_numeric_field_is_a_config_error(tmp_path, capsys, command, fi
 @pytest.mark.parametrize(
     "command, data, key, value, rng",
     [
-        ("cc-planar3", base_config(), "alpha", 0.0, "(0, inf)"),
-        ("cc-planar3", base_config(), "beta", 0.0, "(0, inf)"),
         ("simultaneous", base_config(), "a", 0.0, "(0, inf)"),
-        ("simultaneous", base_config(), "alpha", 0.0, "(0, inf)"),
-        ("simultaneous", base_config(), "beta", 0.0, "(0, inf)"),
         ("collision-flow", FLOW, "beta", 0.0, "(0, inf)"),
         ("eigen", EIGEN, "b", 2.0, "(2, inf)"),
         ("eigen", EIGEN, "b", 1.5, "(2, inf)"),
         ("eigen", EIGEN, "beta", 0.0, "(0, inf)"),
-        ("homothetic", HOMOTHETIC, "alpha", 0.0, "(0, inf)"),
         ("homothetic", HOMOTHETIC, "beta", 0.0, "(0, inf)"),
     ],
 )
@@ -1325,7 +1380,7 @@ def test_a_check_of_one_key_is_its_table_entry(tmp_path, capsys, command, data, 
 # top-level numbers, then potential, initial_state, tolerances and options
 @pytest.mark.parametrize(
     "command, data, first",
-    [("cc-planar3", base_config(beta=0.0, inertia_I0=-1.0), "inertia_I0"),
+    [("cc-planar3", base_config(inertia_I0=-1.0, tolerances={"grad_tol": 0.0}), "inertia_I0"),
      ("homothetic", base_config(beta=0.0, energy_h=[1.0]), "energy_h"),
      ("collision-flow", base_config(beta=0.0, initial_state={**MANIFOLD_STATE, "rho": 0.5}),
       "potential.beta"),

@@ -227,10 +227,14 @@ def test_heteroclinic_orbit_guard_rails():
         heteroclinic_orbit(config, MS, PP, h=0.0)
     with pytest.raises(EnergySignError):
         heteroclinic_orbit(config, MS, PP, h=0.5)
-    with pytest.raises(ValueError):
-        heteroclinic_orbit(config, MS, PP, h=-1.0, rho_floor=0.0)
-    with pytest.raises(ValueError):
-        heteroclinic_orbit(config, MS, PP, h=-1.0, rho_floor=1.5)
+    # the floor must lie below the turning size, about 15 here
+    rho_max = rho_max_bisection(config, MS, PP, -1.0)
+    for rho_floor in (0.0, rho_max, 20.0, np.nan):
+        why = (f"^rho_floor = {re.escape(repr(rho_floor))} must lie in \\(0, rho_max\\), below "
+               f"the turning size rho_max = {re.escape(repr(rho_max))}$")
+        with pytest.raises(ValueError, match=why):
+            heteroclinic_orbit(config, MS, PP, h=-1.0, rho_floor=rho_floor)
+    assert heteroclinic_orbit(config, MS, PP, h=-1.0, rho_floor=1.5).termination == "event:floor"
 
 
 @pytest.mark.parametrize("a", [0.5, 1.7])
