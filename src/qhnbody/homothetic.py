@@ -158,7 +158,7 @@ def heteroclinic_orbit(
     def field(t, y):
         return np.array(floats(t, y.tolist()))
 
-    field.floats = floats  # integrate's stage states reach it as lists
+    field.floats = floats  # integrate steps it in its float kernel, on lists
 
     v_start = np.sqrt(_v2(rho_floor, w0, v0_pot, pp, h))
     y0 = np.array([rho_floor, v_start])
@@ -190,7 +190,7 @@ def heteroclinic_orbit(
     )
     if tr.termination != "event:floor":
         raise NoConvergenceError(
-            f"orbit did not return to rho_floor within tau = {tau_max!r} "
+            f"orbit did not return to rho_floor within tau = {float(tau_max)!r} "
             f"({tr.termination})"
         )
     if not tr.events["turn"]:

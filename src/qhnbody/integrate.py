@@ -12,10 +12,23 @@ seventh-order dense output (3 more field calls), and it is dropped once
 the event is located by bisection to 1e-10 in the independent variable;
 the state stored for an event is then one real step from the start of
 its step to the located time, not an interpolated value.
+
+A step runs in one of two kernels, chosen once per run from the field
+alone.  A field without a float body takes the numpy kernel: each stage
+state is y + h (A[s, :s] @ k[:s]) in a fresh array, its sum in whatever
+order and with whatever FMA use the BLAS picks at run time.  A field
+with a float body, field.floats(t, list) -> list, takes the float
+kernel: a straight-line step and error norm written out for the state
+size and compiled once per size in a process (_float_kernel), where
+each stage state is a fresh list y_i + h (a_s0 k0_i + a_s3 k3_i + ...)
+over the row's nonzero entries, summed left to right, the same on every
+IEEE machine.  Both share the step control, failure handling,
+renormalizer, events and monitors; the dense output is numpy in both.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -209,18 +222,93 @@ def _stage_state(s, y, h, k) -> np.ndarray:
     return z
 
 
-def _field_call(field_fn):
-    """What integrate calls on each stage state, a fresh array: field_fn,
-    or its float body field_fn.floats on the state's list of floats."""
-    floats = getattr(field_fn, "floats", None)
-    return field_fn if floats is None else lambda t, y: floats(t, y.tolist())
-
-
 def _step(field_fn, t, y, h, k) -> np.ndarray:
     """Stages k[1:12] of a step of size h from (t, y) given k[0] = f(t, y); returns y(t + h)."""
     for s in range(1, 12):
         k[s] = field_fn(t + _NODES[s] * h, _stage_state(s, y, h, k))
     return _stage_state(12, y, h, k)
+
+
+def _terms(weights, row):
+    """The signed terms w * k<j>_<row> of the nonzero weights w, in order of j."""
+    return [f"{w!r} * k{j}_{row}" for j, w in enumerate(weights.tolist()) if w]
+
+
+def _sum_lines(name, terms):
+    """Lines that set name to the sum of terms, left to right, 64 terms a line
+    at most (the compiler recurses once per term of a sum)."""
+    chunks = [terms[i : i + 64] for i in range(0, len(terms), 64)]
+    return [f"    {name} = {' + '.join(chunks[0])}",
+            *(f"    {name} = {name} + {' + '.join(chunk)}" for chunk in chunks[1:])]
+
+
+def _unpack(name, dim):
+    """The line that unpacks the list name into name_0 ... name_<dim - 1>."""
+    return f"    {', '.join(f'{name}_{i}' for i in range(dim))}, = {name}"
+
+
+def _compiled(lines, name, filename):
+    scope = {"sqrt": math.sqrt}
+    exec(compile("\n".join(lines), filename, "exec"), scope)
+    return scope[name]
+
+
+@functools.lru_cache(maxsize=None)
+def _float_kernel(dim: int):
+    """(step, error): the stage loop and error norm of a step on states of dim
+    Python floats, written out for dim and compiled once per dim in a process.
+
+    step(floats, t, y, h, k0) -> (y1, rows) makes stages 1-11 of a step of
+    size h from (t, y), given k0 = floats(t, y), and returns y1 = y(t + h)
+    and rows, the 12 lists k0, k1, ..., k11 the float body gave.  Stage s
+    hands floats one fresh list, y_i + h * (a_s0 * k0_i + a_s3 * k3_i + ...)
+    over the nonzero entries of row s of the tableau, summed left to right,
+    and y1 is the same sum over the weights of row 12.
+    error(h, rows, y, y1, abs_tol, rel_tol) is _error_norm's estimate of
+    that step with scale abs_tol + rel_tol * max(|y_i|, |y1_i|), its
+    weighted sums also over nonzero weights, left to right.  Each function
+    is compiled under its own file name, <float step dim=8> and <float
+    error dim=8>, so that profilers tell the sizes apart.
+    """
+    coords = range(dim)
+    step = [
+        "def step(floats, t, y, h, k0):",
+        _unpack("y", dim),
+        _unpack("k0", dim),
+    ]
+    used = {j for s in range(2, 13) for j in np.flatnonzero(_ROWS[s]).tolist()}
+    for s in range(1, 12):
+        state = ", ".join(f"y_{i} + h * ({' + '.join(_terms(_ROWS[s], i))})" for i in coords)
+        step.append(f"    k{s} = floats(t + {_NODES[s]!r} * h, [{state}])")
+        if s in used:
+            step.append(_unpack(f"k{s}", dim))
+    y1 = ", ".join(f"y_{i} + h * ({' + '.join(_terms(_B, i))})" for i in coords)
+    step.append(f"    return [{y1}], ({', '.join(f'k{s}' for s in range(12))})")
+
+    weighted = [j for j in range(12) if _E5[j] or _E3[j]]
+    error = [
+        "def error(h, rows, y, y1, abs_tol, rel_tol):",
+        f"    {', '.join(f'k{j}' if j in weighted else '_' for j in range(12))} = rows",
+        *(_unpack(f"k{j}", dim) for j in weighted),
+        _unpack("y", dim),
+        _unpack("y1", dim),
+    ]
+    for i in coords:
+        error += [
+            f"    a, b = abs(y_{i}), abs(y1_{i})",
+            "    scale = abs_tol + rel_tol * (a if a > b else b)",
+            f"    p{i} = ({' + '.join(_terms(_E5, i))}) / scale",
+            f"    q{i} = ({' + '.join(_terms(_E3, i))}) / scale",
+        ]
+    error += [
+        *_sum_lines("e5", [f"p{i} * p{i}" for i in coords]),
+        *_sum_lines("e3", [f"q{i} * q{i}" for i in coords]),
+        "    if e5 == 0.0 and e3 == 0.0:",
+        "        return 0.0",
+        f"    return abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {dim})",
+    ]
+    return (_compiled(step, "step", f"<float step dim={dim}>"),
+            _compiled(error, "error", f"<float error dim={dim}>"))
 
 
 def _dense_coef(field_fn, t0, h, y0, y1, k) -> np.ndarray:
@@ -260,6 +348,68 @@ def _error_norm(h, k, scale) -> float:
     if e5 == 0.0 and e3 == 0.0:
         return 0.0
     return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
+
+
+
+def _all_finite(v) -> bool:
+    return np.isfinite(v).all()
+
+
+def _all_finite_list(v) -> bool:
+    return all(map(math.isfinite, v))
+
+
+def _same(v):
+    return v
+
+
+def _array_kernel(field_fn, dim, rel_tol, abs_tol):
+    """The numpy kernel of integrate, for a field without a float body.
+
+    Like _list_kernel it returns (step, error, finite, call, dense, array,
+    native): step(t, y, h, f) -> (y1, rows), error(h, rows, y, y1), the
+    finiteness test of a state or field value, the field call at an end
+    point, dense(t, h, y, y1, rows, f1) -> the dense output's coefficients
+    given f1 at the stored end state, and the maps between the kernel's
+    states and arrays.  Here states are arrays, and rows is one (13, dim)
+    buffer of stage rows per run.
+    """
+    k = np.empty((13, dim))
+    step, error_norm = _step, _error_norm
+
+    def stages(t, y, h, f):
+        k[0] = f
+        return step(field_fn, t, y, h, k), k
+
+    def error(h, k, y, y1):
+        return error_norm(h, k, abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y1)))
+
+    def dense(t, h, y, y1, k, f1):
+        k[12] = f1
+        return _dense_coef(field_fn, t, h, y, y1, k)
+
+    return stages, error, _all_finite, field_fn, dense, _same, _same
+
+
+def _list_kernel(field_fn, dim, rel_tol, abs_tol):
+    """The float kernel of integrate, for a field with a float body: the
+    tuple of _array_kernel, on states that are lists and rows that are the
+    lists the body returned, stepped by _float_kernel(dim)."""
+    floats, (step, error_norm) = field_fn.floats, _float_kernel(dim)
+
+    def stages(t, y, h, f):
+        return step(floats, t, y, h, f)
+
+    def error(h, rows, y, y1):
+        return error_norm(h, rows, y, y1, abs_tol, rel_tol)
+
+    def on_arrays(t, z):  # the dense output's stage states
+        return floats(t, z.tolist())
+
+    def dense(t, h, y, y1, rows, f1):
+        return _dense_coef(on_arrays, t, h, np.array(y), np.array(y1), np.array([*rows, f1]))
+
+    return stages, error, _all_finite_list, floats, dense, np.array, np.ndarray.tolist
 
 
 def _rms_norm(x: np.ndarray) -> float:
@@ -334,13 +484,17 @@ def integrate(
     dense output or for an event's step, outside the step-size control.
 
     A field may carry its body in Python floats as field_fn.floats, a
-    callable (t, list) -> list whose values are field_fn's bit for bit;
-    integrate reads it once per run.  Then each stage state (the step's,
-    the dense output's and an event step's), still one fresh array, and
-    the end state of each accepted step reach that body as lists, and
-    the list it returns is written into its stage row: no array is made
-    for the field's output, and no list it is given is written again.
-    The first call, at t0, and the initial step's probe are array calls.
+    callable (t, list) -> list whose values are field_fn's bit for bit.
+    When it has one, the run takes the float kernel (see the module):
+    the stages of each step, an event's step and the end state of each
+    accepted step reach that body as fresh lists, and the lists it
+    returns are the step's stage rows, read but never written.  The
+    renormalizer, events, monitors and StiffnessError.state still get
+    arrays, made from those lists; the dense output's three stages reach
+    the body as lists of its numpy stage states.  The first call, at t0,
+    and the initial step's probe are array calls.  A field without one
+    runs the numpy kernel, whose stage states are fresh arrays that the
+    field may keep.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -372,16 +526,19 @@ def integrate(
 
     h = _initial_step(field_fn, t0, y, f, t1, rel_tol, abs_tol, max_step)
 
+    # the kernel: how a step is made and read, on arrays or on the float body's lists
+    kernel = _list_kernel if hasattr(field_fn, "floats") else _array_kernel
+    step, error, finite, call, dense, array, native = kernel(field_fn, y.size, rel_tol, abs_tol)
+
     t = t0
-    times = [t]
-    states = [y]
     ev_values = [float(ev.fn(t, y)) for ev in events]
     ev_hits: dict[str, list] = {ev.name: [] for ev in events}
+    y, f = native(y), native(f)
+    times = [t]
+    states = [y]
     termination = "time-budget"
     fac_old = 1e-4
     just_rejected = False
-    k = np.empty((13, y.size))
-    call = _field_call(field_fn)
     floor_unit = 16.0 * np.finfo(float).eps
 
     def h_floor(at):
@@ -391,29 +548,27 @@ def integrate(
     while t < t1:
         steps += 1
         if steps > _MAX_STEPS:
-            raise StiffnessError(f"step budget exhausted at t = {t!r}", t, y.copy())
+            raise StiffnessError(f"step budget exhausted at t = {t!r}", t, np.array(y))
         if t1 - t <= h_floor(t):
             break
         h = min(h, t1 - t)
         if h < h_floor(t):
-            raise StiffnessError(f"step size underflow at t = {t!r} (h = {h:.3e})", t, y.copy())
+            raise StiffnessError(f"step size underflow at t = {t!r} (h = {h:.3e})", t, np.array(y))
 
         # a failed stage, a non-finite y1 (its error norm could be NaN), and a failed
         # projection or f(t + h, y_new), made only once the error test passes,
         # each reject with h / 4
         failed = err = None
-        k[0] = f
         try:
-            y1 = _step(call, t, y, h, k)
-            if not np.isfinite(y1).all():
+            y1, rows = step(t, y, h, f)
+            if not finite(y1):
                 failed = "non-finite step"
             else:
-                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y1))
-                err = _error_norm(h, k, scale)
+                err = error(h, rows, y, y1)
                 if err <= 1.0:
-                    y_new = y1 if renormalizer is None else renormalizer(y1)
-                    k[12] = f_new = call(t + h, y_new)
-                    if not np.isfinite(k[12]).all():
+                    y_new = y1 if renormalizer is None else native(renormalizer(array(y1)))
+                    f_new = call(t + h, y_new)
+                    if not finite(f_new):
                         failed = "non-finite step"
         except (QHError, ArithmeticError) as exc:
             failed = str(exc)
@@ -423,7 +578,7 @@ def integrate(
             just_rejected = True
             if h < h_floor(t):
                 raise StiffnessError(
-                    f"field failed at t = {t!r} with h underflow: {failed}", t, y.copy()
+                    f"field failed at t = {t!r} with h underflow: {failed}", t, np.array(y)
                 )
             continue
 
@@ -443,23 +598,24 @@ def integrate(
         t_new = t + h
 
         falling, hits = [], []
+        y_seen = array(y_new) if events else None
         for idx, ev in enumerate(events):
-            g1 = float(ev.fn(t_new, y_new))
+            g1 = float(ev.fn(t_new, y_seen))
             if ev_values[idx] > 0.0 >= g1:
                 falling.append(ev)
             ev_values[idx] = g1
         if falling:
             # the dense output, from the raw y1, only for a step in which an event falls
-            coef = _dense_coef(call, t, h, y, y1, k)
-            hits = sorted([(_locate_event(ev, coef, t, h, y), ev) for ev in falling],
+            coef, y_start = dense(t, h, y, y1, rows, f_new), array(y)
+            hits = sorted([(_locate_event(ev, coef, t, h, y_start), ev) for ev in falling],
                           key=lambda pair: pair[0])
         stop_at = None
         for te, ev in hits:
             if stop_at is not None and te > stop_at[0]:
                 break
             # the stored state is a real step to te, not the interpolant; it
-            # reuses k, whose row 0 is still f
-            ye = _step(call, t, y, te - t, k)
+            # starts from f, as the step did
+            ye = array(step(t, y, te - t, f)[0])
             if renormalizer is not None:
                 ye = renormalizer(ye)
             ev_hits[ev.name].append((te, ye))

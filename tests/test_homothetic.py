@@ -312,8 +312,12 @@ def test_an_orbit_cut_short_of_the_floor_is_no_convergence(monkeypatch):
 
     monkeypatch.setattr(homothetic, "integrate", short)
     config, _ = equilateral_configuration(MS)
-    with pytest.raises(NoConvergenceError, match=r"did not return to rho_floor .*\(time-budget\)$"):
+    with pytest.raises(NoConvergenceError,
+                       match=r"did not return to rho_floor .*\(time-budget\)$") as info:
         heteroclinic_orbit(config, MS, PP, h=-1.0)
+    # tau is a plain float, not a numpy scalar's repr
+    assert "np.float64" not in str(info.value)
+    assert re.search(r"within tau = \d+\.\d+ \(", str(info.value))
 
 
 def test_an_orbit_with_no_turning_event_is_no_convergence(monkeypatch):

@@ -1,5 +1,8 @@
 """Integrator accuracy, dense output, events, and failure modes."""
 
+import functools
+import math
+import operator
 import warnings
 
 import numpy as np
@@ -29,7 +32,7 @@ from qhnbody.integrate import (
     Trajectory,
     _dense_coef,
     _dense_value,
-    _field_call,
+    _float_kernel,
     _step,
     integrate,
 )
@@ -573,22 +576,87 @@ def _float_bodied(field, seen=None):
     return twin
 
 
+def _weighted_sum(weights, values):
+    """w_j0 * v_j0 + w_j1 * v_j1 + ... over the nonzero weights w_j, left to right."""
+    return functools.reduce(operator.add, [w * v for w, v in zip(weights.tolist(), values) if w])
+
+
+def _literal_float_state(y, h, weights, rows):
+    """A float-bodied stage state as written, one Python float at a time."""
+    return [y_i + h * _weighted_sum(weights, [row[i] for row in rows]) for i, y_i in enumerate(y)]
+
+
+def _literal_float_step(floats, t, y, h, k0):
+    """(y1, rows) of one float-bodied step, stage by stage from the tableau."""
+    rows = [k0]
+    for s in range(1, 12):
+        rows.append(floats(t + float(_C[s]) * h, _literal_float_state(y, h, _A[s, :s], rows)))
+    return _literal_float_state(y, h, _B, rows), rows
+
+
+def _literal_float_error(h, rows, y, y1, abs_tol, rel_tol):
+    """The error norm of a float-bodied step, coordinate by coordinate."""
+    e5 = e3 = 0.0
+    for i, (a, b) in enumerate(zip(y, y1)):
+        scale = abs_tol + rel_tol * max(abs(a), abs(b))
+        x5, x3 = (_weighted_sum(w, [row[i] for row in rows]) / scale for w in (_E5, _E3))
+        e5, e3 = e5 + x5 * x5, e3 + x3 * x3
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+
+
+def _bytes(values):
+    """The bytes of a list of Python floats, each checked to be one."""
+    assert type(values) is list and all(type(x) is float for x in values)
+    return np.array(values).tobytes()
+
+
 def test_the_stage_loop_is_the_tableau_formula_bit_for_bit():
-    # the same bytes whether the field takes its stage states as arrays or,
-    # with a float body, as lists and returns a list
+    # an array field's numpy stages are the tableau's matrix formula, and a
+    # float body's compiled stages are its scalar formula, bit for bit
     for field, y, h in _linear_fields(range(2, 31)):
-        for call in (field, _field_call(_float_bodied(field))):
-            k, ref = np.empty((13, y.size)), np.empty((16, y.size))
-            k[0] = ref[0] = field(0.3, y)
-            y1 = _step(call, 0.3, y, h, k)
-            _literal_stages(field, 0.3, y, h, ref, range(1, 12))
-            assert k[:12].tobytes() == ref[:12].tobytes()
-            assert y1.tobytes() == (y + h * (ref[:12].T @ _B)).tobytes()
-            # the dense output's three extra stages use the same loop
-            k[12] = ref[12] = field(0.3 + h, y1)
-            coef = _dense_coef(call, 0.3, h, y, y1, k)
-            _literal_stages(field, 0.3, y, h, ref, range(13, 16))
-            assert coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
+        k, ref = np.empty((13, y.size)), np.empty((16, y.size))
+        k[0] = ref[0] = field(0.3, y)
+        y1 = _step(field, 0.3, y, h, k)
+        _literal_stages(field, 0.3, y, h, ref, range(1, 12))
+        assert k[:12].tobytes() == ref[:12].tobytes()
+        assert y1.tobytes() == (y + h * (ref[:12].T @ _B)).tobytes()
+        # the dense output's three extra stages use the same loop
+        k[12] = ref[12] = field(0.3 + h, y1)
+        coef = _dense_coef(field, 0.3, h, y, y1, k)
+        _literal_stages(field, 0.3, y, h, ref, range(13, 16))
+        assert coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
+
+        step, error = _float_kernel(y.size)
+        floats, args = _on_lists(field), (0.3, y.tolist(), h, ref[0].tolist())
+        y1, rows = step(floats, *args)
+        want_y1, want_rows = _literal_float_step(floats, *args)
+        assert len(rows) == 12 and rows[0] is args[3]
+        assert [_bytes(row) for row in rows] == [_bytes(row) for row in want_rows]
+        assert _bytes(y1) == _bytes(want_y1)
+        for tols in ((1e-12, 1e-10), (1e-3, 0.0), (1e-300, 1.0)):
+            got = error(h, rows, args[1], y1, *tols)
+            assert got.hex() == _literal_float_error(h, rows, args[1], y1, *tols).hex()
+        # its dense output is the array formula on the float step's rows
+        k = np.array([*rows, field(0.3 + h, np.array(y1))])
+        coef = _dense_coef(lambda t, z: floats(t, z.tolist()), 0.3, h, y, np.array(y1), k)
+        ref[:13] = k
+        _literal_stages(field, 0.3, y, h, ref, range(13, 16))
+        assert coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
+
+
+def test_the_float_kernel_of_a_large_state_sums_left_to_right_across_lines():
+    # 150 values: the error norm's sums of squares span three source lines
+    field, y, h = next(_linear_fields([150], per_size=1))
+    floats, args = _on_lists(field), (0.3, y.tolist(), h, field(0.3, y).tolist())
+    step, error = _float_kernel(y.size)
+    y1, rows = step(floats, *args)
+    assert _bytes(y1) == _bytes(_literal_float_step(floats, *args)[0])
+    got = error(h, rows, args[1], y1, 1e-12, 1e-10)
+    assert got.hex() == _literal_float_error(h, rows, args[1], y1, 1e-12, 1e-10).hex()
+    assert step.__code__.co_filename == "<float step dim=150>"
+    assert error.__code__.co_filename == "<float error dim=150>"
 
 
 def test_a_field_may_keep_every_state_it_is_given():
@@ -602,10 +670,17 @@ def test_a_field_may_keep_every_state_it_is_given():
                 seen.append(z)
                 return field(t, z)
 
-            call = _field_call(_float_bodied(field, seen)) if lists else keeping
             k = np.empty((16, y.size))
             k[0] = field(0.0, y)
-            y1 = _step(call, 0.0, y, h, k[:13])
+            if lists:
+                floats = _on_lists(field, seen)
+                y1, rows = _float_kernel(y.size)[0](floats, 0.0, y.tolist(), h, k[0].tolist())
+                y1, k[1:12] = np.array(y1), rows[1:]
+
+                def call(t, z, floats=floats):  # the dense output's states are arrays
+                    return floats(t, z.tolist())
+            else:
+                y1, call = _step(keeping, 0.0, y, h, k[:13]), keeping
             k[12] = field(h, y1)
             _dense_coef(call, 0.0, h, y, y1, k[:13])
             # the dense stages' rows, recovered from the states the field kept
@@ -613,7 +688,11 @@ def test_a_field_may_keep_every_state_it_is_given():
             assert len(seen) == 14
             for s, z in zip([*range(1, 12), *range(13, 16)], seen):
                 assert type(z) is (list if lists else np.ndarray)
-                assert np.array(z).tobytes() == (y + h * (k[:s].T @ _A[s, :s])).tobytes(), s
+                if lists and s < 12:
+                    want = np.array(_literal_float_state(y.tolist(), h, _A[s, :s], k[:s].tolist()))
+                else:
+                    want = y + h * (k[:s].T @ _A[s, :s])
+                assert np.array(z).tobytes() == want.tobytes(), s
 
 
 def test_a_float_body_may_keep_every_list_it_is_given():
@@ -636,40 +715,68 @@ def test_a_float_body_may_keep_every_list_it_is_given():
     assert all(type(z) is list and z == copy for z, copy in kept)
 
 
-def _counted_run(monkeypatch, fn, y0, span, **options):
-    """(trajectory, field calls, attempted steps) of one run with the given
-    events or renormalizer; every attempt whose stages succeed reaches the
-    error test once."""
-    calls, attempts = [], []
-    error_norm = integrate_module._error_norm
+def _count_errors(monkeypatch, record):
+    """Call record() at each call of either kernel's error norm."""
+    error_norm, float_kernel = integrate_module._error_norm, integrate_module._float_kernel
 
     def counted_norm(*args):
-        attempts.append(1)
+        record()
         return error_norm(*args)
+
+    def counted_kernel(dim):
+        step, error = float_kernel(dim)
+
+        def counted(*args):
+            record()
+            return error(*args)
+
+        return step, counted
+
+    monkeypatch.setattr(integrate_module, "_error_norm", counted_norm)
+    monkeypatch.setattr(integrate_module, "_float_kernel", counted_kernel)
+
+
+def _counted_run(monkeypatch, fn, y0, span, float_body, **options):
+    """(trajectory, field calls, attempted steps) of one run with the given
+    events or renormalizer, through fn's float body (fn's own or fn on
+    lists) or through fn's array call; every attempt whose stages succeed
+    reaches the error test once."""
+    calls, attempts = [], []
 
     def field(t, y):
         calls.append(t)
         return fn(t, y)
 
-    monkeypatch.setattr(integrate_module, "_error_norm", counted_norm)
+    if float_body:
+        body = getattr(fn, "floats", None) or _on_lists(fn)
+
+        def floats(t, z):
+            calls.append(t)
+            return body(t, z)
+
+        field.floats = floats
+    _count_errors(monkeypatch, lambda: attempts.append(1))
     return integrate(field, y0, span, **options), calls, len(attempts)
 
 
-def test_dense_output_is_built_once_and_only_when_asked(monkeypatch):
+@pytest.mark.parametrize("float_body", [False, True])
+def test_dense_output_is_built_once_and_only_when_asked(monkeypatch, float_body):
     y0 = np.array([1.0, 0.0])
-    tr, calls, attempts = _counted_run(monkeypatch, harmonic, y0, (0.0, 3.0))
+    tr, calls, attempts = _counted_run(monkeypatch, harmonic, y0, (0.0, 3.0), float_body)
     # f at t0, one probe for the first step size, 11 stages per attempted
     # step and f(t + h, y1) per accepted one: no dense output
     assert len(calls) == 2 + 11 * attempts + (len(tr.times) - 1)
     # cos t falls through -1/2 in one step: that step's dense output costs 3
     # calls however often bisection reads it, and the event's own step 11
     down = Event("down", lambda t, y: y[0] + 0.5, terminal=True)
-    tr, calls, attempts = _counted_run(monkeypatch, harmonic, y0, (0.0, 3.0), events=[down])
+    tr, calls, attempts = _counted_run(monkeypatch, harmonic, y0, (0.0, 3.0), float_body,
+                                       events=[down])
     assert tr.termination == "event:down"
     assert len(calls) == 2 + 11 * attempts + (len(tr.times) - 1) + 3 + 11
 
 
-def test_a_renormalized_step_makes_one_field_call_at_its_end(monkeypatch):
+@pytest.mark.parametrize("float_body", [False, True])
+def test_a_renormalized_step_makes_one_field_call_at_its_end(monkeypatch, float_body):
     # a bound circular pair in blow-up coordinates: the end point of each
     # accepted step is projected before its one field call
     ms = MassSystem(np.array([1.0, 2.0]))
@@ -677,19 +784,20 @@ def test_a_renormalized_step_makes_one_field_call_at_its_end(monkeypatch):
     state, _ = circular_two_body(ms, pp, 1.2)
     tr, calls, attempts = _counted_run(
         monkeypatch, mcgehee_field(ms, pp), pack_mcgehee(to_mcgehee(state, ms, pp)), (0.0, 2.0),
-        renormalizer=mcgehee_renormalizer(ms),
+        float_body, renormalizer=mcgehee_renormalizer(ms),
     )
     accepted = len(tr.times) - 1
     assert accepted > 10
     assert len(calls) == 2 + 11 * attempts + accepted
 
 
-def test_a_rejected_step_skips_the_field_call_at_its_end(monkeypatch):
+@pytest.mark.parametrize("float_body", [False, True])
+def test_a_rejected_step_skips_the_field_call_at_its_end(monkeypatch, float_body):
     # an eccentric two-body orbit, whose pericentre passages reject steps
     ms = MassSystem(np.array([1.0, 1.0]))
     field = cartesian_field(ms, PotentialParams(a=1.0, b=2.0, alpha=1.0, beta=0.01), 2)
     y0 = np.array([0.5, 0.0, -0.5, 0.0, 0.0, 0.3, 0.0, -0.3])
-    tr, calls, attempts = _counted_run(monkeypatch, field, y0, (0.0, 3.0))
+    tr, calls, attempts = _counted_run(monkeypatch, field, y0, (0.0, 3.0), float_body)
     accepted = len(tr.times) - 1
     assert attempts > accepted + 10
     assert len(calls) == 2 + 11 * attempts + accepted
@@ -706,17 +814,18 @@ def test_each_failed_attempt_quarters_the_step(monkeypatch, failure):
     "failure", ["stage", "nan y1", "end raises", "nan end", "renormalizer raises"]
 )
 def test_each_failed_attempt_of_a_float_body_quarters_the_step(monkeypatch, failure):
-    # the same failures when the stages and the end point reach the field as lists
+    # the same failures in the float kernel, whose stages and end point reach
+    # the field as lists
     _quarters_the_step(monkeypatch, failure, lists=True)
 
 
 def _quarters_the_step(monkeypatch, failure, lists):
     # the third attempt fails one way; the fourth is a quarter as long
     attempts, norms = [], []
-    step, error_norm = integrate_module._step, integrate_module._error_norm
+    step, float_kernel = integrate_module._step, integrate_module._float_kernel
 
     def recorded_step(fn, t, y, h, k):
-        assert (fn is not field) == lists
+        assert fn is field and not lists
         attempts.append([h, None])
         y1 = step(fn, t, y, h, k)
         if len(attempts) == 3 and failure == "nan y1":
@@ -724,9 +833,19 @@ def _quarters_the_step(monkeypatch, failure, lists):
         attempts[-1][1] = y1
         return y1
 
-    def counted_norm(*args):
-        norms.append(len(attempts))
-        return error_norm(*args)
+    def recorded_kernel(dim):
+        float_step, error = float_kernel(dim)
+
+        def recorded_float_step(floats, t, y, h, f0):
+            assert floats is field.floats and lists
+            attempts.append([h, None])
+            y1, rows = float_step(floats, t, y, h, f0)
+            if len(attempts) == 3 and failure == "nan y1":
+                y1 = [math.nan] * len(y1)
+            attempts[-1][1] = y1
+            return y1, rows
+
+        return recorded_float_step, error
 
     def field(t, y):
         if len(attempts) != 3:
@@ -749,7 +868,8 @@ def _quarters_the_step(monkeypatch, failure, lists):
     if lists:
         field.floats = lambda t, z: field(t, np.array(z)).tolist()
     monkeypatch.setattr(integrate_module, "_step", recorded_step)
-    monkeypatch.setattr(integrate_module, "_error_norm", counted_norm)
+    monkeypatch.setattr(integrate_module, "_float_kernel", recorded_kernel)
+    _count_errors(monkeypatch, lambda: norms.append(len(attempts)))
     projected = {"renormalizer": renormalizer} if failure == "renormalizer raises" else {}
     tr = integrate(field, np.array([1.0, 0.0]), (0.0, 3.0), **projected)
     assert attempts[3][0] == 0.25 * attempts[2][0]
@@ -799,12 +919,12 @@ def test_each_accepted_step_ends_with_the_field_at_the_projected_state(float_bod
         assert (t, y.tobytes()) in calls
 
 
-def test_a_stage_state_past_the_float_range_warns_alike_with_or_without_a_float_body():
+def test_a_stage_state_past_the_float_range_ends_alike_with_or_without_a_float_body():
     # y' = 1e300 from 0 in steps that grow tenfold: once the stage states
-    # pass the float range numpy warns of the overflow, and each attempt
-    # fails as a non-finite step and is quartered until the step underflows.
-    # A float body gets the same stage states, as lists, so both runs warn
-    # alike and end alike
+    # pass the float range each attempt fails as a non-finite step and is
+    # quartered until the step underflows.  numpy warns of the overflow in
+    # the array kernel; Python floats overflow to inf without a word in the
+    # float kernel, which then raises the same error from an array state
     def field(t, y):
         return np.full(1, 1e300)
 
@@ -814,10 +934,65 @@ def test_a_stage_state_past_the_float_range_warns_alike_with_or_without_a_float_
             warnings.simplefilter("always")
             with pytest.raises(StiffnessError, match="h underflow: non-finite step$") as info:
                 integrate(fn, np.zeros(1), (0.0, 1e10), rel_tol=0.0, abs_tol=1e300)
-        ends.append((info.value.t.hex(), info.value.state.tobytes(),
-                     [str(w.message) for w in caught]))
-    assert ends[0] == ends[1]
-    assert "overflow encountered in multiply" in ends[0][2]
+        state = info.value.state
+        assert type(state) is np.ndarray and state.shape == (1,) and np.isfinite(state).all()
+        ends.append((info.value.t, {str(w.message) for w in caught}))
+    assert abs(ends[0][0] - ends[1][0]) <= 1e-12 * ends[0][0]
+    assert ends[0][1] >= {"overflow encountered in multiply", "overflow encountered in add"}
+    assert ends[1][1] == set()
+
+
+def _kernels_used(monkeypatch, field_fn, y0, **options):
+    """The kernels, "array" or "float", whose steps a run of field_fn made, and
+    how the run ended."""
+    used, step, float_kernel = set(), integrate_module._step, integrate_module._float_kernel
+
+    def array_step(*args):
+        used.add("array")
+        return step(*args)
+
+    def float_step(dim):
+        used.add("float")
+        return float_kernel(dim)
+
+    monkeypatch.setattr(integrate_module, "_step", array_step)
+    monkeypatch.setattr(integrate_module, "_float_kernel", float_step)
+    return used, integrate(field_fn, y0, (0.0, 0.1), **options).termination
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 2), (4, 2), (4, 1), (5, 2), (6, 1)])
+def test_the_float_kernel_runs_if_and_only_if_the_field_has_a_float_body(monkeypatch, n, d):
+    # the Cartesian field has a float body up to three bodies and four in
+    # the plane; an event's step and dense output keep to the run's kernel
+    ms = MassSystem(np.arange(1.0, n + 1.0))
+    field = cartesian_field(ms, PotentialParams(a=1.0, b=1.5, alpha=1.0, beta=0.5), d)
+    y0 = np.concatenate([np.arange(n * d, dtype=float), np.zeros(n * d)])
+    kernel = "float" if hasattr(field, "floats") else "array"
+    assert kernel == ("float" if n <= 3 or (n, d) == (4, 2) else "array")
+    assert _kernels_used(monkeypatch, field, y0) == ({kernel}, "time-budget")
+    down = Event("down", lambda t, y: y[0] - 0.999, terminal=True)
+    for fn, kernel in ((harmonic, "array"), (_float_bodied(harmonic), "float")):
+        ran = _kernels_used(monkeypatch, fn, np.array([1.0, 0.0]), events=[down])
+        assert ran == ({kernel}, "event:down")
+
+
+def test_a_float_bodied_run_that_fails_raises_with_an_array_state(monkeypatch):
+    # the float kernel carries lists, but StiffnessError.state is an array,
+    # as in the array kernel (qh simulate reads it with split_phase)
+    ends = []
+    for fn in (lambda t, y: y * y, _float_bodied(lambda t, y: y * y)):
+        with pytest.raises(StiffnessError, match="^step size underflow at t = ") as info:
+            integrate(fn, np.array([1.0]), (0.0, 2.0))
+        ends.append(info.value)
+    monkeypatch.setattr(integrate_module, "_MAX_STEPS", 3)
+    with pytest.raises(StiffnessError, match="^step budget exhausted at t = ") as info:
+        integrate(_float_bodied(harmonic), np.array([1.0, 0.0]), (0.0, 10.0))
+    ends.append(info.value)
+    for end in ends:
+        assert type(end.state) is np.ndarray and end.state.dtype == float
+    assert ends[0].state.shape == ends[1].state.shape == (1,) and ends[2].state.shape == (2,)
+    # y' = y^2 from 1 blows up at t = 1 in either kernel
+    assert all(abs(end.t - 1.0) < 1e-9 and end.state[0] > 1e6 for end in ends[:2])
 
 
 def test_a_step_budget_that_runs_out_is_a_stiffness_error(monkeypatch):
@@ -841,13 +1016,14 @@ def test_a_field_that_keeps_failing_is_a_stiffness_error():
 
 
 # ---------------------------------------------------------------------------
-# a field's float body against its array call, whole runs
+# a field's float body against its array entry, whole runs
 
 
 def _array_path(field_fn):
-    """field_fn without its float body, so that integrate makes its array calls."""
+    """field_fn's array entry on lists, in place of its float body.  Both run
+    the float kernel, so a run through each compares body and entry."""
     assert callable(field_fn.floats)
-    return lambda t, y: field_fn(t, y)
+    return _float_bodied(lambda t, y: field_fn(t, y))
 
 
 def _run_bytes(tr):
@@ -896,7 +1072,7 @@ def test_simulate_orbits_are_the_array_path_s_bit_for_bit():
 
 @pytest.fixture
 def array_path_of(monkeypatch):
-    """Make the integrate calls of a module use their fields' array calls."""
+    """Make the integrate calls of a module use their fields' array entries on lists."""
 
     def strip(module):
         def stripped(field_fn, *args, **kwargs):

@@ -1,6 +1,7 @@
 """The repository's command-line tools, on small inputs built in a temp directory."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,60 @@ def test_an_empty_comparison_is_refused(tmp_path, capsys):
         compare_dumps.main([str(tmp_path / "old"), str(tmp_path / "new")])
     assert exc.value.code == 2
     assert "no operation in either dump" in capsys.readouterr().err
+
+
+def _flow_op(v_end=-5.2255768647877918, steps=123_456_789, residual=2.8e-14, check="ok", last=0.25):
+    """One collision-flow operation of a dump, with the values a test moves."""
+    summary = {"manifold_residual_max": residual, "masses": [1, 2, 3], "steps": steps,
+               "termination": "time-budget", "v_end": v_end, "shape": [[-0.5, 0.0], [0.5, 0.0]]}
+    return {
+        "flow/seed11/0000/exit": "0\n",
+        "flow/seed11/0000/check": f"{check}\n",
+        "flow/seed11/0000/files/flow.json": json.dumps(summary, indent=2) + "\n",
+        "flow/seed11/0000/files/flow.csv": ("tau,v,manifold_residual\n0,-5.2,1e-15\n"
+                                            f"{last!r},-5.3,3e-15\n"),
+    }
+
+
+R = 1e-6
+
+
+@pytest.mark.parametrize("change, within", [
+    ({"v_end": -5.2255768647877918 * (1.0 + 10 * R)}, False),  # a float off by 10 R
+    ({"steps": 123_456_790}, False),  # a changed int, though within R as a float
+    ({"check": "energy residual 1e-3 above 1e-8"}, False),  # a changed verdict
+    ({"last": 0.25 * (1.0 + 10 * R)}, False),  # the CSV's last row off by 10 R
+    ({"v_end": -5.2255768647877918 * (1.0 + R / 10)}, True),  # a float off by R / 10
+    ({"residual": 7.1e-14}, True),  # a changed residual key
+    ({"last": 0.25 * (1.0 + R / 10)}, True),
+])
+def test_the_tolerance_mode_accepts_only_floats_within_r(tmp_path, capsys, change, within):
+    old = write_dump(tmp_path / "old", _flow_op())
+    new = write_dump(tmp_path / "new", _flow_op(**change))
+    assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == (0 if within else 1)
+    out = capsys.readouterr().out
+    assert out.startswith(f"flow seed11: 1 ops, 1 differing, {int(within)} within 1e-06, "
+                          "CSV rows 2 -> 2")
+    assert ("first beyond flow/seed11/0000/" in out) != within
+    # byte mode still reports every differing operation
+    assert compare_dumps.main([str(old), str(new)]) == 1
+
+
+def test_the_tolerance_mode_prints_row_counts_that_may_differ(tmp_path, capsys):
+    old = write_dump(tmp_path / "old", _flow_op())
+    longer = _flow_op()
+    longer["flow/seed11/0000/files/flow.csv"] = ("tau,v,manifold_residual\n0,-5.2,1e-15\n"
+                                                 "0.1,-5.25,2e-15\n0.25,-5.3,3e-15\n")
+    new = write_dump(tmp_path / "new", longer)
+    assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == 0
+    assert capsys.readouterr().out == (
+        "flow seed11: 1 ops, 1 differing, 1 within 1e-06, CSV rows 2 -> 3\n")
+
+
+def test_the_tolerance_mode_refuses_other_files_and_headers(tmp_path, capsys):
+    old = write_dump(tmp_path / "old", _flow_op())
+    for rel, text in (("flow/seed11/0000/stdout", "wrote flow.csv\n"),
+                      ("flow/seed11/0000/files/flow.csv", "tau,w,manifold_residual\n0,-5.2,0\n")):
+        new = write_dump(tmp_path / rel.replace("/", "_"), {**_flow_op(), rel: text})
+        assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == 1
+        assert "0 within 1e-06" in capsys.readouterr().out
