@@ -158,7 +158,7 @@ def heteroclinic_orbit(
     def field(t, y):
         return np.array(floats(t, y.tolist()))
 
-    field.floats = floats  # integrate steps it in its float kernel, on lists
+    field.floats = floats  # integrate's stage states reach it as lists
 
     v_start = np.sqrt(_v2(rho_floor, w0, v0_pot, pp, h))
     y0 = np.array([rho_floor, v_start])

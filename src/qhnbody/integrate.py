@@ -13,17 +13,15 @@ the event is located by bisection to 1e-10 in the independent variable;
 the state stored for an event is then one real step from the start of
 its step to the located time, not an interpolated value.
 
-A step runs in one of two kernels, chosen once per run from the field
-alone.  A field without a float body takes the numpy kernel: each stage
-state is y + h (A[s, :s] @ k[:s]) in a fresh array, its sum in whatever
-order and with whatever FMA use the BLAS picks at run time.  A field
-with a float body, field.floats(t, list) -> list, takes the float
-kernel: a straight-line step and error norm written out for the state
-size and compiled once per size in a process (_float_kernel), where
-each stage state is a fresh list y_i + h (a_s0 k0_i + a_s3 k3_i + ...)
-over the row's nonzero entries, summed left to right, the same on every
-IEEE machine.  Both share the step control, failure handling,
-renormalizer, events and monitors; the dense output is numpy in both.
+Each step runs on Python floats: a straight-line stage loop and error
+norm written out for the state size and compiled once per size in a
+process (_float_kernel), where each stage state is a fresh list
+y_i + h (a_s0 k0_i + a_s3 k3_i + ...) over the tableau row's nonzero
+entries, summed left to right, the same on every IEEE machine.  A field
+with a float body, field.floats(t, list) -> list, is called on those
+lists; any other field is called on a fresh array of each list, and its
+value is read back as a list.  The renormalizer, events and monitors
+get arrays; the dense output is numpy.
 """
 
 from __future__ import annotations
@@ -132,7 +130,6 @@ _E3[[0, 8, 11]] -= [
     0.244094488188976377952755905512, 0.733846688281611857341361741547,
     0.220588235294117647058823529412e-1,
 ]
-_ERR = np.column_stack([_E5, _E3])
 # Dense output: y(t0 + x h) = y0 + x (F0 + (1-x) (F1 + x (F2 + ... x F6))),
 # F0..F2 from y0, y1, f0 and f1, and F3..F6 = h _D @ k over all 16 stages.
 _D = np.zeros((4, 16))
@@ -222,13 +219,6 @@ def _stage_state(s, y, h, k) -> np.ndarray:
     return z
 
 
-def _step(field_fn, t, y, h, k) -> np.ndarray:
-    """Stages k[1:12] of a step of size h from (t, y) given k[0] = f(t, y); returns y(t + h)."""
-    for s in range(1, 12):
-        k[s] = field_fn(t + _NODES[s] * h, _stage_state(s, y, h, k))
-    return _stage_state(12, y, h, k)
-
-
 def _terms(weights, row):
     """The signed terms w * k<j>_<row> of the nonzero weights w, in order of j."""
     return [f"{w!r} * k{j}_{row}" for j, w in enumerate(weights.tolist()) if w]
@@ -264,9 +254,14 @@ def _float_kernel(dim: int):
     hands floats one fresh list, y_i + h * (a_s0 * k0_i + a_s3 * k3_i + ...)
     over the nonzero entries of row s of the tableau, summed left to right,
     and y1 is the same sum over the weights of row 12.
-    error(h, rows, y, y1, abs_tol, rel_tol) is _error_norm's estimate of
-    that step with scale abs_tol + rel_tol * max(|y_i|, |y1_i|), its
-    weighted sums also over nonzero weights, left to right.  Each function
+
+    error(h, rows, y, y1, abs_tol, rel_tol) is HNW's combined error
+    estimate of that step, |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) dim), with
+    e5 and e3 the 2-norms of the fifth- and third-order error vectors in
+    units of abs_tol + rel_tol * max(|y_i|, |y1_i|): it behaves like h^8,
+    and the third-order term guards against a fifth-order estimate that
+    is too small by accident.  Its weighted sums run over the nonzero
+    weights, left to right, as the stage states do.  Each function
     is compiled under its own file name, <float step dim=8> and <float
     error dim=8>, so that profilers tell the sizes apart.
     """
@@ -335,81 +330,19 @@ def _dense_value(coef, t0, h, y0, t) -> np.ndarray:
     return y0 + weights @ coef
 
 
-def _error_norm(h, k, scale) -> float:
-    """HNW's combined error estimate of a step, in units of scale.
+def _on_lists(field_fn):
+    """The float body of a field that has none: field_fn at a fresh array of
+    the list (one the field may keep), its value as a list."""
 
-    |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) N) with e5, e3 the scaled 2-norms of
-    the fifth- and third-order error vectors: it behaves like h^8, and the
-    third-order term guards against a fifth-order estimate that is too
-    small by accident.
-    """
-    err = (k[:12].T @ _ERR) / scale[:, None]
-    e5, e3 = (err * err).sum(axis=0).tolist()
-    if e5 == 0.0 and e3 == 0.0:
-        return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * scale.size)
+    def floats(t, z):
+        v = np.asarray(field_fn(t, np.array(z)), dtype=float)
+        return (v if v.shape == (len(z),) else np.broadcast_to(v, (len(z),))).tolist()
 
+    return floats
 
 
 def _all_finite(v) -> bool:
-    return np.isfinite(v).all()
-
-
-def _all_finite_list(v) -> bool:
     return all(map(math.isfinite, v))
-
-
-def _same(v):
-    return v
-
-
-def _array_kernel(field_fn, dim, rel_tol, abs_tol):
-    """The numpy kernel of integrate, for a field without a float body.
-
-    Like _list_kernel it returns (step, error, finite, call, dense, array,
-    native): step(t, y, h, f) -> (y1, rows), error(h, rows, y, y1), the
-    finiteness test of a state or field value, the field call at an end
-    point, dense(t, h, y, y1, rows, f1) -> the dense output's coefficients
-    given f1 at the stored end state, and the maps between the kernel's
-    states and arrays.  Here states are arrays, and rows is one (13, dim)
-    buffer of stage rows per run.
-    """
-    k = np.empty((13, dim))
-    step, error_norm = _step, _error_norm
-
-    def stages(t, y, h, f):
-        k[0] = f
-        return step(field_fn, t, y, h, k), k
-
-    def error(h, k, y, y1):
-        return error_norm(h, k, abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y1)))
-
-    def dense(t, h, y, y1, k, f1):
-        k[12] = f1
-        return _dense_coef(field_fn, t, h, y, y1, k)
-
-    return stages, error, _all_finite, field_fn, dense, _same, _same
-
-
-def _list_kernel(field_fn, dim, rel_tol, abs_tol):
-    """The float kernel of integrate, for a field with a float body: the
-    tuple of _array_kernel, on states that are lists and rows that are the
-    lists the body returned, stepped by _float_kernel(dim)."""
-    floats, (step, error_norm) = field_fn.floats, _float_kernel(dim)
-
-    def stages(t, y, h, f):
-        return step(floats, t, y, h, f)
-
-    def error(h, rows, y, y1):
-        return error_norm(h, rows, y, y1, abs_tol, rel_tol)
-
-    def on_arrays(t, z):  # the dense output's stage states
-        return floats(t, z.tolist())
-
-    def dense(t, h, y, y1, rows, f1):
-        return _dense_coef(on_arrays, t, h, np.array(y), np.array(y1), np.array([*rows, f1]))
-
-    return stages, error, _all_finite_list, floats, dense, np.array, np.ndarray.tolist
 
 
 def _rms_norm(x: np.ndarray) -> float:
@@ -483,18 +416,17 @@ def integrate(
     unchanged, and so does any error of the field calls made for the
     dense output or for an event's step, outside the step-size control.
 
-    A field may carry its body in Python floats as field_fn.floats, a
-    callable (t, list) -> list whose values are field_fn's bit for bit.
-    When it has one, the run takes the float kernel (see the module):
-    the stages of each step, an event's step and the end state of each
-    accepted step reach that body as fresh lists, and the lists it
-    returns are the step's stage rows, read but never written.  The
-    renormalizer, events, monitors and StiffnessError.state still get
-    arrays, made from those lists; the dense output's three stages reach
-    the body as lists of its numpy stage states.  The first call, at t0,
-    and the initial step's probe are array calls.  A field without one
-    runs the numpy kernel, whose stage states are fresh arrays that the
-    field may keep.
+    Each step runs in the float kernel (see the module).  A field may
+    carry its body in Python floats as field_fn.floats, a callable
+    (t, list) -> list whose values are field_fn's bit for bit; the stages
+    of each step, an event's step and the end state of each accepted step
+    then reach that body as fresh lists, and the lists it returns are the
+    step's stage rows, read but never written.  A field without one is
+    called at a fresh array of each such list, which it may keep.  The
+    renormalizer, events, monitors and StiffnessError.state get arrays,
+    made from the lists; the dense output's three stages reach the body
+    as lists of its numpy stage states.  The first call, at t0, and the
+    initial step's probe are array calls.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -526,14 +458,16 @@ def integrate(
 
     h = _initial_step(field_fn, t0, y, f, t1, rel_tol, abs_tol, max_step)
 
-    # the kernel: how a step is made and read, on arrays or on the float body's lists
-    kernel = _list_kernel if hasattr(field_fn, "floats") else _array_kernel
-    step, error, finite, call, dense, array, native = kernel(field_fn, y.size, rel_tol, abs_tol)
+    floats = getattr(field_fn, "floats", None) or _on_lists(field_fn)
+    step, error = _float_kernel(y.size)
+
+    def on_arrays(t, z):  # the dense output's stage states
+        return floats(t, z.tolist())
 
     t = t0
     ev_values = [float(ev.fn(t, y)) for ev in events]
     ev_hits: dict[str, list] = {ev.name: [] for ev in events}
-    y, f = native(y), native(f)
+    y, f = y.tolist(), np.broadcast_to(f, y.shape).tolist()
     times = [t]
     states = [y]
     termination = "time-budget"
@@ -560,15 +494,17 @@ def integrate(
         # each reject with h / 4
         failed = err = None
         try:
-            y1, rows = step(t, y, h, f)
-            if not finite(y1):
+            y1, rows = step(floats, t, y, h, f)
+            if not _all_finite(y1):
                 failed = "non-finite step"
             else:
-                err = error(h, rows, y, y1)
+                err = error(h, rows, y, y1, abs_tol, rel_tol)
                 if err <= 1.0:
-                    y_new = y1 if renormalizer is None else native(renormalizer(array(y1)))
-                    f_new = call(t + h, y_new)
-                    if not finite(f_new):
+                    y_new = y1
+                    if renormalizer is not None:
+                        y_new = np.asarray(renormalizer(np.array(y1)), dtype=float).tolist()
+                    f_new = floats(t + h, y_new)
+                    if not _all_finite(f_new):
                         failed = "non-finite step"
         except (QHError, ArithmeticError) as exc:
             failed = str(exc)
@@ -598,7 +534,7 @@ def integrate(
         t_new = t + h
 
         falling, hits = [], []
-        y_seen = array(y_new) if events else None
+        y_seen = np.array(y_new) if events else None
         for idx, ev in enumerate(events):
             g1 = float(ev.fn(t_new, y_seen))
             if ev_values[idx] > 0.0 >= g1:
@@ -606,7 +542,8 @@ def integrate(
             ev_values[idx] = g1
         if falling:
             # the dense output, from the raw y1, only for a step in which an event falls
-            coef, y_start = dense(t, h, y, y1, rows, f_new), array(y)
+            y_start = np.array(y)
+            coef = _dense_coef(on_arrays, t, h, y_start, np.array(y1), np.array([*rows, f_new]))
             hits = sorted([(_locate_event(ev, coef, t, h, y_start), ev) for ev in falling],
                           key=lambda pair: pair[0])
         stop_at = None
@@ -615,7 +552,7 @@ def integrate(
                 break
             # the stored state is a real step to te, not the interpolant; it
             # starts from f, as the step did
-            ye = array(step(t, y, te - t, f)[0])
+            ye = np.array(step(floats, t, y, te - t, f)[0])
             if renormalizer is not None:
                 ye = renormalizer(ye)
             ev_hits[ev.name].append((te, ye))

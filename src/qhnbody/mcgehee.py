@@ -174,10 +174,10 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     ValueError naming both lengths.  One body in Python floats for every
     n, on _float_pass, with u^T M^{-1} u summed as numpy sums an array
     (_sum): bit for bit with the equations composed in numpy.  That body
-    is also field.floats, (tau, list) -> list, so integrate steps it in
-    its float kernel, on lists (see integrate).  Per call it takes
-    0.9-1.1x of a numpy body's time at n = 4...7, 1.2x at n = 12 and 1.5x
-    at n = 65 (d = 2); at a = 1 the W-term's factor a is an exact multiply.
+    is also field.floats, (tau, list) -> list, which integrate calls on
+    its stage states as lists (see integrate).  Per call it takes 0.9-1.1x
+    of a numpy body's time at n = 4...7, 1.2x at n = 12 and 1.5x at n = 65
+    (d = 2); at a = 1 the W-term's factor a is an exact multiply.
     """
     sz = ms.n * dim
     run, a, b = _float_pass(_PairKernel(ms.masses, pp), dim), pp.a, pp.b

@@ -604,14 +604,14 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
     function in Python floats, _float_pass with the masses: the float
     pass with the division and addition written in, bit for bit.  f builds
     its output with one np.array call, and the body is also f.floats,
-    (t, list) -> list, so integrate steps it in its float kernel, on lists
+    (t, list) -> list, which integrate calls on its stage states as lists
     (see integrate).  Four bodies on the line and five or more keep a
-    numpy body and have no floats, so integrate steps them in its numpy
-    kernel: around the numpy pass a float body measured 1.6-1.9x slower
-    per call (n = 4...7; the field does little around the kernel pass),
-    while at four bodies in the plane the float pass took 7.3-7.7 us per
-    call against 11.5-12.9 us for the numpy body (CPython 3.11, numpy
-    2.4, 2 cores, best of 7 in three alternations).
+    numpy body, and have no floats (integrate calls f at an array of each
+    stage state): around the numpy pass a float body
+    measured 1.6-1.9x slower per call (n = 4...7; the field does little
+    around the kernel pass), while at four bodies in the plane the float
+    pass took 7.3-7.7 us per call against 11.5-12.9 us for the numpy body
+    (CPython 3.11, numpy 2.4, 2 cores, best of 7 in three alternations).
     """
     shape = (2, ms.n, dim)
     kernel = _PairKernel(ms.masses, pp)

@@ -1637,18 +1637,13 @@ TRIPLE = {
 ])
 def test_float_bodied_runs_write_the_bytes_of_the_array_path(tmp_path, monkeypatch, command,
                                                             data, module):
-    # the second run's float body is the field's array entry on lists
+    # the second run's field has no float body, so integrate gives it arrays
     code, fast = run(tmp_path, command, data, subdir="fast")
     integrate = module.integrate
 
     def array_path(field_fn, *args, **kwargs):
         assert callable(field_fn.floats)
-
-        def entry(t, y):
-            return field_fn(t, y)
-
-        entry.floats = lambda t, z: field_fn(t, np.array(z)).tolist()
-        return integrate(entry, *args, **kwargs)
+        return integrate(lambda t, y: field_fn(t, y), *args, **kwargs)
 
     monkeypatch.setattr(module, "integrate", array_path)
     assert (code, run(tmp_path, command, data, subdir="slow")[0]) == (0, 0)

@@ -33,7 +33,6 @@ from qhnbody.integrate import (
     _dense_coef,
     _dense_value,
     _float_kernel,
-    _step,
     integrate,
 )
 from qhnbody.mcgehee import (
@@ -82,14 +81,21 @@ def test_tolerance_controls_error():
     assert errs[1] < 1e-2 * errs[0] and errs[2] < 1e-2 * errs[1]
 
 
+def _one_step(field, t, y, h):
+    """(y1, k) of one step of size h from (t, y) in the float kernel, on
+    field's values as lists: y1 an array and k the (13, dim) stage rows,
+    k[12] = field(t + h, y1)."""
+    floats = _on_lists(field)
+    y1, rows = _float_kernel(y.size)[0](floats, t, y.tolist(), h, floats(t, y.tolist()))
+    y1 = np.array(y1)
+    return y1, np.array([*rows, field(t + h, y1)])
+
+
 def harmonic_segment(t0=0.3, h=0.25):
     """One step of the harmonic oscillator y = (cos t, -sin t): (t0, h, y0, y1)
     and its dense output as a function of t."""
     y0 = np.array([np.cos(t0), -np.sin(t0)])
-    k = np.empty((13, 2))
-    k[0] = harmonic(t0, y0)
-    y1 = _step(harmonic, t0, y0, h, k)
-    k[12] = harmonic(t0 + h, y1)
+    y1, k = _one_step(harmonic, t0, y0, h)
     coef = _dense_coef(harmonic, t0, h, y0, y1, k)
     return t0, h, y0, y1, lambda t: _dense_value(coef, t0, h, y0, t)
 
@@ -132,9 +138,7 @@ def test_an_event_state_is_a_real_step_to_the_event_time():
     )
     t_hit, y_hit = tr.events["turn"][0]
     t_prev, y_prev = tr.times[-2], tr.states[-2]
-    k = np.empty((12, 2))
-    k[0] = field(t_prev, y_prev)
-    assert np.array_equal(y_hit, _step(field, t_prev, y_prev, t_hit - t_prev, k))
+    assert np.array_equal(y_hit, _one_step(field, t_prev, y_prev, t_hit - t_prev)[0])
     assert np.array_equal(tr.states[-1], y_hit)
     assert abs(y_hit[1]) < 1e-9
 
@@ -522,11 +526,8 @@ def test_a_degree_six_integrand_is_integrated_exactly():
         return np.array([poly(t)])
 
     t0, h, y0 = 0.3, 0.7, np.array([exact(0.3)])
-    k = np.empty((13, 1))
-    k[0] = field(t0, y0)
-    y1 = _step(field, t0, y0, h, k)
+    y1, k = _one_step(field, t0, y0, h)
     assert abs(y1[0] - exact(t0 + h)) < 1e-14
-    k[12] = field(t0 + h, y1)
     coef = _dense_coef(field, t0, h, y0, y1, k)
     for x in (0.1, 0.37, 0.5, 0.81, 1.0):
         assert abs(_dense_value(coef, t0, h, y0, t0 + x * h)[0] - exact(t0 + x * h)) < 1e-14, x
@@ -613,23 +614,11 @@ def _bytes(values):
 
 
 def test_the_stage_loop_is_the_tableau_formula_bit_for_bit():
-    # an array field's numpy stages are the tableau's matrix formula, and a
-    # float body's compiled stages are its scalar formula, bit for bit
+    # the compiled stages are the tableau's scalar formula, and the dense
+    # output's numpy stages its matrix formula, bit for bit
     for field, y, h in _linear_fields(range(2, 31)):
-        k, ref = np.empty((13, y.size)), np.empty((16, y.size))
-        k[0] = ref[0] = field(0.3, y)
-        y1 = _step(field, 0.3, y, h, k)
-        _literal_stages(field, 0.3, y, h, ref, range(1, 12))
-        assert k[:12].tobytes() == ref[:12].tobytes()
-        assert y1.tobytes() == (y + h * (ref[:12].T @ _B)).tobytes()
-        # the dense output's three extra stages use the same loop
-        k[12] = ref[12] = field(0.3 + h, y1)
-        coef = _dense_coef(field, 0.3, h, y, y1, k)
-        _literal_stages(field, 0.3, y, h, ref, range(13, 16))
-        assert coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
-
         step, error = _float_kernel(y.size)
-        floats, args = _on_lists(field), (0.3, y.tolist(), h, ref[0].tolist())
+        floats, args = _on_lists(field), (0.3, y.tolist(), h, field(0.3, y).tolist())
         y1, rows = step(floats, *args)
         want_y1, want_rows = _literal_float_step(floats, *args)
         assert len(rows) == 12 and rows[0] is args[3]
@@ -638,8 +627,8 @@ def test_the_stage_loop_is_the_tableau_formula_bit_for_bit():
         for tols in ((1e-12, 1e-10), (1e-3, 0.0), (1e-300, 1.0)):
             got = error(h, rows, args[1], y1, *tols)
             assert got.hex() == _literal_float_error(h, rows, args[1], y1, *tols).hex()
-        # its dense output is the array formula on the float step's rows
-        k = np.array([*rows, field(0.3 + h, np.array(y1))])
+        # the dense output's three extra stages, on the step's rows
+        k, ref = np.array([*rows, field(0.3 + h, np.array(y1))]), np.empty((16, y.size))
         coef = _dense_coef(lambda t, z: floats(t, z.tolist()), 0.3, h, y, np.array(y1), k)
         ref[:13] = k
         _literal_stages(field, 0.3, y, h, ref, range(13, 16))
@@ -661,7 +650,8 @@ def test_the_float_kernel_of_a_large_state_sums_left_to_right_across_lines():
 
 def test_a_field_may_keep_every_state_it_is_given():
     # no stage state is a buffer that a later stage overwrites, nor a list
-    # written again once a float body has it
+    # written again once a float body has it; a field without a float body
+    # gets a fresh array of each list
     for field, y, h in _linear_fields((2, 12, 29), per_size=2):
         for lists in (False, True):
             seen = []
@@ -670,25 +660,20 @@ def test_a_field_may_keep_every_state_it_is_given():
                 seen.append(z)
                 return field(t, z)
 
+            floats = _on_lists(field, seen) if lists else integrate_module._on_lists(keeping)
             k = np.empty((16, y.size))
             k[0] = field(0.0, y)
-            if lists:
-                floats = _on_lists(field, seen)
-                y1, rows = _float_kernel(y.size)[0](floats, 0.0, y.tolist(), h, k[0].tolist())
-                y1, k[1:12] = np.array(y1), rows[1:]
-
-                def call(t, z, floats=floats):  # the dense output's states are arrays
-                    return floats(t, z.tolist())
-            else:
-                y1, call = _step(keeping, 0.0, y, h, k[:13]), keeping
+            y1, rows = _float_kernel(y.size)[0](floats, 0.0, y.tolist(), h, k[0].tolist())
+            y1, k[1:12] = np.array(y1), rows[1:]
             k[12] = field(h, y1)
-            _dense_coef(call, 0.0, h, y, y1, k[:13])
+            # the dense output's states are arrays, handed on as integrate does
+            _dense_coef(lambda t, z: floats(t, z.tolist()), 0.0, h, y, y1, k[:13])
             # the dense stages' rows, recovered from the states the field kept
             k[13:] = [field(0.0, np.array(z)) for z in seen[11:]]
             assert len(seen) == 14
             for s, z in zip([*range(1, 12), *range(13, 16)], seen):
                 assert type(z) is (list if lists else np.ndarray)
-                if lists and s < 12:
+                if s < 12:
                     want = np.array(_literal_float_state(y.tolist(), h, _A[s, :s], k[:s].tolist()))
                 else:
                     want = y + h * (k[:s].T @ _A[s, :s])
@@ -716,12 +701,8 @@ def test_a_float_body_may_keep_every_list_it_is_given():
 
 
 def _count_errors(monkeypatch, record):
-    """Call record() at each call of either kernel's error norm."""
-    error_norm, float_kernel = integrate_module._error_norm, integrate_module._float_kernel
-
-    def counted_norm(*args):
-        record()
-        return error_norm(*args)
+    """Call record() at each call of the error norm."""
+    float_kernel = integrate_module._float_kernel
 
     def counted_kernel(dim):
         step, error = float_kernel(dim)
@@ -732,15 +713,14 @@ def _count_errors(monkeypatch, record):
 
         return step, counted
 
-    monkeypatch.setattr(integrate_module, "_error_norm", counted_norm)
     monkeypatch.setattr(integrate_module, "_float_kernel", counted_kernel)
 
 
 def _counted_run(monkeypatch, fn, y0, span, float_body, **options):
     """(trajectory, field calls, attempted steps) of one run with the given
     events or renormalizer, through fn's float body (fn's own or fn on
-    lists) or through fn's array call; every attempt whose stages succeed
-    reaches the error test once."""
+    lists) or through fn's array call alone; every attempt whose stages
+    succeed reaches the error test once."""
     calls, attempts = [], []
 
     def field(t, y):
@@ -814,30 +794,21 @@ def test_each_failed_attempt_quarters_the_step(monkeypatch, failure):
     "failure", ["stage", "nan y1", "end raises", "nan end", "renormalizer raises"]
 )
 def test_each_failed_attempt_of_a_float_body_quarters_the_step(monkeypatch, failure):
-    # the same failures in the float kernel, whose stages and end point reach
-    # the field as lists
+    # the same failures through a float body, whose stages and end point
+    # reach the field as lists
     _quarters_the_step(monkeypatch, failure, lists=True)
 
 
 def _quarters_the_step(monkeypatch, failure, lists):
     # the third attempt fails one way; the fourth is a quarter as long
     attempts, norms = [], []
-    step, float_kernel = integrate_module._step, integrate_module._float_kernel
-
-    def recorded_step(fn, t, y, h, k):
-        assert fn is field and not lists
-        attempts.append([h, None])
-        y1 = step(fn, t, y, h, k)
-        if len(attempts) == 3 and failure == "nan y1":
-            y1 = np.full_like(y1, np.nan)
-        attempts[-1][1] = y1
-        return y1
+    float_kernel = integrate_module._float_kernel
 
     def recorded_kernel(dim):
         float_step, error = float_kernel(dim)
 
-        def recorded_float_step(floats, t, y, h, f0):
-            assert floats is field.floats and lists
+        def recorded_step(floats, t, y, h, f0):
+            assert (floats is getattr(field, "floats", None)) == lists
             attempts.append([h, None])
             y1, rows = float_step(floats, t, y, h, f0)
             if len(attempts) == 3 and failure == "nan y1":
@@ -845,7 +816,7 @@ def _quarters_the_step(monkeypatch, failure, lists):
             attempts[-1][1] = y1
             return y1, rows
 
-        return recorded_float_step, error
+        return recorded_step, error
 
     def field(t, y):
         if len(attempts) != 3:
@@ -867,7 +838,6 @@ def _quarters_the_step(monkeypatch, failure, lists):
 
     if lists:
         field.floats = lambda t, z: field(t, np.array(z)).tolist()
-    monkeypatch.setattr(integrate_module, "_step", recorded_step)
     monkeypatch.setattr(integrate_module, "_float_kernel", recorded_kernel)
     _count_errors(monkeypatch, lambda: norms.append(len(attempts)))
     projected = {"renormalizer": renormalizer} if failure == "renormalizer raises" else {}
@@ -922,9 +892,9 @@ def test_each_accepted_step_ends_with_the_field_at_the_projected_state(float_bod
 def test_a_stage_state_past_the_float_range_ends_alike_with_or_without_a_float_body():
     # y' = 1e300 from 0 in steps that grow tenfold: once the stage states
     # pass the float range each attempt fails as a non-finite step and is
-    # quartered until the step underflows.  numpy warns of the overflow in
-    # the array kernel; Python floats overflow to inf without a word in the
-    # float kernel, which then raises the same error from an array state
+    # quartered until the step underflows.  The stage states are Python
+    # floats with or without a float body, which overflow to inf without a
+    # word, so both runs end alike, with an array state, and neither warns
     def field(t, y):
         return np.full(1, 1e300)
 
@@ -936,44 +906,61 @@ def test_a_stage_state_past_the_float_range_ends_alike_with_or_without_a_float_b
                 integrate(fn, np.zeros(1), (0.0, 1e10), rel_tol=0.0, abs_tol=1e300)
         state = info.value.state
         assert type(state) is np.ndarray and state.shape == (1,) and np.isfinite(state).all()
-        ends.append((info.value.t, {str(w.message) for w in caught}))
-    assert abs(ends[0][0] - ends[1][0]) <= 1e-12 * ends[0][0]
-    assert ends[0][1] >= {"overflow encountered in multiply", "overflow encountered in add"}
-    assert ends[1][1] == set()
+        ends.append((info.value.t.hex(), state.tobytes(), [str(w.message) for w in caught]))
+    assert ends[0] == ends[1]
+    assert ends[0][2] == []
 
 
-def _kernels_used(monkeypatch, field_fn, y0, **options):
-    """The kernels, "array" or "float", whose steps a run of field_fn made, and
-    how the run ended."""
-    used, step, float_kernel = set(), integrate_module._step, integrate_module._float_kernel
+def test_a_scalar_field_value_broadcasts_to_the_state():
+    # as numpy broadcasts it into a stage row
+    tr = integrate(lambda t, y: -y[0], np.array([1.0]), (0.0, 1.0))
+    assert tr.states.shape == (len(tr.times), 1) and len(tr.times) > 3
+    assert abs(tr.final_state[0] - np.exp(-1.0)) < 1e-9
 
-    def array_step(*args):
-        used.add("array")
-        return step(*args)
 
-    def float_step(dim):
-        used.add("float")
-        return float_kernel(dim)
+def _bodies_called(field_fn, y0, **options):
+    """The entry of field_fn that each field call of a run reached, "array"
+    (the array call) or "list" (the float body), in call order, and how
+    the run ended."""
+    calls = []
 
-    monkeypatch.setattr(integrate_module, "_step", array_step)
-    monkeypatch.setattr(integrate_module, "_float_kernel", float_step)
-    return used, integrate(field_fn, y0, (0.0, 0.1), **options).termination
+    def field(t, y):
+        calls.append("array")
+        return field_fn(t, y)
+
+    if hasattr(field_fn, "floats"):
+        def floats(t, z):
+            calls.append("list")
+            return field_fn.floats(t, z)
+
+        field.floats = floats
+    return calls, integrate(field, y0, (0.0, 0.1), **options).termination
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 2), (4, 2), (4, 1), (5, 2), (6, 1)])
-def test_the_float_kernel_runs_if_and_only_if_the_field_has_a_float_body(monkeypatch, n, d):
+def test_every_field_steps_in_the_float_kernel_on_its_float_body_when_it_has_one(
+        monkeypatch, n, d):
     # the Cartesian field has a float body up to three bodies and four in
-    # the plane; an event's step and dense output keep to the run's kernel
+    # the plane.  A float body gets every call but the first two (f at t0
+    # and the first step's probe); a field without one gets each call on
+    # an array; an event's step and dense output go the same way
     ms = MassSystem(np.arange(1.0, n + 1.0))
     field = cartesian_field(ms, PotentialParams(a=1.0, b=1.5, alpha=1.0, beta=0.5), d)
     y0 = np.concatenate([np.arange(n * d, dtype=float), np.zeros(n * d)])
-    kernel = "float" if hasattr(field, "floats") else "array"
-    assert kernel == ("float" if n <= 3 or (n, d) == (4, 2) else "array")
-    assert _kernels_used(monkeypatch, field, y0) == ({kernel}, "time-budget")
+    assert hasattr(field, "floats") == (n <= 3 or (n, d) == (4, 2))
     down = Event("down", lambda t, y: y[0] - 0.999, terminal=True)
-    for fn, kernel in ((harmonic, "array"), (_float_bodied(harmonic), "float")):
-        ran = _kernels_used(monkeypatch, fn, np.array([1.0, 0.0]), events=[down])
-        assert ran == ({kernel}, "event:down")
+    runs = [(field, y0, {}), (harmonic, np.array([1.0, 0.0]), {"events": [down]}),
+            (_float_bodied(harmonic), np.array([1.0, 0.0]), {"events": [down]})]
+    kernels, float_kernel = [], integrate_module._float_kernel
+    monkeypatch.setattr(integrate_module, "_float_kernel",
+                        lambda dim: kernels.append(dim) or float_kernel(dim))
+    for fn, start, options in runs:
+        calls, end = _bodies_called(fn, start, **options)
+        body = "list" if hasattr(fn, "floats") else "array"
+        assert len(calls) > 20 and calls[2:] == [body] * (len(calls) - 2)
+        assert calls[:2] == ["array", "array"]
+        assert end == ("time-budget" if fn is field else "event:down")
+    assert kernels == [2 * n * d, 2, 2]
 
 
 def test_a_float_bodied_run_that_fails_raises_with_an_array_state(monkeypatch):
@@ -1020,10 +1007,11 @@ def test_a_field_that_keeps_failing_is_a_stiffness_error():
 
 
 def _array_path(field_fn):
-    """field_fn's array entry on lists, in place of its float body.  Both run
-    the float kernel, so a run through each compares body and entry."""
+    """field_fn's array entry alone, without its float body: integrate calls
+    it at an array of each list, so a run through each compares body and
+    entry."""
     assert callable(field_fn.floats)
-    return _float_bodied(lambda t, y: field_fn(t, y))
+    return lambda t, y: field_fn(t, y)
 
 
 def _run_bytes(tr):
@@ -1072,7 +1060,7 @@ def test_simulate_orbits_are_the_array_path_s_bit_for_bit():
 
 @pytest.fixture
 def array_path_of(monkeypatch):
-    """Make the integrate calls of a module use their fields' array entries on lists."""
+    """Make the integrate calls of a module use their fields' array entries alone."""
 
     def strip(module):
         def stripped(field_fn, *args, **kwargs):

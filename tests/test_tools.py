@@ -84,7 +84,8 @@ R = 1e-6
     ({"check": "energy residual 1e-3 above 1e-8"}, False),  # a changed verdict
     ({"last": 0.25 * (1.0 + 10 * R)}, False),  # the CSV's last row off by 10 R
     ({"v_end": -5.2255768647877918 * (1.0 + R / 10)}, True),  # a float off by R / 10
-    ({"residual": 7.1e-14}, True),  # a changed residual key
+    ({"residual": 2e-6}, False),  # a residual off by 2 R absolutely
+    ({"residual": 7.1e-14}, True),  # a residual off by far more than R relatively
     ({"last": 0.25 * (1.0 + R / 10)}, True),
 ])
 def test_the_tolerance_mode_accepts_only_floats_within_r(tmp_path, capsys, change, within):
@@ -117,3 +118,26 @@ def test_the_tolerance_mode_refuses_other_files_and_headers(tmp_path, capsys):
         new = write_dump(tmp_path / rel.replace("/", "_"), {**_flow_op(), rel: text})
         assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == 1
         assert "0 within 1e-06" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["gap", "shape_distance", "v_distance", "rho_floor"])
+def test_the_tolerance_mode_bounds_gaps_distances_and_floors_relatively(tmp_path, capsys, key):
+    # only the keys of rounding-level values take an absolute bound: a
+    # simultaneous gap off by 10 R, in its JSON or in its CSV, is beyond R
+    def op(value):
+        return {
+            "sweep/seed11/0000/exit": "0\n",
+            "sweep/seed11/0000/files/simultaneous.json":
+                json.dumps({"orderings": [{"ordering": [1, 2, 3], key: value}]}) + "\n",
+            "sweep/seed11/0000/files/simultaneous_grid.csv": f"m1,{key}\n1.0,{value!r}\n",
+        }
+
+    old = write_dump(tmp_path / "old", op(0.027))
+    for changed in ("json", "csv"):
+        new = op(0.027)
+        moved = op(0.027 * (1.0 + 10 * R))
+        name = next(path for path in new if path.endswith(changed))
+        new[name] = moved[name]
+        new = write_dump(tmp_path / changed, new)
+        assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == 1
+        assert "relative 1.0e-05" in capsys.readouterr().out

@@ -23,12 +23,13 @@ stderr, check, error, result) is identical, and
   - each CSV file has the same header, and its last row holds the same
     non-numeric cells and numbers within R.  Row counts may differ.
 
-A float whose key or column names a residual, defect, gap, drift,
-distance or floor is exempt: such values sit at rounding level, where a
-relative bound means nothing, and the output check bounds them.  Each
-line then also reads ``<w> within R`` and the summed CSV row counts of
-both sides, and names the first operation beyond R with the reason.  The
-exit code is 0 when no operation is beyond R.
+The floats of the keys and columns named in ROUNDING_LEVEL (conserved-
+quantity residuals, energy drifts and defects, and the gap between two
+computations of one size) sit at rounding level, where a relative bound
+means nothing; each of those is within R when the two differ by at most
+R absolutely.  Each line then also reads ``<w> within R`` and the summed
+CSV row counts of both sides, and names the first operation beyond R
+with the reason.  The exit code is 0 when no operation is beyond R.
 """
 
 from __future__ import annotations
@@ -40,8 +41,13 @@ import json
 import sys
 from pathlib import Path
 
-# words whose keys or columns hold rounding-level values, not compared under --rel
-_EXEMPT = ("residual", "defect", "gap", "drift", "distance", "floor")
+# the keys and CSV columns of rounding-level values, compared under --rel
+# by an absolute bound R
+ROUNDING_LEVEL = frozenset({
+    "energy_residual_max", "angmom_residual_max", "energy_residual", "angmom_residual",
+    "manifold_residual_max", "manifold_residual", "k_drift", "k_defect", "rho_max_gap",
+    "cc_defect",
+})
 
 
 def _dirs(path: Path) -> set[str]:
@@ -69,10 +75,6 @@ def first_difference(old: Path, new: Path, name: str) -> str | None:
     return None
 
 
-def _exempt(name: str) -> bool:
-    return any(word in name for word in _EXEMPT)
-
-
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -81,12 +83,15 @@ def _values_beyond(old, new, rel: float, name: str) -> str | None:
     """Why the value old, under key or column name, is not new within rel, or None.
 
     Two ints must be equal; a pair with a float is within rel when |old -
-    new| <= rel * max(|old|, |new|), or exempt by name."""
+    new| <= rel * max(|old|, |new|), or <= rel for a name in ROUNDING_LEVEL."""
     if isinstance(old, float) or isinstance(new, float):
         if not (_number(old) and _number(new)):
             return f"{name}: {old!r} -> {new!r}"
-        diff, size = abs(old - new), max(abs(old), abs(new))
-        if _exempt(name) or repr(old) == repr(new) or diff <= rel * size:
+        diff = abs(old - new)
+        if name in ROUNDING_LEVEL:
+            return None if diff <= rel else f"{name}: {old!r} -> {new!r}, absolute {diff:.1e}"
+        size = max(abs(old), abs(new))
+        if repr(old) == repr(new) or diff <= rel * size:
             return None
         return f"{name}: {old!r} -> {new!r}, relative {diff / size:.1e}"
     if type(old) is not type(new) or old != new:
@@ -96,7 +101,7 @@ def _values_beyond(old, new, rel: float, name: str) -> str | None:
 
 def _json_beyond(old, new, rel: float, name: str = "") -> str | None:
     """Why the JSON value new is not old within rel, or None; name is the
-    nearest key, which a float's exemption reads."""
+    nearest key, which decides a float's bound."""
     if isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
             return f"{name}: keys {sorted(old)} -> {sorted(new)}"
@@ -133,9 +138,9 @@ def _csv_beyond(old: list, new: list, rel: float) -> str | None:
     header, last_old, last_new = old[0], old[-1], new[-1]
     if not len(header) == len(last_old) == len(last_new):
         return "last row has another number of cells"
-    found = (_values_beyond(_cell(a), _cell(b), rel, f"last row {column}")
+    found = (_values_beyond(_cell(a), _cell(b), rel, column)
              for column, a, b in zip(header, last_old, last_new))
-    return next((why for why in found if why), None)
+    return next((f"last row {why}" for why in found if why), None)
 
 
 def beyond(old: Path, new: Path, rel: float) -> tuple[str | None, int, int]:
