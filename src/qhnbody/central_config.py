@@ -19,8 +19,9 @@ decreasing.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import permutations
 
 import numpy as np
@@ -34,6 +35,8 @@ from .errors import (
     QHError,
 )
 from .model import (
+    _HUGE,
+    _TINY,
     Configuration,
     MassSystem,
     PairTerms,
@@ -98,7 +101,8 @@ class Ordering:
 
 @dataclass(frozen=True)
 class CCQuery:
-    """Problem data and solver knobs for central configuration searches."""
+    """Problem data and solver knobs for central configuration searches, solved at unit size
+    with the larger coefficient 1, where grad_tol is the goal, and mapped back to inertia_I0."""
 
     ms: MassSystem
     pp: PotentialParams
@@ -110,14 +114,12 @@ class CCQuery:
         _check_knobs(self.pp, self.inertia_I0, self.grad_tol)
 
 
-def _check_knobs(pp: PotentialParams, inertia_I0: float, grad_tol: float) -> None:
-    if pp.a == 0.0 and pp.beta == 0.0:
-        raise ValueError("a = 0 with beta = 0 makes U = alpha sum m_i m_j constant: "
-                         "it has no isolated central configuration")
-    if not (np.isfinite(inertia_I0) and inertia_I0 > 0.0):
-        raise ValueError("inertia_I0 must be positive")
+def _check_knobs(pp: PotentialParams, inertia_I0: float, grad_tol: float):
+    """The _normal_form of (pp, I0), once grad_tol is checked too."""
+    form = _normal_form(pp, inertia_I0)
     if not (np.isfinite(grad_tol) and grad_tol > 0.0):
         raise ValueError("grad_tol must be positive")
+    return form
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,21 +399,58 @@ def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
     return IndexReport(index=index, eigenvalues=eigs, zero_modes=zeros, ambient=ambient)
 
 
-def _project_line(x: np.ndarray, m: np.ndarray, mass_sum: np.ndarray, inertia_I0: float):
-    """Each row of x moved to its center of mass and scaled onto <x, x> = I0.
+def _normal_form(pp: PotentialParams, inertia_I0: float):
+    """(pp_1, sqrt(I0), c / I0, c / sqrt(I0)): the CC problem of (pp, I0) at unit size with
+    the larger coefficient 1, and the factors that map its results back to the size I0.
+
+    U(sqrt(I0) s) = A W_1(s) + B V_1(s) = c U_1(s), A = alpha I0^(-a/2), B = beta I0^(-b/2),
+    c = max(A, B): U_1 has the coefficients (1, B / A) or (A / B, 1), alpha = 0 (or a = 0, a
+    constant term) gives (0, 1) and beta = 0 (1, 0).  At x = sqrt(I0) s, grad U = (c / sqrt(I0))
+    grad U_1, Hess U = (c / I0) Hess U_1, a W + b V = c (a W_1 + b V_1) and dI/dx = sqrt(I0) 2
+    M s, so x is a CC on <x, x> = I0 exactly when s is one on the unit sphere; sigma = -(a W +
+    b V) / (2 I0), sigma1, sigma2 and the restricted Hessian (Hess U + (a W + b V) / I0 M on the
+    tangent space) scale by c / I0, the residuals grad U - sigma dI/dx and their floors by c /
+    sqrt(I0).  A ratio or factor is one power of I0 times a coefficient, so neither A nor B can
+    under- or overflow, and each factor is exactly 1 at I0 = 1 with the larger coefficient 1.
+    A ratio or a factor that is not a normal float raises ValueError naming inertia_I0.
+    """
+    if pp.a == 0.0 and pp.beta == 0.0:
+        raise ValueError("a = 0 with beta = 0 makes U = alpha sum m_i m_j constant: "
+                         "it has no isolated central configuration")
+    if not (math.isfinite(inertia_I0) and inertia_I0 > 0.0):
+        raise ValueError("inertia_I0 must be positive")
+    i0, half_gap = float(inertia_I0), (pp.b - pp.a) / 2.0
+    alpha, beta = pp.alpha if pp.a else 0.0, pp.beta
+    a_leads = not beta or alpha / beta * _power(i0, half_gap) >= 1.0  # A >= B
+    ratio = beta / alpha * _power(i0, -half_gap) if a_leads else alpha / beta * _power(i0, half_gap)
+    lead, e = (alpha, pp.a) if a_leads else (beta, pp.b)
+    curvature, force = (lead * _power(i0, -(e + k) / 2.0) for k in (2.0, 1.0))
+    checked = {"coefficient ratio": ratio} if alpha and beta else {}
+    for name, value in {**checked, "map-back factor c / I0": curvature,
+                        "map-back factor c / sqrt(I0)": force}.items():
+        if not _TINY <= value <= _HUGE:
+            raise ValueError(f"inertia_I0 = {inertia_I0!r} gives the unit-size normal form a "
+                             f"{name} = {value!r}: it must be a normal float")
+    coefs = (1.0, ratio if alpha and beta else 0.0) if a_leads else (ratio if alpha else 0.0, 1.0)
+    unit = pp if coefs == (pp.alpha, pp.beta) else replace(pp, alpha=coefs[0], beta=coefs[1])
+    return unit, math.sqrt(i0), curvature, force
+
+
+def _power(x: float, y: float) -> float:
+    """x ** y of a positive float x, inf where it overflows (it underflows to 0 on its own)."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
+def _project_line(x: np.ndarray, m: np.ndarray, mass_sum: np.ndarray):
+    """Each row of x moved to its center of mass and scaled onto the unit sphere <x, x> = 1.
 
     mass_sum is m summed over its last axis, kept as a column.
     """
     x = x - np.add.reduce(m * x, axis=-1, keepdims=True) / mass_sum
-    return x * np.sqrt(inertia_I0 / np.add.reduce(m * x * x, axis=-1, keepdims=True))
-
-
-def _stalled(ordering: Ordering, res: float, goal: float) -> NoConvergenceError:
-    return NoConvergenceError(
-        f"collinear solve for ordering {ordering.perm} stalled at residual {res:.3e} "
-        f"above its goal {goal:.3e}",
-        residual=res,
-    )
+    return x * np.sqrt(1.0 / np.add.reduce(m * x * x, axis=-1, keepdims=True))
 
 
 def _solve_each(a_mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -482,10 +521,10 @@ def _in_order(x: np.ndarray, e: np.ndarray, sign: np.ndarray) -> np.ndarray:
     return np.logical_and.reduce((x @ e) * sign > 0.0, axis=-1)
 
 
-def _line_start(kernel: _PairKernel, m: np.ndarray, mass_sum: np.ndarray, slots: np.ndarray,
-                inertia_I0: float) -> tuple[np.ndarray, np.ndarray, PairTerms]:
-    """First iterates of the collinear solve, the signs of their pair differences
-    and their PairTerms with the Hessian.
+def _line_start(kernel: _PairKernel, m: np.ndarray, mass_sum: np.ndarray,
+                slots: np.ndarray) -> tuple[np.ndarray, np.ndarray, PairTerms]:
+    """First iterates of the collinear solve on the unit sphere, the signs of their
+    pair differences and their PairTerms with the Hessian.
 
     Row k of slots lists the bodies of member k from left to right.  The
     tension of gap k, the net pair force on the bodies left of it, is
@@ -514,7 +553,7 @@ def _line_start(kernel: _PairKernel, m: np.ndarray, mass_sum: np.ndarray, slots:
         sphere, in line order and in body order."""
         line = np.zeros((size, n))
         np.add.accumulate(gaps, axis=-1, out=line[:, 1:])
-        line = _project_line(line, ml, mass_sum, inertia_I0)
+        line = _project_line(line, ml, mass_sum)
         x = np.empty((size, n))
         x.put(flat, line)
         return line, x
@@ -538,7 +577,7 @@ def _line_start(kernel: _PairKernel, m: np.ndarray, mass_sum: np.ndarray, slots:
     sign = np.sign(equal @ kernel.e)
 
     def fall_back(rows: np.ndarray) -> None:
-        x[rows] = _project_line(equal[rows], m[rows], mass_sum[rows], inertia_I0)
+        x[rows] = _project_line(equal[rows], m[rows], mass_sum[rows])
 
     if not ok.all():
         fall_back(~ok)
@@ -555,20 +594,16 @@ def _trial_pass(kernel: _PairKernel, x: np.ndarray) -> tuple[PairTerms, np.ndarr
     return kernel.terms(x, strict=False, hess=True)
 
 
-def solve_collinear_batch(
-    orderings: Sequence[Ordering],
-    masses: np.ndarray,
-    pp: PotentialParams,
-    inertia_I0: float = 1.0,
-    grad_tol: float = 1e-12,
-    max_iter: int = 200,
-) -> CCBatch:
+def solve_collinear_batch(orderings: Sequence[Ordering], masses: np.ndarray, pp: PotentialParams,
+                          inertia_I0: float = 1.0, grad_tol: float = 1e-12,
+                          max_iter: int = 200) -> CCBatch:
     """Collinear central configurations of orderings[k] with masses[k], in lockstep.
 
     masses is (B, n), one row of finite positive masses per ordering;
     results() of the returned batch gives one CCResult per member.
-    Every member starts from tension-balanced gaps (_line_start: a closed
-    form, then one balance step on a light pass of the kernel) and runs
+    The batch is solved in the normal form (_normal_form), where grad_tol is the
+    residual goal, and mapped back at the end.  Every member starts from tension-balanced
+    gaps (_line_start: a closed form, then one balance step on a light pass of the kernel) and runs
     the iteration described in solve_collinear_ordering step for step.
     All arithmetic is per row, so a member's results are bit for bit
     those of its one-member batch.  The members advance together:
@@ -585,7 +620,7 @@ def solve_collinear_batch(
     one batch.  When members fail, the error of the first of them in
     input order is raised.
     """
-    _check_knobs(pp, inertia_I0, grad_tol)
+    pp, root, curvature, force = _check_knobs(pp, inertia_I0, grad_tol)
     masses = np.asarray(masses, dtype=float)
     if (masses.ndim != 2 or masses.shape[1] < 2
             or [o.n for o in orderings] != [masses.shape[1]] * len(masses)):
@@ -600,7 +635,7 @@ def solve_collinear_batch(
     ids, m, mass_sum = np.arange(size), masses, masses.sum(axis=-1, keepdims=True)
     border = _border(m)
     slots = np.array([o.perm for o in orderings], int).reshape(size, n) - 1
-    x, sign, terms = _line_start(kernel, m, mass_sum, slots, inertia_I0)
+    x, sign, terms = _line_start(kernel, m, mass_sum, slots)
     rs, tol = np.full(size, np.inf), np.full(size, grad_tol)
 
     # one row per member, written when it converges: its x, the a W + b V and
@@ -651,7 +686,7 @@ def solve_collinear_batch(
         rhs = np.zeros((ids.size, n + 2))
         np.negative(r, out=rhs[:, :n])
         direction, slope, fallback = _newton_directions(
-            border, mx, terms.hess, (aw_bv / inertia_I0)[:, None] * m, rhs)
+            border, mx, terms.hess, aw_bv[:, None] * m, rhs)
         if fallback.any():
             fallbacks[ids[fallback]] += 1
         u0 = terms.W + terms.V
@@ -661,7 +696,7 @@ def solve_collinear_batch(
         search = (x, direction, m, mass_sum, sign, u0, 1e-4 * slope, 1e-14 * np.abs(u0))
         for _ in range(47):  # step sizes 1 down to 2^-46, the last above 1e-14
             xs, ds, ms_, msum, sg, u0s, armijo, slack = search
-            trial = _project_line(xs + t * ds, ms_, msum, inertia_I0)
+            trial = _project_line(xs + t * ds, ms_, msum)
             trial_terms, collided = _trial_pass(kern, trial)
             ok = _in_order(trial, kern.e, sg) & ~collided
             ok &= trial_terms.W + trial_terms.V <= u0s + t * armijo + slack
@@ -688,13 +723,16 @@ def solve_collinear_batch(
 
     # the members before the first stall have all converged; a degenerate one fails first
     first = stalled.argmax() if stalled.any() else size
-    eigs = _restricted_spectrum(out_x[:first, :, None], masses[:first], inertia_I0,
+    eigs = _restricted_spectrum(out_x[:first, :, None], masses[:first], 1.0,
                                 out_aw_bv[:first], out_h[:first])[1]
     index = index_report(eigs, "collinear").index
+    res, floor = res * force, floor * force
     if first < size:
-        raise _stalled(orderings[first], float(res[first]), float(floor[first]))
-    return CCBatch(list(orderings), out_x, sigma, res, index, eigs, inertia_I0, iters, backtracks,
-                   fallbacks, floor)
+        raise NoConvergenceError(f"collinear solve for ordering {orderings[first].perm} stalled "
+                                 f"at residual {res[first]:.3e} above its goal {floor[first]:.3e}",
+                                 residual=float(res[first]))
+    return CCBatch(list(orderings), out_x * root, sigma * curvature, res, index, eigs * curvature,
+                   inertia_I0, iters, backtracks, fallbacks, floor)
 
 
 def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
@@ -724,49 +762,51 @@ def solve_collinear_ordering(ordering: Ordering, q: CCQuery) -> CCResult:
     return batch.results()[0]
 
 
-def equilateral_configuration(
-    ms: MassSystem, inertia_I0: float = 1.0
-) -> tuple[Configuration, Configuration]:
-    """The two oriented equilateral triangles on the inertia sphere.
+def equilateral_configuration(ms: MassSystem) -> tuple[Configuration, Configuration]:
+    """The two oriented equilateral triangles on the unit sphere.
 
-    The side is forced by the constraint alone:
-    L = sqrt(I0 * total_mass / sum_{i<j} m_i m_j).  Returns the
-    positively oriented triangle and its mirror image, both centered.
+    The side is forced by the constraint alone (equilateral_side).  Returns
+    the positively oriented triangle and its mirror image, both centered.
     """
     if ms.n != 3:
         raise ValueError("equilateral configurations need exactly three bodies")
-    side = equilateral_side(ms, inertia_I0)
+    side = equilateral_side(ms)
     raw = side * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
     plus = centered(raw, ms)
     minus = plus * np.array([1.0, -1.0])
     return Configuration(plus), Configuration(minus)
 
 
-def equilateral_side(ms: MassSystem, inertia_I0: float = 1.0) -> float:
+def equilateral_side(ms: MassSystem) -> float:
+    """L = sqrt(total_mass / sum_{i<j} m_i m_j), the side on the unit sphere."""
     m = ms.masses
     pair_sum = m[0] * m[1] + m[0] * m[2] + m[1] * m[2]
-    return float(np.sqrt(inertia_I0 * ms.total_mass / pair_sum))
+    return float(np.sqrt(ms.total_mass / pair_sum))
 
 
-def equilateral_results(
-    configs: Sequence[Configuration], ms: MassSystem, pp: PotentialParams, inertia_I0: float = 1.0
-) -> list[CCResult]:
-    """Equilateral triangles as CCResults, in order: each one's CC residual,
-    planar index and, when both terms are active, the multipliers of the
-    simultaneous test, all read from one pass of the pair kernel over the
-    (B, 3, 2) stack of the triangles."""
-    r = np.stack([config.positions for config in configs])
-    terms = _PairKernel(ms.masses, pp).terms(r, hess=True)[0]
-    sigma, res = cc_residual(r, ms, pp, terms)
-    report = cc_index(r, ms, pp, "planar", inertia_I0, terms)
-    sim = simultaneous_residual(r, ms, pp, terms) if pp.alpha and pp.beta else None
-    multipliers = ([(None, None)] * len(r) if sim is None
-                   else zip(sim.sigma1.tolist(), sim.sigma2.tolist()))
-    rows = zip(configs, sigma.tolist(), res.tolist(), report.index.tolist(), report.eigenvalues,
-               multipliers)
-    return [CCResult(config=c, kind="equilateral", sigma=s, residual=e, index=k, hess_eigs=eigs,
-                     inertia_I0=inertia_I0, sigma1=s1, sigma2=s2)
-            for c, s, e, k, eigs, (s1, s2) in rows]
+def equilateral_results(ms: MassSystem, pp: PotentialParams, inertia_I0: float = 1.0,
+                        grad_tol: float | None = None) -> list[CCResult]:
+    """The two triangles of equilateral_configuration as CCResults on <r, r> = I0, built in
+    the normal form of (pp, I0) and mapped back: each one's CC residual, planar index and,
+    when both terms are active, the multipliers of the simultaneous test, from one kernel pass
+    over the stack of the unit triangles.  With grad_tol, a unit-size residual above
+    max(grad_tol, 1e-12) max(1, |sigma|) raises NoConvergenceError."""
+    s = np.stack([config.positions for config in equilateral_configuration(ms)])
+    unit, root, curvature, force = _normal_form(pp, inertia_I0)
+    terms = _PairKernel(ms.masses, unit).terms(s, hess=True)[0]
+    sigma, res = cc_residual(s, ms, unit, terms)
+    for unit_res, unit_sigma in zip(res.tolist(), sigma.tolist()) if grad_tol else ():
+        if not unit_res <= max(grad_tol, 1e-12) * np.maximum(1.0, abs(unit_sigma)):
+            raise NoConvergenceError(f"equilateral construction has residual "
+                                     f"{unit_res * force:.3e}", residual=unit_res * force)
+    report = cc_index(s, ms, unit, "planar", 1.0, terms)
+    sim = simultaneous_residual(s, ms, unit, terms) if pp.alpha and pp.beta else None
+    multipliers = ([(None, None)] * len(s) if sim is None
+                   else zip((sim.sigma1 * curvature).tolist(), (sim.sigma2 * curvature).tolist()))
+    rows = zip(s * root, (sigma * curvature).tolist(), (res * force).tolist(),
+               report.index.tolist(), report.eigenvalues * curvature, multipliers)
+    return [CCResult(Configuration(r), "equilateral", sg, e, k, eigs, inertia_I0, None, s1, s2)
+            for r, sg, e, k, eigs, (s1, s2) in rows]
 
 
 def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
@@ -776,18 +816,9 @@ def equilateral_cc(q: CCQuery) -> tuple[CCResult, CCResult]:
     alone, so these are simultaneous central configurations for any
     masses, exponents 0 <= a < b and coefficients; the sigma1 and sigma2
     records are filled when both terms are active.  Both triangles are
-    one equilateral_results batch.
+    one equilateral_results batch, whose unit-size residuals grad_tol gates.
     """
-    if q.ms.n != 3:
-        raise ValueError("equilateral_cc needs exactly three bodies")
-    plus, minus = equilateral_results(equilateral_configuration(q.ms, q.inertia_I0), q.ms, q.pp,
-                                      q.inertia_I0)
-    for cc in (plus, minus):
-        if not cc.residual <= max(q.grad_tol, 1e-12) * np.maximum(1.0, abs(cc.sigma)):
-            raise NoConvergenceError(
-                f"equilateral construction has residual {cc.residual:.3e}", residual=cc.residual
-            )
-    return plus, minus
+    return tuple(equilateral_results(q.ms, q.pp, q.inertia_I0, q.grad_tol))
 
 
 def bisect_sign_change(f, rel_tol: float, error: type[QHError], what: str) -> tuple[float, float]:
@@ -863,25 +894,15 @@ def f_root(sigma: float, b: float, mtotal: float, a: float = 1.0) -> FRootResult
     )
 
 
-def euler_collinear_homogeneous(
-    ms: MassSystem,
-    exponent: float,
-    ordering: Ordering,
-    inertia_I0: float = 1.0,
-    grad_tol: float = 1e-12,
-) -> CCResult:
+def euler_collinear_homogeneous(ms: MassSystem, exponent: float, ordering: Ordering,
+                                inertia_I0: float = 1.0, grad_tol: float = 1e-12) -> CCResult:
     """Collinear CC of the single-term potential sum m_i m_j / r^exponent."""
     return euler_collinear_batch([ordering], ms.masses[None], exponent, inertia_I0,
                                  grad_tol).results()[0]
 
 
-def euler_collinear_batch(
-    orderings: Sequence[Ordering],
-    masses: np.ndarray,
-    exponent: float,
-    inertia_I0: float = 1.0,
-    grad_tol: float = 1e-12,
-) -> CCBatch:
+def euler_collinear_batch(orderings: Sequence[Ordering], masses: np.ndarray, exponent: float,
+                          inertia_I0: float = 1.0, grad_tol: float = 1e-12) -> CCBatch:
     """euler_collinear_homogeneous of orderings[k] with masses[k], as one solve_collinear_batch."""
     if not (np.isfinite(exponent) and exponent > 0.0):
         raise ValueError("exponent must be positive")
@@ -889,13 +910,8 @@ def euler_collinear_batch(
     return solve_collinear_batch(orderings, masses, pure, inertia_I0, grad_tol)
 
 
-def simultaneous_gaps(
-    orderings: Sequence[Ordering],
-    masses: np.ndarray,
-    pp: PotentialParams,
-    inertia_I0: float = 1.0,
-    grad_tol: float = 1e-13,
-) -> np.ndarray:
+def simultaneous_gaps(orderings: Sequence[Ordering], masses: np.ndarray, pp: PotentialParams,
+                      inertia_I0: float = 1.0, grad_tol: float = 1e-13) -> np.ndarray:
     """Mass-metric distances between the pure-a and pure-b collinear CCs.
 
     One gap per member, orderings[k] with the (B, n) masses[k]; it
@@ -903,23 +919,21 @@ def simultaneous_gaps(
     central configuration of U = W + V.  The gaps read only the
     exponents, solving each term alone at coefficient 1, and need a > 0.
     The pure-a and the pure-b configurations are each solved as one
-    lockstep batch.
+    lockstep batch at unit size, where grad_tol is their residual goal:
+    a gap at the size I0 is sqrt(I0) times the gap of those shapes.
     """
     if pp.a == 0.0:
         raise DegenerateTermError("simultaneous gap needs a > 0; a = 0 has no shape")
-    x_w, x_v = (euler_collinear_batch(orderings, masses, e, inertia_I0, grad_tol).x
-                for e in (pp.a, pp.b))
+    if not (np.isfinite(inertia_I0) and inertia_I0 > 0.0):
+        raise ValueError("inertia_I0 must be positive")
+    x_w, x_v = (euler_collinear_batch(orderings, masses, e, 1.0, grad_tol).x for e in (pp.a, pp.b))
     # summed over the planar (n, 2) layout, whose rounding the gaps have always carried
     diff = lift_to_plane((x_v - x_w)[..., None])
-    return np.sqrt(np.sum(np.asarray(masses)[..., None] * diff * diff, axis=(-2, -1)))
+    return np.sqrt(inertia_I0) * np.sqrt(np.sum(np.asarray(masses)[..., None] * diff * diff,
+                                                axis=(-2, -1)))
 
 
-def simultaneous_gap(
-    ms: MassSystem,
-    pp: PotentialParams,
-    ordering: Ordering,
-    inertia_I0: float = 1.0,
-    grad_tol: float = 1e-13,
-) -> float:
+def simultaneous_gap(ms: MassSystem, pp: PotentialParams, ordering: Ordering,
+                     inertia_I0: float = 1.0, grad_tol: float = 1e-13) -> float:
     """The simultaneous_gaps of one ordering and mass system."""
     return float(simultaneous_gaps([ordering], ms.masses[None], pp, inertia_I0, grad_tol)[0])

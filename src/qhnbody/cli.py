@@ -32,6 +32,7 @@ from .central_config import (
     CCQuery,
     CCResult,
     Ordering,
+    _normal_form,
     cc_residual,
     equilateral_cc,
     equilateral_configuration,
@@ -252,29 +253,23 @@ def _potential(value, path, table, n):
         raise ConfigError(f"invalid {path}: {exc}") from None
 
 
-def _check_float_domain(ms: MassSystem, pps, d2: float | None = None, cause: str = "") -> None:
-    """ConfigError on model.float_domain_fault's fault for a potential in pps, naming its key
-    and pair: at bind with the pair's masses, its coefficient named by cause, a format of
-    {key}, when given; at the squared pair distance d2 with cause."""
+def _check_float_domain(ms: MassSystem, *pps: PotentialParams, unit_sphere: bool = False) -> None:
+    """ConfigError on model.float_domain_fault's fault for a potential in pps, naming its key and
+    pair: at bind with the pair's masses, or with unit_sphere at the unit sphere's size."""
+    d2 = 1.0 / ms.total_mass if unit_sphere else None
     for pp in pps:
         if (fault := float_domain_fault(ms.masses, pp, d2)) is None:
             continue
         _, key, (i, j), what, value = fault
         if d2 is None:  # kc = -exp coef or coef, named by its size
-            coefficient = cause.format(key=key) or f"potential.{key} = {getattr(pp, key)!r}"
-            where = (f"{coefficient} gives pair ({i}, {j}), masses "
+            where = (f"potential.{key} = {getattr(pp, key)!r} gives pair ({i}, {j}), masses "
                      f"{ms.masses.item(i - 1)!r} and {ms.masses.item(j - 1)!r}, the kernel "
                      f"coefficient {abs(value)!r}")
         else:
-            where = (f"{cause} = {math.sqrt(d2)!r}, at which pair ({i}, {j}) gives the {key} "
-                     f"term's kernel {what} {value!r}")
+            where = (f"masses of total M = {ms.total_mass!r} set the unit sphere's size sqrt(1 / M)"
+                     f" = {math.sqrt(d2)!r}, at which pair ({i}, {j}) gives the {key} term's "
+                     f"kernel {what} {value!r}")
         raise ConfigError(f"{where}: it must be finite and at least {sys.float_info.min!r}")
-
-
-def _check_unit_sphere(ms: MassSystem, *potentials: PotentialParams) -> None:
-    """_check_float_domain of potentials on the unit sphere, whose size the masses set."""
-    _check_float_domain(ms, potentials, 1.0 / ms.total_mass, f"masses of total M = "
-                        f"{ms.total_mass!r} set the unit sphere's size sqrt(1 / M)")
 
 
 @dataclass
@@ -300,28 +295,9 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         top = _read(raw, "", _CONFIGS[command])
-        ms, pp, i0 = top["masses"], top["potential"], top.get("inertia_I0")
-        # simultaneous solves each term alone at coefficient 1 (euler_collinear_batch)
-        unit = command == "simultaneous"
-        gated = [replace(pp, alpha=1.0, beta=1.0) if unit else pp]
-        coefficient = "the {key} term at coefficient 1, which simultaneous solves," if unit else ""
-
-        def gate(ms: MassSystem) -> None:
-            _check_float_domain(ms, gated, cause=coefficient)
-            if i0 is not None:
-                _check_float_domain(ms, gated, i0 / ms.total_mass,
-                                    f"inertia_I0 = {i0!r} sets the size sqrt(I0 / M)")
-
-        gate(ms)
-        if (grid := top.get("options", {}).get("mass_grid")) is not None:
-            # every kernel value grows with each mass, as m_i m_j (M / I0)^(exp / 2),
-            # so the lowest and the highest cell bound those of the whole grid
-            for cell in ((pick(grid["m1"]), pick(grid["m2"]), grid["m3"]) for pick in (min, max)):
-                try:
-                    gate(MassSystem(cell))
-                except ConfigError as exc:
-                    raise ConfigError(f"options.mass_grid cell with masses {cell}: {exc}") from None
-        return cls(ms=ms, pp=pp, inertia_I0=i0,
+        ms, pp = top["masses"], top["potential"]
+        _check_float_domain(ms, pp)
+        return cls(ms=ms, pp=pp, inertia_I0=top.get("inertia_I0"),
                    energy_h=top.get("energy_h"), initial_state=top.get("initial_state"),
                    tol=top["tolerances"], opt=top.get("options", {}), base_dir=p.resolve().parent)
 
@@ -532,15 +508,14 @@ def _unit_shape(cfg: RunConfig) -> Configuration:
     ms, pp = cfg.ms, cfg.pp
     kind, arg = cfg.opt["shape"]
     if kind == "equilateral":
-        return equilateral_configuration(ms, 1.0)[0]
+        return equilateral_configuration(ms)[0]
     if kind == "positions":
         r = centered(lift_to_plane(arg), ms)
         inertia = mass_inner(r, r, ms)
         if inertia <= 0.0:
             raise ConfigError("shape has zero size")
         return Configuration(r / np.sqrt(inertia))
-    q = CCQuery(ms=ms, pp=pp, inertia_I0=1.0, grad_tol=cfg.tol["grad_tol"])
-    return solve_collinear_ordering(arg, q).config
+    return solve_collinear_ordering(arg, CCQuery(ms, pp, grad_tol=cfg.tol["grad_tol"])).config
 
 
 def _match_payload(m: RestPointMatch) -> dict:
@@ -659,6 +634,7 @@ def _require_enumerable(command: str, n: int) -> None:
 def cmd_cc_collinear(cfg: RunConfig) -> tuple[dict, list]:
     n, draws = cfg.ms.n, cfg.opt["mass_draws"]
     _require_enumerable("cc-collinear", n)
+    _check_float_domain(cfg.ms, _normal_form(cfg.pp, cfg.inertia_I0)[0], unit_sphere=True)
     masses = cfg.ms.masses[None]
     if draws is not None:
         rng = np.random.default_rng(draws["seed"])
@@ -696,17 +672,17 @@ def cmd_cc_collinear(cfg: RunConfig) -> tuple[dict, list]:
 def cmd_cc_planar3(cfg: RunConfig) -> tuple[dict, list]:
     if cfg.ms.n != 3:
         raise ConfigError(f"cc-planar3 needs exactly 3 masses, got {cfg.ms.n}")
+    _check_float_domain(cfg.ms, _normal_form(cfg.pp, cfg.inertia_I0)[0], unit_sphere=True)
     plus, minus = equilateral_cc(CCQuery(cfg.ms, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"]))
-    # The side certificate: with unit coefficients the side solves the
-    # scalar equation behind f_root, so recompute sigma in that gauge.
+    # the side certificate: at unit size and coefficients the side solves f_root's equation
     unit_pp = replace(cfg.pp, alpha=1.0, beta=1.0)
-    unit_sigma, _ = cc_residual(plus.config, cfg.ms, unit_pp)
+    unit_sigma, _ = cc_residual(equilateral_configuration(cfg.ms)[0], cfg.ms, unit_pp)
     fr = f_root(unit_sigma, cfg.pp.b, cfg.ms.total_mass, cfg.pp.a)
     payload = {
         "inertia_I0": cfg.inertia_I0,
-        "side": equilateral_side(cfg.ms, cfg.inertia_I0),
+        "side": math.sqrt(cfg.inertia_I0) * equilateral_side(cfg.ms),
         "side_certificate": {
-            "root": fr.root,
+            "root": fr.root * math.sqrt(cfg.inertia_I0),
             "f_at_root": fr.f_at_root,
             "sign_changes": fr.sign_changes,
             "grid_points": fr.grid_points,
@@ -720,11 +696,20 @@ def cmd_cc_planar3(cfg: RunConfig) -> tuple[dict, list]:
 def cmd_simultaneous(cfg: RunConfig) -> tuple[dict, list]:
     _require_enumerable("simultaneous", cfg.ms.n)
     grid, gap_tol = cfg.opt["mass_grid"], cfg.tol["gap_tol"]
+    # each term at coefficient 1 on the unit sphere, as simultaneous_gaps solves them
+    unit = replace(cfg.pp, alpha=1.0, beta=1.0)
+    _check_float_domain(cfg.ms, unit, unit_sphere=True)
     orderings = Ordering.all_canonical(cfg.ms.n)
     count = len(orderings)
     masses = np.tile(cfg.ms.masses, (count, 1))
     if grid is not None:
         m1_vals, m2_vals = (np.linspace(*grid[m], grid["points"]) for m in ("m1", "m2"))
+        # unit-sphere kernel values grow with each mass: the extreme cells bound the grid's
+        for cell in ((pick(grid["m1"]), pick(grid["m2"]), grid["m3"]) for pick in (min, max)):
+            try:
+                _check_float_domain(MassSystem(cell), unit, unit_sphere=True)
+            except ConfigError as exc:
+                raise ConfigError(f"options.mass_grid cell with masses {cell}: {exc}") from None
         cells = [(m1, m2, grid["m3"]) for m1 in m1_vals for m2 in m2_vals]
         orderings = orderings + [grid["ordering"]] * len(cells)
         masses = np.vstack([masses, cells])
@@ -815,7 +800,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
 
 def cmd_collision_flow(cfg: RunConfig) -> tuple[dict, list]:
     # the run's potential on the orbit, the pure b-term (beta = 1) of the catalog it matches
-    _check_unit_sphere(cfg.ms, cfg.pp, replace(cfg.pp, alpha=0.0, beta=1.0))
+    _check_float_domain(cfg.ms, cfg.pp, replace(cfg.pp, alpha=0.0, beta=1.0), unit_sphere=True)
     _require_enumerable("collision-flow", cfg.ms.n)
     starts, catalog = _initial_on_C(cfg)
     listed = isinstance(cfg.opt["start"], list)
@@ -860,7 +845,8 @@ def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult],
 
 def cmd_eigen(cfg: RunConfig) -> tuple[dict, list]:
     # the b-term alone at the run's beta at the rest points, and at beta = 1 in their solve
-    _check_unit_sphere(cfg.ms, replace(cfg.pp, alpha=0.0), replace(cfg.pp, alpha=0.0, beta=1.0))
+    _check_float_domain(cfg.ms, replace(cfg.pp, alpha=0.0), replace(cfg.pp, alpha=0.0, beta=1.0),
+                        unit_sphere=True)
     cases = cfg.opt["cases"]
     if cases is None:
         _require_enumerable("eigen", cfg.ms.n)
@@ -883,7 +869,7 @@ def cmd_eigen(cfg: RunConfig) -> tuple[dict, list]:
 
 
 def cmd_homothetic(cfg: RunConfig) -> tuple[dict, list]:
-    _check_unit_sphere(cfg.ms, cfg.pp)
+    _check_float_domain(cfg.ms, cfg.pp, unit_sphere=True)
     s0 = _unit_shape(cfg)
     orbit = heteroclinic_orbit(
         s0,

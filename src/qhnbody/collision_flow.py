@@ -24,7 +24,6 @@ from .central_config import (
     cc_index,
     cc_residual,
     count_modes,
-    equilateral_configuration,
     equilateral_results,
     euler_collinear_batch,
     index_report,
@@ -410,8 +409,7 @@ def pure_b_shapes(ms: MassSystem, b: float, cases: Sequence[tuple[str, Ordering 
     solved = {("collinear", o): cc for o, cc in zip(orderings, batch.results())}
     if ("equilateral", None) in cases:
         ppb = PotentialParams(a=0.0, b=b, alpha=0.0, beta=1.0)
-        solved["equilateral", None] = equilateral_results(
-            equilateral_configuration(ms, 1.0)[:1], ms, ppb, 1.0)[0]
+        solved["equilateral", None] = equilateral_results(ms, ppb)[0]
     return [solved[case] for case in cases]
 
 

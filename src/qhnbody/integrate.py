@@ -14,10 +14,10 @@ the state stored for an event is then one real step from the start of
 its step to the located time, not an interpolated value.
 
 Each step runs on Python floats: a straight-line stage loop and error
-norm written out for the state size and compiled once per size in a
-process (_float_kernel), where each stage state is a fresh list
-y_i + h (a_s0 k0_i + a_s3 k3_i + ...) over the tableau row's nonzero
-entries, summed left to right, the same on every IEEE machine.  A field
+norm written out for the state size and compiled per size, the last 16
+sizes kept in a process (_float_kernel), where each stage state is a
+fresh list y_i + h (a_s0 k0_i + a_s3 k3_i + ...) over the tableau row's
+nonzero entries, summed left to right, the same on every IEEE machine.  A field
 with a float body, field.floats(t, list) -> list, is called on those
 lists; any other field is called on a fresh array of each list, and its
 value is read back as a list.  The renormalizer, events and monitors
@@ -243,10 +243,10 @@ def _compiled(lines, name, filename):
     return scope[name]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)  # a run steps a few sizes, and a kernel grows with its size
 def _float_kernel(dim: int):
     """(step, error): the stage loop and error norm of a step on states of dim
-    Python floats, written out for dim and compiled once per dim in a process.
+    Python floats, written out for dim and compiled once per dim while kept.
 
     step(floats, t, y, h, k0) -> (y1, rows) makes stages 1-11 of a step of
     size h from (t, y), given k0 = floats(t, y), and returns y1 = y(t + h)

@@ -239,14 +239,12 @@ START_POTENTIALS = [
 ]
 
 
-def _start(orderings, masses, pp, inertia_I0=1.0):
+def _start(orderings, masses, pp):
     kernel = model._PairKernel(masses, pp)
     slots = np.array([o.zero_based for o in orderings])
-    x = central_config._line_start(kernel, masses, masses.sum(-1, keepdims=True), slots,
-                                   inertia_I0)[0]
+    x = central_config._line_start(kernel, masses, masses.sum(-1, keepdims=True), slots)[0]
     equal = np.argsort(slots, axis=-1).astype(float)  # each body's place in its ordering
-    return x, central_config._project_line(equal, masses, masses.sum(-1, keepdims=True),
-                                           inertia_I0)
+    return x, central_config._project_line(equal, masses, masses.sum(-1, keepdims=True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,16 +255,17 @@ def _start(orderings, masses, pp, inertia_I0=1.0):
     inertia_I0=st.sampled_from([0.01, 100.0]),
 )
 def test_the_start_is_finite_ordered_centred_and_on_the_sphere(seed, n, pp, inertia_I0):
+    # the solver starts the normal form of (pp, I0) on the unit sphere
     rng = np.random.default_rng(seed)
     masses = rng.uniform(0.1, 10.0, (4, n))
     orderings = [Ordering(tuple(rng.permutation(n) + 1)) for _ in masses]
-    x, equal = _start(orderings, masses, pp, inertia_I0)
+    x, equal = _start(orderings, masses, central_config._normal_form(pp, inertia_I0)[0])
     assert np.isfinite(x).all()
     for o, row in zip(orderings, x):
         assert np.all(np.diff(row[list(o.zero_based)]) > 0.0)
-    scale = np.sqrt(inertia_I0 * masses.sum(-1))
+    scale = np.sqrt(masses.sum(-1))
     assert (np.abs((masses * x).sum(-1)) <= 1e-14 * scale).all()
-    np.testing.assert_allclose((masses * x * x).sum(-1), inertia_I0, rtol=1e-14)
+    np.testing.assert_allclose((masses * x * x).sum(-1), 1.0, rtol=1e-14)
     if n > 2:  # two bodies have one shape on the sphere
         assert not (x == equal).all(axis=-1).any()
 
@@ -403,7 +402,7 @@ def _iterates_near_ccs(rng, pp, n, size=8):
     x = solve_collinear_batch(orderings, masses, pp).x
     kick = np.geomspace(1e-9, 5e-2, size)[rng.permutation(size)][:, None]
     kicked = x + kick * rng.standard_normal((size, n))
-    return central_config._project_line(kicked, masses, masses.sum(-1, keepdims=True), 1.0), masses
+    return central_config._project_line(kicked, masses, masses.sum(-1, keepdims=True)), masses
 
 
 @pytest.mark.parametrize("flip", [False, True])
@@ -859,15 +858,18 @@ def test_equilateral_cc_is_one_batch_with_each_triangles_own_values(rng, monkeyp
         plus, minus = equilateral_cc(CCQuery(ms=ms, pp=pp, inertia_I0=inertia_i0))
         assert (len(bindings), len(passes)) == (1, 1)
         monkeypatch.undo()
-        for res, config in zip((plus, minus), equilateral_configuration(ms, inertia_i0)):
-            # each value as a pass, a residual and a spectrum of the triangle alone give it
-            sigma, residual = cc_residual(config, ms, pp)
-            report = cc_index(config, ms, pp, "planar", inertia_i0)
-            sim = simultaneous_residual(config, ms, pp)
-            assert res.config.positions.tobytes() == config.positions.tobytes()
-            assert (res.sigma, res.residual, res.index) == (sigma, residual, report.index)
-            assert (res.sigma1, res.sigma2) == (sim.sigma1, sim.sigma2)
-            assert res.hess_eigs.tobytes() == report.eigenvalues.tobytes()
+        # each value as a pass, a residual and a spectrum of the unit-size triangle
+        # alone give it in the normal form, mapped back
+        unit, root, curvature, force = central_config._normal_form(pp, inertia_i0)
+        for res, config in zip((plus, minus), equilateral_configuration(ms)):
+            sigma, residual = cc_residual(config, ms, unit)
+            report = cc_index(config, ms, unit, "planar")
+            sim = simultaneous_residual(config, ms, unit)
+            assert res.config.positions.tobytes() == (config.positions * root).tobytes()
+            assert (res.sigma, res.residual, res.index) == (sigma * curvature, residual * force,
+                                                            report.index)
+            assert (res.sigma1, res.sigma2) == (sim.sigma1 * curvature, sim.sigma2 * curvature)
+            assert res.hess_eigs.tobytes() == (report.eigenvalues * curvature).tobytes()
             assert res.inertia_I0 == inertia_i0
 
 
@@ -895,12 +897,13 @@ def test_a_nan_in_either_residual_is_the_maximum():
 
 
 def test_a_nan_fails_the_equilateral_residual_gate(monkeypatch):
-    built = central_config.equilateral_results
+    computed = central_config.cc_residual
 
     def nan_residual(*args):
-        return [dataclasses.replace(cc, residual=np.nan) for cc in built(*args)]
+        sigma, residual = computed(*args)
+        return sigma, np.full_like(residual, np.nan)
 
-    monkeypatch.setattr(central_config, "equilateral_results", nan_residual)
+    monkeypatch.setattr(central_config, "cc_residual", nan_residual)
     with pytest.raises(NoConvergenceError, match="residual nan"):
         equilateral_cc(CCQuery(ms=MS123, pp=PP12))
 
@@ -1218,3 +1221,84 @@ def test_a_cc_at_another_size_is_the_unit_size_cc_of_rescaled_coefficients(a, b_
         a, b, alpha * inertia_I0 ** (-a / 2.0), beta * inertia_I0 ** (-b / 2.0)))
     assert np.abs(sized.x / np.sqrt(inertia_I0) - unit.x).max() <= 1e-11 * np.abs(unit.x).max()
     assert np.array_equal(sized.index, unit.index)
+
+
+PP13_HALF = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
+_MASSES = st.integers(3, 5).flatmap(lambda n: st.lists(st.floats(0.2, 5.0), min_size=n,
+                                                       max_size=n))
+
+
+def _classes_and_rows(masses):
+    classes = Ordering.all_canonical(len(masses))
+    return classes, np.tile(masses, (len(classes), 1))
+
+
+# The normal form: a CC at size I0 is solved at unit size with the larger
+# coefficient 1 and the other mu = (alpha / beta) I0^((b - a)/2) or its inverse.
+# Where min(mu, 1 / mu) < 1e-10, every shape x / sqrt(I0) lies within a few
+# times that of the dominant term's homogeneous CC; an absolute grad_tol read
+# at the size I0 left the shapes of I0 = 1e20 8.9e-3 from it.
+def test_a_size_sweep_lands_on_the_dominant_terms_homogeneous_cc():
+    classes, rows = _classes_and_rows(np.array([1.0, 2.0, 3.0, 4.0]))
+    limits = {e: central_config.euler_collinear_batch(classes, rows, e).x for e in (1.0, 3.0)}
+    checked = []
+    for inertia_I0 in (1e-20, 1e-10, 1.0, 1e10, 1e20):
+        batch = solve_collinear_batch(classes, rows, PP13_HALF, inertia_I0)
+        assert not batch.index.any()
+        mu = 2.0 * inertia_I0  # (alpha / beta) I0^((b - a) / 2)
+        eps = min(mu, 1.0 / mu)
+        if eps < 1e-10:
+            shapes = batch.x / np.sqrt(inertia_I0)
+            assert np.abs(shapes - limits[1.0 if mu > 1.0 else 3.0]).max() <= 4.0 * eps + 1e-14
+            checked.append(inertia_I0)
+    assert checked == [1e-20, 1e10, 1e20]
+
+
+# the exponent edges: at alpha = 0 or beta = 0 the live term is homogeneous, so
+# the shape x / sqrt(I0) is its unit-size CC at coefficient 1 at every size
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(masses=_MASSES, a=st.floats(0.1, 3.0), b_over=st.floats(0.1, 4.0),
+       live=st.sampled_from(["alpha", "beta"]), coef=st.floats(0.2, 5.0),
+       log_i0=st.floats(-20.0, 20.0))
+def test_a_single_term_shape_does_not_depend_on_the_size(masses, a, b_over, live, coef, log_i0):
+    b, inertia_I0 = a + b_over, 10.0 ** log_i0
+    classes, rows = _classes_and_rows(masses)
+    coefs = {"alpha": 0.0, "beta": 0.0, live: coef}
+    sized = solve_collinear_batch(classes, rows, PotentialParams(a, b, **coefs), inertia_I0)
+    unit = central_config.euler_collinear_batch(classes, rows, a if live == "alpha" else b)
+    shapes = sized.x / np.sqrt(inertia_I0)
+    assert np.abs(shapes - unit.x).max() <= 1e-14 * np.abs(unit.x).max()
+    assert np.array_equal(sized.index, unit.index)
+
+
+# at a = 0 the a-term is the constant alpha sum m_i m_j: every class is its
+# pure-b class, bit for bit, at any alpha and size
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(masses=_MASSES, b=st.floats(0.5, 7.0), alpha=st.floats(0.0, 1e3),
+       beta=st.floats(1e-3, 1e3), log_i0=st.floats(-20.0, 20.0))
+def test_a_constant_a_term_leaves_every_class_its_pure_b_class(masses, b, alpha, beta, log_i0):
+    inertia_I0 = 10.0 ** log_i0
+    classes, rows = _classes_and_rows(masses)
+    both = solve_collinear_batch(classes, rows, PotentialParams(0.0, b, alpha, beta), inertia_I0)
+    pure_b = central_config.euler_collinear_batch(classes, rows, b, inertia_I0)
+    assert both.x.tobytes() == pure_b.x.tobytes()
+    assert np.array_equal(both.index, pure_b.index)
+
+
+# reflection: an ordering and its reverse name one class, and their CCs are
+# mirror images x -> -x, with one index
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(3, 6),
+       pp=st.sampled_from([PP13_HALF, PotentialParams(0.5, 7.0, 1.0, 3.0),
+                           PotentialParams(1.0, 2.0, 0.0, 1.0)]),
+       log_i0=st.floats(-3.0, 3.0))
+def test_a_reversed_ordering_gives_the_mirror_image(seed, n, pp, log_i0):
+    rng = np.random.default_rng(seed)
+    masses = rng.uniform(0.2, 5.0, n)
+    classes = [Ordering(tuple(rng.permutation(n) + 1)) for _ in range(6)]
+    rows = np.tile(masses, (12, 1))
+    batch = solve_collinear_batch(classes + [o.reversed_() for o in classes], rows, pp,
+                                  10.0 ** log_i0)
+    x, mirrored = batch.x[:6], batch.x[6:]
+    assert np.abs(mirrored + x).max() <= 1e-14 * np.abs(x).max()
+    assert np.array_equal(batch.index[:6], batch.index[6:])

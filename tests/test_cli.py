@@ -269,13 +269,16 @@ def test_simultaneous_gates_the_size_at_the_coefficients_it_solves_with(tmp_path
     assert texts == [texts[0]] * 4
 
 
-# every kernel value grows with each mass, so the lowest and the highest cell
-# gate the grid; a cell out of range is named, before any solve, with the unit
-# coefficient the solves use and not the config's alpha = 0.3
+# every kernel value on the unit sphere grows with each mass, so the lowest and
+# the highest cell gate the grid; a cell out of range is named, before any
+# solve, with the unit-sphere values of the terms at coefficient 1, which the
+# solves use, and not with the config's alpha = 0.3
 @pytest.mark.parametrize("m, cell, cause", [
-    ([1e-170, 2e-170], "(1e-170, 1e-170, 1.0)", "the alpha term at coefficient 1, which "
-     "simultaneous solves, gives pair (1, 2), masses 1e-170 and 1e-170, the kernel coefficient"),
-    ([1.0, 1e150], "(1e+150, 1e+150, 1.0)", "inertia_I0 = 1.0 sets the size sqrt(I0 / M)")])
+    ([1e-170, 2e-170], "(1e-170, 1e-170, 1.0)", "masses of total M = 1.0 set the unit sphere's "
+     "size sqrt(1 / M) = 1.0, at which pair (1, 2) gives the alpha term's kernel value 0.0:"),
+    ([1.0, 1e150], "(1e+150, 1e+150, 1.0)", "masses of total M = 2e+150 set the unit sphere's "
+     "size sqrt(1 / M) = 7.071067811865476e-76, at which pair (1, 2) gives the alpha term's "
+     "kernel value inf:")])
 def test_simultaneous_gates_the_float_domain_of_its_mass_grid(tmp_path, capsys, m, cell, cause):
     data = base_config(alpha=0.3, options={"mass_grid": {"m1": m, "m2": m[::-1]}})
     code, out = run(tmp_path, "simultaneous", data)
@@ -284,6 +287,19 @@ def test_simultaneous_gates_the_float_domain_of_its_mass_grid(tmp_path, capsys, 
     assert err.startswith(f"error: options.mass_grid cell with masses {cell}: {cause} ")
     assert "batch member" not in err and "potential.alpha" not in err
     assert not out.exists()
+
+
+# the gaps read shapes solved at unit size, so each gap at I0 = 1e10 is sqrt(I0)
+# times its gap at I0 = 1 (where an absolute grad_tol read at the size I0 once
+# passed unsolved pure-b starts: gap / sqrt(I0) 0.02717 against 0.02694)
+def test_simultaneous_gaps_scale_with_the_size(tmp_path):
+    gaps = {}
+    for i0 in (1.0, 1e10):
+        code, out = run(tmp_path, "simultaneous", base_config(beta=1.0, inertia_I0=i0),
+                        subdir=f"size{i0}")
+        assert code == 0
+        gaps[i0] = np.array([r["gap"] for r in load_json(out, "simultaneous.json")["results"]])
+    np.testing.assert_allclose(gaps[1e10] / 1e5, gaps[1.0], rtol=1e-12)
 
 
 def test_simultaneous_detects_the_symmetric_arrangement(tmp_path):
@@ -709,14 +725,12 @@ def test_a_failed_run_makes_no_out_directory(tmp_path, command, data, want):
     assert not out.exists()
 
 
-# masses 300 decades apart overflow the pair kernel (numpy warns) though each
-# pair coefficient is a normal float; the restricted spectrum comes out NaN, a
+# masses 160 decades apart, whose kernel values on the unit sphere are normal
+# floats: the restricted spectrum of the solved shape comes out [0.], a
 # numerical failure naming its quantity, not a config problem
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_failed_linear_algebra_step_is_a_numerical_failure(tmp_path, capsys):
-    # masses over 600 decades, at a size where every kernel value is a normal float
-    data = base_config(masses=[1e300, 1.0, 1e-300, 25.0], a=2.0, alpha=0.0, beta=1.0,
-                       inertia_I0=1e300)
+    data = base_config(masses=[1e-140, 1e-70, 1e20], a=1.0, b=11.0, alpha=0.0, beta=1.0)
     code, out = run(tmp_path, "cc-collinear", data)
     assert code == 3
     assert capsys.readouterr().err.startswith(
@@ -1018,9 +1032,8 @@ def test_homothetic_rejects_a_non_simultaneous_shape(tmp_path, capsys):
     assert "error: AdmissibilityError" in capsys.readouterr().err
 
 
-def _coefficient_error(key, value, pair, mi, mj, coef, name=None):
-    name = name or f"potential.{key} = {value}"
-    return (f"error: {name} gives pair {pair}, masses {mi} and {mj}, the kernel "
+def _coefficient_error(key, value, pair, mi, mj, coef):
+    return (f"error: potential.{key} = {value} gives pair {pair}, masses {mi} and {mj}, the kernel "
             f"coefficient {coef}: it must be finite and at least 2.2250738585072014e-308\n")
 
 
@@ -1061,10 +1074,9 @@ def test_a_nan_residual_is_not_admissible(tmp_path, capsys):
       _coefficient_error("alpha", "3e-308", "(1, 2)", "1.0", "1.0", "1.5000000000000004e-308")),
      ("cc-collinear", base_config(masses=[1.0, 1.0], beta=1e308),
       _coefficient_error("beta", "1e+308", "(1, 2)", "1.0", "1.0", "inf")),
-     # simultaneous solves each term at coefficient 1 and names it, not the config's alpha
+     # every command binds its config's potential with its masses first
      ("simultaneous", base_config(masses=[1e-170, 1e-170, 1.0], alpha=0.3),
-      _coefficient_error("alpha", None, "(1, 2)", "1e-170", "1e-170", "0.0",
-                         name="the alpha term at coefficient 1, which simultaneous solves,"))],
+      _coefficient_error("alpha", "0.3", "(1, 2)", "1e-170", "1e-170", "0.0"))],
     ids=["simulate", "eigen", "homothetic", "cc-planar3", "collision-flow", "exponent-underflow",
          "exponent-overflow", "simultaneous"],
 )
@@ -1076,23 +1088,22 @@ def test_a_quantity_past_the_float_domain_fails_its_own_gate(tmp_path, capsys, c
     assert not out.exists()
 
 
-def _size_error(i0, size, key, what, value):
-    return (f"error: inertia_I0 = {i0} sets the size sqrt(I0 / M) = {size}, at which pair (1, 2) "
-            f"gives the {key} term's kernel {what} {value}: it must be finite and at least "
-            f"2.2250738585072014e-308\n")
+def _normal_form_error(i0, name, value):
+    return (f"error: inertia_I0 = {i0} gives the unit-size normal form a {name} = {value}: it "
+            f"must be a normal float\n")
 
 
-# sizes whose kernel values leave the float domain at masses 1, 2, 3: the pair
-# kernel's d^-(e+2) underflows or overflows first, so the size is refused up
-# front, naming inertia_I0, where the solve would report a spectrum [0.], an
-# index read off rounding, or overflow warnings and a numerical failure
-@pytest.mark.parametrize("command", ["cc-collinear", "cc-planar3", "simultaneous"])
+# a CC command solves its size's normal form, at unit size with the larger
+# coefficient 1 and the other the ratio, and maps the results back: a size
+# is refused up front, naming inertia_I0, only where the ratio or a map-back
+# factor leaves the normal floats (at a = 1, b = 3: c / I0 = I0^-1.5 from
+# about 1.3e205 up, and beta I0^-2.5 below about 5e-124)
+@pytest.mark.parametrize("command", ["cc-collinear", "cc-planar3"])
 @pytest.mark.parametrize(
     "i0, message",
-    [(1e200, _size_error("1e+200", "4.0824829046386303e+99", "alpha", "Hessian factor", "0.0")),
-     (1e300, _size_error("1e+300", "4.08248290463863e+149", "alpha", "value", "0.0")),
-     (1e-300, _size_error("1e-300", "4.08248290463863e-151", "alpha", "value", "inf"))],
-    ids=["1e200", "1e300", "1e-300"],
+    [(1e300, _normal_form_error("1e+300", "map-back factor c / I0", "0.0")),
+     (1e-300, _normal_form_error("1e-300", "map-back factor c / I0", "inf"))],
+    ids=["1e300", "1e-300"],
 )
 def test_a_size_past_the_float_domain_is_a_config_error(tmp_path, capsys, command, i0, message):
     code, out = run(tmp_path, command, base_config(inertia_I0=i0))
@@ -1101,16 +1112,55 @@ def test_a_size_past_the_float_domain_is_a_config_error(tmp_path, capsys, comman
     assert not out.exists()
 
 
+# a subnormal size makes the coefficient ratio (alpha / beta) I0 = 2e-320 subnormal
 def test_a_size_whose_square_underflows_is_a_config_error(tmp_path, capsys):
-    # I0 / M = 1e-320 / 3e10 rounds to 0: pw = 0^-2.5 = inf, and the value inf * 0 is NaN
     code, out = run(tmp_path, "cc-collinear", base_config(masses=[1e10] * 3, inertia_I0=1e-320))
     assert code == 2
-    assert capsys.readouterr().err == _size_error("1e-320", "0.0", "alpha", "value", "nan")
+    assert capsys.readouterr().err == _normal_form_error("1e-320", "coefficient ratio", "2e-320")
     assert not out.exists()
 
 
+# a = 0, b = 7, beta = 0.5 at I0 = 1e100: mu = (alpha / beta) I0^3.5 = 2e350, and the
+# b-term, the only one that moves a body, has c / I0 = 0.5 I0^-4.5, below the floats
+@pytest.mark.parametrize("command", ["cc-collinear", "cc-planar3"])
+def test_a_ratio_past_the_float_range_is_a_config_error(tmp_path, capsys, command):
+    code, out = run(tmp_path, command, base_config(a=0.0, b=7.0, inertia_I0=1e100))
+    assert code == 2
+    assert capsys.readouterr().err == _normal_form_error("1e+100", "map-back factor c / I0", "0.0")
+    assert not out.exists()
+
+
+def _results_at(out, command):
+    return load_json(out, command.replace("-", "_") + ".json")["results"]
+
+
+# at I0 = 1e200 (a = 1, b = 3, alpha = 1, beta = 0.5) the normal form is the unit-size
+# problem with beta = 0.5 I0^-1 = 5e-201, whose results map back exactly: positions
+# times sqrt(I0) = 1e100, sigma and the spectrum times c / I0 = 1e-300 and residuals
+# times c / sqrt(I0) = 1e-200; simultaneous solves at unit size and scales its gaps
+@pytest.mark.parametrize("command", ["cc-collinear", "cc-planar3", "simultaneous"])
+def test_a_large_size_is_the_unit_size_run_mapped_back(tmp_path, command):
+    code, out = run(tmp_path, command, base_config(inertia_I0=1e200), subdir="sized")
+    assert code == 0
+    code, unit_out = run(tmp_path, command, base_config(beta=0.5 * 1e200 ** -1.0), subdir="unit")
+    assert code == 0
+    if command == "simultaneous":
+        assert ([r["gap"] for r in _results_at(out, command)]
+                == [1e100 * r["gap"] for r in _results_at(unit_out, command)])
+        return
+    sized, unit = _results_at(out, command), _results_at(unit_out, command)
+    assert len(sized) == len(unit) > 0
+    for big, small in zip(sized, unit):
+        assert big["positions"] == (np.array(small["positions"]) * 1e100).tolist()
+        for key, factor in (("sigma", 1e-300), ("residual", 1e-200), ("sigma1", 1e-300),
+                            ("sigma2", 1e-300)):
+            assert big.get(key) == (None if key not in small else small[key] * factor)
+        assert big["hessian_eigenvalues"] == [e * 1e-300 for e in small["hessian_eigenvalues"]]
+        assert big["index"] == small["index"]
+
+
 def test_a_size_whose_kernel_values_are_normal_floats_runs(tmp_path):
-    # at I0 = 1e40 the smallest value, the b-term's Hessian factor, is about 1e-137
+    # at I0 = 1e40 the normal form has beta = 5e-41 and the map-back factor c / I0 = 1e-60
     code, out = run(tmp_path, "cc-collinear", base_config(inertia_I0=1e40))
     assert code == 0
     doc = load_json(out, "cc_collinear.json")
@@ -1188,12 +1238,10 @@ def test_every_float_domain_gate_raises_from_the_one_rule(tmp_path, capsys, monk
     assert capsys.readouterr().err == ("error: potential.beta = 0.5 gives pair (1, 3), masses 1.0 "
                                        f"and 3.0, the kernel coefficient 7.5: {tail}")
     monkeypatch.setattr(cli, "float_domain_fault", reporting("gradient coefficient", True))
-    code, out = run(tmp_path, "cc-collinear", base_config(inertia_I0=2.0), subdir="size")
-    assert (code, out.exists()) == (2, False)
-    assert capsys.readouterr().err == (
-        f"error: inertia_I0 = 2.0 sets the size sqrt(I0 / M) = {math.sqrt(2.0 / 6.0)!r}, at which "
-        f"pair (1, 3) gives the beta term's kernel gradient coefficient -7.5: {tail}")
-    for command, (extra, _) in _UNIT_SPHERE_RUNS.items():
+    # the CC commands gate the unit-size problems they solve, at any inertia_I0
+    sized = {command: {"inertia_I0": 2.0} for command in ("cc-collinear", "cc-planar3",
+                                                           "simultaneous")}
+    for command, extra in {**sized, **{c: e for c, (e, _) in _UNIT_SPHERE_RUNS.items()}}.items():
         code, out = run(tmp_path, command, base_config(**extra), subdir=command)
         assert (code, out.exists()) == (2, False)
         assert capsys.readouterr().err == (

@@ -68,7 +68,7 @@ PPB = PotentialParams(a=0.0, b=3.0, alpha=0.0, beta=1.0)
 
 def equilateral_cc_of_b_term(ms, b):
     ppb = PotentialParams(a=0.0, b=b, alpha=0.0, beta=1.0)
-    config = equilateral_configuration(ms, 1.0)[0]
+    config = equilateral_configuration(ms)[0]
     sigma, res = cc_residual(config, ms, ppb)
     report = cc_index(config, ms, ppb, ambient="planar", inertia_I0=1.0)
     return CCResult(

@@ -635,6 +635,14 @@ def test_the_stage_loop_is_the_tableau_formula_bit_for_bit():
         assert coef[3:].tobytes() == (h * (_D @ ref)).tobytes()
 
 
+def test_the_float_kernels_kept_are_bounded():
+    # one more state size than the bound evicts the least recently used kernel
+    bound = _float_kernel.cache_info().maxsize
+    for dim in range(1, bound + 2):
+        _float_kernel(dim)
+    assert 0 < bound < 32 and _float_kernel.cache_info().currsize == bound
+
+
 def test_the_float_kernel_of_a_large_state_sums_left_to_right_across_lines():
     # 150 values: the error norm's sums of squares span three source lines
     field, y, h = next(_linear_fields([150], per_size=1))

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,3 +143,14 @@ def test_the_tolerance_mode_bounds_gaps_distances_and_floors_relatively(tmp_path
         new = write_dump(tmp_path / changed, new)
         assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == 1
         assert "relative 1.0e-05" in capsys.readouterr().out
+
+
+def test_dump_ops_refuses_a_tree_without_the_package(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "workloads.py").write_text("")
+    script = Path(__file__).resolve().parents[1] / "tools" / "dump_ops.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path / "out"), "--tree",
+                           str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.endswith(f"error: --tree {tmp_path.resolve()} has no src/qhnbody\n")
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,8 @@
 """Dump the output of every benchmark operation, for a byte comparison of two trees.
 
     python3 tools/dump_ops.py OUT --seeds 11 12
-    python3 tools/compare_dumps.py OLD NEW
+    python3 tools/dump_ops.py OUT_OLD --tree ../parent --seeds 11 12
+    python3 tools/compare_dumps.py OUT_OLD OUT
 
 For each workload of bench/workloads.py and each seed, the operations are
 built by workloads.build with a fixed budget of 20 s, the benchmark's
@@ -18,9 +19,11 @@ OUT/<workload>/seed<s>/<k>/:
 
 A ``qh`` operation writes into work/out under a temporary working
 directory, so the paths its stdout names are the same in every tree.
-The script only reads bench/; run it from each tree, or copy it into a
-checkout of the other tree's commit, and compare the two dumps with
-tools/compare_dumps.py, which prints one line per workload and seed.
+The script dumps the checkout it lives in, or with --tree PATH the
+checkout at PATH: its src/ through its own bench/workloads.py, in a
+child process, so the script need not be copied there.  Compare two
+dumps with tools/compare_dumps.py, which prints one line per workload
+and seed.
 """
 
 from __future__ import annotations
@@ -37,18 +40,15 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import io  # noqa: E402
 import shutil  # noqa: E402
+import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-import workloads  # noqa: E402
-from qhnbody import cli  # noqa: E402
-
 BUDGET_S = 20.0
+# set in the child process that dumps the checkout it names
+_CHILD_OF = "DUMP_OPS_TREE"
 
 
 def _plain(value):
@@ -101,10 +101,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="directory to write the dump into; must not exist")
     parser.add_argument("--seeds", type=int, nargs="+", default=[11, 12])
+    parser.add_argument("--tree", type=Path, help="the checkout to dump (default: this script's)")
     args = parser.parse_args(argv)
     out = args.out.resolve()
     if out.exists():
         parser.error(f"{out} exists")
+    here = Path(__file__).resolve().parents[1]
+    tree = here if args.tree is None else args.tree.resolve()
+    for need in ("src/qhnbody", "bench/workloads.py"):
+        if not (tree / need).exists():
+            parser.error(f"--tree {tree} has no {need}")
+    if tree != here and os.environ.get(_CHILD_OF) != str(tree):
+        # the other checkout's modules, in a process of their own
+        child = [sys.executable, __file__, str(out), "--seeds", *map(str, args.seeds),
+                 "--tree", str(tree)]
+        return subprocess.run(child, env={**os.environ, _CHILD_OF: str(tree)}).returncode
+    return dump(out, args.seeds, tree)
+
+
+def dump(out: Path, seeds: list[int], tree: Path) -> int:
+    """Dump every operation of each workload at each seed from the checkout at tree."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
+    import workloads
+    from qhnbody import cli
+
     record = {}
     cli.main = _recording(cli.main, record)
     home = Path.cwd()
@@ -113,7 +133,7 @@ def main(argv=None) -> int:
         try:
             work = Path("work")
             for name in workloads.WORKLOADS:
-                for seed in args.seeds:
+                for seed in seeds:
                     ops = workloads.build(name, seed, BUDGET_S, work)
                     for k, op in enumerate(ops):
                         dump_op(op, out / name / f"seed{seed}" / f"{k:04d}", work, record)
