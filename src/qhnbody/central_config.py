@@ -594,9 +594,14 @@ def _trial_pass(kernel: _PairKernel, x: np.ndarray) -> tuple[PairTerms, np.ndarr
     return kernel.terms(x, strict=False, hess=True)
 
 
-def solve_collinear_batch(orderings: Sequence[Ordering], masses: np.ndarray, pp: PotentialParams,
-                          inertia_I0: float = 1.0, grad_tol: float = 1e-12,
-                          max_iter: int = 200) -> CCBatch:
+def solve_collinear_batch(
+    orderings: Sequence[Ordering],
+    masses: np.ndarray,
+    pp: PotentialParams,
+    inertia_I0: float = 1.0,
+    grad_tol: float = 1e-12,
+    max_iter: int = 200,
+) -> CCBatch:
     """Collinear central configurations of orderings[k] with masses[k], in lockstep.
 
     masses is (B, n), one row of finite positive masses per ordering;
@@ -894,15 +899,25 @@ def f_root(sigma: float, b: float, mtotal: float, a: float = 1.0) -> FRootResult
     )
 
 
-def euler_collinear_homogeneous(ms: MassSystem, exponent: float, ordering: Ordering,
-                                inertia_I0: float = 1.0, grad_tol: float = 1e-12) -> CCResult:
+def euler_collinear_homogeneous(
+    ms: MassSystem,
+    exponent: float,
+    ordering: Ordering,
+    inertia_I0: float = 1.0,
+    grad_tol: float = 1e-12,
+) -> CCResult:
     """Collinear CC of the single-term potential sum m_i m_j / r^exponent."""
     return euler_collinear_batch([ordering], ms.masses[None], exponent, inertia_I0,
                                  grad_tol).results()[0]
 
 
-def euler_collinear_batch(orderings: Sequence[Ordering], masses: np.ndarray, exponent: float,
-                          inertia_I0: float = 1.0, grad_tol: float = 1e-12) -> CCBatch:
+def euler_collinear_batch(
+    orderings: Sequence[Ordering],
+    masses: np.ndarray,
+    exponent: float,
+    inertia_I0: float = 1.0,
+    grad_tol: float = 1e-12,
+) -> CCBatch:
     """euler_collinear_homogeneous of orderings[k] with masses[k], as one solve_collinear_batch."""
     if not (np.isfinite(exponent) and exponent > 0.0):
         raise ValueError("exponent must be positive")
@@ -910,8 +925,13 @@ def euler_collinear_batch(orderings: Sequence[Ordering], masses: np.ndarray, exp
     return solve_collinear_batch(orderings, masses, pure, inertia_I0, grad_tol)
 
 
-def simultaneous_gaps(orderings: Sequence[Ordering], masses: np.ndarray, pp: PotentialParams,
-                      inertia_I0: float = 1.0, grad_tol: float = 1e-13) -> np.ndarray:
+def simultaneous_gaps(
+    orderings: Sequence[Ordering],
+    masses: np.ndarray,
+    pp: PotentialParams,
+    inertia_I0: float = 1.0,
+    grad_tol: float = 1e-13,
+) -> np.ndarray:
     """Mass-metric distances between the pure-a and pure-b collinear CCs.
 
     One gap per member, orderings[k] with the (B, n) masses[k]; it
@@ -933,7 +953,12 @@ def simultaneous_gaps(orderings: Sequence[Ordering], masses: np.ndarray, pp: Pot
                                                 axis=(-2, -1)))
 
 
-def simultaneous_gap(ms: MassSystem, pp: PotentialParams, ordering: Ordering,
-                     inertia_I0: float = 1.0, grad_tol: float = 1e-13) -> float:
+def simultaneous_gap(
+    ms: MassSystem,
+    pp: PotentialParams,
+    ordering: Ordering,
+    inertia_I0: float = 1.0,
+    grad_tol: float = 1e-13,
+) -> float:
     """The simultaneous_gaps of one ordering and mass system."""
     return float(simultaneous_gaps([ordering], ms.masses[None], pp, inertia_I0, grad_tol)[0])

@@ -253,23 +253,25 @@ def _potential(value, path, table, n):
         raise ConfigError(f"invalid {path}: {exc}") from None
 
 
-def _check_float_domain(ms: MassSystem, *pps: PotentialParams, unit_sphere: bool = False) -> None:
+def _check_float_domain(ms: MassSystem, *pps: PotentialParams, unit_sphere: bool = False,
+                        coefficient: str = "potential.{key} = {value!r}") -> None:
     """ConfigError on model.float_domain_fault's fault for a potential in pps, naming its key and
-    pair: at bind with the pair's masses, or with unit_sphere at the unit sphere's size."""
-    d2 = 1.0 / ms.total_mass if unit_sphere else None
-    for pp in pps:
-        if (fault := float_domain_fault(ms.masses, pp, d2)) is None:
-            continue
-        _, key, (i, j), what, value = fault
-        if d2 is None:  # kc = -exp coef or coef, named by its size
-            where = (f"potential.{key} = {getattr(pp, key)!r} gives pair ({i}, {j}), masses "
-                     f"{ms.masses.item(i - 1)!r} and {ms.masses.item(j - 1)!r}, the kernel "
-                     f"coefficient {abs(value)!r}")
-        else:
-            where = (f"masses of total M = {ms.total_mass!r} set the unit sphere's size sqrt(1 / M)"
-                     f" = {math.sqrt(d2)!r}, at which pair ({i}, {j}) gives the {key} term's "
-                     f"kernel {what} {value!r}")
-        raise ConfigError(f"{where}: it must be finite and at least {sys.float_info.min!r}")
+    pair: at bind with the pair's masses, the coefficient named by the format coefficient, then
+    with unit_sphere at the unit sphere's size."""
+    for d2 in (None, 1.0 / ms.total_mass) if unit_sphere else (None,):
+        for pp in pps:
+            if (fault := float_domain_fault(ms.masses, pp, d2)) is None:
+                continue
+            _, key, (i, j), what, value = fault
+            if d2 is None:  # kc = -exp coef or coef, named by its size
+                where = (f"{coefficient.format(key=key, value=getattr(pp, key))} gives pair "
+                         f"({i}, {j}), masses {ms.masses.item(i - 1)!r} and "
+                         f"{ms.masses.item(j - 1)!r}, the kernel coefficient {abs(value)!r}")
+            else:
+                where = (f"masses of total M = {ms.total_mass!r} set the unit sphere's size "
+                         f"sqrt(1 / M) = {math.sqrt(d2)!r}, at which pair ({i}, {j}) gives the "
+                         f"{key} term's kernel {what} {value!r}")
+            raise ConfigError(f"{where}: it must be finite and at least {sys.float_info.min!r}")
 
 
 @dataclass
@@ -296,7 +298,9 @@ class RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         top = _read(raw, "", _CONFIGS[command])
         ms, pp = top["masses"], top["potential"]
-        _check_float_domain(ms, pp)
+        # simultaneous binds only each term alone at coefficient 1 (cmd_simultaneous)
+        if command != "simultaneous":
+            _check_float_domain(ms, pp)
         return cls(ms=ms, pp=pp, inertia_I0=top.get("inertia_I0"),
                    energy_h=top.get("energy_h"), initial_state=top.get("initial_state"),
                    tol=top["tolerances"], opt=top.get("options", {}), base_dir=p.resolve().parent)
@@ -631,10 +635,17 @@ def _require_enumerable(command: str, n: int) -> None:
         raise ConfigError(f"{command} supports at most {_MAX_BODIES} bodies, got {n}")
 
 
+def _check_normal_form(cfg: RunConfig) -> None:
+    """_check_float_domain of the unit-size potential a CC command solves (_normal_form)."""
+    _check_float_domain(cfg.ms, _normal_form(cfg.pp, cfg.inertia_I0)[0], unit_sphere=True,
+                        coefficient=f"the {{key}} term at coefficient {{value!r}} in the normal "
+                                    f"form of inertia_I0 = {cfg.inertia_I0!r},")
+
+
 def cmd_cc_collinear(cfg: RunConfig) -> tuple[dict, list]:
     n, draws = cfg.ms.n, cfg.opt["mass_draws"]
     _require_enumerable("cc-collinear", n)
-    _check_float_domain(cfg.ms, _normal_form(cfg.pp, cfg.inertia_I0)[0], unit_sphere=True)
+    _check_normal_form(cfg)
     masses = cfg.ms.masses[None]
     if draws is not None:
         rng = np.random.default_rng(draws["seed"])
@@ -672,7 +683,7 @@ def cmd_cc_collinear(cfg: RunConfig) -> tuple[dict, list]:
 def cmd_cc_planar3(cfg: RunConfig) -> tuple[dict, list]:
     if cfg.ms.n != 3:
         raise ConfigError(f"cc-planar3 needs exactly 3 masses, got {cfg.ms.n}")
-    _check_float_domain(cfg.ms, _normal_form(cfg.pp, cfg.inertia_I0)[0], unit_sphere=True)
+    _check_normal_form(cfg)
     plus, minus = equilateral_cc(CCQuery(cfg.ms, cfg.pp, cfg.inertia_I0, cfg.tol["grad_tol"]))
     # the side certificate: at unit size and coefficients the side solves f_root's equation
     unit_pp = replace(cfg.pp, alpha=1.0, beta=1.0)
@@ -696,18 +707,19 @@ def cmd_cc_planar3(cfg: RunConfig) -> tuple[dict, list]:
 def cmd_simultaneous(cfg: RunConfig) -> tuple[dict, list]:
     _require_enumerable("simultaneous", cfg.ms.n)
     grid, gap_tol = cfg.opt["mass_grid"], cfg.tol["gap_tol"]
-    # each term at coefficient 1 on the unit sphere, as simultaneous_gaps solves them
+    # each term alone at coefficient 1 on the unit sphere, as simultaneous_gaps solves them
     unit = replace(cfg.pp, alpha=1.0, beta=1.0)
-    _check_float_domain(cfg.ms, unit, unit_sphere=True)
+    alone = "the {key} term at coefficient 1, which simultaneous solves,"
+    _check_float_domain(cfg.ms, unit, unit_sphere=True, coefficient=alone)
     orderings = Ordering.all_canonical(cfg.ms.n)
     count = len(orderings)
     masses = np.tile(cfg.ms.masses, (count, 1))
     if grid is not None:
         m1_vals, m2_vals = (np.linspace(*grid[m], grid["points"]) for m in ("m1", "m2"))
-        # unit-sphere kernel values grow with each mass: the extreme cells bound the grid's
+        # kernel values grow with each mass: the extreme cells bound the grid's
         for cell in ((pick(grid["m1"]), pick(grid["m2"]), grid["m3"]) for pick in (min, max)):
             try:
-                _check_float_domain(MassSystem(cell), unit, unit_sphere=True)
+                _check_float_domain(MassSystem(cell), unit, unit_sphere=True, coefficient=alone)
             except ConfigError as exc:
                 raise ConfigError(f"options.mass_grid cell with masses {cell}: {exc}") from None
         cells = [(m1, m2, grid["m3"]) for m1 in m1_vals for m2 in m2_vals]
@@ -798,9 +810,14 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, list]:
     return payload, [("simulate.csv", header, body)]
 
 
+# the run's potential is bound at its own coefficients first (RunConfig.from_file)
+_CATALOG = "the {key} term at the catalog's coefficient {value!r}"
+
+
 def cmd_collision_flow(cfg: RunConfig) -> tuple[dict, list]:
     # the run's potential on the orbit, the pure b-term (beta = 1) of the catalog it matches
-    _check_float_domain(cfg.ms, cfg.pp, replace(cfg.pp, alpha=0.0, beta=1.0), unit_sphere=True)
+    _check_float_domain(cfg.ms, cfg.pp, replace(cfg.pp, alpha=0.0, beta=1.0), unit_sphere=True,
+                        coefficient=_CATALOG)
     _require_enumerable("collision-flow", cfg.ms.n)
     starts, catalog = _initial_on_C(cfg)
     listed = isinstance(cfg.opt["start"], list)
@@ -846,7 +863,7 @@ def _orbit_on_C(cfg: RunConfig, st0: McGeheeState, catalog: list[CCResult],
 def cmd_eigen(cfg: RunConfig) -> tuple[dict, list]:
     # the b-term alone at the run's beta at the rest points, and at beta = 1 in their solve
     _check_float_domain(cfg.ms, replace(cfg.pp, alpha=0.0), replace(cfg.pp, alpha=0.0, beta=1.0),
-                        unit_sphere=True)
+                        unit_sphere=True, coefficient=_CATALOG)
     cases = cfg.opt["cases"]
     if cases is None:
         _require_enumerable("eigen", cfg.ms.n)

@@ -871,6 +871,17 @@ def test_equilateral_cc_is_one_batch_with_each_triangles_own_values(rng, monkeyp
             assert (res.sigma1, res.sigma2) == (sim.sigma1 * curvature, sim.sigma2 * curvature)
             assert res.hess_eigs.tobytes() == (report.eigenvalues * curvature).tobytes()
             assert res.inertia_I0 == inertia_i0
+            # and the triangle at its size, read directly with the run's potential
+            sigma, residual = cc_residual(res.config, ms, pp)
+            report = cc_index(res.config, ms, pp, "planar", inertia_i0)
+            sim = simultaneous_residual(res.config, ms, pp)
+            np.testing.assert_allclose([res.sigma, res.sigma1, res.sigma2],
+                                       [sigma, sim.sigma1, sim.sigma2], rtol=1e-13, atol=0.0)
+            # the rotation's zero mode, at rounding level of the largest
+            np.testing.assert_allclose(res.hess_eigs, report.eigenvalues, rtol=1e-13,
+                                       atol=1e-13 * np.abs(report.eigenvalues).max())
+            assert res.index == report.index
+            assert max(res.residual, residual) < 1e-13 * abs(sigma)
 
 
 def test_a_batch_of_simultaneous_residuals_is_each_members_own(rng):

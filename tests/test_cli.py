@@ -257,30 +257,37 @@ def test_a_constant_potential_is_a_config_error(tmp_path, capsys, monkeypatch, c
 # simultaneous
 
 
-# each term is solved alone at coefficient 1, so the bind and the size are
-# gated at alpha = beta = 1: coefficients the gaps do not depend on gate nothing
+# each term is solved alone at coefficient 1, so the bind and the unit sphere
+# are gated at alpha = beta = 1: coefficients the gaps do not depend on gate
+# nothing, not even alpha m2 m3 = inf or alpha m1 m2 below the normal floats
 def test_simultaneous_gates_the_size_at_the_coefficients_it_solves_with(tmp_path):
     texts = []
-    for alpha, beta in ((1.0, 1.0), (1e-300, 1e-300), (0.0, 1.0), (1.0, 0.0)):
+    cases = ((1.0, 1.0), (1e-300, 1e-300), (0.0, 1.0), (1.0, 0.0), (1e308, 1.0), (1e-308, 1.0))
+    for alpha, beta in cases:
         data = base_config(alpha=alpha, beta=beta, inertia_I0=1e10)
         code, out = run(tmp_path, "simultaneous", data, subdir=f"c{alpha}-{beta}")
         assert code == 0
         texts.append(_text_but(out, "simultaneous.json", alpha=alpha, beta=beta))
-    assert texts == [texts[0]] * 4
+    assert texts == [texts[0]] * len(cases)
 
 
-# every kernel value on the unit sphere grows with each mass, so the lowest and
-# the highest cell gate the grid; a cell out of range is named, before any
-# solve, with the unit-sphere values of the terms at coefficient 1, which the
-# solves use, and not with the config's alpha = 0.3
-@pytest.mark.parametrize("m, cell, cause", [
-    ([1e-170, 2e-170], "(1e-170, 1e-170, 1.0)", "masses of total M = 1.0 set the unit sphere's "
-     "size sqrt(1 / M) = 1.0, at which pair (1, 2) gives the alpha term's kernel value 0.0:"),
-    ([1.0, 1e150], "(1e+150, 1e+150, 1.0)", "masses of total M = 2e+150 set the unit sphere's "
-     "size sqrt(1 / M) = 7.071067811865476e-76, at which pair (1, 2) gives the alpha term's "
-     "kernel value inf:")])
-def test_simultaneous_gates_the_float_domain_of_its_mass_grid(tmp_path, capsys, m, cell, cause):
-    data = base_config(alpha=0.3, options={"mass_grid": {"m1": m, "m2": m[::-1]}})
+# every kernel value, at bind and on the unit sphere, grows with each mass, so
+# the lowest and the highest cell gate the grid; a cell out of range is named,
+# before any solve, with the terms at coefficient 1, which the solves use, and
+# not with the config's alpha = 0.3.  At (1e-155, 1e-155, 1e10) the unit sphere
+# is in range, but the bound coefficient m1 m2 = 1e-310 is not.
+@pytest.mark.parametrize("m, m3, cell, cause", [
+    ([1e-170, 2e-170], 1.0, "(1e-170, 1e-170, 1.0)", "the alpha term at coefficient 1, which "
+     "simultaneous solves, gives pair (1, 2), masses 1e-170 and 1e-170, the kernel coefficient"),
+    ([1e-155, 2e-155], 1e10, "(1e-155, 1e-155, 10000000000.0)", "the alpha term at coefficient "
+     "1, which simultaneous solves, gives pair (1, 2), masses 1e-155 and 1e-155, the kernel "
+     "coefficient"),
+    ([1.0, 1e150], 1.0, "(1e+150, 1e+150, 1.0)", "masses of total M = 2e+150 set the unit "
+     "sphere's size sqrt(1 / M) = 7.071067811865476e-76, at which pair (1, 2) gives the alpha "
+     "term's kernel value inf:")])
+def test_simultaneous_gates_the_float_domain_of_its_mass_grid(tmp_path, capsys, m, m3, cell,
+                                                              cause):
+    data = base_config(alpha=0.3, options={"mass_grid": {"m1": m, "m2": m[::-1], "m3": m3}})
     code, out = run(tmp_path, "simultaneous", data)
     assert code == 2
     err = capsys.readouterr().err
@@ -1032,8 +1039,9 @@ def test_homothetic_rejects_a_non_simultaneous_shape(tmp_path, capsys):
     assert "error: AdmissibilityError" in capsys.readouterr().err
 
 
-def _coefficient_error(key, value, pair, mi, mj, coef):
-    return (f"error: potential.{key} = {value} gives pair {pair}, masses {mi} and {mj}, the kernel "
+def _coefficient_error(key, value, pair, mi, mj, coef, name=None):
+    name = name or f"potential.{key} = {value}"
+    return (f"error: {name} gives pair {pair}, masses {mi} and {mj}, the kernel "
             f"coefficient {coef}: it must be finite and at least 2.2250738585072014e-308\n")
 
 
@@ -1074,11 +1082,24 @@ def test_a_nan_residual_is_not_admissible(tmp_path, capsys):
       _coefficient_error("alpha", "3e-308", "(1, 2)", "1.0", "1.0", "1.5000000000000004e-308")),
      ("cc-collinear", base_config(masses=[1.0, 1.0], beta=1e308),
       _coefficient_error("beta", "1e+308", "(1, 2)", "1.0", "1.0", "inf")),
-     # every command binds its config's potential with its masses first
+     # simultaneous solves each term at coefficient 1 and names it, not the config's alpha
      ("simultaneous", base_config(masses=[1e-170, 1e-170, 1.0], alpha=0.3),
-      _coefficient_error("alpha", "0.3", "(1, 2)", "1e-170", "1e-170", "0.0"))],
+      _coefficient_error("alpha", None, "(1, 2)", "1e-170", "1e-170", "0.0",
+                         name="the alpha term at coefficient 1, which simultaneous solves,")),
+     # the CC commands bind the normal form, here beta = 0.5 I0^-1 = 5e-201, and name it
+     *((command, base_config(masses=[1e-60, 1e-60, 1.0], inertia_I0=1e200),
+        _coefficient_error("beta", None, "(1, 2)", "1e-60", "1e-60", "1.5e-320", name=(
+            "the beta term at coefficient 5e-201 in the normal form of inertia_I0 = 1e+200,")))
+       for command in ("cc-collinear", "cc-planar3")),
+     # eigen and collision-flow also bind the catalog's pure b-term at beta = 1
+     *((command, base_config(masses=[1e-155, 1e-155, 1e10], alpha=1e100, beta=1e100, **extra),
+        _coefficient_error("beta", None, "(1, 2)", "1e-155", "1e-155", "3e-310",
+                           name="the beta term at the catalog's coefficient 1.0"))
+       for command, extra in (("eigen", {}), ("collision-flow", {"options": {"start": {
+           "shape": "equilateral"}}})))],
     ids=["simulate", "eigen", "homothetic", "cc-planar3", "collision-flow", "exponent-underflow",
-         "exponent-overflow", "simultaneous"],
+         "exponent-overflow", "simultaneous", "cc-collinear-normal-form", "cc-planar3-normal-form",
+         "eigen-catalog", "collision-flow-catalog"],
 )
 def test_a_quantity_past_the_float_domain_fails_its_own_gate(tmp_path, capsys, command, data,
                                                             message):

@@ -20,10 +20,9 @@ OUT/<workload>/seed<s>/<k>/:
 A ``qh`` operation writes into work/out under a temporary working
 directory, so the paths its stdout names are the same in every tree.
 The script dumps the checkout it lives in, or with --tree PATH the
-checkout at PATH: its src/ through its own bench/workloads.py, in a
-child process, so the script need not be copied there.  Compare two
-dumps with tools/compare_dumps.py, which prints one line per workload
-and seed.
+checkout at PATH: its src/ through its own bench/workloads.py, so the
+script need not be copied there.  Compare two dumps with
+tools/compare_dumps.py, which prints one line per workload and seed.
 """
 
 from __future__ import annotations
@@ -40,15 +39,12 @@ import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import io  # noqa: E402
 import shutil  # noqa: E402
-import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 BUDGET_S = 20.0
-# set in the child process that dumps the checkout it names
-_CHILD_OF = "DUMP_OPS_TREE"
 
 
 def _plain(value):
@@ -106,21 +102,16 @@ def main(argv=None) -> int:
     out = args.out.resolve()
     if out.exists():
         parser.error(f"{out} exists")
-    here = Path(__file__).resolve().parents[1]
-    tree = here if args.tree is None else args.tree.resolve()
+    tree = (args.tree or Path(__file__).resolve().parents[1]).resolve()
     for need in ("src/qhnbody", "bench/workloads.py"):
         if not (tree / need).exists():
             parser.error(f"--tree {tree} has no {need}")
-    if tree != here and os.environ.get(_CHILD_OF) != str(tree):
-        # the other checkout's modules, in a process of their own
-        child = [sys.executable, __file__, str(out), "--seeds", *map(str, args.seeds),
-                 "--tree", str(tree)]
-        return subprocess.run(child, env={**os.environ, _CHILD_OF: str(tree)}).returncode
     return dump(out, args.seeds, tree)
 
 
 def dump(out: Path, seeds: list[int], tree: Path) -> int:
-    """Dump every operation of each workload at each seed from the checkout at tree."""
+    """Dump every operation of each workload at each seed from the checkout at tree, whose
+    src/ and bench/ come first on sys.path: no module of either is imported before."""
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import workloads
     from qhnbody import cli
