@@ -19,8 +19,9 @@ decreasing.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, replace
 from itertools import permutations
 
@@ -36,11 +37,13 @@ from .errors import (
 )
 from .model import (
     _HUGE,
+    _PP_BITS,
     _TINY,
     Configuration,
     MassSystem,
     PairTerms,
     PotentialParams,
+    _kernel,
     _mass_array,
     _PairKernel,
     _positions,
@@ -51,6 +54,7 @@ from .model import (
 
 _SPHERE_TOL = 1e-9
 _ZERO_TOL_FACTOR = 1e-8
+_FLOOR_FACTOR = 8.0 * np.finfo(float).eps  # the collinear solve's rounding floor, in ulps
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class CCQuery:
 def _check_knobs(pp: PotentialParams, inertia_I0: float, grad_tol: float):
     """The _normal_form of (pp, I0), once grad_tol is checked too."""
     form = _normal_form(pp, inertia_I0)
-    if not (np.isfinite(grad_tol) and grad_tol > 0.0):
+    if not (math.isfinite(grad_tol) and grad_tol > 0.0):
         raise ValueError("grad_tol must be positive")
     return form
 
@@ -274,11 +278,16 @@ def tangent_basis(positions: np.ndarray, ms) -> np.ndarray:
     In sqrt(M) coordinates, where the mass inner product is the Euclidean
     one, the constraint normals are sqrt(m) along each axis and sqrt(m) r;
     the last K columns of Q in their complete QR are an orthonormal
-    complement, which divided by sqrt(m) is the basis.
+    complement, which divided by sqrt(m) is the basis.  On a line (d = 1)
+    the (n, 2) normals are built as such: the same QR input, bit for bit.
     """
     r = np.asarray(positions, dtype=float)
     n, d = r.shape[-2:]
     root_m = np.sqrt(_mass_array(ms))[..., None]
+    if d == 1:  # on a line the normals are the (n, 2) columns sqrt(m), sqrt(m) x
+        normals = np.empty(r.shape[:-1] + (2,))
+        normals[..., :1], normals[..., 1:] = root_m, root_m * r
+        return np.linalg.qr(normals, mode="complete").Q[..., 2:] / root_m
     along_axes = np.broadcast_to(root_m[..., None] * np.eye(d), r.shape + (d,))
     normals = np.concatenate([along_axes, (root_m * r)[..., None]], axis=-1)
     q = np.linalg.qr(normals.reshape(r.shape[:-2] + (n * d, d + 1)), mode="complete").Q
@@ -295,8 +304,8 @@ def count_modes(eigs: np.ndarray) -> tuple:
     """
     re = np.real(eigs)
     zero_tol = _ZERO_TOL_FACTOR * np.abs(eigs).max(axis=-1, initial=0.0, keepdims=True)
-    counts = ((re < -zero_tol).sum(axis=-1), (np.abs(re) < zero_tol).sum(axis=-1),
-              (re > zero_tol).sum(axis=-1))
+    counts = tuple(np.add.reduce(side, axis=-1)
+                   for side in (re < -zero_tol, np.abs(re) < zero_tol, re > zero_tol))
     return counts if eigs.ndim > 1 else tuple(map(int, counts))
 
 
@@ -357,7 +366,7 @@ def restricted_hessian(
     elif ambient != "planar":
         raise ValueError(f"unknown ambient {ambient!r}")
     if terms is None:
-        terms = _PairKernel(ms.masses, pp).terms(r, force=False, hess=True)[0]
+        terms = _kernel(ms.masses, pp).terms(r, force=False, hess=True)[0]
     return _restricted_spectrum(r, ms, inertia_I0, pp.a * terms.W + pp.b * terms.V, terms.hess)
 
 
@@ -384,22 +393,30 @@ def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
     """
     index, zeros, positive = count_modes(eigs)
     k = np.shape(eigs)[-1]
-    uncounted = np.flatnonzero(index + zeros + positive != k)
-    if uncounted.size:
-        bad = np.reshape(eigs, (-1, k))[uncounted[0]]
+    uncounted = np.not_equal(index + zeros + positive, k)
+    if np.count_nonzero(uncounted):
+        bad = np.reshape(eigs, (-1, k))[np.flatnonzero(uncounted)[0]]
         raise DegenerateError(f"{ambient} restricted Hessian spectrum {bad} is not finite "
                               "or sits on the zero band's edge")
     expected_zeros = 1 if ambient == "planar" else 0
-    wrong = np.flatnonzero(np.not_equal(zeros, expected_zeros))
-    if wrong.size:
+    wrong = np.not_equal(zeros, expected_zeros)
+    if np.count_nonzero(wrong):
         raise DegenerateError(
-            f"{ambient} restricted Hessian has {np.ravel(zeros)[wrong[0]]} near-zero eigenvalues, "
-            f"expected {expected_zeros}; CC looks degenerate"
+            f"{ambient} restricted Hessian has {np.ravel(zeros)[np.flatnonzero(wrong)[0]]} "
+            f"near-zero eigenvalues, expected {expected_zeros}; CC looks degenerate"
         )
     return IndexReport(index=index, eigenvalues=eigs, zero_modes=zeros, ambient=ambient)
 
 
 def _normal_form(pp: PotentialParams, inertia_I0: float):
+    """_unit_form of (pp, inertia_I0), computed once per process for the bits of pp and each
+    size (a size that cannot be hashed, such as a 0-d array, is mapped at every call)."""
+    form = _unit_form if isinstance(inertia_I0, Hashable) else _unit_form.__wrapped__
+    return form(_PP_BITS.pack(pp.a, pp.b, pp.alpha, pp.beta), pp, inertia_I0)
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_form(bits: bytes, pp: PotentialParams, inertia_I0: float):
     """(pp_1, sqrt(I0), c / I0, c / sqrt(I0)): the CC problem of (pp, I0) at unit size with
     the larger coefficient 1, and the factors that map its results back to the size I0.
 
@@ -503,7 +520,7 @@ def _newton_directions(
     # r . xi; the border rows of the right-hand side are zero
     slope = -np.add.reduce(rhs * step, axis=-1)
     fallback = singular | (slope >= 0.0)
-    if fallback.any():
+    if np.count_nonzero(fallback):
         k = np.flatnonzero(fallback)
         kkt[k, :n, :n] = 0.0
         diagonal[k] = border[k, n, :n]
@@ -579,10 +596,10 @@ def _line_start(kernel: _PairKernel, m: np.ndarray, mass_sum: np.ndarray,
     def fall_back(rows: np.ndarray) -> None:
         x[rows] = _project_line(equal[rows], m[rows], mass_sum[rows])
 
-    if not ok.all():
+    if np.count_nonzero(ok) < size:
         fall_back(~ok)
     terms, clash = kernel.terms(x, strict=False, hess=True)
-    if clash.any():
+    if np.count_nonzero(clash):
         fall_back(clash)
         terms = kernel.terms(x, hess=True)[0]
     return x, sign, terms
@@ -630,10 +647,10 @@ def solve_collinear_batch(
     if (masses.ndim != 2 or masses.shape[1] < 2
             or [o.n for o in orderings] != [masses.shape[1]] * len(masses)):
         raise ValueError("masses must be (B, n), n >= 2, one row per ordering of n bodies")
-    if not (np.isfinite(masses).all() and (masses > 0.0).all()):
+    if np.count_nonzero((masses > 0.0) & (masses < np.inf)) < masses.size:
         raise ValueError("masses must be finite and strictly positive")
     size, n = masses.shape
-    kernel = _PairKernel(masses, pp)
+    kernel = _kernel(masses, pp)
     # the members still iterating, one row each: ids, masses, their sums and the
     # bordered systems' mass rows, the ordered signs of x_i - x_j, the iterates with
     # their PairTerms, and the last residuals and goals
@@ -641,13 +658,13 @@ def solve_collinear_batch(
     border = _border(m)
     slots = np.array([o.perm for o in orderings], int).reshape(size, n) - 1
     x, sign, terms = _line_start(kernel, m, mass_sum, slots)
-    rs, tol = np.full(size, np.inf), np.full(size, grad_tol)
+    rs, tol = np.inf, grad_tol  # the residual and goal of a member that makes no round
 
     # one row per member, written when it converges: its x, the a W + b V and
     # Hessian its spectrum reads, and its counters; stalled, res and floor once it has stalled
     out_x, out_aw_bv, out_h = np.empty((size, n)), np.empty(size), np.empty((size, n, n))
-    sigma, res, floor = np.zeros(size), np.zeros(size), np.zeros(size)
-    iters, backtracks, fallbacks = (np.zeros(size, dtype=int) for _ in range(3))
+    sigma, res, floor = np.zeros((3, size))
+    iters, backtracks, fallbacks = np.zeros((3, size), dtype=int)
     stalled = np.zeros(size, dtype=bool)
 
     def keep(stay: np.ndarray, *more: np.ndarray) -> list[np.ndarray]:
@@ -659,7 +676,6 @@ def solve_collinear_batch(
         kernel = kernel.take(stay)
         return [a[stay] for a in more]
 
-    floor_factor = 8.0 * np.finfo(float).eps
     for it in range(max_iter):
         # sigma = -(a W + b V) / (2 I) and the residual r = grad U - sigma dI/dx, dI/dx
         # = 2 m x, whose sup norm has the goal grad_tol or the rounding floor above
@@ -673,18 +689,20 @@ def solve_collinear_batch(
         sig_di = two_sig[:, None] * mx
         r = terms.grad_W + terms.grad_V - sig_di
         rs = np.maximum.reduce(np.abs(r), axis=-1)
-        sums = floor_factor * np.maximum.reduce(terms.force_sum + np.abs(sig_di), axis=-1)
+        sums = _FLOOR_FACTOR * np.maximum.reduce(terms.force_sum + np.abs(sig_di), axis=-1)
         moved = np.maximum.reduce(
             np.vecdot(np.abs(terms.hess), np.spacing(np.abs(x))[:, None, :]), axis=-1)
         tol = np.maximum(grad_tol, np.where(moved >= 0.0, sums + moved, np.inf))
         done = rs <= tol
-        if done.any() or not done.size:  # an empty batch is done at once
-            # each member still here has accepted a step in every round
-            gone = ids[done]
+        if (finished := np.count_nonzero(done)) or not done.size:  # an empty batch is done at once
+            # each member still here has accepted a step in every round; when all
+            # are done, their rows are read as they stand
+            rows = slice(None) if finished == done.size else done
+            gone = ids[rows]
             sigma[gone], res[gone], floor[gone], iters[gone] = (
-                0.5 * two_sig[done], rs[done], tol[done], it)
-            out_x[gone], out_aw_bv[gone], out_h[gone] = x[done], aw_bv[done], terms.hess[done]
-            if done.all():
+                0.5 * two_sig[rows], rs[rows], tol[rows], it)
+            out_x[gone], out_aw_bv[gone], out_h[gone] = x[rows], aw_bv[rows], terms.hess[rows]
+            if finished == done.size:
                 break
             mx, aw_bv, r = keep(~done, mx, aw_bv, r)
 
@@ -692,7 +710,7 @@ def solve_collinear_batch(
         np.negative(r, out=rhs[:, :n])
         direction, slope, fallback = _newton_directions(
             border, mx, terms.hess, aw_bv[:, None] * m, rhs)
-        if fallback.any():
+        if np.count_nonzero(fallback):
             fallbacks[ids[fallback]] += 1
         u0 = terms.W + terms.V
         # k: the members still searching, whose rows search and kern hold; a slack
@@ -705,10 +723,10 @@ def solve_collinear_batch(
             trial_terms, collided = _trial_pass(kern, trial)
             ok = _in_order(trial, kern.e, sg) & ~collided
             ok &= trial_terms.W + trial_terms.V <= u0s + t * armijo + slack
-            if k.size == ids.size and ok.all():
+            if (accepted := np.count_nonzero(ok)) == ids.size:  # every member, at once
                 x, terms = trial, trial_terms
                 break
-            if ok.any():
+            if accepted:
                 rows = k[ok]
                 x[rows] = trial[ok]
                 for a, new in zip(terms, trial_terms):
@@ -727,7 +745,7 @@ def solve_collinear_batch(
         stalled[ids], res[ids], floor[ids] = True, rs, tol
 
     # the members before the first stall have all converged; a degenerate one fails first
-    first = stalled.argmax() if stalled.any() else size
+    first = stalled.argmax() if np.count_nonzero(stalled) else size
     eigs = _restricted_spectrum(out_x[:first, :, None], masses[:first], 1.0,
                                 out_aw_bv[:first], out_h[:first])[1]
     index = index_report(eigs, "collinear").index
@@ -798,7 +816,7 @@ def equilateral_results(ms: MassSystem, pp: PotentialParams, inertia_I0: float =
     max(grad_tol, 1e-12) max(1, |sigma|) raises NoConvergenceError."""
     s = np.stack([config.positions for config in equilateral_configuration(ms)])
     unit, root, curvature, force = _normal_form(pp, inertia_I0)
-    terms = _PairKernel(ms.masses, unit).terms(s, hess=True)[0]
+    terms = _kernel(ms.masses, unit).terms(s, hess=True)[0]
     sigma, res = cc_residual(s, ms, unit, terms)
     for unit_res, unit_sigma in zip(res.tolist(), sigma.tolist()) if grad_tol else ():
         if not unit_res <= max(grad_tol, 1e-12) * np.maximum(1.0, abs(unit_sigma)):

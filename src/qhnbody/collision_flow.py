@@ -45,6 +45,7 @@ from .model import (
     MassSystem,
     PotentialParams,
     _incidence,
+    _kernel,
     _PairKernel,
     lift_to_plane,
     mass_inner,
@@ -237,7 +238,7 @@ def find_equilibria(
     """
     if pp.b <= 2.0:
         raise ValueError("equilibrium spectra need b > 2")
-    kernel = _PairKernel(ms.masses, _pure_b(pp))
+    kernel = _kernel(ms.masses, _pure_b(pp))
     try:
         return _rest_points(kernel, ms, pp, ccs_of_V, tol)
     except (QHError, ValueError):
@@ -486,7 +487,7 @@ def nearest_equilibrium(
     r = np.stack([lift_to_plane(cc.config) for cc in catalog])
     rows = (len(catalog), -1)  # each shape's (n, 2) products as one row, summed as np.sum sums them
     targets = r / np.sqrt(np.add.reduce((w * r * r).reshape(rows), axis=-1))[:, None, None]
-    kernel = _PairKernel(ms.masses, pp)
+    kernel = _kernel(ms.masses, pp)
     terms, collided = kernel.terms(targets, force=False, strict=False)
     if collided.any():
         kernel.pairs(targets[collided.argmax()])  # raises that shape's CollisionError

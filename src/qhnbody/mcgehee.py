@@ -31,8 +31,8 @@ from .model import (
     MassSystem,
     PhaseState,
     PotentialParams,
-    _PairKernel,
     _float_pass,
+    _kernel,
     grad_V,  # noqa: F401  (re-exported: callers import it from this module)
     mass_inner,
     pair_terms,
@@ -180,7 +180,7 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     (d = 2); at a = 1 the W-term's factor a is an exact multiply.
     """
     sz = ms.n * dim
-    run, a, b = _float_pass(_PairKernel(ms.masses, pp), dim), pp.a, pp.b
+    run, a, b = _float_pass(_kernel(ms.masses, pp), dim), pp.a, pp.b
     m = np.repeat(ms.masses, dim).tolist()  # the mass of each coordinate
     size, t_exp, w_exp = 2 + 2 * sz + with_time, 1.0 + b / 2.0, b - a
 

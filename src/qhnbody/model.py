@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -98,7 +99,7 @@ class Configuration:
         r = np.asarray(self.positions, dtype=float)
         if r.ndim != 2 or r.shape[1] not in (1, 2) or r.shape[0] < 2:
             raise ValueError("positions must be (n, d) with n >= 2 and d in {1, 2}")
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise ValueError("positions must be finite")
         r = r.copy()
         r.flags.writeable = False
@@ -155,7 +156,9 @@ def lift_to_plane(config) -> np.ndarray:
     r = _positions(config)
     if r.shape[-1] == 2:
         return r
-    return np.concatenate([r, np.zeros_like(r)], axis=-1)
+    planar = np.zeros(r.shape[:-1] + (2,))
+    planar[..., :1] = r
+    return planar
 
 
 @functools.cache
@@ -218,25 +221,39 @@ def float_domain_fault(m: np.ndarray, pp: PotentialParams, d2: float | None = No
 
     Each value of an active term (alpha > 0 or beta > 0) must be finite and at least the
     smallest normal float, or only finite where it has the exponent 0 as a factor.  The
-    values are kc then coef, bound from m, (n,) or (B, n), unless the kernel passes its
-    (coef, kc, half_exps, hess_exps) as bound; at d2, a squared pair distance, the "value"
-    coef (pw d2), "gradient coefficient" c = kc pw and "Hessian factor" -(exp + 2) c / d2,
-    pw = d2^(-(exp + 2) / 2).  The fault is (member, term, pair, quantity, value), member
-    None for (n,) masses and the pair counted from 1, searched in that order.
+    values are kc then coef, bound from m, (n,) or (B, n), unless the kernel passes its pair
+    products and (coef, kc, half_exps, hess_exps) as bound; at d2, a squared pair distance,
+    the "value" coef (pw d2), "gradient coefficient" c = kc pw and "Hessian factor" -(exp +
+    2) c / d2, pw = d2^(-(exp + 2) / 2).  The fault is (member, term, pair, quantity, value),
+    member None for (n,) masses and the pair counted from 1, searched in that order.  Without
+    d2, |coef| = alpha |m_i m_j| (or beta) and |kc| = exp |coef| round monotonically in
+    |m_i m_j|, so the smallest and largest product of all members decide, and the ordered
+    search runs only where they show a fault.
     """
-    i, j = _incidence(m.shape[-1])[:2]
     if bound is None:
+        i, j = _incidence(m.shape[-1])[:2]
         with np.errstate(all="ignore"):  # a value out of range is a fault, not a warning
-            bound = _pair_constants(m.take(i, axis=-1) * m.take(j, axis=-1), pp)
-    coef, kc, half_exps, hess_exps = bound
+            products = m.take(i, axis=-1) * m.take(j, axis=-1)
+            bound = products, *_pair_constants(products, pp)
+    products, coef, kc, half_exps, hess_exps = bound
     if d2 is None:
-        names, values = ("kc", "coef"), (kc, coef)
-    else:
-        names = ("value", "gradient coefficient", "Hessian factor")
-        with np.errstate(all="ignore"):
-            pw = d2 ** half_exps
-            c = kc * pw
-            values = coef * (pw * d2), c, hess_exps * c / d2
+        size = np.abs(products)
+        lo, hi = size.min(initial=math.inf).item(), size.max(initial=0.0).item()
+        if all(_TINY <= c * lo and c * hi <= _HUGE
+               and (not e or _TINY <= e * (c * lo)) and e * (c * hi) <= _HUGE
+               for c, e in ((pp.alpha, pp.a), (pp.beta, pp.b)) if c > 0.0):
+            return None
+        return _first_fault(m, pp, ("kc", "coef"), (kc, coef))
+    with np.errstate(all="ignore"):
+        pw = d2 ** half_exps
+        c = kc * pw
+        values = coef * (pw * d2), c, hess_exps * c / d2
+    return _first_fault(m, pp, ("value", "gradient coefficient", "Hessian factor"), values)
+
+
+def _first_fault(m: np.ndarray, pp: PotentialParams, names: tuple, values: tuple):
+    """float_domain_fault's ordered search of values, one (..., 2, P) array per quantity in
+    names, for the first value outside the normal floats."""
     values = np.concatenate(values, axis=-2)  # rows (quantity, term)
     ok = ((size := np.abs(values)) >= _floors(pp, names)) & (size <= _HUGE)
     off = [[pp.alpha == 0.0], [pp.beta == 0.0]] * len(names)  # inactive: 0, or NaN of 0 inf
@@ -245,6 +262,7 @@ def float_domain_fault(m: np.ndarray, pp: PotentialParams, d2: float | None = No
     shape = (*ok.shape[:-2], len(names), 2, ok.shape[-1])
     *member, t, p, q = np.argwhere(~np.moveaxis(ok.reshape(shape), -3, -1))[0].tolist()
     value = values.reshape(shape)[(*member, q, t, p)].item()
+    i, j = _incidence(m.shape[-1])[:2]
     return (*member, None)[0], ("alpha", "beta")[t], (i.item(p) + 1, j.item(p) + 1), names[q], value
 
 
@@ -268,9 +286,10 @@ class _PairKernel:
 
     A position array of the masses' own shape, (n,) or (B, n), is a line:
     its pair differences are x E, and terms() builds only the line's
-    (n, n) Hessian.  A vector field binds one kernel per closure, the
-    collinear solver one per batch (take() slices it to some members),
-    the rest one per call.
+    (n, n) Hessian.  Every caller binds through _kernel, which binds once
+    per process for each mass array and potential and keeps the kernel, so
+    its arrays are read-only; take() slices a kernel to some batch members
+    without binding.
     """
 
     __slots__ = ("pp", "e", "e_abs", "m_col", "weights", "coef", "kc", "half_exps", "hess_exps")
@@ -284,13 +303,17 @@ class _PairKernel:
         # two mass fractions sum to at most 1, so each weight is in
         # [0, 1/4] even where m_i m_j or M^2 would overflow
         self.weights = (mi / total) * (mj / total)
-        bound = self.coef, self.kc, self.half_exps, self.hess_exps = _pair_constants(mi * mj, pp)
+        products = mi * mj
+        bound = products, *_pair_constants(products, pp)
+        self.coef, self.kc, self.half_exps, self.hess_exps = bound[1:]
         if (fault := float_domain_fault(m, pp, bound=bound)) is not None:
             member, term, pair, quantity, value = fault
             name = f"-{term[0]} {term}" if quantity == "kc" else term  # -a alpha, beta, ...
             where = "" if member is None else f" in batch member {member}"
             what = "is zero or subnormal" if math.isfinite(value) else "is not finite"
             raise ValueError(f"{term} term of pair {pair}{where}: {name} m_i m_j = {value!r} {what}")
+        for a in (self.m_col, self.weights, self.coef, self.kc, self.half_exps, self.hess_exps):
+            a.setflags(write=False)
 
     def take(self, rows) -> "_PairKernel":
         """The kernel of the batch members in rows, sliced from this one, not rebound."""
@@ -319,7 +342,7 @@ class _PairKernel:
         guard2 = GUARD_FACTOR * GUARD_FACTOR * np.vecdot(self.weights, d2)
         d2min = np.minimum.reduce(d2, axis=-1)
         collided = d2min <= guard2
-        if collided.any() if d2.ndim == 2 else collided:
+        if np.count_nonzero(collided):
             if strict:
                 k = np.flatnonzero(collided)[0]
                 where = f" in batch member {k}" if d2.ndim == 2 else ""
@@ -388,6 +411,22 @@ class _PairKernel:
         else:
             terms = PairTerms(w_sum, v_sum, grads[..., 0, :, :], grads[..., 1, :, :], force_sum, h)
         return terms, collided
+
+
+def _kernel(m: np.ndarray, pp: PotentialParams) -> _PairKernel:
+    """The _PairKernel of the masses m and pp, bound once per process: a bind is kept by the
+    exact bits of m, its shape and (a, b, alpha, beta), for the last _BOUND_KERNELS of them,
+    on a read-only copy of m.  A bind that raises is not kept, so it raises at every call."""
+    m = np.asarray(m, dtype=float)
+    return _bound(m.tobytes(), m.shape, _PP_BITS.pack(pp.a, pp.b, pp.alpha, pp.beta), pp)
+
+
+_BOUND_KERNELS, _PP_BITS = 16, struct.Struct("4d")
+
+
+@functools.lru_cache(maxsize=_BOUND_KERNELS)
+def _bound(masses: bytes, shape: tuple, bits: bytes, pp: PotentialParams) -> _PairKernel:
+    return _PairKernel(np.frombuffer(masses).reshape(shape).copy(), pp)
 
 
 # the shapes (n, d) whose pair terms _float_body writes out in Python floats
@@ -525,7 +564,7 @@ def pair_terms(config, ms, pp: PotentialParams) -> PairTerms:
     MassSystem or a (B, n) array of per-member masses; a batch gives (B,)
     arrays for W and V.  Raises CollisionError if any member collides.
     """
-    return _PairKernel(_mass_array(ms), pp).terms(_positions(config))[0]
+    return _kernel(_mass_array(ms), pp).terms(_positions(config))[0]
 
 
 def potential_terms(config, ms: MassSystem, pp: PotentialParams) -> tuple[float, float]:
@@ -561,7 +600,7 @@ def hess_U_matrix(config, ms, pp: PotentialParams) -> np.ndarray:
 
     A (B, n, d) batch with (B, n) masses gives (B, n*d, n*d).
     """
-    kernel = _PairKernel(_mass_array(ms), pp)
+    kernel = _kernel(_mass_array(ms), pp)
     return kernel.terms(_positions(config), force=False, hess=True)[0].hess
 
 
@@ -614,7 +653,7 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
     (CPython 3.11, numpy 2.4, 2 cores, best of 7 in three alternations).
     """
     shape = (2, ms.n, dim)
-    kernel = _PairKernel(ms.masses, pp)
+    kernel = _kernel(ms.masses, pp)
     if shape[1:] in _FLOAT_SHAPES:
         floats, size = _float_pass(kernel, dim, np.repeat(ms.masses, dim).tolist()), 2 * ms.n * dim
 

@@ -91,7 +91,8 @@ def fd_directional_second(f, x, v, h=1e-4):
 
 
 def count_kernel_bindings(monkeypatch):
-    """A list that grows by one entry per binding of the pair kernel."""
+    """A list that grows by one entry per binding of the pair kernel, from an empty bind cache."""
+    model._bound.cache_clear()
     calls = []
     init = model._PairKernel.__init__
 

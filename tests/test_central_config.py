@@ -174,21 +174,31 @@ def _counters(res):
     return res.newton_iters, res.backtracks, res.fallbacks, res.residual_floor
 
 
+def _bits(res):
+    return (res.config.positions.tobytes(), res.hess_eigs.tobytes(), repr(res.sigma),
+            repr(res.residual), res.index, *map(repr, _counters(res)))
+
+
 def test_lockstep_batch_equals_one_member_solves():
     # each class of a batched census is the B = 1 solve of its ordering,
-    # work counters included
+    # work counters included; with ones_first, the one-member solves of the
+    # same masses also run before the batch in this process, which binds
+    # the kernel of those masses first, and before and after it give its bits
     rng = np.random.default_rng(17)
     pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
-    for n in (3, 4, 5, 6):
+    for n, ones_first in ((3, False), (4, False), (5, False), (6, False), (5, True)):
         ms = random_masses(rng, n)
         q = CCQuery(ms=ms, pp=pp)
+        first = [solve_collinear_ordering(o, q) for o in Ordering.all_canonical(n) if ones_first]
         batch = solve_collinear_batch(*every_class(ms), pp).results()
         assert [r.ordering for r in batch] == Ordering.all_canonical(n)
-        for res in batch:
+        for k, res in enumerate(batch):
             one = solve_collinear_ordering(res.ordering, q)
             assert res.index == one.index
             assert _counters(res) == _counters(one)
             assert np.abs(res.config.positions - one.config.positions).max() <= 1e-12
+            if ones_first:
+                assert _bits(first[k]) == _bits(one) == _bits(res)
 
 
 def test_the_six_body_census_takes_at_most_four_rounds_bit_for_bit():
@@ -714,6 +724,7 @@ def test_collinear_shape_depends_on_sphere_size():
         return (x[1] - x[0]) / (x[2] - x[0])
 
     assert abs(ratio(1.0) - ratio(100.0)) > 1e-4
+    assert ratio(np.array(100.0)) == ratio(100.0)  # a size as a 0-d array
 
 
 def test_single_term_shapes_scale_exactly():

@@ -34,9 +34,12 @@ from qhnbody.model import (
     PotentialParams,
     _FLOAT_SHAPES,
     _PairKernel,
+    _first_fault,
     _float_body,
     _float_pass,
     _incidence,
+    _kernel,
+    _pair_constants,
     angular_momentum,
     angular_momentum_series,
     cartesian_field,
@@ -770,6 +773,84 @@ def test_a_pair_coefficient_past_the_float_range_is_refused_when_the_kernel_is_b
     tiny = r"^alpha term of pair \(1, 3\): -a alpha m_i m_j = -0\.0 is zero or subnormal$"
     with pytest.raises(ValueError, match=tiny):
         _PairKernel(np.array([1e-300, 1.0, 1e-200]), PotentialParams(a=1.0, b=1.51))
+
+
+# the bind check reads the smallest and largest |m_i m_j|, in which every |coef| and
+# |kc| rounds monotonically, and searches the pairs in order only on a fault there:
+# it finds what the full ordered search finds, with alpha, beta or a zero, products
+# that are subnormal or past the float range, at either end
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # m_i m_j over- or underflows
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(base=st.lists(st.floats(0.2, 5.0), min_size=2, max_size=5),
+       low=st.sampled_from([None, 1e-150, 1e-160, 1e-170, 1e-320]),
+       high=st.sampled_from([None, 1e150, 1e154, 1e160, math.inf]),
+       member=st.sampled_from([None, 0, 2]), a=st.sampled_from([0.0, 0.5, 2.0]),
+       alpha=st.sampled_from([0.0, 1e-10, 1.0, 1e10]), beta=st.sampled_from([0.0, 1e-10, 1.0]))
+def test_the_bind_check_finds_what_the_ordered_search_finds(base, low, high, member, a, alpha,
+                                                             beta):
+    assume(alpha > 0.0 or beta > 0.0)
+    m = np.array(base)
+    if low is not None:  # the smallest products
+        m[0] = low
+    if high is not None:  # the largest products
+        m[-1] = high
+    if member is not None:  # the row member of a batch of three; the others are base
+        m = np.stack([m if k == member else np.array(base) for k in range(3)])
+    pp = PotentialParams(a=a, b=a + 1.5, alpha=alpha, beta=beta)
+    i, j = _incidence(m.shape[-1])[:2]
+    with np.errstate(all="ignore"):
+        coef, kc = _pair_constants(m.take(i, axis=-1) * m.take(j, axis=-1), pp)[:2]
+    full = _first_fault(m, pp, ("kc", "coef"), (kc, coef))
+    assert repr(float_domain_fault(m, pp)) == repr(full)
+    if full is None:
+        _PairKernel(m, pp)
+    else:
+        with pytest.raises(ValueError, match=f" = {re.escape(repr(full[-1]))} is "):
+            _PairKernel(m, pp)
+
+
+def test_the_kernel_binds_once_per_bits_of_masses_and_potential(monkeypatch):
+    bindings = count_kernel_bindings(monkeypatch)
+    m, pp = np.array([1.0, 2.0, 3.0]), PotentialParams(a=1.0, b=3.0, alpha=0.0, beta=0.5)
+    kernel = _kernel(m, pp)
+    assert _kernel(m.copy(), PotentialParams(a=1.0, b=3.0, alpha=0.0, beta=0.5)) is kernel
+    assert len(bindings) == 1
+    # one ulp of one mass, alpha = -0.0 for 0.0 (an equal PotentialParams) and
+    # the masses as a one-member batch each bind apart
+    ulp = m.copy()
+    ulp[1] = np.nextafter(2.0, 3.0)
+    signed = PotentialParams(a=1.0, b=3.0, alpha=-0.0, beta=0.5)
+    assert signed == pp
+    apart = [_kernel(ulp, pp), _kernel(m, signed), _kernel(m[None], pp)]
+    assert len(bindings) == 4 and all(k is not kernel for k in apart)
+    assert apart[1].coef[0].tobytes() != kernel.coef[0].tobytes()  # -0.0 m_i m_j
+    # every bound array is read-only
+    for name in _PairKernel.__slots__[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(kernel, name)[...] = 0.0
+
+
+def test_a_bound_kernel_keeps_the_masses_it_was_bound_from(rng, monkeypatch):
+    m, pp = rng.uniform(0.5, 2.0, 4), PotentialParams(a=1.0, b=2.5, alpha=0.7, beta=1.3)
+    r, original = random_config(rng, 4), m.copy()
+    bindings = count_kernel_bindings(monkeypatch)
+    before = pair_terms(r, m, pp)
+    kernel = _kernel(m, pp)
+    m[:] = 9.0  # the caller's array, after the bind
+    assert np.array_equal(kernel.m_col[:, 0], original)
+    for a, b in zip(pair_terms(r, original, pp), before):
+        assert np.array_equal(a, b)
+    assert len(bindings) == 1
+    assert pair_terms(r, m, pp).W != before.W and len(bindings) == 2
+
+
+def test_a_bind_that_faults_raises_at_every_call(monkeypatch):
+    bindings = count_kernel_bindings(monkeypatch)
+    tiny = r"^alpha term of pair \(1, 3\): -a alpha m_i m_j = -0\.0 is zero or subnormal$"
+    for _ in range(3):
+        with pytest.raises(ValueError, match=tiny):
+            pair_terms(np.eye(3, 2), np.array([1e-300, 1.0, 1e-200]), PotentialParams(a=1.0, b=1.51))
+    assert len(bindings) == 3
 
 
 def _decades(lo, hi, zero=False):

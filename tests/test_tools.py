@@ -8,10 +8,17 @@ from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "compare_dumps", Path(__file__).resolve().parents[1] / "tools" / "compare_dumps.py")
-compare_dumps = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(compare_dumps)
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_dumps, compare_trees = _tool("compare_dumps"), _tool("compare_trees")
 
 
 def write_dump(root, files):
@@ -148,9 +155,41 @@ def test_the_tolerance_mode_bounds_gaps_distances_and_floors_relatively(tmp_path
 def test_dump_ops_refuses_a_tree_without_the_package(tmp_path):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "workloads.py").write_text("")
-    script = Path(__file__).resolve().parents[1] / "tools" / "dump_ops.py"
+    script = TOOLS / "dump_ops.py"
     proc = subprocess.run([sys.executable, str(script), str(tmp_path / "out"), "--tree",
                            str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr.endswith(f"error: --tree {tmp_path.resolve()} has no src/qhnbody\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_compare_trees_dumps_the_other_tree_then_this_one_and_prints_the_comparison(
+        tmp_path, capsys, monkeypatch):
+    # the dumps are stubbed: the other tree's is DUMP, this checkout's moves one result
+    parent = tmp_path / "parent"
+    for need in ("src/qhnbody/__init__.py", "bench/workloads.py"):
+        write_dump(parent, {need: ""})
+    calls = []
+
+    def dump(out, seeds, tree=None):
+        calls.append((out.name, seeds, tree))
+        moved = {"census/seed11/0001/result": "sigma = -2.5000000000000004\n"} if tree is None else {}
+        write_dump(out, {**DUMP, **moved})
+
+    monkeypatch.setattr(compare_trees, "dump", dump)
+    assert compare_trees.main([str(parent), "--seeds", "11", "12"]) == 1
+    assert calls == [("old", [11, 12], parent.resolve()), ("new", [11, 12], None)]
+    assert capsys.readouterr().out == (
+        "census seed11: 2 ops, 1 differing, first census/seed11/0001/result\n"
+        "census seed12: 1 ops, 0 differing\n"
+        "flow seed11: 2 ops, 0 differing\n")
+    # --rel goes to compare_dumps
+    assert compare_trees.main([str(parent), "--rel", "1e-6"]) == 1
+    assert "1 differing, 0 within 1e-06" in capsys.readouterr().out
+
+
+def test_compare_trees_refuses_a_tree_without_the_package(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        compare_trees.main([str(tmp_path)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {tmp_path.resolve()} has no src/qhnbody\n")
