@@ -164,13 +164,10 @@ def heteroclinic_orbit(
     y0 = np.array([rho_floor, v_start])
 
     def k_defect(taus, states):
-        # scalar pow row by row: numpy's array pow rounds differently in
-        # the last bit for some rows, which would change the written series
-        def defect(rho, v):
-            rho_pow = rho**w_exp if rho > 0.0 else 0.0
-            return 0.5 * v * v - rho_pow * w0 - rho**b * h - v0_pot
-
-        return [defect(rho, v) for rho, v in states]
+        # libm's pow, as the field's **; every state has rho > 0
+        rho, v = states.T
+        rho_pow, rho_b = np.float_power(rho, [[w_exp], [b]])
+        return 0.5 * v * v - rho_pow * w0 - rho_b * h - v0_pot
 
     # The run spends ~ln(rho_max/rho_floor)/|v| on each leg; budget that
     # generously against the asymptotic speed sqrt(2 V(s0)).

@@ -130,14 +130,14 @@ def collision_manifold_residual(st: McGeheeState, ms: MassSystem, pp: PotentialP
 def manifold_residual_series(v, s, u, ms: MassSystem, pp: PotentialParams) -> np.ndarray:
     """collision_manifold_residual of a batch: (B,) v with (B, n, d) s and u.
 
-    One kernel pass over all B states.  v^2 is Python's float pow (libm
-    pow) value by value, the arithmetic this residual has always used:
-    numpy's array square is x * x, which differs from pow(x, 2) in the
-    last bit for about one x in a thousand.
+    One kernel pass over all B states.  v^2 is libm's pow(v, 2), as
+    np.float_power forms it, the arithmetic this residual has always used:
+    x * x differs from pow(x, 2) in the last bit for about one x in a
+    thousand.
     """
     v_s = pair_terms(s, ms, pp).V
     u_m_u = np.sum(u * u / ms.masses[:, None], axis=(-2, -1))
-    return u_m_u + np.array([x**2 for x in v.tolist()]) - 2.0 * v_s
+    return u_m_u + np.float_power(v, 2.0) - 2.0 * v_s
 
 
 # Flat vector layout [rho, v, s.ravel(), u.ravel()] (+ [t] when tracking
@@ -175,9 +175,10 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     n, on _float_pass, with u^T M^{-1} u summed as numpy sums an array
     (_sum): bit for bit with the equations composed in numpy.  That body
     is also field.floats, (tau, list) -> list, which integrate calls on
-    its stage states as lists (see integrate).  Per call it takes 0.9-1.1x
-    of a numpy body's time at n = 4...7, 1.2x at n = 12 and 1.5x at n = 65
-    (d = 2); at a = 1 the W-term's factor a is an exact multiply.
+    its stage states as lists (see integrate); for the shapes of
+    _FLOAT_SHAPES it makes no numpy call, 6.1 us per call at three
+    bodies in the plane and 8.1 us at four (CPython 3.11, numpy 2.4, best
+    of 7).  At a = 1 the W-term's factor a is an exact multiply.
     """
     sz = ms.n * dim
     run, a, b = _float_pass(_kernel(ms.masses, pp), dim), pp.a, pp.b
@@ -209,9 +210,23 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
 
 
 def _sum(xs: list) -> float:
-    """A list summed as numpy sums a 1-d array of it: from +0 left to right
-    below 8 terms (so -0 terms alone sum to +0), pairwise from 8."""
-    return functools.reduce(operator.add, xs, 0.0) if len(xs) < 8 else float(np.add.reduce(xs))
+    """A list summed as numpy sums a 1-d array of it, +0 plus numpy's
+    pairwise sum, in Python floats: below 8 terms left to right from +0 (so
+    -0 terms alone sum to +0), up to 128 in eight running sums of every
+    eighth term, added as a tree, then the rest left to right, and past 128
+    the two halves split at a multiple of 8."""
+    n = len(xs)
+    if n < 8:
+        return functools.reduce(operator.add, xs, 0.0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return 0.0 + (_sum(xs[:half]) + _sum(xs[half:]))
+    tail = n - n % 8
+    r = xs[:8]
+    for k in range(8, tail, 8):
+        r = list(map(operator.add, r, xs[k : k + 8]))
+    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return 0.0 + functools.reduce(operator.add, xs[tail:], res)
 
 
 def _axis_sums(xs: list, d: int) -> list:

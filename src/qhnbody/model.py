@@ -245,7 +245,7 @@ def float_domain_fault(m: np.ndarray, pp: PotentialParams, d2: float | None = No
             return None
         return _first_fault(m, pp, ("kc", "coef"), (kc, coef))
     with np.errstate(all="ignore"):
-        pw = d2 ** half_exps
+        pw = np.float_power(d2, half_exps)
         c = kc * pw
         values = coef * (pw * d2), c, hess_exps * c / d2
     return _first_fault(m, pp, ("value", "gradient coefficient", "Hessian factor"), values)
@@ -280,9 +280,9 @@ class _PairKernel:
     size sqrt(I_cm / M), which by Lagrange's identity is sqrt(sum_p
     weight_p d_p^2): the centre of mass never enters, so the guard does
     not move with the origin.  gradients() makes one power
-    call, d^(-exp-2) for both terms, and sums both gradients with one
-    small matmul with E; terms() reads W, V, the force sums and the
-    Hessian from the same pass.
+    call, d^(-exp-2) for both terms by np.float_power (libm's pow, as **
+    on floats), and sums both gradients with one small matmul with E;
+    terms() reads W, V, the force sums and the Hessian from the same pass.
 
     A position array of the masses' own shape, (n,) or (B, n), is a line:
     its pair differences are x E, and terms() builds only the line's
@@ -360,7 +360,7 @@ class _PairKernel:
         V, (..., 2, n) on a line.
         """
         diff, d2, collided = self.pairs(r, strict)
-        pw = d2[..., None, :] ** self.half_exps
+        pw = np.float_power(d2[..., None, :], self.half_exps)
         # d/dr_i [coef * d^-exp] = -exp * coef * d^(-exp-2) * (r_i - r_j);
         # body j picks up the opposite sign, the force magnitude the same one.
         c = self.kc * pw
@@ -448,9 +448,11 @@ def _float_pass(kernel: _PairKernel, d: int, m=None):
     out for (n, d) and compiles once per shape in a process.  The kernel's
     size weights, coef and kc enter as arguments of its factory, never as
     literals, so binding another kernel of a compiled shape compiles
-    nothing.  It makes one numpy call, not about 25: the same power call
-    on the same (2, P) shape (libm's pow, behind ** on floats, differs
-    from numpy's in the last bit on some inputs).  W and V are summed left
+    nothing.  It makes no numpy call: each power is q ** e, libm's pow,
+    which is what the numpy pass's np.float_power calls too (np.power may
+    take a SIMD loop that differs in the last bit).  A power past the
+    largest float raises OverflowError there, where float_power gives inf,
+    and the body hands that state to the numpy pass.  W and V are summed left
     to right from 0, as np.add.reduce sums below 8 terms, and each
     coordinate's gradient is +0 plus its signed pair terms in pair order,
     as the matmul with E adds them (for n <= 3 at most two, which add with
@@ -483,21 +485,23 @@ def _float_pass(kernel: _PairKernel, d: int, m=None):
         return numpy_pass
     near_guard = (1.0 + 1e-14) * GUARD_FACTOR * GUARD_FACTOR
     values = np.concatenate([kernel.weights, kernel.coef.ravel(), kernel.kc.ravel()]).tolist()
+    exps = kernel.half_exps.ravel().tolist()
     if m is None:
-        return _float_body(n, d)(*values, numpy_pass, kernel.half_exps, near_guard)
+        return _float_body(n, d)(*values, numpy_pass, *exps, near_guard)
     sz = n * d
 
     def numpy_field(rp):
         _, _, g_w, g_v = numpy_pass(rp[:sz])
         return [*map(operator.truediv, rp[sz:], m), *map(operator.add, g_w, g_v)]
 
-    return _float_body(n, d, field=True)(*values, numpy_field, kernel.half_exps, near_guard, *m)
+    return _float_body(n, d, field=True)(*values, numpy_field, *exps, near_guard, *m)
 
 
 @functools.lru_cache(maxsize=None)
 def _float_body(n: int, d: int, field: bool = False):
-    """make(*weights, *coef.ravel(), *kc.ravel(), numpy_pass, half_exps, near_guard)
-    -> run, the float pass of n bodies in d dimensions (see _float_pass).
+    """make(*weights, *coef.ravel(), *kc.ravel(), numpy_pass, hw, hv, near_guard)
+    -> run, the float pass of n bodies in d dimensions (see _float_pass);
+    hw and hv are the half exponents -(a + 2) / 2 and -(b + 2) / 2.
 
     With field, make also takes the masses m<c> of the coordinates, and
     run(t, rp) is the Cartesian field's body: it reads the momenta p<c>
@@ -507,8 +511,8 @@ def _float_body(n: int, d: int, field: bool = False):
     The source depends on (n, d) alone.  Pair p's values are make's
     parameters w<p> (size weight), cw<p>, cv<p> (coef) and kw<p>, kv<p>
     (kc), and run names r<c> the coordinates, x<p>_<k> pair p's difference
-    on axis k and q<p> its squared distance, in the operations and order
-    of the numpy pass.
+    on axis k, q<p> its squared distance and pw<p>, pv<p> its powers q<p>
+    ** hw, q<p> ** hv, in the operations and order of the numpy pass.
     """
     i, j = (ends.tolist() for ends in _incidence(n)[:2])
     pairs, coords = range(len(i)), range(n * d)
@@ -527,14 +531,18 @@ def _float_body(n: int, d: int, field: bool = False):
     arg = "rp" if field else "r"
     lines = [
         f"def make({names('w')}, {names('cw')}, {names('cv')}, {names('kw')}, {names('kv')},",
-        f"         numpy_pass, half_exps, near_guard{', ' + names('m', coords) if field else ''}):",
+        f"         numpy_pass, hw, hv, near_guard{', ' + names('m', coords) if field else ''}):",
         "    def run(t, rp):" if field else "    def run(r):",
         f"        {names('r', coords)},{' ' + names('p', coords) + ',' if field else ''} = {arg}",
         *(f"        x{p}_{k} = r{i[p] * d + k} - r{j[p] * d + k}" for p in pairs for k in range(d)),
         *(f"        q{p} = " + " + ".join(f"x{p}_{k} * x{p}_{k}" for k in range(d)) for p in pairs),
         f"        if {q_min} <= near_guard * ({from_zero(f'+ w{p} * q{p}' for p in pairs)}) + 1e-300:",
         f"            return numpy_pass({arg})",
-        f"        ({names('pw')},), ({names('pv')},) = power(array([{names('q')}]), half_exps).tolist()",
+        "        try:",
+        f"            {', '.join(f'pw{p}, pv{p}' for p in pairs)} = "
+        f"{', '.join(f'q{p} ** hw, q{p} ** hv' for p in pairs)}",
+        "        except ArithmeticError:  # a power past the largest float, or 0 ** -e",
+        f"            return numpy_pass({arg})",
         *([] if field else [
             f"        w = {from_zero(f'+ cw{p} * (pw{p} * q{p})' for p in pairs)}",
             f"        v = {from_zero(f'+ cv{p} * (pv{p} * q{p})' for p in pairs)}"]),
@@ -551,7 +559,7 @@ def _float_body(n: int, d: int, field: bool = False):
     else:
         lines.append(f"        return w, v, [{names('gw', coords)}], [{names('gv', coords)}]")
     lines.append("    return run")
-    scope = {"power": np.power, "array": np.array, "isfinite": math.isfinite}
+    scope = {"isfinite": math.isfinite}
     name = f"<float {'field' if field else 'pass'} n={n} d={d}>"
     exec(compile("\n".join(lines), name, "exec"), scope)
     return scope["make"]
@@ -647,10 +655,11 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
     (see integrate).  Four bodies on the line and five or more keep a
     numpy body, and have no floats (integrate calls f at an array of each
     stage state): around the numpy pass a float body
-    measured 1.6-1.9x slower per call (n = 4...7; the field does little
-    around the kernel pass), while at four bodies in the plane the float
-    pass took 7.3-7.7 us per call against 11.5-12.9 us for the numpy body
-    (CPython 3.11, numpy 2.4, 2 cores, best of 7 in three alternations).
+    is slower per call (the field does little around the kernel pass),
+    while the float bodies make no numpy call: at four bodies in the plane
+    the float body takes 2.7 us per call against 12.6-12.8 us for the
+    numpy body, and at two bodies in the plane 0.6 us (CPython 3.11,
+    numpy 2.4, 2 cores, best of 7 in three alternations).
     """
     shape = (2, ms.n, dim)
     kernel = _kernel(ms.masses, pp)

@@ -8,6 +8,7 @@ signs and exponents independently of any discretization.
 import math
 import operator
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from conftest import (
     random_masses,
 )
 from qhnbody.central_config import restricted_hessian, tangent_basis
-from qhnbody.errors import CollisionError, NotOnSphereError
+from qhnbody.errors import CollisionError, NotOnSphereError, StiffnessError
+from qhnbody.integrate import integrate
 from qhnbody.mcgehee import McGeheeState, mcgehee_field, vector_field
 from qhnbody.model import (
     GUARD_FACTOR,
@@ -535,6 +537,112 @@ def test_the_float_pass_of_three_bodies_falls_back_on_a_gradient_past_the_float_
         t = kernel.terms(r, force=False)[0]
     assert len(passes) == 2 and np.isnan(got[2] + got[3]).any()
     assert _pass_bytes(*got) == _terms_bytes(t)
+
+
+# the exponents -(exp + 2) / 2 the kernel raises squared distances to, at
+# the edges of the exponent table: a in {0, 1, 2.5} and b in {1.5, 2, 3, 7}
+_HALF_EXPS = sorted({-(e + 2.0) / 2.0 for e in (0.0, 1.0, 2.5, 1.5, 2.0, 3.0, 7.0)})
+
+
+def _python_pow(q, e):
+    """q ** e in Python floats, inf where it passes the float range (Python raises there)."""
+    try:
+        return q ** e
+    except OverflowError:
+        return math.inf
+
+
+def test_numpy_s_float_power_is_python_s_float_pow_bit_for_bit(rng):
+    # the kernel's numpy pass forms d^(-exp-2) with np.float_power and its
+    # float pass with **; both must be libm's pow for the passes to agree
+    q = 10.0 ** rng.uniform(-150.0, 150.0, 20_000)
+    with np.errstate(over="ignore"):
+        for e in _HALF_EXPS:
+            got, want = np.float_power(q, e), np.array([_python_pow(x, e) for x in q.tolist()])
+            assert got.tobytes() == want.tobytes(), (
+                f"np.float_power(q, {e}) differs from q ** {e} in {np.count_nonzero(got != want)} "
+                f"of {q.size} values: suspect numpy's pow dispatch (a SIMD loop in place of "
+                "libm's pow), which parts the kernel's numpy pass from its float pass")
+
+
+@pytest.mark.parametrize("n, d", sorted(_FLOAT_SHAPES))
+def test_a_power_past_the_float_range_goes_to_the_numpy_pass(rng, monkeypatch, n, d):
+    # the first pair at q = 1e-200 with b = 3: q ** -2.5 raises OverflowError
+    # in Python floats, where the numpy pass's float_power gives inf, so the
+    # body hands that state to the numpy pass and raises nothing
+    passes = count_kernel_passes(monkeypatch)
+    masses = random_masses(rng, n).masses
+    kernel = _PairKernel(masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
+    r = random_config(rng, n, d)
+    r *= 1e-100 / np.linalg.norm(r[0] - r[1])
+    rp = [*r.ravel().tolist(), *rng.standard_normal(n * d).tolist()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _float_pass(kernel, d)(rp[: n * d])
+        body = _float_pass(kernel, d, np.repeat(masses, d).tolist())(0.0, rp)
+        t = kernel.terms(r, force=False)[0]
+    assert len(passes) == 3 and math.isinf(got[1])
+    assert _pass_bytes(*got) == _terms_bytes(t)
+    want = [*map(operator.truediv, rp[n * d :], np.repeat(masses, d).tolist()),
+            *(t.grad_W + t.grad_V).ravel().tolist()]
+    assert _float_bytes(body) == np.array(want).tobytes()
+
+
+def test_a_stage_past_the_float_range_is_rejected_as_by_the_numpy_pass(monkeypatch):
+    # two bodies closing from just above the separation where d^-5 passes
+    # the float range: the float body meets OverflowError in stage after
+    # stage and hands each to the numpy pass, and integrate rejects those
+    # steps as it does a field built on the numpy pass, to the same end
+    passes = count_kernel_passes(monkeypatch)
+    ms, pp = MassSystem(np.array([1.0, 1.0])), PotentialParams(a=1.0, b=3.0, alpha=0.0, beta=1e-300)
+    kernel = _kernel(ms.masses, pp)
+
+    def numpy_field(t, y):
+        g = kernel.gradients(y[:2])[-1]
+        return np.concatenate([y[2:] / ms.masses, g[0] + g[1]])
+
+    ends = []
+    for field in (cartesian_field(ms, pp, 1), numpy_field):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StiffnessError) as exc:
+            integrate(field, np.array([0.0, 3.2e-62, 0.0, -1e-63]), (0.0, 1.0))
+        ends.append((str(exc.value), exc.value.t, exc.value.state.tobytes()))
+        if field is not numpy_field:
+            assert len(passes) > 10  # the float body's handovers
+    assert "non-finite step" in ends[0][0] and ends[0] == ends[1]
+
+
+def _numpy_calls(fn, *args):
+    """The numpy functions and methods that fn(*args) calls, read from
+    sys.setprofile's c_call events.  A ufunc called by itself makes no such
+    event, but the arrays it takes and the numpy values it returns do."""
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            module = getattr(arg, "__module__", None) or type(owner).__module__
+            if module.partition(".")[0] == "numpy":
+                called.append(arg.__qualname__)
+
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    _float_bytes(out)
+    return called
+
+
+@pytest.mark.parametrize("n, d", sorted(_FLOAT_SHAPES))
+def test_the_float_bodies_make_no_numpy_call(rng, n, d):
+    ms, pp = random_masses(rng, n), PotentialParams(a=0.5, b=2.5, alpha=1.3, beta=0.7)
+    y = [*random_config(rng, n, d).ravel().tolist(), *rng.standard_normal(n * d).tolist()]
+    assert _numpy_calls(cartesian_field(ms, pp, d).floats, 0.3, y) == []
+    for with_time in (False, True):
+        field = mcgehee_field(ms, pp, d, with_time=with_time)
+        state = [0.4, -0.2, *y, *[0.7] * with_time]
+        assert _numpy_calls(field.floats, 0.3, state) == []
+    # the probe sees the calls of a numpy pow line, power(array(q), e).tolist()
+    assert _numpy_calls(lambda: np.array(y).tolist()) == ["array", "ndarray.tolist"]
 
 
 def test_a_second_kernel_of_a_compiled_shape_compiles_nothing(rng):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -152,6 +153,41 @@ def test_the_tolerance_mode_bounds_gaps_distances_and_floors_relatively(tmp_path
         assert "relative 1.0e-05" in capsys.readouterr().out
 
 
+def _census_op(x=-0.5598206393294167, index=0, residual=1.8189894035458565e-12):
+    """One census operation of a dump: a solve's result, with the values a test moves."""
+    result = {"config": {"positions": [[x, 0.0], [0.4999172994739529, 0.0]]},
+              "sigma": -1126.058513216983, "residual": residual, "index": index,
+              "hess_eigs": [24541.44438018995, float("inf")],
+              "ordering": {"perm": (1, 2)}, "sigma1": None, "newton_iters": 3}
+    return {"census/seed11/0000/check": "ok\n",
+            "census/seed11/0000/result": "".join(f"{k} = {v!r}\n" for k, v in result.items())}
+
+
+@pytest.mark.parametrize("change, within", [
+    ({"x": math.nextafter(-0.5598206393294167, 0.0)}, True),  # a position one ulp off
+    ({"residual": 1.8e-12 + R / 2}, True),  # a residual off by R / 2 absolutely
+    ({"x": -0.5598206393294167 * (1.0 + 10 * R)}, False),
+    ({"residual": 2e-6}, False),
+    ({"index": 1}, False),  # a changed index
+])
+def test_the_tolerance_mode_compares_census_results_field_by_field(tmp_path, capsys, change,
+                                                                    within):
+    old = write_dump(tmp_path / "old", _census_op())
+    new = write_dump(tmp_path / "new", _census_op(**change))
+    assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == (0 if within else 1)
+    out = capsys.readouterr().out
+    assert out.startswith(f"census seed11: 1 ops, 1 differing, {int(within)} within 1e-06")
+    assert ("first beyond census/seed11/0000/result: " in out) != within
+
+
+def test_the_tolerance_mode_refuses_a_census_result_with_other_keys(tmp_path, capsys):
+    old = write_dump(tmp_path / "old", _census_op())
+    text = _census_op()["census/seed11/0000/result"].replace("sigma1 = None\n", "")
+    new = write_dump(tmp_path / "new", {**_census_op(), "census/seed11/0000/result": text})
+    assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == 1
+    assert "result: keys [" in capsys.readouterr().out
+
+
 def test_dump_ops_refuses_a_tree_without_the_package(tmp_path):
     (tmp_path / "bench").mkdir()
     (tmp_path / "bench" / "workloads.py").write_text("")
@@ -183,9 +219,9 @@ def test_compare_trees_dumps_the_other_tree_then_this_one_and_prints_the_compari
         "census seed11: 2 ops, 1 differing, first census/seed11/0001/result\n"
         "census seed12: 1 ops, 0 differing\n"
         "flow seed11: 2 ops, 0 differing\n")
-    # --rel goes to compare_dumps
-    assert compare_trees.main([str(parent), "--rel", "1e-6"]) == 1
-    assert "1 differing, 0 within 1e-06" in capsys.readouterr().out
+    # --rel goes to compare_dumps, which reads the moved sigma as within R
+    assert compare_trees.main([str(parent), "--rel", "1e-6"]) == 0
+    assert "1 differing, 1 within 1e-06" in capsys.readouterr().out
 
 
 def test_compare_trees_refuses_a_tree_without_the_package(tmp_path, capsys):

@@ -15,26 +15,32 @@ any operation differs and 0 otherwise; dumps with no operation at all
 exit 2, since an empty comparison shows nothing.
 
 With --rel R a differing operation is within R when both sides hold the
-same files, every file but the JSON and CSV outputs (exit, stdout,
-stderr, check, error, result) is identical, and
+same files, every file but the JSON, CSV and result outputs (exit,
+stdout, stderr, check, error) is identical, and
 
   - each JSON file has the same keys and the same non-float values, and
     each float is within R of the larger magnitude of the two;
   - each CSV file has the same header, and its last row holds the same
-    non-numeric cells and numbers within R.  Row counts may differ.
+    non-numeric cells and numbers within R.  Row counts may differ;
+  - each result file has the same ``k = repr`` lines in the same order,
+    each value read back and compared as a JSON value under its key k: a
+    census solve's ordering, index and counts exactly, its positions, sigma
+    and eigenvalues within R.  A value that does not read back (inf, nan)
+    must match as text.
 
 The floats of the keys and columns named in ROUNDING_LEVEL (conserved-
-quantity residuals, energy drifts and defects, and the gap between two
-computations of one size) sit at rounding level, where a relative bound
-means nothing; each of those is within R when the two differ by at most
-R absolutely.  Each line then also reads ``<w> within R`` and the summed
-CSV row counts of both sides, and names the first operation beyond R
-with the reason.  The exit code is 0 when no operation is beyond R.
+quantity residuals, energy drifts and defects, a central configuration's
+residual, and the gap between two computations of one size) sit at
+rounding level, where a relative bound means nothing; each of those is
+within R when the two differ by at most R absolutely.  Each line then
+also reads ``<w> within R`` and the summed CSV row counts of both sides,
+and names the first operation beyond R with the reason.  The exit code is 0 when no operation is beyond R.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import io
 import json
@@ -46,7 +52,7 @@ from pathlib import Path
 ROUNDING_LEVEL = frozenset({
     "energy_residual_max", "angmom_residual_max", "energy_residual", "angmom_residual",
     "manifold_residual_max", "manifold_residual", "k_drift", "k_defect", "rho_max_gap",
-    "cc_defect",
+    "cc_defect", "residual", "max_residual",
 })
 
 
@@ -143,6 +149,31 @@ def _csv_beyond(old: list, new: list, rel: float) -> str | None:
     return next((f"last row {why}" for why in found if why), None)
 
 
+def _result_fields(text: str) -> list[tuple[str, object]]:
+    """The (key, value) lines of a result file, each value read back from its
+    repr, or kept as text where it does not read back (inf, nan)."""
+    fields = []
+    for line in text.splitlines():
+        key, _, value = line.partition(" = ")
+        try:
+            value = ast.literal_eval(value)
+        except (ValueError, SyntaxError):
+            pass
+        fields.append((key, value))
+    return fields
+
+
+def _result_beyond(old: str, new: str, rel: float) -> str | None:
+    """Why the result file new is not old within rel (the same keys in order,
+    each value within rel as a JSON value under its key), or None."""
+    old_fields, new_fields = _result_fields(old), _result_fields(new)
+    keys = [key for key, _ in old_fields], [key for key, _ in new_fields]
+    if keys[0] != keys[1]:
+        return f"keys {keys[0]} -> {keys[1]}"
+    found = (_json_beyond(a, b, rel, key) for (key, a), (_, b) in zip(old_fields, new_fields))
+    return next((why for why in found if why), None)
+
+
 def beyond(old: Path, new: Path, rel: float) -> tuple[str | None, int, int]:
     """(why operation new is not operation old within rel, or None; the CSV
     rows of old; the CSV rows of new)."""
@@ -162,6 +193,8 @@ def beyond(old: Path, new: Path, rel: float) -> tuple[str | None, int, int]:
             continue
         elif rel_path.endswith(".json"):
             found = _json_beyond(json.loads(a), json.loads(b), rel)
+        elif rel_path == "result":
+            found = _result_beyond(a.decode(), b.decode(), rel)
         else:
             found = "differs"
         if found and why is None:
