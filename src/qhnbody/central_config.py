@@ -19,9 +19,8 @@ decreasing.
 
 from __future__ import annotations
 
-import functools
 import math
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import permutations
 
@@ -37,7 +36,6 @@ from .errors import (
 )
 from .model import (
     _HUGE,
-    _PP_BITS,
     _TINY,
     Configuration,
     MassSystem,
@@ -409,14 +407,6 @@ def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
 
 
 def _normal_form(pp: PotentialParams, inertia_I0: float):
-    """_unit_form of (pp, inertia_I0), computed once per process for the bits of pp and each
-    size (a size that cannot be hashed, such as a 0-d array, is mapped at every call)."""
-    form = _unit_form if isinstance(inertia_I0, Hashable) else _unit_form.__wrapped__
-    return form(_PP_BITS.pack(pp.a, pp.b, pp.alpha, pp.beta), pp, inertia_I0)
-
-
-@functools.lru_cache(maxsize=64)
-def _unit_form(bits: bytes, pp: PotentialParams, inertia_I0: float):
     """(pp_1, sqrt(I0), c / I0, c / sqrt(I0)): the CC problem of (pp, I0) at unit size with
     the larger coefficient 1, and the factors that map its results back to the size I0.
 

@@ -30,7 +30,7 @@ from .errors import (
     EnergySignError,
     NoConvergenceError,
 )
-from .integrate import Event, Trajectory, integrate
+from .integrate import Event, Trajectory, float_field, integrate
 from .model import (
     Configuration,
     MassSystem,
@@ -155,10 +155,7 @@ def heteroclinic_orbit(
         rho_pow = rho**w_exp if rho > 0.0 else 0.0
         return [rho * v, w_exp * rho_pow * w0 + b * rho**b * h]
 
-    def field(t, y):
-        return np.array(floats(t, y.tolist()))
-
-    field.floats = floats  # integrate's stage states reach it as lists
+    field = float_field(floats)  # integrate's states reach floats as lists
 
     v_start = np.sqrt(_v2(rho_floor, w0, v0_pot, pp, h))
     y0 = np.array([rho_floor, v_start])

@@ -17,11 +17,12 @@ Each step runs on Python floats: a straight-line stage loop and error
 norm written out for the state size and compiled per size, the last 16
 sizes kept in a process (_float_kernel), where each stage state is a
 fresh list y_i + h (a_s0 k0_i + a_s3 k3_i + ...) over the tableau row's
-nonzero entries, summed left to right, the same on every IEEE machine.  A field
-with a float body, field.floats(t, list) -> list, is called on those
-lists; any other field is called on a fresh array of each list, and its
-value is read back as a list.  The renormalizer, events and monitors
-get arrays; the dense output is numpy.
+nonzero entries, summed left to right, the same on every IEEE machine.  Every
+field call goes through the field's float body, field.floats(t, list) ->
+list, on a list of each state; a field without one is given one
+(_on_lists), which calls the field at a fresh array of the list and reads
+its value back as a list.  float_field makes a field of a float body.  The
+renormalizer, events and monitors get arrays; the dense output is numpy.
 """
 
 from __future__ import annotations
@@ -211,14 +212,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _stage_state(s, y, h, k) -> np.ndarray:
-    """y + h * (_A[s, :s] @ k[:s]), a fresh array that a field may keep."""
-    z = np.dot(_ROWS[s], k[:s])
-    z *= h
-    z += y
-    return z
-
-
 def _terms(weights, row):
     """The signed terms w * k<j>_<row> of the nonzero weights w, in order of j."""
     return [f"{w!r} * k{j}_{row}" for j, w in enumerate(weights.tolist()) if w]
@@ -306,15 +299,16 @@ def _float_kernel(dim: int):
             _compiled(error, "error", f"<float error dim={dim}>"))
 
 
-def _dense_coef(field_fn, t0, h, y0, y1, k) -> np.ndarray:
+def _dense_coef(floats, t0, h, y0, y1, k) -> np.ndarray:
     """The (7, dim) coefficients of the dense output of one step, from its 13
     stage rows k (read, not written; k[12] is the field at the stored end
-    state, which a renormalizer may have moved off y1) and 3 extra stages."""
+    state, which a renormalizer may have moved off y1) and 3 extra stages,
+    each a call of the float body floats on a list of its state."""
     dy = y1 - y0
     kd = np.empty((16, dy.size))
     kd[:13] = k
     for s in range(13, 16):
-        kd[s] = field_fn(t0 + _NODES[s] * h, _stage_state(s, y0, h, kd))
+        kd[s] = floats(t0 + _NODES[s] * h, (y0 + h * np.dot(_ROWS[s], kd[:s])).tolist())
     coef = np.empty((7, dy.size))
     coef[0] = dy
     coef[1] = h * kd[0] - dy
@@ -341,6 +335,19 @@ def _on_lists(field_fn):
     return floats
 
 
+def float_field(floats):
+    """The field f(t, y) of the float body floats(t, list) -> list: floats at
+    the values of y as a list, made an array; f.floats is floats, which
+    integrate calls on its states as lists.  f takes floats' module, so a
+    profile or tracer files its calls under the module that made floats."""
+
+    def field(t, y):
+        return np.array(floats(t, y.reshape(-1).tolist()))
+
+    field.__module__, field.floats = floats.__module__, floats
+    return field
+
+
 def _all_finite(v) -> bool:
     return all(map(math.isfinite, v))
 
@@ -349,7 +356,7 @@ def _rms_norm(x: np.ndarray) -> float:
     return math.sqrt((x * x).sum() / x.size)
 
 
-def _initial_step(field_fn, t0, y0, f0, t1, rel_tol, abs_tol, max_step):
+def _initial_step(floats, t0, y0, f0, t1, rel_tol, abs_tol, max_step):
     scale = abs_tol + rel_tol * np.abs(y0)
     d0 = _rms_norm(y0 / scale)
     d1 = _rms_norm(f0 / scale)
@@ -357,7 +364,7 @@ def _initial_step(field_fn, t0, y0, f0, t1, rel_tol, abs_tol, max_step):
     h0 = min(h0, abs(t1 - t0))
     y1 = y0 + h0 * f0
     try:
-        f1 = np.asarray(field_fn(t0 + h0, y1), dtype=float)
+        f1 = np.array(floats(t0 + h0, y1.tolist()))
         d2 = _rms_norm((f1 - f0) / scale) / h0
     except (QHError, ArithmeticError):
         d2 = np.inf
@@ -416,17 +423,14 @@ def integrate(
     unchanged, and so does any error of the field calls made for the
     dense output or for an event's step, outside the step-size control.
 
-    Each step runs in the float kernel (see the module).  A field may
-    carry its body in Python floats as field_fn.floats, a callable
-    (t, list) -> list whose values are field_fn's bit for bit; the stages
-    of each step, an event's step and the end state of each accepted step
-    then reach that body as fresh lists, and the lists it returns are the
-    step's stage rows, read but never written.  A field without one is
-    called at a fresh array of each such list, which it may keep.  The
-    renormalizer, events, monitors and StiffnessError.state get arrays,
-    made from the lists; the dense output's three stages reach the body
-    as lists of its numpy stage states.  The first call, at t0, and the
-    initial step's probe are array calls.
+    Each step runs in the float kernel (see the module), and every field
+    call, from the first at t0 to the dense output's, reaches the field's
+    body in Python floats, field_fn.floats, a callable (t, list) -> list
+    whose values are field_fn's bit for bit, as a fresh list of its state;
+    the lists it returns are the step's stage rows, read but never
+    written.  A field without one is called at a fresh array of each such
+    list, which it may keep.  The renormalizer, events, monitors and
+    StiffnessError.state get arrays, made from the lists.
     """
     t0, t1 = float(span[0]), float(span[1])
     if not t1 > t0:
@@ -447,27 +451,23 @@ def integrate(
     if renormalizer is not None:
         y = np.asarray(renormalizer(y), dtype=float)
 
+    floats = getattr(field_fn, "floats", None) or _on_lists(field_fn)
     try:
-        f = np.asarray(field_fn(t0, y), dtype=float)
-        if not np.isfinite(f).all():
+        f = floats(t0, y.tolist())
+        if not _all_finite(f):
             raise FieldError(f"field not finite at t = {t0!r}")
     except FieldError:
         raise
     except Exception as exc:
         raise FieldError(f"field evaluation failed at t = {t0!r}: {exc}") from exc
 
-    h = _initial_step(field_fn, t0, y, f, t1, rel_tol, abs_tol, max_step)
-
-    floats = getattr(field_fn, "floats", None) or _on_lists(field_fn)
+    h = _initial_step(floats, t0, y, np.array(f), t1, rel_tol, abs_tol, max_step)
     step, error = _float_kernel(y.size)
-
-    def on_arrays(t, z):  # the dense output's stage states
-        return floats(t, z.tolist())
 
     t = t0
     ev_values = [float(ev.fn(t, y)) for ev in events]
     ev_hits: dict[str, list] = {ev.name: [] for ev in events}
-    y, f = y.tolist(), np.broadcast_to(f, y.shape).tolist()
+    y = y.tolist()
     times = [t]
     states = [y]
     termination = "time-budget"
@@ -543,7 +543,7 @@ def integrate(
         if falling:
             # the dense output, from the raw y1, only for a step in which an event falls
             y_start = np.array(y)
-            coef = _dense_coef(on_arrays, t, h, y_start, np.array(y1), np.array([*rows, f_new]))
+            coef = _dense_coef(floats, t, h, y_start, np.array(y1), np.array([*rows, f_new]))
             hits = sorted([(_locate_event(ev, coef, t, h, y_start), ev) for ev in falling],
                           key=lambda pair: pair[0])
         stop_at = None

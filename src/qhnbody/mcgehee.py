@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, ZeroSizeError
+from .integrate import float_field
 from .model import (
     Configuration,
     MassSystem,
@@ -174,8 +175,8 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     ValueError naming both lengths.  One body in Python floats for every
     n, on _float_pass, with u^T M^{-1} u summed as numpy sums an array
     (_sum): bit for bit with the equations composed in numpy.  That body
-    is also field.floats, (tau, list) -> list, which integrate calls on
-    its stage states as lists (see integrate); for the shapes of
+    is field.floats, (tau, list) -> list, which integrate calls on every
+    state as a list, and field is float_field of it; for the shapes of
     _FLOAT_SHAPES it makes no numpy call, 6.1 us per call at three
     bodies in the plane and 8.1 us at four (CPython 3.11, numpy 2.4, best
     of 7).  At a = 1 the W-term's factor a is an exact multiply.
@@ -202,11 +203,7 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
             out.append(rho**t_exp if rho > 0.0 else 0.0)
         return out
 
-    def field(tau, y):
-        return np.array(floats(tau, y.reshape(-1).tolist()))
-
-    field.floats = floats
-    return field
+    return float_field(floats)
 
 
 def _sum(xs: list) -> float:

@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CollisionError
+from .integrate import float_field
 
 # Pairwise distances at or below GUARD_FACTOR * sqrt(I_cm / M) count as a
 # collision, with I_cm the moment of inertia about the centre of mass and M
@@ -207,15 +208,6 @@ def _pair_constants(mm: np.ndarray, pp: PotentialParams):
     return coef, np.array([[-pp.a], [-pp.b]]) * coef, -0.5 * exps, -exps
 
 
-@functools.lru_cache(maxsize=256)
-def _floors(pp: PotentialParams, names: tuple) -> np.ndarray:
-    """float_domain_fault's read-only floors of |value| by (quantity, term), 0 where not required."""
-    lo = np.array([[_TINY if coeff > 0.0 and (exp > 0.0 or q in ("coef", "value")) else 0.0]
-                   for q in names for coeff, exp in ((pp.alpha, pp.a), (pp.beta, pp.b))])
-    lo.flags.writeable = False
-    return lo
-
-
 def float_domain_fault(m: np.ndarray, pp: PotentialParams, d2: float | None = None, bound=None):
     """The first value of the pair kernel of (m, pp) outside the normal floats, or None.
 
@@ -255,7 +247,10 @@ def _first_fault(m: np.ndarray, pp: PotentialParams, names: tuple, values: tuple
     """float_domain_fault's ordered search of values, one (..., 2, P) array per quantity in
     names, for the first value outside the normal floats."""
     values = np.concatenate(values, axis=-2)  # rows (quantity, term)
-    ok = ((size := np.abs(values)) >= _floors(pp, names)) & (size <= _HUGE)
+    # the floors of |value| by (quantity, term), 0 where not required
+    floors = [[_TINY if coeff > 0.0 and (exp > 0.0 or q in ("coef", "value")) else 0.0]
+              for q in names for coeff, exp in ((pp.alpha, pp.a), (pp.beta, pp.b))]
+    ok = ((size := np.abs(values)) >= floors) & (size <= _HUGE)
     off = [[pp.alpha == 0.0], [pp.beta == 0.0]] * len(names)  # inactive: 0, or NaN of 0 inf
     if ok.all() or (ok := ok | off).all():
         return None
@@ -436,11 +431,14 @@ _FLOAT_SHAPES = frozenset({(2, 1), (2, 2), (3, 1), (3, 2), (4, 2)})
 def _float_pass(kernel: _PairKernel, d: int, m=None):
     """run(r) -> (W, V, grad_W, grad_V) as Python floats, kernel.terms' values bit for bit.
 
-    With m, the n d masses coordinate by coordinate, and a shape in
-    _FLOAT_SHAPES, it returns instead the Cartesian field's body run(t,
-    rp) -> [p / m, grad_W + grad_V] on the flat state rp = [r, p]: one
-    straight-line body that skips W and V, and that falls back where run
-    falls back, to the numpy pass with the same division and addition.
+    With m, the n d masses coordinate by coordinate, it returns instead the
+    Cartesian field's body run(t, rp) -> [p / m, grad_W + grad_V] on the
+    flat state rp = [r, p], for every shape: it makes no W or V, and a
+    state of another length raises ValueError.  Outside _FLOAT_SHAPES, and
+    wherever the compiled body below falls back, that body is the numpy
+    field pass: kernel.gradients at r, the two gradients added and p
+    divided by m in the same IEEE operations, so every body gives the same
+    values bit for bit.
 
     r lists the n d coordinates body by body, d = 1 or 2, as do both
     gradients.  For the shapes in _FLOAT_SHAPES, up to three bodies and
@@ -466,35 +464,35 @@ def _float_pass(kernel: _PairKernel, d: int, m=None):
     test_the_float_pass_of_four_bodies_in_the_plane_is_the_kernel_pass_bit_for_bit,
     so a failure there on another build reads as a change of BLAS kernel
     (small-matrix or split-K), not a fault of this pass.  Four bodies on
-    the line and every n >= 5 run kernel.terms' numpy pass itself: on the
+    the line and every n >= 5 run the numpy pass itself: on the
     line the (n, P) @ (P, 1) product is a gemv, whose blocked sum is not
     pair order (it differed in about half of 5,000 seeded draws at n =
     4), and from five bodies numpy sums the P >= 10 pair terms pairwise.
-    kernel.terms also takes a configuration within 1e-14
+    The numpy pass also takes a configuration within 1e-14
     of the guard or near the float floor (numpy's guard dot product is an
     FMA chain), and from n = 3 a gradient that is not finite (E's zeros
     then multiply inf into NaN).
     """
     n = kernel.m_col.shape[0]
+    if m is None:
+        def numpy_pass(r):
+            t = kernel.terms(np.array(r).reshape(n, d), force=False)[0]
+            return t.W, t.V, t.grad_W.ravel().tolist(), t.grad_V.ravel().tolist()
+    else:
+        sz = n * d
 
-    def numpy_pass(r):
-        t = kernel.terms(np.reshape(r, (n, d)), force=False)[0]
-        return t.W, t.V, t.grad_W.ravel().tolist(), t.grad_V.ravel().tolist()
+        def numpy_pass(t, rp):
+            if len(rp) != 2 * sz:
+                raise ValueError(f"a flat Cartesian state of {len(rp)} values, need {2 * sz}")
+            g = kernel.gradients(np.array(rp[:sz]).reshape(n, d))[-1]
+            return [*map(operator.truediv, rp[sz:], m), *(g[0] + g[1]).ravel().tolist()]
 
     if (n, d) not in _FLOAT_SHAPES:
         return numpy_pass
     near_guard = (1.0 + 1e-14) * GUARD_FACTOR * GUARD_FACTOR
     values = np.concatenate([kernel.weights, kernel.coef.ravel(), kernel.kc.ravel()]).tolist()
     exps = kernel.half_exps.ravel().tolist()
-    if m is None:
-        return _float_body(n, d)(*values, numpy_pass, *exps, near_guard)
-    sz = n * d
-
-    def numpy_field(rp):
-        _, _, g_w, g_v = numpy_pass(rp[:sz])
-        return [*map(operator.truediv, rp[sz:], m), *map(operator.add, g_w, g_v)]
-
-    return _float_body(n, d, field=True)(*values, numpy_field, *exps, near_guard, *m)
+    return _float_body(n, d, m is not None)(*values, numpy_pass, *exps, near_guard, *(m or ()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -505,8 +503,8 @@ def _float_body(n: int, d: int, field: bool = False):
 
     With field, make also takes the masses m<c> of the coordinates, and
     run(t, rp) is the Cartesian field's body: it reads the momenta p<c>
-    after r, makes no W or V, hands rp to numpy_pass where the pass would
-    hand r, and returns [p<c> / m<c>..., gw<c> + gv<c>...].
+    after r, makes no W or V, hands (t, rp) to numpy_pass where the pass
+    would hand r, and returns [p<c> / m<c>..., gw<c> + gv<c>...].
 
     The source depends on (n, d) alone.  Pair p's values are make's
     parameters w<p> (size weight), cw<p>, cv<p> (coef) and kw<p>, kv<p>
@@ -528,21 +526,22 @@ def _float_body(n: int, d: int, field: bool = False):
                           for p in pairs if c // d in (i[p], j[p])) for c in coords]
 
     q_min = f"min({names('q')})" if len(i) > 1 else "q0"
-    arg = "rp" if field else "r"
+    # run's parameters, handed on as they came to numpy_pass, and the state among them
+    args, state = ("t, rp", "rp") if field else ("r", "r")
     lines = [
         f"def make({names('w')}, {names('cw')}, {names('cv')}, {names('kw')}, {names('kv')},",
         f"         numpy_pass, hw, hv, near_guard{', ' + names('m', coords) if field else ''}):",
-        "    def run(t, rp):" if field else "    def run(r):",
-        f"        {names('r', coords)},{' ' + names('p', coords) + ',' if field else ''} = {arg}",
+        f"    def run({args}):",
+        f"        {names('r', coords)},{' ' + names('p', coords) + ',' if field else ''} = {state}",
         *(f"        x{p}_{k} = r{i[p] * d + k} - r{j[p] * d + k}" for p in pairs for k in range(d)),
         *(f"        q{p} = " + " + ".join(f"x{p}_{k} * x{p}_{k}" for k in range(d)) for p in pairs),
         f"        if {q_min} <= near_guard * ({from_zero(f'+ w{p} * q{p}' for p in pairs)}) + 1e-300:",
-        f"            return numpy_pass({arg})",
+        f"            return numpy_pass({args})",
         "        try:",
         f"            {', '.join(f'pw{p}, pv{p}' for p in pairs)} = "
         f"{', '.join(f'q{p} ** hw, q{p} ** hv' for p in pairs)}",
         "        except ArithmeticError:  # a power past the largest float, or 0 ** -e",
-        f"            return numpy_pass({arg})",
+        f"            return numpy_pass({args})",
         *([] if field else [
             f"        w = {from_zero(f'+ cw{p} * (pw{p} * q{p})' for p in pairs)}",
             f"        v = {from_zero(f'+ cv{p} * (pv{p} * q{p})' for p in pairs)}"]),
@@ -552,14 +551,14 @@ def _float_body(n: int, d: int, field: bool = False):
     if n >= 3:  # the numpy pass's zeros of E multiply an inf into NaN
         lines += [f"        if not isfinite(({' + '.join(f'gw{c}' for c in coords)})"
                   f" + ({' + '.join(f'gv{c}' for c in coords)})):",
-                  f"            return numpy_pass({arg})"]
+                  f"            return numpy_pass({args})"]
     if field:
         lines.append(f"        return [{', '.join(f'p{c} / m{c}' for c in coords)},"
                      f" {', '.join(f'gw{c} + gv{c}' for c in coords)}]")
     else:
         lines.append(f"        return w, v, [{names('gw', coords)}], [{names('gv', coords)}]")
     lines.append("    return run")
-    scope = {"isfinite": math.isfinite}
+    scope = {"isfinite": math.isfinite, "__name__": __name__}  # run's module is this one
     name = f"<float {'field' if field else 'pass'} n={n} d={d}>"
     exec(compile("\n".join(lines), name, "exec"), scope)
     return scope["make"]
@@ -646,41 +645,23 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
     """Right-hand side of the equations of motion in Cartesian variables.
 
     Returns f(t, y) for the flat state y = [r.ravel(), p.ravel()] with
-    rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).  Up to
-    three bodies, and four in the plane, its body is one straight-line
-    function in Python floats, _float_pass with the masses: the float
-    pass with the division and addition written in, bit for bit.  f builds
-    its output with one np.array call, and the body is also f.floats,
-    (t, list) -> list, which integrate calls on its stage states as lists
-    (see integrate).  Four bodies on the line and five or more keep a
-    numpy body, and have no floats (integrate calls f at an array of each
-    stage state): around the numpy pass a float body
-    is slower per call (the field does little around the kernel pass),
-    while the float bodies make no numpy call: at four bodies in the plane
-    the float body takes 2.7 us per call against 12.6-12.8 us for the
-    numpy body, and at two bodies in the plane 0.6 us (CPython 3.11,
-    numpy 2.4, 2 cores, best of 7 in three alternations).
+    rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).  Its
+    one body, at every shape, is _float_pass with the masses, f.floats,
+    (t, list) -> list, which integrate calls on every state as a list;
+    f(t, y) is that body at y's values, made an array (float_field).  Up
+    to three bodies, and four in the plane, the body is one straight-line
+    function in Python floats that makes no numpy call; from four bodies
+    on the line and five in the plane it is the numpy field pass, the
+    kernel's gradients with the division and addition in Python floats.
+    Per call of the body on a list (CPython 3.11, numpy 2.4, 2 cores, best
+    of 9 x 3000 calls, three runs): 0.7 us at two bodies in the plane and
+    3.0-3.2 us at four; 12.4-13.5 us at (4, 1), 13.2-14.5 us at (5, 2),
+    14.1-14.6 us at (6, 2) and 19.8-21.3 us at (12, 2), where integrate
+    took 13.6-14.2, 15.6-16.5, 15.9-16.7 and 20.9-22.4 us to call a numpy
+    array body on lists.  The array call f(t, y) adds 1-3 us of conversion.
     """
-    shape = (2, ms.n, dim)
-    kernel = _kernel(ms.masses, pp)
-    if shape[1:] in _FLOAT_SHAPES:
-        floats, size = _float_pass(kernel, dim, np.repeat(ms.masses, dim).tolist()), 2 * ms.n * dim
-
-        def field(t, y):
-            return np.array(floats(t, y.reshape(size).tolist()))
-
-        field.floats = floats
-        return field
-
-    def field(t, y):
-        rp = y.reshape(shape)
-        out = np.empty(shape)
-        np.divide(rp[1], kernel.m_col, out=out[0])
-        grads = kernel.gradients(rp[0])[-1]
-        np.add(grads[0], grads[1], out=out[1])
-        return out.reshape(y.size)
-
-    return field
+    m = np.repeat(ms.masses, dim).tolist()
+    return float_field(_float_pass(_kernel(ms.masses, pp), dim, m))
 
 
 def pack_phase(state: PhaseState) -> np.ndarray:

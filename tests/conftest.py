@@ -124,6 +124,20 @@ def count_kernel_passes(monkeypatch):
     return passes
 
 
+def count_gradient_passes(monkeypatch):
+    """A list that grows by one per gradients call of the pair kernel: one per numpy pass,
+    a terms call or the Cartesian field's numpy pass, which sums no W or V."""
+    passes = []
+    gradients = model._PairKernel.gradients
+
+    def counted(self, r, strict=True):
+        passes.append(1)
+        return gradients(self, r, strict)
+
+    monkeypatch.setattr(model._PairKernel, "gradients", counted)
+    return passes
+
+
 def fail_linalg(monkeypatch, name):
     """Make np.linalg.<name> raise LinAlgError, as it does on a singular or unconverged input."""
 

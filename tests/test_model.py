@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     circular_two_body,
+    count_gradient_passes,
     count_kernel_bindings,
     count_kernel_passes,
     fd_directional_second,
@@ -486,7 +487,7 @@ def test_the_float_pass_falls_back_to_the_numpy_pass_near_the_guard(rng, monkeyp
     # a pair within 1e-14 of the guard, either side: the numpy pass decides,
     # and the float pass returns its bytes or raises its CollisionError.  A
     # lone pair sets the size itself and is never near the guard, so n >= 3.
-    passes, raised = count_kernel_passes(monkeypatch), set()
+    passes, raised = count_gradient_passes(monkeypatch), set()
     for _ in range(40):
         kernel = _PairKernel(random_masses(rng, n).masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
         r = random_config(rng, n, d, scale=float(n))
@@ -570,7 +571,7 @@ def test_a_power_past_the_float_range_goes_to_the_numpy_pass(rng, monkeypatch, n
     # the first pair at q = 1e-200 with b = 3: q ** -2.5 raises OverflowError
     # in Python floats, where the numpy pass's float_power gives inf, so the
     # body hands that state to the numpy pass and raises nothing
-    passes = count_kernel_passes(monkeypatch)
+    passes = count_gradient_passes(monkeypatch)
     masses = random_masses(rng, n).masses
     kernel = _PairKernel(masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
     r = random_config(rng, n, d)
@@ -592,7 +593,7 @@ def test_a_stage_past_the_float_range_is_rejected_as_by_the_numpy_pass(monkeypat
     # the float range: the float body meets OverflowError in stage after
     # stage and hands each to the numpy pass, and integrate rejects those
     # steps as it does a field built on the numpy pass, to the same end
-    passes = count_kernel_passes(monkeypatch)
+    passes = count_gradient_passes(monkeypatch)
     ms, pp = MassSystem(np.array([1.0, 1.0])), PotentialParams(a=1.0, b=3.0, alpha=0.0, beta=1e-300)
     kernel = _kernel(ms.masses, pp)
 
@@ -725,18 +726,19 @@ def _field_states(n, d, rng):
 def test_the_fields_take_the_float_pass_up_to_three_bodies_and_four_in_the_plane(
         rng, monkeypatch, n, d):
     # every numpy pass starts with _PairKernel.pairs; the float pass never
-    # calls it.  Four bodies on the line and five keep the numpy pass.  The
-    # blown-up fields always offer integrate their float body; the Cartesian
-    # field's numpy body has none, so integrate gives it arrays
-    calls = []
+    # calls it.  Four bodies on the line and five keep the numpy pass, which
+    # for the Cartesian field is gradients alone, no terms call summing W
+    # and V.  Every field offers integrate its float body
+    calls, passes = [], count_kernel_passes(monkeypatch)
     pairs = _PairKernel.pairs
     monkeypatch.setattr(_PairKernel, "pairs", lambda self, *a: calls.append(1) or pairs(self, *a))
     float_pass = n <= 3 or n == 4 and d == 2
     for k, (field, y, _) in enumerate(_field_states(n, d, rng)):
-        before = len(calls)
+        before, terms_before = len(calls), len(passes)
         field(0.0, y)
         assert len(calls) - before == (0 if float_pass else 1)
-        assert hasattr(field, "floats") == (float_pass or k > 0)
+        assert len(passes) - terms_before == (0 if float_pass or k == 0 else 1)
+        assert callable(field.floats)
 
 
 def _float_bytes(out):
@@ -746,15 +748,14 @@ def _float_bytes(out):
 
 
 def test_the_float_bodies_are_the_array_calls_bit_for_bit():
-    # integrate calls field.floats on its stage states as lists in place of
-    # field; the two entries must agree bit for bit, and neither may write
-    # into the state it is given
+    # integrate calls field.floats on its states as lists in place of
+    # field; the two entries must agree bit for bit at every shape, and
+    # neither may write into the state it is given
     for ms, pp, r, p, rng in _bound_kernel_cases():
         n, d = r.shape
         y = np.concatenate([r.ravel(), p.ravel()])
         fields = [(mcgehee_field(ms, pp, d, with_time=wt), wt) for wt in (False, True)]
-        if (n, d) in _FLOAT_SHAPES:
-            fields.append((cartesian_field(ms, pp, d), None))
+        fields.append((cartesian_field(ms, pp, d), None))
         for field, with_time in fields:
             states = [y] if with_time is None else [
                 np.concatenate([[rho, rng.standard_normal()], y, [0.7] * with_time])
@@ -767,25 +768,30 @@ def test_the_float_bodies_are_the_array_calls_bit_for_bit():
 
 
 @pytest.mark.parametrize("defect", ["short", "long", "nan position", "nan momentum", "overflow"])
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_a_malformed_state_gives_what_the_numpy_pass_gives(rng, n, defect):
-    # no field reads a state of the wrong size as some other state, and the
-    # float pass must give NaN where numpy does: for a NaN coordinate, or
-    # for forces past the float range, where the matmul's 0 * inf is NaN
-    for k, (field, y, numpy_pass) in enumerate(_field_states(n, 2, rng)):
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 2), (4, 1), (5, 2)])
+def test_a_malformed_state_gives_what_the_numpy_pass_gives(rng, n, d, defect):
+    # no field reads a state of the wrong size as some other state, as an
+    # array or as a list, and the float pass must give NaN where numpy
+    # does: for a NaN coordinate, or for forces past the float range, where
+    # the matmul's 0 * inf is NaN.  (4, 1) and (5, 2) take the numpy pass
+    sz = n * d
+    for k, (field, y, numpy_pass) in enumerate(_field_states(n, d, rng)):
         blown_up = k > 0
         if defect in ("short", "long"):
+            wrong = y[:-2] if defect == "short" else np.append(y, 1.0)
             with pytest.raises(ValueError):
-                field(0.0, y[:-2] if defect == "short" else np.append(y, 1.0))
+                field(0.0, wrong)
+            with pytest.raises(ValueError):
+                field.floats(0.0, wrong.tolist())
             if k == 2:  # the blown-up state with time, without its t
                 with pytest.raises(ValueError):
                     field(0.0, y[:-1])
         else:
             y = y.copy()
             if defect == "overflow":  # d^-(b+2) of separations near 1e-70
-                y[2 * blown_up : 2 * blown_up + 2 * n] *= 1e-70
-            else:  # the second coordinate of body 0, or of its momentum (u when blown up)
-                y[2 * blown_up + 2 * n * (defect == "nan momentum") + 1] = np.nan
+                y[2 * blown_up : 2 * blown_up + sz] *= 1e-70
+            else:  # the last coordinate of body 0, or of its momentum (u when blown up)
+                y[2 * blown_up + sz * (defect == "nan momentum") + d - 1] = np.nan
             with np.errstate(over="ignore", invalid="ignore"):
                 got, want = field(0.0, y), numpy_pass(y)
             assert np.isnan(got).any() or defect == "overflow" and n == 2
@@ -970,7 +976,8 @@ def _decades(lo, hi, zero=False):
 # every value the kernel's own pass forms there for an active term, coef (pw
 # L^2), and where exp > 0 also c and (exp + 2) c / L^2, is a normal float.  An
 # edge draw puts L within a few ulps of where one b-term value, k L^-p, crosses
-# the smallest normal float or the largest float, so rounding decides there.
+# the smallest normal float or the largest float, so rounding decides there; an
+# edge past the largest float (k / tiny)^(1 / p), p = b < 1, is no length.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(m1=_decades(-150.0, 150.0), m2=_decades(-150.0, 150.0),
        a=st.one_of(st.just(0.0), st.floats(0.0, 3.0)), gap=st.floats(0.1, 30.0),
@@ -986,7 +993,8 @@ def test_the_size_rule_passes_where_the_kernel_s_values_at_that_size_are_normal(
     tiny, big = float(np.finfo(float).tiny), float(np.finfo(float).max)
     if edge is not None and beta > 0.0:  # value, c and Hessian factor: k = coef, b coef, ...
         k = kernel.coef[1, 0].item() * math.prod([pp.b, pp.b + 2.0][:edge])
-        length = (k / (big if huge else tiny)) ** (1.0 / (pp.b + 2.0 * edge)) * (1.0 + ulps * 2.0**-52)
+        edge_length = _python_pow(k / (big if huge else tiny), 1.0 / (pp.b + 2.0 * edge))
+        length = edge_length * (1.0 + ulps * 2.0**-52)
     assume(0.0 < length * length < math.inf)
     with np.errstate(all="ignore"):
         _, d2, _, pw, c, _ = kernel.gradients(np.array([0.0, length]))

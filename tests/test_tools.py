@@ -153,6 +153,51 @@ def test_the_tolerance_mode_bounds_gaps_distances_and_floors_relatively(tmp_path
         assert "relative 1.0e-05" in capsys.readouterr().out
 
 
+def _sweep_op(key, values, f_at_root=-2.2e-16):
+    """One sweep operation of a dump: an eigenvalue list under key, with a
+    root's function value beside it."""
+    summary = {key: values, "f_at_root": f_at_root, "index": 1}
+    return {"sweep/seed11/0000/exit": "0\n",
+            "sweep/seed11/0000/files/cc_planar3.json": json.dumps(summary) + "\n"}
+
+
+_EIGENVALUES = [-8.9e-15, 2.7, 11.5]
+_PAIRS = [[-8.9e-15, 0.0], [1.25, -2.5], [1.25, 2.5]]  # exponents and spectra as [re, im]
+
+
+@pytest.mark.parametrize("key, values, within", [
+    # a rotation's zero mode moving at rounding level, as when the kernel's
+    # last bits move: far beyond R of itself, within R of the list's largest
+    ("hessian_eigenvalues", [-3.6e-15, 2.7, 11.5], True),
+    ("restricted_eigenvalues", [1.27e-14, 2.7, 11.5], True),
+    ("exponents", [[-3.6e-15, 0.0], *_PAIRS[1:]], True),
+    ("spectrum", [[-8.9e-15, 1e-14], *_PAIRS[1:]], True),
+    # a nonzero eigenvalue, or a real or imaginary part, moved by 10 R
+    ("hessian_eigenvalues", [-8.9e-15, 2.7 * (1.0 + 10 * R), 11.5], False),
+    ("restricted_eigenvalues", [-8.9e-15, 2.7, 11.5 * (1.0 + 10 * R)], False),
+    ("exponents", [_PAIRS[0], [1.25, -2.5 * (1.0 + 10 * R)], _PAIRS[2]], False),
+    ("spectrum", [_PAIRS[0], _PAIRS[1], [1.25 * (1.0 + 10 * R), 2.5]], False),
+])
+def test_the_tolerance_mode_bounds_an_eigenvalue_list_by_its_largest_magnitude(
+        tmp_path, capsys, key, values, within):
+    old_values = _PAIRS if key in ("exponents", "spectrum") else _EIGENVALUES
+    old = write_dump(tmp_path / "old", _sweep_op(key, old_values))
+    new = write_dump(tmp_path / "new", _sweep_op(key, values))
+    assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == (0 if within else 1)
+    out = capsys.readouterr().out
+    assert out.startswith(f"sweep seed11: 1 ops, 1 differing, {int(within)} within 1e-06")
+    assert (f"cc_planar3.json: {key}: " in out) != within
+
+
+def test_the_tolerance_mode_bounds_a_root_s_function_value_absolutely(tmp_path, capsys):
+    # f at a root is rounding-level: -2.2e-16 -> 4.4e-16 is within R, 2 R is not
+    old = write_dump(tmp_path / "old", _sweep_op("spectrum", _PAIRS))
+    for f_at_root, within in ((4.4e-16, True), (2 * R, False)):
+        new = write_dump(tmp_path / str(f_at_root), _sweep_op("spectrum", _PAIRS, f_at_root))
+        assert compare_dumps.main([str(old), str(new), "--rel", str(R)]) == (0 if within else 1)
+        assert ("f_at_root: " in capsys.readouterr().out) != within
+
+
 def _census_op(x=-0.5598206393294167, index=0, residual=1.8189894035458565e-12):
     """One census operation of a dump: a solve's result, with the values a test moves."""
     result = {"config": {"positions": [[x, 0.0], [0.4999172994739529, 0.0]]},

@@ -30,9 +30,13 @@ stdout, stderr, check, error) is identical, and
 
 The floats of the keys and columns named in ROUNDING_LEVEL (conserved-
 quantity residuals, energy drifts and defects, a central configuration's
-residual, and the gap between two computations of one size) sit at
-rounding level, where a relative bound means nothing; each of those is
-within R when the two differ by at most R absolutely.  Each line then
+residual, a root's function value, and the gap between two computations
+of one size) sit at rounding level, where a relative bound means nothing;
+each of those is within R when the two differ by at most R absolutely.
+An eigenvalue list, under a key named in EIGENVALUE_LISTS, may hold zero
+modes at rounding level beside eigenvalues of order one; each of its
+floats is within R when the two differ by at most R times the largest
+finite magnitude in the list on either side.  Each line then
 also reads ``<w> within R`` and the summed CSV row counts of both sides,
 and names the first operation beyond R with the reason.  The exit code is 0 when no operation is beyond R.
 """
@@ -44,6 +48,7 @@ import ast
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -52,7 +57,12 @@ from pathlib import Path
 ROUNDING_LEVEL = frozenset({
     "energy_residual_max", "angmom_residual_max", "energy_residual", "angmom_residual",
     "manifold_residual_max", "manifold_residual", "k_drift", "k_defect", "rho_max_gap",
-    "cc_defect", "residual", "max_residual",
+    "cc_defect", "residual", "max_residual", "f_at_root",
+})
+# the keys of eigenvalue lists (of [re, im] pairs for exponents and spectrum),
+# compared under --rel within R of the list's largest magnitude
+EIGENVALUE_LISTS = frozenset({
+    "hessian_eigenvalues", "exponents", "spectrum", "restricted_eigenvalues",
 })
 
 
@@ -85,18 +95,26 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _values_beyond(old, new, rel: float, name: str) -> str | None:
+def _magnitudes(value) -> list[float]:
+    """The finite magnitudes of the numbers in value, a number or a nested list."""
+    if isinstance(value, list):
+        return [size for item in value for size in _magnitudes(item)]
+    return [abs(value)] if _number(value) and math.isfinite(value) else []
+
+
+def _values_beyond(old, new, rel: float, name: str, scale: float | None = None) -> str | None:
     """Why the value old, under key or column name, is not new within rel, or None.
 
     Two ints must be equal; a pair with a float is within rel when |old -
-    new| <= rel * max(|old|, |new|), or <= rel for a name in ROUNDING_LEVEL."""
+    new| <= rel * max(|old|, |new|), or <= rel * scale with scale given (an
+    eigenvalue list's largest magnitude), or <= rel for a name in ROUNDING_LEVEL."""
     if isinstance(old, float) or isinstance(new, float):
         if not (_number(old) and _number(new)):
             return f"{name}: {old!r} -> {new!r}"
         diff = abs(old - new)
         if name in ROUNDING_LEVEL:
             return None if diff <= rel else f"{name}: {old!r} -> {new!r}, absolute {diff:.1e}"
-        size = max(abs(old), abs(new))
+        size = max(abs(old), abs(new)) if scale is None else scale
         if repr(old) == repr(new) or diff <= rel * size:
             return None
         return f"{name}: {old!r} -> {new!r}, relative {diff / size:.1e}"
@@ -105,9 +123,10 @@ def _values_beyond(old, new, rel: float, name: str) -> str | None:
     return None
 
 
-def _json_beyond(old, new, rel: float, name: str = "") -> str | None:
+def _json_beyond(old, new, rel: float, name: str = "", scale: float | None = None) -> str | None:
     """Why the JSON value new is not old within rel, or None; name is the
-    nearest key, which decides a float's bound."""
+    nearest key, which decides a float's bound, and scale the largest
+    magnitude of the eigenvalue list that holds the value, if any."""
     if isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
             return f"{name}: keys {sorted(old)} -> {sorted(new)}"
@@ -116,9 +135,11 @@ def _json_beyond(old, new, rel: float, name: str = "") -> str | None:
     if isinstance(old, list) and isinstance(new, list):
         if len(old) != len(new):
             return f"{name}: {len(old)} -> {len(new)} values"
-        found = (_json_beyond(a, b, rel, name) for a, b in zip(old, new))
+        if scale is None and name in EIGENVALUE_LISTS:
+            scale = max(_magnitudes(old) + _magnitudes(new), default=0.0)
+        found = (_json_beyond(a, b, rel, name, scale) for a, b in zip(old, new))
         return next((why for why in found if why), None)
-    return _values_beyond(old, new, rel, name)
+    return _values_beyond(old, new, rel, name, scale)
 
 
 def _cell(text: str):
