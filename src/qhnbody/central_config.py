@@ -377,10 +377,20 @@ def cc_index(
     The index_report of the restricted_hessian eigenvalues; terms, as in
     restricted_hessian, spare a pass.
     """
-    return index_report(restricted_hessian(config, ms, pp, ambient, inertia_I0, terms)[1], ambient)
+    a_mat, eigs = restricted_hessian(config, ms, pp, ambient, inertia_I0, terms)
+    return index_report(eigs, ambient, a_mat)
 
 
-def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
+def _congruent_modes(a_mat: np.ndarray) -> tuple:
+    """count_modes of D^-1 A D^-1, D = sqrt|diag A| (1 where it is 0), for symmetric A:
+    by Sylvester's law of inertia the index and zero modes of A, read where the
+    diagonal no longer spans the decades of the masses."""
+    diag = np.sqrt(np.abs(np.diagonal(a_mat, axis1=-2, axis2=-1)))
+    inv = 1.0 / np.where(diag > 0.0, diag, 1.0)
+    return count_modes(np.linalg.eigvalsh(inv[..., :, None] * a_mat * inv[..., None, :]))
+
+
+def index_report(eigs: np.ndarray, ambient: str, a_mat: np.ndarray | None = None) -> IndexReport:
     """IndexReport of a restricted spectrum, by the signs count_modes reads.
 
     The planar ambient must show exactly the one rotational zero mode,
@@ -388,6 +398,10 @@ def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
     degenerate CC, or a shape that is not central), for the first such
     member of a (B, k) batch, whose report holds (B,) counts.  So does a
     spectrum that the three counts do not cover, such as a non-finite one.
+    With a_mat, the symmetric matrix of eigs, a member whose zero band reads
+    other zero modes than the ambient's is read again by congruence
+    (_congruent_modes): an eigenvalue small only beside one many decades
+    larger is then no zero mode.  The reported eigenvalues stay eigs.
     """
     index, zeros, positive = count_modes(eigs)
     k = np.shape(eigs)[-1]
@@ -399,10 +413,18 @@ def index_report(eigs: np.ndarray, ambient: str) -> IndexReport:
     expected_zeros = 1 if ambient == "planar" else 0
     wrong = np.not_equal(zeros, expected_zeros)
     if np.count_nonzero(wrong):
-        raise DegenerateError(
-            f"{ambient} restricted Hessian has {np.ravel(zeros)[np.flatnonzero(wrong)[0]]} "
-            f"near-zero eigenvalues, expected {expected_zeros}; CC looks degenerate"
-        )
+        if a_mat is not None:
+            if np.ndim(eigs) == 1:
+                index, zeros, positive = _congruent_modes(a_mat)
+            else:
+                for counts, reread in zip((index, zeros, positive), _congruent_modes(a_mat[wrong])):
+                    counts[wrong] = reread
+            wrong = np.not_equal(zeros, expected_zeros)
+        if np.count_nonzero(wrong):
+            raise DegenerateError(
+                f"{ambient} restricted Hessian has {np.ravel(zeros)[np.flatnonzero(wrong)[0]]} "
+                f"near-zero eigenvalues, expected {expected_zeros}; CC looks degenerate"
+            )
     return IndexReport(index=index, eigenvalues=eigs, zero_modes=zeros, ambient=ambient)
 
 
@@ -736,9 +758,9 @@ def solve_collinear_batch(
 
     # the members before the first stall have all converged; a degenerate one fails first
     first = stalled.argmax() if np.count_nonzero(stalled) else size
-    eigs = _restricted_spectrum(out_x[:first, :, None], masses[:first], 1.0,
-                                out_aw_bv[:first], out_h[:first])[1]
-    index = index_report(eigs, "collinear").index
+    a_mat, eigs = _restricted_spectrum(out_x[:first, :, None], masses[:first], 1.0,
+                                       out_aw_bv[:first], out_h[:first])
+    index = index_report(eigs, "collinear", a_mat).index
     res, floor = res * force, floor * force
     if first < size:
         raise NoConvergenceError(f"collinear solve for ordering {orderings[first].perm} stalled "

@@ -144,7 +144,7 @@ def linearize_at_equilibrium(
     if pp.b <= 2.0:
         raise ValueError("linearization at equilibria needs b > 2")
     a_mat, lam = restricted_hessian(s0, ms, _pure_b(pp), ambient)
-    index_report(lam, ambient)
+    index_report(lam, ambient, a_mat)
     return (*_linearization(a_mat, v0, pp.b), lam)
 
 
@@ -271,7 +271,7 @@ def _rest_points(kernel: _PairKernel, ms: MassSystem, pp: PotentialParams, ccs: 
             worst = defect[passed.argmin()]
             raise OffManifoldError(f"shape is not a CC of the b-term: defect {worst:.3e}")
         a_mat, lam = restricted_hessian(s0, ms, ppb, ambient, 1.0, terms)
-        report = index_report(lam, ambient)
+        report = index_report(lam, ambient, a_mat)
         # the rest points v = +sqrt(2 V) and -sqrt(2 V) of each shape, in turn
         v0 = np.multiply.outer(np.sqrt(2.0 * terms.V), [1.0, -1.0]).ravel()
         index = np.repeat(report.index, 2)

@@ -422,6 +422,9 @@ def integrate(
     Later field errors other than QHError and ArithmeticError propagate
     unchanged, and so does any error of the field calls made for the
     dense output or for an event's step, outside the step-size control.
+    An ArithmeticError of a field call, a value past the float range,
+    reads as the inf numpy gives there: "field not finite" at t0 and a
+    "non-finite step" after it.
 
     Each step runs in the float kernel (see the module), and every field
     call, from the first at t0 to the dense output's, reaches the field's
@@ -454,12 +457,14 @@ def integrate(
     floats = getattr(field_fn, "floats", None) or _on_lists(field_fn)
     try:
         f = floats(t0, y.tolist())
-        if not _all_finite(f):
-            raise FieldError(f"field not finite at t = {t0!r}")
     except FieldError:
         raise
+    except ArithmeticError:  # a value past the float range, which numpy reads as inf
+        f = [math.inf]
     except Exception as exc:
         raise FieldError(f"field evaluation failed at t = {t0!r}: {exc}") from exc
+    if not _all_finite(f):
+        raise FieldError(f"field not finite at t = {t0!r}")
 
     h = _initial_step(floats, t0, y, np.array(f), t1, rel_tol, abs_tol, max_step)
     step, error = _float_kernel(y.size)
@@ -506,8 +511,10 @@ def integrate(
                     f_new = floats(t + h, y_new)
                     if not _all_finite(f_new):
                         failed = "non-finite step"
-        except (QHError, ArithmeticError) as exc:
+        except QHError as exc:
             failed = str(exc)
+        except ArithmeticError:
+            failed = "non-finite step"
 
         if failed is not None:
             h *= 0.25

@@ -173,13 +173,14 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     With with_time the state carries a trailing physical-time component
     integrated as dt/dtau = rho^(1 + b/2); a state of another length raises
     ValueError naming both lengths.  One body in Python floats for every
-    n, on _float_pass, with u^T M^{-1} u summed as numpy sums an array
-    (_sum): bit for bit with the equations composed in numpy.  That body
-    is field.floats, (tau, list) -> list, which integrate calls on every
-    state as a list, and field is float_field of it; for the shapes of
-    _FLOAT_SHAPES it makes no numpy call, 6.1 us per call at three
-    bodies in the plane and 8.1 us at four (CPython 3.11, numpy 2.4, best
-    of 7).  At a = 1 the W-term's factor a is an exact multiply.
+    n, on _float_pass, with u^T M^{-1} u summed left to right from +0; it is
+    field.floats, (tau, list) -> list, which integrate calls on every
+    state as a list, and field is float_field of it.  Up to _FLOAT_BODIES
+    bodies it makes no numpy call: 6.5-7.3 us per call at (4, 1) and
+    14.3-14.6 us at (6, 2), where the numpy pass that ran those shapes before
+    took at least 22.5 and 23.9 us (CPython 3.11, numpy 2.4, best of 7 x
+    3000 calls, three runs).  At a = 1 the W-term's factor a is an exact
+    multiply.
     """
     sz = ms.n * dim
     run, a, b = _float_pass(_kernel(ms.masses, pp), dim), pp.a, pp.b
@@ -206,48 +207,25 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
     return float_field(floats)
 
 
-def _sum(xs: list) -> float:
-    """A list summed as numpy sums a 1-d array of it, +0 plus numpy's
-    pairwise sum, in Python floats: below 8 terms left to right from +0 (so
-    -0 terms alone sum to +0), up to 128 in eight running sums of every
-    eighth term, added as a tree, then the rest left to right, and past 128
-    the two halves split at a multiple of 8."""
-    n = len(xs)
-    if n < 8:
-        return functools.reduce(operator.add, xs, 0.0)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return 0.0 + (_sum(xs[:half]) + _sum(xs[half:]))
-    tail = n - n % 8
-    r = xs[:8]
-    for k in range(8, tail, 8):
-        r = list(map(operator.add, r, xs[k : k + 8]))
-    res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return 0.0 + functools.reduce(operator.add, xs[tail:], res)
-
-
-def _axis_sums(xs: list, d: int) -> list:
-    """Per-axis sums of body-by-body coordinates, as numpy's sum over axis 0 of
-    their (n, d) array: on a line one 1-d sum, in the plane each axis from +0
-    in body order."""
-    if d == 1:
-        return [_sum(xs)]
-    return [functools.reduce(operator.add, xs[k::d], 0.0) for k in range(d)]
+def _sum(xs) -> float:
+    """xs summed left to right from +0, as builtin sum() no longer does from Python 3.12."""
+    return functools.reduce(operator.add, xs, 0.0)
 
 
 def _renormalized(s: list, u: list, m: list, d: int) -> tuple[list, list]:
     """renormalize_mcgehee on body-by-body coordinate lists; m is the mass of each coordinate."""
     mtot = _sum(m[::d])
-    shift = [x / mtot for x in _axis_sums(list(map(operator.mul, m, s)), d)] * (len(s) // d)
+    m_s = list(map(operator.mul, m, s))
+    shift = [_sum(m_s[k::d]) / mtot for k in range(d)] * (len(s) // d)
     s = list(map(operator.sub, s, shift))
     c2 = _sum([mi * x * x for mi, x in zip(m, s)])
     if not (math.isfinite(c2) and c2 > 0.0):
         raise DegenerateStateError(f"s^T M s = {c2!r}, cannot renormalize")
     root = math.sqrt(c2)
     s = [x / root for x in s]
-    shift = [x / mtot for x in _axis_sums(u, d)] * (len(u) // d)
+    shift = [_sum(u[k::d]) / mtot for k in range(d)] * (len(u) // d)
     u = [x - mi * q for x, mi, q in zip(u, m, shift)]
-    dot = _sum(list(map(operator.mul, u, s)))
+    dot = _sum(map(operator.mul, u, s))
     return s, [x - dot * (mi * y) for x, mi, y in zip(u, m, s)]
 
 
@@ -265,16 +243,13 @@ def renormalize_mcgehee(s: np.ndarray, u: np.ndarray, masses: np.ndarray):
     strictly positive and finite.
 
     s and u are (n, d) and the masses positive.  The body runs in Python
-    floats for every n, in the operations and order of the numpy
-    composition s - (m s).sum(0) / M, c2 = sum(m s s), s / sqrt(c2),
-    u - m u.sum(0) / M, u - sum(u s) m s: the same values and errors bit
-    for bit, signed zeros included.  mcgehee_renormalizer runs it on the
-    integrator's flat state with no array between, at about half the
-    numpy body's time per step at n = 3 and 4 and at most its time up to
-    n = 8.  Its list arithmetic grows with n d while a numpy body's cost
-    is nearly flat, so past about ten bodies in the plane a step costs
-    more than the numpy body's: 1.1x at n = 12, 1.5x at n = 20 and 3.2x
-    at n = 65 (d = 2).  qh collision-flow stops at six bodies.
+    floats for every n, in the operations of the numpy composition
+    s - (m s).sum(0) / M, c2 = sum(m s s), s / sqrt(c2), u - m u.sum(0) / M,
+    u - sum(u s) m s, with every sum left to right from +0: below 8
+    coordinates those values bit for bit, signed zeros included, and from 8,
+    where numpy sums pairwise, within n d ulps of the sums' terms.
+    mcgehee_renormalizer runs it on the integrator's flat state with no
+    array between.
     """
     s = np.asarray(s, dtype=float)
     u = np.asarray(u, dtype=float)

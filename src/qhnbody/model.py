@@ -261,6 +261,12 @@ def _first_fault(m: np.ndarray, pp: PotentialParams, names: tuple, values: tuple
     return (*member, None)[0], ("alpha", "beta")[t], (i.item(p) + 1, j.item(p) + 1), names[q], value
 
 
+def _collision(d2min: float, guard2: float, where: str = "") -> CollisionError:
+    """The error of a smallest squared pair distance d2min at or below the squared guard."""
+    return CollisionError(f"minimum pairwise distance {math.sqrt(d2min):.3e} at or below "
+                          f"guard {math.sqrt(guard2):.3e}{where}")
+
+
 class _PairKernel:
     """The pair kernel of one mass system, bound once from (masses, pp).
 
@@ -341,10 +347,7 @@ class _PairKernel:
             if strict:
                 k = np.flatnonzero(collided)[0]
                 where = f" in batch member {k}" if d2.ndim == 2 else ""
-                raise CollisionError(
-                    f"minimum pairwise distance {np.sqrt(d2min.flat[k]):.3e} at or below "
-                    f"guard {np.sqrt(guard2.flat[k]):.3e}{where}"
-                )
+                raise _collision(d2min.flat[k], guard2.flat[k], where)
             d2 = np.where(collided[..., None], 1.0, d2)
         return diff, d2, collided
 
@@ -424,93 +427,56 @@ def _bound(masses: bytes, shape: tuple, bits: bytes, pp: PotentialParams) -> _Pa
     return _PairKernel(np.frombuffer(masses).reshape(shape).copy(), pp)
 
 
-# the shapes (n, d) whose pair terms _float_body writes out in Python floats
-_FLOAT_SHAPES = frozenset({(2, 1), (2, 2), (3, 1), (3, 2), (4, 2)})
+# the most bodies whose pair terms _float_body writes out in Python floats; above it
+# the numpy pass costs less per call
+_FLOAT_BODIES = 9
 
 
 def _float_pass(kernel: _PairKernel, d: int, m=None):
-    """run(r) -> (W, V, grad_W, grad_V) as Python floats, kernel.terms' values bit for bit.
+    """run(r) -> (W, V, grad_W, grad_V) as Python floats, r the n d coordinates body by body.
 
-    With m, the n d masses coordinate by coordinate, it returns instead the
-    Cartesian field's body run(t, rp) -> [p / m, grad_W + grad_V] on the
-    flat state rp = [r, p], for every shape: it makes no W or V, and a
-    state of another length raises ValueError.  Outside _FLOAT_SHAPES, and
-    wherever the compiled body below falls back, that body is the numpy
-    field pass: kernel.gradients at r, the two gradients added and p
-    divided by m in the same IEEE operations, so every body gives the same
-    values bit for bit.
-
-    r lists the n d coordinates body by body, d = 1 or 2, as do both
-    gradients.  For the shapes in _FLOAT_SHAPES, up to three bodies and
-    four in the plane, run is a straight-line body that _float_body writes
-    out for (n, d) and compiles once per shape in a process.  The kernel's
-    size weights, coef and kc enter as arguments of its factory, never as
-    literals, so binding another kernel of a compiled shape compiles
-    nothing.  It makes no numpy call: each power is q ** e, libm's pow,
-    which is what the numpy pass's np.float_power calls too (np.power may
-    take a SIMD loop that differs in the last bit).  A power past the
-    largest float raises OverflowError there, where float_power gives inf,
-    and the body hands that state to the numpy pass.  W and V are summed left
-    to right from 0, as np.add.reduce sums below 8 terms, and each
-    coordinate's gradient is +0 plus its signed pair terms in pair order,
-    as the matmul with E adds them (for n <= 3 at most two, which add with
-    one rounding in any order).  Each of these sums, and the guard's, is
-    written out term by term and never left to builtin sum(): from Python
-    3.12 that sum of floats is compensated (Neumaier), not left to right.
-    Four bodies in the plane have three terms each, and the plane's (n, P)
-    @ (P, 2) product is a dgemm that adds its K = 6 terms in order: an
-    empirical property of the BLAS kernel (0 of 20,000 seeded draws
-    differed), not a guarantee.  It is pinned by
-    test_the_float_pass_of_four_bodies_in_the_plane_is_the_kernel_pass_bit_for_bit,
-    so a failure there on another build reads as a change of BLAS kernel
-    (small-matrix or split-K), not a fault of this pass.  Four bodies on
-    the line and every n >= 5 run the numpy pass itself: on the
-    line the (n, P) @ (P, 1) product is a gemv, whose blocked sum is not
-    pair order (it differed in about half of 5,000 seeded draws at n =
-    4), and from five bodies numpy sums the P >= 10 pair terms pairwise.
-    The numpy pass also takes a configuration within 1e-14
-    of the guard or near the float floor (numpy's guard dot product is an
-    FMA chain), and from n = 3 a gradient that is not finite (E's zeros
-    then multiply inf into NaN).
+    With m, the n d masses coordinate by coordinate, run(t, rp) is instead
+    the Cartesian field's body [p / m, grad_W + grad_V] on the flat state
+    rp = [r, p], which makes no W or V; a state of another length raises
+    ValueError.  Up to _FLOAT_BODIES bodies run is _float_body's compiled
+    body, whose arithmetic defines the values: pair order, each sum left to
+    right from +0.  Above it run is the numpy pass, kernel.terms or (with
+    m) kernel.gradients, which sums in a matmul's order.
     """
     n = kernel.m_col.shape[0]
+    if n <= _FLOAT_BODIES:
+        values = np.concatenate([kernel.weights, kernel.coef.ravel(), kernel.kc.ravel(),
+                                 kernel.half_exps.ravel()]).tolist()
+        return _float_body(n, d, m is not None)(*values, *(m or ()))
+    sz = n * d
     if m is None:
         def numpy_pass(r):
             t = kernel.terms(np.array(r).reshape(n, d), force=False)[0]
             return t.W, t.V, t.grad_W.ravel().tolist(), t.grad_V.ravel().tolist()
     else:
-        sz = n * d
-
         def numpy_pass(t, rp):
             if len(rp) != 2 * sz:
                 raise ValueError(f"a flat Cartesian state of {len(rp)} values, need {2 * sz}")
             g = kernel.gradients(np.array(rp[:sz]).reshape(n, d))[-1]
             return [*map(operator.truediv, rp[sz:], m), *(g[0] + g[1]).ravel().tolist()]
-
-    if (n, d) not in _FLOAT_SHAPES:
-        return numpy_pass
-    near_guard = (1.0 + 1e-14) * GUARD_FACTOR * GUARD_FACTOR
-    values = np.concatenate([kernel.weights, kernel.coef.ravel(), kernel.kc.ravel()]).tolist()
-    exps = kernel.half_exps.ravel().tolist()
-    return _float_body(n, d, m is not None)(*values, numpy_pass, *exps, near_guard, *(m or ()))
+    return numpy_pass
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _float_body(n: int, d: int, field: bool = False):
-    """make(*weights, *coef.ravel(), *kc.ravel(), numpy_pass, hw, hv, near_guard)
-    -> run, the float pass of n bodies in d dimensions (see _float_pass);
-    hw and hv are the half exponents -(a + 2) / 2 and -(b + 2) / 2.
+    """make(*weights, *coef.ravel(), *kc.ravel(), hw, hv) -> run, the float pass of n
+    bodies in d dimensions (see _float_pass); hw and hv are the half exponents
+    -(a + 2) / 2 and -(b + 2) / 2.  With field, make also takes the masses m<c> of the
+    coordinates, and run(t, rp) reads the momenta p<c> after r, makes no W or V and
+    returns [p<c> / m<c>..., gw<c> + gv<c>...].
 
-    With field, make also takes the masses m<c> of the coordinates, and
-    run(t, rp) is the Cartesian field's body: it reads the momenta p<c>
-    after r, makes no W or V, hands (t, rp) to numpy_pass where the pass
-    would hand r, and returns [p<c> / m<c>..., gw<c> + gv<c>...].
-
-    The source depends on (n, d) alone.  Pair p's values are make's
-    parameters w<p> (size weight), cw<p>, cv<p> (coef) and kw<p>, kv<p>
-    (kc), and run names r<c> the coordinates, x<p>_<k> pair p's difference
-    on axis k, q<p> its squared distance and pw<p>, pv<p> its powers q<p>
-    ** hw, q<p> ** hv, in the operations and order of the numpy pass.
+    The source depends on (n, d) alone.  Pair p's values are make's parameters w<p>
+    (size weight), cw<p>, cv<p> (coef) and kw<p>, kv<p> (kc); run names r<c> the
+    coordinates, x<p>_<k> pair p's difference on axis k, q<p> its squared distance and
+    pw<p>, pv<p> its powers q<p> ** hw, q<p> ** hv, libm's pow as np.float_power's.  A
+    pair at or inside the guard raises CollisionError, and a power past the float range
+    OverflowError.  Every sum is written out term by term, never left to builtin sum(),
+    which from Python 3.12 is compensated.
     """
     i, j = (ends.tolist() for ends in _incidence(n)[:2])
     pairs, coords = range(len(i)), range(n * d)
@@ -526,39 +492,32 @@ def _float_body(n: int, d: int, field: bool = False):
                           for p in pairs if c // d in (i[p], j[p])) for c in coords]
 
     q_min = f"min({names('q')})" if len(i) > 1 else "q0"
-    # run's parameters, handed on as they came to numpy_pass, and the state among them
-    args, state = ("t, rp", "rp") if field else ("r", "r")
     lines = [
         f"def make({names('w')}, {names('cw')}, {names('cv')}, {names('kw')}, {names('kv')},",
-        f"         numpy_pass, hw, hv, near_guard{', ' + names('m', coords) if field else ''}):",
-        f"    def run({args}):",
-        f"        {names('r', coords)},{' ' + names('p', coords) + ',' if field else ''} = {state}",
+        f"         hw, hv{', ' + names('m', coords) if field else ''}):",
+        f"    def run({'t, rp' if field else 'r'}):",
+        f"        {names('r', coords)},{' ' + names('p', coords) + ',' if field else ''}"
+        f" = {'rp' if field else 'r'}",
         *(f"        x{p}_{k} = r{i[p] * d + k} - r{j[p] * d + k}" for p in pairs for k in range(d)),
         *(f"        q{p} = " + " + ".join(f"x{p}_{k} * x{p}_{k}" for k in range(d)) for p in pairs),
-        f"        if {q_min} <= near_guard * ({from_zero(f'+ w{p} * q{p}' for p in pairs)}) + 1e-300:",
-        f"            return numpy_pass({args})",
-        "        try:",
-        f"            {', '.join(f'pw{p}, pv{p}' for p in pairs)} = "
+        f"        q_min = {q_min}",
+        f"        guard = G2 * ({from_zero(f'+ w{p} * q{p}' for p in pairs)})",
+        "        if q_min <= guard:",
+        "            raise collision(q_min, guard)",
+        f"        {', '.join(f'pw{p}, pv{p}' for p in pairs)} = "
         f"{', '.join(f'q{p} ** hw, q{p} ** hv' for p in pairs)}",
-        "        except ArithmeticError:  # a power past the largest float, or 0 ** -e",
-        f"            return numpy_pass({args})",
         *([] if field else [
             f"        w = {from_zero(f'+ cw{p} * (pw{p} * q{p})' for p in pairs)}",
             f"        v = {from_zero(f'+ cv{p} * (pv{p} * q{p})' for p in pairs)}"]),
         *(f"        f{t}{p} = k{t}{p} * p{t}{p}" for p in pairs for t in "wv"),
         *(f"        g{t}{c} = {sum_c}" for t in "wv" for c, sum_c in zip(coords, gradient(t))),
+        f"        return [{', '.join(f'p{c} / m{c}' for c in coords)}, "
+        f"{', '.join(f'gw{c} + gv{c}' for c in coords)}]" if field else
+        f"        return w, v, [{names('gw', coords)}], [{names('gv', coords)}]",
+        "    return run",
     ]
-    if n >= 3:  # the numpy pass's zeros of E multiply an inf into NaN
-        lines += [f"        if not isfinite(({' + '.join(f'gw{c}' for c in coords)})"
-                  f" + ({' + '.join(f'gv{c}' for c in coords)})):",
-                  f"            return numpy_pass({args})"]
-    if field:
-        lines.append(f"        return [{', '.join(f'p{c} / m{c}' for c in coords)},"
-                     f" {', '.join(f'gw{c} + gv{c}' for c in coords)}]")
-    else:
-        lines.append(f"        return w, v, [{names('gw', coords)}], [{names('gv', coords)}]")
-    lines.append("    return run")
-    scope = {"isfinite": math.isfinite, "__name__": __name__}  # run's module is this one
+    # run's module is this one
+    scope = {"G2": GUARD_FACTOR * GUARD_FACTOR, "collision": _collision, "__name__": __name__}
     name = f"<float {'field' if field else 'pass'} n={n} d={d}>"
     exec(compile("\n".join(lines), name, "exec"), scope)
     return scope["make"]
@@ -646,19 +605,15 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
 
     Returns f(t, y) for the flat state y = [r.ravel(), p.ravel()] with
     rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).  Its
-    one body, at every shape, is _float_pass with the masses, f.floats,
-    (t, list) -> list, which integrate calls on every state as a list;
-    f(t, y) is that body at y's values, made an array (float_field).  Up
-    to three bodies, and four in the plane, the body is one straight-line
-    function in Python floats that makes no numpy call; from four bodies
-    on the line and five in the plane it is the numpy field pass, the
-    kernel's gradients with the division and addition in Python floats.
-    Per call of the body on a list (CPython 3.11, numpy 2.4, 2 cores, best
-    of 9 x 3000 calls, three runs): 0.7 us at two bodies in the plane and
-    3.0-3.2 us at four; 12.4-13.5 us at (4, 1), 13.2-14.5 us at (5, 2),
-    14.1-14.6 us at (6, 2) and 19.8-21.3 us at (12, 2), where integrate
-    took 13.6-14.2, 15.6-16.5, 15.9-16.7 and 20.9-22.4 us to call a numpy
-    array body on lists.  The array call f(t, y) adds 1-3 us of conversion.
+    one body is _float_pass with the masses, f.floats, (t, list) -> list,
+    which integrate calls on every state as a list; f(t, y) is that body at
+    y's values, made an array (float_field).  Up to _FLOAT_BODIES bodies the
+    body is compiled Python floats, pair order summed left to right from +0,
+    and makes no numpy call; above it is the kernel's gradients.  Per call
+    of the body on a list (CPython 3.11, numpy 2.4, 2 cores, best of 7 x
+    3000 calls, three runs): 2.0-2.1 us at (4, 1), 4.5-4.7 at (5, 2),
+    4.4-4.6 at (6, 1) and 6.8-7.2 at (6, 2), where the numpy pass that ran
+    those shapes before took at least 14.0, 13.8, 12.5 and 14.7 us.
     """
     m = np.repeat(ms.masses, dim).tolist()
     return float_field(_float_pass(_kernel(ms.masses, pp), dim, m))

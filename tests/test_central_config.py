@@ -1184,6 +1184,39 @@ def test_index_report_rejects_a_spectrum_its_counts_do_not_cover():
     )
 
 
+def test_a_spectrum_over_many_decades_of_mass_reads_its_signature_by_congruence(
+        monkeypatch, tmp_path, capsys):
+    # masses over 300 decades put the restricted Hessian's eigenvalues of
+    # classes (2, 3, 1, 4) and (1, 2, 3, 4) near 5.2e54 and 3.0e81, right to 6
+    # digits against 80-digit arithmetic, so the smaller falls in the larger's
+    # 1e-8 zero band.  D^-1 A D^-1, D = sqrt|diag A|, has A's inertia and reads
+    # index 0 with no zero mode; the reported eigenvalues stay A's.  Class
+    # (2, 1, 4, 3) stalls in Newton, and a batch with it names it
+    reads = []
+    congruent = central_config._congruent_modes
+    monkeypatch.setattr(central_config, "_congruent_modes",
+                        lambda a_mat: reads.append(len(a_mat)) or congruent(a_mat))
+    pp = PotentialParams(a=2.0, b=3.0, alpha=0.0, beta=1.0)
+    masses = [1e50, 1.0, 1e-250, 25.0]
+    orderings = [Ordering((2, 3, 1, 4)), Ordering((1, 2, 3, 4))]
+    batch = solve_collinear_batch(orderings, np.tile(masses, (2, 1)), pp)
+    assert batch.index.tolist() == [0, 0] and reads == [2]
+    assert count_modes(batch.hess_eigs)[1].tolist() == [1, 1]  # the band alone reads a zero mode
+    assert (batch.hess_eigs > 0.0).all()
+    with pytest.raises(NoConvergenceError, match=r"ordering \(2, 1, 4, 3\) stalled"):
+        solve_collinear_batch(orderings + [Ordering((2, 1, 4, 3))], np.tile(masses, (3, 1)), pp)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"schema": 1, "masses": masses, "potential": {
+        "a": 2.0, "b": 3.0, "alpha": 0.0, "beta": 1.0}}))
+    assert cli.main(["cc-collinear", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    assert "NoConvergenceError: collinear solve for ordering (2, 1, 4, 3)" in capsys.readouterr().err
+    # masses of a few decades read no spectrum again, so a census pays nothing
+    reads.clear()
+    orderings, rows = every_class(MassSystem(np.array([1.0, 2.0, 3.0, 4.0])))
+    solve_collinear_batch(orderings, rows, pp)
+    assert reads == []
+
+
 def test_the_array_readers_equal_the_cc_result_list_bit_for_bit(tmp_path):
     # the gaps of an 11 x 11 grid from the solver's arrays, against the planar
     # positions of the CCResult lists of the same two batches

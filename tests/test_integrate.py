@@ -404,11 +404,33 @@ def _numpy_renormalized(s, u, masses):
     return s_out, u - float(np.sum(u * s_out)) * (m * s_out)
 
 
+def _renormalizer_scales(s, u, masses):
+    """(S_s, S_u): what the rounding of the renormalizer's sums scales in each output, in
+    the numpy composition's values.  A sum of k terms in another order moves by at most
+    about k eps times the sum of its terms' magnitudes; s's sums are divided by sqrt(c2),
+    and u's enter as the mass-weighted shift and the dot product with s."""
+    m = masses[:, None]
+    c = s - (m * s).sum(axis=0) / m.sum()
+    scale_s = np.abs(s).max() / np.sqrt(np.sum(m * c * c))
+    s_out = c / np.sqrt(np.sum(m * c * c))
+    u1 = u - m * (u.sum(axis=0) / m.sum())
+    m_s = np.abs(m * s_out).max()
+    scale_u = (np.abs(u).max() + m.max() * np.abs(u).sum() / m.sum()
+               + (np.abs(u1 * s_out).sum() + np.abs(u1).sum() * scale_s) * m_s
+               + abs(np.sum(u1 * s_out)) * m.max() * scale_s)
+    return scale_s, scale_u
+
+
 @pytest.mark.parametrize("d", [1, 2])
-def test_the_renormalizer_is_its_numpy_composition_bit_for_bit(rng, d):
-    # n = 2...6, and 9 and 65 past numpy's 8-term pairwise sums; shifted
-    # shapes, masses over 6 decades, u of any scale, signed zeros, one axis flat
-    for n in [2, 3, 4, 5, 6] * 80 + [9, 65] * 10:
+def test_the_renormalizer_is_its_numpy_composition_to_rounding(rng, d):
+    # n = 2...6, and 8, 9 and 65, past numpy's 8-term pairwise sums; shifted
+    # shapes, masses over 6 decades, u of any scale, signed zeros, one axis flat.
+    # Below 8 coordinates numpy sums left to right from +0 as the float body
+    # does, bit for bit; from 8 numpy sums pairwise, and each output stays
+    # within n d eps of its scale (_renormalizer_scales; at most half of that
+    # over 1,800 seeded draws)
+    eps = np.finfo(float).eps
+    for n in [2, 3, 4, 5, 6] * 80 + [8, 9, 65] * 10:
         masses = 10.0 ** rng.uniform(-3.0, 3.0, n)
         s = rng.standard_normal((n, d)) + rng.choice([0.0, 1.0, 1e3]) * rng.standard_normal(d)
         u = rng.choice([0.0, 1e-8, 1.0, 1e4]) * rng.standard_normal((n, d))
@@ -419,11 +441,15 @@ def test_the_renormalizer_is_its_numpy_composition_bit_for_bit(rng, d):
         want = _numpy_renormalized(s, u, masses)
         got = renormalize_mcgehee(s, u, masses)
         assert [x.shape for x in got] == [(n, d)] * 2
-        assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+        if n * d < 8:
+            assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+        else:
+            for g, w, scale in zip(got, want, _renormalizer_scales(s, u, masses)):
+                assert np.abs(g - w).max() <= n * d * eps * scale
         tail = [0.7] * int(rng.integers(2))  # a trailing physical time, kept as it is
         y = np.concatenate([[0.0, rng.standard_normal()], s.ravel(), u.ravel(), tail])
         out = mcgehee_renormalizer(MassSystem(masses), d)(y)
-        ref = np.concatenate([y[:2], want[0].ravel(), want[1].ravel(), tail])
+        ref = np.concatenate([y[:2], got[0].ravel(), got[1].ravel(), tail])
         assert out.tobytes() == ref.tobytes() and out is not y
     with pytest.raises(ValueError):
         mcgehee_renormalizer(MassSystem(masses), d)(y[: 1 + 2 * n * d])

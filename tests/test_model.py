@@ -5,6 +5,7 @@ analytic derivative used elsewhere; the homogeneity identities pin the
 signs and exponents independently of any discretization.
 """
 
+import functools
 import math
 import operator
 import re
@@ -26,7 +27,7 @@ from conftest import (
     random_masses,
 )
 from qhnbody.central_config import restricted_hessian, tangent_basis
-from qhnbody.errors import CollisionError, NotOnSphereError, StiffnessError
+from qhnbody.errors import CollisionError, FieldError, NotOnSphereError, StiffnessError
 from qhnbody.integrate import integrate
 from qhnbody.mcgehee import McGeheeState, mcgehee_field, vector_field
 from qhnbody.model import (
@@ -35,7 +36,7 @@ from qhnbody.model import (
     MassSystem,
     PhaseState,
     PotentialParams,
-    _FLOAT_SHAPES,
+    _FLOAT_BODIES,
     _PairKernel,
     _first_fault,
     _float_body,
@@ -376,12 +377,12 @@ def _bound_kernel_cases():
                 pp = PotentialParams(a=1.0, b=b, alpha=rng.uniform(0.5, 2.0), beta=0.5)
                 r = random_config(rng, n, d, scale=float(n))
                 yield ms, pp, r, rng.standard_normal((n, d)), rng
-    # harder inputs on both sides of the fields' float pass (n <= 3, and
-    # n = 4 in the plane): masses over 12 decades, alpha = 0, a = 0, b = 7,
-    # a pair 1.5 guards apart (n >= 3: a lone pair sets the size, so it is
-    # never near the guard), unit separations 1e6 from the origin, and a
-    # plane's bodies on its x-axis, where each y-force is a sum of zeros and
-    # must read +0.  Four bodies come twice, with the near pair first and last.
+    # harder inputs for the compiled bodies: masses over 12 decades, alpha =
+    # 0, a = 0, b = 7, a pair 1.5 guards apart (n >= 3: a lone pair sets the
+    # size, so it is never near the guard), unit separations 1e6 from the
+    # origin, and a plane's bodies on its x-axis, where each y-force is a sum
+    # of zeros and must read +0.  Four bodies come twice, with the near pair
+    # first and last.
     pps = [PotentialParams(a=1.0, b=7.0, alpha=0.0, beta=0.5),
            PotentialParams(a=1.0, b=7.0, alpha=1.3, beta=0.5),
            PotentialParams(a=0.0, b=2.0, alpha=1.3, beta=0.7)]
@@ -402,142 +403,187 @@ def _bound_kernel_cases():
             for pp in pps:
                 for r in configs:
                     yield ms, pp, r, rng.standard_normal((n, d)), rng
-    # 130 coordinates, past numpy's 128-term block of pairwise summation
+    # 65 bodies, above the size cutoff (the numpy pass), and 130 coordinates,
+    # past numpy's 128-term block of pairwise summation
     ms = random_masses(rng, 65)
     pp = PotentialParams(a=1.0, b=3.0, alpha=1.3, beta=0.5)
     yield ms, pp, random_config(rng, 65, 2, scale=65.0), rng.standard_normal((65, 2)), rng
 
 
-def test_cartesian_field_is_pair_terms_bit_for_bit():
+def _pair_order_pass(r, masses, pp):
+    """(W, V, grad_W, grad_V) of the (n, d) positions r by the float bodies' rule, written
+    as plain loops in Python floats: the pairs i < j in order, each sum left to right
+    from +0; the guard and a power past the float range raise as the bodies do."""
+    n, d = r.shape
+    x, m, total = r.tolist(), masses.tolist(), float(np.add.reduce(masses))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    diff = [[x[i][k] - x[j][k] for k in range(d)] for i, j in pairs]
+    q = [dx[0] * dx[0] + dx[1] * dx[1] if d == 2 else dx[0] * dx[0] for dx in diff]
+    guard = 0.0
+    for (i, j), qp in zip(pairs, q):
+        guard += (m[i] / total) * (m[j] / total) * qp
+    guard *= GUARD_FACTOR * GUARD_FACTOR
+    if min(q) <= guard:
+        raise CollisionError(f"minimum pairwise distance {math.sqrt(min(q)):.3e} at or below "
+                             f"guard {math.sqrt(guard):.3e}")
+    w = v = 0.0
+    gw, gv = ([[0.0] * d for _ in range(n)] for _ in range(2))
+    for (i, j), dx, qp in zip(pairs, diff, q):
+        pw, pv = qp ** (-0.5 * (pp.a + 2.0)), qp ** (-0.5 * (pp.b + 2.0))
+        cw, cv = pp.alpha * (m[i] * m[j]), pp.beta * (m[i] * m[j])
+        w += cw * (pw * qp)
+        v += cv * (pv * qp)
+        for g, f in ((gw, -pp.a * cw * pw), (gv, -pp.b * cv * pv)):
+            for k in range(d):
+                g[i][k] += f * dx[k]
+                g[j][k] -= f * dx[k]
+    return w, v, np.array(gw), np.array(gv)
+
+
+def _field_reference(ms, pp, d):
+    """The Cartesian field's values at a flat state: the pair-order rule up to
+    _FLOAT_BODIES bodies, the kernel's gradients (the numpy pass) above it."""
+    n = ms.n
+
+    def reference(rp):
+        r = np.asarray(rp[: n * d], dtype=float).reshape(n, d)
+        if n <= _FLOAT_BODIES:
+            _, _, gw, gv = _pair_order_pass(r, ms.masses, pp)
+        else:
+            t = pair_terms(r, ms, pp)
+            gw, gv = t.grad_W, t.grad_V
+        return np.concatenate([np.asarray(rp[n * d :]) / np.repeat(ms.masses, d), (gw + gv).ravel()])
+
+    return reference
+
+
+def test_cartesian_field_is_its_reference_bit_for_bit():
     for ms, pp, r, p, _ in _bound_kernel_cases():
         field = cartesian_field(ms, pp, r.shape[1])
         y = np.concatenate([r.ravel(), p.ravel()])
-        t = pair_terms(r, ms, pp)
-        rdot, pdot = p / ms.masses[:, None], t.grad_W + t.grad_V
-        expected = np.concatenate([rdot.ravel(), pdot.ravel()])
-        assert field(0.0, y).tobytes() == expected.tobytes()
+        assert field(0.0, y).tobytes() == _field_reference(ms, pp, r.shape[1])(y).tobytes()
 
 
 def _pass_bytes(w, v, g_w, g_v):
-    return np.array([w, v, *g_w, *g_v]).tobytes()
+    return np.array([w, v, *np.ravel(g_w), *np.ravel(g_v)]).tobytes()
 
 
-def _terms_bytes(t):
-    return np.concatenate([[t.W, t.V], t.grad_W.ravel(), t.grad_V.ravel()]).tobytes()
+def _outcome(fn, *args):
+    """fn(*args) as bytes, or the type and message of the error it raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(*args)
+    except (CollisionError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return _pass_bytes(*out) if isinstance(out, tuple) else np.array(out).tobytes()
 
 
-def float_pass_fuzz(seed, draws, n=4, d=2):
-    """The number of seeded draws at which _float_pass and kernel.terms differ in any bit."""
-    rng, differ = np.random.default_rng(seed), 0
-    for _ in range(draws):
+# the shapes the float bodies are pinned at: every compiled shape of the seed's
+# set, the line from four bodies, and the cutoff on both
+_COMPILED_SHAPES = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (6, 1), (6, 2),
+                    (_FLOAT_BODIES, 1), (_FLOAT_BODIES, 2)]
+
+
+def _fuzz_draws(rng, n, d, draws):
+    """(masses, pp, r, rp) of seeded draws: masses over 12 decades, alpha = 0 or
+    a = 0 at times, one plane axis all zeros in one draw in five, and one draw
+    in four near 1e-70, where b = 3 and 7 take a power past the float range."""
+    for draw in range(draws):
         a = float(rng.choice([0.0, 0.5, 1.0]))
-        pp = PotentialParams(a=a, b=a + float(rng.choice([0.5, 1.0, 2.0, 6.0])),
+        pp = PotentialParams(a=a, b=a + float(rng.choice([0.5, 2.0, 6.0])),
                              alpha=float(rng.choice([0.0, 1.3])), beta=float(rng.uniform(0.1, 2.0)))
-        kernel = _PairKernel(10.0 ** rng.uniform(-6.0, 6.0, n), pp)
-        r = random_config(rng, n, d, scale=float(n))
+        masses = 10.0 ** rng.uniform(-6.0, 6.0, n)
+        r = random_config(rng, n, d, scale=float(n)) * (1e-70 if draw % 4 == 0 else 1.0)
         if d == 2 and rng.random() < 0.2:
             r[:, int(rng.integers(2))] = 0.0
-        got = _float_pass(kernel, d)(r.ravel().tolist())
-        differ += _pass_bytes(*got) != _terms_bytes(kernel.terms(r, force=False)[0])
-    return differ
+        yield masses, pp, r, [*r.ravel().tolist(), *rng.standard_normal(n * d).tolist()]
 
 
-@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 1), (3, 2)])
-def test_the_float_pass_is_the_kernel_pass_bit_for_bit(n, d):
-    # the fields show W and V only through the blown-up one, and at rho = 0
-    # W not at all, so the float pass's sums are checked here on their own:
-    # a sum of three terms in another order differs in about 1 case in 10
-    assert float_pass_fuzz(seed=10 * n + d, draws=500, n=n, d=d) == 0
-
-
-def test_the_float_pass_of_four_bodies_in_the_plane_is_the_kernel_pass_bit_for_bit():
-    # each body's three pair terms in pair order, as the plane's batched
-    # matmul adds them; masses over 12 decades, and one axis all zeros
-    assert float_pass_fuzz(seed=44, draws=2000) == 0
-
-
-def _composed_field(kernel, d, rp):
-    """The Cartesian field's values from the float pass, divided and added
-    as the field's body must give them."""
-    m = np.repeat(kernel.m_col[:, 0], d).tolist()
-    _, _, g_w, g_v = _float_pass(kernel, d)(rp[: len(m)])
-    return [*map(operator.truediv, rp[len(m) :], m), *map(operator.add, g_w, g_v)]
-
-
-@pytest.mark.parametrize("n, d", sorted(_FLOAT_SHAPES))
-def test_the_cartesian_field_body_is_the_float_pass_composition_bit_for_bit(rng, n, d):
-    # the straight-line field body skips W and V and divides and adds in
-    # place; one draw in four puts the bodies near 1e-70, where the forces
-    # pass the float range and from three bodies both fall back to numpy
-    for draw in range(300):
-        masses = 10.0 ** rng.uniform(-6.0, 6.0, n)
-        pp = PotentialParams(a=float(rng.choice([0.0, 1.0])), b=float(rng.choice([1.5, 3.0, 7.0])),
-                             alpha=float(rng.choice([0.0, 1.3])), beta=float(rng.uniform(0.1, 2.0)))
+@pytest.mark.parametrize("n, d", _COMPILED_SHAPES)
+def test_the_float_bodies_are_the_pair_order_reference_bit_for_bit(rng, n, d):
+    # both compiled bodies, the pass with W and V and the Cartesian field's,
+    # give the reference's values, or raise its error with its message
+    for masses, pp, r, rp in _fuzz_draws(rng, n, d, draws=1200 // n):
         kernel = _PairKernel(masses, pp)
-        r = random_config(rng, n, d, scale=float(n)) * (1e-70 if draw % 4 == 0 else 1.0)
-        rp = [*r.ravel().tolist(), *rng.standard_normal(n * d).tolist()]
-        body = _float_pass(kernel, d, np.repeat(masses, d).tolist())
-        with np.errstate(over="ignore", invalid="ignore"):
-            got, want = body(0.3, rp), _composed_field(kernel, d, rp)
-        assert _float_bytes(got) == np.array(want).tobytes()
+        want = _outcome(_pair_order_pass, r, masses, pp)
+        assert _outcome(_float_pass(kernel, d), r.ravel().tolist()) == want
+        field = _float_pass(kernel, d, np.repeat(masses, d).tolist())
+        assert _outcome(field, 0.3, rp) == _outcome(_field_reference(MassSystem(masses), pp, d), rp)
 
 
-@pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (4, 2)])
-def test_the_float_pass_falls_back_to_the_numpy_pass_near_the_guard(rng, monkeypatch, n, d):
-    # a pair within 1e-14 of the guard, either side: the numpy pass decides,
-    # and the float pass returns its bytes or raises its CollisionError.  A
-    # lone pair sets the size itself and is never near the guard, so n >= 3.
-    passes, raised = count_gradient_passes(monkeypatch), set()
-    for _ in range(40):
+@pytest.mark.parametrize("n, d", _COMPILED_SHAPES)
+def test_the_float_pass_is_within_rounding_of_the_kernel_pass(rng, n, d):
+    # the kernel sums in a matmul's order: each gradient coordinate differs by
+    # at most n ulps of the largest force sum, W and V by P ulps of themselves
+    eps = np.finfo(float).eps
+    for masses, pp, r, _ in _fuzz_draws(rng, n, d, draws=600 // n):
+        if abs(r).max() < 1e-60:
+            continue
+        kernel = _PairKernel(masses, pp)
+        w, v, g_w, g_v = _float_pass(kernel, d)(r.ravel().tolist())
+        t = kernel.terms(r)[0]
+        bound = n * eps * t.force_sum.max()
+        assert np.abs(np.subtract(g_w, t.grad_W.ravel())).max() <= bound
+        assert np.abs(np.subtract(g_v, t.grad_V.ravel())).max() <= bound
+        pairs = n * (n - 1) // 2
+        assert abs(w - t.W) <= pairs * eps * t.W and abs(v - t.V) <= pairs * eps * t.V
+
+
+def _last_ulp_inside_the_guard(r, j, masses, pp):
+    """(inside, outside): r with body j's first coordinate walked by ulps to the last
+    value at which the reference's q_min <= guard holds, and one ulp further out."""
+    def raises(x):
+        return type(_outcome(_pair_order_pass, x, masses, pp)) is tuple
+
+    edge, inside = r.copy(), raises(r)
+    toward = math.copysign(math.inf, r[j, 0]) if inside else 0.0
+    while True:
+        step = edge.copy()
+        step[j, 0] = np.nextafter(edge[j, 0], toward)
+        if raises(step) != inside:
+            return (edge, step) if inside else (step, edge)
+        edge = step
+
+
+@pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (4, 1), (5, 2), (_FLOAT_BODIES, 2)])
+def test_the_float_bodies_raise_at_the_guard_and_not_past_it(rng, n, d):
+    # a pair at (1 - 1e-12), 1 and (1 + 1e-12) times the guard G^2 sum_p w_p q_p:
+    # both bodies raise where the reference's q_min <= guard does, below the
+    # guard with the kernel's message too, and nothing past it; at the guard,
+    # walked to the last ulp where q_min <= guard holds, both raise there and
+    # not one ulp out: no margin.  A lone pair sets the size itself, so n >= 3
+    for _ in range(20):
         kernel = _PairKernel(random_masses(rng, n).masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
-        r = random_config(rng, n, d, scale=float(n))
-        i, j = rng.choice(n, size=2, replace=False)
-        r -= r[i]  # body i at the origin, so body j's offset is exact
-        step, ratio = rng.standard_normal(d), 1.0 + rng.uniform(-8e-15, 8e-15)
-        step /= np.linalg.norm(step)
-        for _ in range(3):  # the size moves with body j, by 1e-10 relative at the second step
-            diff = kernel.e.T @ r
-            r[j] = np.sqrt(ratio * np.vecdot(kernel.weights, np.sum(diff * diff, axis=1)))
-            r[j] *= GUARD_FACTOR * step
-        try:
-            t = kernel.terms(r, force=False)[0]
-        except CollisionError as error:
-            before = len(passes)
-            with pytest.raises(CollisionError, match=f"^{re.escape(str(error))}$"):
-                _float_pass(kernel, d)(r.ravel().tolist())
-            raised.add(True)
-        else:
-            before = len(passes)
-            assert _pass_bytes(*_float_pass(kernel, d)(r.ravel().tolist())) == _terms_bytes(t)
-            raised.add(False)
-        assert len(passes) - before == 1
-        # the Cartesian field's straight-line body falls back where the pass does
-        rp = [*r.ravel().tolist(), *np.linspace(-1.0, 1.0, n * d).tolist()]
-        body = _float_pass(kernel, d, np.repeat(kernel.m_col[:, 0], d).tolist())
-        before = len(passes)
-        try:
-            want = _composed_field(kernel, d, rp)
-        except CollisionError as error:
-            with pytest.raises(CollisionError, match=f"^{re.escape(str(error))}$"):
-                body(0.0, rp)
-        else:
-            assert _float_bytes(body(0.0, rp)) == np.array(want).tobytes()
-        assert len(passes) - before == 2
-    assert raised == {True, False}
-
-
-def test_the_float_pass_of_three_bodies_falls_back_on_a_gradient_past_the_float_range(
-        rng, monkeypatch):
-    # separations near 1e-70 with b = 3: d^-5 overflows, and the numpy
-    # pass's zeros of E multiply inf into NaN, which the float pass returns
-    passes = count_kernel_passes(monkeypatch)
-    kernel = _PairKernel(random_masses(rng, 3).masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
-    r = 1e-70 * random_config(rng, 3, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _float_pass(kernel, 2)(r.ravel().tolist())
-        t = kernel.terms(r, force=False)[0]
-    assert len(passes) == 2 and np.isnan(got[2] + got[3]).any()
-    assert _pass_bytes(*got) == _terms_bytes(t)
+        masses = kernel.m_col[:, 0]
+        for ratio in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+            r = random_config(rng, n, d, scale=float(n))
+            i, j = rng.choice(n, size=2, replace=False)
+            r -= r[i]  # body i at the origin, so body j's offset is exact
+            step = rng.standard_normal(d)
+            step /= np.linalg.norm(step)
+            for _ in range(3):  # the size moves with body j, by 1e-10 relative at the second step
+                diff = kernel.e.T @ r
+                r[j] = np.sqrt(ratio * np.vecdot(kernel.weights, np.sum(diff * diff, axis=1)))
+                r[j] *= GUARD_FACTOR * step
+            rp = [*r.ravel().tolist(), *np.linspace(-1.0, 1.0, n * d).tolist()]
+            want = _outcome(_pair_order_pass, r, masses, kernel.pp)
+            assert _outcome(_float_pass(kernel, d), r.ravel().tolist()) == want
+            field = _float_pass(kernel, d, np.repeat(masses, d).tolist())
+            got = _outcome(field, 0.0, rp)
+            assert got == want if type(want) is tuple else type(got) is bytes
+            if ratio < 1.0:
+                with pytest.raises(CollisionError) as exc:
+                    kernel.terms(r)
+                assert want == (CollisionError, str(exc.value))
+            elif ratio > 1.0:
+                assert type(want) is bytes
+            else:
+                for x, raised in zip(_last_ulp_inside_the_guard(r, j, masses, kernel.pp),
+                                     (True, False)):
+                    got = _outcome(_float_pass(kernel, d), x.ravel().tolist())
+                    assert (type(got) is tuple) == raised
+                    rp = [*x.ravel().tolist(), *rp[n * d :]]
+                    assert (type(_outcome(field, 0.0, rp)) is tuple) == raised
 
 
 # the exponents -(exp + 2) / 2 the kernel raises squared distances to, at
@@ -566,33 +612,30 @@ def test_numpy_s_float_power_is_python_s_float_pow_bit_for_bit(rng):
                 "libm's pow), which parts the kernel's numpy pass from its float pass")
 
 
-@pytest.mark.parametrize("n, d", sorted(_FLOAT_SHAPES))
-def test_a_power_past_the_float_range_goes_to_the_numpy_pass(rng, monkeypatch, n, d):
-    # the first pair at q = 1e-200 with b = 3: q ** -2.5 raises OverflowError
-    # in Python floats, where the numpy pass's float_power gives inf, so the
-    # body hands that state to the numpy pass and raises nothing
+@pytest.mark.parametrize("n, d", _COMPILED_SHAPES)
+def test_a_power_past_the_float_range_raises_overflow_error(rng, monkeypatch, n, d):
+    # the first pair at q = 1e-200 with b = 3: q ** -2.5 raises OverflowError in
+    # Python floats, where the numpy pass's float_power gives inf; both bodies
+    # let it propagate, and no numpy pass runs
     passes = count_gradient_passes(monkeypatch)
     masses = random_masses(rng, n).masses
     kernel = _PairKernel(masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
-    r = random_config(rng, n, d)
+    r = random_config(rng, n, d, scale=float(n))
     r *= 1e-100 / np.linalg.norm(r[0] - r[1])
     rp = [*r.ravel().tolist(), *rng.standard_normal(n * d).tolist()]
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _float_pass(kernel, d)(rp[: n * d])
-        body = _float_pass(kernel, d, np.repeat(masses, d).tolist())(0.0, rp)
-        t = kernel.terms(r, force=False)[0]
-    assert len(passes) == 3 and math.isinf(got[1])
-    assert _pass_bytes(*got) == _terms_bytes(t)
-    want = [*map(operator.truediv, rp[n * d :], np.repeat(masses, d).tolist()),
-            *(t.grad_W + t.grad_V).ravel().tolist()]
-    assert _float_bytes(body) == np.array(want).tobytes()
+    with pytest.raises(OverflowError):
+        _float_pass(kernel, d)(rp[: n * d])
+    with pytest.raises(OverflowError):
+        _float_pass(kernel, d, np.repeat(masses, d).tolist())(0.0, rp)
+    assert passes == []
 
 
-def test_a_stage_past_the_float_range_is_rejected_as_by_the_numpy_pass(monkeypatch):
-    # two bodies closing from just above the separation where d^-5 passes
-    # the float range: the float body meets OverflowError in stage after
-    # stage and hands each to the numpy pass, and integrate rejects those
-    # steps as it does a field built on the numpy pass, to the same end
+def test_a_stage_past_the_float_range_is_rejected_as_a_non_finite_one(monkeypatch):
+    # two bodies closing from just above the separation where d^-5 passes the
+    # float range: the float body raises OverflowError in stage after stage,
+    # and integrate rejects each such step with h / 4 as it rejects the numpy
+    # pass's inf, to the same end; from a start past it, both runs end alike
+    # at t0
     passes = count_gradient_passes(monkeypatch)
     ms, pp = MassSystem(np.array([1.0, 1.0])), PotentialParams(a=1.0, b=3.0, alpha=0.0, beta=1e-300)
     kernel = _kernel(ms.masses, pp)
@@ -606,9 +649,13 @@ def test_a_stage_past_the_float_range_is_rejected_as_by_the_numpy_pass(monkeypat
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StiffnessError) as exc:
             integrate(field, np.array([0.0, 3.2e-62, 0.0, -1e-63]), (0.0, 1.0))
         ends.append((str(exc.value), exc.value.t, exc.value.state.tobytes()))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FieldError) as exc:
+            integrate(field, np.array([0.0, 1e-70, 0.0, 0.0]), (0.0, 1.0))
+        ends.append(str(exc.value))
         if field is not numpy_field:
-            assert len(passes) > 10  # the float body's handovers
-    assert "non-finite step" in ends[0][0] and ends[0] == ends[1]
+            assert passes == []
+    assert "non-finite step" in ends[0][0] and ends[:2] == ends[2:]
+    assert ends[1] == "field not finite at t = 0.0"
 
 
 def _numpy_calls(fn, *args):
@@ -633,10 +680,11 @@ def _numpy_calls(fn, *args):
     return called
 
 
-@pytest.mark.parametrize("n, d", sorted(_FLOAT_SHAPES))
+@pytest.mark.parametrize("n, d", _COMPILED_SHAPES)
 def test_the_float_bodies_make_no_numpy_call(rng, n, d):
     ms, pp = random_masses(rng, n), PotentialParams(a=0.5, b=2.5, alpha=1.3, beta=0.7)
-    y = [*random_config(rng, n, d).ravel().tolist(), *rng.standard_normal(n * d).tolist()]
+    y = [*random_config(rng, n, d, scale=float(n)).ravel().tolist(),
+         *rng.standard_normal(n * d).tolist()]
     assert _numpy_calls(cartesian_field(ms, pp, d).floats, 0.3, y) == []
     for with_time in (False, True):
         field = mcgehee_field(ms, pp, d, with_time=with_time)
@@ -649,24 +697,48 @@ def test_the_float_bodies_make_no_numpy_call(rng, n, d):
 def test_a_second_kernel_of_a_compiled_shape_compiles_nothing(rng):
     # the kernel's values are arguments of the compiled body, so a new
     # kernel of a compiled shape reuses it and still gets its own values
-    for n, d in _FLOAT_SHAPES:
+    for n, d in _COMPILED_SHAPES:
         _float_pass(_PairKernel(random_masses(rng, n).masses, PotentialParams()), d)
     misses = _float_body.cache_info().misses
-    for n, d in _FLOAT_SHAPES:
+    for n, d in _COMPILED_SHAPES:
         kernel = _PairKernel(random_masses(rng, n).masses, PotentialParams(a=0.5, b=2.5, alpha=1.3))
-        r = random_config(rng, n, d)
+        r = random_config(rng, n, d, scale=float(n))
         got = _float_pass(kernel, d)(r.ravel().tolist())
-        assert _pass_bytes(*got) == _terms_bytes(kernel.terms(r, force=False)[0])
+        assert _pass_bytes(*got) == _pass_bytes(*_pair_order_pass(r, kernel.m_col[:, 0], kernel.pp))
     assert _float_body.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_shape_above_the_cutoff_compiles_nothing_and_runs_the_kernel_s_gradients(
+        rng, monkeypatch, d):
+    # so the compile cache holds at most two bodies per shape up to the cutoff
+    n = _FLOAT_BODIES + 1
+    ms, pp = random_masses(rng, n), PotentialParams(a=1.0, b=3.0, beta=0.5)
+    y = np.concatenate([random_config(rng, n, d, scale=float(n)).ravel(), rng.standard_normal(n * d)])
+    want = _field_reference(ms, pp, d)(y).tobytes()
+    passes, misses = count_gradient_passes(monkeypatch), _float_body.cache_info().misses
+    field = cartesian_field(ms, pp, d)
+    assert _float_bytes(field.floats(0.0, y.tolist())) == want
+    assert len(passes) == 1
+    mcgehee_field(ms, pp, d)(0.0, np.concatenate([[0.5, -0.1], y]))
+    assert len(passes) == 2 and _float_body.cache_info().misses == misses
+
+
+def _pass_of(s, ms, pp):
+    """(W, V, grad_W, grad_V) of the positions s as the fields compute them."""
+    if ms.n <= _FLOAT_BODIES:
+        return _pair_order_pass(s, ms.masses, pp)
+    return pair_terms(s, ms, pp)[:4]
+
+
 def _blown_up_reference(y, ms, pp, n, d, with_time):
-    """The blown-up field composed from pair_terms, one array per part."""
+    """The blown-up field composed from _pass_of, one array per part, with u^T M^-1 u
+    summed left to right from +0."""
     a, b, m, sz = pp.a, pp.b, ms.masses[:, None], n * d
     rho, v = y[0], y[1]
     s, u = y[2 : 2 + sz].reshape(n, d), y[2 + sz : 2 + 2 * sz].reshape(n, d)
-    w_s, v_s, gw, gv = pair_terms(s, ms, pp)[:4]
-    u_m_u = float(np.sum(u * u / m))
+    w_s, v_s, gw, gv = _pass_of(s, ms, pp)
+    u_m_u = functools.reduce(operator.add, (u * u / m).ravel().tolist(), 0.0)
     rho_pow = rho ** (b - a) if rho > 0.0 else 0.0
     v_dot = 0.5 * b * v * v + u_m_u - rho_pow * (a * w_s) - b * v_s
     u_dot = (
@@ -683,7 +755,7 @@ def _blown_up_reference(y, ms, pp, n, d, with_time):
 
 
 @pytest.mark.parametrize("with_time", [False, True])
-def test_mcgehee_field_is_its_pair_terms_composition_bit_for_bit(with_time):
+def test_mcgehee_field_is_its_reference_composition_bit_for_bit(with_time):
     for ms, pp, s, u, rng in _bound_kernel_cases():
         n, d = s.shape
         field = mcgehee_field(ms, pp, d, with_time=with_time)
@@ -699,21 +771,14 @@ def test_mcgehee_field_is_its_pair_terms_composition_bit_for_bit(with_time):
 
 
 def _field_states(n, d, rng):
-    """(field, flat state, the field's numpy pass composed from pair_terms) for the
-    Cartesian field and the blown-up one without and with time, of one seeded
-    system with a = 1."""
+    """(field, flat state, the field's reference) for the Cartesian field and the
+    blown-up one without and with time, of one seeded system with a = 1."""
     ms = random_masses(rng, n)
     pp = PotentialParams(a=1.0, b=3.0, alpha=1.0, beta=0.5)
-    y = np.concatenate([random_config(rng, n, d).ravel(), rng.standard_normal(n * d)])
+    y = np.concatenate([random_config(rng, n, d, scale=float(n)).ravel(), rng.standard_normal(n * d)])
     y_blown_up = np.concatenate([[0.5, -0.1], y])
-
-    def cartesian(y):
-        t = pair_terms(y[: n * d].reshape(n, d), ms, pp)
-        rdot = y[n * d :].reshape(n, d) / ms.masses[:, None]
-        return np.concatenate([rdot.ravel(), (t.grad_W + t.grad_V).ravel()])
-
     return [
-        (cartesian_field(ms, pp, d), y, cartesian),
+        (cartesian_field(ms, pp, d), y, _field_reference(ms, pp, d)),
         (mcgehee_field(ms, pp, d), y_blown_up,
          lambda y: _blown_up_reference(y, ms, pp, n, d, False)),
         (mcgehee_field(ms, pp, d, with_time=True), np.append(y_blown_up, 0.7),
@@ -722,17 +787,16 @@ def _field_states(n, d, rng):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_the_fields_take_the_float_pass_up_to_three_bodies_and_four_in_the_plane(
-        rng, monkeypatch, n, d):
+@pytest.mark.parametrize("n", [2, 4, 6, _FLOAT_BODIES, _FLOAT_BODIES + 1])
+def test_the_fields_take_the_float_pass_up_to_the_cutoff(rng, monkeypatch, n, d):
     # every numpy pass starts with _PairKernel.pairs; the float pass never
-    # calls it.  Four bodies on the line and five keep the numpy pass, which
-    # for the Cartesian field is gradients alone, no terms call summing W
-    # and V.  Every field offers integrate its float body
+    # calls it.  Above the cutoff the fields take the numpy pass, which for
+    # the Cartesian field is gradients alone, no terms call summing W and V.
+    # Every field offers integrate its float body
     calls, passes = [], count_kernel_passes(monkeypatch)
     pairs = _PairKernel.pairs
     monkeypatch.setattr(_PairKernel, "pairs", lambda self, *a: calls.append(1) or pairs(self, *a))
-    float_pass = n <= 3 or n == 4 and d == 2
+    float_pass = n <= _FLOAT_BODIES
     for k, (field, y, _) in enumerate(_field_states(n, d, rng)):
         before, terms_before = len(calls), len(passes)
         field(0.0, y)
@@ -768,14 +832,14 @@ def test_the_float_bodies_are_the_array_calls_bit_for_bit():
 
 
 @pytest.mark.parametrize("defect", ["short", "long", "nan position", "nan momentum", "overflow"])
-@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 2), (4, 1), (5, 2)])
-def test_a_malformed_state_gives_what_the_numpy_pass_gives(rng, n, d, defect):
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 2), (4, 1), (5, 2), (_FLOAT_BODIES + 1, 2)])
+def test_a_malformed_state_gives_what_its_reference_gives(rng, n, d, defect):
     # no field reads a state of the wrong size as some other state, as an
-    # array or as a list, and the float pass must give NaN where numpy
-    # does: for a NaN coordinate, or for forces past the float range, where
-    # the matmul's 0 * inf is NaN.  (4, 1) and (5, 2) take the numpy pass
+    # array or as a list; a NaN coordinate gives NaN where the reference
+    # does, and forces past the float range raise OverflowError from a
+    # compiled body, and give the matmul's NaN (0 * inf) above the cutoff
     sz = n * d
-    for k, (field, y, numpy_pass) in enumerate(_field_states(n, d, rng)):
+    for k, (field, y, reference) in enumerate(_field_states(n, d, rng)):
         blown_up = k > 0
         if defect in ("short", "long"):
             wrong = y[:-2] if defect == "short" else np.append(y, 1.0)
@@ -786,22 +850,26 @@ def test_a_malformed_state_gives_what_the_numpy_pass_gives(rng, n, d, defect):
             if k == 2:  # the blown-up state with time, without its t
                 with pytest.raises(ValueError):
                     field(0.0, y[:-1])
-        else:
-            y = y.copy()
-            if defect == "overflow":  # d^-(b+2) of separations near 1e-70
-                y[2 * blown_up : 2 * blown_up + sz] *= 1e-70
-            else:  # the last coordinate of body 0, or of its momentum (u when blown up)
-                y[2 * blown_up + sz * (defect == "nan momentum") + d - 1] = np.nan
-            with np.errstate(over="ignore", invalid="ignore"):
-                got, want = field(0.0, y), numpy_pass(y)
-            assert np.isnan(got).any() or defect == "overflow" and n == 2
-            assert np.array_equal(np.isnan(got), np.isnan(want))
-            assert np.array_equal(got, want, equal_nan=True)
+            continue
+        y = y.copy()
+        if defect == "overflow":  # d^-(b+2) of separations near 1e-70
+            y[2 * blown_up : 2 * blown_up + sz] *= 1e-70
+            if n <= _FLOAT_BODIES:
+                for entry in (field, field.floats):
+                    with pytest.raises(OverflowError):
+                        entry(0.0, y if entry is field else y.tolist())
+                continue
+        else:  # the last coordinate of body 0, or of its momentum (u when blown up)
+            y[2 * blown_up + sz * (defect == "nan momentum") + d - 1] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = field(0.0, y), reference(y)
+        assert np.isnan(got).any()
+        assert np.array_equal(got, want, equal_nan=True)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, _FLOAT_BODIES + 1])
 def test_the_cartesian_field_keeps_its_symmetries(rng, n):
-    # oracle-free checks on both sides of the float pass (n <= 4).  Each
+    # oracle-free checks on both sides of the size cutoff.  Each
     # body's force is a sum of pair terms that cancel exactly in pairs, so
     # the forces sum to the rounding of the sums, under n ulps of the
     # largest force sum.  A rotation or translation rounds the positions;

@@ -19,7 +19,8 @@ def _tool(name):
     return module
 
 
-compare_dumps, compare_trees = _tool("compare_dumps"), _tool("compare_trees")
+compare_dumps, compare_trees, paired = (_tool(name) for name in (
+    "compare_dumps", "compare_trees", "paired"))
 
 
 def write_dump(root, files):
@@ -274,3 +275,55 @@ def test_compare_trees_refuses_a_tree_without_the_package(tmp_path, capsys):
         compare_trees.main([str(tmp_path)])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: {tmp_path.resolve()} has no src/qhnbody\n")
+
+
+def _stub_paired(monkeypatch, parent, wall):
+    """Stub paired's runs: each run of a tree returns its next wall_s from wall[side]
+    (every other metric reads 1.0), and the call counts are 1,000 and 1,100."""
+    calls = []
+
+    def run_bench(tree, workload, seed):
+        side = "old" if tree == parent.resolve() else "new"
+        calls.append((side, workload, seed, tree))
+        metrics = {name: 1.0 for name in ("setup_s", "cpu_s", "op_p50_ms", "peak_rss_mb")}
+        return {**metrics, "wall_s": wall[side][sum(c[0] == side for c in calls) - 1]}
+
+    monkeypatch.setattr(paired, "run_bench", run_bench)
+    monkeypatch.setattr(paired, "profile_calls",
+                        lambda tree, workload, seed: (10, 1000 if tree == parent.resolve() else 1100))
+    return calls
+
+
+def test_paired_alternates_the_trees_and_summarises_each_metric(tmp_path, capsys, monkeypatch):
+    parent = tmp_path / "parent"
+    for need in ("src/qhnbody/__init__.py", "bench/run.py", "bench/workloads.py"):
+        write_dump(parent, {need: ""})
+    wall = {"old": [1.0, 2.0, 3.0, 4.0], "new": [0.9, 2.1, 2.5, 3.0]}
+    calls = _stub_paired(monkeypatch, parent, wall)
+    assert paired.main([str(parent), "--workload", "flow", "--seeds", "11", "12", "--pairs", "4"]) == 0
+    # even pairs run the old tree first, odd pairs the new one; seeds cycle per pair
+    assert [(side, seed) for side, _, seed, _ in calls] == [
+        ("old", 11), ("new", 11), ("new", 12), ("old", 12),
+        ("old", 11), ("new", 11), ("new", 12), ("old", 12)]
+    assert {tree for side, _, _, tree in calls if side == "new"} == {paired.ROOT}
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("flow: 4 pairs, seeds [11, 12], OLD ")
+    # old quartiles of 1..4 are 1.75, 2.5, 3.25; new 1.8, 2.3, 2.625; NEW wins pairs 1, 3, 4
+    assert "wall_s       old 2.5 [1.75, 3.25]  new 2.3 [1.8, 2.625]  -8.0%  won 3/4  " \
+           "old IQR 1.5 (60.0%)" in lines
+    assert "cpu_s        old 1 [1, 1]  new 1 [1, 1]  +0.0%  won 0/4  old IQR 0 (0.0%)" in lines
+    assert lines[-1] == "calls        old 1,000  new 1,100  +100 (+10.00%) over 10 ops, 100 / 110 per op"
+
+
+def test_paired_aa_runs_the_old_tree_against_a_copy_of_itself(tmp_path, capsys, monkeypatch):
+    parent = tmp_path / "parent"
+    for need in ("src/qhnbody/__init__.py", "bench/run.py", "bench/workloads.py"):
+        write_dump(parent, {need: ""})
+    calls = _stub_paired(monkeypatch, parent, {"old": [1.0, 2.0], "new": [1.0, 2.0]})
+    assert paired.main([str(parent), "--workload", "census", "--pairs", "2", "--aa"]) == 0
+    copies = {tree for side, _, _, tree in calls if side == "new"}
+    assert len(copies) == 1 and copies != {paired.ROOT}
+    assert "won 0/2" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        paired.main([str(tmp_path), "--workload", "census"])
+    assert exc.value.code == 2
