@@ -172,39 +172,15 @@ def mcgehee_field(ms: MassSystem, pp: PotentialParams, dim: int = 2, with_time: 
 
     With with_time the state carries a trailing physical-time component
     integrated as dt/dtau = rho^(1 + b/2); a state of another length raises
-    ValueError naming both lengths.  One body in Python floats for every
-    n, on _float_pass, with u^T M^{-1} u summed left to right from +0; it is
-    field.floats, (tau, list) -> list, which integrate calls on every
-    state as a list, and field is float_field of it.  Up to _FLOAT_BODIES
-    bodies it makes no numpy call: 6.5-7.3 us per call at (4, 1) and
-    14.3-14.6 us at (6, 2), where the numpy pass that ran those shapes before
-    took at least 22.5 and 23.9 us (CPython 3.11, numpy 2.4, best of 7 x
-    3000 calls, three runs).  At a = 1 the W-term's factor a is an exact
-    multiply.
+    ValueError naming both lengths.  The field is float_field of its one body,
+    field.floats, (tau, list) -> list, which integrate calls on every state as
+    a list: model._float_pass, whose generator writes it beside the Cartesian
+    field's body, with the same pair section, at every n.  Per call on a list:
+    0.9 us at (2, 1), 2.6 at (3, 2), 4.1 at (4, 2) and 26.4 at (12, 2), where the body
+    that summed a W, V pass's terms in this module took 3.5, 5.9, 7.8 and 31.5 us
+    (CPython 3.11, numpy 2.4, best of 3 x 2000 calls, nine rounds alternated with it).
     """
-    sz = ms.n * dim
-    run, a, b = _float_pass(_kernel(ms.masses, pp), dim), pp.a, pp.b
-    m = np.repeat(ms.masses, dim).tolist()  # the mass of each coordinate
-    size, t_exp, w_exp = 2 + 2 * sz + with_time, 1.0 + b / 2.0, b - a
-
-    def floats(tau, state):
-        if len(state) != size:
-            raise ValueError(f"a flat blow-up state of {len(state)} values, need {size}")
-        rho, v, s, u = state[0], state[1], state[2 : 2 + sz], state[2 + sz : 2 + 2 * sz]
-        w_s, v_s, g_w, g_v = run(s)
-        aw_s = a * w_s
-        u_m_u = _sum([x * x / mi for x, mi in zip(u, m)])
-        rho_pow = rho**w_exp if rho > 0.0 else 0.0
-        k_u, k_s, m_s = (0.5 * b - 1.0) * v, b * v_s, [mi * si for mi, si in zip(m, s)]
-        out = [rho * v, 0.5 * b * v * v + u_m_u - rho_pow * aw_s - b * v_s]
-        out += [x / mi for x, mi in zip(u, m)]
-        out += [k_u * x - u_m_u * x_s + rho_pow * (aw_s * x_s + gw) + k_s * x_s + gv
-                for x, x_s, gw, gv in zip(u, m_s, g_w, g_v)]
-        if with_time:
-            out.append(rho**t_exp if rho > 0.0 else 0.0)
-        return out
-
-    return float_field(floats)
+    return float_field(_float_pass(_kernel(ms.masses, pp), dim, blown_up=True, with_time=with_time))
 
 
 def _sum(xs) -> float:

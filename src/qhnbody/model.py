@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -432,54 +431,46 @@ def _bound(masses: bytes, shape: tuple, bits: bytes, pp: PotentialParams) -> _Pa
 _FLOAT_BODIES = 9
 
 
-def _float_pass(kernel: _PairKernel, d: int, m=None):
-    """run(r) -> (W, V, grad_W, grad_V) as Python floats, r the n d coordinates body by body.
+def _float_pass(kernel: _PairKernel, d: int, blown_up: bool = False, with_time: bool = False):
+    """run(t, y) -> list, a field's body in Python floats on its flat state y, a list.
 
-    With m, the n d masses coordinate by coordinate, run(t, rp) is instead
-    the Cartesian field's body [p / m, grad_W + grad_V] on the flat state
-    rp = [r, p], which makes no W or V; a state of another length raises
-    ValueError.  Up to _FLOAT_BODIES bodies run is _float_body's compiled
-    body, whose arithmetic defines the values: pair order, each sum left to
-    right from +0.  Above it run is the numpy pass, kernel.terms or (with
-    m) kernel.gradients, which sums in a matmul's order.
+    The Cartesian field [p / m, grad_W + grad_V] of y = [r, p], or with blown_up
+    mcgehee_field's of y = [rho, v, s, u], with with_time a trailing t in y and
+    dt/dtau = rho^(1 + b/2) last in run's value; r and s are the n d coordinates body by
+    body and m the mass of each.  One generator, _float_body, writes both: their shared
+    pair section, then each field's own tail.  Up to _FLOAT_BODIES bodies the pair terms
+    are written out, and their arithmetic defines the values: pair order, each sum left
+    to right from +0.  Above it the pair section is one call of the kernel's numpy pass,
+    kernel.gradients or (blown up) kernel.terms, which sums in a matmul's order.
     """
     n = kernel.m_col.shape[0]
-    if n <= _FLOAT_BODIES:
-        values = np.concatenate([kernel.weights, kernel.coef.ravel(), kernel.kc.ravel(),
-                                 kernel.half_exps.ravel()]).tolist()
-        return _float_body(n, d, m is not None)(*values, *(m or ()))
-    sz = n * d
-    if m is None:
-        def numpy_pass(r):
-            t = kernel.terms(np.array(r).reshape(n, d), force=False)[0]
-            return t.W, t.V, t.grad_W.ravel().tolist(), t.grad_V.ravel().tolist()
-    else:
-        def numpy_pass(t, rp):
-            if len(rp) != 2 * sz:
-                raise ValueError(f"a flat Cartesian state of {len(rp)} values, need {2 * sz}")
-            g = kernel.gradients(np.array(rp[:sz]).reshape(n, d))[-1]
-            return [*map(operator.truediv, rp[sz:], m), *(g[0] + g[1]).ravel().tolist()]
-    return numpy_pass
+    pairs = [kernel] if n > _FLOAT_BODIES else np.concatenate(
+        [kernel.weights, kernel.coef.ravel(), kernel.kc.ravel(), kernel.half_exps.ravel()]).tolist()
+    m, tail = np.repeat(kernel.m_col, d).tolist(), (kernel.pp.a, kernel.pp.b) if blown_up else ()
+    return _float_body(n, d, blown_up, with_time)(*pairs, *m, *tail)
 
 
-@functools.cache
-def _float_body(n: int, d: int, field: bool = False):
-    """make(*weights, *coef.ravel(), *kc.ravel(), hw, hv) -> run, the float pass of n
-    bodies in d dimensions (see _float_pass); hw and hv are the half exponents
-    -(a + 2) / 2 and -(b + 2) / 2.  With field, make also takes the masses m<c> of the
-    coordinates, and run(t, rp) reads the momenta p<c> after r, makes no W or V and
-    returns [p<c> / m<c>..., gw<c> + gv<c>...].
+@functools.lru_cache(maxsize=16)  # as integrate._float_kernel: a body grows with its shape
+def _float_body(n: int, d: int, blown_up: bool = False, with_time: bool = False):
+    """make(*pair values, *m, [a, b]) -> run, the body of _float_pass for n bodies in d
+    dimensions.  The pair values are, up to _FLOAT_BODIES bodies, *weights, *coef.ravel(),
+    *kc.ravel(), hw and hv, the half exponents -(a + 2) / 2 and -(b + 2) / 2, and above it
+    the kernel itself; m<c> is coordinate c's mass, and a and b come with blown_up.
 
-    The source depends on (n, d) alone.  Pair p's values are make's parameters w<p>
-    (size weight), cw<p>, cv<p> (coef) and kw<p>, kv<p> (kc); run names r<c> the
-    coordinates, x<p>_<k> pair p's difference on axis k, q<p> its squared distance and
-    pw<p>, pv<p> its powers q<p> ** hw, q<p> ** hv, libm's pow as np.float_power's.  A
-    pair at or inside the guard raises CollisionError, and a power past the float range
-    OverflowError.  Every sum is written out term by term, never left to builtin sum(),
-    which from Python 3.12 is compensated.
+    The source depends on (n, d, blown_up, with_time) alone.  run names r<c> the
+    coordinates and p<c> the momenta, s and u when blown up.  The pair section written
+    out names pair p's values w<p> (size weight), cw<p>, cv<p> (coef) and kw<p>, kv<p>
+    (kc), x<p>_<k> its difference on axis k, q<p> its squared distance and pw<p>, pv<p>
+    its powers q<p> ** hw, q<p> ** hv, libm's pow as np.float_power's; a pair at or
+    inside the guard raises CollisionError, and a power past the float range
+    OverflowError.  Either section yields gw<c>, gv<c>, the gradients, and blown up W and
+    V.  The blown-up tail keeps mcgehee's order of operations: 0.5 b v v + umu - rw aw
+    - b V, umu = u^T M^{-1} u, rw = rho ** (b - a) and rho ** (1 + b / 2) only where
+    rho > 0, and m<c> s<c> formed once.  Every sum is written out term by term, never
+    left to builtin sum(), which from Python 3.12 is compensated.
     """
     i, j = (ends.tolist() for ends in _incidence(n)[:2])
-    pairs, coords = range(len(i)), range(n * d)
+    pairs, coords, sz = range(len(i)), range(n * d), n * d
 
     def names(prefix, over=pairs):
         return ", ".join(f"{prefix}{p}" for p in over)
@@ -491,34 +482,61 @@ def _float_body(n: int, d: int, field: bool = False):
         return [from_zero(f"{'+' if i[p] == c // d else '-'} f{t}{p} * x{p}_{c % d}"
                           for p in pairs if c // d in (i[p], j[p])) for c in coords]
 
-    q_min = f"min({names('q')})" if len(i) > 1 else "q0"
+    if n <= _FLOAT_BODIES:
+        params = f"{names('w')}, {names('cw')}, {names('cv')}, {names('kw')}, {names('kv')}, hw, hv"
+        q_min = f"min({names('q')})" if len(i) > 1 else "q0"
+        pair_section = [
+            *(f"x{p}_{k} = r{i[p] * d + k} - r{j[p] * d + k}" for p in pairs for k in range(d)),
+            *(f"q{p} = " + " + ".join(f"x{p}_{k} * x{p}_{k}" for k in range(d)) for p in pairs),
+            f"q_min = {q_min}",
+            f"guard = G2 * ({from_zero(f'+ w{p} * q{p}' for p in pairs)})",
+            "if q_min <= guard:",
+            "    raise collision(q_min, guard)",
+            f"{', '.join(f'pw{p}, pv{p}' for p in pairs)} = "
+            f"{', '.join(f'q{p} ** hw, q{p} ** hv' for p in pairs)}",
+            *([f"W = {from_zero(f'+ cw{p} * (pw{p} * q{p})' for p in pairs)}",
+               f"V = {from_zero(f'+ cv{p} * (pv{p} * q{p})' for p in pairs)}"] * blown_up),
+            *(f"f{t}{p} = k{t}{p} * p{t}{p}" for p in pairs for t in "wv"),
+            *(f"g{t}{c} = {sum_c}" for t in "wv" for c, sum_c in zip(coords, gradient(t)))]
+    else:  # one call of the kernel's numpy pass on the coordinates
+        params, at = "kernel", f"array(y[{2 * blown_up}:{2 * blown_up + sz}]).reshape({n}, {d})"
+        pair_section = [
+            f"W, V, grad_W, grad_V = kernel.terms({at}, force=False)[0][:4]",
+            f"{names('gw', coords)}, = grad_W.ravel().tolist()",
+            f"{names('gv', coords)}, = grad_V.ravel().tolist()",
+        ] if blown_up else [
+            f"{names('gw', coords)}, {names('gv', coords)}, = "
+            f"kernel.gradients({at})[-1].ravel().tolist()"]
+    state = f"{names('r', coords)}, {names('p', coords)}"
+    velocities = ", ".join(f"p{c} / m{c}" for c in coords)
+    if blown_up:
+        size = 2 + 2 * sz + with_time
+        head = [f"if len(y) != {size}:",
+                f"    raise ValueError(f'a flat blow-up state of {{len(y)}} values, need {size}')",
+                f"rho, v, {state}{', _' * with_time} = y"]
+        u_dot = ", ".join(f"ku * p{c} - umu * mr{c} + rw * (aw * mr{c} + gw{c}) + ks * mr{c}"
+                          f" + gv{c}" for c in coords)
+        tail = ["aw = a * W",
+                f"umu = {from_zero(f'+ p{c} * p{c} / m{c}' for c in coords)}",
+                "rw = rho ** w_exp if rho > 0.0 else 0.0",
+                "ku, ks = ku_c * v, b * V",
+                *(f"mr{c} = m{c} * r{c}" for c in coords),
+                f"return [rho * v, hb * v * v + umu - rw * aw - ks, {velocities}, {u_dot}"
+                f"{', rho ** t_exp if rho > 0.0 else 0.0' * with_time}]"]
+    else:
+        head = [f"{state} = y"]
+        tail = [f"return [{velocities}, {', '.join(f'gw{c} + gv{c}' for c in coords)}]"]
     lines = [
-        f"def make({names('w')}, {names('cw')}, {names('cv')}, {names('kw')}, {names('kv')},",
-        f"         hw, hv{', ' + names('m', coords) if field else ''}):",
-        f"    def run({'t, rp' if field else 'r'}):",
-        f"        {names('r', coords)},{' ' + names('p', coords) + ',' if field else ''}"
-        f" = {'rp' if field else 'r'}",
-        *(f"        x{p}_{k} = r{i[p] * d + k} - r{j[p] * d + k}" for p in pairs for k in range(d)),
-        *(f"        q{p} = " + " + ".join(f"x{p}_{k} * x{p}_{k}" for k in range(d)) for p in pairs),
-        f"        q_min = {q_min}",
-        f"        guard = G2 * ({from_zero(f'+ w{p} * q{p}' for p in pairs)})",
-        "        if q_min <= guard:",
-        "            raise collision(q_min, guard)",
-        f"        {', '.join(f'pw{p}, pv{p}' for p in pairs)} = "
-        f"{', '.join(f'q{p} ** hw, q{p} ** hv' for p in pairs)}",
-        *([] if field else [
-            f"        w = {from_zero(f'+ cw{p} * (pw{p} * q{p})' for p in pairs)}",
-            f"        v = {from_zero(f'+ cv{p} * (pv{p} * q{p})' for p in pairs)}"]),
-        *(f"        f{t}{p} = k{t}{p} * p{t}{p}" for p in pairs for t in "wv"),
-        *(f"        g{t}{c} = {sum_c}" for t in "wv" for c, sum_c in zip(coords, gradient(t))),
-        f"        return [{', '.join(f'p{c} / m{c}' for c in coords)}, "
-        f"{', '.join(f'gw{c} + gv{c}' for c in coords)}]" if field else
-        f"        return w, v, [{names('gw', coords)}], [{names('gv', coords)}]",
+        f"def make({params}, {names('m', coords)}{', a, b' * blown_up}):",
+        *(["    hb, ku_c, w_exp, t_exp = 0.5 * b, 0.5 * b - 1.0, b - a, 1.0 + b / 2.0"] * blown_up),
+        "    def run(t, y):",
+        *("        " + line for line in head + pair_section + tail),
         "    return run",
     ]
     # run's module is this one
-    scope = {"G2": GUARD_FACTOR * GUARD_FACTOR, "collision": _collision, "__name__": __name__}
-    name = f"<float {'field' if field else 'pass'} n={n} d={d}>"
+    scope = {"G2": GUARD_FACTOR * GUARD_FACTOR, "collision": _collision, "array": np.array,
+             "__name__": __name__}
+    name = f"<float {'blown-up' if blown_up else 'cartesian'} field n={n} d={d}>"
     exec(compile("\n".join(lines), name, "exec"), scope)
     return scope["make"]
 
@@ -605,18 +623,11 @@ def cartesian_field(ms: MassSystem, pp: PotentialParams, dim: int = 2):
 
     Returns f(t, y) for the flat state y = [r.ravel(), p.ravel()] with
     rdot = M^{-1} p and pdot = dU/dr (the potential is attractive).  Its
-    one body is _float_pass with the masses, f.floats, (t, list) -> list,
+    one body is _float_pass(kernel, dim), f.floats, (t, list) -> list,
     which integrate calls on every state as a list; f(t, y) is that body at
-    y's values, made an array (float_field).  Up to _FLOAT_BODIES bodies the
-    body is compiled Python floats, pair order summed left to right from +0,
-    and makes no numpy call; above it is the kernel's gradients.  Per call
-    of the body on a list (CPython 3.11, numpy 2.4, 2 cores, best of 7 x
-    3000 calls, three runs): 2.0-2.1 us at (4, 1), 4.5-4.7 at (5, 2),
-    4.4-4.6 at (6, 1) and 6.8-7.2 at (6, 2), where the numpy pass that ran
-    those shapes before took at least 14.0, 13.8, 12.5 and 14.7 us.
+    y's values, made an array (float_field).
     """
-    m = np.repeat(ms.masses, dim).tolist()
-    return float_field(_float_pass(_kernel(ms.masses, pp), dim, m))
+    return float_field(_float_pass(_kernel(ms.masses, pp), dim))
 
 
 def pack_phase(state: PhaseState) -> np.ndarray:

@@ -1357,3 +1357,21 @@ def test_a_reversed_ordering_gives_the_mirror_image(seed, n, pp, log_i0):
     x, mirrored = batch.x[:6], batch.x[6:]
     assert np.abs(mirrored + x).max() <= 1e-14 * np.abs(x).max()
     assert np.array_equal(batch.index[:6], batch.index[6:])
+
+
+@pytest.mark.parametrize("call, error, quantity", [
+    (lambda: CCQuery(MS123, PP13, grad_tol=-1.0), ValueError, "grad_tol"),
+    (lambda: CCQuery(MS123, PP13, inertia_I0=float("nan")), ValueError, "inertia_I0"),
+    (lambda: equilateral_configuration(MassSystem(np.ones(4))), ValueError, "three bodies"),
+    (lambda: central_config.bisect_sign_change(lambda r: 1.0, 1e-14, BracketError, "no sign change of f"),
+     BracketError, "no sign change of f"),
+    (lambda: f_root(-1.0, 3.0, 0.0), ValueError, "total mass"),
+    (lambda: central_config.euler_collinear_batch([Ordering((1, 2, 3))], np.ones((1, 3)), -1.0),
+     ValueError, "exponent"),
+    (lambda: simultaneous_gaps([Ordering((1, 2, 3))], np.ones((1, 3)), PP13, inertia_I0=0.0),
+     ValueError, "inertia_I0"),
+], ids=["grad_tol", "normal form size", "equilateral of four", "f never negative",
+        "f_root total mass", "euler exponent", "gaps size"])
+def test_an_input_guard_raises_its_error_naming_its_quantity(call, error, quantity):
+    with pytest.raises(error, match=re.escape(quantity)):
+        call()

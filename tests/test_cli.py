@@ -549,6 +549,20 @@ def test_simulate_plunging_orbit_names_its_separation(tmp_path, capsys):
     assert "separation" in err
 
 
+def test_simulate_past_the_float_range_writes_only_its_error(tmp_path, capsys):
+    # the start's forces pass the float range (separations near 1e-70, b = 3):
+    # the energy of the start is taken without numpy's warnings, so stderr
+    # holds the field's one error line
+    start = {
+        "kind": "cartesian",
+        "positions": [[0.0, 0.0], [1e-70, 0.0], [0.0, 1e-70]],
+        "momenta": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    }
+    code, _ = run(tmp_path, "simulate", base_config(initial_state=start))
+    assert code == 3
+    assert capsys.readouterr().err == "error: FieldError: field not finite at t = 0.0\n"
+
+
 # ---------------------------------------------------------------------------
 # collision-flow
 
@@ -1721,3 +1735,9 @@ def test_float_bodied_runs_write_the_bytes_of_the_array_path(tmp_path, monkeypat
     assert files == sorted(p.name for p in (tmp_path / "slow").glob("*"))
     for name in files:
         assert (fast / name).read_bytes() == (tmp_path / "slow" / name).read_bytes()
+
+
+@pytest.mark.parametrize("value, name", [(object(), "object"), ({1.0, 2.0}, "set"), (1j, "complex")])
+def test_the_json_writer_refuses_a_type_it_cannot_serialize_by_name(value, name):
+    with pytest.raises(TypeError, match=f"^cannot serialize {name}$"):
+        cli._json_text({"result": [value]})

@@ -1,6 +1,7 @@
 """Collision-manifold flow: equilibria, spectra, dimensions, monotone v."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -785,3 +786,13 @@ def test_a_nan_defect_fails_the_equilibrium_gate(monkeypatch):
     monkeypatch.setattr(collision_flow, "cc_residual", lambda *args: (0.0, np.nan))
     with pytest.raises(OffManifoldError, match="defect nan"):
         find_equilibria(MS, PP, [equilateral_cc_of_b_term(MS, PP.b)])
+
+
+@pytest.mark.parametrize("call, quantity", [
+    (lambda: linearize_at_equilibrium(Configuration(np.eye(3, 2)), 1.0, MS,
+                                      PotentialParams(a=1.0, b=2.0)), "b > 2"),
+    (lambda: manifold_dimensions(3, "spatial", 0, 1.0, np.zeros(6)), "ambient 'spatial'"),
+], ids=["b at most 2", "unknown ambient"])
+def test_an_input_guard_raises_value_error_naming_its_quantity(call, quantity):
+    with pytest.raises(ValueError, match=re.escape(quantity)):
+        call()

@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import re
 import warnings
 
 import numpy as np
@@ -1126,3 +1127,30 @@ def test_a_homothetic_orbit_is_the_array_path_s_bit_for_bit(array_path_of):
     slow = homothetic.heteroclinic_orbit(s0, ms, pp, -1.0)
     assert fast.termination == "event:floor" and len(fast.trajectory.events["turn"]) == 1
     assert _run_bytes(fast.trajectory) == _run_bytes(slow.trajectory)
+
+
+def _fails_at(call, error):
+    """The field -y, whose call number call raises error."""
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        if len(calls) == call:
+            raise error
+        return -y
+
+    return field
+
+
+@pytest.mark.parametrize("field, error, quantity", [
+    # the initial step's probe, the second call, collides: the probe is read as an
+    # infinite second derivative, which leaves no step to take
+    (_fails_at(2, CollisionError("probe inside the guard")), StiffnessError,
+     "step size underflow at t = 0.0"),
+    # a FieldError at t0 passes through as raised, not wrapped
+    (_fails_at(1, FieldError("the field's own message")), FieldError, "the field's own message"),
+], ids=["initial step probe", "field error at t0"])
+def test_a_field_error_at_the_start_raises_its_error_naming_its_quantity(field, error, quantity):
+    with pytest.raises(error, match=f"^{re.escape(quantity)}") as exc:
+        integrate(field, np.array([1.0, 2.0]), (0.0, 1.0))
+    assert exc.value.__cause__ is None

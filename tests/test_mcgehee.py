@@ -394,3 +394,12 @@ def test_the_blown_up_field_keeps_its_symmetries(rng, n):
         assert np.abs(s_turned - s_d @ rot.T).max() <= 4.0 * np.spacing(np.abs(s_d).max())
         u_turned = turned[2 + 2 * n :].reshape(n, 2)
         assert np.abs(u_turned - u_d @ rot.T).max() <= 8.0 * condition * np.spacing(l_u)
+
+
+@pytest.mark.parametrize("s, u", [
+    ([[math.nan, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]),
+    ([[0.0, 0.0], [1.0, 0.0]], [[0.0, math.inf], [0.0, 0.0]]),
+], ids=["s", "u"])
+def test_a_blown_up_state_with_a_non_finite_shape_or_momentum_is_refused(s, u):
+    with pytest.raises(ValueError, match="^s and u must be finite$"):
+        McGeheeState(0.5, 0.1, s, u)

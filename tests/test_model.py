@@ -499,34 +499,49 @@ def _fuzz_draws(rng, n, d, draws):
         yield masses, pp, r, [*r.ravel().tolist(), *rng.standard_normal(n * d).tolist()]
 
 
+def _blown_up_outcome(ms, pp, d, with_time):
+    """_outcome of _blown_up_reference at a flat blown-up state given as a list."""
+    def reference(y):
+        return _blown_up_reference(np.array(y), ms, pp, ms.n, d, with_time)
+    return lambda y: _outcome(reference, y)
+
+
 @pytest.mark.parametrize("n, d", _COMPILED_SHAPES)
 def test_the_float_bodies_are_the_pair_order_reference_bit_for_bit(rng, n, d):
-    # both compiled bodies, the pass with W and V and the Cartesian field's,
-    # give the reference's values, or raise its error with its message
-    for masses, pp, r, rp in _fuzz_draws(rng, n, d, draws=1200 // n):
-        kernel = _PairKernel(masses, pp)
-        want = _outcome(_pair_order_pass, r, masses, pp)
-        assert _outcome(_float_pass(kernel, d), r.ravel().tolist()) == want
-        field = _float_pass(kernel, d, np.repeat(masses, d).tolist())
-        assert _outcome(field, 0.3, rp) == _outcome(_field_reference(MassSystem(masses), pp, d), rp)
+    # both field bodies, the Cartesian one and the blown-up one with and
+    # without time, give their references' values, or raise their errors
+    # with their messages, at rho = 0 and rho > 0
+    for draw, (masses, pp, r, rp) in enumerate(_fuzz_draws(rng, n, d, draws=1200 // n)):
+        kernel, ms = _PairKernel(masses, pp), MassSystem(masses)
+        field = _float_pass(kernel, d)
+        assert _outcome(field, 0.3, rp) == _outcome(_field_reference(ms, pp, d), rp)
+        head = [0.0 if draw % 2 else float(rng.uniform(0.1, 2.0)), float(rng.standard_normal())]
+        for with_time in (False, True):
+            y = [*head, *rp, *[0.7] * with_time]
+            got = _outcome(_float_pass(kernel, d, blown_up=True, with_time=with_time), 0.3, y)
+            assert got == _blown_up_outcome(ms, pp, d, with_time)(y)
 
 
 @pytest.mark.parametrize("n, d", _COMPILED_SHAPES)
-def test_the_float_pass_is_within_rounding_of_the_kernel_pass(rng, n, d):
-    # the kernel sums in a matmul's order: each gradient coordinate differs by
-    # at most n ulps of the largest force sum, W and V by P ulps of themselves
+def test_the_float_bodies_are_within_rounding_of_the_kernel_pass(rng, n, d):
+    # the kernel sums in a matmul's order: each coordinate of grad_W and of
+    # grad_V differs by at most n ulps of the largest force sum, so the
+    # Cartesian field's forces by 2 n + 1 of them; W and V each by P ulps of
+    # themselves, read from the blown-up field at rest (v = 0, u = 0), where
+    # v' = -b V at rho = 0 and -(a W + b V) at rho = 1
     eps = np.finfo(float).eps
-    for masses, pp, r, _ in _fuzz_draws(rng, n, d, draws=600 // n):
+    for masses, pp, r, rp in _fuzz_draws(rng, n, d, draws=600 // n):
         if abs(r).max() < 1e-60:
             continue
         kernel = _PairKernel(masses, pp)
-        w, v, g_w, g_v = _float_pass(kernel, d)(r.ravel().tolist())
         t = kernel.terms(r)[0]
-        bound = n * eps * t.force_sum.max()
-        assert np.abs(np.subtract(g_w, t.grad_W.ravel())).max() <= bound
-        assert np.abs(np.subtract(g_v, t.grad_V.ravel())).max() <= bound
-        pairs = n * (n - 1) // 2
-        assert abs(w - t.W) <= pairs * eps * t.W and abs(v - t.V) <= pairs * eps * t.V
+        force = _float_pass(kernel, d)(0.3, rp)[n * d :]
+        bound = (2 * n + 1) * eps * t.force_sum.max()
+        assert np.abs(np.subtract(force, (t.grad_W + t.grad_V).ravel())).max() <= bound
+        blown_up, pairs = _float_pass(kernel, d, blown_up=True), n * (n - 1) // 2
+        for rho, want in ((0.0, pp.b * t.V), (1.0, pp.a * t.W + pp.b * t.V)):
+            v_dot = blown_up(0.3, [rho, 0.0, *rp[: n * d], *[0.0] * (n * d)])[1]
+            assert abs(v_dot + want) <= (pairs + 3) * eps * want
 
 
 def _last_ulp_inside_the_guard(r, j, masses, pp):
@@ -548,13 +563,15 @@ def _last_ulp_inside_the_guard(r, j, masses, pp):
 @pytest.mark.parametrize("n, d", [(3, 1), (3, 2), (4, 1), (5, 2), (_FLOAT_BODIES, 2)])
 def test_the_float_bodies_raise_at_the_guard_and_not_past_it(rng, n, d):
     # a pair at (1 - 1e-12), 1 and (1 + 1e-12) times the guard G^2 sum_p w_p q_p:
-    # both bodies raise where the reference's q_min <= guard does, below the
-    # guard with the kernel's message too, and nothing past it; at the guard,
+    # both field bodies raise where the reference's q_min <= guard does, below
+    # the guard with the kernel's message too, and nothing past it; at the guard,
     # walked to the last ulp where q_min <= guard holds, both raise there and
     # not one ulp out: no margin.  A lone pair sets the size itself, so n >= 3
     for _ in range(20):
         kernel = _PairKernel(random_masses(rng, n).masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
         masses = kernel.m_col[:, 0]
+        field, blown_up = _float_pass(kernel, d), _float_pass(kernel, d, blown_up=True)
+        blown_up_reference = _blown_up_outcome(MassSystem(masses), kernel.pp, d, False)
         for ratio in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
             r = random_config(rng, n, d, scale=float(n))
             i, j = rng.choice(n, size=2, replace=False)
@@ -567,8 +584,7 @@ def test_the_float_bodies_raise_at_the_guard_and_not_past_it(rng, n, d):
                 r[j] *= GUARD_FACTOR * step
             rp = [*r.ravel().tolist(), *np.linspace(-1.0, 1.0, n * d).tolist()]
             want = _outcome(_pair_order_pass, r, masses, kernel.pp)
-            assert _outcome(_float_pass(kernel, d), r.ravel().tolist()) == want
-            field = _float_pass(kernel, d, np.repeat(masses, d).tolist())
+            assert _outcome(blown_up, 0.0, [0.5, -0.1, *rp]) == blown_up_reference([0.5, -0.1, *rp])
             got = _outcome(field, 0.0, rp)
             assert got == want if type(want) is tuple else type(got) is bytes
             if ratio < 1.0:
@@ -580,10 +596,9 @@ def test_the_float_bodies_raise_at_the_guard_and_not_past_it(rng, n, d):
             else:
                 for x, raised in zip(_last_ulp_inside_the_guard(r, j, masses, kernel.pp),
                                      (True, False)):
-                    got = _outcome(_float_pass(kernel, d), x.ravel().tolist())
-                    assert (type(got) is tuple) == raised
                     rp = [*x.ravel().tolist(), *rp[n * d :]]
                     assert (type(_outcome(field, 0.0, rp)) is tuple) == raised
+                    assert (type(_outcome(blown_up, 0.0, [0.5, -0.1, *rp])) is tuple) == raised
 
 
 # the exponents -(exp + 2) / 2 the kernel raises squared distances to, at
@@ -615,8 +630,8 @@ def test_numpy_s_float_power_is_python_s_float_pow_bit_for_bit(rng):
 @pytest.mark.parametrize("n, d", _COMPILED_SHAPES)
 def test_a_power_past_the_float_range_raises_overflow_error(rng, monkeypatch, n, d):
     # the first pair at q = 1e-200 with b = 3: q ** -2.5 raises OverflowError in
-    # Python floats, where the numpy pass's float_power gives inf; both bodies
-    # let it propagate, and no numpy pass runs
+    # Python floats, where the numpy pass's float_power gives inf; both field
+    # bodies let it propagate, and no numpy pass runs
     passes = count_gradient_passes(monkeypatch)
     masses = random_masses(rng, n).masses
     kernel = _PairKernel(masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
@@ -624,9 +639,10 @@ def test_a_power_past_the_float_range_raises_overflow_error(rng, monkeypatch, n,
     r *= 1e-100 / np.linalg.norm(r[0] - r[1])
     rp = [*r.ravel().tolist(), *rng.standard_normal(n * d).tolist()]
     with pytest.raises(OverflowError):
-        _float_pass(kernel, d)(rp[: n * d])
-    with pytest.raises(OverflowError):
-        _float_pass(kernel, d, np.repeat(masses, d).tolist())(0.0, rp)
+        _float_pass(kernel, d)(0.0, rp)
+    for with_time in (False, True):
+        with pytest.raises(OverflowError):
+            _float_pass(kernel, d, blown_up=True, with_time=with_time)(0.0, [0.5, -0.1, *rp, *[0.7] * with_time])
     assert passes == []
 
 
@@ -698,30 +714,47 @@ def test_a_second_kernel_of_a_compiled_shape_compiles_nothing(rng):
     # the kernel's values are arguments of the compiled body, so a new
     # kernel of a compiled shape reuses it and still gets its own values
     for n, d in _COMPILED_SHAPES:
-        _float_pass(_PairKernel(random_masses(rng, n).masses, PotentialParams()), d)
+        for blown_up in (False, True):
+            _float_pass(_PairKernel(random_masses(rng, n).masses, PotentialParams()), d, blown_up)
+            misses = _float_body.cache_info().misses
+            ms, pp = random_masses(rng, n), PotentialParams(a=0.5, b=2.5, alpha=1.3)
+            rp = [*random_config(rng, n, d, scale=float(n)).ravel().tolist(),
+                  *rng.standard_normal(n * d).tolist()]
+            y, want = ([0.5, -0.1, *rp], _blown_up_outcome(ms, pp, d, False)) if blown_up else (
+                rp, functools.partial(_outcome, _field_reference(ms, pp, d)))
+            assert _outcome(_float_pass(_PairKernel(ms.masses, pp), d, blown_up), 0.3, y) == want(y)
+            assert _float_body.cache_info().misses == misses
+
+
+def test_the_compile_cache_compiles_the_least_recently_used_body_again_after_16_others(rng):
+    # the cache keeps the last 16 bodies; the 17th distinct one evicts the
+    # least recently used, which then compiles anew to the same bits
+    kernel = _PairKernel(random_masses(rng, 2).masses, PotentialParams(a=1.0, b=3.0, beta=0.5))
+    y = rng.standard_normal(4).tolist()
+    want, first = _outcome(_float_pass(kernel, 1), 0.3, y), _float_body(2, 1)
+    for n in range(2, 10):
+        for d in (1, 2):  # 16 blown-up bodies, other than the Cartesian (2, 1)
+            _float_pass(_PairKernel(random_masses(rng, n).masses, kernel.pp), d, blown_up=True)
     misses = _float_body.cache_info().misses
-    for n, d in _COMPILED_SHAPES:
-        kernel = _PairKernel(random_masses(rng, n).masses, PotentialParams(a=0.5, b=2.5, alpha=1.3))
-        r = random_config(rng, n, d, scale=float(n))
-        got = _float_pass(kernel, d)(r.ravel().tolist())
-        assert _pass_bytes(*got) == _pass_bytes(*_pair_order_pass(r, kernel.m_col[:, 0], kernel.pp))
-    assert _float_body.cache_info().misses == misses
+    assert _outcome(_float_pass(kernel, 1), 0.3, y) == want
+    assert _float_body.cache_info().misses == misses + 1 and _float_body(2, 1) is not first
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_a_shape_above_the_cutoff_compiles_nothing_and_runs_the_kernel_s_gradients(
+def test_a_shape_above_the_cutoff_writes_no_pair_term_and_runs_the_kernel_s_numpy_pass(
         rng, monkeypatch, d):
-    # so the compile cache holds at most two bodies per shape up to the cutoff
-    n = _FLOAT_BODIES + 1
-    ms, pp = random_masses(rng, n), PotentialParams(a=1.0, b=3.0, beta=0.5)
-    y = np.concatenate([random_config(rng, n, d, scale=float(n)).ravel(), rng.standard_normal(n * d)])
-    want = _field_reference(ms, pp, d)(y).tobytes()
-    passes, misses = count_gradient_passes(monkeypatch), _float_body.cache_info().misses
-    field = cartesian_field(ms, pp, d)
-    assert _float_bytes(field.floats(0.0, y.tolist())) == want
-    assert len(passes) == 1
-    mcgehee_field(ms, pp, d)(0.0, np.concatenate([[0.5, -0.1], y]))
-    assert len(passes) == 2 and _float_body.cache_info().misses == misses
+    # above the cutoff each body's pair section is one call of the kernel's
+    # numpy pass, gradients for the Cartesian field and terms for the blown-up
+    # one: no pair difference, squared distance, power or force is written out
+    pair_term = re.compile(r"x\d+_\d+|q\d+|p[wv]\d+|f[wv]\d+")
+    passes, terms = count_gradient_passes(monkeypatch), count_kernel_passes(monkeypatch)
+    for k, (field, y, reference) in enumerate(_field_states(_FLOAT_BODIES + 1, d, rng)):
+        local_names = field.floats.__code__.co_varnames
+        assert local_names and not [x for x in local_names if pair_term.fullmatch(x)]
+        before = len(passes), len(terms)
+        got = field.floats(0.0, y.tolist())
+        assert (len(passes) - before[0], len(terms) - before[1]) == (1, min(k, 1))
+        assert _float_bytes(got) == reference(y).tobytes()
 
 
 def _pass_of(s, ms, pp):
@@ -1378,3 +1411,20 @@ def test_masked_kernel_flags_a_colliding_member_only(rng):
     assert collided.tolist() == [True, False]
     alone = pair_terms(r[1], MassSystem(masses[1]), pp)
     assert terms.W[1] == alone.W and np.array_equal(terms.grad_V[1], alone.grad_V)
+
+
+_CONFIG = Configuration(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("call, quantity", [
+    (lambda: PotentialParams(a=math.nan), "a must be finite"),
+    (lambda: PotentialParams(beta=math.inf), "beta must be finite"),
+    (lambda: Configuration(np.zeros((1, 2))), "positions must be (n, d)"),
+    (lambda: Configuration(np.zeros((2, 3))), "positions must be (n, d)"),
+    (lambda: Configuration(np.array([[0.0, math.nan], [1.0, 0.0]])), "positions must be finite"),
+    (lambda: PhaseState(_CONFIG, np.zeros((2, 1))), "momenta must have the same shape"),
+    (lambda: PhaseState(_CONFIG, np.array([[0.0, 0.0], [math.inf, 0.0]])), "momenta must be finite"),
+], ids=["a", "beta", "one body", "three axes", "nan position", "momenta shape", "inf momentum"])
+def test_an_input_check_raises_value_error_naming_its_quantity(call, quantity):
+    with pytest.raises(ValueError, match=re.escape(quantity)):
+        call()

@@ -277,35 +277,53 @@ def test_compare_trees_refuses_a_tree_without_the_package(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(f"error: {tmp_path.resolve()} has no src/qhnbody\n")
 
 
-def _stub_paired(monkeypatch, parent, wall):
+def _stub_paired(monkeypatch, wall):
     """Stub paired's runs: each run of a tree returns its next wall_s from wall[side]
-    (every other metric reads 1.0), and the call counts are 1,000 and 1,100."""
+    (every other metric reads 1.0), and the call counts are 1,000 and 1,100.  A run
+    records (side, workload, seed, tree, the tree's files) while its copy exists."""
     calls = []
 
     def run_bench(tree, workload, seed):
-        side = "old" if tree == parent.resolve() else "new"
-        calls.append((side, workload, seed, tree))
+        side = tree.name
+        files = sorted(str(path.relative_to(tree)) for path in tree.rglob("*") if path.is_file())
+        calls.append((side, workload, seed, tree, files))
         metrics = {name: 1.0 for name in ("setup_s", "cpu_s", "op_p50_ms", "peak_rss_mb")}
         return {**metrics, "wall_s": wall[side][sum(c[0] == side for c in calls) - 1]}
 
     monkeypatch.setattr(paired, "run_bench", run_bench)
     monkeypatch.setattr(paired, "profile_calls",
-                        lambda tree, workload, seed: (10, 1000 if tree == parent.resolve() else 1100))
+                        lambda tree, workload, seed: (10, 1000 if tree.name == "old" else 1100))
     return calls
 
 
-def test_paired_alternates_the_trees_and_summarises_each_metric(tmp_path, capsys, monkeypatch):
+def _parent_tree(tmp_path):
+    """A stub parent checkout with the files paired needs, a cached module and a run record."""
     parent = tmp_path / "parent"
-    for need in ("src/qhnbody/__init__.py", "bench/run.py", "bench/workloads.py"):
+    for need in ("src/qhnbody/__init__.py", "bench/run.py", "bench/workloads.py",
+                 "src/qhnbody/__pycache__/model.cpython-311.pyc", "bench/.bench_runs/run.json",
+                 "tests/test_model.py"):
         write_dump(parent, {need: ""})
+    return parent
+
+
+def test_paired_alternates_the_trees_and_summarises_each_metric(tmp_path, capsys, monkeypatch):
+    parent = _parent_tree(tmp_path)
     wall = {"old": [1.0, 2.0, 3.0, 4.0], "new": [0.9, 2.1, 2.5, 3.0]}
-    calls = _stub_paired(monkeypatch, parent, wall)
+    calls = _stub_paired(monkeypatch, wall)
     assert paired.main([str(parent), "--workload", "flow", "--seeds", "11", "12", "--pairs", "4"]) == 0
     # even pairs run the old tree first, odd pairs the new one; seeds cycle per pair
-    assert [(side, seed) for side, _, seed, _ in calls] == [
+    assert [(side, seed) for side, _, seed, _, _ in calls] == [
         ("old", 11), ("new", 11), ("new", 12), ("old", 12),
         ("old", 11), ("new", 11), ("new", 12), ("old", 12)]
-    assert {tree for side, _, _, tree in calls if side == "new"} == {paired.ROOT}
+    # both sides run from fresh copies side by side in one temporary directory:
+    # the parent's src/ and bench/ without its bytecode or run records, and
+    # this checkout's
+    ((old_copy, old_files),), ((new_copy, new_files),) = (
+        {(tree, tuple(files)) for s, _, _, tree, files in calls if s == side} for side in ("old", "new"))
+    assert old_copy.parent == new_copy.parent and not old_copy.exists()
+    assert old_files == ("bench/run.py", "bench/workloads.py", "src/qhnbody/__init__.py")
+    assert "src/qhnbody/model.py" in new_files
+    assert all(f.startswith(("src/", "bench/")) and "__pycache__" not in f for f in new_files)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("flow: 4 pairs, seeds [11, 12], OLD ")
     # old quartiles of 1..4 are 1.75, 2.5, 3.25; new 1.8, 2.3, 2.625; NEW wins pairs 1, 3, 4
@@ -316,13 +334,13 @@ def test_paired_alternates_the_trees_and_summarises_each_metric(tmp_path, capsys
 
 
 def test_paired_aa_runs_the_old_tree_against_a_copy_of_itself(tmp_path, capsys, monkeypatch):
-    parent = tmp_path / "parent"
-    for need in ("src/qhnbody/__init__.py", "bench/run.py", "bench/workloads.py"):
-        write_dump(parent, {need: ""})
-    calls = _stub_paired(monkeypatch, parent, {"old": [1.0, 2.0], "new": [1.0, 2.0]})
+    parent = _parent_tree(tmp_path)
+    calls = _stub_paired(monkeypatch, {"old": [1.0, 2.0], "new": [1.0, 2.0]})
     assert paired.main([str(parent), "--workload", "census", "--pairs", "2", "--aa"]) == 0
-    copies = {tree for side, _, _, tree in calls if side == "new"}
-    assert len(copies) == 1 and copies != {paired.ROOT}
+    copies = {tree for *_, tree, _ in calls}
+    assert len(copies) == 2 and len({tree.parent for tree in copies}) == 1
+    assert {tuple(files) for *_, files in calls} == {
+        ("bench/run.py", "bench/workloads.py", "src/qhnbody/__init__.py")}
     assert "won 0/2" in capsys.readouterr().out
     with pytest.raises(SystemExit) as exc:
         paired.main([str(tmp_path), "--workload", "census"])

@@ -3,13 +3,16 @@
     python3 tools/paired.py ../parent --workload flow --seeds 11 --pairs 10
     python3 tools/paired.py ../parent --workload census --pairs 10 --aa
 
-Pair k runs ``bench/run.py --workload W --seed s --trace 0`` once in OLD_TREE
-and once in this checkout (NEW), each in a process of its own, at seed s =
+Both sides run from fresh copies of their src/ and bench/, the parts
+bench/run.py reads, made side by side under one temporary directory without
+any __pycache__ or .bench_runs: OLD of OLD_TREE, NEW of this checkout, or
+with --aa of OLD_TREE again, when the runs show the noise floor of the
+measure.  So neither side starts from the other's compiled bytecode, run
+history or path length.  Pair k runs ``bench/run.py --workload W --seed s
+--trace 0`` once in each copy, each in a process of its own, at seed s =
 seeds[k % len(seeds)]; even pairs run OLD first and odd pairs NEW first, so
-the machine's drift falls on both sides alike.  With --aa, NEW is a copy of
-OLD_TREE's src/ and bench/ in a temporary directory: the runs then show the
-noise floor of the measure.  For each end-to-end metric of BENCHMARK.json
-one line reads
+the machine's drift falls on both sides alike.  For each end-to-end metric
+of BENCHMARK.json one line reads
 
     <metric>  old <median> [<q1>, <q3>]  new <median> [<q1>, <q3>]
               <change of the median>  won <w>/<N>  old IQR <iqr> (<% of median>)
@@ -20,7 +23,7 @@ pair and the change of the median exceeds the old IQR.
 
 Beside the times, a cost the machine's drift cannot move: the cProfile
 primitive calls of one in-process pass of the ops that bench/workloads.build
-makes for W at the first seed, in each tree, loaded as tools/dump_ops.py
+makes for W at the first seed, in each copy, loaded as tools/dump_ops.py
 --tree loads them (one tree's src/ and bench/ per process).
 """
 
@@ -119,11 +122,12 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     with tempfile.TemporaryDirectory() as tmp:
-        new_tree = _copy_tree(old_tree, Path(tmp)) if args.aa else ROOT
+        old_copy = _copy_tree(old_tree, Path(tmp) / "old")
+        new_copy = _copy_tree(old_tree if args.aa else ROOT, Path(tmp) / "new")
         old, new = [], []
         for k in range(args.pairs):
             seed = args.seeds[k % len(args.seeds)]
-            order = [(old_tree, old), (new_tree, new)]
+            order = [(old_copy, old), (new_copy, new)]
             for tree, into in order if k % 2 == 0 else order[::-1]:
                 into.append(run_bench(tree, args.workload, seed))
         label = "A/A, a copy of OLD" if args.aa else "NEW"
@@ -132,7 +136,7 @@ def main(argv=None) -> int:
             name = metric["name"]
             print(metric_line(name, metric["better"] == "lower",
                               [run[name] for run in old], [run[name] for run in new]))
-        counted = [profile_calls(tree, args.workload, args.seeds[0]) for tree in (old_tree, new_tree)]
+        counted = [profile_calls(tree, args.workload, args.seeds[0]) for tree in (old_copy, new_copy)]
     (ops, old_calls), (_, new_calls) = counted
     print(f"{'calls':12s} old {old_calls:,}  new {new_calls:,}  {new_calls - old_calls:+,} "
           f"({100.0 * (new_calls - old_calls) / old_calls:+.2f}%) over {ops} ops, "
